@@ -18,6 +18,7 @@ Suites:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -204,16 +205,19 @@ def _max_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+def _pool_map(fns) -> list:
+    """Call each fn in order, on a thread pool unless one worker is allowed."""
+    workers = _max_workers()
+    if workers == 1 or len(fns) <= 1:
+        return [fn() for fn in fns]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda fn: fn(), fns))
+
+
 def _run_cases(case_fns) -> tuple[list[dict], list[dict]]:
     rows: list[dict] = []
     verdicts: list[dict] = []
-    workers = _max_workers()
-    if workers == 1 or len(case_fns) <= 1:
-        results = [fn() for fn in case_fns]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda fn: fn(), case_fns))
-    for r, v in results:
+    for r, v in _pool_map(case_fns):
         rows.extend(r)
         verdicts.extend(v)
     return rows, verdicts
@@ -295,25 +299,29 @@ def _run_t1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     lam_grid = _grid(opt["lambda_sound"])
     cert_grid = _grid(opt["cert_sweep"])
     bounded_window = tuple(opt.get("bounded_window", (1e4, 1e6)))
-    base_cache: dict[str, tuple] = {}
 
-    def base_constants(fspec: dict, delta: float):
-        key = json.dumps(fspec, sort_keys=True)
-        if key not in base_cache:
-            f = phase_from_config(fspec)
-            samples = [
-                (lambda q: DecaySample(q.lam, abs(q.value), q.error_estimate))(
-                    osc_integrate_1d(f, float(l), cfg=cfg.quad))
-                for l in lam_grid
-            ]
-            fit = fit_decay(samples)
-            A = max(1.0, fit.C_hat)
-            base_cache[key] = (f, A, fit.delta_hat)
-        return base_cache[key]
+    def base_fit(fspec: dict):
+        f = phase_from_config(fspec)
+        samples = [
+            (lambda q: DecaySample(q.lam, abs(q.value), q.error_estimate))(
+                osc_integrate_1d(f, float(l), cfg=cfg.quad))
+            for l in lam_grid
+        ]
+        fit = fit_decay(samples)
+        return f, max(1.0, fit.C_hat), fit.delta_hat
+
+    def fkey(case: dict) -> str:
+        return json.dumps(case["f"], sort_keys=True)
+
+    # inputs the cases share are computed once each before the cases fan out
+    specs = {fkey(c): c["f"] for c in opt["cases"]}
+    bases = dict(zip(specs, _pool_map([functools.partial(base_fit, s) for s in specs.values()])))
+    for delta in dict.fromkeys(float(c["delta"]) for c in opt["cases"]):
+        osc_to_sublevel_constant(delta)
 
     def make(case):
         def run():
-            f, A, delta_hat_base = base_constants(case["f"], case["delta"])
+            f, A, delta_hat_base = bases[fkey(case)]
             P = Polynomial(tuple(case["poly"]))
             composed = compose_with_polynomial(f, P.coeffs)
             delta = float(case["delta"])
@@ -793,5 +801,6 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     for v in verdicts:
         v["passed"] = bool(v["passed"])
     stamp = {"version": __version__, "seed": cfg.seed,
-             "python": sys.version.split()[0]}
+             "python": sys.version.split()[0], "numpy": np.__version__,
+             "threads": _max_workers()}
     return SuiteReport(cfg.suite, rows, verdicts, stamp)

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import PreconditionError
-from .quadrature import _refine_1d_swings
+from .quadrature import _CHUNK, _refine_1d_swings
 
 _N15, _W15 = leggauss(15)
 _N7, _W7 = leggauss(7)
@@ -123,11 +123,13 @@ def product_monomial_integral(k: int, j: int, lam: float, coeff: float = 1.0,
         return la * np.abs(hi**j - lo**j)
 
     L, R = _refine_1d_swings(swing, 0.0, 1.0, cap, max_panels)
-    mid = 0.5 * (L + R)
-    half = 0.5 * (R - L)
-    y15 = mid[:, None] + half[:, None] * _N15[None, :]
-    v15 = monomial_profile(k, lam_eff * y15**j)
-    i15 = (v15 @ _W15) * half
+    # per-panel values chunk by chunk bound the memory; one sum at the end
+    i15 = np.empty(L.size, dtype=complex)
+    for s in range(0, L.size, _CHUNK):
+        mid = 0.5 * (L[s:s + _CHUNK] + R[s:s + _CHUNK])
+        half = 0.5 * (R[s:s + _CHUNK] - L[s:s + _CHUNK])
+        y15 = mid[:, None] + half[:, None] * _N15[None, :]
+        i15[s:s + _CHUNK] = (monomial_profile(k, lam_eff * y15**j) @ _W15) * half
     return complex(i15.sum())
 
 

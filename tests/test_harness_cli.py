@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oscint.errors import ConfigError
@@ -76,6 +77,8 @@ def test_report_written_and_recomputable(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc["suite"] == "T6" and doc["passed"] is True
     assert doc["stamp"]["seed"] == 7
+    assert doc["stamp"]["numpy"] == np.__version__
+    assert doc["stamp"]["threads"] >= 1
     # the monic verdict is recomputable from the rows alone
     lines = [ln.split(",") for ln in body.splitlines()[1:]]
     monic_rows = [ln for ln in lines if ln[1] == "monic_inclusion"]

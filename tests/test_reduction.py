@@ -33,7 +33,7 @@ def test_profile_vectorized():
             assert abs(v - q.value) < 1e-9
 
 
-@pytest.mark.parametrize("lam", [10.0, 1e3, 1e5])
+@pytest.mark.parametrize("lam", [10.0, 1e3, 1e5, 1e6])
 def test_xy_reduction_vs_closed_form(lam):
     val = product_monomial_integral(1, 1, lam)
     oracle = xy_square_integral(lam)

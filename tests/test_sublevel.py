@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from oscint import (
     Interval,
@@ -16,6 +17,7 @@ from oscint import (
 )
 from oscint.decay import DecaySample, fit_decay, geometric_grid
 from oscint.phases import Phase2D, unit_square
+from oscint.sublevel import _bump
 
 
 class TestSublevel1D:
@@ -120,6 +122,62 @@ class TestConstant:
     def test_tail_guard(self):
         with pytest.raises(NonconvergentTailError):
             osc_to_sublevel_constant(0.5, xi_cutoff=4.0)
+
+    # computed independently from a tabulated bump and its direct cosine
+    # transform; any correct transform of the same bump reproduces them
+    @pytest.mark.parametrize("delta, expected", [
+        (0.25, 2.7106214649484213),
+        (1.0 / 3.0, 3.380857473742387),
+        (0.5, 5.616516938071103),
+        (2.0 / 3.0, 10.678475556012858),
+    ])
+    def test_frozen_values(self, delta, expected):
+        assert osc_to_sublevel_constant(delta).C_delta == pytest.approx(expected, rel=1e-9)
+
+
+def _gauss(fn, lo, hi, panels, order=64):
+    """Composite Gauss-Legendre integral of fn over [lo, hi] (arrays broadcast)."""
+    t, w = leggauss(order)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    edges = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, panels + 1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    return ((fn(mid[..., None] + half[..., None] * t) @ w) * half).sum(axis=-1)
+
+
+def _phi_by_convolution(x):
+    """phi(x) = int rho_h(s) over |s| < h, |x - s| <= 1.5, with h = 1/2."""
+
+    def rho(t):
+        out = np.zeros_like(t)
+        inside = np.abs(t) < 1.0
+        out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+        return out
+
+    norm = _gauss(rho, -1.0, 1.0, panels=8)
+    lo = np.maximum(-0.5, x - 1.5)
+    hi = np.maximum(lo, np.minimum(0.5, x + 1.5))
+    return _gauss(lambda s: rho(2.0 * s) * 2.0, lo, hi, panels=8) / norm
+
+
+class TestBumpTransform:
+    def test_matches_direct_cosine_transform(self):
+        xis = np.array([0.05, 0.4, 1.3, 2.9, 7.7])
+        direct = [2.0 * _gauss(lambda x: _phi_by_convolution(x) * np.cos(2 * np.pi * xi * x),
+                               0.0, 2.0, panels=32, order=32)
+                  for xi in xis]
+        np.testing.assert_allclose(_bump().transform_vec(xis), direct,
+                                   rtol=0.0, atol=1e-11)
+
+    def test_value_at_zero_is_bump_area(self):
+        assert float(_bump().transform_vec(0.0)[0]) == pytest.approx(3.0, rel=1e-13)
+
+    def test_sinc_zeros_are_sign_changes(self):
+        hi = 128.0
+        zeros = _bump().sign_change_points(hi)
+        sinc_zeros = np.arange(1, int(3 * hi) + 1) / 3.0
+        gap = np.abs(zeros[None, :] - sinc_zeros[:, None]).min(axis=1)
+        assert gap.max() <= 1e-12
 
 
 def test_component_count_stays_bounded():
