@@ -58,6 +58,9 @@ def integrate(family, n, coeffs, lam, interval, rel_tol):
     click.echo(f"value = {res.value.real:+.12e} {res.value.imag:+.12e}i")
     click.echo(f"|value| = {abs(res.value):.12e}")
     click.echo(f"error_estimate = {res.error_estimate:.3e}  panels = {res.panels_used}")
+    if not res.converged:
+        click.echo("warning: refinement did not converge; some panels remain over tolerance",
+                   err=True)
 
 
 @main.command()

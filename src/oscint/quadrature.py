@@ -4,10 +4,12 @@ Strategy: seed panels from the monotone pieces of the phase, then bisect
 panels until the per-panel phase swing |lambda| * |g(b_p) - g(a_p)| falls
 below the configured cap (on a monotone piece the endpoint difference IS
 the swing, so no derivative bounds are needed).  Each panel is integrated
-with a 15-point Gauss-Legendre rule on the real and imaginary parts, with
-the 7-point rule on the same panel supplying the error estimate.  With the
-default cap of pi/2 the 15-point rule is exact to machine precision, so the
-estimate is dominated by float roundoff and scales with total length.
+once with the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15): the value is
+the 15-point Kronrod sum and the error estimate is its distance from the
+7-point Gauss sum, which reuses 7 of the same 15 phase samples.  Panels
+whose estimate exceeds their share of the tolerance are halved, and only
+the halves are evaluated.  With the default cap of pi/2 the Kronrod value is
+exact to machine precision, so the estimate bounds the error generously.
 
 Evaluation is vectorised and chunked; summation order is a fixed
 left-to-right reduction over the sorted panels, so results are bit-stable
@@ -20,13 +22,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, PanelBudgetError, PreconditionError
 from .phases import Interval, Phase2D, PhaseFunction, PlanarDomain, monotone_partition
 
-_N15, _W15 = leggauss(15)
-_N7, _W7 = leggauss(7)
+# QK15 on [-1, 1]: Kronrod nodes x_i >= 0 (the 7-point Gauss nodes are x_1, x_3,
+# x_5 and 0), the Kronrod weights, and the Gauss weights on those four nodes.
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG7 = np.zeros(8)
+_WG7[1::2] = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+              0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 nodes, ascending
+_WK = np.concatenate([_WGK[:-1], _WGK[::-1]])      # Kronrod weights
+_WG = np.concatenate([_WG7[:-1], _WG7[::-1]])      # Gauss weights, 0 off the G7 nodes
+_W = np.column_stack([_WK, _WK - _WG])             # samples @ _W -> (K15, K15 - G7)
 _CHUNK = 1 << 16
 _EPS = np.finfo(float).eps
 
@@ -52,6 +73,9 @@ class QuadResult:
     error_estimate: float
     panels_used: int
     lam: float
+    # False when tolerance refinement stopped (pass cap or panel budget) with
+    # panels still over their share of the tolerance
+    converged: bool = True
 
     @property
     def magnitude(self) -> float:
@@ -62,46 +86,43 @@ DEFAULT_CONFIG = QuadConfig()
 
 
 # ---------------------------------------------------------------------------
-# Panel construction on monotone pieces
+# Swing refinement and the panel rule
 # ---------------------------------------------------------------------------
 
 
-def _build_panels(gval, pieces, lam_abs: float, cap: float, max_panels: int):
-    """Bisect monotone pieces until every panel's endpoint swing is under cap.
+def _swing_panels(vmap, lo, hi, lam_abs: float, cap: float, max_panels: int):
+    """Halve the panels [lo_i, hi_i] until each swing is at most ``cap``.
 
-    ``gval`` maps a float array to phase values.  Returns sorted (left, right)
-    arrays.  Raises PANEL_BUDGET before allocating past ``max_panels``.
+    ``vmap`` maps a float array of n points to n values or to an (n, k)
+    array; a panel's swing is lam_abs * max_k |v(right) - v(left)|.  Endpoint
+    values are kept, so each pass evaluates only the new midpoints.  Returns
+    sorted (left, right) arrays.  Raises PANEL_BUDGET before allocating past
+    ``max_panels``.
     """
-    lo = np.array([p.lo for p in pieces])
-    hi = np.array([p.hi for p in pieces])
-    keep = hi > lo
-    L, R = lo[keep], hi[keep]
-    GL, GR = gval(L), gval(R)
+    L = np.asarray(lo, dtype=float)
+    R = np.asarray(hi, dtype=float)
+    VL, VR = vmap(L), vmap(R)
     done: list[tuple[np.ndarray, np.ndarray]] = []
     n_done = 0
     while L.size:
-        bad = lam_abs * np.abs(GR - GL) > cap
+        swing = lam_abs * np.abs(VR - VL).reshape(L.size, -1).max(axis=1)
+        bad = swing > cap
         n_bad = int(bad.sum())
-        if n_done + (L.size - n_bad) + 2 * n_bad > max_panels:
+        if n_done + L.size + n_bad > max_panels:
             raise PanelBudgetError(
                 f"panel budget {max_panels} exceeded (lambda too large for config)",
                 lam_abs=lam_abs,
             )
+        if n_bad < L.size:
+            done.append((L[~bad], R[~bad]))
+            n_done += L.size - n_bad
         if not n_bad:
-            done.append((L, R))
-            n_done += L.size
             break
-        good = ~bad
-        if good.any():
-            done.append((L[good], R[good]))
-            n_done += int(good.sum())
-        Lb, Rb, GLb, GRb = L[bad], R[bad], GL[bad], GR[bad]
-        M = 0.5 * (Lb + Rb)
-        GM = gval(M)
-        L = np.concatenate([Lb, M])
-        R = np.concatenate([M, Rb])
-        GL = np.concatenate([GLb, GM])
-        GR = np.concatenate([GM, GRb])
+        L, R, VL, VR = L[bad], R[bad], VL[bad], VR[bad]
+        M = 0.5 * (L + R)
+        VM = vmap(M)
+        L, R = np.concatenate([L, M]), np.concatenate([M, R])
+        VL, VR = np.concatenate([VL, VM]), np.concatenate([VM, VR])
     if not done:
         return np.empty(0), np.empty(0)
     left = np.concatenate([d[0] for d in done])
@@ -111,7 +132,7 @@ def _build_panels(gval, pieces, lam_abs: float, cap: float, max_panels: int):
 
 
 def _panel_rule(gval, lam: float, L: np.ndarray, R: np.ndarray):
-    """Per-panel 15-point values and |15-point - 7-point| error, chunked."""
+    """Per-panel K15 values and |K15 - G7| error from one set of samples, chunked."""
     n = L.size
     re = np.empty(n)
     im = np.empty(n)
@@ -120,15 +141,12 @@ def _panel_rule(gval, lam: float, L: np.ndarray, R: np.ndarray):
         e = min(n, s + _CHUNK)
         mid = 0.5 * (L[s:e] + R[s:e])
         half = 0.5 * (R[s:e] - L[s:e])
-        th15 = lam * gval(mid[:, None] + half[:, None] * _N15[None, :])
-        re15 = (np.cos(th15) @ _W15) * half
-        im15 = (np.sin(th15) @ _W15) * half
-        th7 = lam * gval(mid[:, None] + half[:, None] * _N7[None, :])
-        re7 = (np.cos(th7) @ _W7) * half
-        im7 = (np.sin(th7) @ _W7) * half
-        re[s:e] = re15
-        im[s:e] = im15
-        err[s:e] = np.hypot(re15 - re7, im15 - im7)
+        th = lam * gval(mid[:, None] + half[:, None] * _NODES[None, :])
+        c = (np.cos(th) @ _W) * half[:, None]
+        si = (np.sin(th) @ _W) * half[:, None]
+        re[s:e] = c[:, 0]
+        im[s:e] = si[:, 0]
+        err[s:e] = np.hypot(c[:, 1], si[:, 1])
     return re, im, err
 
 
@@ -143,62 +161,37 @@ def osc_integrate_1d(g: PhaseFunction, lam: float, interval: Interval | None = N
         return QuadResult(complex(length, 0.0), 0.0, 0, 0.0)
 
     gval = lambda x: np.asarray(g.eval_fn(0, x), dtype=float)
-    pieces = monotone_partition(g, order_cap=1, interval=iv)
-    L, R = _build_panels(gval, pieces, abs(lam), cfg.phase_variation_cap, cfg.max_panels)
+    pieces = [p for p in monotone_partition(g, order_cap=1, interval=iv) if p.hi > p.lo]
+    L, R = _swing_panels(gval, [p.lo for p in pieces], [p.hi for p in pieces], abs(lam),
+                         cfg.phase_variation_cap, cfg.max_panels)
     re, im, errp = _panel_rule(gval, lam, L, R)
 
-    # refine any panel whose error exceeds its share of the tolerance budget
-    for _ in range(3):
+    # up to three passes halve every panel whose error exceeds its share of
+    # the tolerance; only the halves are evaluated, then merged in by left end
+    converged = True
+    for passes in range(4):
         bad = errp > cfg.rel_tol * np.maximum(R - L, 1e-300)
-        if not bad.any():
+        n_bad = int(bad.sum())
+        if not n_bad:
             break
-        if L.size + int(bad.sum()) > cfg.max_panels:
+        if passes == 3 or L.size + n_bad > cfg.max_panels:
+            converged = False
             break
-        Lb, Rb = L[bad], R[bad]
-        M = 0.5 * (Lb + Rb)
-        L = np.concatenate([L[~bad], Lb, M])
-        R = np.concatenate([R[~bad], M, Rb])
+        M = 0.5 * (L[bad] + R[bad])
+        Ln, Rn = np.concatenate([L[bad], M]), np.concatenate([M, R[bad]])
+        parts = zip((L, R, re, im, errp), (Ln, Rn) + _panel_rule(gval, lam, Ln, Rn))
+        L, R, re, im, errp = (np.concatenate([a[~bad], b]) for a, b in parts)
         order = np.argsort(L, kind="stable")
-        L, R = L[order], R[order]
-        re, im, errp = _panel_rule(gval, lam, L, R)
+        L, R, re, im, errp = (a[order] for a in (L, R, re, im, errp))
 
     value = complex(float(np.sum(re)), float(np.sum(im)))
     err = float(np.sum(errp)) + 8.0 * _EPS * length
-    return QuadResult(value, err, int(L.size), float(lam))
+    return QuadResult(value, err, int(L.size), float(lam), converged)
 
 
 # ---------------------------------------------------------------------------
 # Two dimensions: iterated tensor-panel integration
 # ---------------------------------------------------------------------------
-
-
-def _refine_1d_swings(swing_fn, a: float, b: float, cap: float, max_panels: int):
-    """Halve [a, b] until swing_fn(lo, hi) <= cap on every panel."""
-    L = np.array([a])
-    R = np.array([b])
-    done: list[tuple[np.ndarray, np.ndarray]] = []
-    n_done = 0
-    while L.size:
-        sw = swing_fn(L, R)
-        bad = sw > cap
-        n_bad = int(bad.sum())
-        if n_done + (L.size - n_bad) + 2 * n_bad > max_panels:
-            raise PanelBudgetError(f"panel budget {max_panels} exceeded in 2D refinement")
-        if not n_bad:
-            done.append((L, R))
-            n_done += L.size
-            break
-        good = ~bad
-        if good.any():
-            done.append((L[good], R[good]))
-            n_done += int(good.sum())
-        M = 0.5 * (L[bad] + R[bad])
-        L = np.concatenate([L[bad], M])
-        R = np.concatenate([M, R[bad]])
-    left = np.concatenate([d[0] for d in done])
-    right = np.concatenate([d[1] for d in done])
-    order = np.argsort(left, kind="stable")
-    return left[order], right[order]
 
 
 def osc_integrate_2d(g: Phase2D, lam: float, domain: PlanarDomain | None = None,
@@ -207,9 +200,11 @@ def osc_integrate_2d(g: Phase2D, lam: float, domain: PlanarDomain | None = None,
 
     The outer variable is the second coordinate; for each outer panel the
     inner slices at all outer nodes share one x-panel grid sized by the worst
-    phase swing over the panel, so the whole block is evaluated as a tensor.
-    The combined error estimate is the outer-rule estimate plus the supremum
-    of the inner estimates times the outer length, per the module contract.
+    phase swing over the panel, so the whole block of 15 x 15 Kronrod points
+    per cell is evaluated as one tensor.  The inner and outer rules both
+    estimate their error as |K15 - G7| from the same samples; the combined
+    estimate is the outer estimate plus the supremum of the inner estimates
+    times the outer length, per the module contract.
     """
     dom = domain or g.domain
     for r in dom.rects:
@@ -223,6 +218,7 @@ def osc_integrate_2d(g: Phase2D, lam: float, domain: PlanarDomain | None = None,
     cap = cfg.phase_variation_cap
     lam_abs = abs(lam)
     f = g.eval_fn
+    n = _NODES.size
     total = 0.0 + 0.0j
     outer_err = 0.0
     inner_sup = 0.0
@@ -232,25 +228,15 @@ def osc_integrate_2d(g: Phase2D, lam: float, domain: PlanarDomain | None = None,
     for ax, bx, ay, by in dom.rects:
         y_span += by - ay
         x_probe = np.linspace(ax, bx, 9)
-
-        def y_swing(lo, hi):
-            va = f((0, 0), x_probe[None, :], lo[:, None])
-            vb = f((0, 0), x_probe[None, :], hi[:, None])
-            return lam_abs * np.max(np.abs(vb - va), axis=1)
-
-        YL, YR = _refine_1d_swings(y_swing, ay, by, cap, cfg.max_panels)
+        YL, YR = _swing_panels(lambda y: f((0, 0), x_probe[None, :], y[:, None]),
+                               [ay], [by], lam_abs, cap, cfg.max_panels)
 
         for y0, y1 in zip(YL, YR):
             ymid, yhalf = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
-            y_nodes = np.concatenate([ymid + yhalf * _N15, ymid + yhalf * _N7])
+            y_nodes = ymid + yhalf * _NODES
             y_probe = np.array([y0, ymid, y1])
-
-            def x_swing(lo, hi):
-                va = f((0, 0), lo[:, None], y_probe[None, :])
-                vb = f((0, 0), hi[:, None], y_probe[None, :])
-                return lam_abs * np.max(np.abs(vb - va), axis=1)
-
-            XL, XR = _refine_1d_swings(x_swing, ax, bx, cap, cfg.max_panels)
+            XL, XR = _swing_panels(lambda x: f((0, 0), x[:, None], y_probe[None, :]),
+                                   [ax], [bx], lam_abs, cap, cfg.max_panels)
             m = XL.size
             cells += m
             if cells > cfg.max_panels:
@@ -259,27 +245,19 @@ def osc_integrate_2d(g: Phase2D, lam: float, domain: PlanarDomain | None = None,
                     lam_abs=lam_abs,
                 )
             xmid, xhalf = 0.5 * (XL + XR), 0.5 * (XR - XL)
-
-            def inner_rule(nodes, weights):
-                xs = (xmid[:, None] + xhalf[:, None] * nodes[None, :]).ravel()
-                th = lam * f((0, 0), xs[:, None], y_nodes[None, :])
-                c = np.cos(th).reshape(m, nodes.size, 22)
-                s = np.sin(th).reshape(m, nodes.size, 22)
-                re = np.einsum("i,pij->pj", weights, c) * xhalf[:, None]
-                im = np.einsum("i,pij->pj", weights, s) * xhalf[:, None]
-                return re, im
-
-            re15, im15 = inner_rule(_N15, _W15)
-            re7, im7 = inner_rule(_N7, _W7)
-            inner_re = re15.sum(axis=0)
-            inner_im = im15.sum(axis=0)
-            inner_err = np.hypot(re15 - re7, im15 - im7).sum(axis=0)
+            xs = (xmid[:, None] + xhalf[:, None] * _NODES[None, :]).ravel()
+            th = lam * f((0, 0), xs[:, None], y_nodes[None, :])
+            # (cell, x node, y node) -> (cell, y node, [K15, K15 - G7])
+            scale = xhalf[:, None, None]
+            re = (np.cos(th).reshape(m, n, n).transpose(0, 2, 1) @ _W) * scale
+            im = (np.sin(th).reshape(m, n, n).transpose(0, 2, 1) @ _W) * scale
+            inner_err = np.hypot(re[:, :, 1], im[:, :, 1]).sum(axis=0)
             inner_sup = max(inner_sup, float(inner_err.max()))
 
-            o15 = yhalf * complex(float(inner_re[:15] @ _W15), float(inner_im[:15] @ _W15))
-            o7 = yhalf * complex(float(inner_re[15:] @ _W7), float(inner_im[15:] @ _W7))
-            total += o15
-            outer_err += abs(o15 - o7)
+            o_re = yhalf * (re[:, :, 0].sum(axis=0) @ _W)
+            o_im = yhalf * (im[:, :, 0].sum(axis=0) @ _W)
+            total += complex(o_re[0], o_im[0])
+            outer_err += math.hypot(o_re[1], o_im[1])
 
     err = outer_err + inner_sup * y_span + 8.0 * _EPS * dom.area
     return QuadResult(complex(total), float(err), int(cells), float(lam))
@@ -292,11 +270,13 @@ def osc_integrate_2d(g: Phase2D, lam: float, domain: PlanarDomain | None = None,
 
 def adaptive_quad(fvec, a: float, b: float, rel_tol: float = 1e-9,
                   abs_floor: float = 1e-14, max_segments: int = 1 << 16):
-    """Adaptive 15/7 Gauss rule for a vectorised scalar integrand.
+    """Adaptive Gauss-Kronrod 7/15 rule for a vectorised scalar integrand.
 
-    Not for large-lambda oscillatory phases (use the panel engine); this is
-    the workhorse for slice measures, Fourier profiles, and other smooth or
-    piecewise-smooth integrands.  Returns (value, error_estimate).
+    Each segment's value is its K15 sum and its error |K15 - G7|, both from
+    the same 15 samples.  Not for large-lambda oscillatory phases (use the
+    panel engine); this is the workhorse for slice measures, Fourier
+    profiles, and other smooth or piecewise-smooth integrands.  Returns
+    (value, error_estimate).
     """
     if b <= a:
         return 0.0, 0.0
@@ -306,11 +286,9 @@ def adaptive_quad(fvec, a: float, b: float, rel_tol: float = 1e-9,
     def rule(L, R):
         mid = 0.5 * (L + R)
         half = 0.5 * (R - L)
-        v15 = np.asarray(fvec((mid[:, None] + half[:, None] * _N15[None, :]).ravel()))
-        v15 = v15.reshape(L.size, 15) @ _W15 * half
-        v7 = np.asarray(fvec((mid[:, None] + half[:, None] * _N7[None, :]).ravel()))
-        v7 = v7.reshape(L.size, 7) @ _W7 * half
-        return v15, np.abs(v15 - v7)
+        v = np.asarray(fvec((mid[:, None] + half[:, None] * _NODES[None, :]).ravel()))
+        kg = (v.reshape(L.size, _NODES.size) @ _W) * half[:, None]
+        return kg[:, 0], np.abs(kg[:, 1])
 
     L = np.array([a])
     R = np.array([b])

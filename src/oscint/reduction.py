@@ -9,8 +9,9 @@ The profile is evaluated in closed form for k = 1 and otherwise by a Taylor
 series at small |w| together with the integration-by-parts recursion for the
 tail int_1^inf e^{i w x^k} dx at large |w| (the full-line contribution is the
 rotated Gamma integral).  The outer integral is panelised by the swing of
-lam * y^j exactly like the oscillatory quadrature engine, so large lambda
-costs O(lambda) instead of the O(lambda^2) a planar quadrature needs.
+lam * y^j with the quadrature engine's swing refiner and summed with its
+15-point Kronrod rule, so large lambda costs O(lambda) instead of the
+O(lambda^2) a planar quadrature needs.
 
 Both the profile and the reduction are cross-checked in the test suite
 against the planar integrator (moderate lambda) and high-precision oracles.
@@ -24,10 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import PreconditionError
-from .quadrature import _CHUNK, _refine_1d_swings
-
-_N15, _W15 = leggauss(15)
-_N7, _W7 = leggauss(7)
+from .quadrature import _CHUNK, _NODES, _WK, _swing_panels
 
 SERIES_SWITCH = 12.0
 DIRECT_SWITCH = 48.0
@@ -119,18 +117,15 @@ def product_monomial_integral(k: int, j: int, lam: float, coeff: float = 1.0,
         return 1.0 + 0.0j
     la = abs(lam_eff)
 
-    def swing(lo, hi):
-        return la * np.abs(hi**j - lo**j)
-
-    L, R = _refine_1d_swings(swing, 0.0, 1.0, cap, max_panels)
-    # per-panel values chunk by chunk bound the memory; one sum at the end
-    i15 = np.empty(L.size, dtype=complex)
+    L, R = _swing_panels(lambda y: y**j, [0.0], [1.0], la, cap, max_panels)
+    # per-panel K15 values chunk by chunk bound the memory; one sum at the end
+    vals = np.empty(L.size, dtype=complex)
     for s in range(0, L.size, _CHUNK):
         mid = 0.5 * (L[s:s + _CHUNK] + R[s:s + _CHUNK])
         half = 0.5 * (R[s:s + _CHUNK] - L[s:s + _CHUNK])
-        y15 = mid[:, None] + half[:, None] * _N15[None, :]
-        i15[s:s + _CHUNK] = (monomial_profile(k, lam_eff * y15**j) @ _W15) * half
-    return complex(i15.sum())
+        y = mid[:, None] + half[:, None] * _NODES[None, :]
+        vals[s:s + _CHUNK] = (monomial_profile(k, lam_eff * y**j) @ _WK) * half
+    return complex(vals.sum())
 
 
 def product_monomial_magnitude(k: int, j: int, lam: float, coeff: float = 1.0) -> float:

@@ -102,6 +102,20 @@ def test_cli_integrate_example():
     assert mag == pytest.approx(0.08378682517, abs=1e-8)
 
 
+def test_cli_integrate_warns_when_refinement_does_not_converge():
+    out = _run_cli("integrate", "--family", "monomial", "--n", "2",
+                   "--lambda", "1e4", "--rel-tol", "1e-16")
+    assert out.returncode == 0
+    assert "warning: refinement did not converge" in out.stderr
+    assert "value" in out.stdout
+
+
+def test_cli_integrate_silent_when_converged():
+    out = _run_cli("integrate", "--family", "monomial", "--n", "2", "--lambda", "1e4")
+    assert out.returncode == 0
+    assert "warning" not in out.stdout + out.stderr
+
+
 def test_cli_sublevel():
     out = _run_cli("sublevel", "--family", "monomial", "--n", "1",
                    "--c", "0.5", "--eps", "0.1")

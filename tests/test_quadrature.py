@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,12 +14,21 @@ from oscint import (
     monomial,
     osc_integrate_1d,
     osc_integrate_2d,
+    polynomial_phase,
     product_phase,
     xy_phase,
 )
 from oscint.phases import Phase2D, unit_square
+from oscint.quadrature import _NODES, _WG, _WK, DEFAULT_CONFIG
 
-from oracles import fresnel_integral, linear_phase_integral, xy_square_integral
+from oracles import (
+    fresnel_integral,
+    linear_phase_integral,
+    monomial_profile_gamma,
+    xy_square_integral,
+)
+
+SUITE_CONFIG = QuadConfig(rel_tol=1e-9, phase_variation_cap=2.8)
 
 # frozen 30-digit oracle values of int_0^1 e^{i lam x^2} dx
 FRESNEL_FROZEN = {
@@ -165,3 +175,83 @@ def test_adaptive_quad_kinked():
                              0.0, 1.0, rel_tol=1e-9)
     exact = 0.001 * (1.0 + np.log(1000.0))
     assert abs(val - exact) < 1e-8
+
+
+def _monomial_moment(d: int) -> float:
+    """int_{-1}^{1} x^d dx."""
+    return 0.0 if d % 2 else 2.0 / (d + 1)
+
+
+def test_kronrod_weights_sum_to_two():
+    assert _WK.sum() == pytest.approx(2.0, abs=1e-15)
+
+
+def test_kronrod_rule_exact_to_degree_23():
+    for d in range(24):
+        assert _WK @ _NODES**d == pytest.approx(_monomial_moment(d), abs=2e-15), d
+
+
+def test_gauss7_subset_exact_to_degree_13():
+    for d in range(14):
+        assert _WG @ _NODES**d == pytest.approx(_monomial_moment(d), abs=2e-15), d
+
+
+def test_gauss7_subset_is_leggauss7():
+    x7, w7 = leggauss(7)
+    on = _WG != 0.0
+    assert on.sum() == 7
+    np.testing.assert_allclose(_NODES[on], x7, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_WG[on], w7, rtol=0, atol=1e-15)
+
+
+def test_each_kept_panel_evaluated_about_once():
+    # 15 rule points per kept panel, about one swing midpoint, and 30 points
+    # for each panel the tolerance passes halve; re-evaluating every panel on
+    # each pass would take about 45 here
+    g = polynomial_phase([0.0] * 9 + [1.0 / 3.0])
+    plain = g.eval_fn
+    points = [0]
+
+    def counted(order, x):
+        if order == 0:
+            points[0] += np.size(x)
+        return plain(order, x)
+
+    object.__setattr__(g, "eval_fn", counted)
+    res = osc_integrate_1d(g, 1e5, cfg=SUITE_CONFIG)
+    assert res.converged
+    assert points[0] <= 17 * res.panels_used
+
+
+def test_unreachable_tolerance_flags_nonconvergence():
+    g = monomial(2, (0.0, 1.0))
+    res = osc_integrate_1d(g, 1e4, cfg=QuadConfig(rel_tol=1e-16))
+    assert not res.converged
+    assert abs(res.value - FRESNEL_FROZEN[1e4]) / abs(FRESNEL_FROZEN[1e4]) < 1e-8
+
+
+def test_panel_budget_stops_refinement_and_flags_nonconvergence():
+    g = monomial(2, (0.0, 1.0))
+    budget = osc_integrate_1d(g, 1e4).panels_used
+    res = osc_integrate_1d(g, 1e4, cfg=QuadConfig(rel_tol=1e-16, max_panels=budget))
+    assert not res.converged
+    assert res.panels_used == budget
+
+
+CALIBRATION_LAMBDAS = np.logspace(1.0, 6.0, 16)
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SUITE_CONFIG], ids=["default", "suite"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_error_estimate_bounds_monomial_error(n, cfg):
+    g = monomial(n, (0.0, 1.0))
+    for lam in CALIBRATION_LAMBDAS:
+        res = osc_integrate_1d(g, lam, cfg=cfg)
+        oracle = monomial_profile_gamma(n, lam)
+        assert abs(res.value - oracle) <= res.error_estimate, (n, lam)
+
+
+@pytest.mark.parametrize("lam", np.logspace(0.0, 3.0, 7))
+def test_error_estimate_bounds_xy_error(lam):
+    res = osc_integrate_2d(xy_phase(), lam)
+    assert abs(res.value - xy_square_integral(lam)) <= res.error_estimate
