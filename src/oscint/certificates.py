@@ -15,9 +15,9 @@ assert existence of constants, certificates expose the computed bounds and a
 lambda sweep of totals recovers the predicted exponent.
 
 ``certify_2d`` runs the two-variable version at n = 2: the domain splits at
-|d^{beta_2}_y f| = gamma, slices of the large-derivative region are certified
-with the one-dimensional engine (with P(x) = x as the base case), and the
-complementary region is charged by its measure.
+|d^{beta_2}_y f| = gamma, the sampled slices of the large-derivative region
+are certified in one run of the one-dimensional engine (P(x) = x is the base
+case), and the complementary region is charged by its measure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .errors import (
     PreconditionError,
     SliceOverflowError,
 )
-from .phases import Interval, Phase2D, PhaseFunction, monotone_partition
+from .phases import (Interval, Phase2D, PhaseFunction, merge_intervals, monotone_partition,
+                     solve_brackets)
 from .polynomials import (
     Polynomial,
     SndConstant,
@@ -44,7 +45,7 @@ from .polynomials import (
     snd_sublevel_cover,
 )
 from .quadrature import QuadResult, adaptive_quad
-from .sublevel import _bisect_to_value, osc_to_sublevel_constant, sublevel_1d
+from .sublevel import band_pieces, band_sets, osc_to_sublevel_constant, sublevel_rows
 
 KIND_REMOVED = "removed_sublevel"
 KIND_SMALL = "small_derivative"
@@ -216,8 +217,8 @@ class _PolyOuter:
     def threshold(self, eps: float) -> float:
         return eps ** (self.d - 1.0)
 
-    def dprime_abs(self, t: float) -> float:
-        return abs(float(self.Pp(t)))
+    def dprime_abs(self, t):
+        return np.abs(self.Pp(t))
 
     def prime_breaks(self) -> list[float]:
         if self.Pp.degree < 2:
@@ -243,8 +244,8 @@ class _PowerOuter:
     def threshold(self, eps: float) -> float:
         return eps ** (self.s - 1.0)
 
-    def dprime_abs(self, t: float) -> float:
-        return self.s * abs(t) ** (self.s - 1.0)
+    def dprime_abs(self, t):
+        return self.s * np.abs(t) ** (self.s - 1.0)
 
     def prime_breaks(self) -> list[float]:
         return []
@@ -253,16 +254,6 @@ class _PowerOuter:
 # ---------------------------------------------------------------------------
 # Interval bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def _merge(intervals: Sequence[Interval]) -> list[Interval]:
-    out: list[list[float]] = []
-    for iv in sorted(intervals, key=lambda v: v.lo):
-        if out and iv.lo <= out[-1][1] + 1e-13:
-            out[-1][1] = max(out[-1][1], iv.hi)
-        else:
-            out.append([iv.lo, iv.hi])
-    return [Interval(a, b) for a, b in out]
 
 
 def _subtract(piece: Interval, removed: Sequence[Interval]) -> list[Interval]:
@@ -281,174 +272,154 @@ def _subtract(piece: Interval, removed: Sequence[Interval]) -> list[Interval]:
     return [iv for iv in kept if iv.length > 1e-13]
 
 
-def _band_subinterval(fn, a: float, b: float, fa: float, fb: float,
-                      lo_t: float, hi_t: float) -> Interval | None:
-    """{x in [a,b] : lo_t <= fn(x) <= hi_t} for monotone fn, via bracketing."""
-    fmin, fmax = min(fa, fb), max(fa, fb)
-    if fmin > hi_t or fmax < lo_t:
-        return None
-    increasing = fb >= fa
-    if increasing:
-        x_lo = a if fa >= lo_t else _bisect_to_value(fn, a, b, lo_t)
-        x_hi = b if fb <= hi_t else _bisect_to_value(fn, a, b, hi_t)
-    else:
-        x_lo = a if fa <= hi_t else _bisect_to_value(fn, a, b, hi_t)
-        x_hi = b if fb >= lo_t else _bisect_to_value(fn, a, b, lo_t)
-    if x_hi <= x_lo:
-        return None
-    return Interval(x_lo, x_hi)
-
-
 # ---------------------------------------------------------------------------
 # The shared 1D engine
 # ---------------------------------------------------------------------------
 
 
-def _engine_1d(f: PhaseFunction, outer, lam: float, eps: float, r: float,
-               interval: Interval, claims: dict | None,
-               partition_order: int | None = None) -> tuple[list[CertPiece], dict]:
-    """Produce the per-piece decomposition on one interval.
+def _flat(per_job: list[list[Interval]]):
+    """Job index, lo and hi arrays of per-job interval lists."""
+    job = np.repeat(np.arange(len(per_job)), [len(ivs) for ivs in per_job])
+    ivs = [iv for ivs in per_job for iv in ivs]
+    return job, np.array([iv.lo for iv in ivs]), np.array([iv.hi for iv in ivs])
 
-    ``outer`` may be None for the identity outer function (base case), in
-    which case only the |f'| split and integration by parts run, with the
-    classical per-interval bound 3 / (r_p |lambda|).
+
+def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float,
+               eps: float, r: float, claims: dict | None,
+               partition_order: int | None = None) -> list[tuple[list[CertPiece], dict]]:
+    """Per-piece decompositions of many intervals at once, one per job.
+
+    ``jobs`` holds (phase, interval) pairs and ``ev(order, x, j)`` evaluates
+    derivative ``order`` (0 or 1) of the phases of jobs ``j`` at the points
+    ``x``, so each bracket solve below serves every job.  ``outer`` may be
+    None for the identity outer function (base case), in which case only
+    the |f'| split and integration by parts run, with the classical
+    per-interval bound 3 / (r_p |lambda|).  Returns (pieces, notes) per job.
     """
-    lam_abs = abs(lam)
-    fval = lambda x: float(f.eval_fn(0, np.asarray(x, dtype=float)))
-    f1val = lambda x: float(f.eval_fn(1, np.asarray(x, dtype=float)))
-    pieces: list[CertPiece] = []
-    notes = {"shrunk_for_threshold": 0}
-
-    base = monotone_partition(f, order_cap=partition_order, interval=interval)
+    bases = [monotone_partition(f, order_cap=partition_order, interval=iv) for f, iv in jobs]
 
     # refine at pullbacks of the outer derivative's monotonicity breaks
-    if outer is not None:
-        breaks: list[float] = []
-        for piece in base:
-            fa, fb = fval(piece.lo), fval(piece.hi)
-            for t_star in outer.prime_breaks():
-                if min(fa, fb) < t_star < max(fa, fb):
-                    breaks.append(_bisect_to_value(fval, piece.lo, piece.hi, t_star))
-        if breaks:
-            refined: list[Interval] = []
-            for piece in base:
-                cuts = sorted(x for x in breaks if piece.lo < x < piece.hi)
-                edges = [piece.lo] + cuts + [piece.hi]
-                refined.extend(Interval(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a)
-            base = refined
+    t_stars = np.array(outer.prime_breaks() if outer is not None else [])
+    if t_stars.size:
+        pj, lo, hi = _flat(bases)
+        fa, fb = ev(0, lo, pj), ev(0, hi, pj)
+        k, t = np.nonzero((np.minimum(fa, fb)[:, None] < t_stars)
+                          & (t_stars < np.maximum(fa, fb)[:, None]))
+        t = t_stars[t]
+        lo_b, hi_b = solve_brackets(lambda x, q: ev(0, x, pj[k[q]]) - t[q], lo[k], hi[k],
+                                    fa[k] - t <= 0.0)
+        cuts = 0.5 * (lo_b + hi_b)
+        inside = (lo[k] < cuts) & (cuts < hi[k])
+        for j, base in enumerate(bases):
+            edges = sorted({p.lo for p in base} | {p.hi for p in base}
+                           | set(cuts[inside & (pj[k] == j)].tolist()))
+            bases[j] = [Interval(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
     # removed root-proximity cover, pulled back through f
-    removed: list[Interval] = []
+    removed: list[list[Interval]] = [[] for _ in jobs]
+    if outer is not None:
+        mono = [monotone_partition(f, order_cap=1, interval=iv) for f, iv in jobs]
+        for t_iv in outer.cover(eps):
+            center, radius = 0.5 * (t_iv.lo + t_iv.hi), 0.5 * (t_iv.hi - t_iv.lo)
+            if radius > 0:
+                bands = band_sets(lambda x, q: ev(0, x, q), mono, center - radius, center + radius)
+                for rem, comps in zip(removed, bands):
+                    rem.extend(comps)
+        removed = [merge_intervals((iv.as_tuple() for iv in rem), 1e-13) for rem in removed]
+
+    out: list[tuple[list[CertPiece], dict]] = []
+    per_root = None if claims is None else claims["removed_unit"]
+    for rem in removed:
+        measured = sum(iv.length for iv in rem)
+        claimed = 0.0 if claims is None else per_root * outer.n_centers
+        out.append(([CertPiece(
+            KIND_REMOVED, iv.as_tuple(),
+            iv.length * claimed / measured if measured > claimed > 0 else iv.length,
+            "measured_sublevel_measure",
+            {"measured": iv.length, "claimed_per_root": per_root, "origin": "root_proximity_cover"},
+        ) for iv in rem], {"shrunk_for_threshold": 0}))
+
+    # what the cover leaves; where |P'(f)| is under the threshold at one end,
+    # shave that end off at the crossing, and at both ends drop the piece
+    kj, a, b = _flat([[kv for piece in base for kv in _subtract(piece, rem)]
+                      for base, rem in zip(bases, removed)])
+    a0, b0 = a.tolist(), b.tolist()
+    safety: list[Interval | None] = [None] * a.size
+    m_piece = np.ones(a.size)
     if outer is not None:
         threshold = outer.threshold(eps)
-        for t_iv in outer.cover(eps):
-            center = 0.5 * (t_iv.lo + t_iv.hi)
-            radius = 0.5 * (t_iv.hi - t_iv.lo)
-            if radius <= 0:
-                continue
-            res = sublevel_1d(f, center, radius, interval=interval)
-            removed.extend(res.components)
-        removed = _merge(removed)
-    else:
-        threshold = None
+        ea, eb = outer.dprime_abs(ev(0, a, kj)), outer.dprime_abs(ev(0, b, kj))
+        thr_ok = threshold * (1.0 - 1e-9)
+        low_a, low_b = ea < thr_ok, eb < thr_ok
+        for k in np.flatnonzero(low_a & low_b).tolist():
+            safety[k] = Interval(a0[k], b0[k])
+        sv = np.flatnonzero(low_a ^ low_b)
+        lo_s, hi_s = solve_brackets(
+            lambda x, q: outer.dprime_abs(ev(0, x, kj[sv[q]])) - threshold,
+            a[sv], b[sv], ea[sv] - threshold <= 0.0)
+        for k, x_star in zip(sv.tolist(), (0.5 * (lo_s + hi_s)).tolist()):
+            if low_a[k]:
+                safety[k], a[k] = Interval(a0[k], x_star), x_star
+            else:
+                safety[k], b[k] = Interval(x_star, b0[k]), x_star
+        b[low_a & low_b] = a[low_a & low_b]
+        m_piece = np.maximum(np.minimum(outer.dprime_abs(ev(0, a, kj)),
+                                        outer.dprime_abs(ev(0, b, kj))), threshold)
+    live = np.flatnonzero(b - a > 1e-13)
 
-    r_strict = r * (1.0 - 1e-12)
+    # the small-slope band {|f'| <= r} of every live piece, in one solve
+    lj = kj[live]
+    f1a, f1b = ev(1, a[live], lj), ev(1, b[live], lj)
+    s_lo, s_hi, found = band_pieces(lambda x, q: ev(1, x, lj[q]), a[live], b[live],
+                                    f1a, f1b, -r * (1.0 - 1e-12), r * (1.0 - 1e-12))
+    ends = [np.abs(v).tolist() for v in (f1a, f1b, ev(1, s_lo, lj), ev(1, s_hi, lj))]
+    slot = dict(zip(live.tolist(), zip(*ends, s_lo.tolist(), s_hi.tolist(), found.tolist())))
 
-    def emit_removed(iv: Interval, why: str):
-        claimed = None
-        bound = iv.length
-        if claims is not None:
-            claimed = claims["removed_unit"]
-            if claims["removed_total_measured"] > claims["removed_total_claimed"] > 0:
-                bound = iv.length * claims["removed_total_claimed"] / claims["removed_total_measured"]
-        pieces.append(CertPiece(
-            KIND_REMOVED, iv.as_tuple(), bound, "measured_sublevel_measure",
-            {"measured": iv.length, "claimed_per_root": claimed, "origin": why},
-        ))
+    a, b, m_piece = a.tolist(), b.tolist(), m_piece.tolist()
+    for k, j in enumerate(kj.tolist()):
+        pieces, notes = out[j]
+        if safety[k] is not None:
+            notes["shrunk_for_threshold"] += 1
+            pieces.append(CertPiece(
+                KIND_REMOVED, safety[k].as_tuple(), safety[k].length,
+                "measured_sublevel_measure",
+                {"measured": safety[k].length, "origin": "threshold_safety"},
+            ))
+        if k not in slot:
+            continue
+        ra, rb, rs_lo, rs_hi, x_lo, x_hi, has_small = slot[k]
+        # (interval, |f'| at its ends) for integration by parts
+        sub_ibp = [(Interval(a[k], b[k]), ra, rb)]
+        if has_small:
+            small = Interval(x_lo, x_hi)
+            sub_ibp = [(Interval(lo, hi), r_lo, r_hi) for lo, hi, r_lo, r_hi, keep in
+                       ((a[k], x_lo, ra, rs_lo, x_lo > a[k] + 1e-13),
+                        (x_hi, b[k], rs_hi, rb, x_hi < b[k] - 1e-13)) if keep]
+            details = {"measured": small.length, "r": r}
+            if claims is not None:
+                details["derivpush"] = derivpush_bound(claims["sublevel_B"], claims["delta"], r)
+            pieces.append(CertPiece(
+                KIND_SMALL, small.as_tuple(), small.length,
+                "measured_interval_length", details,
+            ))
 
-    if claims is not None and removed:
-        measured_total = sum(iv.length for iv in removed)
-        claims["removed_total_measured"] = measured_total
-        claims["removed_total_claimed"] = claims["removed_unit"] * outer.n_centers
-    elif claims is not None:
-        claims["removed_total_measured"] = 0.0
-        claims["removed_total_claimed"] = 0.0
-
-    for iv in removed:
-        emit_removed(iv, "root_proximity_cover")
-
-    for piece in base:
-        for kept in _subtract(piece, removed):
-            a, b = kept.lo, kept.hi
+        for ivb, ra, rb in sub_ibp:
+            r_piece = max(min(ra, rb), r)
             if outer is not None:
-                ea = outer.dprime_abs(fval(a))
-                eb = outer.dprime_abs(fval(b))
-                thr_ok = threshold * (1.0 - 1e-9)
-                if ea < thr_ok and eb < thr_ok:
-                    notes["shrunk_for_threshold"] += 1
-                    pieces.append(CertPiece(
-                        KIND_REMOVED, kept.as_tuple(), kept.length,
-                        "measured_sublevel_measure",
-                        {"measured": kept.length, "origin": "threshold_safety"},
-                    ))
-                    continue
-                if ea < thr_ok or eb < thr_ok:
-                    notes["shrunk_for_threshold"] += 1
-                    dpf = lambda x: outer.dprime_abs(fval(x))
-                    x_star = _bisect_to_value(dpf, a, b, threshold)
-                    if ea < thr_ok:
-                        shaved, a = Interval(a, x_star), x_star
-                    else:
-                        shaved, b = Interval(x_star, b), x_star
-                    pieces.append(CertPiece(
-                        KIND_REMOVED, shaved.as_tuple(), shaved.length,
-                        "measured_sublevel_measure",
-                        {"measured": shaved.length, "origin": "threshold_safety"},
-                    ))
-                    if b - a <= 1e-13:
-                        continue
-                m_piece = min(outer.dprime_abs(fval(a)), outer.dprime_abs(fval(b)))
-                m_piece = max(m_piece, threshold)
+                exponent = outer.d
+                eps_piece = m_piece[k] ** (1.0 / (exponent - 1.0)) if exponent > 1.0 else 1.0
+                formula_val = ibp_bound(r_piece, eps_piece, exponent, lam)
+                formula_name = "ibp_6_over_r_lam_eps"
             else:
-                m_piece = 1.0
-
-            f1a, f1b = f1val(a), f1val(b)
-            small = _band_subinterval(f1val, a, b, f1a, f1b, -r_strict, r_strict)
-            sub_ibp: list[Interval] = []
-            if small is None:
-                sub_ibp.append(Interval(a, b))
-            else:
-                if small.lo > a + 1e-13:
-                    sub_ibp.append(Interval(a, small.lo))
-                if small.hi < b - 1e-13:
-                    sub_ibp.append(Interval(small.hi, b))
-                details = {"measured": small.length, "r": r}
-                if claims is not None:
-                    details["derivpush"] = derivpush_bound(claims["sublevel_B"], claims["delta"], r)
-                pieces.append(CertPiece(
-                    KIND_SMALL, small.as_tuple(), small.length,
-                    "measured_interval_length", details,
-                ))
-
-            for ivb in sub_ibp:
-                ra = abs(f1val(ivb.lo))
-                rb = abs(f1val(ivb.hi))
-                r_piece = max(min(ra, rb), r)
-                if outer is not None:
-                    exponent = outer.d
-                    eps_piece = m_piece ** (1.0 / (exponent - 1.0)) if exponent > 1.0 else 1.0
-                    formula_val = ibp_bound(r_piece, eps_piece, exponent, lam)
-                    formula_name = "ibp_6_over_r_lam_eps"
-                else:
-                    formula_val = 3.0 / (r_piece * lam_abs)
-                    formula_name = "vdc_ibp_3_over_r_lam"
-                bound = min(ivb.length, formula_val)
-                pieces.append(CertPiece(
-                    KIND_IBP, ivb.as_tuple(), bound, formula_name,
-                    {"length": ivb.length, "formula_value": formula_val,
-                     "r_piece": r_piece, "min_dprime": m_piece},
-                ))
-    return pieces, notes
+                formula_val = 3.0 / (r_piece * abs(lam))
+                formula_name = "vdc_ibp_3_over_r_lam"
+            bound = min(ivb.length, formula_val)
+            pieces.append(CertPiece(
+                KIND_IBP, ivb.as_tuple(), bound, formula_name,
+                {"length": ivb.length, "formula_value": formula_val,
+                 "r_piece": r_piece, "min_dprime": m_piece[k]},
+            ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +488,8 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
         raise PreconditionError(f"unknown mode {mode!r}")
 
     eps = lam_abs ** (-1.0 / d)
-    pieces, notes = _engine_1d(f, outer, lam, eps, r, iv, claims)
+    [(pieces, notes)] = _engine_1d([(f, iv)], lambda order, x, _: f.eval_fn(order, x),
+                                   outer, lam, eps, r, claims)
     params = CertificateParams(eps, r, float(lam), delta_eff, d, None, mode)
     notes["outer"] = outer.label
     if claims is not None:
@@ -532,36 +504,28 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
 # ---------------------------------------------------------------------------
 
 
-def _ge_gamma_subintervals(h: PhaseFunction, gamma: float, iv: Interval,
-                           cap: int) -> list[Interval]:
-    """Subintervals of iv where |h| >= gamma, by scan plus bracket refinement."""
-    n = 1025
-    xs = np.linspace(iv.lo, iv.hi, n)
-    vs = np.abs(np.asarray(h.eval_fn(0, xs), dtype=float))
+def _ge_gamma_slices(h, x0s: np.ndarray, gamma: float, iv: Interval,
+                     cap: int) -> list[list[Interval]]:
+    """For each slice x0, the subintervals of iv where |h(x0, y)| >= gamma:
+    one 2-D scan of all slices, and one solve for the crossings of gamma
+    between neighbouring scan points."""
+    ys = np.linspace(iv.lo, iv.hi, 1025)
+    vs = np.abs(np.asarray(h(x0s[:, None], ys[None, :]), dtype=float))
     ge = vs >= gamma
-    hval = lambda x: abs(float(h.eval_fn(0, np.asarray(x, dtype=float))))
-    out: list[Interval] = []
-    i = 0
-    while i < n:
-        if not ge[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and ge[j + 1]:
-            j += 1
-        lo = xs[i]
-        if i > 0:
-            lo = _bisect_to_value(hval, xs[i - 1], xs[i], gamma)
-        hi = xs[j]
-        if j + 1 < n:
-            hi = _bisect_to_value(hval, xs[j], xs[j + 1], gamma)
-        if hi > lo:
-            out.append(Interval(lo, hi))
-        i = j + 1
-    if len(out) > cap:
-        raise SliceOverflowError(
-            f"slice decomposed into {len(out)} intervals, cap {cap}", gamma=gamma
-        )
+    rows, i = np.nonzero(ge[:, 1:] != ge[:, :-1])
+    lo, hi = solve_brackets(lambda y, q: np.abs(h(x0s[rows[q]], y)) - gamma,
+                            ys[i], ys[i + 1], vs[rows, i] - gamma <= 0.0)
+    edges = 0.5 * (lo + hi)
+    out: list[list[Interval]] = []
+    for k, (first, last) in enumerate(ge[:, [0, -1]].tolist()):
+        # the run ends alternate, starting at a run's left end
+        ends = [iv.lo] * first + edges[rows == k].tolist() + [iv.hi] * last
+        runs = [Interval(a, b) for a, b in zip(ends[::2], ends[1::2]) if b > a]
+        if len(runs) > cap:
+            raise SliceOverflowError(
+                f"slice decomposed into {len(runs)} intervals, cap {cap}", gamma=gamma
+            )
+        out.append(runs)
     return out
 
 
@@ -643,45 +607,44 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
     # exactly gamma), so locate that boundary and cluster samples against it.
     y_probe = np.linspace(ay, by, 65)
 
-    def slice_active(x0: float) -> bool:
-        vals = np.abs(f.eval_fn((0, beta2), np.full_like(y_probe, x0), y_probe))
-        return bool(vals.max() >= gamma)
+    def inactive_margin(x):
+        # <= 0 where the slice at x reaches gamma somewhere
+        vals = np.abs(f.eval_fn((0, beta2), x[:, None], y_probe[None, :]))
+        return gamma - vals.max(axis=1)
 
     x_scan = np.linspace(ax, bx, 257)
-    active = np.array([slice_active(float(x0)) for x0 in x_scan])
+    active = inactive_margin(x_scan) <= 0.0
     if not active.any():
         xs = np.array([])
     else:
         i0 = int(np.argmax(active))
         x_start = x_scan[i0]
         if i0 > 0:
-            lo_x, hi_x = x_scan[i0 - 1], x_scan[i0]
-            for _ in range(50):
-                m = 0.5 * (lo_x + hi_x)
-                if slice_active(m):
-                    hi_x = m
-                else:
-                    lo_x = m
-            x_start = hi_x
+            _, hi_x = solve_brackets(lambda x, _: inactive_margin(x),
+                                     x_scan[i0 - 1], x_scan[i0], False, xtol=0.0)
+            x_start = hi_x[0]
         span = bx - x_start
         cluster = x_start + span * np.geomspace(1e-8, 1.0, slice_samples)
         xs = np.unique(np.concatenate([[x_start], cluster,
                                        np.linspace(x_start, bx, slice_samples)]))
+    subs = _ge_gamma_slices(lambda x, y: f.eval_fn((0, beta2), x, y), xs, gamma,
+                            dom.y_extent(), cap)
+    # every (slice, subinterval) is one job of a single engine run
+    jobs, job_slice = [], []
+    for k, (x0, slice_subs) in enumerate(zip(xs.tolist(), subs)):
+        hy = f.slice_in_y(x0, base_dx_order=0, max_order=max(2, N2))
+        jobs.extend((hy, sub) for sub in slice_subs)
+        job_slice.extend([k] * len(slice_subs))
+    job_x = xs[np.array(job_slice, dtype=int)]
+    results = _engine_1d(jobs, lambda order, y, j: f.eval_fn((0, order), job_x[j], y),
+                         outer, lam, eps, r, None,
+                         partition_order=min(N2, f.max_orders[1]))
+    per_slice: list[list[CertPiece]] = [[] for _ in xs]
+    for k, (ps, _) in zip(job_slice, results):
+        per_slice[k].extend(ps)
     worst_total = 0.0
     worst_pieces: list[CertPiece] = []
-    for x0 in xs:
-        hy = f.slice_in_y(float(x0), base_dx_order=0, max_order=max(2, N2))
-
-        def dbeta2(order, y, _x=float(x0)):
-            return f.eval_fn((0, beta2 + order), np.full_like(y, _x), y)
-
-        dphase = PhaseFunction(dbeta2, max_order=max(0, N2 - beta2),
-                               domain=dom.y_extent(), name="d_y^b2 f slice")
-        slice_pieces: list[CertPiece] = []
-        for sub in _ge_gamma_subintervals(dphase, gamma, dom.y_extent(), cap):
-            ps, _ = _engine_1d(hy, outer, lam, eps, r, sub, None,
-                               partition_order=min(N2, hy.max_order))
-            slice_pieces.extend(ps)
+    for slice_pieces in per_slice:
         total = sum(p.bound for p in slice_pieces)
         if total > worst_total:
             worst_total = total
@@ -695,21 +658,9 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
 
     # region 2: |d^(beta2)_y f| < gamma, charged by measure
     gamma_strict = gamma * (1.0 - 1e-12)
-
-    def region2_slice(ys):
-        ys = np.asarray(ys, dtype=float)
-        out = np.empty(ys.size)
-        for k, yv in enumerate(ys):
-            def hx(order, x, _y=float(yv)):
-                return f.eval_fn((order, beta2), x, np.full_like(x, _y))
-
-            hphase = PhaseFunction(hx, max_order=1, domain=Interval(ax, bx),
-                                   name="d_y^b2 f row")
-            res = sublevel_1d(hphase, 0.0, gamma_strict, Interval(ax, bx))
-            out[k] = res.measure
-        return out
-
-    measured, quad_err = adaptive_quad(region2_slice, ay, by, rel_tol=1e-6)
+    measured, quad_err = adaptive_quad(
+        lambda ys: sublevel_rows(f, (0, beta2), ys, 0.0, gamma_strict, Interval(ax, bx)),
+        ay, by, rel_tol=1e-6)
     region2 = measured + quad_err
     parametric = None
     if beta1 == 1:

@@ -12,6 +12,11 @@ not cross zero) and ``monotone_partition`` (pieces on which the function and
 its derivatives up to order N-1 are all monotone).  Root detection is a
 dense scan followed by bisection: the phases in play are smooth and low
 complexity at desk scale, so robustness beats cleverness.
+
+``solve_brackets`` is the one bisection solver of the package: it advances
+every open bracket of an array each step, so many roots cost one vectorised
+evaluation per step.  ``scan_sign_changes`` finds the sign changes down
+every column of a scan with array operations and bisects them in one solve.
 """
 
 from __future__ import annotations
@@ -54,6 +59,18 @@ class Interval:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.lo, self.hi)
+
+
+def merge_intervals(spans, slack: float) -> list[Interval]:
+    """Union of (lo, hi) spans as ordered intervals; spans whose gap is at
+    most ``slack`` are joined."""
+    out: list[list[float]] = []
+    for lo, hi in sorted(spans, key=lambda sp: sp[0]):
+        if out and lo <= out[-1][1] + slack:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return [Interval(lo, hi) for lo, hi in out]
 
 
 @dataclass(frozen=True)
@@ -112,19 +129,65 @@ class PhaseFunction:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_root(f, lo: float, hi: float, flo: float, xtol: float = BISECT_XTOL) -> float:
-    """Bisection for a sign change bracketed by [lo, hi]."""
-    neg = flo < 0.0
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = float(f(mid))
-        if (fm < 0.0) == neg and fm != 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def solve_brackets(g, lo, hi, below, xtol: float = BISECT_XTOL):
+    """Bisect many brackets at once; returns their final (lo, hi) arrays.
+
+    ``g(x, idx)`` evaluates the functions of the brackets ``idx`` at the
+    points ``x``; ``below[i]`` says whether bracket i's function is <= 0 at
+    ``lo[i]``.  Each step halves every open bracket: the midpoint replaces lo
+    where ``(g(mid) <= 0) == below``, else hi.  A bracket closes once its
+    width is <= ``xtol`` or its midpoint no longer splits it (``xtol=0``
+    bisects to the last bit).
+    """
+    lo = a = np.array(lo, dtype=float, ndmin=1)
+    hi = b = np.array(hi, dtype=float, ndmin=1)
+    below = np.broadcast_to(np.asarray(below, dtype=bool), lo.shape)
+    idx = np.arange(lo.size)
+    while True:
+        mid = 0.5 * (a + b)
+        open_ = (b - a > xtol) & (a < mid) & (mid < b)
+        if not (idx.size and open_.all()):
+            lo[idx], hi[idx] = a, b
+            if not open_.any():
+                return lo, hi
+            idx, a, b, mid, below = idx[open_], a[open_], b[open_], mid[open_], below[open_]
+        up = (np.asarray(g(mid, idx)) <= 0.0) == below
+        a, b = np.where(up, mid, a), np.where(up, b, mid)
+
+
+def scan_grid(iv: Interval) -> np.ndarray:
+    """The sign scan's sample points on ``iv``."""
+    n = max(MIN_SCAN_SAMPLES, int(math.ceil(SCAN_SAMPLES_PER_UNIT * iv.length)) + 1)
+    return np.linspace(iv.lo, iv.hi, n)
+
+
+def scan_sign_changes(ev, xs, vs, tol: float, cap: int, what: str, order: int):
+    """Zeros at the sign changes down each column of a scan, bisected together.
+
+    ``vs[i, k]`` is ``ev(xs[i], k)``.  Samples within ``tol`` of zero carry
+    no sign, so a touching zero is no change.  More than ``cap`` changes in
+    one column raise PartitionOverflowError.  Returns (column, zero) arrays
+    ordered by column, then left to right.
+    """
+    pos, neg = vs > tol, vs < -tol
+    if not (pos.any() and neg.any()):
+        return np.zeros(0, dtype=int), np.zeros(0)
+    sgn = (pos.astype(np.int8) - neg.astype(np.int8)).T
+    col, i = np.nonzero(sgn)
+    s = sgn[col, i]
+    chg = np.flatnonzero((s[1:] != s[:-1]) & (col[1:] == col[:-1]))
+    col = col[chg]
+    if chg.size and np.bincount(col).max() > cap:
+        raise PartitionOverflowError(
+            f"more than {cap} sign changes of order-{order} derivative "
+            f"of {what!r}; structural claim violated",
+            phase=what,
+            order=order,
+        )
+    orient = s[chg]
+    lo, hi = solve_brackets(lambda x, k: ev(x, col[k]) * orient[k],
+                            xs[i[chg]], xs[i[chg + 1]], False)
+    return col, 0.5 * (lo + hi)
 
 
 def sign_partition(
@@ -150,37 +213,17 @@ def sign_partition(
     a, b = iv.lo, iv.hi
     if b <= a:
         return [(iv, 0)]
-    n = max(MIN_SCAN_SAMPLES, int(math.ceil(SCAN_SAMPLES_PER_UNIT * (b - a))) + 1)
-    xs = np.linspace(a, b, n)
+    xs = scan_grid(iv)
     vs = np.asarray(phase.eval(order, xs), dtype=float)
-    sgn = np.zeros(n, dtype=np.int8)
-    sgn[vs > tol] = 1
-    sgn[vs < -tol] = -1
-
-    nz = np.flatnonzero(sgn)
-    breaks: list[float] = []
-    if nz.size:
-        f_scalar = lambda x: phase.eval(order, x)
-        prev = nz[0]
-        for idx in nz[1:]:
-            if sgn[idx] != sgn[prev]:
-                if len(breaks) >= cap:
-                    raise PartitionOverflowError(
-                        f"more than {cap} sign changes of order-{order} derivative "
-                        f"of {phase.name!r}; structural claim violated",
-                        phase=phase.name,
-                        order=order,
-                    )
-                breaks.append(_bisect_root(f_scalar, xs[prev], xs[idx], vs[prev]))
-            prev = idx
+    _, breaks = scan_sign_changes(lambda x, _: phase.eval(order, x), xs, vs[:, None],
+                                  tol, cap, phase.name, order)
 
     pieces: list[tuple[Interval, int]] = []
-    edges = [a] + breaks + [b]
+    edges = [a, *breaks.tolist(), b]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        mask = (xs >= lo - 1e-15) & (xs <= hi + 1e-15)
+        sub = vs[np.searchsorted(xs, lo - 1e-15):np.searchsorted(xs, hi + 1e-15, "right")]
         piece_sign = 0
-        if mask.any():
-            sub = vs[mask]
+        if sub.size:
             j = int(np.argmax(np.abs(sub)))
             if abs(sub[j]) > tol:
                 piece_sign = 1 if sub[j] > 0 else -1
@@ -211,9 +254,13 @@ def monotone_partition(
     for k in range(1, N + 1):
         for piece, _ in sign_partition(phase, k, tol, cap=cap, interval=iv)[:-1]:
             breaks.append(piece.hi)
-    breaks = sorted(set(breaks))
+    return pieces_between(iv, breaks)
+
+
+def pieces_between(iv: Interval, breaks) -> list[Interval]:
+    """Tile ``iv`` at its inner breaks, dropping any within BISECT_XTOL of the last kept."""
     merged: list[float] = []
-    for x in breaks:
+    for x in sorted(set(breaks)):
         if not merged or x - merged[-1] > BISECT_XTOL:
             merged.append(x)
     edges = [iv.lo] + [x for x in merged if iv.lo < x < iv.hi] + [iv.hi]
@@ -437,14 +484,8 @@ class PlanarDomain:
 
     def x_slices(self, y: float) -> list[Interval]:
         """Intervals of {x : (x, y) in domain}, merged and ordered."""
-        spans = sorted((ax, bx) for ax, bx, ay, by in self.rects if ay <= y <= by)
-        merged: list[list[float]] = []
-        for lo, hi in spans:
-            if merged and lo <= merged[-1][1] + 1e-15:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return [Interval(lo, hi) for lo, hi in merged]
+        return merge_intervals(((ax, bx) for ax, bx, ay, by in self.rects if ay <= y <= by),
+                               1e-15)
 
     def y_extent(self) -> Interval:
         _, _, ay, by = self.bounding_box

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotSndError, PreconditionError, RootConvergenceError
-from .phases import Interval
+from .phases import Interval, merge_intervals
 
 _polyval = np.polynomial.polynomial.polyval
 
@@ -297,17 +297,6 @@ def young_cover(factors: Sequence[tuple[float, float]], eps: float) -> YoungCove
 # ---------------------------------------------------------------------------
 
 
-def _merged_intervals(centers: Sequence[float], radius: float) -> list[Interval]:
-    out: list[list[float]] = []
-    for c in sorted(centers):
-        lo, hi = c - radius, c + radius
-        if out and lo <= out[-1][1] + 1e-15:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [Interval(lo, hi) for lo, hi in out]
-
-
 def monic_sublevel_cover(P: Polynomial, eps: float, tol: float = DEFAULT_ROOT_TOL) -> list[Interval]:
     """Intervals of radius eps around the real parts of the roots.
 
@@ -320,7 +309,7 @@ def monic_sublevel_cover(P: Polynomial, eps: float, tol: float = DEFAULT_ROOT_TO
     if not rep.is_monic:
         raise PreconditionError("monic cover requires a monic polynomial")
     rs = roots(P, tol)
-    return _merged_intervals(rs.real_parts, eps)
+    return merge_intervals(((c - eps, c + eps) for c in rs.real_parts), 1e-15)
 
 
 def snd_sublevel_cover(P: Polynomial, eps: float, B: SndConstant,
@@ -337,7 +326,8 @@ def snd_sublevel_cover(P: Polynomial, eps: float, B: SndConstant,
     if not rep.is_snd:
         raise NotSndError(f"polynomial is {rep.label}, not SND", report=rep)
     rs = roots(P, tol)
-    return _merged_intervals(rs.real_parts, B.B * eps)
+    radius = B.B * eps
+    return merge_intervals(((c - radius, c + radius) for c in rs.real_parts), 1e-15)
 
 
 def _ratio_grid(P: Polynomial, rs: RootSet, n_grid: int,

@@ -8,6 +8,9 @@ supported mollifier at scale 0.5.  Its transform factorises exactly into
 the sinc of the indicator times the mollifier's transform, and the latter is
 a single Gauss-Legendre cosine sum, so phihat costs one small matrix-vector
 product per batch of xi and its sinc zeros k/3 are known in closed form.
+
+Every root found here comes from the shared bracket solver
+``phases.solve_brackets``, one solve for all pieces, rows or slices of a batch.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NonconvergentTailError, PreconditionError
-from .phases import Interval, Phase2D, PhaseFunction, PlanarDomain, monotone_partition
+from .phases import (Interval, Phase2D, PhaseFunction, PlanarDomain, merge_intervals,
+                     monotone_partition, pieces_between, scan_grid, scan_sign_changes,
+                     solve_brackets)
 from .quadrature import adaptive_quad
-
-ENDPOINT_XTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SublevelResult:
@@ -41,20 +43,45 @@ class OscToSublevelConstant:
     bump_spec: str
 
 
-def _bisect_to_value(f, lo: float, hi: float, target: float, xtol: float = ENDPOINT_XTOL) -> float:
-    """Monotone bracket solve f(x) = target with f(lo), f(hi) straddling."""
-    flo = float(f(lo)) - target
-    below = flo <= 0.0
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = float(f(mid)) - target
-        if (fm <= 0.0) == below:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def band_pieces(g, a, b, ga, gb, lo_t, hi_t):
+    """{x in [a_k, b_k] : lo_t <= g_k(x) <= hi_t} for many monotone pieces at once.
+
+    ``g(x, idx)`` evaluates the functions of the pieces ``idx`` and ``ga``,
+    ``gb`` hold their values at the ends.  An end where g lies outside the
+    band is moved by bracketing g = lo_t or g = hi_t on the whole piece, all
+    pieces in one solve.  Returns (x_lo, x_hi, found); ``found`` is False
+    where the piece misses the band.
+    """
+    a, b, ga, gb = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, ga, gb))
+    inc = gb >= ga
+    hit = ~((np.minimum(ga, gb) > hi_t) | (np.maximum(ga, gb) < lo_t))
+    move_lo = np.flatnonzero(hit & np.where(inc, ga < lo_t, ga > hi_t))
+    move_hi = np.flatnonzero(hit & np.where(inc, gb > hi_t, gb < lo_t))
+    k = np.concatenate([move_lo, move_hi])
+    t = np.concatenate([np.where(inc[move_lo], lo_t, hi_t), np.where(inc[move_hi], hi_t, lo_t)])
+    lo, hi = solve_brackets(lambda x, q: g(x, k[q]) - t[q], a[k], b[k], ga[k] - t <= 0.0)
+    x = 0.5 * (lo + hi)
+    x_lo, x_hi = a.copy(), b.copy()
+    x_lo[move_lo] = x[:move_lo.size]
+    x_hi[move_hi] = x[move_lo.size:]
+    return x_lo, x_hi, hit & (x_hi > x_lo)
+
+
+def band_sets(g, rows_pieces: list[list[Interval]], lo_t: float,
+              hi_t: float) -> list[list[Interval]]:
+    """Per row, the merged {x : lo_t <= g_row(x) <= hi_t} over the row's
+    monotone pieces, with one solve for all rows; ``g(x, rows)`` evaluates
+    the functions of the rows at x."""
+    row = np.repeat(np.arange(len(rows_pieces)), [len(ps) for ps in rows_pieces])
+    a = np.array([p.lo for ps in rows_pieces for p in ps])
+    b = np.array([p.hi for ps in rows_pieces for p in ps])
+    gq = lambda x, q: g(x, row[q])
+    q = np.arange(a.size)
+    x_lo, x_hi, found = band_pieces(gq, a, b, gq(a, q), gq(b, q), lo_t, hi_t)
+    spans: list[list[tuple[float, float]]] = [[] for _ in rows_pieces]
+    for r, lo, hi in zip(row[found].tolist(), x_lo[found].tolist(), x_hi[found].tolist()):
+        spans[r].append((lo, hi))
+    return [merge_intervals(sp, 1e-11) for sp in spans]
 
 
 def sublevel_1d(f: PhaseFunction, c: float, eps: float,
@@ -62,35 +89,33 @@ def sublevel_1d(f: PhaseFunction, c: float, eps: float,
     """Maximal intervals where |f - c| <= eps, endpoints to 1e-12.
 
     Works piece by piece on the monotone partition of f; on a monotone piece
-    the set is a single interval found by bracketing f = c -/+ eps.
+    the set is a single interval found by bracketing f = c -/+ eps, and the
+    brackets of all pieces go to the shared solver together.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     iv = interval or f.domain
-    lo_t, hi_t = c - eps, c + eps
-    fx = lambda x: float(f.eval_fn(0, np.asarray(x, dtype=float)))
-    comps: list[list[float]] = []
-    for piece in monotone_partition(f, order_cap=1, interval=iv):
-        fa, fb = fx(piece.lo), fx(piece.hi)
-        fmin, fmax = min(fa, fb), max(fa, fb)
-        if fmin > hi_t or fmax < lo_t:
-            continue
-        increasing = fb >= fa
-        if increasing:
-            x_lo = piece.lo if fa >= lo_t else _bisect_to_value(fx, piece.lo, piece.hi, lo_t)
-            x_hi = piece.hi if fb <= hi_t else _bisect_to_value(fx, piece.lo, piece.hi, hi_t)
-        else:
-            x_lo = piece.lo if fa <= hi_t else _bisect_to_value(fx, piece.lo, piece.hi, hi_t)
-            x_hi = piece.hi if fb >= lo_t else _bisect_to_value(fx, piece.lo, piece.hi, lo_t)
-        if x_hi <= x_lo:
-            continue
-        if comps and x_lo <= comps[-1][1] + 1e-11:
-            comps[-1][1] = max(comps[-1][1], x_hi)
-        else:
-            comps.append([x_lo, x_hi])
-    intervals = tuple(Interval(a, b) for a, b in comps)
-    measure = float(sum(b - a for a, b in comps))
-    return SublevelResult(measure, intervals, float(c), float(eps))
+    pieces = monotone_partition(f, order_cap=1, interval=iv)
+    comps = band_sets(lambda x, _: f.eval_fn(0, x), [pieces], c - eps, c + eps)[0]
+    measure = float(sum(comp.hi - comp.lo for comp in comps))
+    return SublevelResult(measure, tuple(comps), float(c), float(eps))
+
+
+def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
+                  interval: Interval) -> np.ndarray:
+    """``sublevel_1d(x -> d^orders f(x, y), c, eps, interval).measure`` for
+    every y of a batch: one 2-D sign scan, one solve for the monotone breaks
+    of all rows and one for their band edges."""
+    i, j = orders
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    xs = scan_grid(interval)
+    dx = np.asarray(f.eval_fn((i + 1, j), xs[:, None], ys[None, :]), dtype=float)
+    rows, breaks = scan_sign_changes(lambda x, k: f.eval_fn((i + 1, j), x, ys[k]), xs, dx,
+                                     1e-11, 64, f"{f.name} d{orders} row", 1)
+    split = np.searchsorted(rows, np.arange(1, ys.size))
+    per_row = [pieces_between(interval, br.tolist()) for br in np.split(breaks, split)]
+    comps = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]), per_row, c - eps, c + eps)
+    return np.array([float(sum(iv.hi - iv.lo for iv in cs)) for cs in comps])
 
 
 # ---------------------------------------------------------------------------
@@ -102,47 +127,40 @@ def _slice_measures(f: Phase2D, ys: np.ndarray, c: float, eps: float,
                     xlo: float, xhi: float, n_scan: int = 1025) -> np.ndarray:
     """Measure in x of {|f(., y) - c| <= eps} for a batch of y values.
 
-    Crossings of the two band edges are located on a scan grid and refined by
-    vectorised bisection; narrow components are still caught on monotone
-    slices because both edge crossings land in the same scan cell.
+    The crossings of both band edges are located on a scan grid (a sample
+    exactly on an edge is a crossing itself) and bisected to the last bit in
+    one solve for the batch; they cut each slice into segments whose
+    midpoints decide membership.  Narrow components are still caught on
+    monotone slices because both edge crossings land in the same scan cell.
     """
     xs = np.linspace(xlo, xhi, n_scan)
     F = np.asarray(f.eval_fn((0, 0), xs[:, None], ys[None, :]), dtype=float)
-    out = np.zeros(ys.size)
-    for j in range(ys.size):
-        yv = float(ys[j])
-        col = F[:, j]
-        crossings: list[float] = []
-        for target in (c - eps, c + eps):
-            gcol = col - target
-            sign_change = np.flatnonzero(gcol[:-1] * gcol[1:] < 0.0)
-            for i in sign_change:
-                lo_x, hi_x = xs[i], xs[i + 1]
-                fl = gcol[i]
-                below = fl <= 0.0
-                for _ in range(48):
-                    mid = 0.5 * (lo_x + hi_x)
-                    fm = float(f.eval_fn((0, 0), np.array([mid]), np.array([yv]))[0]) - target
-                    if (fm <= 0.0) == below:
-                        lo_x = mid
-                    else:
-                        hi_x = mid
-                crossings.append(0.5 * (lo_x + hi_x))
-        inside = np.abs(col - c) <= eps
-        pts = sorted(set(crossings))
-        edges = [xlo] + pts + [xhi]
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (a + b)
-            vm = float(f.eval_fn((0, 0), np.array([mid]), np.array([yv]))[0])
-            if abs(vm - c) <= eps:
-                total += b - a
-        # guard: fall back to scan counting if the edge walk lost a region
-        approx = inside.mean() * (xhi - xlo)
-        if total == 0.0 and approx > 2.0 * (xhi - xlo) / n_scan:
-            total = float(approx)
-        out[j] = total
-    return out
+    brackets = []
+    for target in (c - eps, c + eps):
+        G = F - target
+        i, k = np.nonzero(G[:-1] * G[1:] < 0.0)
+        z, kz = np.nonzero(G == 0.0)  # closed brackets: a sample on an edge
+        brackets.append((np.r_[xs[i], xs[z]], np.r_[xs[i + 1], xs[z]], np.r_[k, kz],
+                         np.full(i.size + z.size, target), np.r_[G[i, k], G[z, kz]] <= 0.0))
+    lo, hi, k, t, below = (np.concatenate(v) for v in zip(*brackets))
+    lo, hi = solve_brackets(lambda x, q: f.eval_fn((0, 0), x, ys[k[q]]) - t[q],
+                            lo, hi, below, xtol=0.0)
+    rows = np.arange(ys.size)
+    px = np.concatenate([0.5 * (lo + hi), np.full(ys.size, xlo), np.full(ys.size, xhi)])
+    pk = np.concatenate([k, rows, rows])
+    order = np.lexsort((px, pk))
+    px, pk = px[order], pk[order]
+    keep = np.concatenate([[True], (px[1:] != px[:-1]) | (pk[1:] != pk[:-1])])
+    px, pk = px[keep], pk[keep]
+    seg = np.flatnonzero(pk[1:] == pk[:-1])
+    a, b, sk = px[seg], px[seg + 1], pk[seg]
+    vm = np.asarray(f.eval_fn((0, 0), 0.5 * (a + b), ys[sk]), dtype=float)
+    inside = np.abs(vm - c) <= eps
+    total = np.bincount(sk[inside], weights=(b - a)[inside], minlength=ys.size)
+    # guard: fall back to scan counting if the edge walk lost a region
+    approx = (np.abs(F - c) <= eps).mean(axis=0) * (xhi - xlo)
+    lost = (total == 0.0) & (approx > 2.0 * (xhi - xlo) / n_scan)
+    return np.where(lost, approx, total)
 
 
 def sublevel_2d(f: Phase2D, c: float, eps: float, domain: PlanarDomain | None = None,
@@ -202,17 +220,13 @@ class _Bump:
 
     def sign_change_points(self, hi: float) -> np.ndarray:
         """Sorted zeros of the transform on (0, hi]: the sinc zeros k/3 exactly,
-        and the zeros of rhohat(h xi) bisected from a scan at spacing 1/24."""
+        and the zeros of rhohat(h xi) bisected to the last bit from a scan at
+        spacing 1/24."""
         grid = np.linspace(1e-6, hi, int(hi * 24) + 2)
         vals = self.rho_hat(self.H * grid)
         idx = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-        lo_x, hi_x = grid[idx], grid[idx + 1]
-        neg = vals[idx] < 0.0
-        for _ in range(45):
-            m = 0.5 * (lo_x + hi_x)
-            take_lo = (self.rho_hat(self.H * m) < 0.0) == neg
-            lo_x = np.where(take_lo, m, lo_x)
-            hi_x = np.where(take_lo, hi_x, m)
+        lo_x, hi_x = solve_brackets(lambda x, _: -self.rho_hat(self.H * x),
+                                    grid[idx], grid[idx + 1], vals[idx] >= 0.0, xtol=0.0)
         sinc_zeros = np.arange(1, int(2.0 * self.CORE * hi) + 1) / (2.0 * self.CORE)
         return np.sort(np.concatenate([sinc_zeros, 0.5 * (lo_x + hi_x)]))
 

@@ -189,6 +189,18 @@ class TestCertify2D:
         cert = certify_2d(f2, P_SND_ONLY, 50.0)
         assert cert.total_bound > 0
 
+    # totals before the slices moved to one batched engine run
+    @pytest.mark.parametrize("P, lam, frozen", [
+        (Polynomial((0.0, 1.0)), 30.0, 0.7271154203074497),
+        (Polynomial((0.0, 1.0)), 1e3, 0.12639193982031935),
+        (Polynomial((0.0, 1.0)), 1e5, 0.01264811148303042),
+        (P_HALF_SQUARE, 30.0, 1.4108292680813987),
+        (P_HALF_SQUARE, 1e3, 1.1748063530299344),
+        (P_HALF_SQUARE, 1e5, 0.44706460694568917),
+    ])
+    def test_xy_quad_total_parity(self, P, lam, frozen):
+        assert certify_2d(xy_quad_phase(0.1), P, lam).total_bound == pytest.approx(frozen, rel=1e-12)
+
     def test_sweep_rate(self):
         f2 = xy_phase()
         lams = geometric_grid(1e4, 1e7, 6)

@@ -20,6 +20,7 @@ from oscint import (
     unit_square,
     xy_quad_phase,
 )
+from oscint.phases import merge_intervals, solve_brackets
 
 
 def test_sign_partition_x2_order1():
@@ -152,3 +153,101 @@ def test_xy_quad_mixed_derivative():
 def test_interval_validation():
     with pytest.raises(PreconditionError):
         Interval(1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The bracket solver against the scalar loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _scalar_root(f, lo, hi, flo, xtol=1e-12):
+    """The scalar sign-change bisection sign_partition used to run."""
+    neg = flo < 0.0
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fm = float(f(mid))
+        if (fm < 0.0) == neg and fm != 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _scalar_to_value(f, lo, hi, target, xtol=1e-12):
+    """The scalar monotone solve of f(x) = target the band code used to run."""
+    below = float(f(lo)) - target <= 0.0
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if (float(f(mid)) - target <= 0.0) == below:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _cubic(x):
+    x = np.asarray(x, dtype=float)
+    return x * x * x - 2.0 * x
+
+
+# increasing and decreasing brackets of x^3 - 2x, including brackets whose
+# end value equals the target exactly
+_BRACKETS = [(-1.2, -0.3, 0.6), (0.05, 0.9, -0.5), (1.0, 2.0, 0.5),
+             (-0.5, 0.25, 0.0), (-2.0, -1.0, 0.3), (0.0, 1.5, 0.0),
+             (1.0, 3.0, -1.0), (-3.0, 0.5, _cubic(0.5)),
+             (0.0, 1.5, _cubic(0.75))]  # the first midpoint hits the target
+
+
+def test_solver_matches_scalar_value_solve_bracket_for_bracket():
+    lo, hi, t = (np.array(v) for v in zip(*_BRACKETS))
+    got_lo, got_hi = solve_brackets(lambda x, k: _cubic(x) - t[k], lo, hi,
+                                    _cubic(lo) - t <= 0.0)
+    for i, (a, b, target) in enumerate(_BRACKETS):
+        assert (got_lo[i], got_hi[i]) == _scalar_to_value(_cubic, a, b, target)
+
+
+@pytest.mark.parametrize("fn, lo", [
+    (np.cos, [0.5, 2.0, 4.0, 7.5, 10.5]),
+    (_cubic, [-1.0, -2.2, 0.9, -0.7]),  # from -1 the first midpoint is the zero 0
+])
+def test_solver_matches_scalar_root_bisection(fn, lo):
+    # sign changes oriented so that g(lo) > 0, as sign_partition does
+    lo = np.array(lo)
+    hi = lo + 2.0 if fn is _cubic else lo + 1.2
+    flo = fn(lo)
+    orient = np.sign(flo)
+    got_lo, got_hi = solve_brackets(lambda x, k: fn(x) * orient[k], lo, hi, False)
+    for i in range(lo.size):
+        assert (got_lo[i], got_hi[i]) == _scalar_root(fn, lo[i], hi[i], flo[i])
+
+
+def test_solver_to_the_last_bit():
+    lo, hi = solve_brackets(lambda x, _: x * x - 2.0, [1.0, -0.0], [2.0, 3.0],
+                            [True, True], xtol=0.0)
+    for a, b in zip(lo, hi):
+        assert b == np.nextafter(a, np.inf)
+        assert a * a - 2.0 <= 0.0 < b * b - 2.0
+    lo, hi = solve_brackets(lambda x, _: x, [], [], [])
+    assert lo.size == hi.size == 0
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_sign_partition_cap_boundary(k):
+    # the order-1 derivative k cos(kx) of sin(kx) changes sign 2k times on (0, 2 pi)
+    f = sine(1.0, float(k))
+    pieces = sign_partition(f, 1, 1e-9, cap=2 * k)
+    assert len(pieces) == 2 * k + 1
+    zeros = [iv.hi for iv, _ in pieces[:-1]]
+    np.testing.assert_allclose(zeros, (2 * np.arange(2 * k) + 1) * math.pi / (2 * k), atol=1e-11)
+    with pytest.raises(PartitionOverflowError):
+        sign_partition(sine(1.0, float(k)), 1, 1e-9, cap=2 * k - 1)
+
+
+def test_merge_intervals_slack():
+    spans = [(0.5, 0.7), (0.0, 0.2), (0.2 + 1e-12, 0.3), (0.69, 0.8)]
+    assert [iv.as_tuple() for iv in merge_intervals(spans, 1e-11)] == [(0.0, 0.3), (0.5, 0.8)]
+    assert len(merge_intervals(spans, 1e-13)) == 3

@@ -196,3 +196,29 @@ def test_component_count_stays_bounded():
 def test_sublevel_rejects_bad_eps():
     with pytest.raises(PreconditionError):
         sublevel_1d(monomial(2, (0.0, 1.0)), 0.0, -1.0)
+
+
+def _linear_x():
+    def ev(orders, x, y):
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        if orders == (0, 0):
+            return np.broadcast_to(x, shape).copy()
+        return np.full(shape, 1.0 if orders == (1, 0) else 0.0)
+
+    return Phase2D(ev, (2, 2), unit_square(), name="x")
+
+
+@pytest.mark.parametrize("c, eps, exact", [(0.5, 0.25, 0.5), (0.375, 0.125, 0.25)])
+def test_band_edge_on_a_scan_point(c, eps, exact):
+    # both band edges of f = x fall exactly on points of the slice scan
+    assert sublevel_2d(_linear_x(), c, eps) == pytest.approx(exact, rel=1e-12)
+
+
+# sublevel_2d(xy, 0, eps) before the slice crossings moved to the shared solver
+@pytest.mark.parametrize("eps, frozen", [
+    (1e-3, 0.007907755278982138),
+    (0.02, 0.09824046010856215),
+    (0.3, 0.6611918412979129),
+])
+def test_xy_band_area_parity(eps, frozen):
+    assert sublevel_2d(xy_phase(), 0.0, eps) == pytest.approx(frozen, rel=1e-12)
