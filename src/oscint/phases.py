@@ -593,21 +593,25 @@ def xy_quad_phase(c: float, domain: PlanarDomain | None = None) -> Phase2D:
     dom = domain or unit_square()
     cc = float(c)
 
+    def mono(n, k, v):
+        """d^k/dv^k v^n for k <= n <= 2, whose coefficient n!/(n-k)! is 1 at
+        k = 0 and n otherwise; no v**0 or v**1 array pass is made."""
+        vp = 1.0 if k == n else v if k == n - 1 else v ** (n - k)
+        return vp if k == 0 or n == 1 else n * vp
+
     def term(orders, x, y):
         i, j = orders
-        a = _falling(1, i) * x ** max(1 - i, 0) if i <= 1 else 0.0
-        b = _falling(1, j) * y ** max(1 - j, 0) if j <= 1 else 0.0
-        first = a * b if (i <= 1 and j <= 1) else 0.0
-        p = _falling(2, i) * x ** max(2 - i, 0) if i <= 2 else 0.0
-        q = _falling(2, j) * y ** max(2 - j, 0) if j <= 2 else 0.0
-        second = cc * p * q if (i <= 2 and j <= 2) else 0.0
+        first = mono(1, i, x) * mono(1, j, y) if (i <= 1 and j <= 1) else 0.0
+        second = cc * mono(2, i, x) * mono(2, j, y) if (i <= 2 and j <= 2) else 0.0
         return first + second
 
     def ev(orders, x, y):
+        # term gives a scalar or a fresh array, never an input array itself
         val = term(orders, x, y)
-        if np.isscalar(val) or getattr(val, "shape", None) == ():
-            return np.full(np.broadcast_shapes(x.shape, y.shape), float(val))
-        return np.broadcast_to(val, np.broadcast_shapes(x.shape, y.shape)).copy()
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        if not isinstance(val, np.ndarray):
+            return np.full(shape, float(val))
+        return val if val.shape == shape else np.broadcast_to(val, shape).copy()
 
     lb = 1.0 if cc >= 0 else max(1e-9, 1.0 + 4.0 * cc)
     return Phase2D(ev, max_orders=(4, 4), domain=dom, beta=(1, 1), n_orders=(None, 2),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -82,6 +82,8 @@ class SndConstant:
     d: int
     B: float
     provenance: str = "empirical"
+    # per-trial cover ratios B was estimated from; not part of comparison
+    ratios: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.B < 1.0:
@@ -435,7 +437,7 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0, n_grid: int = 10_000,
     the SND cover holds on all sampled polynomials and dense eps, x grids.
 
     Trials draw with per-trial derived seeds, so results do not depend on
-    evaluation order.
+    evaluation order.  The per-trial ratios come back as ``ratios``.
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
@@ -461,9 +463,6 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0, n_grid: int = 10_000,
         return bool(np.all(ratios <= B))
 
     lo, hi = 1.0, max(1.0, worst)
-    if not holds(hi):
-        while not holds(hi):
-            hi *= 2.0
     while (hi - lo) > 0.005 * hi:
         mid = 0.5 * (lo + hi)
         if holds(mid):
@@ -473,7 +472,7 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0, n_grid: int = 10_000,
     exp10 = math.floor(math.log10(hi)) if hi > 0 else 0
     quantum = 10.0 ** (exp10 - 1)
     B = max(1.0, math.ceil(hi / quantum) * quantum)
-    return SndConstant(d, B, "empirical")
+    return SndConstant(d, B, "empirical", tuple(ratios.tolist()))
 
 
 def degenerating_family(k: int, eta: float) -> Polynomial:

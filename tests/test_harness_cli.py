@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oscint
 from oscint.errors import ConfigError
 from oscint.harness import ExperimentConfig, SuiteReport, load_config, run_suite
 from oscint.quadrature import QuadConfig
@@ -86,9 +88,14 @@ def test_report_written_and_recomputable(tmp_path):
 
 
 def _run_cli(*args):
+    # pytest's `pythonpath` setting reaches this process only; the child
+    # imports the same oscint through PYTHONPATH
+    src = str(Path(oscint.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "oscint.cli", *args],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
 
 
@@ -164,7 +171,53 @@ def test_cli_suite_small(tmp_path):
     assert (tmp_path / "rep" / "t6_rows.csv").exists()
 
 
-def test_threads_env_respected(monkeypatch):
-    monkeypatch.setenv("OSCINT_THREADS", "1")
-    rep = run_suite(small_t6_config())
-    assert rep.passed
+SMALL_T2 = {
+    "baselines": [2],
+    "baseline_grid": {"lo": 1e3, "hi": 1e5, "per_decade": 4},
+    "lambda_sound": {"lo": 1e3, "hi": 1e5, "per_decade": 4},
+    "cert_sweep": {"lo": 1e4, "hi": 1e6, "per_decade": 4},
+    "cases": [{"name": "x2_monic_d2_N2", "f": {"family": "monomial", "n": 2}, "N": 2,
+               "poly": [0.0, 0.0, 0.5]}],
+}
+
+
+def test_pool_gives_serial_results(monkeypatch):
+    cfg = ExperimentConfig(suite="T2", quad=QuadConfig(phase_variation_cap=2.8),
+                           options=SMALL_T2)
+    reports = {}
+    for threads in (1, 2):
+        monkeypatch.setenv("OSCINT_THREADS", str(threads))
+        reports[threads] = run_suite(cfg)
+        assert reports[threads].stamp["threads"] == threads
+    assert reports[1].csv_body() == reports[2].csv_body()
+    assert reports[1].verdicts == reports[2].verdicts
+    assert len(reports[1].verdicts) == 3
+
+
+@pytest.mark.parametrize("degrees", [[2, 3], [2]])
+def test_t6_computes_each_cover_ratio_once(monkeypatch, degrees):
+    """T6 reads the SND ratios estimate_B computed, and estimates the
+    reference degree of the 10x check (3 here) only when it has not already."""
+    from oscint import harness, polynomials
+
+    calls = {"cover_ratio": 0, "estimate_B": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(polynomials, "cover_ratio")
+    count(harness, "cover_ratio")
+    count(harness, "estimate_B")
+    opts = dict(SMALL_T6, snd_degrees=degrees, exceed_at_eta=0.01)
+    rep = run_suite(ExperimentConfig(suite="T6", seed=7, options=opts))
+    checks = [v["check"] for v in rep.verdicts]
+    assert "b_min_exceeds_10x_snd_constant" in checks
+    assert checks.count("zero_violations") == len(degrees) + 2
+    assert calls["estimate_B"] == 2
+    # one ratio per SND draw (no retry fires on this seed), one per eta
+    assert calls["cover_ratio"] == 2 * SMALL_T6["snd_trials"] + len(SMALL_T6["etas"])

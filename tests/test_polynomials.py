@@ -205,6 +205,16 @@ class TestEstimateB:
         assert a.B == b.B and a.provenance == "empirical"
         assert a.B >= 1.0
 
+    def test_per_trial_ratios_returned(self):
+        # the cover ratios of the seeded draws in trial order; they take no
+        # part in comparison
+        B = estimate_B(2, trials=100, seed=3, n_grid=2000)
+        assert len(B.ratios) == 100 and max(B.ratios) <= B.B
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(3, 2, 7)))
+        ratio, _ = cover_ratio(sample_snd(2, rng), default_eps_grid(), n_grid=2000)
+        assert B.ratios[7] == ratio
+        assert B == SndConstant(2, B.B)
+
     def test_requires_enough_trials(self):
         with pytest.raises(PreconditionError):
             estimate_B(2, trials=10)

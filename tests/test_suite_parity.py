@@ -1,0 +1,113 @@
+"""Rows and verdicts of small T1, T2, T3, T4, T7 and H-LOG runs, frozen.
+
+The frozen file pins which rows and verdicts each runner emits, in order:
+case, check, `passed`, row verdicts and witness keys must match exactly,
+numbers to 1e-12 relative. Re-freeze only for a deliberate output change,
+and say why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_suite_parity.py
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from oscint.harness import ExperimentConfig, run_suite
+from oscint.quadrature import QuadConfig
+
+FROZEN = Path(__file__).with_name("data") / "suite_parity.json"
+REL = 1e-12
+
+_QUAD = {"rel_tol": 1e-9, "max_panels": 4194304, "phase_variation_cap": 2.8}
+# fit_decay needs at least 8 samples over two decades
+_SOUND = {"lo": 1e3, "hi": 1e5, "per_decade": 4}
+_CERT = {"lo": 1e4, "hi": 1e6, "per_decade": 4}
+
+SMALL = {
+    "T1": {
+        "lambda_sound": _SOUND, "cert_sweep": _CERT, "bounded_window": [1e3, 1e5],
+        "cases": [
+            {"name": "x2_monic_d2", "f": {"family": "monomial", "n": 2}, "delta": 0.5,
+             "poly": [0.0, 0.0, 0.5]},
+            {"name": "x2_snd_d3", "f": {"family": "monomial", "n": 2}, "delta": 0.5,
+             "poly": [0.0, 0.0, 0.5, 1.0 / 3.0]},
+        ],
+    },
+    "T2": {
+        "baselines": [2, 3],
+        "baseline_grid": _SOUND, "lambda_sound": _SOUND, "cert_sweep": _CERT,
+        "cases": [
+            {"name": "x1_monic_d2_N1", "f": {"family": "monomial", "n": 1}, "N": 1,
+             "poly": [0.0, 0.0, 0.5]},
+            {"name": "x2_monic_d2_N2", "f": {"family": "monomial", "n": 2}, "N": 2,
+             "poly": [0.0, 0.0, 0.5]},
+        ],
+    },
+    "T3": {
+        "lambda_sound": {"lo": 10.0, "hi": 1000.0, "per_decade": 4}, "cert_sweep": _CERT,
+        "cases": [
+            {"name": "xy_base", "f2": {"family": "xy"}, "poly": [0.0, 1.0],
+             "hi_rows": [1e4], "reduction": {"k": 1, "j": 1, "coeff": 1.0}},
+            {"name": "xyq_d2", "f2": {"family": "xy_quad", "c": 0.1},
+             "poly": [0.0, 0.0, 0.5]},
+        ],
+    },
+    "T4": {
+        "cases": [
+            {"name": "x2_y1", "k": 2, "j": 1,
+             "lambda_grid": {"lo": 100.0, "hi": 1e4, "per_decade": 4},
+             "cross_check": [100.0], "fit_tol": 0.04},
+        ],
+    },
+    "T7": {
+        "lambda_sound": _SOUND, "cert_sweep": _CERT,
+        "cases": [
+            {"name": "x2_abs_t_1p5", "f": {"family": "monomial", "n": 2}, "N": 2,
+             "exponent": 1.5, "fit_tol": 0.05},
+        ],
+    },
+    "H-LOG": {
+        "eps_grid": {"lo": 1e-3, "hi": 0.1, "per_decade": 4},
+        "lambda_grid": {"lo": 1e3, "hi": 1e5, "per_decade": 4},
+        "cross_check": [100.0],
+    },
+}
+
+
+def small_report(suite):
+    cfg = ExperimentConfig(suite=suite, seed=20260809, quad=QuadConfig(**_QUAD),
+                           options=SMALL[suite])
+    rep = run_suite(cfg)
+    return {"rows": rep.rows, "verdicts": rep.verdicts}
+
+
+def assert_matches(got, want, where):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for k in want:
+            assert_matches(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, (list, tuple)) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, (bool, str)) or want is None:
+        assert got == want and type(got) is type(want), f"{where}: {got!r} != {want!r}"
+    else:
+        assert not isinstance(got, (bool, str)) and got is not None, where
+        assert math.isclose(got, want, rel_tol=REL, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("suite", list(SMALL))
+def test_small_suite_matches_frozen(suite):
+    frozen = json.loads(FROZEN.read_text())[suite]
+    got = json.loads(json.dumps(small_report(suite), default=lambda o: o.item()))
+    assert_matches(got, frozen, suite)
+
+
+if __name__ == "__main__":
+    FROZEN.parent.mkdir(exist_ok=True)
+    doc = {s: small_report(s) for s in SMALL}
+    FROZEN.write_text(json.dumps(doc, indent=1, sort_keys=True, default=lambda o: o.item()) + "\n")
+    print(f"wrote {FROZEN}")
