@@ -22,6 +22,7 @@ case), and the complementary region is charged by its measure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -52,14 +53,15 @@ KIND_SMALL = "small_derivative"
 KIND_IBP = "integration_by_parts"
 KIND_MIXED = "slice_small_mixed"
 
-_snd_constant_cache: dict[int, SndConstant] = {}
+# x-slices of certify_2d's first region: geometric against its boundary, and
+# as many again evenly spaced
+SLICE_SAMPLES = 33
 
 
+@functools.cache
 def default_snd_constant(degree: int) -> SndConstant:
     """Cached empirical cover constant for SND polynomials of the given degree."""
-    if degree not in _snd_constant_cache:
-        _snd_constant_cache[degree] = estimate_B(degree, trials=200, seed=20260809)
-    return _snd_constant_cache[degree]
+    return estimate_B(degree, trials=200, seed=20260809)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +532,7 @@ def _ge_gamma_slices(h, x0s: np.ndarray, gamma: float, iv: Interval,
 
 
 def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
-               snd_constant: SndConstant | None = None,
-               slice_samples: int = 33) -> Certificate:
+               snd_constant: SndConstant | None = None) -> Certificate:
     """Certificate for |int_X e^{i lam P(f(x, y))} dx dy| at n = 2.
 
     The domain splits where |d^(beta_2)_y f| crosses gamma.  On the large
@@ -599,7 +600,7 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
         )
 
     pieces: list[CertPiece] = []
-    notes = {"gamma": gamma, "slice_samples": slice_samples}
+    notes = {"gamma": gamma, "slice_samples": SLICE_SAMPLES}
     cap = dom.slice_bound * (N2 + 2)
 
     # region 1: |d^(beta2)_y f| >= gamma, certified slice by slice.  The worst
@@ -624,9 +625,9 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
                                      x_scan[i0 - 1], x_scan[i0], False, xtol=0.0)
             x_start = hi_x[0]
         span = bx - x_start
-        cluster = x_start + span * np.geomspace(1e-8, 1.0, slice_samples)
+        cluster = x_start + span * np.geomspace(1e-8, 1.0, SLICE_SAMPLES)
         xs = np.unique(np.concatenate([[x_start], cluster,
-                                       np.linspace(x_start, bx, slice_samples)]))
+                                       np.linspace(x_start, bx, SLICE_SAMPLES)]))
     subs = _ge_gamma_slices(lambda x, y: f.eval_fn((0, beta2), x, y), xs, gamma,
                             dom.y_extent(), cap)
     # every (slice, subinterval) is one job of a single engine run

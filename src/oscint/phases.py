@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PartitionOverflowError, PreconditionError
+from .errors import PartitionOverflowError, PreconditionError
 
 SCAN_SAMPLES_PER_UNIT = 4096
 MIN_SCAN_SAMPLES = 257
@@ -49,13 +49,6 @@ class Interval:
 
     def contains(self, other: "Interval", slack: float = 1e-12) -> bool:
         return self.lo - slack <= other.lo and other.hi <= self.hi + slack
-
-    def contains_point(self, x: float, slack: float = 1e-12) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.lo, self.hi)
@@ -477,11 +470,6 @@ class PlanarDomain:
     def area(self) -> float:
         return sum((bx - ax) * (by - ay) for ax, bx, ay, by in self.rects)
 
-    @property
-    def diameter(self) -> float:
-        ax, bx, ay, by = self.bounding_box
-        return math.hypot(bx - ax, by - ay)
-
     def x_slices(self, y: float) -> list[Interval]:
         """Intervals of {x : (x, y) in domain}, merged and ordered."""
         return merge_intervals(((ax, bx) for ax, bx, ay, by in self.rects if ay <= y <= by),
@@ -524,20 +512,6 @@ class Phase2D:
         if i < 0 or j < 0 or i > self.max_orders[0] or j > self.max_orders[1]:
             raise PreconditionError(f"orders {orders} outside declared maxima {self.max_orders}")
         return self.eval_fn((i, j), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-    def slice_in_x(self, y: float, max_order: int = 2) -> PhaseFunction:
-        """One-dimensional phase x -> f(x, y0) on the matching slice."""
-        y0 = float(y)
-        slices = self.domain.x_slices(y0)
-        if not slices:
-            raise DomainError(f"y={y0} outside domain")
-        iv = Interval(min(s.lo for s in slices), max(s.hi for s in slices))
-
-        def ev(order, x):
-            return self.eval_fn((order, 0), x, np.full_like(x, y0))
-
-        return PhaseFunction(ev, max_order=min(max_order, self.max_orders[0]), domain=iv,
-                             meta=PhaseMeta(N=1), name=f"{self.name}|y={y0:.6g}")
 
     def slice_in_y(self, x: float, base_dx_order: int = 0, max_order: int = 4) -> PhaseFunction:
         """One-dimensional phase y -> d_x^k f(x0, y) for fixed x0."""

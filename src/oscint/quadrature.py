@@ -267,9 +267,11 @@ def osc_integrate_2d(g: Phase2D, lam: float, domain: PlanarDomain | None = None,
 # General adaptive quadrature for smooth (possibly kinked) integrands
 # ---------------------------------------------------------------------------
 
+ADAPTIVE_MAX_SEGMENTS = 1 << 16
+
 
 def adaptive_quad(fvec, a: float, b: float, rel_tol: float = 1e-9,
-                  abs_floor: float = 1e-14, max_segments: int = 1 << 16):
+                  abs_floor: float = 1e-14):
     """Adaptive Gauss-Kronrod 7/15 rule for a vectorised scalar integrand.
 
     Each segment's value is its K15 sum and its error |K15 - G7|, both from
@@ -305,7 +307,7 @@ def adaptive_quad(fvec, a: float, b: float, rel_tol: float = 1e-9,
         if good.all():
             return (complex(acc) if is_complex else float(acc)), acc_err
         L, R = L[~good], R[~good]
-        if 2 * L.size > max_segments:
+        if 2 * L.size > ADAPTIVE_MAX_SEGMENTS:
             acc += v15[~good].sum()
             acc_err += float(err[~good].sum())
             return (complex(acc) if is_complex else float(acc)), acc_err

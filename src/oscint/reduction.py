@@ -29,6 +29,9 @@ from .quadrature import _CHUNK, _NODES, _WK, _swing_panels
 
 SERIES_SWITCH = 12.0
 DIRECT_SWITCH = 48.0
+# swing limit and budget of the outer panels in y
+SWING_CAP = math.pi / 2.0
+MAX_PANELS = 1 << 22
 
 
 def _direct_rule(n_panels: int = 6, order: int = 64):
@@ -102,13 +105,11 @@ def monomial_profile(k: int, w) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def product_monomial_integral(k: int, j: int, lam: float, coeff: float = 1.0,
-                              cap: float = math.pi / 2.0,
-                              max_panels: int = 1 << 22) -> complex:
+def product_monomial_integral(k: int, j: int, lam: float, coeff: float = 1.0) -> complex:
     """int_0^1 int_0^1 e^{i lam coeff x^k y^j} dx dy via the profile reduction.
 
     Panels in y are sized so the oscillation carrier lam*coeff*y^j swings at
-    most ``cap`` per panel; the profile factor varies slowly on that scale.
+    most ``SWING_CAP`` per panel; the profile factor varies slowly on that scale.
     """
     if j < 1:
         raise PreconditionError("reduction needs j >= 1")
@@ -117,7 +118,7 @@ def product_monomial_integral(k: int, j: int, lam: float, coeff: float = 1.0,
         return 1.0 + 0.0j
     la = abs(lam_eff)
 
-    L, R = _swing_panels(lambda y: y**j, [0.0], [1.0], la, cap, max_panels)
+    L, R = _swing_panels(lambda y: y**j, [0.0], [1.0], la, SWING_CAP, MAX_PANELS)
     # per-panel K15 values chunk by chunk bound the memory; one sum at the end
     vals = np.empty(L.size, dtype=complex)
     for s in range(0, L.size, _CHUNK):
@@ -127,6 +128,3 @@ def product_monomial_integral(k: int, j: int, lam: float, coeff: float = 1.0,
         vals[s:s + _CHUNK] = (monomial_profile(k, lam_eff * y**j) @ _WK) * half
     return complex(vals.sum())
 
-
-def product_monomial_magnitude(k: int, j: int, lam: float, coeff: float = 1.0) -> float:
-    return abs(product_monomial_integral(k, j, lam, coeff))

@@ -9,8 +9,9 @@ the sinc of the indicator times the mollifier's transform, and the latter is
 a single Gauss-Legendre cosine sum, so phihat costs one small matrix-vector
 product per batch of xi and its sinc zeros k/3 are known in closed form.
 
-Every root found here comes from the shared bracket solver
-``phases.solve_brackets``, one solve for all pieces, rows or slices of a batch.
+Bands are found piece by piece on monotone partitions, and the brackets of
+all pieces, or of all rows of a planar batch, go to the shared solver
+``phases.solve_brackets`` together.
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NonconvergentTailError, PreconditionError
-from .phases import (Interval, Phase2D, PhaseFunction, PlanarDomain, merge_intervals,
+from .phases import (BISECT_XTOL, Interval, Phase2D, PhaseFunction, merge_intervals,
                      monotone_partition, pieces_between, scan_grid, scan_sign_changes,
                      solve_brackets)
 from .quadrature import adaptive_quad
+
+BAND_AREA_REL_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class SublevelResult:
@@ -43,14 +47,14 @@ class OscToSublevelConstant:
     bump_spec: str
 
 
-def band_pieces(g, a, b, ga, gb, lo_t, hi_t):
+def band_pieces(g, a, b, ga, gb, lo_t, hi_t, xtol: float = BISECT_XTOL):
     """{x in [a_k, b_k] : lo_t <= g_k(x) <= hi_t} for many monotone pieces at once.
 
     ``g(x, idx)`` evaluates the functions of the pieces ``idx`` and ``ga``,
     ``gb`` hold their values at the ends.  An end where g lies outside the
     band is moved by bracketing g = lo_t or g = hi_t on the whole piece, all
-    pieces in one solve.  Returns (x_lo, x_hi, found); ``found`` is False
-    where the piece misses the band.
+    pieces in one solve bisected to ``xtol``.  Returns (x_lo, x_hi, found);
+    ``found`` is False where the piece misses the band.
     """
     a, b, ga, gb = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, ga, gb))
     inc = gb >= ga
@@ -59,7 +63,7 @@ def band_pieces(g, a, b, ga, gb, lo_t, hi_t):
     move_hi = np.flatnonzero(hit & np.where(inc, gb > hi_t, gb < lo_t))
     k = np.concatenate([move_lo, move_hi])
     t = np.concatenate([np.where(inc[move_lo], lo_t, hi_t), np.where(inc[move_hi], hi_t, lo_t)])
-    lo, hi = solve_brackets(lambda x, q: g(x, k[q]) - t[q], a[k], b[k], ga[k] - t <= 0.0)
+    lo, hi = solve_brackets(lambda x, q: g(x, k[q]) - t[q], a[k], b[k], ga[k] - t <= 0.0, xtol)
     x = 0.5 * (lo + hi)
     x_lo, x_hi = a.copy(), b.copy()
     x_lo[move_lo] = x[:move_lo.size]
@@ -67,17 +71,17 @@ def band_pieces(g, a, b, ga, gb, lo_t, hi_t):
     return x_lo, x_hi, hit & (x_hi > x_lo)
 
 
-def band_sets(g, rows_pieces: list[list[Interval]], lo_t: float,
-              hi_t: float) -> list[list[Interval]]:
+def band_sets(g, rows_pieces: list[list[Interval]], lo_t: float, hi_t: float,
+              xtol: float = BISECT_XTOL) -> list[list[Interval]]:
     """Per row, the merged {x : lo_t <= g_row(x) <= hi_t} over the row's
-    monotone pieces, with one solve for all rows; ``g(x, rows)`` evaluates
-    the functions of the rows at x."""
+    monotone pieces, with one solve for all rows to ``xtol``; ``g(x, rows)``
+    evaluates the functions of the rows at x."""
     row = np.repeat(np.arange(len(rows_pieces)), [len(ps) for ps in rows_pieces])
     a = np.array([p.lo for ps in rows_pieces for p in ps])
     b = np.array([p.hi for ps in rows_pieces for p in ps])
     gq = lambda x, q: g(x, row[q])
     q = np.arange(a.size)
-    x_lo, x_hi, found = band_pieces(gq, a, b, gq(a, q), gq(b, q), lo_t, hi_t)
+    x_lo, x_hi, found = band_pieces(gq, a, b, gq(a, q), gq(b, q), lo_t, hi_t, xtol)
     spans: list[list[tuple[float, float]]] = [[] for _ in rows_pieces]
     for r, lo, hi in zip(row[found].tolist(), x_lo[found].tolist(), x_hi[found].tolist()):
         spans[r].append((lo, hi))
@@ -102,10 +106,10 @@ def sublevel_1d(f: PhaseFunction, c: float, eps: float,
 
 
 def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
-                  interval: Interval) -> np.ndarray:
+                  interval: Interval, xtol: float = BISECT_XTOL) -> np.ndarray:
     """``sublevel_1d(x -> d^orders f(x, y), c, eps, interval).measure`` for
     every y of a batch: one 2-D sign scan, one solve for the monotone breaks
-    of all rows and one for their band edges."""
+    of all rows and one for their band edges, bisected to ``xtol``."""
     i, j = orders
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     xs = scan_grid(interval)
@@ -114,65 +118,24 @@ def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
                                      1e-11, 64, f"{f.name} d{orders} row", 1)
     split = np.searchsorted(rows, np.arange(1, ys.size))
     per_row = [pieces_between(interval, br.tolist()) for br in np.split(breaks, split)]
-    comps = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]), per_row, c - eps, c + eps)
+    comps = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]), per_row, c - eps, c + eps,
+                      xtol)
     return np.array([float(sum(iv.hi - iv.lo for iv in cs)) for cs in comps])
 
 
-# ---------------------------------------------------------------------------
-# Planar sublevel measure by slice integration
-# ---------------------------------------------------------------------------
-
-
-def _slice_measures(f: Phase2D, ys: np.ndarray, c: float, eps: float,
-                    xlo: float, xhi: float, n_scan: int = 1025) -> np.ndarray:
-    """Measure in x of {|f(., y) - c| <= eps} for a batch of y values.
-
-    The crossings of both band edges are located on a scan grid (a sample
-    exactly on an edge is a crossing itself) and bisected to the last bit in
-    one solve for the batch; they cut each slice into segments whose
-    midpoints decide membership.  Narrow components are still caught on
-    monotone slices because both edge crossings land in the same scan cell.
+def sublevel_2d(f: Phase2D, c: float, eps: float) -> float:
+    """Planar measure of {|f - c| <= eps} over ``f.domain``: ``sublevel_rows``
+    measures the x-slices with band edges bisected to the last bit, and
+    ``adaptive_quad`` integrates them over y.  f must expose d/dx f, whose
+    sign scan splits each slice into monotone pieces.
     """
-    xs = np.linspace(xlo, xhi, n_scan)
-    F = np.asarray(f.eval_fn((0, 0), xs[:, None], ys[None, :]), dtype=float)
-    brackets = []
-    for target in (c - eps, c + eps):
-        G = F - target
-        i, k = np.nonzero(G[:-1] * G[1:] < 0.0)
-        z, kz = np.nonzero(G == 0.0)  # closed brackets: a sample on an edge
-        brackets.append((np.r_[xs[i], xs[z]], np.r_[xs[i + 1], xs[z]], np.r_[k, kz],
-                         np.full(i.size + z.size, target), np.r_[G[i, k], G[z, kz]] <= 0.0))
-    lo, hi, k, t, below = (np.concatenate(v) for v in zip(*brackets))
-    lo, hi = solve_brackets(lambda x, q: f.eval_fn((0, 0), x, ys[k[q]]) - t[q],
-                            lo, hi, below, xtol=0.0)
-    rows = np.arange(ys.size)
-    px = np.concatenate([0.5 * (lo + hi), np.full(ys.size, xlo), np.full(ys.size, xhi)])
-    pk = np.concatenate([k, rows, rows])
-    order = np.lexsort((px, pk))
-    px, pk = px[order], pk[order]
-    keep = np.concatenate([[True], (px[1:] != px[:-1]) | (pk[1:] != pk[:-1])])
-    px, pk = px[keep], pk[keep]
-    seg = np.flatnonzero(pk[1:] == pk[:-1])
-    a, b, sk = px[seg], px[seg + 1], pk[seg]
-    vm = np.asarray(f.eval_fn((0, 0), 0.5 * (a + b), ys[sk]), dtype=float)
-    inside = np.abs(vm - c) <= eps
-    total = np.bincount(sk[inside], weights=(b - a)[inside], minlength=ys.size)
-    # guard: fall back to scan counting if the edge walk lost a region
-    approx = (np.abs(F - c) <= eps).mean(axis=0) * (xhi - xlo)
-    lost = (total == 0.0) & (approx > 2.0 * (xhi - xlo) / n_scan)
-    return np.where(lost, approx, total)
-
-
-def sublevel_2d(f: Phase2D, c: float, eps: float, domain: PlanarDomain | None = None,
-                rel_tol: float = 1e-7) -> float:
-    """Planar measure of {|f - c| <= eps} by outer quadrature of slice measures."""
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    dom = domain or f.domain
     total = 0.0
-    for ax, bx, ay, by in dom.rects:
-        fvec = lambda ys: _slice_measures(f, np.asarray(ys, dtype=float), c, eps, ax, bx)
-        val, _ = adaptive_quad(fvec, ay, by, rel_tol=rel_tol, abs_floor=1e-12)
+    for ax, bx, ay, by in f.domain.rects:
+        iv = Interval(ax, bx)
+        rows = lambda ys: sublevel_rows(f, (0, 0), ys, c, eps, iv, xtol=0.0)
+        val, _ = adaptive_quad(rows, ay, by, rel_tol=BAND_AREA_REL_TOL, abs_floor=1e-12)
         total += val
     return float(total)
 

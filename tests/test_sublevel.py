@@ -16,8 +16,9 @@ from oscint import (
     xy_phase,
 )
 from oscint.decay import DecaySample, fit_decay, geometric_grid
-from oscint.phases import Phase2D, unit_square
-from oscint.sublevel import _bump
+from oscint.phases import (Phase2D, PhaseFunction, compose2d_with_polynomial, unit_square,
+                           xy_quad_phase)
+from oscint.sublevel import _bump, sublevel_rows
 
 
 class TestSublevel1D:
@@ -222,3 +223,37 @@ def test_band_edge_on_a_scan_point(c, eps, exact):
 ])
 def test_xy_band_area_parity(eps, frozen):
     assert sublevel_2d(xy_phase(), 0.0, eps) == pytest.approx(frozen, rel=1e-12)
+
+
+@pytest.mark.parametrize("c, eps", [(0.2, 0.05), (0.5, 0.3), (0.0, 0.01)])
+def test_rows_match_sublevel_1d_on_each_slice(c, eps):
+    f2 = xy_quad_phase(0.1)
+    ys = np.array([0.0, 0.1, 0.37, 0.9, 1.0])
+    rows = sublevel_rows(f2, (0, 0), ys, c, eps, Interval(0.0, 1.0))
+    for y, got in zip(ys, rows):
+        row = PhaseFunction(lambda k, x, y=y: f2.eval_fn((k, 0), x, np.full_like(x, y)),
+                            2, Interval(0.0, 1.0))
+        assert got == sublevel_1d(row, c, eps).measure
+
+
+def _parabola_plus_ramp():
+    def ev(orders, x, y):
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        if orders == (0, 0):
+            return np.broadcast_to((x - 0.5) ** 2 + y / 10.0, shape).copy()
+        if orders == (1, 0):
+            return np.broadcast_to(2.0 * (x - 0.5), shape).copy()
+        return np.full(shape, {(2, 0): 2.0, (0, 1): 0.1}.get(orders, 0.0))
+
+    return Phase2D(ev, (2, 1), unit_square(), name="(x-1/2)^2+y/10")
+
+
+def test_band_area_with_a_monotone_break_per_row():
+    # every row turns at x = 1/2, and for y < 1/2 its band has two components
+    exact = (40.0 / 3.0) * (0.11**1.5 - 0.01**1.5 - 0.05**1.5)
+    assert sublevel_2d(_parabola_plus_ramp(), 0.08, 0.03) == pytest.approx(exact, rel=1e-9)
+
+
+def test_band_area_needs_the_x_derivative():
+    with pytest.raises(PreconditionError):
+        sublevel_2d(compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)), 0.0, 0.1)
