@@ -188,7 +188,7 @@ class PowerTransform:
 
 
 class _PolyOuter:
-    def __init__(self, P: Polynomial, lam_abs: float, snd_constant: SndConstant | None):
+    def __init__(self, P: Polynomial, lam_abs: float):
         self.P = P
         self.d = float(P.degree)
         if P.degree < 2:
@@ -203,15 +203,15 @@ class _PolyOuter:
         self.is_monic = rep.is_monic
         if not rep.is_monic and lam_abs < 1.0:
             raise PreconditionError("SND normalisation requires |lambda| >= 1")
-        self.B = 1.0 if rep.is_monic else (snd_constant or default_snd_constant(self.Pp.degree)).B
+        self.snd = None if rep.is_monic else default_snd_constant(self.Pp.degree)
+        self.B = 1.0 if rep.is_monic else self.snd.B
         self.n_centers = self.Pp.degree
         self.label = "monic" if rep.is_monic else "SND"
 
     def cover(self, eps: float) -> list[Interval]:
         if self.is_monic:
             return monic_sublevel_cover(self.Pp, eps)
-        B = SndConstant(self.Pp.degree, self.B, "user-supplied")
-        return snd_sublevel_cover(self.Pp, min(eps, 1.0), B)
+        return snd_sublevel_cover(self.Pp, min(eps, 1.0), self.snd)
 
     def cover_radius(self, eps: float) -> float:
         return self.B * eps
@@ -431,8 +431,7 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
 
 def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
                mode: str, delta: float | None = None, A: float | None = None,
-               N: int | None = None, snd_constant: SndConstant | None = None,
-               interval: Interval | None = None) -> Certificate:
+               N: int | None = None) -> Certificate:
     """Certificate for |int_I e^{i lam P(f(x))} dx|.
 
     mode "general": f carries an oscillatory-decay claim |I(lam)| <= A lam^-delta
@@ -443,12 +442,11 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
     if lam == 0.0:
         raise PreconditionError("certify_1d needs lambda != 0")
     lam_abs = abs(lam)
-    iv = interval or f.domain
 
     if isinstance(P, PowerTransform):
         outer = _PowerOuter(P)
     else:
-        outer = _PolyOuter(P, lam_abs, snd_constant)
+        outer = _PolyOuter(P, lam_abs)
     d = outer.d
 
     if mode == "general":
@@ -490,7 +488,7 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
         raise PreconditionError(f"unknown mode {mode!r}")
 
     eps = lam_abs ** (-1.0 / d)
-    [(pieces, notes)] = _engine_1d([(f, iv)], lambda order, x, _: f.eval_fn(order, x),
+    [(pieces, notes)] = _engine_1d([(f, f.domain)], lambda order, x, _: f.eval_fn(order, x),
                                    outer, lam, eps, r, claims)
     params = CertificateParams(eps, r, float(lam), delta_eff, d, None, mode)
     notes["outer"] = outer.label
@@ -531,8 +529,7 @@ def _ge_gamma_slices(h, x0s: np.ndarray, gamma: float, iv: Interval,
     return out
 
 
-def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
-               snd_constant: SndConstant | None = None) -> Certificate:
+def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float) -> Certificate:
     """Certificate for |int_X e^{i lam P(f(x, y))} dx dy| at n = 2.
 
     The domain splits where |d^(beta_2)_y f| crosses gamma.  On the large
@@ -564,7 +561,7 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
         d = 1.0
         base_case = True
     else:
-        outer = _PolyOuter(P, lam_abs, snd_constant)
+        outer = _PolyOuter(P, lam_abs)
         d = outer.d
         base_case = False
 
@@ -585,7 +582,7 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
         eps = lam_abs ** (-1.0 / d)
         r = gamma
 
-    ax, bx, ay, by = dom.bounding_box
+    ax, bx, ay, by = dom.ax, dom.bx, dom.ay, dom.by
     width = bx - ax
     height = by - ay
 
@@ -601,7 +598,7 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
 
     pieces: list[CertPiece] = []
     notes = {"gamma": gamma, "slice_samples": SLICE_SAMPLES}
-    cap = dom.slice_bound * (N2 + 2)
+    cap = N2 + 2
 
     # region 1: |d^(beta2)_y f| >= gamma, certified slice by slice.  The worst
     # slice sits at the region boundary (where the slice derivative bound is
@@ -633,7 +630,7 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
     # every (slice, subinterval) is one job of a single engine run
     jobs, job_slice = [], []
     for k, (x0, slice_subs) in enumerate(zip(xs.tolist(), subs)):
-        hy = f.slice_in_y(x0, base_dx_order=0, max_order=max(2, N2))
+        hy = f.slice_in_y(x0, max_order=max(2, N2))
         jobs.extend((hy, sub) for sub in slice_subs)
         job_slice.extend([k] * len(slice_subs))
     job_x = xs[np.array(job_slice, dtype=int)]
@@ -654,7 +651,7 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
         pieces.append(CertPiece(
             p.kind, (ax, bx) + p.support, p.bound * width,
             p.formula + "_x_width",
-            dict(p.details, slice_bound=p.bound, width=width),
+            dict(p.details, slice_charge=p.bound, width=width),
         ))
 
     # region 2: |d^(beta2)_y f| < gamma, charged by measure
@@ -665,7 +662,7 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float,
     region2 = measured + quad_err
     parametric = None
     if beta1 == 1:
-        parametric = 2.0 * dom.slice_bound * gamma * height
+        parametric = 2.0 * gamma * height
         region2 = min(region2, parametric)
     pieces.append(CertPiece(
         KIND_MIXED, (ax, bx, ay, by), float(region2), "measured_region_measure",

@@ -203,9 +203,15 @@ def _row(suite, case, **kw) -> dict:
 
 def _max_workers() -> int:
     env = os.environ.get("OSCINT_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    if env is None:
+        return min(4, os.cpu_count() or 1)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"OSCINT_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _pool_map(fns) -> list:
@@ -731,10 +737,11 @@ _RUNNERS = {
 def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     if cfg.suite not in _RUNNERS:
         raise ConfigError(f"unknown suite {cfg.suite!r} (at $.suite)")
+    threads = _max_workers()  # a bad OSCINT_THREADS fails before any work
     rows, verdicts = _RUNNERS[cfg.suite](cfg)
     for v in verdicts:
         v["passed"] = bool(v["passed"])
     stamp = {"version": __version__, "seed": cfg.seed,
              "python": sys.version.split()[0], "numpy": np.__version__,
-             "threads": _max_workers()}
+             "threads": threads}
     return SuiteReport(cfg.suite, rows, verdicts, stamp)

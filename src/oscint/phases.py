@@ -1,6 +1,6 @@
 """Phase functions with derivative access and structural partitions.
 
-A phase is a real function on an interval (or planar domain) whose
+A phase is a real function on an interval (or planar rectangle) whose
 derivatives up to a declared order can be evaluated directly.  Families are
 parametric (monomial, polynomial, sine and exponential perturbations) and a
 generic closure form is provided for anything else; closures self-report
@@ -424,64 +424,30 @@ def compose_with_power(phase: PhaseFunction, exponent: float,
 
 @dataclass(frozen=True)
 class PlanarDomain:
-    """Union of axis-aligned rectangles (ax, bx, ay, by).
+    """The rectangle [ax, bx] x [ay, by], with positive width and height."""
 
-    Every axis-parallel line must meet the union in at most ``slice_bound``
-    intervals; for disjoint rectangles that count is checked exactly at
-    construction by sweeping the edge events.
-    """
-
-    rects: tuple[tuple[float, float, float, float], ...]
-    slice_bound: int = 1
+    ax: float
+    bx: float
+    ay: float
+    by: float
 
     def __post_init__(self):
-        rects = tuple(tuple(map(float, r)) for r in self.rects)
-        object.__setattr__(self, "rects", rects)
-        if not rects:
-            raise PreconditionError("planar domain needs at least one rectangle")
-        for ax, bx, ay, by in rects:
-            if bx <= ax or by <= ay:
-                raise PreconditionError("degenerate rectangle in planar domain")
-        for horizontal in (True, False):
-            events = []
-            for ax, bx, ay, by in rects:
-                lo, hi = (ay, by) if horizontal else (ax, bx)
-                events.append((lo, 1))
-                events.append((hi, -1))
-            events.sort()
-            depth = best = 0
-            for _, d in events:
-                depth += d
-                best = max(best, depth)
-            if best > self.slice_bound:
-                raise PreconditionError(
-                    f"a line meets the domain in up to {best} intervals > slice_bound={self.slice_bound}"
-                )
-
-    @property
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        ax = min(r[0] for r in self.rects)
-        bx = max(r[1] for r in self.rects)
-        ay = min(r[2] for r in self.rects)
-        by = max(r[3] for r in self.rects)
-        return ax, bx, ay, by
+        for name in ("ax", "bx", "ay", "by"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (self.ax < self.bx and self.ay < self.by):
+            raise PreconditionError(
+                f"degenerate planar domain [{self.ax}, {self.bx}] x [{self.ay}, {self.by}]")
 
     @property
     def area(self) -> float:
-        return sum((bx - ax) * (by - ay) for ax, bx, ay, by in self.rects)
-
-    def x_slices(self, y: float) -> list[Interval]:
-        """Intervals of {x : (x, y) in domain}, merged and ordered."""
-        return merge_intervals(((ax, bx) for ax, bx, ay, by in self.rects if ay <= y <= by),
-                               1e-15)
+        return (self.bx - self.ax) * (self.by - self.ay)
 
     def y_extent(self) -> Interval:
-        _, _, ay, by = self.bounding_box
-        return Interval(ay, by)
+        return Interval(self.ay, self.by)
 
 
 def unit_square() -> PlanarDomain:
-    return PlanarDomain(((0.0, 1.0, 0.0, 1.0),), slice_bound=1)
+    return PlanarDomain(0.0, 1.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -513,26 +479,23 @@ class Phase2D:
             raise PreconditionError(f"orders {orders} outside declared maxima {self.max_orders}")
         return self.eval_fn((i, j), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
-    def slice_in_y(self, x: float, base_dx_order: int = 0, max_order: int = 4) -> PhaseFunction:
-        """One-dimensional phase y -> d_x^k f(x0, y) for fixed x0."""
+    def slice_in_y(self, x: float, max_order: int = 4) -> PhaseFunction:
+        """One-dimensional phase y -> f(x0, y) on [ay, by] for fixed x0."""
         x0 = float(x)
         iv = self.domain.y_extent()
-        k = base_dx_order
 
         def ev(order, y):
-            return self.eval_fn((k, order), np.full_like(y, x0), y)
+            return self.eval_fn((0, order), np.full_like(y, x0), y)
 
         return PhaseFunction(ev, max_order=min(max_order, self.max_orders[1]), domain=iv,
                              meta=PhaseMeta(N=1), name=f"{self.name}|x={x0:.6g}")
 
 
 def product_phase(fx: PhaseFunction, gy: PhaseFunction, beta=(1, 1),
-                  n_orders=(None, 2), lower_bound: float = 1.0,
-                  domain: PlanarDomain | None = None) -> Phase2D:
-    """f(x) * g(y) with mixed partials from the self-reported 1D derivatives."""
-    dom = domain or PlanarDomain(
-        ((fx.domain.lo, fx.domain.hi, gy.domain.lo, gy.domain.hi),), slice_bound=1
-    )
+                  n_orders=(None, 2), lower_bound: float = 1.0) -> Phase2D:
+    """f(x) * g(y) on the rectangle of the factors' domains, with mixed
+    partials from the self-reported 1D derivatives."""
+    dom = PlanarDomain(fx.domain.lo, fx.domain.hi, gy.domain.lo, gy.domain.hi)
 
     def ev(orders, x, y):
         i, j = orders
@@ -543,9 +506,7 @@ def product_phase(fx: PhaseFunction, gy: PhaseFunction, beta=(1, 1),
                    name=f"{fx.name}*{gy.name}")
 
 
-def xy_phase(domain: PlanarDomain | None = None) -> Phase2D:
-    dom = domain or unit_square()
-
+def xy_phase() -> Phase2D:
     def ev(orders, x, y):
         i, j = orders
         if i > 1 or j > 1:
@@ -558,13 +519,12 @@ def xy_phase(domain: PlanarDomain | None = None) -> Phase2D:
             return np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape)).copy()
         return x * y
 
-    return Phase2D(ev, max_orders=(4, 4), domain=dom, beta=(1, 1), n_orders=(None, 2),
+    return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), beta=(1, 1), n_orders=(None, 2),
                    derivative_lower_bound=1.0, name="xy")
 
 
-def xy_quad_phase(c: float, domain: PlanarDomain | None = None) -> Phase2D:
+def xy_quad_phase(c: float) -> Phase2D:
     """x*y + c*x^2*y^2 on [0,1]^2; the mixed (1,1) derivative is 1 + 4c*x*y."""
-    dom = domain or unit_square()
     cc = float(c)
 
     def mono(n, k, v):
@@ -588,7 +548,7 @@ def xy_quad_phase(c: float, domain: PlanarDomain | None = None) -> Phase2D:
         return val if val.shape == shape else np.broadcast_to(val, shape).copy()
 
     lb = 1.0 if cc >= 0 else max(1e-9, 1.0 + 4.0 * cc)
-    return Phase2D(ev, max_orders=(4, 4), domain=dom, beta=(1, 1), n_orders=(None, 2),
+    return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), beta=(1, 1), n_orders=(None, 2),
                    derivative_lower_bound=lb, name=f"xy+{cc}x2y2")
 
 

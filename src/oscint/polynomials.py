@@ -455,23 +455,11 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0, n_grid: int = 10_000,
             ratios[t], _ = cover_ratio(P, eps_values, n_grid=n_grid)
         except RootConvergenceError:
             # clustered roots: accept the looser residual, the cover uses
-            # real parts and the binary search only needs 2 digits
+            # real parts and B only needs 2 digits
             ratios[t], _ = cover_ratio(P, eps_values, n_grid=n_grid, tol=1e-5)
-    worst = float(ratios.max())
-
-    def holds(B: float) -> bool:
-        return bool(np.all(ratios <= B))
-
-    lo, hi = 1.0, max(1.0, worst)
-    while (hi - lo) > 0.005 * hi:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    exp10 = math.floor(math.log10(hi)) if hi > 0 else 0
-    quantum = 10.0 ** (exp10 - 1)
-    B = max(1.0, math.ceil(hi / quantum) * quantum)
+    worst = max(1.0, float(ratios.max()))
+    quantum = 10.0 ** (math.floor(math.log10(worst)) - 1)
+    B = math.ceil(worst / quantum) * quantum
     return SndConstant(d, B, "empirical", tuple(ratios.tolist()))
 
 

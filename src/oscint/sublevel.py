@@ -131,13 +131,11 @@ def sublevel_2d(f: Phase2D, c: float, eps: float) -> float:
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    total = 0.0
-    for ax, bx, ay, by in f.domain.rects:
-        iv = Interval(ax, bx)
-        rows = lambda ys: sublevel_rows(f, (0, 0), ys, c, eps, iv, xtol=0.0)
-        val, _ = adaptive_quad(rows, ay, by, rel_tol=BAND_AREA_REL_TOL, abs_floor=1e-12)
-        total += val
-    return float(total)
+    dom = f.domain
+    iv = Interval(dom.ax, dom.bx)
+    val, _ = adaptive_quad(lambda ys: sublevel_rows(f, (0, 0), ys, c, eps, iv, xtol=0.0),
+                           dom.ay, dom.by, rel_tol=BAND_AREA_REL_TOL, abs_floor=1e-12)
+    return float(val)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from oscint import (
     monomial,
     osc_integrate_1d,
     osc_integrate_2d,
+    product_phase,
     sublevel_1d,
     xy_phase,
     xy_quad_phase,
@@ -181,6 +182,16 @@ class TestCertify2D:
         assert cert.verify_against(quad)
         kinds = {p.kind for p in cert.pieces}
         assert "slice_small_mixed" in kinds
+
+    def test_base_case_sound_on_a_rectangle(self):
+        # xy on [0.5, 2] x [1, 1.75]: the mixed derivative is 1 throughout
+        f2 = product_phase(monomial(1, (0.5, 2.0)), monomial(1, (1.0, 1.75)))
+        lam = 30.0
+        cert = certify_2d(f2, Polynomial((0.0, 1.0)), lam)
+        quad = osc_integrate_2d(f2, lam)
+        assert cert.verify_against(quad)
+        region2 = [p for p in cert.pieces if p.kind == "slice_small_mixed"]
+        assert [p.support for p in region2] == [(0.5, 2.0, 1.0, 1.75)]
 
     def test_snd_needs_lambda_at_least_one(self):
         f2 = xy_phase()

@@ -87,16 +87,20 @@ def test_report_written_and_recomputable(tmp_path):
     assert monic_rows and float(monic_rows[0][7]) == 0.0
 
 
-def _run_cli(*args):
+def _run_python(*args, **env_vars):
     # pytest's `pythonpath` setting reaches this process only; the child
     # imports the same oscint through PYTHONPATH
     src = str(Path(oscint.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "oscint.cli", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=300, env=env,
     )
+
+
+def _run_cli(*args, **env_vars):
+    return _run_python("-m", "oscint.cli", *args, **env_vars)
 
 
 def test_cli_integrate_example():
@@ -153,6 +157,30 @@ def test_cli_malformed_config_exit_2(tmp_path):
     bad.write_text("{nope}")
     out = _run_cli("suite", "T6", "--config", str(bad))
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5", ""])
+def test_bad_thread_count_is_a_config_error(monkeypatch, value):
+    monkeypatch.setenv("OSCINT_THREADS", value)
+    with pytest.raises(ConfigError, match="OSCINT_THREADS"):
+        run_suite(small_t6_config())
+
+
+def test_cli_bad_thread_count_exit_2(tmp_path):
+    out = _run_cli("suite", "T2", "--out", str(tmp_path), OSCINT_THREADS="abc")
+    assert out.returncode == 2
+    assert "config error" in out.stderr and "OSCINT_THREADS" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+# Each of these runs in about a second; demo_decay_fits is left out because
+# it takes about 25 s.
+@pytest.mark.parametrize("demo", ["demo_certificates", "demo_inclusions",
+                                  "demo_quadrature", "demo_sublevel"])
+def test_demo_runs(demo):
+    path = Path(__file__).resolve().parents[1] / "demos" / f"{demo}.py"
+    out = _run_python(str(path))
+    assert out.returncode == 0, out.stderr
 
 
 def test_cli_estimate_b():

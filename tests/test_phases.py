@@ -15,6 +15,7 @@ from oscint import (
     monotone_partition,
     phase_from_config,
     polynomial_phase,
+    product_phase,
     sign_partition,
     sine,
     unit_square,
@@ -132,13 +133,25 @@ def test_compose_with_power_matches_monomial():
     np.testing.assert_allclose(comp.eval(1, xs), 3.0 * xs**2, rtol=1e-12)
 
 
-def test_planar_domain_slices():
-    dom = PlanarDomain(((0.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.0, 0.5)), slice_bound=2)
-    assert len(dom.x_slices(0.25)) == 2
-    assert len(dom.x_slices(0.75)) == 1
-    np.testing.assert_allclose(dom.area, 1.5)
-    with pytest.raises(PreconditionError):
-        PlanarDomain(((0.0, 1.0, 0.0, 1.0), (0.5, 2.0, 0.0, 1.0)), slice_bound=1)
+def test_planar_domain_rectangle():
+    dom = PlanarDomain(0.5, 2, 1, 1.75)
+    assert (dom.ax, dom.bx, dom.ay, dom.by) == (0.5, 2.0, 1.0, 1.75)
+    assert isinstance(dom.bx, float)
+    assert dom.area == 1.125
+    assert dom.y_extent() == Interval(1.0, 1.75)
+    assert unit_square() == PlanarDomain(0.0, 1.0, 0.0, 1.0)
+    for bad in ((1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 2.0, 1.0), (0.0, float("nan"), 0.0, 1.0)):
+        with pytest.raises(PreconditionError):
+            PlanarDomain(*bad)
+
+
+def test_product_phase_takes_its_factors_rectangle():
+    f2 = product_phase(monomial(1, (0.5, 2.0)), monomial(1, (1.0, 1.75)))
+    assert f2.domain == PlanarDomain(0.5, 2.0, 1.0, 1.75)
+    hy = f2.slice_in_y(1.5)
+    assert hy.domain == Interval(1.0, 1.75)
+    np.testing.assert_allclose(hy.eval(0, np.array([1.2])), 1.5 * 1.2)
+    np.testing.assert_allclose(hy.eval(1, np.array([1.2])), 1.5)
 
 
 def test_xy_quad_mixed_derivative():
@@ -147,7 +160,6 @@ def test_xy_quad_mixed_derivative():
     ys = np.array([0.7])
     np.testing.assert_allclose(f2.eval((1, 1), xs, ys), 1.0 + 0.4 * 0.3 * 0.7)
     np.testing.assert_allclose(f2.eval((0, 2), xs, ys), 0.2 * 0.09)
-    assert unit_square().slice_bound == 1
 
 
 def test_interval_validation():

@@ -215,6 +215,15 @@ class TestEstimateB:
         assert B.ratios[7] == ratio
         assert B == SndConstant(2, B.B)
 
+    @pytest.mark.parametrize("d, seed", [(2, 3), (3, 8)])
+    def test_worst_ratio_rounded_up_to_two_digits(self, d, seed):
+        B = estimate_B(d, trials=100, seed=seed, n_grid=2000)
+        worst = max(B.ratios)
+        assert worst > 1.0
+        quantum = 10.0 ** (math.floor(math.log10(worst)) - 1)
+        assert worst <= B.B < worst + quantum
+        assert B.B / quantum == pytest.approx(round(B.B / quantum), abs=1e-9)
+
     def test_requires_enough_trials(self):
         with pytest.raises(PreconditionError):
             estimate_B(2, trials=10)

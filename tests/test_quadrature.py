@@ -18,7 +18,7 @@ from oscint import (
     product_phase,
     xy_phase,
 )
-from oscint.phases import Phase2D, unit_square
+from oscint.phases import Phase2D, PlanarDomain, unit_square
 from oscint.quadrature import _NODES, _WG, _WK, DEFAULT_CONFIG
 
 from oracles import (
@@ -126,7 +126,7 @@ def test_error_estimate_within_rel_tol():
     assert res.error_estimate <= 1e-10 * 1.0
 
 
-def test_2d_separable_sum_phase():
+def _x_plus_y(domain):
     def sep(orders, x, y):
         i, j = orders
         shape = np.broadcast_shapes(x.shape, y.shape)
@@ -136,11 +136,26 @@ def test_2d_separable_sum_phase():
             return np.ones(shape)
         return np.zeros(shape)
 
-    f2 = Phase2D(sep, (2, 2), unit_square(), name="x+y")
+    return Phase2D(sep, (2, 2), domain, name="x+y")
+
+
+def test_2d_separable_sum_phase():
     lam = 60.0
-    res = osc_integrate_2d(f2, lam)
+    res = osc_integrate_2d(_x_plus_y(unit_square()), lam)
     exact = linear_phase_integral(lam) ** 2
     assert abs(res.value - exact) / abs(exact) < 1e-10
+
+
+@pytest.mark.parametrize("lam", [3.0, 30.0])
+def test_2d_sum_phase_on_a_rectangle(lam):
+    # int_{0.5}^{2} int_{1}^{1.75} e^{i lam (x + y)} dy dx factorises
+    def edge(a, b):
+        return (np.exp(1j * lam * b) - np.exp(1j * lam * a)) / (1j * lam)
+
+    res = osc_integrate_2d(_x_plus_y(PlanarDomain(0.5, 2.0, 1.0, 1.75)), lam)
+    exact = edge(0.5, 2.0) * edge(1.0, 1.75)
+    assert abs(res.value - exact) <= 1e-10 * abs(exact)
+    assert abs(res.value - exact) <= res.error_estimate
 
 
 @pytest.mark.parametrize("lam", [10.0, 100.0, 400.0])

@@ -16,8 +16,8 @@ from oscint import (
     xy_phase,
 )
 from oscint.decay import DecaySample, fit_decay, geometric_grid
-from oscint.phases import (Phase2D, PhaseFunction, compose2d_with_polynomial, unit_square,
-                           xy_quad_phase)
+from oscint.phases import (Phase2D, PhaseFunction, PlanarDomain, compose2d_with_polynomial,
+                           unit_square, xy_quad_phase)
 from oscint.sublevel import _bump, sublevel_rows
 
 
@@ -199,20 +199,28 @@ def test_sublevel_rejects_bad_eps():
         sublevel_1d(monomial(2, (0.0, 1.0)), 0.0, -1.0)
 
 
-def _linear_x():
+def _linear_x(domain=None):
     def ev(orders, x, y):
         shape = np.broadcast_shapes(x.shape, y.shape)
         if orders == (0, 0):
             return np.broadcast_to(x, shape).copy()
         return np.full(shape, 1.0 if orders == (1, 0) else 0.0)
 
-    return Phase2D(ev, (2, 2), unit_square(), name="x")
+    return Phase2D(ev, (2, 2), domain or unit_square(), name="x")
 
 
 @pytest.mark.parametrize("c, eps, exact", [(0.5, 0.25, 0.5), (0.375, 0.125, 0.25)])
 def test_band_edge_on_a_scan_point(c, eps, exact):
     # both band edges of f = x fall exactly on points of the slice scan
     assert sublevel_2d(_linear_x(), c, eps) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("c, eps, exact", [(1.0, 0.3, 0.45), (0.6, 0.3, 0.3)])
+def test_band_area_on_a_rectangle(c, eps, exact):
+    # on [0.5, 2] x [1, 1.75] the band of f = x is [c - eps, c + eps] cut to
+    # [0.5, 2], times the height 0.75
+    f2 = _linear_x(PlanarDomain(0.5, 2.0, 1.0, 1.75))
+    assert sublevel_2d(f2, c, eps) == pytest.approx(exact, rel=1e-12)
 
 
 # sublevel_2d(xy, 0, eps) before the slice crossings moved to the shared solver
