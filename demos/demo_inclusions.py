@@ -33,6 +33,6 @@ print("\ndegenerate family eta * x * (x - eta^(-1/2))^2:")
 print(f"{'eta':>8} {'classification':>15} {'minimal working B':>19}")
 for eta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
     P = degenerating_family(2, eta)
-    ratio, witness = cover_ratio(P, eps_grid)
+    ratio = cover_ratio(P, eps_grid)
     print(f"{eta:8.0e} {classify(P).label:>15} {ratio:19.3f}")
 print("the minimal radius grows like eta^(-1/4): no fixed constant can work")

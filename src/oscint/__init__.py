@@ -21,7 +21,6 @@ from .certificates import (
 from .decay import (
     DecayFit,
     DecaySample,
-    default_lambda_grid,
     fit_decay,
     fit_log_model,
     geometric_grid,

@@ -27,10 +27,6 @@ def geometric_grid(lo: float, hi: float, per_decade: int = DEFAULT_PER_DECADE) -
     return np.geomspace(lo, hi, max(n, 2))
 
 
-def default_lambda_grid() -> np.ndarray:
-    return geometric_grid(1e2, 1e6, DEFAULT_PER_DECADE)
-
-
 @dataclass(frozen=True)
 class DecaySample:
     lam: float

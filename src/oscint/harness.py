@@ -610,7 +610,7 @@ def _run_t6(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     b_mins = []
     for eta in etas:
         P = degenerating_family(k, eta)
-        ratio, w = cover_ratio(P, eps_grid, n_grid=n_grid)
+        ratio = cover_ratio(P, eps_grid, n_grid=n_grid)
         b_mins.append(ratio)
         rows.append(_row("T6", f"degenerating_eta{eta:g}", eps=eta, magnitude=ratio,
                          verdict="witnessed"))

@@ -79,7 +79,6 @@ class PhaseMeta:
     derivative_lower_bound: float | None = None
     claimed_delta: float | None = None
     claimed_A: float | None = None
-    single_sign_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.N < 1:
@@ -278,11 +277,7 @@ def monomial(n: int, domain=(0.0, 1.0), meta: PhaseMeta | None = None) -> PhaseF
         raise PreconditionError("monomial degree must be >= 1")
     iv = Interval(*map(float, domain))
     if meta is None:
-        meta = PhaseMeta(
-            N=n,
-            derivative_lower_bound=float(math.factorial(n)),
-            single_sign_orders=(n,),
-        )
+        meta = PhaseMeta(N=n, derivative_lower_bound=float(math.factorial(n)))
 
     def ev(order, x):
         if order > n:
@@ -299,11 +294,7 @@ def polynomial_phase(coeffs: Sequence[float], domain=(0.0, 1.0), meta: PhaseMeta
     d = c.size - 1
     iv = Interval(*map(float, domain))
     if meta is None:
-        meta = PhaseMeta(
-            N=d,
-            derivative_lower_bound=abs(c[-1]) * math.factorial(d),
-            single_sign_orders=(d,),
-        )
+        meta = PhaseMeta(N=d, derivative_lower_bound=abs(c[-1]) * math.factorial(d))
     derivs = [c]
     for _ in range(d):
         prev = derivs[-1]
@@ -592,16 +583,22 @@ _FAMILIES_2D = {
 }
 
 
+def _from_config(families: dict, kind: str, spec: dict):
+    fam = spec.get("family")
+    if fam not in families:
+        raise PreconditionError(f"unknown {kind} phase family {fam!r}", known=sorted(families))
+    try:
+        return families[fam](spec)
+    except KeyError as exc:
+        key = exc.args[0]
+        raise PreconditionError(f"{kind} phase family {fam!r} needs the key {key!r}",
+                                family=fam, key=key) from None
+
+
 def phase_from_config(spec: dict) -> PhaseFunction:
     """Build a 1D phase from an identifier + parameter mapping."""
-    fam = spec.get("family")
-    if fam not in _FAMILIES_1D:
-        raise PreconditionError(f"unknown 1D phase family {fam!r}", known=sorted(_FAMILIES_1D))
-    return _FAMILIES_1D[fam](spec)
+    return _from_config(_FAMILIES_1D, "1D", spec)
 
 
 def phase2d_from_config(spec: dict) -> Phase2D:
-    fam = spec.get("family")
-    if fam not in _FAMILIES_2D:
-        raise PreconditionError(f"unknown 2D phase family {fam!r}", known=sorted(_FAMILIES_2D))
-    return _FAMILIES_2D[fam](spec)
+    return _from_config(_FAMILIES_2D, "2D", spec)

@@ -66,7 +66,6 @@ class Polynomial:
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple[complex, ...]
-    residual_tol: float
 
     @property
     def count(self) -> int:
@@ -229,7 +228,7 @@ def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL, max_iter: int = 120) -> 
         return bool(np.all(resid <= np.maximum(scale, tol * (1.0 + eval_scale))))
     if d == 1:
         a0, a1 = P.coeffs
-        return RootSet((complex(-a0 / a1),), tol)
+        return RootSet((complex(-a0 / a1),))
     if d == 2:
         a0, a1, a2 = P.coeffs
         disc = complex(a1 * a1 - 4.0 * a2 * a0)
@@ -238,7 +237,7 @@ def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL, max_iter: int = 120) -> 
         q = -0.5 * (a1 + (sq if a1 >= 0 else -sq))
         r1 = q / a2
         r2 = (a0 / q) if q != 0 else -a1 / a2 - r1
-        return RootSet(_pair_and_sort(np.array([r1, r2])), tol)
+        return RootSet(_pair_and_sort(np.array([r1, r2])))
 
     monic = np.asarray(P.coeffs) / P.leading
     z = _aberth(monic, max_iter=max_iter)
@@ -254,7 +253,7 @@ def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL, max_iter: int = 120) -> 
         raise RootConvergenceError(
             f"root residual {resid:.3e} above tolerance scale after fallback", degree=d
         )
-    return RootSet(_pair_and_sort(z), tol)
+    return RootSet(_pair_and_sort(z))
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +342,16 @@ def _ratio_grid(P: Polynomial, rs: RootSet, n_grid: int,
     """
     spread = (1.0 / abs(P.leading)) ** (1.0 / P.degree) + 1.0
     w = min(spread, max_window)
-    windows: list[list[float]] = []
-    for c in sorted(set(rs.real_parts)):
-        if windows and c - w <= windows[-1][1]:
-            windows[-1][1] = c + w
-        else:
-            windows.append([c - w, c + w])
-    total = sum(hi - lo for lo, hi in windows)
+    windows = merge_intervals(((c - w, c + w) for c in rs.real_parts), 0.0)
+    total = sum(iv.length for iv in windows)
     parts = []
     remaining = n_grid
-    for i, (lo, hi) in enumerate(windows):
-        n = remaining if i == len(windows) - 1 else max(16, int(n_grid * (hi - lo) / total))
+    for i, iv in enumerate(windows):
+        n = remaining if i == len(windows) - 1 else max(16, int(n_grid * iv.length / total))
         n = min(n, remaining)
         remaining -= n
         if n > 0:
-            parts.append(np.linspace(lo, hi, n))
+            parts.append(np.linspace(iv.lo, iv.hi, n))
     return np.concatenate(parts)
 
 
@@ -371,27 +365,23 @@ def _ratio_data(P: Polynomial, n_grid: int, tol: float):
 
 
 def cover_ratio(P: Polynomial, eps_values: Sequence[float], n_grid: int = 10_000,
-                tol: float = 1e-7) -> tuple[float, dict | None]:
+                tol: float = 1e-7) -> float:
     """Worst ratio dist(x, nearest real part)/eps over sublevel grid points.
 
     The minimal radius scale B for which the root-proximity cover holds on
-    these grids is exactly this ratio.  Returns (ratio, witness) where the
-    witness records the attaining (eps, x) pair.
+    these grids is exactly this ratio.  One sort of |P| serves every eps:
+    the points of {|P| <= eps^d} are a prefix of that order, and a running
+    maximum of the distances gives each prefix's worst distance.
     """
-    xs, pv, dist = _ratio_data(P, n_grid, tol)
+    _, pv, dist = _ratio_data(P, n_grid, tol)
+    order = np.argsort(pv)
+    worst_dist = np.maximum.accumulate(dist[order])
     d = P.degree
-    worst, witness = 0.0, None
-    for eps in eps_values:
-        mask = pv <= eps**d
-        if not mask.any():
-            continue
-        i = int(np.argmax(np.where(mask, dist, -np.inf)))
-        ratio = dist[i] / eps
-        if ratio > worst:
-            worst = ratio
-            witness = {"eps": float(eps), "x": float(xs[i]), "abs_P": float(pv[i]),
-                       "dist": float(dist[i])}
-    return worst, witness
+    counts = np.searchsorted(pv[order], [eps ** d for eps in eps_values], side="right")
+    hit = counts > 0
+    if not hit.any():
+        return 0.0
+    return float((worst_dist[counts[hit] - 1] / np.asarray(eps_values, dtype=float)[hit]).max())
 
 
 def cover_violations(P: Polynomial, radius_scale: float, eps: float,
@@ -452,11 +442,11 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0, n_grid: int = 10_000,
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, d, t)))
         P = sample_snd(d, rng)
         try:
-            ratios[t], _ = cover_ratio(P, eps_values, n_grid=n_grid)
+            ratios[t] = cover_ratio(P, eps_values, n_grid=n_grid)
         except RootConvergenceError:
             # clustered roots: accept the looser residual, the cover uses
             # real parts and B only needs 2 digits
-            ratios[t], _ = cover_ratio(P, eps_values, n_grid=n_grid, tol=1e-5)
+            ratios[t] = cover_ratio(P, eps_values, n_grid=n_grid, tol=1e-5)
     worst = max(1.0, float(ratios.max()))
     quantum = 10.0 ** (math.floor(math.log10(worst)) - 1)
     B = math.ceil(worst / quantum) * quantum

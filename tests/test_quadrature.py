@@ -19,7 +19,7 @@ from oscint import (
     xy_phase,
 )
 from oscint.phases import Phase2D, PlanarDomain, unit_square
-from oscint.quadrature import _NODES, _WG, _WK, DEFAULT_CONFIG
+from oscint.quadrature import _CHUNK, _NODES, _WG, _WK, DEFAULT_CONFIG, _kronrod, _refine
 
 from oracles import (
     fresnel_integral,
@@ -190,6 +190,53 @@ def test_adaptive_quad_kinked():
                              0.0, 1.0, rel_tol=1e-9)
     exact = 0.001 * (1.0 + np.log(1000.0))
     assert abs(val - exact) < 1e-8
+
+
+def test_adaptive_quad_evaluates_whole_rules_only():
+    # every integrand call is one set of 15-point rules, with no probe point
+    points = []
+
+    def counted(x):
+        points.append(x.size)
+        return np.sqrt(x)
+
+    adaptive_quad(counted, 0.0, 1.0, rel_tol=1e-12)
+    assert len(points) > 1
+    assert all(n % 15 == 0 for n in points)
+
+
+def test_kronrod_columns_and_pairs_match_single_integrands():
+    # more panels than one chunk, so the chunk boundary is crossed
+    edges = np.linspace(0.0, 3.0, _CHUNK + 38)
+    L, R = edges[:-1], edges[1:]
+    freqs = np.array([1.0, 300.0, 2000.0, 9000.0])
+    cols, cols_err = _kronrod(lambda x: np.cos(x[:, None] * freqs), L, R)
+    assert cols.shape == (1, L.size, 4) and cols_err.shape == (L.size, 4)
+    for i, w in enumerate(freqs):
+        one, one_err = _kronrod(lambda x: np.cos(w * x), L, R)
+        # the contractions may round differently; 1e-20 is below 1e-15 of a panel
+        np.testing.assert_allclose(cols[0, :, i], one[0], rtol=1e-15, atol=1e-20)
+        np.testing.assert_allclose(cols_err[:, i], one_err, rtol=1e-12, atol=1e-20)
+
+    pair, pair_err = _kronrod(lambda x: (np.cos(5.0 * x), np.sin(5.0 * x)), L, R)
+    re, re_err = _kronrod(lambda x: np.cos(5.0 * x), L, R)
+    im, im_err = _kronrod(lambda x: np.sin(5.0 * x), L, R)
+    np.testing.assert_array_equal(pair, np.concatenate([re, im]))
+    np.testing.assert_array_equal(pair_err, np.hypot(re_err, im_err))
+    assert pair[0].sum() == pytest.approx(np.sin(15.0) / 5.0, abs=1e-13)
+
+
+def test_refine_reports_its_split_cap():
+    kink = lambda x: np.abs(x - 0.3)
+
+    def run(max_splits):
+        return _refine(kink, [0.0], [1.0], lambda total: 1e-12, max_splits, 1 << 16)
+
+    val, err, converged = run(2)
+    assert not converged and err.size == 3  # only the panel holding the kink is halved
+    val, err, converged = run(60)
+    assert converged
+    assert val[0].sum() == pytest.approx(0.29, abs=1e-12)
 
 
 def _monomial_moment(d: int) -> float:
