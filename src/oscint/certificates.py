@@ -226,7 +226,7 @@ class _PolyOuter:
         if self.Pp.degree < 2:
             return []
         rs = roots(derivative(self.Pp))
-        return [z.real for z in rs.roots if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real))]
+        return [z.real for z in rs.roots if z.imag == 0.0]
 
 
 class _PowerOuter:

@@ -22,7 +22,7 @@ class PartitionOverflowError(OscintError):
 
 
 class RootConvergenceError(OscintError):
-    """Root iteration failed to reach the requested residual within budget."""
+    """Computed roots fail the residual check."""
 
     code = "NO_CONVERGENCE"
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PartitionOverflowError, PreconditionError
+from .errors import ConfigError, PartitionOverflowError, PreconditionError
 
 SCAN_SAMPLES_PER_UNIT = 4096
 MIN_SCAN_SAMPLES = 257
@@ -586,13 +586,13 @@ _FAMILIES_2D = {
 def _from_config(families: dict, kind: str, spec: dict):
     fam = spec.get("family")
     if fam not in families:
-        raise PreconditionError(f"unknown {kind} phase family {fam!r}", known=sorted(families))
+        raise ConfigError(f"unknown {kind} phase family {fam!r}", known=sorted(families))
     try:
         return families[fam](spec)
     except KeyError as exc:
         key = exc.args[0]
-        raise PreconditionError(f"{kind} phase family {fam!r} needs the key {key!r}",
-                                family=fam, key=key) from None
+        raise ConfigError(f"{kind} phase family {fam!r} needs the key {key!r}",
+                          family=fam, key=key) from None
 
 
 def phase_from_config(spec: dict) -> PhaseFunction:

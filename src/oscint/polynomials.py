@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -134,98 +134,33 @@ def classify(P: Polynomial) -> ClassifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Root finding: Aberth-Ehrlich with companion-matrix fallback
+# Root finding: closed forms to degree 2, companion-matrix eigenvalues above
 # ---------------------------------------------------------------------------
 
 
-def _aberth(monic: np.ndarray, max_iter: int = 120,
-            start: np.ndarray | None = None) -> np.ndarray | None:
-    """Simultaneous iteration on a monic coefficient array (ascending)."""
-    d = monic.size - 1
-    dcoef = monic[1:] * np.arange(1, monic.size)
-    if start is None:
-        radius = 1.0 + float(np.max(np.abs(monic[:-1])))
-        angles = 2.0 * np.pi * (np.arange(d) + 0.376) / d
-        z = radius * 0.7 * np.exp(1j * angles) + 0.1j
-    else:
-        z = start.astype(complex).copy()
-    for _ in range(max_iter):
-        p = _polyval(z, monic)
-        dp = _polyval(z, dcoef)
-        dp = np.where(np.abs(dp) < 1e-300, 1e-300, dp)
-        newton = p / dp
-        diffs = z[:, None] - z[None, :]
-        np.fill_diagonal(diffs, np.inf)
-        s = np.sum(1.0 / diffs, axis=1)
-        denom = 1.0 - newton * s
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        w = newton / denom
-        z = z - w
-        if not np.all(np.isfinite(z)):
-            return None
-        if np.max(np.abs(w)) < 1e-15 * (1.0 + np.max(np.abs(z))):
-            return z
-    return z
+def _near_real(z: np.ndarray) -> np.ndarray:
+    return np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))
 
 
-def _companion_eigs(monic: np.ndarray) -> np.ndarray:
-    d = monic.size - 1
-    comp = np.zeros((d, d))
-    comp[1:, :-1] = np.eye(d - 1)
-    comp[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(comp)
+def _snap_and_sort(z: np.ndarray) -> tuple[complex, ...]:
+    """Put roots within 1e-9 relative of the real axis on it; order by (real, imag)."""
+    out = [complex(w.real, 0.0) if r else complex(w) for w, r in zip(z, _near_real(z))]
+    return tuple(sorted(out, key=lambda w: (w.real, w.imag)))
 
 
-def _pair_and_sort(z: np.ndarray) -> tuple[complex, ...]:
-    """Force conjugate pairing for real input and order deterministically."""
-    z = np.asarray(z, dtype=complex)
-    real_mask = np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))
-    reals = sorted(z[real_mask].real.tolist())
-    complexes = z[~real_mask]
-    pos = sorted(complexes[complexes.imag > 0], key=lambda w: (w.real, w.imag))
-    neg = sorted(complexes[complexes.imag < 0], key=lambda w: (w.real, -w.imag))
-    paired: list[complex] = []
-    used = [False] * len(neg)
-    for zp in pos:
-        best, best_err = None, np.inf
-        for i, zn in enumerate(neg):
-            if used[i]:
-                continue
-            err = abs(zp - np.conj(zn))
-            if err < best_err:
-                best, best_err = i, err
-        if best is not None:
-            used[best] = True
-            avg = 0.5 * (zp + np.conj(neg[best]))
-            paired.extend([avg, np.conj(avg)])
-        else:
-            paired.append(zp)
-    paired.extend(zn for i, zn in enumerate(neg) if not used[i])
-    out = [complex(r, 0.0) for r in reals] + paired
-    out.sort(key=lambda w: (w.real, w.imag))
-    return tuple(out)
+def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:
+    """All complex roots: closed forms for degree 1 and 2, companion-matrix
+    eigenvalues (LAPACK, backward stable) for degree 3 and up.
 
-
-def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL, max_iter: int = 120) -> RootSet:
-    """All complex roots, Aberth-Ehrlich first, companion eigenvalues as fallback.
-
-    The returned set satisfies |P(z)| <= tol * (1 + max|a_j|) for every root,
-    relaxed to the float backward-error scale tol * (1 + sum |a_j| |z|^j)
-    when roots are large enough that plain evaluation noise exceeds the
-    coefficient scale.
+    Complex roots come in exact conjugate pairs.  Every root satisfies
+    |P(z)| <= tol * (1 + max|a_j|), relaxed to the float backward-error scale
+    tol * (1 + sum |a_j| |z|^j) when roots are large enough that plain
+    evaluation noise exceeds the coefficient scale; otherwise the call raises
+    ``RootConvergenceError``.
     """
     d = P.degree
     if d < 1:
         raise PreconditionError("roots requires degree >= 1")
-    scale = tol * (1.0 + P.max_abs_coeff)
-
-    def acceptable(z: np.ndarray) -> bool:
-        resid = np.abs(P.eval_complex(z))
-        mags = np.abs(z)
-        eval_scale = np.zeros_like(mags)
-        for j, a in enumerate(P.coeffs):
-            eval_scale += abs(a) * mags**j
-        return bool(np.all(resid <= np.maximum(scale, tol * (1.0 + eval_scale))))
     if d == 1:
         a0, a1 = P.coeffs
         return RootSet((complex(-a0 / a1),))
@@ -237,23 +172,27 @@ def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL, max_iter: int = 120) -> 
         q = -0.5 * (a1 + (sq if a1 >= 0 else -sq))
         r1 = q / a2
         r2 = (a0 / q) if q != 0 else -a1 / a2 - r1
-        return RootSet(_pair_and_sort(np.array([r1, r2])))
+        z = np.array([r1, r2])
+        if not _near_real(z).any():
+            # a complex pair: average it, positive-imaginary root first
+            zp, zn = (r1, r2) if r1.imag > 0 else (r2, r1)
+            avg = 0.5 * (zp + np.conj(zn))
+            return RootSet((complex(np.conj(avg)), complex(avg)))
+        return RootSet(_snap_and_sort(z))
 
     monic = np.asarray(P.coeffs) / P.leading
-    z = _aberth(monic, max_iter=max_iter)
-    if z is None or not acceptable(z):
-        z2 = _aberth(monic, max_iter=60, start=_companion_eigs(monic))
-        if z2 is not None and (
-            z is None
-            or np.max(np.abs(P.eval_complex(z2))) < np.max(np.abs(P.eval_complex(z)))
-        ):
-            z = z2
-    if not acceptable(z):
-        resid = np.max(np.abs(P.eval_complex(z)))
+    comp = np.zeros((d, d))
+    comp[1:, :-1] = np.eye(d - 1)
+    comp[:, -1] = -monic[:-1]
+    z = np.linalg.eigvals(comp)
+    resid = np.abs(P.eval_complex(z))
+    mags = np.abs(z)
+    eval_scale = sum(abs(a) * mags**j for j, a in enumerate(P.coeffs))
+    if not np.all(resid <= np.maximum(tol * (1.0 + P.max_abs_coeff), tol * (1.0 + eval_scale))):
         raise RootConvergenceError(
-            f"root residual {resid:.3e} above tolerance scale after fallback", degree=d
+            f"root residual {resid.max():.3e} above tolerance scale", degree=d
         )
-    return RootSet(_pair_and_sort(z))
+    return RootSet(_snap_and_sort(z))
 
 
 # ---------------------------------------------------------------------------
@@ -298,37 +237,42 @@ def young_cover(factors: Sequence[tuple[float, float]], eps: float) -> YoungCove
 # ---------------------------------------------------------------------------
 
 
+def _root_cover(P: Polynomial, eps: float, radius: float, tol: float,
+                reject: Callable[[ClassifyReport], Exception | None]) -> list[Interval]:
+    """Intervals of ``radius`` around the real parts of P's roots, merged.
+
+    ``reject(classify(P))`` returns the error to raise for a polynomial the
+    cover does not apply to, or None.
+    """
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
+    err = reject(classify(P))
+    if err is not None:
+        raise err
+    rs = roots(P, tol)
+    return merge_intervals(((c - radius, c + radius) for c in rs.real_parts), 1e-15)
+
+
 def monic_sublevel_cover(P: Polynomial, eps: float, tol: float = DEFAULT_ROOT_TOL) -> list[Interval]:
     """Intervals of radius eps around the real parts of the roots.
 
     Guarantee: {x real : |P(x)| <= eps^d} is contained in their union
     (complex roots contribute through their real parts).
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    rep = classify(P)
-    if not rep.is_monic:
-        raise PreconditionError("monic cover requires a monic polynomial")
-    rs = roots(P, tol)
-    return merge_intervals(((c - eps, c + eps) for c in rs.real_parts), 1e-15)
+    return _root_cover(P, eps, eps, tol, lambda rep: None if rep.is_monic else
+                       PreconditionError("monic cover requires a monic polynomial"))
 
 
 def snd_sublevel_cover(P: Polynomial, eps: float, B: SndConstant,
                        tol: float = DEFAULT_ROOT_TOL) -> list[Interval]:
     """Same cover with radius B*eps, valid for SND polynomials and eps <= 1."""
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
     if eps > 1.0:
         raise PreconditionError("SND cover requires eps <= 1")
     if eps == 1.0:
         warnings.warn("SND cover at the eps = 1 boundary; accepted by continuity",
                       stacklevel=2)
-    rep = classify(P)
-    if not rep.is_snd:
-        raise NotSndError(f"polynomial is {rep.label}, not SND", report=rep)
-    rs = roots(P, tol)
-    radius = B.B * eps
-    return merge_intervals(((c - radius, c + radius) for c in rs.real_parts), 1e-15)
+    return _root_cover(P, eps, B.B * eps, tol, lambda rep: None if rep.is_snd else
+                       NotSndError(f"polynomial is {rep.label}, not SND", report=rep))
 
 
 def _ratio_grid(P: Polynomial, rs: RootSet, n_grid: int,

@@ -213,7 +213,7 @@ def osc_integrate_1d(g: PhaseFunction, lam: float, interval: Interval | None = N
     val, errp, converged = _refine(samples, L, R, lambda total: cfg.rel_tol, 3, cfg.max_panels)
     value = complex(float(np.sum(val[0])), float(np.sum(val[1])))
     err = float(np.sum(errp)) + 8.0 * _EPS * length
-    return QuadResult(value, err, int(errp.size), float(lam), converged)
+    return QuadResult(value, float(err), int(errp.size), float(lam), converged)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Independent oracles used by the test suite.
 
 Each oracle takes a route disjoint from the code it checks: high-precision
-special functions (mpmath), dense-grid membership scans, central finite
-differences, and companion-matrix eigenvalues.
+special functions and polynomial roots (mpmath), dense-grid membership
+scans and central finite differences.  ``companion_eigenvalues`` is the
+exception: it is the route ``polynomials.roots`` takes for degree >= 3, so
+root checks use ``mpmath_roots``.
 """
 
 import mpmath as mp
@@ -56,6 +58,13 @@ def companion_eigenvalues(coeffs) -> np.ndarray:
     comp[1:, :-1] = np.eye(d - 1)
     comp[:, -1] = -monic[:-1]
     return np.sort_complex(np.linalg.eigvals(comp))
+
+
+def mpmath_roots(coeffs) -> np.ndarray:
+    """Roots of an ascending-coefficient polynomial by mpmath's Durand-Kerner
+    iteration at 30 digits plus working precision for clustered roots."""
+    z = mp.polyroots([mp.mpf(float(c)) for c in reversed(coeffs)], maxsteps=500, extraprec=200)
+    return np.array([complex(w) for w in z])
 
 
 def grid_sublevel_points(poly_eval, lo: float, hi: float, threshold: float,

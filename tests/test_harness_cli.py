@@ -130,21 +130,27 @@ def test_cli_integrate_silent_when_converged():
 @pytest.mark.parametrize("family, key", [("monomial", "n"), ("product_monomial", "nx")])
 def test_cli_family_missing_key_is_a_typed_error(family, key):
     out = _run_cli("integrate", "--family", family, "--lambda", "10")
-    assert out.returncode == 1
-    assert "error [PRECONDITION]" in out.stderr and f"'{key}'" in out.stderr
+    assert out.returncode == 2
+    assert "config error:" in out.stderr and f"'{key}'" in out.stderr
     assert "Traceback" not in out.stderr
 
 
-# Integrators whose panel rule runs through BLAS matrix products; their bits
-# must not depend on how many threads OpenBLAS uses.
+# Integrators whose panel rule runs through BLAS matrix products, and roots
+# and cover ratios, which run through LAPACK; their bits must not depend on
+# how many threads OpenBLAS uses.
 _BITS_SCRIPT = """
-from oscint import monomial, osc_integrate_1d, osc_integrate_2d, xy_phase
+from oscint import (Polynomial, cover_ratio, degenerating_family, monomial, osc_integrate_1d,
+                    osc_integrate_2d, roots, xy_phase)
+from oscint.polynomials import default_eps_grid
 from oscint.reduction import product_monomial_integral
 from oscint.sublevel import osc_to_sublevel_constant
 print(repr(osc_integrate_1d(monomial(2), 2e5)))
 print(repr(osc_integrate_2d(xy_phase(), 300.0)))
 print(repr(product_monomial_integral(2, 2, 1e5)))
 print(repr(osc_to_sublevel_constant(0.5)))
+print(repr(roots(Polynomial((-3.0, 1.0, 0.0, -2.0, 0.0, 1.0)))))
+print(repr(roots(degenerating_family(2, 1e-4))))
+print(repr(cover_ratio(degenerating_family(2, 1e-4), default_eps_grid())))
 """
 
 
@@ -152,7 +158,7 @@ def test_results_do_not_depend_on_blas_threads():
     outs = [_run_python("-c", _BITS_SCRIPT, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
     assert all(o.returncode == 0 for o in outs), [o.stderr for o in outs]
     assert outs[0].stdout == outs[1].stdout
-    assert outs[0].stdout.count("\n") == 4
+    assert outs[0].stdout.count("\n") == 7
 
 
 def test_cli_sublevel():

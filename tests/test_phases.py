@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscint import (
+    ConfigError,
     Interval,
     PartitionOverflowError,
     PhaseMeta,
@@ -112,7 +113,7 @@ def test_phase_from_config():
     f = phase_from_config({"family": "monomial", "n": 3, "domain": [0, 1]})
     assert f.meta.N == 3
     np.testing.assert_allclose(f.eval(0, 0.5), 0.125)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigError):
         phase_from_config({"family": "nope"})
 
 
@@ -122,7 +123,7 @@ def test_phase_from_config():
     (phase2d_from_config, {"family": "product_monomial", "nx": 2}, "ny"),
 ])
 def test_family_missing_key_is_a_precondition_error(build, spec, key):
-    with pytest.raises(PreconditionError, match=f"{spec['family']}.*'{key}'"):
+    with pytest.raises(ConfigError, match=f"{spec['family']}.*'{key}'"):
         build(spec)
 
 

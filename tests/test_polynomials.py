@@ -25,7 +25,7 @@ from oscint import (
 )
 from oscint.polynomials import _ratio_data, default_eps_grid
 
-from oracles import central_diff, companion_eigenvalues
+from oracles import central_diff, companion_eigenvalues, mpmath_roots
 
 
 class TestRoots:
@@ -47,6 +47,29 @@ class TestRoots:
         ours = np.sort_complex(np.asarray(rs.roots))
         oracle = companion_eigenvalues(P.coeffs)
         np.testing.assert_allclose(ours, oracle, atol=1e-10)
+        assert _match_error(rs.roots, mpmath_roots(P.coeffs)) <= 1e-12
+
+    def test_random_degrees_3_to_6_vs_mpmath_oracle(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            P = sample_snd(int(rng.integers(3, 7)), rng)
+            assert _match_error(roots(P).roots, mpmath_roots(P.coeffs)) <= 1e-12, P
+
+    def test_degenerating_family_double_root(self):
+        eta = 1e-4
+        rs = roots(degenerating_family(2, eta))
+        rho = eta ** -0.5
+        assert rs.roots[0] == 0.0
+        for z in rs.roots[1:]:
+            assert abs(z - rho) <= 1e-5 * rho
+
+    @pytest.mark.parametrize("coeffs", [(-1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0, 1.0)])
+    def test_complex_roots_come_in_exact_conjugate_pairs(self, coeffs):
+        rs = roots(Polynomial(coeffs))  # x^3 - 1, x^4 + 1
+        complex_roots = [z for z in rs.roots if z.imag != 0.0]
+        assert complex_roots
+        for z in complex_roots:
+            assert any(z == np.conj(w) for w in rs.roots)
 
     def test_residual_invariant(self):
         rng = np.random.default_rng(7)
@@ -59,6 +82,18 @@ class TestRoots:
             resid = np.max(np.abs(P.eval_complex(np.asarray(rs.roots))))
             assert resid <= 1e-9 * (1.0 + P.max_abs_coeff) * 10
             assert rs.count == P.degree
+
+
+def _match_error(found, oracle) -> float:
+    """Largest distance, relative to max(1, |z|), from each found root to the
+    nearest oracle root not yet matched."""
+    left = list(oracle)
+    assert len(found) == len(left)
+    worst = 0.0
+    for z in found:
+        i = int(np.argmin([abs(z - w) for w in left]))
+        worst = max(worst, abs(z - left.pop(i)) / max(1.0, abs(z)))
+    return worst
 
 
 class TestDerivative:

@@ -126,6 +126,12 @@ def test_error_estimate_within_rel_tol():
     assert res.error_estimate <= 1e-10 * 1.0
 
 
+@pytest.mark.parametrize("interval", [Interval(0.0, 1.0), Interval(0.5, 0.5)])
+def test_error_estimate_is_a_python_float(interval):
+    res = osc_integrate_1d(monomial(2), 10.0, interval)
+    assert type(res.error_estimate) is float
+
+
 def _x_plus_y(domain):
     def sep(orders, x, y):
         i, j = orders
