@@ -562,7 +562,6 @@ def _run_t6(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     opt = cfg.options
     seed = cfg.seed
     rows, verdicts = [], []
-    n_grid = int(opt.get("n_grid", 10_000))
 
     def zero_violations(case, count, witness, **kw):
         rows.append(_row("T6", case, magnitude=float(count), **kw,
@@ -582,7 +581,7 @@ def _run_t6(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         coeffs[-1] = 1.0
         P = Polynomial(tuple(coeffs))
         eps = float(rng.uniform(0.0, 1.0)) or 0.5
-        bad = cover_violations(P, 1.0, eps, n_grid=n_grid)
+        bad = cover_violations(P, 1.0, eps)
         if bad:
             violations += 1
             if witness is None:
@@ -598,7 +597,7 @@ def _run_t6(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     b_by_degree = {}
     for d in opt.get("snd_degrees", (2, 3, 4, 5)):
         d = int(d)
-        B = estimate_B(d, trials=snd_trials, seed=seed, n_grid=n_grid)
+        B = estimate_B(d, trials=snd_trials, seed=seed)
         b_by_degree[d] = B.B
         over = [t for t, ratio in enumerate(B.ratios) if ratio > B.B]
         wit = {"trial": over[0], "ratio": B.ratios[over[0]], "B": B.B} if over else None
@@ -610,7 +609,7 @@ def _run_t6(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     b_mins = []
     for eta in etas:
         P = degenerating_family(k, eta)
-        ratio = cover_ratio(P, eps_grid, n_grid=n_grid)
+        ratio = cover_ratio(P, eps_grid)
         b_mins.append(ratio)
         rows.append(_row("T6", f"degenerating_eta{eta:g}", eps=eta, magnitude=ratio,
                          verdict="witnessed"))
@@ -621,8 +620,7 @@ def _run_t6(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     if min(etas) <= float(opt.get("exceed_at_eta", 1e-5)):
         ref_d = 2 * k - 1
         if ref_d not in b_by_degree:
-            b_by_degree[ref_d] = estimate_B(ref_d, trials=snd_trials, seed=seed,
-                                            n_grid=n_grid).B
+            b_by_degree[ref_d] = estimate_B(ref_d, trials=snd_trials, seed=seed).B
         threshold = 10.0 * b_by_degree[ref_d]
         verdicts.append({"case": "degenerating_family",
                          "check": "b_min_exceeds_10x_snd_constant",

@@ -5,8 +5,9 @@ the union of intervals of radius eps around the real parts of its roots.
 For SND-normalised polynomials (largest coefficient magnitude equal to 1 and
 attained in the top half) the same holds with radius B_d * eps for a constant
 depending only on the degree; no closed form for B_d is used here, instances
-are estimated empirically.  A degenerating family demonstrating failure of
-the inclusion for non-SND polynomials is provided alongside.
+are estimated empirically from exact cover ratios, sups taken at band edges.
+A degenerating family demonstrating failure of the inclusion for non-SND
+polynomials is provided alongside.
 """
 
 from __future__ import annotations
@@ -148,6 +149,15 @@ def _snap_and_sort(z: np.ndarray) -> tuple[complex, ...]:
     return tuple(sorted(out, key=lambda w: (w.real, w.imag)))
 
 
+def _companion(c: np.ndarray) -> np.ndarray:
+    """Companion matrices of the ascending coefficient rows c[..., :]."""
+    d = c.shape[-1] - 1
+    comp = np.zeros(c.shape[:-1] + (d, d))
+    comp[..., 1:, :-1] = np.eye(d - 1)
+    comp[..., :, -1] = -c[..., :-1] / c[..., -1:]
+    return comp
+
+
 def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:
     """All complex roots: closed forms for degree 1 and 2, companion-matrix
     eigenvalues (LAPACK, backward stable) for degree 3 and up.
@@ -180,11 +190,7 @@ def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:
             return RootSet((complex(np.conj(avg)), complex(avg)))
         return RootSet(_snap_and_sort(z))
 
-    monic = np.asarray(P.coeffs) / P.leading
-    comp = np.zeros((d, d))
-    comp[1:, :-1] = np.eye(d - 1)
-    comp[:, -1] = -monic[:-1]
-    z = np.linalg.eigvals(comp)
+    z = np.linalg.eigvals(_companion(np.asarray(P.coeffs)))
     resid = np.abs(P.eval_complex(z))
     mags = np.abs(z)
     eval_scale = sum(abs(a) * mags**j for j, a in enumerate(P.coeffs))
@@ -275,70 +281,62 @@ def snd_sublevel_cover(P: Polynomial, eps: float, B: SndConstant,
                        NotSndError(f"polynomial is {rep.label}, not SND", report=rep))
 
 
-def _ratio_grid(P: Polynomial, rs: RootSet, n_grid: int,
-                max_window: float = 64.0) -> np.ndarray:
-    """Grid of n_grid points concentrated around the root real parts.
+def _band_candidates(P: Polynomial, eps_values: Sequence[float], tol: float):
+    """Points where dist(x, nearest root real part) can peak on {|P| <= eps^d}.
 
-    Any point of {|P| <= 1} lies within (1/|a_d|)^(1/d) of some root; for
-    normalised polynomials the interesting distances are O(1), so each root
-    gets a local window of that spread capped at ``max_window``, overlapping
-    windows are merged, and the budget is spread across windows by length.
+    That set is a union of bands whose edges are the real roots of P -/+ eps^d,
+    and between neighbouring real parts the distance peaks at their midpoint,
+    so its sup is attained at an edge or at a midpoint in the set.  Edges come
+    from one eigenvalue call over the companion matrices of every (eps, sign),
+    real by the rule ``roots`` snaps with, once per conjugate pair; near a
+    double root they are fixed only to about sqrt(machine eps).  A midpoint m
+    is kept where |P(m)| <= eps^d + 64 ulp * sum |a_j| |m|^j (rounding slack).
+
+    Returns ``(x, |P(x)|, dist, keep)``, each of shape (len(eps_values), n).
     """
-    spread = (1.0 / abs(P.leading)) ** (1.0 / P.degree) + 1.0
-    w = min(spread, max_window)
-    windows = merge_intervals(((c - w, c + w) for c in rs.real_parts), 0.0)
-    total = sum(iv.length for iv in windows)
-    parts = []
-    remaining = n_grid
-    for i, iv in enumerate(windows):
-        n = remaining if i == len(windows) - 1 else max(16, int(n_grid * iv.length / total))
-        n = min(n, remaining)
-        remaining -= n
-        if n > 0:
-            parts.append(np.linspace(iv.lo, iv.hi, n))
-    return np.concatenate(parts)
-
-
-def _ratio_data(P: Polynomial, n_grid: int, tol: float):
-    rs = roots(P, tol)
-    xs = _ratio_grid(P, rs, n_grid)
-    pv = np.abs(P(xs))
-    re = np.asarray(rs.real_parts)
-    dist = np.min(np.abs(xs[:, None] - re[None, :]), axis=1)
-    return xs, pv, dist
-
-
-def cover_ratio(P: Polynomial, eps_values: Sequence[float], n_grid: int = 10_000,
-                tol: float = 1e-7) -> float:
-    """Worst ratio dist(x, nearest real part)/eps over sublevel grid points.
-
-    The minimal radius scale B for which the root-proximity cover holds on
-    these grids is exactly this ratio.  One sort of |P| serves every eps:
-    the points of {|P| <= eps^d} are a prefix of that order, and a running
-    maximum of the distances gives each prefix's worst distance.
-    """
-    _, pv, dist = _ratio_data(P, n_grid, tol)
-    order = np.argsort(pv)
-    worst_dist = np.maximum.accumulate(dist[order])
+    eps = np.asarray(eps_values, dtype=float)
+    if not np.all(eps > 0.0):
+        raise PreconditionError("eps must be positive")
+    re = np.unique(roots(P, tol).real_parts)
+    c = np.asarray(P.coeffs)
     d = P.degree
-    counts = np.searchsorted(pv[order], [eps ** d for eps in eps_values], side="right")
-    hit = counts > 0
-    if not hit.any():
-        return 0.0
-    return float((worst_dist[counts[hit] - 1] / np.asarray(eps_values, dtype=float)[hit]).max())
+    levels = eps ** d
+    shifted = np.tile(c, (2, levels.size, 1))
+    shifted[..., 0] -= np.stack([levels, -levels])
+    z = np.concatenate(np.linalg.eigvals(_companion(shifted)), axis=1)
+    mids = np.broadcast_to(0.5 * (re[:-1] + re[1:]), (levels.size, re.size - 1))
+    x = np.concatenate([z.real, mids], axis=1)
+    pv = np.abs(P(x))
+    slack = 64.0 * np.finfo(float).eps * _polyval(np.abs(mids), np.abs(c))
+    keep = np.concatenate([_near_real(z) & (z.imag >= 0),
+                           pv[:, 2 * d:] <= levels[:, None] + slack], axis=1)
+    dist = np.min(np.abs(x[..., None] - re), axis=-1)
+    return x, pv, dist, keep
+
+
+def cover_ratio(P: Polynomial, eps_values: Sequence[float], tol: float = 1e-7) -> float:
+    """Sup of dist(x, nearest root real part)/eps over x in {|P| <= eps^d}
+    and eps in ``eps_values`` (0.0 when every such set is empty): exactly the
+    minimal radius scale B for which the root-proximity cover holds there."""
+    _, _, dist, keep = _band_candidates(P, eps_values, tol)
+    worst = np.where(keep, dist, 0.0).max(axis=1)
+    return float((worst / np.asarray(eps_values, dtype=float)).max())
 
 
 def cover_violations(P: Polynomial, radius_scale: float, eps: float,
-                     n_grid: int = 10_000, slack: float = 1e-8,
+                     n_grid: int | None = None, slack: float = 1e-8,
                      tol: float = 1e-7) -> list[dict]:
-    """Grid points in {|P| <= eps^d} farther than radius_scale*eps from every
-    root real part.  ``slack`` absorbs root-residual noise near the boundary."""
-    xs, pv, dist = _ratio_data(P, n_grid, tol)
-    bad = (pv <= eps**P.degree) & (dist > radius_scale * eps + slack)
-    return [
-        {"x": float(x), "abs_P": float(p), "dist": float(dv), "eps": float(eps)}
-        for x, p, dv in zip(xs[bad], pv[bad], dist[bad])
-    ]
+    """Band edges and in-set root midpoints of {|P| <= eps^d} farther than
+    radius_scale*eps from every root real part, in ascending x.  ``slack``
+    absorbs root-residual noise near the boundary.
+
+    ``n_grid`` is accepted and ignored, for callers written against the
+    former grid check.
+    """
+    x, pv, dist, keep = (a[0] for a in _band_candidates(P, [eps], tol))
+    bad = np.flatnonzero(keep & (dist > radius_scale * eps + slack))
+    return [{"x": float(x[i]), "abs_P": float(pv[i]), "dist": float(dist[i]), "eps": float(eps)}
+            for i in bad[np.argsort(x[bad])]]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,7 @@ def sample_snd(d: int, rng: np.random.Generator, max_draws: int = 1000) -> Polyn
         j_attained = d - int(np.argmax(mags))
         if j_attained <= d / 2.0:
             return Polynomial(tuple(c / mags.max()))
-    raise RootConvergenceError("rejection sampling failed to produce an SND polynomial")
+    raise PreconditionError(f"rejection sampling drew no SND polynomial in max_draws = {max_draws}")
 
 
 def default_eps_grid(lo: float = 1e-2, hi: float = 1.0, per_decade: int = 25) -> np.ndarray:
@@ -365,10 +363,11 @@ def default_eps_grid(lo: float = 1e-2, hi: float = 1.0, per_decade: int = 25) ->
     return np.geomspace(lo, hi, n)
 
 
-def estimate_B(d: int, trials: int = 400, seed: int = 0, n_grid: int = 10_000,
+def estimate_B(d: int, trials: int = 400, seed: int = 0,
                eps_grid: Sequence[float] | None = None) -> SndConstant:
     """Smallest radius scale (to 2 significant digits, rounded up) for which
-    the SND cover holds on all sampled polynomials and dense eps, x grids.
+    the SND cover holds on all sampled polynomials at every eps of the grid;
+    each polynomial's cover ratio is the exact sup over its sublevel sets.
 
     Trials draw with per-trial derived seeds, so results do not depend on
     evaluation order.  The per-trial ratios come back as ``ratios``.
@@ -386,11 +385,11 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0, n_grid: int = 10_000,
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, d, t)))
         P = sample_snd(d, rng)
         try:
-            ratios[t] = cover_ratio(P, eps_values, n_grid=n_grid)
+            ratios[t] = cover_ratio(P, eps_values)
         except RootConvergenceError:
             # clustered roots: accept the looser residual, the cover uses
             # real parts and B only needs 2 digits
-            ratios[t] = cover_ratio(P, eps_values, n_grid=n_grid, tol=1e-5)
+            ratios[t] = cover_ratio(P, eps_values, tol=1e-5)
     worst = max(1.0, float(ratios.max()))
     quantum = 10.0 ** (math.floor(math.log10(worst)) - 1)
     B = math.ceil(worst / quantum) * quantum

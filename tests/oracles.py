@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 Each oracle takes a route disjoint from the code it checks: high-precision
-special functions and polynomial roots (mpmath), dense-grid membership
-scans and central finite differences.  ``companion_eigenvalues`` is the
+special functions, polynomial roots and sublevel band edges (mpmath) and
+central finite differences.  ``companion_eigenvalues`` is the
 exception: it is the route ``polynomials.roots`` takes for degree >= 3, so
 root checks use ``mpmath_roots``.
 """
@@ -67,8 +67,14 @@ def mpmath_roots(coeffs) -> np.ndarray:
     return np.array([complex(w) for w in z])
 
 
-def grid_sublevel_points(poly_eval, lo: float, hi: float, threshold: float,
-                         n: int = 10_000) -> np.ndarray:
-    """Dense-grid membership scan for {x : |P(x)| <= threshold}."""
-    xs = np.linspace(lo, hi, n)
-    return xs[np.abs(poly_eval(xs)) <= threshold]
+def mpmath_band_edges(coeffs, level: float) -> np.ndarray:
+    """Ends of the bands of {x : |P(x)| <= level}: the real roots (imaginary
+    part below 1e-20 relative) of P - level and P + level, by mpmath's
+    Durand-Kerner iteration at 30 digits plus working precision, ascending."""
+    edges = []
+    for shift in (level, -level):
+        c = [mp.mpf(float(a)) for a in coeffs]
+        c[0] -= mp.mpf(shift)
+        z = mp.polyroots(c[::-1], maxsteps=500, extraprec=200)
+        edges += [float(mp.re(w)) for w in z if abs(mp.im(w)) <= mp.mpf(10) ** -20 * (1 + abs(w))]
+    return np.sort(np.array(edges))

@@ -20,7 +20,6 @@ SMALL_T6 = {
     "etas": [0.1, 0.01],
     "family_k": 2,
     "young_trials": 20,
-    "n_grid": 2000,
 }
 
 
