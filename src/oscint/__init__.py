@@ -27,7 +27,6 @@ from .decay import (
 )
 from .errors import (
     ConfigError,
-    DomainError,
     InsufficientSpanError,
     NoiseDominatedError,
     NonconvergentTailError,

@@ -128,7 +128,7 @@ class Certificate:
     params: CertificateParams
     total_bound: float
     notes: dict = field(default_factory=dict)
-    verified_against: QuadResult | None = None
+    verified_against: QuadResult | None = field(default=None, init=False)
 
     def verify_against(self, quad: QuadResult) -> bool:
         """Record a quadrature result; true when the certificate dominates it."""
@@ -435,7 +435,8 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
     """Certificate for |int_I e^{i lam P(f(x))} dx|.
 
     mode "general": f carries an oscillatory-decay claim |I(lam)| <= A lam^-delta
-    (A >= 1, 0 < delta < 1) plus the single-signed structure of order meta.N.
+    (A >= 1, 0 < delta < 1) plus the single-signed structure of order meta.N;
+    delta defaults to ``f.meta.claimed_delta``, A must be given.
     mode "vdc": |f^(N)| >= 1 is declared (f' monotone when N = 1) and the
     certified rate is 1/(N d).
     """
@@ -450,9 +451,7 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
     d = outer.d
 
     if mode == "general":
-        if delta is None or A is None:
-            delta = delta if delta is not None else f.meta.claimed_delta
-            A = A if A is not None else f.meta.claimed_A
+        delta = delta if delta is not None else f.meta.claimed_delta
         if delta is None or A is None:
             raise PreconditionError("general mode needs (delta, A)")
         if not (0.0 < delta < 1.0):

@@ -17,10 +17,13 @@ from .certificates import PowerTransform, certify_1d
 from .decay import DecaySample, fit_decay
 from .errors import ConfigError, OscintError
 from .harness import SUITE_IDS, load_config, run_suite
-from .phases import Interval, phase2d_from_config, phase_from_config
+from .phases import _FAMILIES_1D, _FAMILIES_2D, phase2d_from_config, phase_from_config
 from .polynomials import Polynomial, estimate_B
 from .quadrature import QuadConfig, osc_integrate_1d, osc_integrate_2d
 from .sublevel import sublevel_1d
+
+_FAMILY_HELP = (f"Phase family: 1D {', '.join(_FAMILIES_1D)}; "
+                f"2D {', '.join(_FAMILIES_2D)} (on the unit square)")
 
 
 def _phase_spec(family: str, n: int | None, coeffs: tuple[float, ...],
@@ -39,22 +42,23 @@ def main():
 
 
 @main.command()
-@click.option("--family", default="monomial", show_default=True,
-              help="Phase family (monomial, polynomial, sin, exp, xy, xy_quad, ...)")
+@click.option("--family", default="monomial", show_default=True, help=_FAMILY_HELP)
 @click.option("--n", type=int, default=None, help="Monomial degree")
 @click.option("--coeffs", type=float, multiple=True, help="Polynomial coefficients, ascending")
 @click.option("--lambda", "lam", type=float, required=True, help="Frequency parameter")
-@click.option("--interval", nargs=2, type=float, default=(0.0, 1.0), show_default=True)
+@click.option("--interval", nargs=2, type=float, default=(0.0, 1.0), show_default=True,
+              help="The phase's domain (1D families)")
 @click.option("--rel-tol", type=float, default=1e-10, show_default=True)
 def integrate(family, n, coeffs, lam, interval, rel_tol):
     """Evaluate the oscillatory integral of e^{i*lambda*f} and print value + error."""
     cfg = QuadConfig(rel_tol=rel_tol)
-    if family in ("xy", "xy_quad", "product_monomial"):
-        g2 = phase2d_from_config({"family": family})
-        res = osc_integrate_2d(g2, lam, cfg=cfg)
+    if family in _FAMILIES_2D:
+        res = osc_integrate_2d(phase2d_from_config({"family": family}), lam, cfg=cfg)
+    elif family in _FAMILIES_1D:
+        res = osc_integrate_1d(phase_from_config(_phase_spec(family, n, coeffs, interval)),
+                               lam, cfg=cfg)
     else:
-        g = phase_from_config(_phase_spec(family, n, coeffs, interval))
-        res = osc_integrate_1d(g, lam, Interval(*interval), cfg=cfg)
+        raise ConfigError(f"unknown phase family {family!r}; {_FAMILY_HELP}")
     click.echo(f"value = {res.value.real:+.12e} {res.value.imag:+.12e}i")
     click.echo(f"|value| = {abs(res.value):.12e}")
     click.echo(f"error_estimate = {res.error_estimate:.3e}  panels = {res.panels_used}")
@@ -72,8 +76,7 @@ def integrate(family, n, coeffs, lam, interval, rel_tol):
 @click.option("--interval", nargs=2, type=float, default=(0.0, 1.0), show_default=True)
 def sublevel(family, n, coeffs, c, eps, interval):
     """Measure and components of {x : |f(x) - c| <= eps}."""
-    f = phase_from_config(_phase_spec(family, n, coeffs, interval))
-    res = sublevel_1d(f, c, eps, Interval(*interval))
+    res = sublevel_1d(phase_from_config(_phase_spec(family, n, coeffs, interval)), c, eps)
     click.echo(f"measure = {res.measure:.12e}")
     for comp in res.components:
         click.echo(f"component [{comp.lo:.12g}, {comp.hi:.12g}]")
@@ -125,12 +128,15 @@ def certify(family, n, coeffs, interval, poly, power, lam, mode, delta, big_a,
 @click.argument("csv_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--drop-low-decades", type=float, default=0.5, show_default=True)
 def fit(csv_path, drop_low_decades):
-    """Fit a decay exponent from a CSV with lambda,magnitude[,error] columns."""
+    """Fit a decay exponent to the CSV rows with both a lambda and a magnitude."""
     samples = []
     with open(csv_path, newline="") as fh:
         reader = _csv.DictReader(fh)
+        missing = sorted({"lambda", "magnitude"} - set(reader.fieldnames or ()))
+        if missing:
+            raise ConfigError(f"{csv_path} has no {' or '.join(missing)} column")
         for row in reader:
-            if not row.get("magnitude"):
+            if not (row["lambda"] and row["magnitude"]):
                 continue
             samples.append(DecaySample(
                 float(row["lambda"]), float(row["magnitude"]),
@@ -172,7 +178,7 @@ def suite(suite_id, config, out):
 def estimate_b(degree, trials, seed):
     """Empirical cover constant for SND polynomials of the given degree."""
     B = estimate_B(degree, trials=trials, seed=seed)
-    click.echo(f"B({degree}) = {B.B}  provenance = {B.provenance}")
+    click.echo(f"B({degree}) = {B.B}")
 
 
 def entry() -> int:

@@ -27,6 +27,15 @@ def geometric_grid(lo: float, hi: float, per_decade: int = DEFAULT_PER_DECADE) -
     return np.geomspace(lo, hi, max(n, 2))
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares line y ~ c0 + c1*x: the coefficients and R^2 in [0, 1]."""
+    A = np.vstack([np.ones_like(x), x]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    ss_res = float(np.sum((y - A @ coef) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return coef, 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
+
+
 @dataclass(frozen=True)
 class DecaySample:
     lam: float
@@ -75,22 +84,14 @@ def fit_decay(samples: Sequence[DecaySample],
     if positive.sum() < 2 or np.ptp(np.log(lam_w[positive])) == 0.0:
         return DecayFit(0.0, float(mag.max(initial=0.0)), 0.0,
                         (float(lam_w[0]), float(lam_w[-1])))
-    x = np.log(lam_w[positive])
-    y = np.log(mag_w[positive])
-    A = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope = float(coef[1])
-    yhat = A @ coef
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    delta = -slope
+    coef, r2 = _line_fit(np.log(lam_w[positive]), np.log(mag_w[positive]))
+    delta = -float(coef[1])
     C_hat = float(np.max(mag * lam**delta))
     return DecayFit(delta, C_hat, r2, (float(lam_w[0]), float(lam_w[-1])))
 
 
-def fit_log_model(points: Sequence[tuple[float, float]], p: float) -> tuple[float, float, float]:
-    """Fit measure = eps^p * (a + b*ln(1/eps)) by linear least squares.
+def fit_log_model(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
+    """Fit measure = eps * (a + b*ln(1/eps)) by linear least squares.
 
     Returns (a, b, r_squared).  Needs 8 points spanning two decades of eps.
     """
@@ -101,12 +102,5 @@ def fit_log_model(points: Sequence[tuple[float, float]], p: float) -> tuple[floa
     meas = np.array([m for _, m in pts])
     if eps[0] <= 0 or math.log10(eps[-1] / eps[0]) < 2.0 - 1e-9:
         raise InsufficientSpanError("points must span at least two decades of eps")
-    y = meas / eps**p
-    x = np.log(1.0 / eps)
-    A = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    yhat = A @ coef
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
+    coef, r2 = _line_fit(np.log(1.0 / eps), meas / eps)
     return float(coef[0]), float(coef[1]), r2

@@ -51,12 +51,6 @@ class PanelBudgetError(OscintError):
     code = "PANEL_BUDGET"
 
 
-class DomainError(OscintError):
-    """Requested interval or region is not contained in the phase domain."""
-
-    code = "DOMAIN"
-
-
 class NonconvergentTailError(OscintError):
     """Frequency tail beyond the cutoff contributes too much; increase the cutoff."""
 

@@ -699,7 +699,7 @@ def _run_hlog(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         m = sublevel_2d(f2, 0.0, float(eps))
         points.append((float(eps), m))
         rows.append(_row("H-LOG", "xy_sublevel", eps=float(eps), c=0.0, magnitude=m))
-    a, b, r2 = fit_log_model(points, p=1.0)
+    a, b, r2 = fit_log_model(points)
     rows.append(_row("H-LOG", "xy_sublevel", magnitude=b, delta_hat=a,
                      verdict="log_factor" if b > 0 else "no_log_factor"))
     verdicts.append({"case": "xy_sublevel", "check": "log_factor_present",

@@ -32,6 +32,8 @@ from .errors import ConfigError, PartitionOverflowError, PreconditionError
 SCAN_SAMPLES_PER_UNIT = 4096
 MIN_SCAN_SAMPLES = 257
 BISECT_XTOL = 1e-12
+SIGN_TOL = 1e-11  # monotone_partition's sign_partition tol
+PARTITION_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, other: "Interval", slack: float = 1e-12) -> bool:
-        return self.lo - slack <= other.lo and other.hi <= self.hi + slack
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.lo, self.hi)
@@ -71,22 +70,20 @@ class PhaseMeta:
     """Structural claims attached to a phase.
 
     ``N`` is the derivative order of the hypothesis, ``derivative_lower_bound``
-    the alpha in |f^(N)| >= alpha when one is claimed.  ``claimed_delta``
-    defaults to 1/N whenever a lower bound is declared.
+    the alpha in |f^(N)| >= alpha when one is claimed.  A declared lower
+    bound implies the van der Corput decay rate ``claimed_delta`` = 1/N.
     """
 
     N: int = 1
     derivative_lower_bound: float | None = None
-    claimed_delta: float | None = None
-    claimed_A: float | None = None
 
     def __post_init__(self):
         if self.N < 1:
             raise PreconditionError("meta.N must be a positive integer")
-        if self.derivative_lower_bound is not None and self.claimed_delta is None:
-            object.__setattr__(self, "claimed_delta", 1.0 / self.N)
-        if self.claimed_A is not None and self.claimed_A < 1.0:
-            raise PreconditionError("claimed_A must be >= 1")
+
+    @property
+    def claimed_delta(self) -> float | None:
+        return None if self.derivative_lower_bound is None else 1.0 / self.N
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,6 @@ def sign_partition(
     phase: PhaseFunction,
     order: int,
     tol: float,
-    cap: int = 64,
     interval: Interval | None = None,
 ) -> list[tuple[Interval, int]]:
     """Tile the domain into intervals on which ``eval(order, .)`` is single-signed.
@@ -194,12 +190,13 @@ def sign_partition(
     Single-signed is non-strict: touching zeros (no crossing beyond ``tol``)
     do not split a piece.  Returns (interval, sign) pairs ordered left to
     right with sign in {+1, -1, 0}; sign 0 means the derivative is below
-    ``tol`` in magnitude on the whole piece.
+    ``tol`` in magnitude on the whole piece.  More than ``PARTITION_CAP``
+    sign changes raise PartitionOverflowError.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     iv = interval or phase.domain
-    key = ("sp", order, tol, cap, iv.as_tuple())
+    key = ("sp", order, tol, PARTITION_CAP, iv.as_tuple())
     if key in phase._cache:
         return phase._cache[key]
     a, b = iv.lo, iv.hi
@@ -208,7 +205,7 @@ def sign_partition(
     xs = scan_grid(iv)
     vs = np.asarray(phase.eval(order, xs), dtype=float)
     _, breaks = scan_sign_changes(lambda x, _: phase.eval(order, x), xs, vs[:, None],
-                                  tol, cap, phase.name, order)
+                                  tol, PARTITION_CAP, phase.name, order)
 
     pieces: list[tuple[Interval, int]] = []
     edges = [a, *breaks.tolist(), b]
@@ -226,9 +223,7 @@ def sign_partition(
 
 def monotone_partition(
     phase: PhaseFunction,
-    tol: float = 1e-11,
     order_cap: int | None = None,
-    cap: int = 64,
     interval: Interval | None = None,
 ) -> list[Interval]:
     """Intervals on which f and its derivatives up to order N-1 are monotone.
@@ -244,7 +239,7 @@ def monotone_partition(
     iv = interval or phase.domain
     breaks: list[float] = []
     for k in range(1, N + 1):
-        for piece, _ in sign_partition(phase, k, tol, cap=cap, interval=iv)[:-1]:
+        for piece, _ in sign_partition(phase, k, SIGN_TOL, interval=iv)[:-1]:
             breaks.append(piece.hi)
     return pieces_between(iv, breaks)
 
@@ -363,31 +358,24 @@ def closure_phase(derivatives: Sequence[Callable], domain, meta: PhaseMeta | Non
 # ---------------------------------------------------------------------------
 
 
-def compose_with_polynomial(phase: PhaseFunction, coeffs: Sequence[float],
-                            name: str | None = None) -> PhaseFunction:
-    """Phase x -> P(f(x)) with derivatives up to order 2 by the chain rule."""
+def compose_with_polynomial(phase: PhaseFunction, coeffs: Sequence[float]) -> PhaseFunction:
+    """Phase x -> P(f(x)) with its first derivative by the chain rule."""
     c = np.asarray(coeffs, dtype=float)
     dc = c[1:] * np.arange(1, c.size)
-    ddc = dc[1:] * np.arange(1, dc.size) if dc.size > 1 else np.zeros(1)
     pv = np.polynomial.polynomial.polyval
 
     def ev(order, x):
         f = phase.eval_fn(0, x)
         if order == 0:
             return pv(f, c)
-        f1 = phase.eval_fn(1, x)
-        if order == 1:
-            return pv(f, dc) * f1
-        f2 = phase.eval_fn(2, x)
-        return pv(f, ddc) * f1 * f1 + pv(f, dc) * f2
+        return pv(f, dc) * phase.eval_fn(1, x)
 
-    return PhaseFunction(ev, max_order=min(2, phase.max_order), domain=phase.domain,
-                         meta=PhaseMeta(N=1), name=name or f"P({phase.name})")
+    return PhaseFunction(ev, max_order=min(1, phase.max_order), domain=phase.domain,
+                         meta=PhaseMeta(N=1), name=f"P({phase.name})")
 
 
-def compose_with_power(phase: PhaseFunction, exponent: float,
-                       name: str | None = None) -> PhaseFunction:
-    """Phase x -> |f(x)|^s for s > 1, with derivatives where f != 0."""
+def compose_with_power(phase: PhaseFunction, exponent: float) -> PhaseFunction:
+    """Phase x -> |f(x)|^s for s > 1, with its first derivative where f != 0."""
     s = float(exponent)
     if s <= 1.0:
         raise PreconditionError("power transform needs exponent > 1")
@@ -397,15 +385,10 @@ def compose_with_power(phase: PhaseFunction, exponent: float,
         af = np.abs(f)
         if order == 0:
             return af**s
-        sg = np.sign(f)
-        f1 = phase.eval_fn(1, x)
-        if order == 1:
-            return s * af ** (s - 1.0) * sg * f1
-        f2 = phase.eval_fn(2, x)
-        return s * (s - 1.0) * af ** (s - 2.0) * f1 * f1 + s * af ** (s - 1.0) * sg * f2
+        return s * af ** (s - 1.0) * np.sign(f) * phase.eval_fn(1, x)
 
-    return PhaseFunction(ev, max_order=min(2, phase.max_order), domain=phase.domain,
-                         meta=PhaseMeta(N=1), name=name or f"|{phase.name}|^{s}")
+    return PhaseFunction(ev, max_order=min(1, phase.max_order), domain=phase.domain,
+                         meta=PhaseMeta(N=1), name=f"|{phase.name}|^{s}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +465,16 @@ class Phase2D:
                              meta=PhaseMeta(N=1), name=f"{self.name}|x={x0:.6g}")
 
 
-def product_phase(fx: PhaseFunction, gy: PhaseFunction, beta=(1, 1),
-                  n_orders=(None, 2), lower_bound: float = 1.0) -> Phase2D:
+def product_phase(fx: PhaseFunction, gy: PhaseFunction) -> Phase2D:
     """f(x) * g(y) on the rectangle of the factors' domains, with mixed
-    partials from the self-reported 1D derivatives."""
+    partials from the self-reported 1D derivatives and Phase2D's claims."""
     dom = PlanarDomain(fx.domain.lo, fx.domain.hi, gy.domain.lo, gy.domain.hi)
 
     def ev(orders, x, y):
         i, j = orders
         return fx.eval_fn(i, x) * gy.eval_fn(j, y)
 
-    return Phase2D(ev, max_orders=(fx.max_order, gy.max_order), domain=dom, beta=beta,
-                   n_orders=n_orders, derivative_lower_bound=lower_bound,
+    return Phase2D(ev, max_orders=(fx.max_order, gy.max_order), domain=dom,
                    name=f"{fx.name}*{gy.name}")
 
 
@@ -543,8 +524,7 @@ def xy_quad_phase(c: float) -> Phase2D:
                    derivative_lower_bound=lb, name=f"xy+{cc}x2y2")
 
 
-def compose2d_with_polynomial(phase: Phase2D, coeffs: Sequence[float],
-                              name: str | None = None) -> Phase2D:
+def compose2d_with_polynomial(phase: Phase2D, coeffs: Sequence[float]) -> Phase2D:
     """Planar phase (x, y) -> P(f(x, y)), values only (enough to integrate)."""
     c = np.asarray(coeffs, dtype=float)
     pv = np.polynomial.polynomial.polyval
@@ -557,7 +537,7 @@ def compose2d_with_polynomial(phase: Phase2D, coeffs: Sequence[float],
     return Phase2D(ev, max_orders=(0, 0), domain=phase.domain, beta=phase.beta,
                    n_orders=phase.n_orders,
                    derivative_lower_bound=phase.derivative_lower_bound,
-                   name=name or f"P({phase.name})")
+                   name=f"P({phase.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +558,6 @@ _FAMILIES_1D = {
 _FAMILIES_2D = {
     "xy": lambda p: xy_phase(),
     "xy_quad": lambda p: xy_quad_phase(p.get("c", 0.1)),
-    "product_monomial": lambda p: product_phase(monomial(int(p["nx"])), monomial(int(p["ny"])),
-                                                beta=tuple(p.get("beta", (1, 1)))),
 }
 
 

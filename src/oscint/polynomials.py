@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .decay import geometric_grid
 from .errors import NotSndError, PreconditionError, RootConvergenceError
 from .phases import Interval, merge_intervals
 
@@ -26,6 +27,8 @@ _polyval = np.polynomial.polynomial.polyval
 
 CLASSIFY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
+COVER_ROOT_TOL = 1e-7
+SND_MAX_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -81,15 +84,12 @@ class RootSet:
 class SndConstant:
     d: int
     B: float
-    provenance: str = "empirical"
     # per-trial cover ratios B was estimated from; not part of comparison
     ratios: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.B < 1.0:
             raise PreconditionError("SND cover constant must be >= 1")
-        if self.provenance not in ("empirical", "user-supplied"):
-            raise PreconditionError(f"unknown provenance {self.provenance!r}")
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def young_cover(factors: Sequence[tuple[float, float]], eps: float) -> YoungCove
 # ---------------------------------------------------------------------------
 
 
-def _root_cover(P: Polynomial, eps: float, radius: float, tol: float,
+def _root_cover(P: Polynomial, eps: float, radius: float,
                 reject: Callable[[ClassifyReport], Exception | None]) -> list[Interval]:
     """Intervals of ``radius`` around the real parts of P's roots, merged.
 
@@ -255,29 +255,28 @@ def _root_cover(P: Polynomial, eps: float, radius: float, tol: float,
     err = reject(classify(P))
     if err is not None:
         raise err
-    rs = roots(P, tol)
+    rs = roots(P)
     return merge_intervals(((c - radius, c + radius) for c in rs.real_parts), 1e-15)
 
 
-def monic_sublevel_cover(P: Polynomial, eps: float, tol: float = DEFAULT_ROOT_TOL) -> list[Interval]:
+def monic_sublevel_cover(P: Polynomial, eps: float) -> list[Interval]:
     """Intervals of radius eps around the real parts of the roots.
 
     Guarantee: {x real : |P(x)| <= eps^d} is contained in their union
     (complex roots contribute through their real parts).
     """
-    return _root_cover(P, eps, eps, tol, lambda rep: None if rep.is_monic else
+    return _root_cover(P, eps, eps, lambda rep: None if rep.is_monic else
                        PreconditionError("monic cover requires a monic polynomial"))
 
 
-def snd_sublevel_cover(P: Polynomial, eps: float, B: SndConstant,
-                       tol: float = DEFAULT_ROOT_TOL) -> list[Interval]:
+def snd_sublevel_cover(P: Polynomial, eps: float, B: SndConstant) -> list[Interval]:
     """Same cover with radius B*eps, valid for SND polynomials and eps <= 1."""
     if eps > 1.0:
         raise PreconditionError("SND cover requires eps <= 1")
     if eps == 1.0:
         warnings.warn("SND cover at the eps = 1 boundary; accepted by continuity",
                       stacklevel=2)
-    return _root_cover(P, eps, B.B * eps, tol, lambda rep: None if rep.is_snd else
+    return _root_cover(P, eps, B.B * eps, lambda rep: None if rep.is_snd else
                        NotSndError(f"polynomial is {rep.label}, not SND", report=rep))
 
 
@@ -314,7 +313,8 @@ def _band_candidates(P: Polynomial, eps_values: Sequence[float], tol: float):
     return x, pv, dist, keep
 
 
-def cover_ratio(P: Polynomial, eps_values: Sequence[float], tol: float = 1e-7) -> float:
+def cover_ratio(P: Polynomial, eps_values: Sequence[float],
+                tol: float = COVER_ROOT_TOL) -> float:
     """Sup of dist(x, nearest root real part)/eps over x in {|P| <= eps^d}
     and eps in ``eps_values`` (0.0 when every such set is empty): exactly the
     minimal radius scale B for which the root-proximity cover holds there."""
@@ -324,17 +324,16 @@ def cover_ratio(P: Polynomial, eps_values: Sequence[float], tol: float = 1e-7) -
 
 
 def cover_violations(P: Polynomial, radius_scale: float, eps: float,
-                     n_grid: int | None = None, slack: float = 1e-8,
-                     tol: float = 1e-7) -> list[dict]:
+                     n_grid: int | None = None) -> list[dict]:
     """Band edges and in-set root midpoints of {|P| <= eps^d} farther than
-    radius_scale*eps from every root real part, in ascending x.  ``slack``
-    absorbs root-residual noise near the boundary.
+    radius_scale*eps + 1e-8 (root-residual slack) from every root real part,
+    in ascending x; roots are checked at ``COVER_ROOT_TOL``.
 
     ``n_grid`` is accepted and ignored, for callers written against the
     former grid check.
     """
-    x, pv, dist, keep = (a[0] for a in _band_candidates(P, [eps], tol))
-    bad = np.flatnonzero(keep & (dist > radius_scale * eps + slack))
+    x, pv, dist, keep = (a[0] for a in _band_candidates(P, [eps], COVER_ROOT_TOL))
+    bad = np.flatnonzero(keep & (dist > radius_scale * eps + 1e-8))
     return [{"x": float(x[i]), "abs_P": float(pv[i]), "dist": float(dist[i]), "eps": float(eps)}
             for i in bad[np.argsort(x[bad])]]
 
@@ -344,10 +343,10 @@ def cover_violations(P: Polynomial, radius_scale: float, eps: float,
 # ---------------------------------------------------------------------------
 
 
-def sample_snd(d: int, rng: np.random.Generator, max_draws: int = 1000) -> Polynomial:
+def sample_snd(d: int, rng: np.random.Generator) -> Polynomial:
     """Uniform coefficients in [-1,1], rejected until the max magnitude falls
     in the top half of the coefficients, then rescaled to max magnitude 1."""
-    for _ in range(max_draws):
+    for _ in range(SND_MAX_DRAWS):
         c = rng.uniform(-1.0, 1.0, size=d + 1)
         if abs(c[-1]) < 1e-6:
             continue
@@ -355,19 +354,18 @@ def sample_snd(d: int, rng: np.random.Generator, max_draws: int = 1000) -> Polyn
         j_attained = d - int(np.argmax(mags))
         if j_attained <= d / 2.0:
             return Polynomial(tuple(c / mags.max()))
-    raise PreconditionError(f"rejection sampling drew no SND polynomial in max_draws = {max_draws}")
+    raise PreconditionError(f"rejection sampling drew no SND polynomial in SND_MAX_DRAWS = {SND_MAX_DRAWS} draws")
 
 
-def default_eps_grid(lo: float = 1e-2, hi: float = 1.0, per_decade: int = 25) -> np.ndarray:
-    n = int(round(per_decade * math.log10(hi / lo))) + 1
-    return np.geomspace(lo, hi, n)
+def default_eps_grid() -> np.ndarray:
+    """The 51 eps of the SND cover estimates: 25 per decade on [0.01, 1]."""
+    return geometric_grid(1e-2, 1.0, 25)
 
 
-def estimate_B(d: int, trials: int = 400, seed: int = 0,
-               eps_grid: Sequence[float] | None = None) -> SndConstant:
+def estimate_B(d: int, trials: int = 400, seed: int = 0) -> SndConstant:
     """Smallest radius scale (to 2 significant digits, rounded up) for which
-    the SND cover holds on all sampled polynomials at every eps of the grid;
-    each polynomial's cover ratio is the exact sup over its sublevel sets.
+    the SND cover holds on all sampled polynomials at every eps of
+    ``default_eps_grid()``; each cover ratio is the exact sup over a sublevel set.
 
     Trials draw with per-trial derived seeds, so results do not depend on
     evaluation order.  The per-trial ratios come back as ``ratios``.
@@ -376,10 +374,10 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0,
         raise PreconditionError("degree must be >= 1")
     if d == 1:
         # |a1 x + a0| <= eps with |a1| = 1 forces |x + a0/a1| <= eps.
-        return SndConstant(1, 1.0, "empirical")
+        return SndConstant(1, 1.0)
     if trials < 100:
         raise PreconditionError("estimate_B needs at least 100 trials")
-    eps_values = np.asarray(eps_grid) if eps_grid is not None else default_eps_grid()
+    eps_values = default_eps_grid()
     ratios = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, d, t)))
@@ -393,7 +391,7 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0,
     worst = max(1.0, float(ratios.max()))
     quantum = 10.0 ** (math.floor(math.log10(worst)) - 1)
     B = math.ceil(worst / quantum) * quantum
-    return SndConstant(d, B, "empirical", tuple(ratios.tolist()))
+    return SndConstant(d, B, tuple(ratios.tolist()))
 
 
 def degenerating_family(k: int, eta: float) -> Polynomial:

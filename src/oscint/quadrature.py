@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PanelBudgetError, PreconditionError
-from .phases import Interval, Phase2D, PhaseFunction, monotone_partition
+from .errors import PanelBudgetError, PreconditionError
+from .phases import Phase2D, PhaseFunction, monotone_partition
 
 # QK15 on [-1, 1]: Kronrod nodes x_i >= 0 (the 7-point Gauss nodes are x_1, x_3,
 # x_5 and 0), the Kronrod weights, and the Gauss weights on those four nodes.
@@ -191,18 +191,16 @@ def _refine(fvec, L, R, density, max_splits: int, max_panels: int):
     return val, err, not n_bad
 
 
-def osc_integrate_1d(g: PhaseFunction, lam: float, interval: Interval | None = None,
+def osc_integrate_1d(g: PhaseFunction, lam: float,
                      cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Integral of e^{i*lam*g(x)} over the interval (default: g's domain)."""
-    iv = interval or g.domain
-    if not g.domain.contains(iv):
-        raise DomainError(f"interval {iv.as_tuple()} not inside domain {g.domain.as_tuple()}")
-    length = iv.length
+    """Integral of e^{i*lam*g(x)} over g's domain; build the phase on the
+    interval wanted (every family takes a ``domain``)."""
+    length = g.domain.length
     if lam == 0.0:
         return QuadResult(complex(length, 0.0), 0.0, 0, 0.0)
 
     gval = lambda x: np.asarray(g.eval_fn(0, x), dtype=float)
-    pieces = [p for p in monotone_partition(g, order_cap=1, interval=iv) if p.hi > p.lo]
+    pieces = [p for p in monotone_partition(g, order_cap=1) if p.hi > p.lo]
     L, R = _swing_panels(gval, [p.lo for p in pieces], [p.hi for p in pieces], abs(lam),
                          cfg.phase_variation_cap, cfg.max_panels)
 

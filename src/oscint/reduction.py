@@ -35,13 +35,13 @@ SWING_CAP = math.pi / 2.0
 MAX_PANELS = 1 << 22
 
 
-def _direct_rule(n_panels: int = 6, order: int = 64):
-    nodes, weights = leggauss(order)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
+def _direct_rule():
+    nodes, weights = leggauss(64)
+    edges = np.linspace(0.0, 1.0, 7)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     pts = (mid[:, None] + half * nodes[None, :]).ravel()
-    wts = np.tile(weights * half, n_panels)
+    wts = np.tile(weights * half, 6)
     return pts, wts
 
 

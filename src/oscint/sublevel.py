@@ -30,6 +30,7 @@ from .phases import (BISECT_XTOL, Interval, Phase2D, PhaseFunction, merge_interv
 from .quadrature import adaptive_quad
 
 BAND_AREA_REL_TOL = 1e-7
+XI_CUTOFF = 64.0
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,8 @@ def band_sets(g, rows_pieces: list[list[Interval]], lo_t: float, hi_t: float,
     return [merge_intervals(sp, 1e-11) for sp in spans]
 
 
-def sublevel_1d(f: PhaseFunction, c: float, eps: float,
-                interval: Interval | None = None) -> SublevelResult:
-    """Maximal intervals where |f - c| <= eps, endpoints to 1e-12.
+def sublevel_1d(f: PhaseFunction, c: float, eps: float) -> SublevelResult:
+    """Maximal intervals of f's domain where |f - c| <= eps, endpoints to 1e-12.
 
     Works piece by piece on the monotone partition of f; on a monotone piece
     the set is a single interval found by bracketing f = c -/+ eps, and the
@@ -98,8 +98,7 @@ def sublevel_1d(f: PhaseFunction, c: float, eps: float,
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    iv = interval or f.domain
-    pieces = monotone_partition(f, order_cap=1, interval=iv)
+    pieces = monotone_partition(f, order_cap=1)
     comps = band_sets(lambda x, _: f.eval_fn(0, x), [pieces], c - eps, c + eps)[0]
     measure = float(sum(comp.hi - comp.lo for comp in comps))
     return SublevelResult(measure, tuple(comps), float(c), float(eps))
@@ -107,7 +106,7 @@ def sublevel_1d(f: PhaseFunction, c: float, eps: float,
 
 def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
                   interval: Interval, xtol: float = BISECT_XTOL) -> np.ndarray:
-    """``sublevel_1d(x -> d^orders f(x, y), c, eps, interval).measure`` for
+    """The measure of {x in ``interval`` : |d^orders f(x, y) - c| <= eps} for
     every y of a batch: one 2-D sign scan, one solve for the monotone breaks
     of all rows and one for their band edges, bisected to ``xtol``."""
     i, j = orders
@@ -198,23 +197,23 @@ def _bump() -> _Bump:
     return _Bump()
 
 
-def osc_to_sublevel_constant(delta: float, xi_cutoff: float = 64.0) -> OscToSublevelConstant:
+def osc_to_sublevel_constant(delta: float) -> OscToSublevelConstant:
     """C_delta = int_R |phihat(xi)| |xi|^(-delta) d xi for the fixed proof bump.
 
     The singular end uses the exact substitution u = xi^(1-delta); the tail
-    beyond the cutoff must contribute less than 1e-8 relative or the
-    computation refuses (raise the cutoff in that case).
+    from ``XI_CUTOFF`` to twice it must contribute less than 1e-8 relative or
+    the computation raises NonconvergentTailError.
     """
     if not (0.0 < delta < 1.0):
         raise PreconditionError("delta must lie in (0, 1)")
-    key = (round(delta, 12), xi_cutoff)
+    key = (round(delta, 12), XI_CUTOFF)
     if key in _constant_cache:
         return _constant_cache[key]
     bump = _bump()
 
     # split at the transform's sign changes so each segment is smooth,
     # then the absolute value costs nothing
-    zeros = bump.sign_change_points(2.0 * xi_cutoff)
+    zeros = bump.sign_change_points(2.0 * XI_CUTOFF)
 
     def segment_integral(lo: float, hi: float) -> float:
         if hi <= lo:
@@ -237,11 +236,11 @@ def osc_to_sublevel_constant(delta: float, xi_cutoff: float = 64.0) -> OscToSubl
         cuts = [lo] + [z for z in zeros if lo < z < hi] + [hi]
         return sum(segment_integral(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
 
-    total = 2.0 * integrate_range(0.0, xi_cutoff)
-    tail = 2.0 * integrate_range(xi_cutoff, 2.0 * xi_cutoff)
+    total = 2.0 * integrate_range(0.0, XI_CUTOFF)
+    tail = 2.0 * integrate_range(XI_CUTOFF, 2.0 * XI_CUTOFF)
     if tail > 1e-8 * total:
         raise NonconvergentTailError(
-            f"tail beyond xi={xi_cutoff} contributes {tail:.3e} > 1e-8 relative; increase the cutoff",
+            f"tail beyond xi={XI_CUTOFF} contributes {tail:.3e} > 1e-8 relative",
             tail=tail,
         )
     out = OscToSublevelConstant(float(delta), float(total), _BUMP_SPEC)

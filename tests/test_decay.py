@@ -75,7 +75,7 @@ def test_noise_dominated():
 def test_log_model_recovers_itself():
     eps = np.geomspace(1e-4, 1e-1, 30)
     pts = [(float(e), float(e * (1.0 + np.log(1.0 / e)))) for e in eps]
-    a, b, r2 = fit_log_model(pts, p=1.0)
+    a, b, r2 = fit_log_model(pts)
     assert a == pytest.approx(1.0, abs=1e-9)
     assert b == pytest.approx(1.0, abs=1e-9)
     assert r2 > 0.999999
@@ -84,7 +84,7 @@ def test_log_model_recovers_itself():
 def test_log_model_pure_power_has_no_log():
     eps = np.geomspace(1e-4, 1e-1, 30)
     pts = [(float(e), float(e)) for e in eps]
-    a, b, _ = fit_log_model(pts, p=1.0)
+    a, b, _ = fit_log_model(pts)
     assert a == pytest.approx(1.0, abs=1e-12)
     assert b == pytest.approx(0.0, abs=1e-12)
 
@@ -92,4 +92,4 @@ def test_log_model_pure_power_has_no_log():
 def test_log_model_span_check():
     eps = np.geomspace(0.02, 0.1, 10)
     with pytest.raises(InsufficientSpanError):
-        fit_log_model([(float(e), float(e)) for e in eps], p=1.0)
+        fit_log_model([(float(e), float(e)) for e in eps])

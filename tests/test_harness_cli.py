@@ -126,12 +126,35 @@ def test_cli_integrate_silent_when_converged():
     assert "warning" not in out.stdout + out.stderr
 
 
-@pytest.mark.parametrize("family, key", [("monomial", "n"), ("product_monomial", "nx")])
+@pytest.mark.parametrize("family, key", [("monomial", "n")])
 def test_cli_family_missing_key_is_a_typed_error(family, key):
     out = _run_cli("integrate", "--family", family, "--lambda", "10")
     assert out.returncode == 2
     assert "config error:" in out.stderr and f"'{key}'" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+_FAMILIES = ("monomial", "polynomial", "sin", "exp", "monomial_sin", "xy", "xy_quad")
+
+
+def test_cli_unknown_family_names_every_family():
+    out = _run_cli("integrate", "--family", "product_monomial", "--lambda", "10")
+    assert out.returncode == 2
+    assert "config error:" in out.stderr and "Traceback" not in out.stderr
+    assert all(fam in out.stderr for fam in _FAMILIES)
+
+
+def test_cli_integrate_help_lists_exactly_the_families():
+    out = _run_cli("integrate", "--help")
+    assert out.returncode == 0
+    listed = " ".join(out.stdout.split()).split("Phase family: ")[1].split(" (on")[0]
+    assert listed == "1D monomial, polynomial, sin, exp, monomial_sin; 2D xy, xy_quad"
+
+
+def test_cli_integrate_2d_family():
+    out = _run_cli("integrate", "--family", "xy", "--lambda", "10")
+    assert out.returncode == 0, out.stderr
+    assert "|value| = " in out.stdout
 
 
 # Integrators whose panel rule runs through BLAS matrix products, and roots
@@ -183,6 +206,29 @@ def test_cli_fit(tmp_path):
     out = _run_cli("fit", str(p))
     assert out.returncode == 0
     assert "delta_hat = 0.5000" in out.stdout
+
+
+def test_cli_fit_skips_rows_without_lambda(tmp_path):
+    # a suite CSV: band rows carry a magnitude but no lambda, fit rows neither
+    header = "suite,case,lambda,eps,c,magnitude,err_est,delta_hat,verdict"
+    band = [f"H-LOG,xy_sublevel,,{e},0.0,{2 * e},,," for e in (1e-3, 1e-2, 1e-1)]
+    decay = [f"H-LOG,xy_decay,{l},,,{l**-0.5},1e-14,," for l in
+             (1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6)]
+    fitrow = ["H-LOG,xy_decay,,,,,,0.5,fit_ok"]
+    p = tmp_path / "h_log_rows.csv"
+    p.write_text("\n".join([header] + band + decay + fitrow) + "\n")
+    out = _run_cli("fit", str(p))
+    assert out.returncode == 0, out.stderr
+    assert "delta_hat = 0.5000" in out.stdout
+
+
+@pytest.mark.parametrize("header", ["eps,magnitude", "lambda,value_re"])
+def test_cli_fit_without_a_needed_column_exit_2(tmp_path, header):
+    p = tmp_path / "bad.csv"
+    p.write_text(header + "\n0.1,0.2\n")
+    out = _run_cli("fit", str(p))
+    assert out.returncode == 2
+    assert "config error:" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_cli_malformed_config_exit_2(tmp_path):

@@ -23,6 +23,7 @@ from oscint import (
     snd_sublevel_cover,
     young_cover,
 )
+from oscint import polynomials
 from oscint.polynomials import default_eps_grid
 
 from oracles import central_diff, companion_eigenvalues, mpmath_band_edges, mpmath_roots
@@ -237,7 +238,7 @@ class TestEstimateB:
     def test_reproducible_under_seed(self):
         a = estimate_B(2, trials=150, seed=99)
         b = estimate_B(2, trials=150, seed=99)
-        assert a.B == b.B and a.provenance == "empirical"
+        assert a.B == b.B
         assert a.B >= 1.0
 
     def test_per_trial_ratios_returned(self):
@@ -391,6 +392,7 @@ def test_cover_checks_reject_non_positive_eps(eps):
         cover_violations(P, 1.0, eps)
 
 
-def test_sample_snd_without_a_draw_is_a_precondition_error():
-    with pytest.raises(PreconditionError, match="max_draws"):
-        sample_snd(3, np.random.default_rng(0), max_draws=0)
+def test_sample_snd_without_a_draw_is_a_precondition_error(monkeypatch):
+    monkeypatch.setattr(polynomials, "SND_MAX_DRAWS", 0)
+    with pytest.raises(PreconditionError, match="SND_MAX_DRAWS"):
+        sample_snd(3, np.random.default_rng(0))

@@ -18,6 +18,7 @@ from oscint import (
 from oscint.decay import DecaySample, fit_decay, geometric_grid
 from oscint.phases import (Phase2D, PhaseFunction, PlanarDomain, compose2d_with_polynomial,
                            unit_square, xy_quad_phase)
+from oscint import sublevel
 from oscint.sublevel import _bump, sublevel_rows
 
 
@@ -120,9 +121,10 @@ class TestConstant:
         with pytest.raises(PreconditionError):
             osc_to_sublevel_constant(1.0)
 
-    def test_tail_guard(self):
+    def test_tail_guard(self, monkeypatch):
+        monkeypatch.setattr(sublevel, "XI_CUTOFF", 4.0)
         with pytest.raises(NonconvergentTailError):
-            osc_to_sublevel_constant(0.5, xi_cutoff=4.0)
+            osc_to_sublevel_constant(0.5)
 
     # computed independently from a tabulated bump and its direct cosine
     # transform; any correct transform of the same bump reproduces them

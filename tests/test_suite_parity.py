@@ -1,4 +1,4 @@
-"""Rows and verdicts of small T1, T2, T3, T4, T7 and H-LOG runs, frozen.
+"""Rows and verdicts of small runs of every suite, frozen.
 
 The frozen file pins which rows and verdicts each runner emits, in order:
 case, check, `passed`, row verdicts and witness keys must match exactly,
@@ -16,6 +16,7 @@ import pytest
 
 from oscint.harness import ExperimentConfig, run_suite
 from oscint.quadrature import QuadConfig
+from test_harness_cli import SMALL_T6
 
 FROZEN = Path(__file__).with_name("data") / "suite_parity.json"
 REL = 1e-12
@@ -73,6 +74,15 @@ SMALL = {
         "lambda_grid": {"lo": 1e3, "hi": 1e5, "per_decade": 4},
         "cross_check": [100.0],
     },
+    "T5": {
+        "lambda_grid": {"lo": 100.0, "hi": 1e6, "per_decade": 2},
+        "c_range": [0.01, 1.0], "eps_range": [0.01, 1.0], "n_c": 6, "n_eps": 6,
+        "cases": [
+            {"name": "x2", "f": {"family": "monomial", "n": 2}, "delta": 0.5},
+            {"name": "x3", "f": {"family": "monomial", "n": 3}, "delta": 1.0 / 3.0},
+        ],
+    },
+    "T6": SMALL_T6,
 }
 
 
