@@ -141,6 +141,8 @@ def fit(csv_path, drop_low_decades):
             samples.append(DecaySample(
                 float(row["lambda"]), float(row["magnitude"]),
                 float(row.get("error") or row.get("err_est") or 0.0)))
+    if not samples:
+        raise ConfigError(f"{csv_path} has no row with both a lambda and a magnitude")
     result = fit_decay(samples, drop_low_decades=drop_low_decades)
     click.echo(f"delta_hat = {result.delta_hat:.6f}")
     click.echo(f"C_hat = {result.C_hat:.6e}")

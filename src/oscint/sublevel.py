@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import phases
 from .errors import NonconvergentTailError, PreconditionError
 from .phases import (BISECT_XTOL, Interval, Phase2D, PhaseFunction, merge_intervals,
                      monotone_partition, pieces_between, scan_grid, scan_sign_changes,
@@ -114,7 +115,8 @@ def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
     xs = scan_grid(interval)
     dx = np.asarray(f.eval_fn((i + 1, j), xs[:, None], ys[None, :]), dtype=float)
     rows, breaks = scan_sign_changes(lambda x, k: f.eval_fn((i + 1, j), x, ys[k]), xs, dx,
-                                     1e-11, 64, f"{f.name} d{orders} row", 1)
+                                     phases.SIGN_TOL, phases.PARTITION_CAP,
+                                     f"{f.name} d{orders} row", 1)
     split = np.searchsorted(rows, np.arange(1, ys.size))
     per_row = [pieces_between(interval, br.tolist()) for br in np.split(breaks, split)]
     comps = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]), per_row, c - eps, c + eps,

@@ -161,12 +161,14 @@ def test_cli_integrate_2d_family():
 # and cover ratios, which run through LAPACK; their bits must not depend on
 # how many threads OpenBLAS uses.
 _BITS_SCRIPT = """
-from oscint import (Polynomial, cover_ratio, degenerating_family, monomial, osc_integrate_1d,
-                    osc_integrate_2d, roots, xy_phase)
+from oscint import (Polynomial, compose_with_polynomial, cover_ratio, degenerating_family,
+                    monomial, osc_integrate_1d, osc_integrate_2d, roots, xy_phase)
 from oscint.polynomials import default_eps_grid
 from oscint.reduction import product_monomial_integral
 from oscint.sublevel import osc_to_sublevel_constant
 print(repr(osc_integrate_1d(monomial(2), 2e5)))
+print(repr(osc_integrate_1d(monomial(3), 1e8)))
+print(repr(osc_integrate_1d(compose_with_polynomial(monomial(2), (0.0, 0.0, 0.5, 1.0 / 3.0)), 1e6)))
 print(repr(osc_integrate_2d(xy_phase(), 300.0)))
 print(repr(product_monomial_integral(2, 2, 1e5)))
 print(repr(osc_to_sublevel_constant(0.5)))
@@ -180,7 +182,7 @@ def test_results_do_not_depend_on_blas_threads():
     outs = [_run_python("-c", _BITS_SCRIPT, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
     assert all(o.returncode == 0 for o in outs), [o.stderr for o in outs]
     assert outs[0].stdout == outs[1].stdout
-    assert outs[0].stdout.count("\n") == 7
+    assert outs[0].stdout.count("\n") == 9
 
 
 def test_cli_sublevel():
@@ -220,6 +222,16 @@ def test_cli_fit_skips_rows_without_lambda(tmp_path):
     out = _run_cli("fit", str(p))
     assert out.returncode == 0, out.stderr
     assert "delta_hat = 0.5000" in out.stdout
+
+
+def test_cli_fit_with_no_decay_rows_exit_2(tmp_path):
+    # a T5 or T6 rows CSV: every column is there, but no row has a lambda
+    p = tmp_path / "t6_rows.csv"
+    p.write_text("suite,case,lambda,eps,c,magnitude,err_est,verdict\n"
+                 "T6,monic_d2,,0.1,,1.2,,ok\nT6,monic_d2,,0.01,,1.3,,ok\n")
+    out = _run_cli("fit", str(p))
+    assert out.returncode == 2
+    assert "config error:" in out.stderr and "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("header", ["eps,magnitude", "lambda,value_re"])

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -6,11 +7,14 @@ from hypothesis import strategies as st
 
 from oscint import (
     Interval,
+    compose_with_polynomial,
+    compose_with_power,
     PanelBudgetError,
     PreconditionError,
     QuadConfig,
     adaptive_quad,
     monomial,
+    monomial_sin,
     osc_integrate_1d,
     osc_integrate_2d,
     polynomial_phase,
@@ -18,12 +22,23 @@ from oscint import (
     xy_phase,
 )
 from oscint.phases import Phase2D, PlanarDomain, unit_square
-from oscint.quadrature import _CHUNK, _NODES, _WG, _WK, DEFAULT_CONFIG, _kronrod, _refine
+from oscint.quadrature import (
+    _CHUNK,
+    _NODES,
+    _WG,
+    _WK,
+    DEFAULT_CONFIG,
+    LEVIN_SWING,
+    _kronrod,
+    _refine,
+    _swing_panels,
+)
 
 from oracles import (
     fresnel_integral,
     linear_phase_integral,
     monomial_profile_gamma,
+    oscillatory_integral,
     xy_square_integral,
 )
 
@@ -108,9 +123,17 @@ def test_refinement_monotonicity():
 
 
 def test_panel_budget():
-    g = monomial(1, (0.0, 1.0))
+    # the stationary point at 0 takes about 30 Levin pieces and panels together
+    g = monomial(2, (0.0, 1.0))
     with pytest.raises(PanelBudgetError):
-        osc_integrate_1d(g, 5e6, cfg=QuadConfig(max_panels=1 << 12))
+        osc_integrate_1d(g, 1e8, cfg=QuadConfig(max_panels=4))
+
+
+@pytest.mark.parametrize("n, lam", [(1, 5e6), (2, 1e8)])
+def test_large_lambda_within_a_small_budget(n, lam):
+    res = osc_integrate_1d(monomial(n, (0.0, 1.0)), lam, cfg=QuadConfig(max_panels=1 << 12))
+    assert res.converged and res.panels_used <= 64
+    assert abs(res.value - monomial_profile_gamma(n, lam)) <= res.error_estimate
 
 
 def test_error_estimate_within_rel_tol():
@@ -266,10 +289,12 @@ def test_gauss7_subset_is_leggauss7():
 
 
 def test_each_kept_panel_evaluated_about_once():
-    # 15 rule points per kept panel, about one swing midpoint, and 30 points
+    # 15 rule points and about two swing points per swing panel, and 30 points
     # for each panel the tolerance passes halve; re-evaluating every panel on
-    # each pass would take about 45 here
+    # each pass would add 15 points per panel and pass
     g = polynomial_phase([0.0] * 9 + [1.0 / 3.0])
+    lam = 100.0  # a swing of 33: the one piece stays on the panel path
+    assert lam / 3.0 <= LEVIN_SWING
     plain = g.eval_fn
     points = [0]
 
@@ -279,9 +304,12 @@ def test_each_kept_panel_evaluated_about_once():
         return plain(order, x)
 
     object.__setattr__(g, "eval_fn", counted)
-    res = osc_integrate_1d(g, 1e5, cfg=SUITE_CONFIG)
-    assert res.converged
-    assert points[0] <= 17 * res.panels_used
+    res = osc_integrate_1d(g, lam, cfg=SUITE_CONFIG)
+    swing_panels = _swing_panels(lambda x: plain(0, x), [0.0], [1.0], lam,
+                                 SUITE_CONFIG.phase_variation_cap, 1 << 20)[0].size
+    halved = res.panels_used - swing_panels
+    assert res.converged and halved > 0
+    assert points[0] <= 17 * swing_panels + 30 * halved
 
 
 def test_unreachable_tolerance_flags_nonconvergence():
@@ -293,13 +321,14 @@ def test_unreachable_tolerance_flags_nonconvergence():
 
 def test_panel_budget_stops_refinement_and_flags_nonconvergence():
     g = monomial(2, (0.0, 1.0))
-    budget = osc_integrate_1d(g, 1e4).panels_used
-    res = osc_integrate_1d(g, 1e4, cfg=QuadConfig(rel_tol=1e-16, max_panels=budget))
+    lam = LEVIN_SWING  # the one piece stays on the panel path
+    budget = osc_integrate_1d(g, lam).panels_used
+    res = osc_integrate_1d(g, lam, cfg=QuadConfig(rel_tol=1e-16, max_panels=budget))
     assert not res.converged
     assert res.panels_used == budget
 
 
-CALIBRATION_LAMBDAS = np.logspace(1.0, 6.0, 16)
+CALIBRATION_LAMBDAS = np.concatenate([np.logspace(1.0, 6.0, 16), [1e7, 1e8]])
 
 
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SUITE_CONFIG], ids=["default", "suite"])
@@ -316,3 +345,45 @@ def test_error_estimate_bounds_monomial_error(n, cfg):
 def test_error_estimate_bounds_xy_error(lam):
     res = osc_integrate_2d(xy_phase(), lam)
     assert abs(res.value - xy_square_integral(lam)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SUITE_CONFIG], ids=["default", "suite"])
+def test_error_estimate_bounds_composed_error(cfg):
+    # P(x^3) with P = t^2/2 is x^6/2, and T7's |x^2|^1.5 is x^3
+    half_x6 = compose_with_polynomial(monomial(3, (0.0, 1.0)), [0.0, 0.0, 0.5])
+    x3 = compose_with_power(monomial(2, (0.0, 1.0)), 1.5)
+    for lam in np.logspace(1.0, 8.0, 15):
+        res = osc_integrate_1d(half_x6, lam, cfg=cfg)
+        assert abs(res.value - monomial_profile_gamma(6, lam / 2.0)) <= res.error_estimate, lam
+        res = osc_integrate_1d(x3, lam, cfg=cfg)
+        assert abs(res.value - monomial_profile_gamma(3, lam)) <= res.error_estimate, lam
+
+
+def _stationary_points(g, dg, a, b):
+    """Zeros of dg on [a, b]: float-grid sign changes polished by mpmath."""
+    xs = np.linspace(a, b, 4001)
+    d = dg(xs)
+    return [float(mp.findroot(g, (xs[i], xs[i + 1]), solver="anderson"))
+            for i in np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)]
+
+
+# (phase, its mpmath form, its derivative on floats)
+_MPMATH_CASES = {
+    "monomial_sin": (monomial_sin(2, 0.05, 12.0),
+                     lambda x: x**2 + mp.mpf(0.05) * mp.sin(12 * x),
+                     lambda x: 2.0 * x + 0.6 * np.cos(12.0 * x)),
+    "snd_on_x2": (compose_with_polynomial(monomial(2, (0.0, 1.0)), [0.0, 0.5, 0.5]),
+                  lambda x: (x**2 + x**4) / 2,
+                  lambda x: x + 2.0 * x**3),
+}
+
+
+@pytest.mark.parametrize("lam", [1e2, 1e3, 1e4])
+@pytest.mark.parametrize("case", sorted(_MPMATH_CASES))
+def test_error_estimate_bounds_error_against_mpmath(case, lam):
+    g, g_mp, dg = _MPMATH_CASES[case]
+    breaks = _stationary_points(lambda x: mp.diff(g_mp, x), dg, 0.0, 1.0)
+    oracle = oscillatory_integral(g_mp, g, lam, 0.0, 1.0, breaks)
+    for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
+        res = osc_integrate_1d(g, lam, cfg=cfg)
+        assert abs(res.value - oracle) <= res.error_estimate

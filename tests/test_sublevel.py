@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from oscint import (
     Interval,
     NonconvergentTailError,
+    PartitionOverflowError,
     PreconditionError,
     monomial,
     osc_integrate_1d,
@@ -18,7 +19,7 @@ from oscint import (
 from oscint.decay import DecaySample, fit_decay, geometric_grid
 from oscint.phases import (Phase2D, PhaseFunction, PlanarDomain, compose2d_with_polynomial,
                            unit_square, xy_quad_phase)
-from oscint import sublevel
+from oscint import phases, sublevel
 from oscint.sublevel import _bump, sublevel_rows
 
 
@@ -267,3 +268,22 @@ def test_band_area_with_a_monotone_break_per_row():
 def test_band_area_needs_the_x_derivative():
     with pytest.raises(PreconditionError):
         sublevel_2d(compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)), 0.0, 0.1)
+
+
+def test_rows_read_the_partition_cap(monkeypatch):
+    # d/dx sin(20 x) = 20 cos(20 x) changes sign 6 times on [0, 1] in every row
+    def ev(orders, x, y):
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        i, j = orders
+        if j:
+            return np.full(shape, float(i == 0))
+        return np.broadcast_to(20.0**i * np.sin(20.0 * x + i * math.pi / 2.0) + (i == 0) * y,
+                               shape).copy()
+
+    f2 = Phase2D(ev, (2, 1), unit_square(), name="sin(20x)+y")
+    ys = np.array([0.0, 0.5])
+    monkeypatch.setattr(phases, "PARTITION_CAP", 6)
+    sublevel_rows(f2, (0, 0), ys, 0.5, 0.1, Interval(0.0, 1.0))
+    monkeypatch.setattr(phases, "PARTITION_CAP", 5)
+    with pytest.raises(PartitionOverflowError):
+        sublevel_rows(f2, (0, 0), ys, 0.5, 0.1, Interval(0.0, 1.0))
