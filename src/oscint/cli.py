@@ -22,6 +22,7 @@ from .polynomials import Polynomial, estimate_B
 from .quadrature import QuadConfig, osc_integrate_1d, osc_integrate_2d
 from .sublevel import sublevel_1d
 
+_NONCONVERGED = "warning: refinement did not converge; some panels remain over tolerance"
 _FAMILY_HELP = (f"Phase family: 1D {', '.join(_FAMILIES_1D)}; "
                 f"2D {', '.join(_FAMILIES_2D)} (on the unit square)")
 
@@ -63,8 +64,7 @@ def integrate(family, n, coeffs, lam, interval, rel_tol):
     click.echo(f"|value| = {abs(res.value):.12e}")
     click.echo(f"error_estimate = {res.error_estimate:.3e}  panels = {res.panels_used}")
     if not res.converged:
-        click.echo("warning: refinement did not converge; some panels remain over tolerance",
-                   err=True)
+        click.echo(_NONCONVERGED, err=True)
 
 
 @main.command()
@@ -169,6 +169,9 @@ def suite(suite_id, config, out):
             click.echo(f"    witness: {json.dumps(v['witness'])}")
     click.echo(f"rows: {csv_path}")
     click.echo(f"report: {json_path}")
+    if report.unconverged:
+        click.echo(f"{_NONCONVERGED} ({len(report.unconverged)} integrals, first: "
+                   f"{json.dumps(report.unconverged[0])})", err=True)
     if not report.passed:
         sys.exit(1)
 

@@ -24,11 +24,8 @@ Suites:
 
 from __future__ import annotations
 
-import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -170,6 +167,7 @@ class SuiteReport:
     rows: list[dict]
     verdicts: list[dict]
     stamp: dict
+    unconverged: list[dict]  # case and lambda of each integral that stopped over tolerance
 
     @property
     def passed(self) -> bool:
@@ -190,46 +188,15 @@ class SuiteReport:
         json_path = out / f"{tag}_report.json"
         json_path.write_text(json.dumps(
             {"suite": self.suite, "passed": self.passed, "stamp": self.stamp,
-             "verdicts": self.verdicts, "n_rows": len(self.rows)},
+             "verdicts": self.verdicts, "n_rows": len(self.rows),
+             "nonconverged": {"count": len(self.unconverged),
+                              "first": self.unconverged[0] if self.unconverged else None}},
             indent=2, sort_keys=True, default=_jsonable) + "\n")
         return csv_path, json_path
 
 
 def _row(suite, case, **kw) -> dict:
-    row = {"suite": suite, "case": case}
-    row.update(kw)
-    return row
-
-
-def _max_workers() -> int:
-    env = os.environ.get("OSCINT_THREADS")
-    if env is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"OSCINT_THREADS must be a positive integer, got {env!r}")
-    return workers
-
-
-def _pool_map(fns) -> list:
-    """Call each fn in order, on a thread pool unless one worker is allowed."""
-    workers = _max_workers()
-    if workers == 1 or len(fns) <= 1:
-        return [fn() for fn in fns]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda fn: fn(), fns))
-
-
-def _run_cases(case_fns) -> tuple[list[dict], list[dict]]:
-    rows: list[dict] = []
-    verdicts: list[dict] = []
-    for r, v in _pool_map(case_fns):
-        rows.extend(r)
-        verdicts.extend(v)
-    return rows, verdicts
+    return {"suite": suite, "case": case, **kw}
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +214,20 @@ def _value_row(suite, case, lam, value, err_est=None, **kw) -> dict:
 
 def _sample(q) -> DecaySample:
     return DecaySample(q.lam, abs(q.value), q.error_estimate)
+
+
+def _checked(q, case, unconverged: list):
+    """``q``, after noting its case and lambda in ``unconverged`` when its
+    refinement stopped with panels still over tolerance."""
+    if not q.converged:
+        unconverged.append({"case": case, "lambda": q.lam})
+    return q
+
+
+def _integrals(f, lam_grid, quad_cfg, case, unconverged: list) -> list:
+    """``osc_integrate_1d`` of f at each lambda of the grid, each checked."""
+    return [_checked(osc_integrate_1d(f, float(lam), cfg=quad_cfg), case, unconverged)
+            for lam in lam_grid]
 
 
 def _rate_check(suite, case, check, samples, expected, tol=None,
@@ -268,7 +249,7 @@ def _rate_check(suite, case, check, samples, expected, tol=None,
             {"case": case, "check": check, "passed": passed, "witness": witness})
 
 
-def _soundness_sweep(suite, case, lam_grid, integrate, certify):
+def _soundness_sweep(suite, case, lam_grid, integrate, certify, unconverged):
     """Integrate and certify at each lambda, one row each.
 
     Returns the rows, the decay samples of the integrals and the first
@@ -276,7 +257,7 @@ def _soundness_sweep(suite, case, lam_grid, integrate, certify):
     """
     rows, samples, witness = [], [], None
     for lam in map(float, lam_grid):
-        quad = integrate(lam)
+        quad = _checked(integrate(lam), case, unconverged)
         cert = certify(lam)
         ok = cert.verify_against(quad)
         if not ok and witness is None:
@@ -289,7 +270,7 @@ def _soundness_sweep(suite, case, lam_grid, integrate, certify):
     return rows, samples, witness
 
 
-def _reduction_sweep(suite, case, f2, k, j, lam_grid, cross_lams, quad_cfg):
+def _reduction_sweep(suite, case, f2, k, j, lam_grid, cross_lams, quad_cfg, unconverged):
     """Profile-reduction rows for x^k y^j over ``lam_grid``, and planar
     integrator rows at ``cross_lams`` that must agree to 1e-7 relative.
 
@@ -304,7 +285,7 @@ def _reduction_sweep(suite, case, f2, k, j, lam_grid, cross_lams, quad_cfg):
     xcheck_ok = True
     for lam in map(float, cross_lams):
         red = product_monomial_integral(k, j, lam)
-        quad = osc_integrate_2d(f2, lam, cfg=quad_cfg)
+        quad = _checked(osc_integrate_2d(f2, lam, cfg=quad_cfg), case, unconverged)
         ok = abs(red - quad.value) / max(abs(quad.value), 1e-300) <= 1e-7
         xcheck_ok = xcheck_ok and ok
         rows.append(_value_row(suite, case, lam, quad.value, quad.error_estimate,
@@ -314,7 +295,7 @@ def _reduction_sweep(suite, case, f2, k, j, lam_grid, cross_lams, quad_cfg):
 
 
 def _composition_case(suite, name, f, outer_obj, composed, mode, lam_grid,
-                      cert_grid, cfg, rate, cert_fit_tol, mode_kwargs,
+                      cert_grid, cfg, unconverged, rate, cert_fit_tol, mode_kwargs,
                       bounded_window=None, bounded_ratio_max=3.0):
     """Soundness rows + certificate sweep fit for one (f, P) pair.
 
@@ -325,7 +306,8 @@ def _composition_case(suite, name, f, outer_obj, composed, mode, lam_grid,
         return certify_1d(f, outer_obj, lam, mode, **mode_kwargs)
 
     rows, samples, witness = _soundness_sweep(
-        suite, name, lam_grid, lambda lam: osc_integrate_1d(composed, lam, cfg=cfg), certify)
+        suite, name, lam_grid, lambda lam: osc_integrate_1d(composed, lam, cfg=cfg), certify,
+        unconverged)
     certs = [certify(float(lam)) for lam in cert_grid]
     row, cert_rate = _rate_check(
         suite, name, "certificate_rate",
@@ -353,47 +335,37 @@ def _composition_case(suite, name, f, outer_obj, composed, mode, lam_grid,
 # ---------------------------------------------------------------------------
 
 
-def _run_t1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
+def _run_t1(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[dict]]:
     opt = cfg.options
     lam_grid = _grid(opt["lambda_sound"])
     cert_grid = _grid(opt["cert_sweep"])
     bounded_window = tuple(opt.get("bounded_window", (1e4, 1e6)))
-
-    def base_fit(fspec: dict):
-        f = phase_from_config(fspec)
-        fit = fit_decay([_sample(osc_integrate_1d(f, float(l), cfg=cfg.quad)) for l in lam_grid])
-        return f, max(1.0, fit.C_hat), fit.delta_hat
-
-    def fkey(case: dict) -> str:
-        return json.dumps(case["f"], sort_keys=True)
-
-    # inputs the cases share are computed once each before the cases fan out
-    specs = {fkey(c): c["f"] for c in opt["cases"]}
-    bases = dict(zip(specs, _pool_map([functools.partial(base_fit, s) for s in specs.values()])))
-    for delta in dict.fromkeys(float(c["delta"]) for c in opt["cases"]):
-        osc_to_sublevel_constant(delta)
-
-    def make(case):
-        def run():
-            f, A, delta_hat_base = bases[fkey(case)]
-            P = Polynomial(tuple(case["poly"]))
-            composed = compose_with_polynomial(f, P.coeffs)
-            delta = float(case["delta"])
-            rate = delta / P.degree
-            rows, verdicts, _ = _composition_case(
-                "T1", case["name"], f, P, composed, "general", lam_grid, cert_grid,
-                cfg.quad, rate, float(opt.get("cert_fit_tol", 0.02)),
-                {"delta": delta, "A": A},
-                bounded_window=bounded_window,
-                bounded_ratio_max=float(opt.get("bounded_ratio_max", 3.0)),
-            )
-            verdicts.append({"case": case["name"], "check": "base_rate_recovered",
-                             "passed": abs(delta_hat_base - delta) <= 0.03,
-                             "witness": {"delta_hat": delta_hat_base, "claimed": delta}})
-            return rows, verdicts
-        return run
-
-    return _run_cases([make(c) for c in opt["cases"]])
+    rows, verdicts = [], []
+    bases = {}  # each distinct base phase is built and fitted once
+    for case in opt["cases"]:
+        fkey = json.dumps(case["f"], sort_keys=True)
+        if fkey not in bases:
+            f = phase_from_config(case["f"])
+            fit = fit_decay([_sample(q) for q in _integrals(f, lam_grid, cfg.quad, case["name"],
+                                                            unconverged)])
+            bases[fkey] = f, max(1.0, fit.C_hat), fit.delta_hat
+        f, A, delta_hat_base = bases[fkey]
+        P = Polynomial(tuple(case["poly"]))
+        composed = compose_with_polynomial(f, P.coeffs)
+        delta = float(case["delta"])
+        rate = delta / P.degree
+        r, v, _ = _composition_case(
+            "T1", case["name"], f, P, composed, "general", lam_grid, cert_grid,
+            cfg.quad, unconverged, rate, float(opt.get("cert_fit_tol", 0.02)),
+            {"delta": delta, "A": A},
+            bounded_window=bounded_window,
+            bounded_ratio_max=float(opt.get("bounded_ratio_max", 3.0)),
+        )
+        rows += r
+        verdicts += v + [{"case": case["name"], "check": "base_rate_recovered",
+                          "passed": abs(delta_hat_base - delta) <= 0.03,
+                          "witness": {"delta_hat": delta_hat_base, "claimed": delta}}]
+    return rows, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -401,41 +373,35 @@ def _run_t1(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _run_t2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
+def _run_t2(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[dict]]:
+    from .phases import monomial
+
     opt = cfg.options
     baseline_grid = _grid(opt["baseline_grid"])
     lam_grid = _grid(opt["lambda_sound"])
     cert_grid = _grid(opt["cert_sweep"])
-
-    def make_baseline(n):
-        def run():
-            from .phases import monomial
-
-            f = monomial(int(n), (0.0, 1.0))
-            name = f"baseline_N{n}"
-            quads = [osc_integrate_1d(f, float(lam), cfg=cfg.quad) for lam in baseline_grid]
-            rows = [_value_row("T2", name, q.lam, q.value, q.error_estimate) for q in quads]
-            row, verdict = _rate_check("T2", name, "vdc_rate_recovered",
-                                       [_sample(q) for q in quads], 1.0 / n, 0.03)
-            return rows + [row], [verdict]
-        return run
-
-    def make_case(case):
-        def run():
-            f = phase_from_config(case["f"])
-            P = Polynomial(tuple(case["poly"]))
-            composed = compose_with_polynomial(f, P.coeffs)
-            N = int(case["N"])
-            rate = 1.0 / (N * P.degree)
-            return _composition_case(
-                "T2", case["name"], f, P, composed, "vdc", lam_grid, cert_grid,
-                cfg.quad, rate, float(opt.get("cert_fit_tol", 0.02)), {"N": N},
-            )[:2]
-        return run
-
-    fns = [make_baseline(n) for n in opt.get("baselines", (2, 3, 4))]
-    fns += [make_case(c) for c in opt["cases"]]
-    return _run_cases(fns)
+    rows, verdicts = [], []
+    for n in opt.get("baselines", (2, 3, 4)):
+        name = f"baseline_N{n}"
+        quads = _integrals(monomial(int(n), (0.0, 1.0)), baseline_grid, cfg.quad, name,
+                           unconverged)
+        row, verdict = _rate_check("T2", name, "vdc_rate_recovered",
+                                   [_sample(q) for q in quads], 1.0 / n, 0.03)
+        rows += [_value_row("T2", name, q.lam, q.value, q.error_estimate) for q in quads] + [row]
+        verdicts.append(verdict)
+    for case in opt["cases"]:
+        f = phase_from_config(case["f"])
+        P = Polynomial(tuple(case["poly"]))
+        composed = compose_with_polynomial(f, P.coeffs)
+        N = int(case["N"])
+        rate = 1.0 / (N * P.degree)
+        r, v, _ = _composition_case(
+            "T2", case["name"], f, P, composed, "vdc", lam_grid, cert_grid,
+            cfg.quad, unconverged, rate, float(opt.get("cert_fit_tol", 0.02)), {"N": N},
+        )
+        rows += r
+        verdicts += v
+    return rows, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -443,50 +409,47 @@ def _run_t2(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _run_t3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
+def _run_t3(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[dict]]:
     opt = cfg.options
     lam_grid = _grid(opt["lambda_sound"])
     cert_grid = _grid(opt["cert_sweep"])
     fit_min = float(opt.get("composed_fit_min", 0.2))
     tol = float(opt.get("cert_fit_tol", 0.02))
-
-    def make(case):
-        def run():
-            f2 = phase2d_from_config(case["f2"])
-            P = Polynomial(tuple(case["poly"]))
-            composed = f2 if P.degree == 1 and P.coeffs == (0.0, 1.0) \
-                else compose2d_with_polynomial(f2, P.coeffs)
-            rate = 1.0 / (sum(f2.beta) * P.degree)
-            name = case["name"]
-            rows, samples, witness = _soundness_sweep(
-                "T3", name, lam_grid, lambda lam: osc_integrate_2d(composed, lam, cfg=cfg.quad),
-                lambda lam: certify_2d(f2, P, lam))
-            sound = witness is None
-            for lam in case.get("hi_rows", ()):
-                # separable cases reach higher lambda through the profile
-                # reduction, cross-checked against the integrator elsewhere
-                red = case["reduction"]
-                lam = float(lam)
-                val = product_monomial_integral(red["k"], red["j"], lam,
-                                                red.get("coeff", 1.0))
-                cert = certify_2d(f2, P, lam)
-                ok = abs(val) <= cert.total_bound + 1e-9
-                sound = sound and ok
-                rows.append(_value_row("T3", name, lam, val, 1e-12, bound=cert.total_bound,
-                                       verdict="sound" if ok else "violation"))
-            soundness = {"case": name, "check": "certificate_soundness",
-                         "passed": sound, "witness": witness}
-            fit_row, decay = _rate_check("T3", name, "composed_decay_at_least", samples,
-                                         min(rate - 0.05, fit_min),
-                                         labels=("composed_fit", "composed_fit"))
-            totals = [DecaySample(float(l), certify_2d(f2, P, float(l)).total_bound)
-                      for l in cert_grid]
-            cert_row, cert_rate = _rate_check("T3", name, "certificate_rate", totals, rate,
-                                              tol, ("cert_fit_ok", "cert_fit_off"))
-            return rows + [fit_row, cert_row], [soundness, decay, cert_rate]
-        return run
-
-    return _run_cases([make(c) for c in opt["cases"]])
+    rows, verdicts = [], []
+    for case in opt["cases"]:
+        f2 = phase2d_from_config(case["f2"])
+        P = Polynomial(tuple(case["poly"]))
+        composed = f2 if P.degree == 1 and P.coeffs == (0.0, 1.0) \
+            else compose2d_with_polynomial(f2, P.coeffs)
+        rate = 1.0 / (sum(f2.beta) * P.degree)
+        name = case["name"]
+        r, samples, witness = _soundness_sweep(
+            "T3", name, lam_grid, lambda lam: osc_integrate_2d(composed, lam, cfg=cfg.quad),
+            lambda lam: certify_2d(f2, P, lam), unconverged)
+        sound = witness is None
+        for lam in case.get("hi_rows", ()):
+            # separable cases reach higher lambda through the profile
+            # reduction, cross-checked against the integrator elsewhere
+            red = case["reduction"]
+            lam = float(lam)
+            val = product_monomial_integral(red["k"], red["j"], lam, red.get("coeff", 1.0))
+            cert = certify_2d(f2, P, lam)
+            ok = abs(val) <= cert.total_bound + 1e-9
+            sound = sound and ok
+            r.append(_value_row("T3", name, lam, val, 1e-12, bound=cert.total_bound,
+                                verdict="sound" if ok else "violation"))
+        soundness = {"case": name, "check": "certificate_soundness",
+                     "passed": sound, "witness": witness}
+        fit_row, decay = _rate_check("T3", name, "composed_decay_at_least", samples,
+                                     min(rate - 0.05, fit_min),
+                                     labels=("composed_fit", "composed_fit"))
+        totals = [DecaySample(float(l), certify_2d(f2, P, float(l)).total_bound)
+                  for l in cert_grid]
+        cert_row, cert_rate = _rate_check("T3", name, "certificate_rate", totals, rate,
+                                          tol, ("cert_fit_ok", "cert_fit_off"))
+        rows += r + [fit_row, cert_row]
+        verdicts += [soundness, decay, cert_rate]
+    return rows, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +457,7 @@ def _run_t3(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _run_t4(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
+def _run_t4(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[dict]]:
     from .phases import monomial, product_phase
 
     rows, verdicts = [], []
@@ -503,7 +466,8 @@ def _run_t4(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         f2 = product_phase(monomial(k, (0.0, 1.0)), monomial(j, (0.0, 1.0)))
         r, samples, xcheck = _reduction_sweep("T4", case["name"], f2, k, j,
                                               _grid(case["lambda_grid"]),
-                                              case.get("cross_check", ()), cfg.quad)
+                                              case.get("cross_check", ()), cfg.quad,
+                                              unconverged)
         row, verdict = _rate_check("T4", case["name"], "joint_decay_exponent", samples,
                                    1.0 / max(k, j), float(case.get("fit_tol", 0.04)))
         rows += r + [row]
@@ -516,15 +480,15 @@ def _run_t4(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _run_t5(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
+def _run_t5(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[dict]]:
     opt = cfg.options
     lam_grid = _grid(opt["lambda_grid"])
     rows, verdicts = [], []
     for case in opt["cases"]:
         f = phase_from_config(case["f"])
         delta = float(case["delta"])
-        fit = fit_decay([_sample(osc_integrate_1d(f, float(lam), cfg=cfg.quad))
-                         for lam in lam_grid])
+        fit = fit_decay([_sample(q) for q in _integrals(f, lam_grid, cfg.quad, case["name"],
+                                                        unconverged)])
         A = max(1.0, fit.C_hat)
         C = osc_to_sublevel_constant(delta)
         c_grid = np.geomspace(*opt.get("c_range", (1e-2, 1.0)), int(opt.get("n_c", 50)))
@@ -558,7 +522,7 @@ def _run_t5(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _run_t6(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
+def _run_t6(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[dict]]:
     opt = cfg.options
     seed = cfg.seed
     rows, verdicts = [], []
@@ -661,7 +625,7 @@ def _run_t6(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _run_t7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
+def _run_t7(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[dict]]:
     opt = cfg.options
     lam_grid = _grid(opt["lambda_sound"])
     cert_grid = _grid(opt["cert_sweep"])
@@ -674,7 +638,7 @@ def _run_t7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         rate = 1.0 / (N * s)
         r, v, samples = _composition_case(
             "T7", case["name"], f, PowerTransform(s), composed, "vdc", lam_grid, cert_grid,
-            cfg.quad, rate, float(opt.get("cert_fit_tol", 0.02)), {"N": N},
+            cfg.quad, unconverged, rate, float(opt.get("cert_fit_tol", 0.02)), {"N": N},
         )
         row, verdict = _rate_check("T7", case["name"], "power_decay_exponent", samples,
                                    rate, float(case.get("fit_tol", 0.05)))
@@ -688,7 +652,7 @@ def _run_t7(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _run_hlog(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
+def _run_hlog(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[dict]]:
     opt = cfg.options
     rows, verdicts = [], []
     f2 = xy_phase()
@@ -708,7 +672,8 @@ def _run_hlog(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
     r, samples, xcheck = _reduction_sweep("H-LOG", "xy_decay", f2, 1, 1,
                                           _grid(opt["lambda_grid"]),
-                                          opt.get("cross_check", (1e2, 1e3)), cfg.quad)
+                                          opt.get("cross_check", (1e2, 1e3)), cfg.quad,
+                                          unconverged)
     row, verdict = _rate_check("H-LOG", "xy_decay", "near_unit_decay", samples,
                                float(opt.get("decay_min", 0.9)))
     rows += r + [row]
@@ -735,11 +700,10 @@ _RUNNERS = {
 def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     if cfg.suite not in _RUNNERS:
         raise ConfigError(f"unknown suite {cfg.suite!r} (at $.suite)")
-    threads = _max_workers()  # a bad OSCINT_THREADS fails before any work
-    rows, verdicts = _RUNNERS[cfg.suite](cfg)
+    unconverged: list[dict] = []
+    rows, verdicts = _RUNNERS[cfg.suite](cfg, unconverged)
     for v in verdicts:
         v["passed"] = bool(v["passed"])
     stamp = {"version": __version__, "seed": cfg.seed,
-             "python": sys.version.split()[0], "numpy": np.__version__,
-             "threads": threads}
-    return SuiteReport(cfg.suite, rows, verdicts, stamp)
+             "python": sys.version.split()[0], "numpy": np.__version__}
+    return SuiteReport(cfg.suite, rows, verdicts, stamp, unconverged)

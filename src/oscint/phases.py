@@ -91,8 +91,7 @@ class PhaseFunction:
     """Evaluator of f and its derivatives on an interval.
 
     ``eval_fn(order, x)`` must be a pure, numpy-vectorised function of its
-    arguments (order 0 is f itself); instances are immutable and safe to
-    share across concurrent evaluators.
+    arguments (order 0 is f itself).
     """
 
     eval_fn: Callable[[int, np.ndarray], np.ndarray]

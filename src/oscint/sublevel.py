@@ -195,7 +195,6 @@ class _Bump:
 
 @functools.cache
 def _bump() -> _Bump:
-    # built on first use; a racing first use only builds a duplicate
     return _Bump()
 
 

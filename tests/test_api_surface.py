@@ -119,3 +119,20 @@ def test_allow_list_is_current():
     # an entry whose parameter gained a caller, or is gone, should leave the list
     stale = set(ALLOWED) - unset_parameters()
     assert not stale, f"allow-list entries no longer needed: {sorted(stale)}"
+
+
+# os.environ, os.environb, os.getenv and os.getenvb, however os is imported
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    """A setting read from the environment is a knob no signature or config
+    shows; every input reaches oscint through arguments and configs."""
+    reads = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            reads += [f"{path.name}:{node.lineno} {n}" for n in names if n in ENV_READS]
+    assert not reads, "environment reads: " + ", ".join(reads)

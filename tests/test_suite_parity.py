@@ -16,29 +16,18 @@ import pytest
 
 from oscint.harness import ExperimentConfig, run_suite
 from oscint.quadrature import QuadConfig
-from test_harness_cli import SMALL_T6
+from test_harness_cli import CERT_GRID, SMALL_T1, SMALL_T6, SOUND_GRID
 
 FROZEN = Path(__file__).with_name("data") / "suite_parity.json"
 REL = 1e-12
 
 _QUAD = {"rel_tol": 1e-9, "max_panels": 4194304, "phase_variation_cap": 2.8}
-# fit_decay needs at least 8 samples over two decades
-_SOUND = {"lo": 1e3, "hi": 1e5, "per_decade": 4}
-_CERT = {"lo": 1e4, "hi": 1e6, "per_decade": 4}
 
 SMALL = {
-    "T1": {
-        "lambda_sound": _SOUND, "cert_sweep": _CERT, "bounded_window": [1e3, 1e5],
-        "cases": [
-            {"name": "x2_monic_d2", "f": {"family": "monomial", "n": 2}, "delta": 0.5,
-             "poly": [0.0, 0.0, 0.5]},
-            {"name": "x2_snd_d3", "f": {"family": "monomial", "n": 2}, "delta": 0.5,
-             "poly": [0.0, 0.0, 0.5, 1.0 / 3.0]},
-        ],
-    },
+    "T1": SMALL_T1,
     "T2": {
         "baselines": [2, 3],
-        "baseline_grid": _SOUND, "lambda_sound": _SOUND, "cert_sweep": _CERT,
+        "baseline_grid": SOUND_GRID, "lambda_sound": SOUND_GRID, "cert_sweep": CERT_GRID,
         "cases": [
             {"name": "x1_monic_d2_N1", "f": {"family": "monomial", "n": 1}, "N": 1,
              "poly": [0.0, 0.0, 0.5]},
@@ -47,7 +36,7 @@ SMALL = {
         ],
     },
     "T3": {
-        "lambda_sound": {"lo": 10.0, "hi": 1000.0, "per_decade": 4}, "cert_sweep": _CERT,
+        "lambda_sound": {"lo": 10.0, "hi": 1000.0, "per_decade": 4}, "cert_sweep": CERT_GRID,
         "cases": [
             {"name": "xy_base", "f2": {"family": "xy"}, "poly": [0.0, 1.0],
              "hi_rows": [1e4], "reduction": {"k": 1, "j": 1, "coeff": 1.0}},
@@ -63,7 +52,7 @@ SMALL = {
         ],
     },
     "T7": {
-        "lambda_sound": _SOUND, "cert_sweep": _CERT,
+        "lambda_sound": SOUND_GRID, "cert_sweep": CERT_GRID,
         "cases": [
             {"name": "x2_abs_t_1p5", "f": {"family": "monomial", "n": 2}, "N": 2,
              "exponent": 1.5, "fit_tol": 0.05},
@@ -87,10 +76,12 @@ SMALL = {
 
 
 def small_report(suite):
+    """The rows and verdicts of the suite's small run, and its integrals
+    that stopped over tolerance."""
     cfg = ExperimentConfig(suite=suite, seed=20260809, quad=QuadConfig(**_QUAD),
                            options=SMALL[suite])
     rep = run_suite(cfg)
-    return {"rows": rep.rows, "verdicts": rep.verdicts}
+    return {"rows": rep.rows, "verdicts": rep.verdicts}, rep.unconverged
 
 
 def assert_matches(got, want, where):
@@ -112,12 +103,14 @@ def assert_matches(got, want, where):
 @pytest.mark.parametrize("suite", list(SMALL))
 def test_small_suite_matches_frozen(suite):
     frozen = json.loads(FROZEN.read_text())[suite]
-    got = json.loads(json.dumps(small_report(suite), default=lambda o: o.item()))
+    report, unconverged = small_report(suite)
+    got = json.loads(json.dumps(report, default=lambda o: o.item()))
     assert_matches(got, frozen, suite)
+    assert unconverged == []
 
 
 if __name__ == "__main__":
     FROZEN.parent.mkdir(exist_ok=True)
-    doc = {s: small_report(s) for s in SMALL}
+    doc = {s: small_report(s)[0] for s in SMALL}
     FROZEN.write_text(json.dumps(doc, indent=1, sort_keys=True, default=lambda o: o.item()) + "\n")
     print(f"wrote {FROZEN}")
