@@ -14,10 +14,15 @@ No uniform constant is ever hardcoded; where the underlying theorems merely
 assert existence of constants, certificates expose the computed bounds and a
 lambda sweep of totals recovers the predicted exponent.
 
-``certify_2d`` runs the two-variable version at n = 2: the domain splits at
-|d^{beta_2}_y f| = gamma, the sampled slices of the large-derivative region
-are certified in one run of the one-dimensional engine (P(x) = x is the base
-case), and the complementary region is charged by its measure.
+Every outer function P reaches the engine as one model (``_outer``): a
+polynomial of degree >= 2 through its normalised derivative, a power
+transform |t|^s, or, for P(t) = t + c, the identity, whose intervals take
+the classical van der Corput bound 3 / (r |lambda|).
+
+``certify_2d`` runs the two-variable version at n = 2 with beta = (1, 1):
+the domain splits at |d_y f| = gamma, the sampled slices of the
+large-derivative region are certified in one run of the one-dimensional
+engine, and the complementary region is charged by its measure.
 """
 
 from __future__ import annotations
@@ -167,12 +172,48 @@ def _finish(pieces: list[CertPiece], params: CertificateParams, notes: dict) -> 
 
 
 # ---------------------------------------------------------------------------
-# Outer-function models (polynomial and power transform)
+# Outer-function models: what the engine needs of P
 # ---------------------------------------------------------------------------
 
 
+class _Outer:
+    """An outer function P of degree ``d`` as the engine sees it: a cover of
+    the t where |P'(t)| is small (``cover``, radius ``cover_radius`` around
+    each of ``n_centers`` centres), the threshold eps^(d-1) outside it,
+    |P'| itself, the breaks of P' monotonicity, and the bound on an interval
+    where |f'| >= r and |P'(f)| >= m."""
+
+    def threshold(self, eps: float) -> float:
+        return eps ** (self.d - 1.0)
+
+    def prime_breaks(self) -> list[float]:
+        return []
+
+    def ibp(self, r: float, m: float, lam: float) -> tuple[float, str]:
+        return ibp_bound(r, m ** (1.0 / (self.d - 1.0)), self.d, lam), "ibp_6_over_r_lam_eps"
+
+
+class _Identity(_Outer):
+    """P(t) = t + c, the base case: no cover, |P'| = 1 and the classical van
+    der Corput bound 3 / (r |lambda|)."""
+
+    d, label, n_centers = 1.0, "identity", 0
+
+    def cover(self, eps: float) -> list[Interval]:
+        return []
+
+    def dprime_abs(self, t):
+        return np.ones_like(t)
+
+    def ibp(self, r: float, m: float, lam: float) -> tuple[float, str]:
+        return 3.0 / (r * abs(lam)), "vdc_ibp_3_over_r_lam"
+
+
+_IDENTITY = _Identity()
+
+
 @dataclass(frozen=True)
-class PowerTransform:
+class PowerTransform(_Outer):
     """Outer transform t -> |t|^s for s > 1.
 
     Its derivative s |t|^(s-1) sgn(t) is monotone with a single zero, and
@@ -181,18 +222,32 @@ class PowerTransform:
     """
 
     exponent: float
+    label, n_centers = "power", 1
 
     def __post_init__(self):
         if self.exponent <= 1.0:
             raise PreconditionError("power transform needs exponent > 1")
 
+    @property
+    def d(self) -> float:
+        return self.exponent
 
-class _PolyOuter:
+    def cover(self, eps: float) -> list[Interval]:
+        c = self.cover_radius(eps)
+        return [Interval(-c, c)]
+
+    def cover_radius(self, eps: float) -> float:
+        return eps * self.d ** (-1.0 / (self.d - 1.0))
+
+    def dprime_abs(self, t):
+        return self.d * np.abs(t) ** (self.d - 1.0)
+
+
+class _PolyOuter(_Outer):
     def __init__(self, P: Polynomial, lam_abs: float):
-        self.P = P
-        self.d = float(P.degree)
         if P.degree < 2:
-            raise PreconditionError("composition theorem requires degree >= 2")
+            raise PreconditionError("P needs degree >= 2, or P' = 1 for the base case")
+        self.d = float(P.degree)
         self.Pp = derivative(P)
         rep = classify(self.Pp)
         if not (rep.is_monic or rep.is_snd):
@@ -216,9 +271,6 @@ class _PolyOuter:
     def cover_radius(self, eps: float) -> float:
         return self.B * eps
 
-    def threshold(self, eps: float) -> float:
-        return eps ** (self.d - 1.0)
-
     def dprime_abs(self, t):
         return np.abs(self.Pp(t))
 
@@ -229,28 +281,14 @@ class _PolyOuter:
         return [z.real for z in rs.roots if z.imag == 0.0]
 
 
-class _PowerOuter:
-    def __init__(self, T: PowerTransform):
-        self.s = T.exponent
-        self.d = self.s
-        self.label = "power"
-        self.n_centers = 1
-
-    def cover(self, eps: float) -> list[Interval]:
-        c = self.cover_radius(eps)
-        return [Interval(-c, c)]
-
-    def cover_radius(self, eps: float) -> float:
-        return eps * self.s ** (-1.0 / (self.s - 1.0))
-
-    def threshold(self, eps: float) -> float:
-        return eps ** (self.s - 1.0)
-
-    def dprime_abs(self, t):
-        return self.s * np.abs(t) ** (self.s - 1.0)
-
-    def prime_breaks(self) -> list[float]:
-        return []
+def _outer(P: Polynomial | PowerTransform, lam_abs: float) -> _Outer:
+    """The engine's model of P: a power transform as it is, P(t) = t + c as
+    the identity, any other polynomial through its normalised derivative."""
+    if isinstance(P, PowerTransform):
+        return P
+    if P.degree == 1 and classify(derivative(P)).is_monic:
+        return _IDENTITY
+    return _PolyOuter(P, lam_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +331,13 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
 
     ``jobs`` holds (phase, interval) pairs and ``ev(order, x, j)`` evaluates
     derivative ``order`` (0 or 1) of the phases of jobs ``j`` at the points
-    ``x``, so each bracket solve below serves every job.  ``outer`` may be
-    None for the identity outer function (base case), in which case only
-    the |f'| split and integration by parts run, with the classical
-    per-interval bound 3 / (r_p |lambda|).  Returns (pieces, notes) per job.
+    ``x``, so each bracket solve below serves every job.  ``outer`` is the
+    model of P (``_outer``).  Returns (pieces, notes) per job.
     """
     bases = [monotone_partition(f, order_cap=partition_order, interval=iv) for f, iv in jobs]
 
     # refine at pullbacks of the outer derivative's monotonicity breaks
-    t_stars = np.array(outer.prime_breaks() if outer is not None else [])
+    t_stars = np.array(outer.prime_breaks())
     if t_stars.size:
         pj, lo, hi = _flat(bases)
         fa, fb = ev(0, lo, pj), ev(0, hi, pj)
@@ -319,15 +355,15 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
 
     # removed root-proximity cover, pulled back through f
     removed: list[list[Interval]] = [[] for _ in jobs]
-    if outer is not None:
-        mono = [monotone_partition(f, order_cap=1, interval=iv) for f, iv in jobs]
-        for t_iv in outer.cover(eps):
-            center, radius = 0.5 * (t_iv.lo + t_iv.hi), 0.5 * (t_iv.hi - t_iv.lo)
-            if radius > 0:
-                bands = band_sets(lambda x, q: ev(0, x, q), mono, center - radius, center + radius)
-                for rem, comps in zip(removed, bands):
-                    rem.extend(comps)
-        removed = [merge_intervals((iv.as_tuple() for iv in rem), 1e-13) for rem in removed]
+    t_cover = outer.cover(eps)
+    mono = [monotone_partition(f, order_cap=1, interval=iv) for f, iv in jobs] if t_cover else []
+    for t_iv in t_cover:
+        center, radius = 0.5 * (t_iv.lo + t_iv.hi), 0.5 * (t_iv.hi - t_iv.lo)
+        if radius > 0:
+            bands = band_sets(lambda x, q: ev(0, x, q), mono, center - radius, center + radius)
+            for rem, comps in zip(removed, bands):
+                rem.extend(comps)
+    removed = [merge_intervals((iv.as_tuple() for iv in rem), 1e-13) for rem in removed]
 
     out: list[tuple[list[CertPiece], dict]] = []
     per_root = None if claims is None else claims["removed_unit"]
@@ -347,26 +383,24 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
                       for base, rem in zip(bases, removed)])
     a0, b0 = a.tolist(), b.tolist()
     safety: list[Interval | None] = [None] * a.size
-    m_piece = np.ones(a.size)
-    if outer is not None:
-        threshold = outer.threshold(eps)
-        ea, eb = outer.dprime_abs(ev(0, a, kj)), outer.dprime_abs(ev(0, b, kj))
-        thr_ok = threshold * (1.0 - 1e-9)
-        low_a, low_b = ea < thr_ok, eb < thr_ok
-        for k in np.flatnonzero(low_a & low_b).tolist():
-            safety[k] = Interval(a0[k], b0[k])
-        sv = np.flatnonzero(low_a ^ low_b)
-        lo_s, hi_s = solve_brackets(
-            lambda x, q: outer.dprime_abs(ev(0, x, kj[sv[q]])) - threshold,
-            a[sv], b[sv], ea[sv] - threshold <= 0.0)
-        for k, x_star in zip(sv.tolist(), (0.5 * (lo_s + hi_s)).tolist()):
-            if low_a[k]:
-                safety[k], a[k] = Interval(a0[k], x_star), x_star
-            else:
-                safety[k], b[k] = Interval(x_star, b0[k]), x_star
-        b[low_a & low_b] = a[low_a & low_b]
-        m_piece = np.maximum(np.minimum(outer.dprime_abs(ev(0, a, kj)),
-                                        outer.dprime_abs(ev(0, b, kj))), threshold)
+    threshold = outer.threshold(eps)
+    ea, eb = outer.dprime_abs(ev(0, a, kj)), outer.dprime_abs(ev(0, b, kj))
+    thr_ok = threshold * (1.0 - 1e-9)
+    low_a, low_b = ea < thr_ok, eb < thr_ok
+    for k in np.flatnonzero(low_a & low_b).tolist():
+        safety[k] = Interval(a0[k], b0[k])
+    sv = np.flatnonzero(low_a ^ low_b)
+    lo_s, hi_s = solve_brackets(
+        lambda x, q: outer.dprime_abs(ev(0, x, kj[sv[q]])) - threshold,
+        a[sv], b[sv], ea[sv] - threshold <= 0.0)
+    for k, x_star in zip(sv.tolist(), (0.5 * (lo_s + hi_s)).tolist()):
+        if low_a[k]:
+            safety[k], a[k] = Interval(a0[k], x_star), x_star
+        else:
+            safety[k], b[k] = Interval(x_star, b0[k]), x_star
+    b[low_a & low_b] = a[low_a & low_b]
+    m_piece = np.maximum(np.minimum(outer.dprime_abs(ev(0, a, kj)),
+                                    outer.dprime_abs(ev(0, b, kj))), threshold)
     live = np.flatnonzero(b - a > 1e-13)
 
     # the small-slope band {|f'| <= r} of every live piece, in one solve
@@ -407,14 +441,7 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
 
         for ivb, ra, rb in sub_ibp:
             r_piece = max(min(ra, rb), r)
-            if outer is not None:
-                exponent = outer.d
-                eps_piece = m_piece[k] ** (1.0 / (exponent - 1.0)) if exponent > 1.0 else 1.0
-                formula_val = ibp_bound(r_piece, eps_piece, exponent, lam)
-                formula_name = "ibp_6_over_r_lam_eps"
-            else:
-                formula_val = 3.0 / (r_piece * abs(lam))
-                formula_name = "vdc_ibp_3_over_r_lam"
+            formula_val, formula_name = outer.ibp(r_piece, m_piece[k], lam)
             bound = min(ivb.length, formula_val)
             pieces.append(CertPiece(
                 KIND_IBP, ivb.as_tuple(), bound, formula_name,
@@ -443,11 +470,9 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
     if lam == 0.0:
         raise PreconditionError("certify_1d needs lambda != 0")
     lam_abs = abs(lam)
-
-    if isinstance(P, PowerTransform):
-        outer = _PowerOuter(P)
-    else:
-        outer = _PolyOuter(P, lam_abs)
+    outer = _outer(P, lam_abs)
+    if outer is _IDENTITY:
+        raise PreconditionError("composition theorem requires degree >= 2")
     d = outer.d
 
     if mode == "general":
@@ -528,70 +553,42 @@ def _ge_gamma_slices(h, x0s: np.ndarray, gamma: float, iv: Interval,
     return out
 
 
-def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float) -> Certificate:
+def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
     """Certificate for |int_X e^{i lam P(f(x, y))} dx dy| at n = 2.
 
-    The domain splits where |d^(beta_2)_y f| crosses gamma.  On the large
-    side, slices in y at sampled x are certified by the one-dimensional
-    engine with r = gamma (base case P(x) = x uses the classical
-    per-interval bound); the region bound is the x-projection width times
-    the worst sampled slice total.  The small side is charged by its
-    measure, with the parametric 2*A*gamma*height bound recorded when the
-    mixed derivative is bounded below.
+    Hypothesis: beta = (1, 1), that is |d_x d_y f| >= ``derivative_lower_bound``
+    on the rectangle, and each slice y -> f(x0, y) has N2 = 2 (d_y^2 f is
+    single-signed).  The domain splits where |d_y f| crosses
+    gamma = |lambda|^(-1/(2d)).  On the large side, slices in y at sampled x
+    are certified by the one-dimensional engine with r = gamma (the base
+    case P(t) = t uses the classical per-interval bound); the region bound
+    is the x-projection width times the worst sampled slice total.  The
+    small side is charged by its measure, at most the parametric
+    2 * gamma * height.
     """
     if lam == 0.0:
         raise PreconditionError("certify_2d needs lambda != 0")
+    if not isinstance(P, Polynomial):
+        raise PreconditionError("certify_2d composes with a polynomial P")
     lam_abs = abs(lam)
-    beta1, beta2 = f.beta
-    abs_beta = beta1 + beta2
-    if beta2 < 1 or beta1 < 1:
-        raise PreconditionError("certify_2d at n=2 needs beta components >= 1")
     dom = f.domain
-
-    if isinstance(P, PowerTransform):
-        outer = _PowerOuter(P)
-        d = outer.d
-        base_case = False
-    elif P.degree == 1:
-        rep = classify(derivative(P))
-        if not rep.is_monic:
-            raise PreconditionError("base case needs P' = 1 (P = x + const)")
-        outer = None
-        d = 1.0
-        base_case = True
-    else:
-        outer = _PolyOuter(P, lam_abs)
-        d = outer.d
-        base_case = False
-
-    N2 = f.n_orders[1]
-    if N2 is None or N2 <= beta2:
-        raise PreconditionError("need declared convexity order N2 > beta2")
-
-    if base_case:
-        gamma = lam_abs ** (-beta1 / abs_beta)
-        eps = 1.0
-        r = gamma
-    elif beta2 > 1:
-        gamma = lam_abs ** (-beta1 / (d * abs_beta))
-        eps = lam_abs ** (-1.0 / d)
-        r = lam_abs ** (-1.0 / d + 1.0 / (d * abs_beta))
-    else:
-        gamma = lam_abs ** (-(abs_beta - 1.0) / (d * abs_beta))
-        eps = lam_abs ** (-1.0 / d)
-        r = gamma
+    outer = _outer(P, lam_abs)
+    d = outer.d
+    N2 = 2
+    gamma = r = lam_abs ** (-1.0 / (2.0 * d))
+    eps = 1.0 if outer is _IDENTITY else lam_abs ** (-1.0 / d)
 
     ax, bx, ay, by = dom.ax, dom.bx, dom.ay, dom.by
     width = bx - ax
     height = by - ay
 
-    # spot-check the declared lower bound on the beta derivative
+    # spot-check the declared lower bound on the mixed derivative
     gx = np.linspace(ax, bx, 17)
     gy = np.linspace(ay, by, 17)
-    mixed = np.abs(f.eval((beta1, beta2), gx[:, None], gy[None, :]))
+    mixed = np.abs(f.eval((1, 1), gx[:, None], gy[None, :]))
     if mixed.min() < f.derivative_lower_bound * (1.0 - 1e-9):
         raise PreconditionError(
-            f"|d^beta f| dips to {mixed.min():.3g} below declared bound "
+            f"|d_x d_y f| dips to {mixed.min():.3g} below declared bound "
             f"{f.derivative_lower_bound}"
         )
 
@@ -599,14 +596,14 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float) -> Certif
     notes = {"gamma": gamma, "slice_samples": SLICE_SAMPLES}
     cap = N2 + 2
 
-    # region 1: |d^(beta2)_y f| >= gamma, certified slice by slice.  The worst
+    # region 1: |d_y f| >= gamma, certified slice by slice.  The worst
     # slice sits at the region boundary (where the slice derivative bound is
     # exactly gamma), so locate that boundary and cluster samples against it.
     y_probe = np.linspace(ay, by, 65)
 
     def inactive_margin(x):
         # <= 0 where the slice at x reaches gamma somewhere
-        vals = np.abs(f.eval_fn((0, beta2), x[:, None], y_probe[None, :]))
+        vals = np.abs(f.eval_fn((0, 1), x[:, None], y_probe[None, :]))
         return gamma - vals.max(axis=1)
 
     x_scan = np.linspace(ax, bx, 257)
@@ -624,12 +621,12 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float) -> Certif
         cluster = x_start + span * np.geomspace(1e-8, 1.0, SLICE_SAMPLES)
         xs = np.unique(np.concatenate([[x_start], cluster,
                                        np.linspace(x_start, bx, SLICE_SAMPLES)]))
-    subs = _ge_gamma_slices(lambda x, y: f.eval_fn((0, beta2), x, y), xs, gamma,
+    subs = _ge_gamma_slices(lambda x, y: f.eval_fn((0, 1), x, y), xs, gamma,
                             dom.y_extent(), cap)
     # every (slice, subinterval) is one job of a single engine run
     jobs, job_slice = [], []
     for k, (x0, slice_subs) in enumerate(zip(xs.tolist(), subs)):
-        hy = f.slice_in_y(x0, max_order=max(2, N2))
+        hy = f.slice_in_y(x0, max_order=N2)
         jobs.extend((hy, sub) for sub in slice_subs)
         job_slice.extend([k] * len(slice_subs))
     job_x = xs[np.array(job_slice, dtype=int)]
@@ -653,22 +650,21 @@ def certify_2d(f: Phase2D, P: Polynomial | PowerTransform, lam: float) -> Certif
             dict(p.details, slice_charge=p.bound, width=width),
         ))
 
-    # region 2: |d^(beta2)_y f| < gamma, charged by measure
+    # region 2: |d_y f| < gamma, charged by measure
     gamma_strict = gamma * (1.0 - 1e-12)
-    measured, quad_err = adaptive_quad(
-        lambda ys: sublevel_rows(f, (0, beta2), ys, 0.0, gamma_strict, Interval(ax, bx)),
+    measured, quad_err, converged = adaptive_quad(
+        lambda ys: sublevel_rows(f, (0, 1), ys, 0.0, gamma_strict, Interval(ax, bx)),
         ay, by, rel_tol=1e-6)
-    region2 = measured + quad_err
-    parametric = None
-    if beta1 == 1:
-        parametric = 2.0 * gamma * height
-        region2 = min(region2, parametric)
+    if not converged:
+        notes["region2_converged"] = False
+    parametric = 2.0 * gamma * height
     pieces.append(CertPiece(
-        KIND_MIXED, (ax, bx, ay, by), float(region2), "measured_region_measure",
+        KIND_MIXED, (ax, bx, ay, by), float(min(measured + quad_err, parametric)),
+        "measured_region_measure",
         {"measured": measured, "outer_quad_error": quad_err, "parametric": parametric,
          "gamma": gamma},
     ))
 
-    params = CertificateParams(eps, r, float(lam), 1.0 / (abs_beta * d), d, gamma,
-                               "2d_base" if base_case else "2d")
+    params = CertificateParams(eps, r, float(lam), 1.0 / (2.0 * d), d, gamma,
+                               "2d_base" if outer is _IDENTITY else "2d")
     return _finish(pieces, params, notes)

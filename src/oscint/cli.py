@@ -90,7 +90,7 @@ def sublevel(family, n, coeffs, c, eps, interval):
 @click.option("--poly", type=float, multiple=True,
               help="Outer polynomial coefficients, ascending; repeat per coefficient")
 @click.option("--power", type=float, default=None,
-              help="Outer transform |t|^s instead of a polynomial")
+              help="Outer transform |t|^s instead of a polynomial (give exactly one)")
 @click.option("--lambda", "lam", type=float, required=True)
 @click.option("--mode", type=click.Choice(["general", "vdc"]), default="vdc",
               show_default=True)
@@ -102,6 +102,8 @@ def sublevel(family, n, coeffs, c, eps, interval):
 def certify(family, n, coeffs, interval, poly, power, lam, mode, delta, big_a,
             n_hyp, verify, json_out):
     """Produce a bound certificate for the composed phase and print the pieces."""
+    if bool(poly) == (power is not None):
+        raise click.UsageError("give exactly one of --poly and --power")
     f = phase_from_config(_phase_spec(family, n, coeffs, interval))
     outer = PowerTransform(power) if power is not None else Polynomial(tuple(poly))
     cert = certify_1d(f, outer, lam, mode, delta=delta, A=big_a, N=n_hyp)

@@ -421,11 +421,18 @@ def _run_t3(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
         P = Polynomial(tuple(case["poly"]))
         composed = f2 if P.degree == 1 and P.coeffs == (0.0, 1.0) \
             else compose2d_with_polynomial(f2, P.coeffs)
-        rate = 1.0 / (sum(f2.beta) * P.degree)
+        rate = 1.0 / (2 * P.degree)
         name = case["name"]
+
+        def certify(lam):
+            cert = certify_2d(f2, P, lam)
+            if cert.notes.get("region2_converged") is False:
+                unconverged.append({"case": name, "lambda": lam})
+            return cert
+
         r, samples, witness = _soundness_sweep(
             "T3", name, lam_grid, lambda lam: osc_integrate_2d(composed, lam, cfg=cfg.quad),
-            lambda lam: certify_2d(f2, P, lam), unconverged)
+            certify, unconverged)
         sound = witness is None
         for lam in case.get("hi_rows", ()):
             # separable cases reach higher lambda through the profile
@@ -433,7 +440,7 @@ def _run_t3(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
             red = case["reduction"]
             lam = float(lam)
             val = product_monomial_integral(red["k"], red["j"], lam, red.get("coeff", 1.0))
-            cert = certify_2d(f2, P, lam)
+            cert = certify(lam)
             ok = abs(val) <= cert.total_bound + 1e-9
             sound = sound and ok
             r.append(_value_row("T3", name, lam, val, 1e-12, bound=cert.total_bound,
@@ -443,8 +450,7 @@ def _run_t3(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
         fit_row, decay = _rate_check("T3", name, "composed_decay_at_least", samples,
                                      min(rate - 0.05, fit_min),
                                      labels=("composed_fit", "composed_fit"))
-        totals = [DecaySample(float(l), certify_2d(f2, P, float(l)).total_bound)
-                  for l in cert_grid]
+        totals = [DecaySample(float(l), certify(float(l)).total_bound) for l in cert_grid]
         cert_row, cert_rate = _rate_check("T3", name, "certificate_rate", totals, rate,
                                           tol, ("cert_fit_ok", "cert_fit_off"))
         rows += r + [fit_row, cert_row]

@@ -427,24 +427,16 @@ def unit_square() -> PlanarDomain:
 class Phase2D:
     """Two-dimensional phase with mixed-derivative access.
 
-    ``eval_fn((i, j), x, y)`` returns the (i, j) mixed partial; ``beta`` is
-    the multiindex whose derivative is declared bounded below (by
-    ``derivative_lower_bound``) on the domain, and ``n_orders`` holds the
-    per-axis convexity orders whose derivatives are claimed single-signed.
+    ``eval_fn((i, j), x, y)`` returns the (i, j) mixed partial.  The phase
+    claims |d_x d_y f| >= ``derivative_lower_bound`` on the domain and a
+    single-signed d_y^2 f, the hypothesis ``certify_2d`` states.
     """
 
     eval_fn: Callable[[tuple[int, int], np.ndarray, np.ndarray], np.ndarray]
     max_orders: tuple[int, int]
     domain: PlanarDomain
-    beta: tuple[int, int] = (1, 1)
-    n_orders: tuple[int | None, int | None] = (None, 2)
     derivative_lower_bound: float = 1.0
     name: str = "phase2d"
-
-    def __post_init__(self):
-        b1, b2 = self.beta
-        if b1 < 0 or b2 < 0 or b1 + b2 < 1:
-            raise PreconditionError("beta components must be nonnegative with |beta| >= 1")
 
     def eval(self, orders: tuple[int, int], x, y):
         i, j = orders
@@ -490,8 +482,7 @@ def xy_phase() -> Phase2D:
             return np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape)).copy()
         return x * y
 
-    return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), beta=(1, 1), n_orders=(None, 2),
-                   derivative_lower_bound=1.0, name="xy")
+    return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), name="xy")
 
 
 def xy_quad_phase(c: float) -> Phase2D:
@@ -519,8 +510,8 @@ def xy_quad_phase(c: float) -> Phase2D:
         return val if val.shape == shape else np.broadcast_to(val, shape).copy()
 
     lb = 1.0 if cc >= 0 else max(1e-9, 1.0 + 4.0 * cc)
-    return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), beta=(1, 1), n_orders=(None, 2),
-                   derivative_lower_bound=lb, name=f"xy+{cc}x2y2")
+    return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), derivative_lower_bound=lb,
+                   name=f"xy+{cc}x2y2")
 
 
 def compose2d_with_polynomial(phase: Phase2D, coeffs: Sequence[float]) -> Phase2D:
@@ -533,8 +524,7 @@ def compose2d_with_polynomial(phase: Phase2D, coeffs: Sequence[float]) -> Phase2
             raise PreconditionError("composed planar phase exposes values only")
         return pv(phase.eval_fn((0, 0), x, y), c)
 
-    return Phase2D(ev, max_orders=(0, 0), domain=phase.domain, beta=phase.beta,
-                   n_orders=phase.n_orders,
+    return Phase2D(ev, max_orders=(0, 0), domain=phase.domain,
                    derivative_lower_bound=phase.derivative_lower_bound,
                    name=f"P({phase.name})")
 

@@ -381,11 +381,12 @@ def adaptive_quad(fvec, a: float, b: float, rel_tol: float = 1e-9,
     segments still over tolerance are kept as they are.  Not for
     large-lambda oscillatory phases (use the panel engine); this is the
     workhorse for slice measures, Fourier profiles, and other smooth or
-    piecewise-smooth integrands.  Returns (value, error_estimate).
+    piecewise-smooth integrands.  Returns (value, error_estimate, converged),
+    ``converged`` False when a cap left segments over tolerance.
     """
     if b <= a:
-        return 0.0, 0.0
-    val, err, _ = _refine(
+        return 0.0, 0.0, True
+    val, err, converged = _refine(
         fvec, [a], [b], lambda total: max(abs_floor, rel_tol * abs(total[0])) / (b - a),
         63, ADAPTIVE_MAX_SEGMENTS)
-    return float(np.sum(val[0])), float(np.sum(err))
+    return float(np.sum(val[0])), float(np.sum(err)), converged

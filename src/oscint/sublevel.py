@@ -134,8 +134,8 @@ def sublevel_2d(f: Phase2D, c: float, eps: float) -> float:
         raise PreconditionError("eps must be positive")
     dom = f.domain
     iv = Interval(dom.ax, dom.bx)
-    val, _ = adaptive_quad(lambda ys: sublevel_rows(f, (0, 0), ys, c, eps, iv, xtol=0.0),
-                           dom.ay, dom.by, rel_tol=BAND_AREA_REL_TOL, abs_floor=1e-12)
+    val, _, _ = adaptive_quad(lambda ys: sublevel_rows(f, (0, 0), ys, c, eps, iv, xtol=0.0),
+                              dom.ay, dom.by, rel_tol=BAND_AREA_REL_TOL, abs_floor=1e-12)
     return float(val)
 
 
@@ -222,12 +222,12 @@ def osc_to_sublevel_constant(delta: float) -> OscToSublevelConstant:
         if lo < 1e-9:
             # singular end: u = xi^(1-delta) removes the |xi|^-delta weight
             power = 1.0 / (1.0 - delta)
-            val, _ = adaptive_quad(
+            val, _, _ = adaptive_quad(
                 lambda us: np.abs(bump.transform_vec(us**power)),
                 0.0, hi ** (1.0 - delta), rel_tol=1e-9,
             )
             return power * val
-        val, _ = adaptive_quad(
+        val, _, _ = adaptive_quad(
             lambda xs: np.abs(bump.transform_vec(xs)) * xs ** (-delta),
             lo, hi, rel_tol=1e-9,
         )

@@ -5,7 +5,11 @@ passes has one value in use and belongs in the function body as a constant.
 The fields of public dataclasses count as their constructors' parameters.
 Tests do not count as callers.  The check is by name: a call ``f(...)`` or
 ``obj.f(...)`` counts for every public function or method named ``f``, and a
-call that splats ``**kwargs`` counts as passing every parameter it could.
+call that splats ``**kwargs`` counts as passing every parameter it could.  An
+argument whose literal value equals the parameter's default does not count, as
+it restates the one value in use; nor does a keyword that copies the
+same-named attribute of another object (``beta=phase.beta``), as it passes on
+a value set elsewhere.
 """
 
 import ast
@@ -30,10 +34,19 @@ ALLOWED = {
 }
 
 
-def _dataclass_fields(cls: ast.ClassDef) -> tuple[list[str], list[str]]:
-    """(constructor parameters, the defaulted ones) of a dataclass; private
-    fields and ``field(init=False)`` are not parameters."""
-    params, defaulted = [], []
+def _literal(node: ast.expr):
+    """The value of a literal expression; anything else gets a fresh object,
+    equal to no other value."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return object()
+
+
+def _dataclass_fields(cls: ast.ClassDef) -> tuple[list[str], dict]:
+    """(constructor parameters, {defaulted one: its default}) of a dataclass;
+    private fields and ``field(init=False)`` are not parameters."""
+    params, defaulted = [], {}
     for item in cls.body:
         if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
             continue
@@ -42,19 +55,21 @@ def _dataclass_fields(cls: ast.ClassDef) -> tuple[list[str], list[str]]:
             continue
         params.append(item.target.id)
         if default is not None:
-            defaulted.append(item.target.id)
+            defaulted[item.target.id] = _literal(item.value)
     return params, defaulted
 
 
-def _defaulted(fn: ast.FunctionDef) -> tuple[list[str], list[str]]:
-    """(positional parameter names, names of the defaulted ones)."""
+def _defaulted(fn: ast.FunctionDef) -> tuple[list[str], dict]:
+    """(positional parameter names, {defaulted one: its default})."""
     a = fn.args
     positional = [p.arg for p in a.posonlyargs + a.args]
     if positional and positional[0] in ("self", "cls"):
         positional = positional[1:]
-    with_default = positional[len(positional) - len(a.defaults):] if a.defaults else []
-    with_default += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-    return positional, with_default
+    defaulted = dict(zip(positional[len(positional) - len(a.defaults):],
+                         map(_literal, a.defaults))) if a.defaults else {}
+    defaulted.update((p.arg, _literal(d)) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                     if d is not None)
+    return positional, defaulted
 
 
 def _signatures():
@@ -76,7 +91,8 @@ def _signatures():
 
 
 def _calls():
-    """Every call in the caller trees, as (called name, n positional, keywords, splat)."""
+    """Every call in the caller trees, as (called name, positional values or
+    None when one is starred, {keyword: value}, splat); values as ``_literal``."""
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
             if path.name.startswith("test_"):
@@ -89,22 +105,32 @@ def _calls():
                 if name is None:
                     continue
                 starred = any(isinstance(a, ast.Starred) for a in node.args)
-                kws = {k.arg for k in node.keywords if k.arg is not None}
+                pos = None if starred else [_literal(a) for a in node.args]
+                kws = {k.arg: _literal(k.value) for k in node.keywords if k.arg is not None
+                       and not (isinstance(k.value, ast.Attribute) and k.value.attr == k.arg)}
                 splat = any(k.arg is None for k in node.keywords)
-                yield name, (None if starred else len(node.args)), kws, splat
+                yield name, pos, kws, splat
+
+
+def _sets(param, idx, default, pos, kws, splat) -> bool:
+    """Whether one call passes ``param`` (positional index ``idx`` or None)
+    a value other than its default."""
+    if splat or (idx is not None and pos is None):
+        return True
+    if param in kws:
+        return kws[param] != default
+    return idx is not None and idx < len(pos) and pos[idx] != default
 
 
 def unset_parameters() -> set[tuple[str, str, str]]:
     calls: dict[str, list] = {}
-    for name, n_pos, kws, splat in _calls():
-        calls.setdefault(name, []).append((n_pos, kws, splat))
+    for name, *call in _calls():
+        calls.setdefault(name, []).append(call)
     unset = set()
     for module, qualname, short, positional, defaulted in _signatures():
-        for param in defaulted:
+        for param, default in defaulted.items():
             idx = positional.index(param) if param in positional else None
-            if not any(splat or param in kws
-                       or (idx is not None and (n_pos is None or n_pos > idx))
-                       for n_pos, kws, splat in calls.get(short, ())):
+            if not any(_sets(param, idx, default, *call) for call in calls.get(short, ())):
                 unset.add((module, qualname, param))
     return unset
 

@@ -31,6 +31,13 @@ P_SND = Polynomial((0.0, 0.0, 0.5, 1.0 / 3.0))       # P' = t^2 + t, monic and S
 P_SND_ONLY = Polynomial((0.0, 0.0, 0.5, 1.0 / 6.0))  # P' = 0.5 t^2 + t, SND not monic
 
 
+def stopped_adaptive_quad(*args, **kwargs):
+    """``adaptive_quad``, reporting that a cap stopped it."""
+    from oscint.quadrature import adaptive_quad
+
+    return adaptive_quad(*args, **kwargs)[:2] + (False,)
+
+
 class TestFormulas:
     def test_derivpush_plugin(self):
         assert derivpush_bound(2.0, 0.5, 0.3) == pytest.approx(0.6)
@@ -199,6 +206,23 @@ class TestCertify2D:
             certify_2d(f2, P_SND_ONLY, 0.25)
         cert = certify_2d(f2, P_SND_ONLY, 50.0)
         assert cert.total_bound > 0
+
+    def test_outer_is_a_polynomial_with_unit_slope_or_degree_two(self):
+        f2 = xy_phase()
+        base = certify_2d(f2, Polynomial((0.0, 1.0)), 300.0)
+        assert certify_2d(f2, Polynomial((0.3, 1.0)), 300.0).to_dict() == base.to_dict()
+        for P in (PowerTransform(1.5), Polynomial((0.0, 2.0))):
+            with pytest.raises(PreconditionError):
+                certify_2d(f2, P, 300.0)
+
+    def test_region_quadrature_stop_is_noted(self, monkeypatch):
+        f2 = xy_quad_phase(0.1)
+        cert = certify_2d(f2, P_HALF_SQUARE, 300.0)
+        assert "region2_converged" not in cert.notes
+        monkeypatch.setattr("oscint.certificates.adaptive_quad", stopped_adaptive_quad)
+        stopped = certify_2d(f2, P_HALF_SQUARE, 300.0)
+        assert stopped.notes.pop("region2_converged") is False
+        assert stopped.to_dict() == cert.to_dict()
 
     # totals before the slices moved to one batched engine run
     @pytest.mark.parametrize("P, lam, frozen", [

@@ -199,6 +199,22 @@ def test_cli_certify_verify():
     assert "total_bound" in out.stdout and "sound = True" in out.stdout
 
 
+@pytest.mark.parametrize("outer", [(), ("--poly", "0", "--poly", "0", "--poly", "0.5",
+                                        "--power", "1.5")])
+def test_cli_certify_needs_exactly_one_outer_exit_2(outer):
+    out = _run_cli("certify", "--family", "monomial", "--n", "2", *outer,
+                   "--lambda", "10000")
+    assert out.returncode == 2
+    assert "exactly one of --poly and --power" in out.stderr
+
+
+def test_cli_certify_power():
+    out = _run_cli("certify", "--family", "monomial", "--n", "2", "--power", "1.5",
+                   "--lambda", "10000", "--verify")
+    assert out.returncode == 0, out.stderr
+    assert "sound = True" in out.stdout
+
+
 def test_cli_fit(tmp_path):
     rows = ["lambda,magnitude"] + [f"{l},{l**-0.5}" for l in
                                    (1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6)]
@@ -312,6 +328,24 @@ def test_cli_suite_warns_when_refinement_does_not_converge(tmp_path):
     doc = json.loads((tmp_path / "rep" / "t2_report.json").read_text())
     assert doc["nonconverged"]["count"] > 0
     assert doc["nonconverged"]["first"] == {"case": "baseline_N2", "lambda": 1000.0}
+
+
+SMALL_T3 = {
+    "lambda_sound": {"lo": 10.0, "hi": 1000.0, "per_decade": 4}, "cert_sweep": CERT_GRID,
+    "cases": [{"name": "xy_base", "f2": {"family": "xy"}, "poly": [0.0, 1.0]}],
+}
+
+
+def test_t3_notes_certificates_whose_region_quadrature_stops(monkeypatch):
+    from oscint import harness
+    from test_certificates import stopped_adaptive_quad
+
+    monkeypatch.setattr("oscint.certificates.adaptive_quad", stopped_adaptive_quad)
+    rep = run_suite(ExperimentConfig(suite="T3", quad=QuadConfig(phase_variation_cap=2.8),
+                                     options=SMALL_T3))
+    lams = [float(l) for key in ("lambda_sound", "cert_sweep")
+            for l in harness._grid(SMALL_T3[key])]
+    assert rep.unconverged == [{"case": "xy_base", "lambda": l} for l in lams]
 
 
 def test_t1_fits_each_base_phase_once(monkeypatch):

@@ -208,10 +208,18 @@ def test_quad_config_validation():
 
 
 def test_adaptive_quad_kinked():
-    val, err = adaptive_quad(lambda x: np.minimum(1.0, 0.001 / np.maximum(x, 1e-300)),
-                             0.0, 1.0, rel_tol=1e-9)
+    val, err, converged = adaptive_quad(
+        lambda x: np.minimum(1.0, 0.001 / np.maximum(x, 1e-300)), 0.0, 1.0, rel_tol=1e-9)
     exact = 0.001 * (1.0 + np.log(1000.0))
     assert abs(val - exact) < 1e-8
+    assert converged
+
+
+def test_adaptive_quad_flags_a_segment_cap(monkeypatch):
+    # one segment cannot hold the kink to 1e-9
+    monkeypatch.setattr("oscint.quadrature.ADAPTIVE_MAX_SEGMENTS", 1)
+    assert not adaptive_quad(lambda x: np.minimum(1.0, 0.001 / np.maximum(x, 1e-300)),
+                             0.0, 1.0, rel_tol=1e-9)[2]
 
 
 def test_adaptive_quad_evaluates_whole_rules_only():
