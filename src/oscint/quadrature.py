@@ -2,22 +2,25 @@
 
 In one dimension each monotone piece of the phase is a work item.  A piece
 whose swing |lambda| * |g(b) - g(a)| exceeds ``LEVIN_SWING`` is integrated
-by Levin collocation (D. Levin, Math. Comp. 38, 1982): the integral is
-p(b) e^{i lambda g(b)} - p(a) e^{i lambda g(a)} for the non-oscillatory
-solution p of p' + i lambda g' p = 1, collocated at two Chebyshev orders
-whose distance is the error estimate, at a cost that does not grow with
-lambda.  A piece that fails its share of the tolerance is halved, so the
-pieces next to a stationary point shrink dyadically until their swing is
-small (S. Olver, BIT 50, 2010).  Small-swing pieces are cut into panels
-whose swing (on a monotone piece the endpoint difference IS the swing, so
-no derivative bounds are needed) is at most the configured cap.  Every
-integrator applies one panel rule, ``_kronrod``: the nested Gauss-Kronrod
-7/15 rule (QUADPACK QK15), whose value is the 15-point Kronrod sum and
-whose error estimate is its distance from the 7-point Gauss sum, which
-reuses 7 of the same 15 samples.  One refiner, ``_refine``, halves the
-panels whose estimate exceeds their share of the tolerance and evaluates
-only the halves.  With the default cap of pi/2 the Kronrod value is exact
-to machine precision, so the estimate bounds the error generously.
+by Levin collocation (D. Levin, Math. Comp. 38, 1982): the integral of
+h e^{i lambda g} over [a, b] is p(b) e^{i lambda g(b)} - p(a) e^{i lambda g(a)}
+for the non-oscillatory solution p of p' + i lambda g' p = h, collocated at
+two Chebyshev orders whose distance is the error estimate, at a cost that
+does not grow with lambda.  ``osc_integrate_1d`` takes h = 1; the profile
+reduction passes a smooth amplitude h sampled at the collocation points.
+One halving loop, ``_levin_halving``, serves both: a piece that fails its
+share of the tolerance is halved, so the pieces next to a stationary point
+shrink dyadically until their swing is small (S. Olver, BIT 50, 2010).
+Small-swing pieces are cut into panels whose swing (on a monotone piece the
+endpoint difference IS the swing, so no derivative bounds are needed) is at
+most the configured cap.  Every integrator applies one panel rule,
+``_kronrod``: the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose
+value is the 15-point Kronrod sum and whose error estimate is its distance
+from the 7-point Gauss sum, which reuses 7 of the same 15 samples.  One
+refiner, ``_refine``, halves the panels whose estimate exceeds their share
+of the tolerance and evaluates only the halves.  With the default cap of
+pi/2 the Kronrod value is exact to machine precision, so the estimate
+bounds the error generously.
 
 Evaluation is vectorised and chunked; summation order is fixed (panels
 left to right, Levin pieces in the order they are accepted), so results are
@@ -213,15 +216,16 @@ LEVIN_SWING = 40.0  # pieces of larger swing |lambda| |g(b) - g(a)| go to Levin 
 _LEVIN = tuple(_chebyshev(n) for n in (16, 24))
 
 
-def _levin(gd, lam: float, L, R, GL, GR):
-    """Levin collocation for int_{L_i}^{R_i} e^{i lam g} dx on each piece.
+def _levin(gd, h, lam: float, L, R, GL, GR):
+    """Levin collocation for int_{L_i}^{R_i} h e^{i lam g} dx on each piece.
 
-    ``gd`` evaluates g'.  The non-oscillatory solution of p' + i lam g' p = 1
-    gives the integral p(R) e^{i lam g(R)} - p(L) e^{i lam g(L)}; p is
-    collocated on the Chebyshev-Lobatto points of both orders of ``_LEVIN``,
-    one batched solve per order.  Returns the higher order's values and
-    their error estimates: the distance between the two orders plus the
-    rounding of the solve and of the phase arguments lam g(L), lam g(R).
+    ``gd`` evaluates g' and ``h`` the smooth amplitude.  The non-oscillatory
+    solution of p' + i lam g' p = h gives the integral
+    p(R) e^{i lam g(R)} - p(L) e^{i lam g(L)}; p is collocated on the
+    Chebyshev-Lobatto points of both orders of ``_LEVIN``, one batched solve
+    per order.  Returns the higher order's values and their error estimates:
+    the distance between the two orders plus the rounding of the solve and
+    of the phase arguments lam g(L), lam g(R).
     """
     mid, half = 0.5 * (L + R), 0.5 * (R - L)
     eb, ea = np.exp(1j * lam * GR), np.exp(1j * lam * GL)
@@ -231,11 +235,54 @@ def _levin(gd, lam: float, L, R, GL, GR):
         om = (lam * half)[:, None] * np.broadcast_to(np.asarray(gd(x), dtype=float), x.shape)
         A = np.broadcast_to(D, om.shape + (t.size,)).astype(complex)
         A[:, np.arange(t.size), np.arange(t.size)] += 1j * om
-        q = np.linalg.solve(A, np.ones(om.shape + (1,)))[..., 0]
+        q = np.linalg.solve(A, h(x)[..., None])[..., 0]
         pb, pa = half * q[:, 0], half * q[:, -1]  # p at R (t = 1) and at L (t = -1)
         vals.append(pb * eb - pa * ea)
     rounding = _EPS * (np.abs(pb) * (t.size + abs(lam * GR)) + np.abs(pa) * (t.size + abs(lam * GL)))
     return vals[-1], np.abs(vals[-1] - vals[0]) + rounding
+
+
+def _levin_halving(gval, gd, h, lam: float, L, R, tol: float, max_pieces: int):
+    """Levin collocation of int h e^{i lam g} over the monotone pieces [L_i, R_i].
+
+    A piece whose swing |lam| |g(b) - g(a)| is at most ``LEVIN_SWING`` is set
+    aside for panels.  A larger one goes to ``_levin`` and is accepted when
+    its estimate is at most ``tol`` times its width; otherwise it is halved
+    and both halves are classified again.  Next to a zero of g' the halving
+    closes in dyadically until the swing is small enough for panels.
+    Returns the set-aside pieces as (left, right) arrays, the number of
+    accepted pieces, their summed value and their summed estimate.  Raises
+    PANEL_BUDGET when the accepted pieces and the pending halves would pass
+    ``max_pieces``.
+    """
+    L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
+    lam_abs = abs(lam)
+    GL, GR = gval(L), gval(R)
+    small = []
+    n_levin, levin_val, levin_err = 0, 0j, 0.0
+    while True:
+        near = lam_abs * np.abs(GR - GL) <= LEVIN_SWING
+        small.append((L[near], R[near]))
+        L, R, GL, GR = L[~near], R[~near], GL[~near], GR[~near]
+        if not L.size:
+            break
+        val, err = _levin(gd, h, lam, L, R, GL, GR)
+        ok = err <= tol * (R - L)
+        n_levin += int(np.count_nonzero(ok))
+        levin_val += complex(np.sum(val[ok]))
+        levin_err += float(np.sum(err[ok]))
+        L, R, GL, GR = L[~ok], R[~ok], GL[~ok], GR[~ok]
+        if n_levin + 2 * L.size > max_pieces:
+            raise PanelBudgetError(
+                f"panel budget {max_pieces} exceeded (lambda too large for config)",
+                lam_abs=lam_abs,
+            )
+        M = 0.5 * (L + R)
+        GM = gval(M)
+        L, R = np.concatenate([L, M]), np.concatenate([M, R])
+        GL, GR = np.concatenate([GL, GM]), np.concatenate([GM, GR])
+    return (np.concatenate([p[0] for p in small]), np.concatenate([p[1] for p in small]),
+            n_levin, levin_val, levin_err)
 
 
 def osc_integrate_1d(g: PhaseFunction, lam: float,
@@ -246,11 +293,9 @@ def osc_integrate_1d(g: PhaseFunction, lam: float,
     Each monotone piece is a work item.  An item whose swing
     |lam| |g(b) - g(a)| is at most ``LEVIN_SWING`` goes to the Kronrod
     panels (``_swing_panels``, then ``_refine``).  A larger one goes to
-    ``_levin`` and is accepted when its estimate is at most
-    ``cfg.rel_tol * width``, the share ``_refine`` gives a panel; otherwise
-    it is halved and both halves are classified again.  An item next to a
-    zero of g' fails the test, so the halving closes in dyadically on the
-    stationary point until the swing is small enough for panels.  The cost
+    ``_levin_halving`` with amplitude 1 and is accepted when its estimate is
+    at most ``cfg.rel_tol * width``, the share ``_refine`` gives a panel;
+    otherwise it is halved and both halves are classified again.  The cost
     of an item does not grow with lam.  ``panels_used`` counts panels plus
     accepted Levin pieces, and together they may not pass ``cfg.max_panels``.
     """
@@ -263,35 +308,10 @@ def osc_integrate_1d(g: PhaseFunction, lam: float,
     pieces = [p for p in monotone_partition(g, order_cap=1) if p.hi > p.lo]
     L = np.array([p.lo for p in pieces], dtype=float)
     R = np.array([p.hi for p in pieces], dtype=float)
-    GL, GR = gval(L), gval(R)
-    small = []
-    n_levin, levin_val, levin_err = 0, 0j, 0.0
-    while True:
-        near = lam_abs * np.abs(GR - GL) <= LEVIN_SWING
-        small.append((L[near], R[near]))
-        L, R, GL, GR = L[~near], R[~near], GL[~near], GR[~near]
-        if not L.size:
-            break
-        val, err = _levin(lambda x: g.eval_fn(1, x), lam, L, R, GL, GR)
-        ok = err <= cfg.rel_tol * (R - L)
-        n_levin += int(np.count_nonzero(ok))
-        levin_val += complex(np.sum(val[ok]))
-        levin_err += float(np.sum(err[ok]))
-        L, R, GL, GR = L[~ok], R[~ok], GL[~ok], GR[~ok]
-        if n_levin + 2 * L.size > cfg.max_panels:
-            raise PanelBudgetError(
-                f"panel budget {cfg.max_panels} exceeded (lambda too large for config)",
-                lam_abs=lam_abs,
-            )
-        M = 0.5 * (L + R)
-        GM = gval(M)
-        L, R = np.concatenate([L, M]), np.concatenate([M, R])
-        GL, GR = np.concatenate([GL, GM]), np.concatenate([GM, GR])
-
+    SL, SR, n_levin, levin_val, levin_err = _levin_halving(
+        gval, lambda x: g.eval_fn(1, x), np.ones_like, lam, L, R, cfg.rel_tol, cfg.max_panels)
     budget = cfg.max_panels - n_levin
-    L, R = _swing_panels(gval, np.concatenate([s[0] for s in small]),
-                         np.concatenate([s[1] for s in small]), lam_abs,
-                         cfg.phase_variation_cap, budget)
+    L, R = _swing_panels(gval, SL, SR, lam_abs, cfg.phase_variation_cap, budget)
 
     def samples(x):
         th = lam * gval(x)

@@ -6,13 +6,21 @@ profile A_k(w) = int_0^1 e^{i w x^k} dx against the other variable:
     int int e^{i lam x^k y^j} dx dy = int_0^1 A_k(lam * y^j) dy.
 
 The profile is evaluated in closed form for k = 1 and otherwise by a Taylor
-series at small |w| together with the integration-by-parts recursion for the
-tail int_1^inf e^{i w x^k} dx at large |w| (the full-line contribution is the
-rotated Gamma integral).  The outer integral is panelised by the swing of
-lam * y^j with the quadrature engine's swing refiner and summed with its
-panel rule (the Kronrod sums of ``quadrature._kronrod``, with the profile's
-real and imaginary parts as a pair), so large lambda costs O(lambda) instead
-of the O(lambda^2) a planar quadrature needs.
+series at small |w|, a fixed Gauss rule at moderate |w|, and for
+|w| > DIRECT_SWITCH as the rotated Gamma integral over the half line less
+the tail int_1^inf e^{i w x^k} dx = e^{iw} T_k(w), T_k summed by parts
+(for k = 1 it stops after one term).
+
+The outer integral splits at y0, where |lam| y0^j = DIRECT_SWITCH.  On
+[0, y0] the profile is summed on panels over which lam * y^j swings at most
+``SWING_CAP``, with the engine's panel rule (``quadrature._kronrod``); the
+swing there is DIRECT_SWITCH whatever lambda is.  On [y0, 1] the Gamma term
+is a power of y, integrated in closed form, and the tail term
+-e^{i |lam| y^j} T_k(|lam| y^j) goes to Levin collocation with an amplitude
+(``quadrature._levin_halving``) in u = ln y: there the amplitude
+e^u T_k(|lam| e^{ju}) is smooth over the whole range, so a few pieces carry
+it at any lambda.  The cost of the reduction therefore does not grow with
+lambda, against the O(lambda^2) cells a planar quadrature needs.
 
 Both the profile and the reduction are cross-checked in the test suite
 against the planar integrator (moderate lambda) and high-precision oracles.
@@ -20,19 +28,23 @@ against the planar integrator (moderate lambda) and high-precision oracles.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import PreconditionError
-from .quadrature import _kronrod, _swing_panels
+from .quadrature import _kronrod, _levin_halving, _swing_panels
 
 SERIES_SWITCH = 12.0
 DIRECT_SWITCH = 48.0
 # swing limit and budget of the outer panels in y
 SWING_CAP = math.pi / 2.0
 MAX_PANELS = 1 << 22
+# a Levin piece of the tail is accepted when its estimate is at most this
+# times (|head| + |power term|) per unit length in u = ln y
+TAIL_RTOL = 1e-14
 
 
 def _direct_rule():
@@ -82,48 +94,92 @@ def monomial_profile(k: int, w) -> np.ndarray:
                 break
         out[small] = acc
     if mid.any():
-        # fixed composite Gauss: swing at most ~DIRECT_SWITCH, 6x64 nodes ample
+        # fixed composite Gauss: swing at most ~DIRECT_SWITCH, 6x64 nodes ample;
+        # an elementwise sum, as a matrix product would wake a second BLAS thread
         pts, wts = _DIRECT_RULE
         xk = pts**k
-        out[mid] = np.exp(1j * w[mid][:, None] * xk[None, :]) @ wts
+        out[mid] = (np.exp(1j * w[mid][:, None] * xk[None, :]) * wts).sum(axis=1)
     if big.any():
         awb = aw[big]
         # full line: int_0^inf e^{i|w|x^k} dx = Gamma(1+1/k) e^{i pi/(2k)} |w|^(-1/k)
         full = math.gamma(1.0 + 1.0 / k) * np.exp(1j * math.pi / (2.0 * k)) * awb ** (-1.0 / k)
-        # tail int_1^inf by parts: S_m = -e^{i|w|}/(ik|w|) + ((mk+k-1)/(ik|w|)) S_{m+1};
-        # term ratios stay below 1 for |w| > DIRECT_SWITCH, so 24 terms suffice
-        ikw = 1j * k * awb
-        tail = np.zeros(awb.shape, dtype=complex)
-        coef = np.ones(awb.shape, dtype=complex)
-        eiw = np.exp(1j * awb)
-        for m in range(24):
-            tail += coef * (-eiw / ikw)
-            coef = coef * (m * k + k - 1.0) / ikw
-            if np.all(np.abs(coef) < 1e-17):
-                break
-        vals = full - tail
+        vals = full - np.exp(1j * awb) * _tail_amplitude(k, awb)
         out[big] = np.where(w[big] >= 0, vals, np.conj(vals))
     return out[0] if scalar else out
+
+
+def _tail_amplitude(k: int, w: np.ndarray) -> np.ndarray:
+    """T_k(w) with int_1^inf e^{i w x^k} dx = e^{iw} T_k(w), for w > DIRECT_SWITCH.
+
+    By parts S_m = -e^{iw}/(ikw) + ((mk+k-1)/(ikw)) S_{m+1}; the term ratios
+    stay below 1 for w > DIRECT_SWITCH, so 24 terms suffice.
+    """
+    ikw = 1j * k * w
+    out = np.zeros(w.shape, dtype=complex)
+    coef = np.ones(w.shape, dtype=complex)
+    for m in range(24):
+        out -= coef / ikw
+        coef = coef * (m * k + k - 1.0) / ikw
+        if np.all(np.abs(coef) < 1e-17):
+            break
+    return out
+
+
+def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
+    """(int_0^1 A_k(la y^j) dy, panels, Levin pieces) for la > 0.
+
+    The panels cover [0, y0] and the tail pieces whose swing is at most
+    ``quadrature.LEVIN_SWING``; their count does not grow with la.  The
+    Levin pieces cover the rest of [ln y0, 0], whose length grows as ln la,
+    so halving it adds a piece at most each time that length doubles.
+    """
+    y0 = min(1.0, (DIRECT_SWITCH / la) ** (1.0 / j))
+    # the second column caps the widths near y0 / 4: next to y = 0 the
+    # profile is a power series in y^j, of a degree the rule misses for j >= 5
+    L, R = _swing_panels(lambda y: np.stack([y**j, y * (y0 ** (j - 1) / 8.0)], axis=-1),
+                         [0.0], [y0], la, SWING_CAP, MAX_PANELS)
+
+    def profile(y):
+        a = monomial_profile(k, la * y**j)
+        return a.real, a.imag
+
+    val, _ = _kronrod(profile, L, R)
+    head = complex(val[0].sum(), val[1].sum())
+    if y0 == 1.0:
+        return head, L.size, 0
+
+    # Gamma term: Gamma(1+1/k) e^{i pi/2k} la^(-1/k) int_{y0}^1 y^(-j/k) dy
+    a = 1.0 - j / k
+    pw = -math.log(y0) if j == k else -math.expm1(a * math.log(y0)) / a
+    power = math.gamma(1.0 + 1.0 / k) * cmath.exp(0.5j * math.pi / k) * la ** (-1.0 / k) * pw
+
+    # tail term in u = ln y: -int e^{i la e^{ju}} e^u T_k(la e^{ju}) du over [ln y0, 0]
+    ev = lambda u: np.exp(j * u)
+    amp = lambda u: -np.exp(u) * _tail_amplitude(k, la * ev(u))
+    SL, SR, n_levin, tail, _ = _levin_halving(
+        ev, lambda u: j * ev(u), amp, la, [math.log(y0)], [0.0],
+        TAIL_RTOL * (abs(head) + abs(power)), MAX_PANELS)
+    TL, TR = _swing_panels(ev, SL, SR, la, SWING_CAP, MAX_PANELS)
+
+    def tail_samples(u):
+        v = np.exp(1j * la * ev(u)) * amp(u)
+        return v.real, v.imag
+
+    val, _ = _kronrod(tail_samples, TL, TR)
+    value = head + power + complex(val[0].sum(), val[1].sum()) + tail
+    return value, L.size + TL.size, n_levin
 
 
 def product_monomial_integral(k: int, j: int, lam: float, coeff: float = 1.0) -> complex:
     """int_0^1 int_0^1 e^{i lam coeff x^k y^j} dx dy via the profile reduction.
 
-    Panels in y are sized so the oscillation carrier lam*coeff*y^j swings at
-    most ``SWING_CAP`` per panel; the profile factor varies slowly on that scale.
+    Evaluated for |lam coeff| as in the module docstring; a negative product
+    gives the complex conjugate.
     """
     if j < 1:
         raise PreconditionError("reduction needs j >= 1")
     lam_eff = lam * coeff
     if lam_eff == 0.0:
         return 1.0 + 0.0j
-    la = abs(lam_eff)
-
-    L, R = _swing_panels(lambda y: y**j, [0.0], [1.0], la, SWING_CAP, MAX_PANELS)
-
-    def samples(y):
-        a = monomial_profile(k, lam_eff * y**j)
-        return a.real, a.imag
-
-    val, _ = _kronrod(samples, L, R)
-    return complex(val[0].sum(), val[1].sum())
+    value = _reduce(k, j, abs(lam_eff))[0]
+    return value if lam_eff > 0 else value.conjugate()

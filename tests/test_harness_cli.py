@@ -401,3 +401,25 @@ def test_t6_computes_each_cover_ratio_once(monkeypatch, degrees):
     assert calls["estimate_B"] == 2
     # one ratio per SND draw (no retry fires on this seed), one per eta
     assert calls["cover_ratio"] == 2 * SMALL_T6["snd_trials"] + len(SMALL_T6["etas"])
+
+
+def test_t6_threshold_cover_check_fails_on_short_thresholds(monkeypatch):
+    """The product threshold cover verdict fails, with a witness, when the
+    thresholds multiply to less than eps."""
+    import dataclasses
+
+    from oscint import harness
+
+    young_cover = harness.young_cover
+
+    def short(factors, eps):
+        yc = young_cover(factors, eps)
+        return dataclasses.replace(yc, thresholds=tuple(0.5 * t for t in yc.thresholds))
+
+    monkeypatch.setattr(harness, "young_cover", short)
+    rep = run_suite(small_t6_config())
+    verdict = next(v for v in rep.verdicts if v["case"] == "product_threshold_cover")
+    assert not verdict["passed"] and verdict["witness"]["trial"] == 0
+    assert verdict["witness"]["threshold_product"] < verdict["witness"]["eps"]
+    row = next(r for r in rep.rows if r["case"] == "product_threshold_cover")
+    assert row["magnitude"] == SMALL_T6["young_trials"]

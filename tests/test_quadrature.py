@@ -30,6 +30,7 @@ from oscint.quadrature import (
     DEFAULT_CONFIG,
     LEVIN_SWING,
     _kronrod,
+    _levin,
     _refine,
     _swing_panels,
 )
@@ -127,6 +128,42 @@ def test_panel_budget():
     g = monomial(2, (0.0, 1.0))
     with pytest.raises(PanelBudgetError):
         osc_integrate_1d(g, 1e8, cfg=QuadConfig(max_panels=4))
+
+
+@pytest.mark.parametrize("lam", [45.0, 300.0, 1e5])
+def test_levin_polynomial_amplitude_on_linear_phase(lam):
+    # int_a^b h e^{i lam x} dx = [e^{i lam x} sum_m (-1)^m h^(m)(x) / (i lam)^(m+1)]_a^b
+    h = np.polynomial.Polynomial([1.0, -2.0, 0.5, 3.0])
+    a, b = 0.25, 1.5
+
+    def closed(x):
+        return np.exp(1j * lam * x) * sum(
+            (-1) ** m * h.deriv(m)(x) / (1j * lam) ** (m + 1) for m in range(4))
+
+    L, R = np.array([a]), np.array([b])
+    val, err = _levin(np.ones_like, h, lam, L, R, L, R)
+    exact = closed(b) - closed(a)
+    assert abs(val[0] - exact) <= err[0] + 1e-15 * abs(exact)
+    assert abs(val[0] - exact) / abs(exact) < 1e-13
+
+
+# osc_integrate_1d on T1's x2_monic_d3 (x^6 / 3) under the suite config: the
+# bits (value, error estimate) and panel count before the amplitude was added
+X2_MONIC_D3_BITS = {
+    1e3: ("0x1.5ca4e9f5efd3bp-2", "0x1.738f30fc1dca0p-4", "0x1.554379f5e3b62p-35", 7),
+    1e5: ("0x1.4382d01822f4ep-3", "0x1.5ab52b3aa0972p-5", "0x1.d7664ad289fe2p-33", 7),
+    1e7: ("0x1.2c501713f4056p-4", "0x1.41e0081d6f52dp-6", "0x1.fa3e9ee034056p-37", 13),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(X2_MONIC_D3_BITS))
+def test_unit_amplitude_keeps_the_bits(lam):
+    cfg = QuadConfig(rel_tol=1e-9, max_panels=4194304, phase_variation_cap=2.8)
+    g = compose_with_polynomial(monomial(2, (0.0, 1.0)), [0.0, 0.0, 0.0, 1.0 / 3.0])
+    res = osc_integrate_1d(g, lam, cfg=cfg)
+    re, im, err, panels = X2_MONIC_D3_BITS[lam]
+    assert (res.value.real.hex(), res.value.imag.hex(), res.error_estimate.hex(),
+            res.panels_used) == (re, im, err, panels)
 
 
 @pytest.mark.parametrize("n, lam", [(1, 5e6), (2, 1e8)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oscint import QuadConfig, monomial, osc_integrate_1d, osc_integrate_2d, product_phase
-from oscint.reduction import monomial_profile, product_monomial_integral
+from oscint.reduction import DIRECT_SWITCH, _reduce, monomial_profile, product_monomial_integral
 
 from oracles import monomial_profile_gamma, xy_square_integral
 
@@ -59,3 +59,61 @@ def test_reduction_with_coefficient():
 
 def test_reduction_lambda_zero():
     assert product_monomial_integral(3, 2, 0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("lam", [1e7, 3e7, 1e8])
+def test_xy_reduction_vs_closed_form_to_1e8(lam):
+    val = product_monomial_integral(1, 1, lam)
+    oracle = xy_square_integral(lam)
+    assert abs(val - oracle) / abs(oracle) < 1e-12
+
+
+@pytest.mark.parametrize("k, j, coeff", [(1, 1, 1.0), (3, 2, 1.0), (2, 2, 0.5)])
+def test_reduction_work_does_not_grow_with_lambda(k, j, coeff):
+    # panels cover [0, y0], where lam y^j swings DIRECT_SWITCH at any lambda;
+    # the Levin range ln(lam / DIRECT_SWITCH) / j in u = ln y grows only
+    # logarithmically, and each doubling of it may take one more piece
+    panels, pieces = zip(*(_reduce(k, j, lam * coeff)[1:] for lam in (1e4, 1e8, 1e12)))
+    assert panels[1] <= panels[0] and panels[2] <= panels[0]
+    assert max(pieces) <= 4
+
+
+@pytest.mark.parametrize("k, j", [(1, 1), (3, 2), (2, 2)])
+@pytest.mark.parametrize("lam", [30.0, 1e3, 1e6])
+def test_negative_lambda_or_coefficient_gives_the_conjugate(k, j, lam):
+    val = product_monomial_integral(k, j, lam, 0.5)
+    assert product_monomial_integral(k, j, -lam, 0.5) == val.conjugate()
+    assert product_monomial_integral(k, j, lam, -0.5) == val.conjugate()
+
+
+@pytest.mark.parametrize("lam", [1.0, 20.0, DIRECT_SWITCH])
+def test_small_lambda_stays_on_the_panel_path(lam):
+    val, panels, pieces = _reduce(3, 2, lam)
+    assert pieces == 0 and panels > 0
+    assert val == product_monomial_integral(3, 2, lam)
+    f2 = product_phase(monomial(3, (0.0, 1.0)), monomial(2, (0.0, 1.0)))
+    quad = osc_integrate_2d(f2, lam, cfg=QuadConfig(rel_tol=1e-12))
+    assert abs(val - quad.value) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [47.0, DIRECT_SWITCH, 49.0, 60.0, 88.0, 89.0, 100.0, 300.0])
+def test_xy_reduction_across_the_split(lam):
+    # below DIRECT_SWITCH no split; up to DIRECT_SWITCH + LEVIN_SWING the tail
+    # is on panels; above it the tail goes to Levin pieces
+    val = product_monomial_integral(1, 1, lam)
+    oracle = xy_square_integral(lam)
+    assert abs(val - oracle) / abs(oracle) < 1e-13
+
+
+# x^3 y^2 by the O(lambda)-panel reduction that preceded the split at y0
+X3_Y2_PANEL_VALUES = {
+    1e4: 0.09515305914895454 + 0.049639515079030715j,
+    1e5: 0.04602017857017421 + 0.024894663259985603j,
+    1e6: 0.021946974124868093 + 0.01214137853628157j,
+}
+
+
+@pytest.mark.parametrize("lam", sorted(X3_Y2_PANEL_VALUES))
+def test_x3_y2_matches_the_panel_reduction(lam):
+    ref = X3_Y2_PANEL_VALUES[lam]
+    assert abs(product_monomial_integral(3, 2, lam) - ref) / abs(ref) < 1e-13
