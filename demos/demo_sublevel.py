@@ -36,6 +36,6 @@ for eps in (1e-3, 1e-2, 1e-1):
 
 print("\nplanar band of xy at height 0 shows the log factor:")
 for eps in (1e-1, 1e-2, 1e-3):
-    m = sublevel_2d(xy_phase(), 0.0, eps)
+    m = sublevel_2d(xy_phase(), 0.0, eps)[0]
     print(f"  eps = {eps:g}: area {m:.6f} = eps(1 + ln(1/eps)) "
           f"= {eps*(1+math.log(1/eps)):.6f}")

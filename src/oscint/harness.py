@@ -658,7 +658,9 @@ def _run_hlog(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], lis
     eps_grid = _grid(opt["eps_grid"])
     points = []
     for eps in eps_grid:
-        m = sublevel_2d(f2, 0.0, float(eps))
+        m, converged = sublevel_2d(f2, 0.0, float(eps))
+        if not converged:
+            unconverged.append({"case": "xy_sublevel", "eps": float(eps)})
         points.append((float(eps), m))
         rows.append(_row("H-LOG", "xy_sublevel", eps=float(eps), c=0.0, magnitude=m))
     a, b, r2 = fit_log_model(points)

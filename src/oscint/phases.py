@@ -515,16 +515,20 @@ def xy_quad_phase(c: float) -> Phase2D:
 
 
 def compose2d_with_polynomial(phase: Phase2D, coeffs: Sequence[float]) -> Phase2D:
-    """Planar phase (x, y) -> P(f(x, y)), values only (enough to integrate)."""
+    """Planar phase (x, y) -> P(f(x, y)) with its x-derivative P'(f) d_x f by
+    the chain rule (enough to integrate)."""
     c = np.asarray(coeffs, dtype=float)
+    dc = c[1:] * np.arange(1, c.size)
     pv = np.polynomial.polynomial.polyval
 
     def ev(orders, x, y):
-        if orders != (0, 0):
-            raise PreconditionError("composed planar phase exposes values only")
-        return pv(phase.eval_fn((0, 0), x, y), c)
+        if orders == (0, 0):
+            return pv(phase.eval_fn((0, 0), x, y), c)
+        if orders == (1, 0):
+            return pv(phase.eval_fn((0, 0), x, y), dc) * phase.eval_fn((1, 0), x, y)
+        raise PreconditionError("composed planar phase exposes f and d_x f only")
 
-    return Phase2D(ev, max_orders=(0, 0), domain=phase.domain,
+    return Phase2D(ev, max_orders=(1, 0), domain=phase.domain,
                    derivative_lower_bound=phase.derivative_lower_bound,
                    name=f"P({phase.name})")
 

@@ -8,12 +8,24 @@ for the non-oscillatory solution p of p' + i lambda g' p = h, collocated at
 two Chebyshev orders whose distance is the error estimate, at a cost that
 does not grow with lambda.  ``osc_integrate_1d`` takes h = 1; the profile
 reduction passes a smooth amplitude h sampled at the collocation points.
-One halving loop, ``_levin_halving``, serves both: a piece that fails its
-share of the tolerance is halved, so the pieces next to a stationary point
-shrink dyadically until their swing is small (S. Olver, BIT 50, 2010).
+One halving loop, ``_levin_halving``, serves every caller: a piece that
+fails its share of the tolerance, or on which g' does not keep a strict
+sign, is halved, so the pieces next to a stationary point shrink
+dyadically until their swing is small (S. Olver, BIT 50, 2010).
 Small-swing pieces are cut into panels whose swing (on a monotone piece the
 endpoint difference IS the swing, so no derivative bounds are needed) is at
-most the configured cap.  Every integrator applies one panel rule,
+most the configured cap.  The loop and the panel cutter take functions of
+(x, slot) and the panel rule functions of (x, panels), as
+``phases.solve_brackets`` does, so many integrals run through them at once
+and each piece adds to its own slot's sum.
+
+In two dimensions ``osc_integrate_2d`` integrates over y on swing panels;
+the x-integrals at their Kronrod nodes (slices) that oscillate go through
+one ``_levin_halving`` call with g' = d_x f, so the work grows like lambda,
+not lambda^2, and panels whose slices barely oscillate keep a shared
+tensor grid (details and the estimate in its docstring).
+
+Every integrator applies one panel rule,
 ``_kronrod``: the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose
 value is the 15-point Kronrod sum and whose error estimate is its distance
 from the 7-point Gauss sum, which reuses 7 of the same 15 samples.  One
@@ -23,8 +35,8 @@ pi/2 the Kronrod value is exact to machine precision, so the estimate
 bounds the error generously.
 
 Evaluation is vectorised and chunked; summation order is fixed (panels
-left to right, Levin pieces in the order they are accepted), so results are
-bit-stable across runs.
+left to right within a slot, Levin pieces in the order they are accepted),
+so results are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelBudgetError, PreconditionError
-from .phases import Phase2D, PhaseFunction, monotone_partition
+from .phases import SIGN_TOL, Phase2D, PhaseFunction, monotone_partition
 
 # QK15 on [-1, 1]: Kronrod nodes x_i >= 0 (the 7-point Gauss nodes are x_1, x_3,
 # x_5 and 0), the Kronrod weights, and the Gauss weights on those four nodes.
@@ -59,7 +71,7 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 nodes, ascending
 _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])      # Kronrod weights
 _WG = np.concatenate([_WG7[:-1], _WG7[::-1]])      # Gauss weights, 0 off the G7 nodes
 _W = np.column_stack([_WK, _WK - _WG])             # samples @ _W -> (K15, K15 - G7)
-_CHUNK = 1 << 13  # panels per evaluation: 1 MB per sample array, which stays in cache
+_CHUNK = 1 << 11  # panels per evaluation: 240 KB per sample array, which stays in cache
 _EPS = np.finfo(float).eps
 
 
@@ -101,19 +113,21 @@ DEFAULT_CONFIG = QuadConfig()
 # ---------------------------------------------------------------------------
 
 
-def _swing_panels(vmap, lo, hi, lam_abs: float, cap: float, max_panels: int):
+def _swing_panels(vmap, lo, hi, slot, lam_abs: float, cap: float, max_panels: int):
     """Halve the panels [lo_i, hi_i] until each swing is at most ``cap``.
 
-    ``vmap`` maps a float array of n points to n values or to an (n, k)
-    array; a panel's swing is lam_abs * max_k |v(right) - v(left)|.  Endpoint
-    values are kept, so each pass evaluates only the new midpoints.  Returns
-    sorted (left, right) arrays.  Raises PANEL_BUDGET before allocating past
-    ``max_panels``.
+    ``vmap(x, s)`` maps n points and their slots to n values or to an (n, k)
+    array; a panel's swing is lam_abs * max_k |v(right) - v(left)|, and the
+    panels cut from [lo_i, hi_i] keep its slot ``slot[i]``.  Endpoint values
+    are kept, so each pass evaluates only the new midpoints.  Returns the
+    (left, right, slot) arrays, sorted by slot, then left end.  Raises
+    PANEL_BUDGET before allocating past ``max_panels``.
     """
     L = np.asarray(lo, dtype=float)
     R = np.asarray(hi, dtype=float)
-    VL, VR = vmap(L), vmap(R)
-    done: list[tuple[np.ndarray, np.ndarray]] = []
+    S = np.asarray(slot, dtype=np.intp)
+    VL, VR = vmap(L, S), vmap(R, S)
+    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     n_done = 0
     while L.size:
         swing = lam_abs * np.abs(VR - VL).reshape(L.size, -1).max(axis=1)
@@ -125,28 +139,29 @@ def _swing_panels(vmap, lo, hi, lam_abs: float, cap: float, max_panels: int):
                 lam_abs=lam_abs,
             )
         if n_bad < L.size:
-            done.append((L[~bad], R[~bad]))
+            done.append((L[~bad], R[~bad], S[~bad]))
             n_done += L.size - n_bad
         if not n_bad:
             break
-        L, R, VL, VR = L[bad], R[bad], VL[bad], VR[bad]
+        L, R, S, VL, VR = L[bad], R[bad], S[bad], VL[bad], VR[bad]
         M = 0.5 * (L + R)
-        VM = vmap(M)
-        L, R = np.concatenate([L, M]), np.concatenate([M, R])
+        VM = vmap(M, S)
+        L, R, S = np.concatenate([L, M]), np.concatenate([M, R]), np.concatenate([S, S])
         VL, VR = np.concatenate([VL, VM]), np.concatenate([VM, VR])
     if not done:
-        return np.empty(0), np.empty(0)
-    left = np.concatenate([d[0] for d in done])
-    right = np.concatenate([d[1] for d in done])
-    order = np.argsort(left, kind="stable")
-    return left[order], right[order]
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
+    left, right, slots = (np.concatenate([d[i] for d in done]) for i in range(3))
+    order = np.lexsort((left, slots))
+    return left[order], right[order], slots[order]
 
 
 def _kronrod(fvec, L: np.ndarray, R: np.ndarray):
     """QK15 on the panels [L_i, R_i]: each panel's K15 sum and |K15 - G7|.
 
-    ``fvec`` maps a flat array of nodes to samples: a real array, an
-    (nodes, k) array of k integrands, or a (real, imaginary) pair of either.
+    ``fvec(x, p)`` maps the flat nodes x of the panels ``p``, a slice of the
+    panel arrays with 15 consecutive nodes per panel, to samples: a real
+    array, an (nodes, k) array of k integrands, or a (real, imaginary) pair
+    of either.
     Returns ``(val, err)``: ``val[p]`` holds part p's sums, and ``err`` is
     the modulus of the complex difference for a pair; each has shape
     (panels,) or (panels, k).  Panels go _CHUNK at a time to bound memory.
@@ -156,7 +171,8 @@ def _kronrod(fvec, L: np.ndarray, R: np.ndarray):
     for s in range(0, max(n, 1), _CHUNK):  # with no panels, one empty chunk sets the shapes
         e = min(n, s + _CHUNK)
         half = 0.5 * (R[s:e] - L[s:e])
-        out = fvec((0.5 * (L[s:e] + R[s:e])[:, None] + half[:, None] * _NODES).ravel())
+        out = fvec((0.5 * (L[s:e] + R[s:e])[:, None] + half[:, None] * _NODES).ravel(),
+                   slice(s, e))
         # (part, panel, node, k...) -> (part, panel, k..., [K15, K15 - G7])
         kg = np.stack([np.moveaxis(np.reshape(p, (e - s, _NODES.size) + np.shape(p)[1:]), 1, -1)
                        @ _W for p in (out if isinstance(out, tuple) else (out,))])
@@ -214,75 +230,117 @@ def _chebyshev(n: int):
 
 LEVIN_SWING = 40.0  # pieces of larger swing |lambda| |g(b) - g(a)| go to Levin collocation
 _LEVIN = tuple(_chebyshev(n) for n in (16, 24))
+_LEVIN_CHUNK = 128  # pieces per batched solve: 1.2 MB of order-24 matrices
 
 
-def _levin(gd, h, lam: float, L, R, GL, GR):
+def _levin(gd, h, lam: float, L, R, GL, GR, S):
     """Levin collocation for int_{L_i}^{R_i} h e^{i lam g} dx on each piece.
 
-    ``gd`` evaluates g' and ``h`` the smooth amplitude.  The non-oscillatory
-    solution of p' + i lam g' p = h gives the integral
-    p(R) e^{i lam g(R)} - p(L) e^{i lam g(L)}; p is collocated on the
-    Chebyshev-Lobatto points of both orders of ``_LEVIN``, one batched solve
-    per order.  Returns the higher order's values and their error estimates:
-    the distance between the two orders plus the rounding of the solve and
-    of the phase arguments lam g(L), lam g(R).
+    ``gd(x, s)`` evaluates g' and ``h(x, s)`` the smooth amplitude of the
+    pieces' slots ``s``.  The non-oscillatory solution of p' + i lam g' p = h
+    gives the integral p(R) e^{i lam g(R)} - p(L) e^{i lam g(L)}; p is
+    collocated on the Chebyshev-Lobatto points of both orders of ``_LEVIN``,
+    one batched solve per order.  Returns the higher order's values and their
+    error estimates: the distance between the two orders plus the rounding
+    of the solve and of the phase arguments lam g(L), lam g(R).  A piece on
+    which g' does not keep one sign, beyond ``SIGN_TOL``, at every
+    collocation point holds or touches a zero of g', where no
+    non-oscillatory solution exists: it is not solved, and its estimate is
+    infinite.
     """
     mid, half = 0.5 * (L + R), 0.5 * (R - L)
+    xs = [mid[:, None] + half[:, None] * t for t, _ in _LEVIN]
+    gds = [np.broadcast_to(np.asarray(gd(x, S[:, None]), dtype=float), x.shape) for x in xs]
+    both = np.concatenate(gds, axis=1)
+    ok = (both.min(axis=1) > SIGN_TOL) | (both.max(axis=1) < -SIGN_TOL)
+    val, err = np.zeros(L.size, dtype=complex), np.full(L.size, np.inf)
+    half, GL, GR, S = half[ok], GL[ok], GR[ok], S[ok]
     eb, ea = np.exp(1j * lam * GR), np.exp(1j * lam * GL)
     vals = []
-    for t, D in _LEVIN:
-        x = mid[:, None] + half[:, None] * t
-        om = (lam * half)[:, None] * np.broadcast_to(np.asarray(gd(x), dtype=float), x.shape)
+    for (t, D), x, gdx in zip(_LEVIN, xs, gds):
+        om = (lam * half)[:, None] * gdx[ok]
         A = np.broadcast_to(D, om.shape + (t.size,)).astype(complex)
-        A[:, np.arange(t.size), np.arange(t.size)] += 1j * om
-        q = np.linalg.solve(A, h(x)[..., None])[..., 0]
+        A.reshape(-1, t.size * t.size)[:, ::t.size + 1] += 1j * om  # the diagonals
+        q = np.linalg.solve(A, h(x[ok], S[:, None])[..., None])[..., 0]
         pb, pa = half * q[:, 0], half * q[:, -1]  # p at R (t = 1) and at L (t = -1)
         vals.append(pb * eb - pa * ea)
     rounding = _EPS * (np.abs(pb) * (t.size + abs(lam * GR)) + np.abs(pa) * (t.size + abs(lam * GL)))
-    return vals[-1], np.abs(vals[-1] - vals[0]) + rounding
+    val[ok], err[ok] = vals[-1], np.abs(vals[-1] - vals[0]) + rounding
+    return val, err
 
 
-def _levin_halving(gval, gd, h, lam: float, L, R, tol: float, max_pieces: int):
-    """Levin collocation of int h e^{i lam g} over the monotone pieces [L_i, R_i].
+def _slot_sums(slot, v, n: int) -> np.ndarray:
+    """The sums of ``v`` over each of the slots 0..n-1.
 
-    A piece whose swing |lam| |g(b) - g(a)| is at most ``LEVIN_SWING`` is set
-    aside for panels.  A larger one goes to ``_levin`` and is accepted when
-    its estimate is at most ``tol`` times its width; otherwise it is halved
-    and both halves are classified again.  Next to a zero of g' the halving
-    closes in dyadically until the swing is small enough for panels.
-    Returns the set-aside pieces as (left, right) arrays, the number of
-    accepted pieces, their summed value and their summed estimate.  Raises
-    PANEL_BUDGET when the accepted pieces and the pending halves would pass
-    ``max_pieces``.
+    A slot's entries are summed in their order as one ``np.sum`` call sums
+    them (slots with as many entries share one pairwise ``sum(axis=1)``), so
+    a single slot gives ``np.sum(v)`` bit for bit, and takes that call.
+    """
+    if n == 1:
+        return np.sum(v, keepdims=True)
+    out = np.zeros(n, dtype=v.dtype)
+    order = np.argsort(slot, kind="stable")
+    slot, v = slot[order], v[order]
+    first = np.flatnonzero(np.diff(slot, prepend=-1))
+    count = np.diff(first, append=slot.size)
+    for c in set(count.tolist()):
+        f = first[count == c]
+        out[slot[f]] = v[f[:, None] + np.arange(c)].sum(axis=1)
+    return out
+
+
+def _levin_halving(gval, gd, h, lam: float, L, R, slot, n_slots: int, tol: float,
+                   max_pieces: int):
+    """Levin collocation of int h e^{i lam g} over the pieces [L_i, R_i].
+
+    ``gval``, ``gd`` and ``h`` take points and their slots, as ``_levin``
+    does; piece i and every piece cut from it add to slot ``slot[i]``, one of
+    0..n_slots-1.  A piece whose swing |lam| |g(b) - g(a)| is at most
+    ``LEVIN_SWING`` is set aside for panels.  A larger one goes to
+    ``_levin``, ``_LEVIN_CHUNK`` pieces per solve, and is accepted when its
+    estimate is at most ``tol`` times its width, which it never is where g'
+    vanishes or changes sign; otherwise it is halved and both halves are
+    classified again.  Next to a zero of g' the halving closes in dyadically
+    until the swing is small enough for panels.  Returns the set-aside pieces
+    as (left, right, slot) arrays, the number of accepted pieces, and per
+    slot their summed value and summed estimate.  Raises PANEL_BUDGET when
+    the accepted pieces and the pending halves would pass ``max_pieces``.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
+    S = np.asarray(slot, dtype=np.intp)
     lam_abs = abs(lam)
-    GL, GR = gval(L), gval(R)
+    GL, GR = gval(L, S), gval(R, S)
     small = []
-    n_levin, levin_val, levin_err = 0, 0j, 0.0
+    n_levin = 0
+    levin_val, levin_err = np.zeros(n_slots, dtype=complex), np.zeros(n_slots)
     while True:
         near = lam_abs * np.abs(GR - GL) <= LEVIN_SWING
-        small.append((L[near], R[near]))
-        L, R, GL, GR = L[~near], R[~near], GL[~near], GR[~near]
+        small.append((L[near], R[near], S[near]))
+        far = ~near
+        L, R, S, GL, GR = L[far], R[far], S[far], GL[far], GR[far]
         if not L.size:
             break
-        val, err = _levin(gd, h, lam, L, R, GL, GR)
+        val, err = np.empty(L.size, dtype=complex), np.empty(L.size)
+        for c in range(0, L.size, _LEVIN_CHUNK):
+            k = slice(c, c + _LEVIN_CHUNK)
+            val[k], err[k] = _levin(gd, h, lam, L[k], R[k], GL[k], GR[k], S[k])
         ok = err <= tol * (R - L)
         n_levin += int(np.count_nonzero(ok))
-        levin_val += complex(np.sum(val[ok]))
-        levin_err += float(np.sum(err[ok]))
-        L, R, GL, GR = L[~ok], R[~ok], GL[~ok], GR[~ok]
+        levin_val += _slot_sums(S[ok], val[ok], n_slots)
+        levin_err += _slot_sums(S[ok], err[ok], n_slots)
+        bad = ~ok
+        L, R, S, GL, GR = L[bad], R[bad], S[bad], GL[bad], GR[bad]
         if n_levin + 2 * L.size > max_pieces:
             raise PanelBudgetError(
                 f"panel budget {max_pieces} exceeded (lambda too large for config)",
                 lam_abs=lam_abs,
             )
         M = 0.5 * (L + R)
-        GM = gval(M)
-        L, R = np.concatenate([L, M]), np.concatenate([M, R])
+        GM = gval(M, S)
+        L, R, S = np.concatenate([L, M]), np.concatenate([M, R]), np.concatenate([S, S])
         GL, GR = np.concatenate([GL, GM]), np.concatenate([GM, GR])
-    return (np.concatenate([p[0] for p in small]), np.concatenate([p[1] for p in small]),
-            n_levin, levin_val, levin_err)
+    SL, SR, SS = (np.concatenate([p[i] for p in small]) for i in range(3))
+    return SL, SR, SS, n_levin, levin_val, levin_err
 
 
 def osc_integrate_1d(g: PhaseFunction, lam: float,
@@ -303,41 +361,81 @@ def osc_integrate_1d(g: PhaseFunction, lam: float,
     if lam == 0.0:
         return QuadResult(complex(length, 0.0), 0.0, 0, 0.0)
 
-    gval = lambda x: np.asarray(g.eval_fn(0, x), dtype=float)
+    gval = lambda x, _: np.asarray(g.eval_fn(0, x), dtype=float)
     lam_abs = abs(lam)
     pieces = [p for p in monotone_partition(g, order_cap=1) if p.hi > p.lo]
     L = np.array([p.lo for p in pieces], dtype=float)
     R = np.array([p.hi for p in pieces], dtype=float)
-    SL, SR, n_levin, levin_val, levin_err = _levin_halving(
-        gval, lambda x: g.eval_fn(1, x), np.ones_like, lam, L, R, cfg.rel_tol, cfg.max_panels)
+    one = np.zeros(L.size, dtype=np.intp)  # every piece adds to the one integral
+    SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
+        gval, lambda x, _: g.eval_fn(1, x), lambda x, _: np.ones_like(x), lam, L, R, one, 1,
+        cfg.rel_tol, cfg.max_panels)
     budget = cfg.max_panels - n_levin
-    L, R = _swing_panels(gval, SL, SR, lam_abs, cfg.phase_variation_cap, budget)
+    L, R, _ = _swing_panels(gval, SL, SR, SS, lam_abs, cfg.phase_variation_cap, budget)
 
-    def samples(x):
-        th = lam * gval(x)
+    def samples(x, _):
+        th = lam * gval(x, _)
         return np.cos(th), np.sin(th)
 
     val, errp, converged = _refine(samples, L, R, lambda total: cfg.rel_tol, 3, budget)
-    value = complex(float(np.sum(val[0])), float(np.sum(val[1]))) + levin_val
-    err = float(np.sum(errp)) + levin_err + 8.0 * _EPS * length
+    value = complex(float(np.sum(val[0])), float(np.sum(val[1]))) + complex(levin_val[0])
+    err = float(np.sum(errp)) + float(levin_err[0]) + 8.0 * _EPS * length
     return QuadResult(value, float(err), int(errp.size) + n_levin, float(lam), converged)
 
 
 # ---------------------------------------------------------------------------
-# Two dimensions: iterated tensor-panel integration
+# Two dimensions: outer panels in y over Levin slices or tensor panels in x
 # ---------------------------------------------------------------------------
+
+
+def _levin_slices(f, lam: float, ys, ax: float, bx: float, cfg: QuadConfig):
+    """int_ax^bx e^{i lam f(x, y)} dx for every y of ``ys``, through one
+    halving loop.
+
+    Every slice starts as one piece in ``_levin_halving`` with g' = d_x f;
+    the pieces it sets aside, next to x-stationary points, get per-slice
+    swing panels and ``_kronrod``.  Returns each slice's value and estimate
+    (its Levin estimates plus its panels' |K15 - G7|) and the number of
+    Levin pieces and panels used.
+    """
+    n = ys.size
+    gval = lambda x, s: f((0, 0), x, ys[s])
+    SL, SR, SS, n_levin, val, err = _levin_halving(
+        gval, lambda x, s: f((1, 0), x, ys[s]), lambda x, s: np.ones_like(x), lam,
+        np.full(n, ax), np.full(n, bx), np.arange(n), n, cfg.rel_tol, cfg.max_panels)
+    PL, PR, PS = _swing_panels(gval, SL, SR, SS, abs(lam), cfg.phase_variation_cap,
+                               cfg.max_panels - n_levin)
+
+    def samples(x, p):
+        th = lam * gval(x, np.repeat(PS[p], _NODES.size))
+        return np.cos(th), np.sin(th)
+
+    pv, pe = _kronrod(samples, PL, PR)
+    val = val + (np.bincount(PS, pv[0], n) + 1j * np.bincount(PS, pv[1], n))
+    return val, err + np.bincount(PS, pe, n), n_levin + PL.size
 
 
 def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
     """Iterated integration over the rectangle ``g.domain``.
 
-    The outer variable is the second coordinate; for each outer panel the
-    inner slices at all outer nodes share one x-panel grid sized by the worst
-    phase swing over the panel, so the whole block of 15 x 15 Kronrod points
-    per cell is evaluated as one tensor.  The inner and outer rules both
-    estimate their error as |K15 - G7| from the same samples; the combined
-    estimate is the outer estimate plus the supremum of the inner estimates
-    times the outer length, per the module contract.
+    The outer variable is the second coordinate: swing panels in y, each
+    integrated by QK15 over its 15 nodes.  The x-integrals at those nodes,
+    the slices, are computed in one of two ways:
+
+    * an outer panel with a slice whose swing |lam| |f(bx, y) - f(ax, y)|
+      exceeds ``LEVIN_SWING`` sends its 15 slices, with those of every such
+      panel, through one Levin halving loop (``_levin_slices``), at a cost
+      per slice that does not grow with lam; g must expose the (1, 0)
+      partial;
+    * the other panels keep one x-panel grid shared by their 15 slices,
+      sized by the worst swing over the panel, and evaluate the block of
+      15 x 15 Kronrod points per cell as one tensor.
+
+    Estimate: the outer |K15 - G7| summed over the outer panels, plus the
+    largest estimate of any slice (its Levin estimates, each held to
+    ``cfg.rel_tol`` per unit width, and its panels' |K15 - G7|) times the
+    height.  ``panels_used`` counts tensor cells, Levin pieces and slice
+    panels, which together may not pass ``cfg.max_panels``.
     """
     dom = g.domain
     if lam == 0.0:
@@ -348,35 +446,42 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     f = g.eval_fn
     total = 0.0 + 0.0j
     outer_err = 0.0
-    inner_sup = 0.0
-    cells = 0
     ax, bx, ay, by = dom.ax, dom.bx, dom.ay, dom.by
 
     x_probe = np.linspace(ax, bx, 9)
-    YL, YR = _swing_panels(lambda y: f((0, 0), x_probe[None, :], y[:, None]),
-                           [ay], [by], lam_abs, cap, cfg.max_panels)
+    YL, YR, _ = _swing_panels(lambda y, _: f((0, 0), x_probe[None, :], y[:, None]),
+                              [ay], [by], [0], lam_abs, cap, cfg.max_panels)
+    ymid, yhalf = 0.5 * (YL + YR), 0.5 * (YR - YL)
+    Y = ymid[:, None] + yhalf[:, None] * _NODES
+    edge = lambda x: f((0, 0), np.full_like(Y, x), Y)
+    levin = (lam_abs * np.abs(edge(bx) - edge(ax)) > LEVIN_SWING).any(axis=1)
+    slice_val, slice_err, cells = _levin_slices(f, lam, Y[levin].ravel(), ax, bx, cfg)
+    inner_sup = float(slice_err.max(initial=0.0))
+    levin_rows = zip(*(yhalf[levin, None] * (v.reshape(-1, _NODES.size) @ _W)
+                       for v in (slice_val.real, slice_val.imag)))
 
-    for y0, y1 in zip(YL, YR):
-        ymid, yhalf = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
-        y_nodes = ymid + yhalf * _NODES
-        y_probe = np.array([y0, ymid, y1])
-        XL, XR = _swing_panels(lambda x: f((0, 0), x[:, None], y_probe[None, :]),
-                               [ax], [bx], lam_abs, cap, cfg.max_panels)
-        cells += XL.size
-        if cells > cfg.max_panels:
-            raise PanelBudgetError(
-                f"2D cell budget {cfg.max_panels} exceeded (lambda too large for config)",
-                lam_abs=lam_abs,
-            )
+    for p in range(YL.size):
+        if levin[p]:
+            o_re, o_im = next(levin_rows)
+        else:
+            y_probe = np.array([YL[p], ymid[p], YR[p]])
+            XL, XR, _ = _swing_panels(lambda x, _: f((0, 0), x[:, None], y_probe[None, :]),
+                                      [ax], [bx], [0], lam_abs, cap, cfg.max_panels)
+            cells += XL.size
+            if cells > cfg.max_panels:
+                raise PanelBudgetError(
+                    f"2D cell budget {cfg.max_panels} exceeded (lambda too large for config)",
+                    lam_abs=lam_abs,
+                )
 
-        def samples(xs):
-            th = lam * f((0, 0), xs[:, None], y_nodes[None, :])
-            return np.cos(th), np.sin(th)
+            def samples(xs, _, y_nodes=Y[p]):
+                th = lam * f((0, 0), xs[:, None], y_nodes[None, :])
+                return np.cos(th), np.sin(th)
 
-        # the 15 y nodes are the integrand columns of the inner x-rule
-        val, inner_err = _kronrod(samples, XL, XR)
-        inner_sup = max(inner_sup, float(inner_err.sum(axis=0).max()))
-        o_re, o_im = (yhalf * (v.sum(axis=0) @ _W) for v in val)
+            # the 15 y nodes are the integrand columns of the inner x-rule
+            val, inner_err = _kronrod(samples, XL, XR)
+            inner_sup = max(inner_sup, float(inner_err.sum(axis=0).max()))
+            o_re, o_im = (yhalf[p] * (v.sum(axis=0) @ _W) for v in val)
         total += complex(o_re[0], o_im[0])
         outer_err += math.hypot(o_re[1], o_im[1])
 
@@ -407,6 +512,6 @@ def adaptive_quad(fvec, a: float, b: float, rel_tol: float = 1e-9,
     if b <= a:
         return 0.0, 0.0, True
     val, err, converged = _refine(
-        fvec, [a], [b], lambda total: max(abs_floor, rel_tol * abs(total[0])) / (b - a),
+        lambda x, _: fvec(x), [a], [b], lambda total: max(abs_floor, rel_tol * abs(total[0])) / (b - a),
         63, ADAPTIVE_MAX_SEGMENTS)
     return float(np.sum(val[0])), float(np.sum(err)), converged

@@ -136,10 +136,10 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
     y0 = min(1.0, (DIRECT_SWITCH / la) ** (1.0 / j))
     # the second column caps the widths near y0 / 4: next to y = 0 the
     # profile is a power series in y^j, of a degree the rule misses for j >= 5
-    L, R = _swing_panels(lambda y: np.stack([y**j, y * (y0 ** (j - 1) / 8.0)], axis=-1),
-                         [0.0], [y0], la, SWING_CAP, MAX_PANELS)
+    L, R, _ = _swing_panels(lambda y, _: np.stack([y**j, y * (y0 ** (j - 1) / 8.0)], axis=-1),
+                            [0.0], [y0], [0], la, SWING_CAP, MAX_PANELS)
 
-    def profile(y):
+    def profile(y, _):
         a = monomial_profile(k, la * y**j)
         return a.real, a.imag
 
@@ -154,19 +154,19 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
     power = math.gamma(1.0 + 1.0 / k) * cmath.exp(0.5j * math.pi / k) * la ** (-1.0 / k) * pw
 
     # tail term in u = ln y: -int e^{i la e^{ju}} e^u T_k(la e^{ju}) du over [ln y0, 0]
-    ev = lambda u: np.exp(j * u)
-    amp = lambda u: -np.exp(u) * _tail_amplitude(k, la * ev(u))
-    SL, SR, n_levin, tail, _ = _levin_halving(
-        ev, lambda u: j * ev(u), amp, la, [math.log(y0)], [0.0],
+    ev = lambda u, _: np.exp(j * u)
+    amp = lambda u, _: -np.exp(u) * _tail_amplitude(k, la * ev(u, _))
+    SL, SR, SS, n_levin, tail, _ = _levin_halving(
+        ev, lambda u, _: j * ev(u, _), amp, la, [math.log(y0)], [0.0], [0], 1,
         TAIL_RTOL * (abs(head) + abs(power)), MAX_PANELS)
-    TL, TR = _swing_panels(ev, SL, SR, la, SWING_CAP, MAX_PANELS)
+    TL, TR, _ = _swing_panels(ev, SL, SR, SS, la, SWING_CAP, MAX_PANELS)
 
-    def tail_samples(u):
-        v = np.exp(1j * la * ev(u)) * amp(u)
+    def tail_samples(u, _):
+        v = np.exp(1j * la * ev(u, _)) * amp(u, _)
         return v.real, v.imag
 
     val, _ = _kronrod(tail_samples, TL, TR)
-    value = head + power + complex(val[0].sum(), val[1].sum()) + tail
+    value = head + power + complex(val[0].sum(), val[1].sum()) + complex(tail[0])
     return value, L.size + TL.size, n_levin
 
 

@@ -124,19 +124,22 @@ def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
     return np.array([float(sum(iv.hi - iv.lo for iv in cs)) for cs in comps])
 
 
-def sublevel_2d(f: Phase2D, c: float, eps: float) -> float:
+def sublevel_2d(f: Phase2D, c: float, eps: float) -> tuple[float, bool]:
     """Planar measure of {|f - c| <= eps} over ``f.domain``: ``sublevel_rows``
     measures the x-slices with band edges bisected to the last bit, and
     ``adaptive_quad`` integrates them over y.  f must expose d/dx f, whose
-    sign scan splits each slice into monotone pieces.
+    sign scan splits each slice into monotone pieces.  Returns (measure,
+    converged), ``converged`` False when ``adaptive_quad`` stopped at a cap
+    with segments still over tolerance.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     dom = f.domain
     iv = Interval(dom.ax, dom.bx)
-    val, _, _ = adaptive_quad(lambda ys: sublevel_rows(f, (0, 0), ys, c, eps, iv, xtol=0.0),
-                              dom.ay, dom.by, rel_tol=BAND_AREA_REL_TOL, abs_floor=1e-12)
-    return float(val)
+    val, _, converged = adaptive_quad(
+        lambda ys: sublevel_rows(f, (0, 0), ys, c, eps, iv, xtol=0.0),
+        dom.ay, dom.by, rel_tol=BAND_AREA_REL_TOL, abs_floor=1e-12)
+    return float(val), converged
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,19 @@ def xy_square_integral(lam: float) -> complex:
     return out if lam >= 0 else out.conjugate()
 
 
+def shifted_square_ramp_integral(lam: float, s: float) -> complex:
+    """int_[0,1]^2 e^{i lam (x - s)^2 y}: the y-integral in closed form,
+    (e^{i lam a} - 1) / (i lam a) with a = (x - s)^2, then mpmath quadrature
+    in x on 64 pieces split at the stationary point x = s."""
+    l, s = mp.mpf(lam), mp.mpf(s)
+
+    def inner(x):
+        z = 1j * l * (x - s) ** 2
+        return mp.mpf(1) if z == 0 else mp.expm1(z) / z
+
+    return complex(mp.quad(inner, sorted(mp.linspace(0, 1, 65) + [s])))
+
+
 def monomial_profile_gamma(k: int, w: float) -> complex:
     """int_0^1 e^{i w x^k} dx via the rotated incomplete gamma function."""
     a = mp.mpf(1) / k

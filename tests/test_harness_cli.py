@@ -162,6 +162,7 @@ def test_cli_integrate_2d_family():
 _BITS_SCRIPT = """
 from oscint import (Polynomial, compose_with_polynomial, cover_ratio, degenerating_family,
                     monomial, osc_integrate_1d, osc_integrate_2d, roots, xy_phase)
+from oscint.phases import compose2d_with_polynomial
 from oscint.polynomials import default_eps_grid
 from oscint.reduction import product_monomial_integral
 from oscint.sublevel import osc_to_sublevel_constant
@@ -169,6 +170,7 @@ print(repr(osc_integrate_1d(monomial(2), 2e5)))
 print(repr(osc_integrate_1d(monomial(3), 1e8)))
 print(repr(osc_integrate_1d(compose_with_polynomial(monomial(2), (0.0, 0.0, 0.5, 1.0 / 3.0)), 1e6)))
 print(repr(osc_integrate_2d(xy_phase(), 300.0)))
+print(repr(osc_integrate_2d(compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)), 1e3)))
 print(repr(product_monomial_integral(2, 2, 1e5)))
 print(repr(osc_to_sublevel_constant(0.5)))
 print(repr(roots(Polynomial((-3.0, 1.0, 0.0, -2.0, 0.0, 1.0)))))
@@ -181,7 +183,7 @@ def test_results_do_not_depend_on_blas_threads():
     outs = [_run_python("-c", _BITS_SCRIPT, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
     assert all(o.returncode == 0 for o in outs), [o.stderr for o in outs]
     assert outs[0].stdout == outs[1].stdout
-    assert outs[0].stdout.count("\n") == 9
+    assert outs[0].stdout.count("\n") == 10
 
 
 def test_cli_sublevel():
@@ -346,6 +348,19 @@ def test_t3_notes_certificates_whose_region_quadrature_stops(monkeypatch):
     lams = [float(l) for key in ("lambda_sound", "cert_sweep")
             for l in harness._grid(SMALL_T3[key])]
     assert rep.unconverged == [{"case": "xy_base", "lambda": l} for l in lams]
+
+
+def test_hlog_notes_band_areas_whose_quadrature_stops(monkeypatch):
+    from oscint import harness
+    from test_certificates import stopped_adaptive_quad
+
+    monkeypatch.setattr("oscint.sublevel.adaptive_quad", stopped_adaptive_quad)
+    opts = {"eps_grid": {"lo": 1e-3, "hi": 0.1, "per_decade": 4},
+            "lambda_grid": {"lo": 1e3, "hi": 1e5, "per_decade": 4}, "cross_check": [100.0]}
+    rep = run_suite(ExperimentConfig(suite="H-LOG", quad=QuadConfig(phase_variation_cap=2.8),
+                                     options=opts))
+    assert rep.unconverged == [{"case": "xy_sublevel", "eps": float(e)}
+                               for e in harness._grid(opts["eps_grid"])]
 
 
 def test_t1_fits_each_base_phase_once(monkeypatch):

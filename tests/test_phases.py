@@ -24,7 +24,7 @@ from oscint import (
     xy_quad_phase,
 )
 from oscint import phases
-from oscint.phases import merge_intervals, solve_brackets
+from oscint.phases import compose2d_with_polynomial, merge_intervals, solve_brackets
 
 
 def test_sign_partition_x2_order1():
@@ -170,6 +170,22 @@ def test_xy_quad_mixed_derivative():
     ys = np.array([0.7])
     np.testing.assert_allclose(f2.eval((1, 1), xs, ys), 1.0 + 0.4 * 0.3 * 0.7)
     np.testing.assert_allclose(f2.eval((0, 2), xs, ys), 0.2 * 0.09)
+
+
+def test_composed_planar_x_derivative():
+    # P(f) with P = t^2/2 + t^3/3 on xy + 0.1 x^2 y^2: d_x P(f) = (f + f^2) d_x f
+    f2 = xy_quad_phase(0.1)
+    comp = compose2d_with_polynomial(f2, (0.0, 0.0, 0.5, 1.0 / 3.0))
+    xs, ys = np.meshgrid(np.linspace(0.05, 0.95, 5), np.linspace(0.1, 0.9, 4))
+    f, fx = f2.eval((0, 0), xs, ys), f2.eval((1, 0), xs, ys)
+    np.testing.assert_allclose(comp.eval((0, 0), xs, ys), f**2 / 2.0 + f**3 / 3.0, rtol=1e-14)
+    np.testing.assert_allclose(comp.eval((1, 0), xs, ys), (f + f**2) * fx, rtol=1e-14)
+    h = 1e-5
+    fd = (comp.eval((0, 0), xs + h, ys) - comp.eval((0, 0), xs - h, ys)) / (2.0 * h)
+    np.testing.assert_allclose(comp.eval((1, 0), xs, ys), fd, rtol=1e-8)
+    assert comp.max_orders == (1, 0)
+    with pytest.raises(PreconditionError):
+        comp.eval((0, 1), xs, ys)
 
 
 def test_interval_validation():

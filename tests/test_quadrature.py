@@ -32,14 +32,17 @@ from oscint.quadrature import (
     _kronrod,
     _levin,
     _refine,
+    _slot_sums,
     _swing_panels,
 )
+from oscint.reduction import product_monomial_integral
 
 from oracles import (
     fresnel_integral,
     linear_phase_integral,
     monomial_profile_gamma,
     oscillatory_integral,
+    shifted_square_ramp_integral,
     xy_square_integral,
 )
 
@@ -141,7 +144,8 @@ def test_levin_polynomial_amplitude_on_linear_phase(lam):
             (-1) ** m * h.deriv(m)(x) / (1j * lam) ** (m + 1) for m in range(4))
 
     L, R = np.array([a]), np.array([b])
-    val, err = _levin(np.ones_like, h, lam, L, R, L, R)
+    val, err = _levin(lambda x, _: np.ones_like(x), lambda x, _: h(x), lam, L, R, L, R,
+                      np.zeros(1, dtype=int))
     exact = closed(b) - closed(a)
     assert abs(val[0] - exact) <= err[0] + 1e-15 * abs(exact)
     assert abs(val[0] - exact) / abs(exact) < 1e-13
@@ -164,6 +168,16 @@ def test_unit_amplitude_keeps_the_bits(lam):
     re, im, err, panels = X2_MONIC_D3_BITS[lam]
     assert (res.value.real.hex(), res.value.imag.hex(), res.error_estimate.hex(),
             res.panels_used) == (re, im, err, panels)
+
+
+def test_slot_sums_sum_each_slot_as_np_sum_does():
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 9, 40, 300):
+        slot = rng.integers(0, 5, n)
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n) + 1j * rng.standard_normal(n)
+        want = [np.sum(v[slot == k]) for k in range(5)]
+        np.testing.assert_array_equal(_slot_sums(slot, v, 5), want)
+        np.testing.assert_array_equal(_slot_sums(np.zeros(n, dtype=int), v, 1), [np.sum(v)])
 
 
 @pytest.mark.parametrize("n, lam", [(1, 5e6), (2, 1e8)])
@@ -277,24 +291,24 @@ def test_kronrod_columns_and_pairs_match_single_integrands():
     edges = np.linspace(0.0, 3.0, _CHUNK + 38)
     L, R = edges[:-1], edges[1:]
     freqs = np.array([1.0, 300.0, 2000.0, 9000.0])
-    cols, cols_err = _kronrod(lambda x: np.cos(x[:, None] * freqs), L, R)
+    cols, cols_err = _kronrod(lambda x, _: np.cos(x[:, None] * freqs), L, R)
     assert cols.shape == (1, L.size, 4) and cols_err.shape == (L.size, 4)
     for i, w in enumerate(freqs):
-        one, one_err = _kronrod(lambda x: np.cos(w * x), L, R)
+        one, one_err = _kronrod(lambda x, _: np.cos(w * x), L, R)
         # the contractions may round differently; 1e-20 is below 1e-15 of a panel
         np.testing.assert_allclose(cols[0, :, i], one[0], rtol=1e-15, atol=1e-20)
         np.testing.assert_allclose(cols_err[:, i], one_err, rtol=1e-12, atol=1e-20)
 
-    pair, pair_err = _kronrod(lambda x: (np.cos(5.0 * x), np.sin(5.0 * x)), L, R)
-    re, re_err = _kronrod(lambda x: np.cos(5.0 * x), L, R)
-    im, im_err = _kronrod(lambda x: np.sin(5.0 * x), L, R)
+    pair, pair_err = _kronrod(lambda x, _: (np.cos(5.0 * x), np.sin(5.0 * x)), L, R)
+    re, re_err = _kronrod(lambda x, _: np.cos(5.0 * x), L, R)
+    im, im_err = _kronrod(lambda x, _: np.sin(5.0 * x), L, R)
     np.testing.assert_array_equal(pair, np.concatenate([re, im]))
     np.testing.assert_array_equal(pair_err, np.hypot(re_err, im_err))
     assert pair[0].sum() == pytest.approx(np.sin(15.0) / 5.0, abs=1e-13)
 
 
 def test_refine_reports_its_split_cap():
-    kink = lambda x: np.abs(x - 0.3)
+    kink = lambda x, _: np.abs(x - 0.3)
 
     def run(max_splits):
         return _refine(kink, [0.0], [1.0], lambda total: 1e-12, max_splits, 1 << 16)
@@ -350,7 +364,7 @@ def test_each_kept_panel_evaluated_about_once():
 
     object.__setattr__(g, "eval_fn", counted)
     res = osc_integrate_1d(g, lam, cfg=SUITE_CONFIG)
-    swing_panels = _swing_panels(lambda x: plain(0, x), [0.0], [1.0], lam,
+    swing_panels = _swing_panels(lambda x, _: plain(0, x), [0.0], [1.0], [0], lam,
                                  SUITE_CONFIG.phase_variation_cap, 1 << 20)[0].size
     halved = res.panels_used - swing_panels
     assert res.converged and halved > 0
@@ -386,10 +400,57 @@ def test_error_estimate_bounds_monomial_error(n, cfg):
         assert abs(res.value - oracle) <= res.error_estimate, (n, lam)
 
 
-@pytest.mark.parametrize("lam", np.logspace(0.0, 3.0, 7))
+@pytest.mark.parametrize("lam", list(np.logspace(0.0, 3.0, 7)) + [56.0, 3000.0])
 def test_error_estimate_bounds_xy_error(lam):
-    res = osc_integrate_2d(xy_phase(), lam)
-    assert abs(res.value - xy_square_integral(lam)) <= res.error_estimate
+    for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
+        res = osc_integrate_2d(xy_phase(), lam, cfg=cfg)
+        assert abs(res.value - xy_square_integral(lam)) <= res.error_estimate, cfg
+
+
+@pytest.mark.parametrize("lam", [316.0, 1000.0])
+def test_2d_x3_y2_matches_the_reduction(lam):
+    # every slice touches the x-stationary line x = 0
+    f2 = product_phase(monomial(3, (0.0, 1.0)), monomial(2, (0.0, 1.0)))
+    ref = product_monomial_integral(3, 2, lam)
+    for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
+        res = osc_integrate_2d(f2, lam, cfg=cfg)
+        assert abs(res.value - ref) <= 1e-12 * abs(ref), cfg
+        assert abs(res.value - ref) <= res.error_estimate, cfg
+
+
+def test_2d_interior_stationary_point_against_mpmath():
+    # every slice of (x - 0.4)^2 y turns at x = 0.4
+    f2 = product_phase(polynomial_phase([0.16, -0.8, 1.0]), monomial(1, (0.0, 1.0)))
+    oracle = shifted_square_ramp_integral(1e3, 0.4)
+    for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
+        res = osc_integrate_2d(f2, 1e3, cfg=cfg)
+        assert abs(res.value - oracle) <= res.error_estimate, cfg
+        assert abs(res.value - oracle) <= 1e-10 * abs(oracle), cfg
+
+
+def test_2d_work_grows_linearly_in_lambda():
+    # the outer panels halve dyadically, so their count may round up to twice
+    # lam / cap; each carries 15 slices of bounded work
+    for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
+        lo, hi = (osc_integrate_2d(xy_phase(), lam, cfg=cfg).panels_used for lam in (1e2, 1e3))
+        assert hi <= 2 * 10 * lo, cfg
+
+
+# osc_integrate_2d(xy, 10) under the default and the suite config: the bits
+# (value, error estimate) and cell count before the Levin slices, whose
+# swing threshold no slice reaches at this lambda
+XY_10_BITS = [
+    ("0x1.53a12ca20e67fp-3", "0x1.2b8bdcb2ebfa6p-2", "0x1.1458a0d3d2ff3p-49", 39),
+    ("0x1.53a12ca20e680p-3", "0x1.2b8bdcb2ebfa7p-2", "0x1.dd3d6171e624cp-46", 11),
+]
+
+
+def test_2d_tensor_panels_keep_the_bits():
+    assert 10.0 <= LEVIN_SWING
+    for cfg, bits in zip((DEFAULT_CONFIG, SUITE_CONFIG), XY_10_BITS):
+        res = osc_integrate_2d(xy_phase(), 10.0, cfg=cfg)
+        assert (res.value.real.hex(), res.value.imag.hex(), res.error_estimate.hex(),
+                res.panels_used) == bits
 
 
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SUITE_CONFIG], ids=["default", "suite"])

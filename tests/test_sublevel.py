@@ -79,17 +79,20 @@ class TestSublevel2D:
             return np.zeros(shape)
 
         f2 = Phase2D(sep, (2, 2), unit_square(), name="x+y")
-        m = sublevel_2d(f2, 1.0, 0.1)
+        m, converged = sublevel_2d(f2, 1.0, 0.1)
+        assert converged
         assert m == pytest.approx(0.19, rel=1e-6)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-2])
     def test_xy_log_formula(self, eps):
-        m = sublevel_2d(xy_phase(), 0.0, eps)
+        m, converged = sublevel_2d(xy_phase(), 0.0, eps)
+        assert converged
         exact = eps * (1.0 + math.log(1.0 / eps))
         assert m == pytest.approx(exact, rel=1e-6)
 
     def test_saturates_at_area(self):
-        m = sublevel_2d(xy_phase(), 0.0, 2.0)
+        m, converged = sublevel_2d(xy_phase(), 0.0, 2.0)
+        assert converged
         assert m == pytest.approx(1.0, rel=1e-9)
 
 
@@ -215,7 +218,7 @@ def _linear_x(domain=None):
 @pytest.mark.parametrize("c, eps, exact", [(0.5, 0.25, 0.5), (0.375, 0.125, 0.25)])
 def test_band_edge_on_a_scan_point(c, eps, exact):
     # both band edges of f = x fall exactly on points of the slice scan
-    assert sublevel_2d(_linear_x(), c, eps) == pytest.approx(exact, rel=1e-12)
+    assert sublevel_2d(_linear_x(), c, eps)[0] == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("c, eps, exact", [(1.0, 0.3, 0.45), (0.6, 0.3, 0.3)])
@@ -223,7 +226,7 @@ def test_band_area_on_a_rectangle(c, eps, exact):
     # on [0.5, 2] x [1, 1.75] the band of f = x is [c - eps, c + eps] cut to
     # [0.5, 2], times the height 0.75
     f2 = _linear_x(PlanarDomain(0.5, 2.0, 1.0, 1.75))
-    assert sublevel_2d(f2, c, eps) == pytest.approx(exact, rel=1e-12)
+    assert sublevel_2d(f2, c, eps)[0] == pytest.approx(exact, rel=1e-12)
 
 
 # sublevel_2d(xy, 0, eps) before the slice crossings moved to the shared solver
@@ -233,7 +236,7 @@ def test_band_area_on_a_rectangle(c, eps, exact):
     (0.3, 0.6611918412979129),
 ])
 def test_xy_band_area_parity(eps, frozen):
-    assert sublevel_2d(xy_phase(), 0.0, eps) == pytest.approx(frozen, rel=1e-12)
+    assert sublevel_2d(xy_phase(), 0.0, eps)[0] == pytest.approx(frozen, rel=1e-12)
 
 
 @pytest.mark.parametrize("c, eps", [(0.2, 0.05), (0.5, 0.3), (0.0, 0.01)])
@@ -262,12 +265,27 @@ def _parabola_plus_ramp():
 def test_band_area_with_a_monotone_break_per_row():
     # every row turns at x = 1/2, and for y < 1/2 its band has two components
     exact = (40.0 / 3.0) * (0.11**1.5 - 0.01**1.5 - 0.05**1.5)
-    assert sublevel_2d(_parabola_plus_ramp(), 0.08, 0.03) == pytest.approx(exact, rel=1e-9)
+    assert sublevel_2d(_parabola_plus_ramp(), 0.08, 0.03)[0] == pytest.approx(exact, rel=1e-9)
 
 
 def test_band_area_needs_the_x_derivative():
+    def values_only(orders, x, y):
+        if orders != (0, 0):
+            raise PreconditionError("this phase exposes values only")
+        return x * y
+
     with pytest.raises(PreconditionError):
-        sublevel_2d(compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)), 0.0, 0.1)
+        sublevel_2d(Phase2D(values_only, (0, 0), unit_square(), name="xy"), 0.0, 0.1)
+
+
+def test_band_area_of_a_composed_phase():
+    # x^2 y^2 / 2 <= eps exactly where |xy| <= sqrt(2 eps)
+    eps = 0.02
+    area, converged = sublevel_2d(compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)),
+                                  0.0, eps)
+    assert converged
+    assert area == pytest.approx(sublevel_2d(xy_phase(), 0.0, math.sqrt(2.0 * eps))[0],
+                                 rel=1e-9)
 
 
 def test_rows_read_the_partition_cap(monkeypatch):
