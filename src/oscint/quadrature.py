@@ -14,16 +14,17 @@ sign, is halved, so the pieces next to a stationary point shrink
 dyadically until their swing is small (S. Olver, BIT 50, 2010).
 Small-swing pieces are cut into panels whose swing (on a monotone piece the
 endpoint difference IS the swing, so no derivative bounds are needed) is at
-most the configured cap.  The loop and the panel cutter take functions of
-(x, slot) and the panel rule functions of (x, panels), as
-``phases.solve_brackets`` does, so many integrals run through them at once
-and each piece adds to its own slot's sum.
+most the configured cap.  The loop, the panel cutter, the panel rule and
+the refiner all take functions of (x, slot), as ``phases.solve_brackets``
+does, so many integrals run through them at once and each piece adds to
+its own slot's sum.  ``_pieces_integral`` chains them for a set of monotone
+pieces; ``osc_integrate_1d`` calls it with one slot.
 
-In two dimensions ``osc_integrate_2d`` integrates over y on swing panels;
-the x-integrals at their Kronrod nodes (slices) that oscillate go through
-one ``_levin_halving`` call with g' = d_x f, so the work grows like lambda,
-not lambda^2, and panels whose slices barely oscillate keep a shared
-tensor grid (details and the estimate in its docstring).
+In two dimensions ``osc_integrate_2d`` integrates over y on swing panels,
+and the x-integrals at their Kronrod nodes (slices) are 1D integrals: one
+``_pieces_integral`` call takes them all, one slot per slice, with
+g' = d_x f, so the work grows like lambda, not lambda^2 (details and the
+estimate in its docstring).
 
 Every integrator applies one panel rule,
 ``_kronrod``: the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose
@@ -155,13 +156,12 @@ def _swing_panels(vmap, lo, hi, slot, lam_abs: float, cap: float, max_panels: in
     return left[order], right[order], slots[order]
 
 
-def _kronrod(fvec, L: np.ndarray, R: np.ndarray):
-    """QK15 on the panels [L_i, R_i]: each panel's K15 sum and |K15 - G7|.
+def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray):
+    """QK15 on the panels [L_i, R_i] of slots S_i: each panel's K15 sum and |K15 - G7|.
 
-    ``fvec(x, p)`` maps the flat nodes x of the panels ``p``, a slice of the
-    panel arrays with 15 consecutive nodes per panel, to samples: a real
-    array, an (nodes, k) array of k integrands, or a (real, imaginary) pair
-    of either.
+    ``fvec(x, s)`` maps the flat nodes x, 15 consecutive ones per panel, and
+    their panels' slots s to samples: a real array, an (nodes, k) array of k
+    integrands, or a (real, imaginary) pair of either.
     Returns ``(val, err)``: ``val[p]`` holds part p's sums, and ``err`` is
     the modulus of the complex difference for a pair; each has shape
     (panels,) or (panels, k).  Panels go _CHUNK at a time to bound memory.
@@ -172,7 +172,7 @@ def _kronrod(fvec, L: np.ndarray, R: np.ndarray):
         e = min(n, s + _CHUNK)
         half = 0.5 * (R[s:e] - L[s:e])
         out = fvec((0.5 * (L[s:e] + R[s:e])[:, None] + half[:, None] * _NODES).ravel(),
-                   slice(s, e))
+                   np.repeat(S[s:e], _NODES.size))
         # (part, panel, node, k...) -> (part, panel, k..., [K15, K15 - G7])
         kg = np.stack([np.moveaxis(np.reshape(p, (e - s, _NODES.size) + np.shape(p)[1:]), 1, -1)
                        @ _W for p in (out if isinstance(out, tuple) else (out,))])
@@ -185,36 +185,40 @@ def _kronrod(fvec, L: np.ndarray, R: np.ndarray):
     return val, err
 
 
-def _refine(fvec, L, R, density, max_splits: int, max_panels: int):
-    """``_kronrod`` on the panels [L_i, R_i], halving those over tolerance.
+def _refine(fvec, L, R, S, density, max_splits: int, max_panels: int):
+    """``_kronrod`` on the panels [L_i, R_i] of slots S_i, halving those over
+    tolerance.
 
     A panel just evaluated is over tolerance when its error exceeds
     ``density(total) * width``, ``total`` being the per-part sums over all
-    current panels; only the halves are evaluated next.  Halving stops after
-    ``max_splits`` rounds, or before the panel count would pass
-    ``max_panels``.  Returns (val, err, converged) in left-end order;
-    ``converged`` is False when a stop left panels over tolerance.
+    current panels of every slot; only the halves are evaluated next, and
+    they keep their panel's slot.  Halving stops after ``max_splits`` rounds,
+    or before the panel count would pass ``max_panels``.  Returns (val, err,
+    slot, converged) with the panels ordered by slot, then left end (input
+    so ordered is kept as it is); ``converged`` is False when a stop left
+    panels over tolerance.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
-    val, err = _kronrod(fvec, L, R)
+    S = np.asarray(S, dtype=np.intp)
+    val, err = _kronrod(fvec, L, R, S)
     done, n_done, acc = [], 0, 0.0
     for split in range(max_splits + 1):
         bad = err > density(acc + val.sum(axis=1)) * (R - L)
         n_bad = int(np.count_nonzero(bad))
         if not n_bad or split == max_splits or n_done + L.size + n_bad > max_panels:
             break
-        done.append((L[~bad], R[~bad], val[:, ~bad], err[~bad]))
+        done.append((L[~bad], S[~bad], val[:, ~bad], err[~bad]))
         n_done += L.size - n_bad
         acc = acc + done[-1][2].sum(axis=1)
         M = 0.5 * (L[bad] + R[bad])
-        L, R = np.concatenate([L[bad], M]), np.concatenate([M, R[bad]])
-        val, err = _kronrod(fvec, L, R)
+        L, R, S = np.concatenate([L[bad], M]), np.concatenate([M, R[bad]]), np.tile(S[bad], 2)
+        val, err = _kronrod(fvec, L, R, S)
     if done:
-        done.append((L, R, val, err))
-        L, val, err = (np.concatenate([d[i] for d in done], axis=-1) for i in (0, 2, 3))
-        order = np.argsort(L, kind="stable")
-        val, err = val[:, order], err[order]
-    return val, err, not n_bad
+        done.append((L, S, val, err))
+        L, S, val, err = (np.concatenate([d[i] for d in done], axis=-1) for i in range(4))
+        order = np.lexsort((L, S))
+        S, val, err = S[order], val[:, order], err[order]
+    return val, err, S, not n_bad
 
 
 def _chebyshev(n: int):
@@ -343,76 +347,65 @@ def _levin_halving(gval, gd, h, lam: float, L, R, slot, n_slots: int, tol: float
     return SL, SR, SS, n_levin, levin_val, levin_err
 
 
+def _pieces_integral(gval, gd, lam: float, L, R, S, n_slots: int, cfg: QuadConfig):
+    """int e^{i lam g} over the pieces [L_i, R_i], summed per slot.
+
+    ``gval(x, s)`` and ``gd(x, s)`` evaluate g and g' at the points x of
+    slots s, and piece i adds to slot ``S[i]``, one of 0..n_slots-1.  The
+    pieces go through ``_levin_halving`` at amplitude 1; those it sets aside
+    are cut into swing panels, which ``_refine`` halves for at most 3 rounds.
+    Both are held to ``cfg.rel_tol`` per unit width.  The swing panels
+    assume g monotone on each piece; where it is not, refinement alone
+    answers for the error.  Returns per slot the value and the estimate
+    (Levin estimates plus panel |K15 - G7|), then the number of Levin pieces
+    and panels, which may not pass ``cfg.max_panels``, and ``converged``,
+    False when refinement stopped with panels over tolerance.
+    """
+    SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
+        gval, gd, lambda x, _: np.ones_like(x), lam, L, R, S, n_slots, cfg.rel_tol,
+        cfg.max_panels)
+    budget = cfg.max_panels - n_levin
+    PL, PR, PS = _swing_panels(gval, SL, SR, SS, abs(lam), cfg.phase_variation_cap, budget)
+
+    def samples(x, s):
+        th = lam * gval(x, s)
+        return np.cos(th), np.sin(th)
+
+    pv, pe, PS, converged = _refine(samples, PL, PR, PS, lambda total: cfg.rel_tol, 3, budget)
+    val = np.empty(n_slots, dtype=complex)
+    val.real, val.imag = (_slot_sums(PS, v, n_slots) for v in pv)
+    val += levin_val
+    return val, _slot_sums(PS, pe, n_slots) + levin_err, n_levin + pe.size, converged
+
+
 def osc_integrate_1d(g: PhaseFunction, lam: float,
                      cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
     """Integral of e^{i*lam*g(x)} over g's domain; build the phase on the
     interval wanted (every family takes a ``domain``).
 
-    Each monotone piece is a work item.  An item whose swing
-    |lam| |g(b) - g(a)| is at most ``LEVIN_SWING`` goes to the Kronrod
-    panels (``_swing_panels``, then ``_refine``).  A larger one goes to
-    ``_levin_halving`` with amplitude 1 and is accepted when its estimate is
-    at most ``cfg.rel_tol * width``, the share ``_refine`` gives a panel;
-    otherwise it is halved and both halves are classified again.  The cost
-    of an item does not grow with lam.  ``panels_used`` counts panels plus
-    accepted Levin pieces, and together they may not pass ``cfg.max_panels``.
+    g's monotone pieces go through ``_pieces_integral``: Levin collocation
+    where the swing |lam| |g(b) - g(a)| exceeds ``LEVIN_SWING``, refined
+    Kronrod panels elsewhere, at a cost that does not grow with lam.
+    ``panels_used`` counts panels plus Levin pieces, which together may not
+    pass ``cfg.max_panels``.
     """
     length = g.domain.length
     if lam == 0.0:
         return QuadResult(complex(length, 0.0), 0.0, 0, 0.0)
 
-    gval = lambda x, _: np.asarray(g.eval_fn(0, x), dtype=float)
-    lam_abs = abs(lam)
     pieces = [p for p in monotone_partition(g, order_cap=1) if p.hi > p.lo]
     L = np.array([p.lo for p in pieces], dtype=float)
     R = np.array([p.hi for p in pieces], dtype=float)
-    one = np.zeros(L.size, dtype=np.intp)  # every piece adds to the one integral
-    SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
-        gval, lambda x, _: g.eval_fn(1, x), lambda x, _: np.ones_like(x), lam, L, R, one, 1,
-        cfg.rel_tol, cfg.max_panels)
-    budget = cfg.max_panels - n_levin
-    L, R, _ = _swing_panels(gval, SL, SR, SS, lam_abs, cfg.phase_variation_cap, budget)
-
-    def samples(x, _):
-        th = lam * gval(x, _)
-        return np.cos(th), np.sin(th)
-
-    val, errp, converged = _refine(samples, L, R, lambda total: cfg.rel_tol, 3, budget)
-    value = complex(float(np.sum(val[0])), float(np.sum(val[1]))) + complex(levin_val[0])
-    err = float(np.sum(errp)) + float(levin_err[0]) + 8.0 * _EPS * length
-    return QuadResult(value, float(err), int(errp.size) + n_levin, float(lam), converged)
+    val, err, used, converged = _pieces_integral(
+        lambda x, _: np.asarray(g.eval_fn(0, x), dtype=float), lambda x, _: g.eval_fn(1, x),
+        lam, L, R, np.zeros(L.size, dtype=np.intp), 1, cfg)
+    return QuadResult(complex(val[0]), float(err[0] + 8.0 * _EPS * length), int(used),
+                      float(lam), converged)
 
 
 # ---------------------------------------------------------------------------
-# Two dimensions: outer panels in y over Levin slices or tensor panels in x
+# Two dimensions: outer panels in y over x-slices
 # ---------------------------------------------------------------------------
-
-
-def _levin_slices(f, lam: float, ys, ax: float, bx: float, cfg: QuadConfig):
-    """int_ax^bx e^{i lam f(x, y)} dx for every y of ``ys``, through one
-    halving loop.
-
-    Every slice starts as one piece in ``_levin_halving`` with g' = d_x f;
-    the pieces it sets aside, next to x-stationary points, get per-slice
-    swing panels and ``_kronrod``.  Returns each slice's value and estimate
-    (its Levin estimates plus its panels' |K15 - G7|) and the number of
-    Levin pieces and panels used.
-    """
-    n = ys.size
-    gval = lambda x, s: f((0, 0), x, ys[s])
-    SL, SR, SS, n_levin, val, err = _levin_halving(
-        gval, lambda x, s: f((1, 0), x, ys[s]), lambda x, s: np.ones_like(x), lam,
-        np.full(n, ax), np.full(n, bx), np.arange(n), n, cfg.rel_tol, cfg.max_panels)
-    PL, PR, PS = _swing_panels(gval, SL, SR, SS, abs(lam), cfg.phase_variation_cap,
-                               cfg.max_panels - n_levin)
-
-    def samples(x, p):
-        th = lam * gval(x, np.repeat(PS[p], _NODES.size))
-        return np.cos(th), np.sin(th)
-
-    pv, pe = _kronrod(samples, PL, PR)
-    val = val + (np.bincount(PS, pv[0], n) + 1j * np.bincount(PS, pv[1], n))
-    return val, err + np.bincount(PS, pe, n), n_levin + PL.size
 
 
 def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
@@ -420,73 +413,38 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
 
     The outer variable is the second coordinate: swing panels in y, each
     integrated by QK15 over its 15 nodes.  The x-integrals at those nodes,
-    the slices, are computed in one of two ways:
-
-    * an outer panel with a slice whose swing |lam| |f(bx, y) - f(ax, y)|
-      exceeds ``LEVIN_SWING`` sends its 15 slices, with those of every such
-      panel, through one Levin halving loop (``_levin_slices``), at a cost
-      per slice that does not grow with lam; g must expose the (1, 0)
-      partial;
-    * the other panels keep one x-panel grid shared by their 15 slices,
-      sized by the worst swing over the panel, and evaluate the block of
-      15 x 15 Kronrod points per cell as one tensor.
+    the slices, are 1D integrals: all of them go through one
+    ``_pieces_integral`` call, one slot per slice, with g' = d_x f, so each
+    slice is held to ``cfg.rel_tol`` per unit width at a cost that does not
+    grow with lam.  g must expose the (1, 0) partial when a slice's swing
+    exceeds ``LEVIN_SWING``.
 
     Estimate: the outer |K15 - G7| summed over the outer panels, plus the
-    largest estimate of any slice (its Levin estimates, each held to
-    ``cfg.rel_tol`` per unit width, and its panels' |K15 - G7|) times the
-    height.  ``panels_used`` counts tensor cells, Levin pieces and slice
-    panels, which together may not pass ``cfg.max_panels``.
+    largest slice estimate times the height.  ``panels_used`` counts slice
+    panels and Levin pieces, and ``converged`` is False when a slice's
+    refinement stopped over tolerance.
     """
     dom = g.domain
     if lam == 0.0:
         return QuadResult(complex(dom.area, 0.0), 0.0, 0, 0.0)
 
-    cap = cfg.phase_variation_cap
-    lam_abs = abs(lam)
     f = g.eval_fn
-    total = 0.0 + 0.0j
-    outer_err = 0.0
-    ax, bx, ay, by = dom.ax, dom.bx, dom.ay, dom.by
-
-    x_probe = np.linspace(ax, bx, 9)
+    x_probe = np.linspace(dom.ax, dom.bx, 9)
     YL, YR, _ = _swing_panels(lambda y, _: f((0, 0), x_probe[None, :], y[:, None]),
-                              [ay], [by], [0], lam_abs, cap, cfg.max_panels)
-    ymid, yhalf = 0.5 * (YL + YR), 0.5 * (YR - YL)
-    Y = ymid[:, None] + yhalf[:, None] * _NODES
-    edge = lambda x: f((0, 0), np.full_like(Y, x), Y)
-    levin = (lam_abs * np.abs(edge(bx) - edge(ax)) > LEVIN_SWING).any(axis=1)
-    slice_val, slice_err, cells = _levin_slices(f, lam, Y[levin].ravel(), ax, bx, cfg)
-    inner_sup = float(slice_err.max(initial=0.0))
-    levin_rows = zip(*(yhalf[levin, None] * (v.reshape(-1, _NODES.size) @ _W)
-                       for v in (slice_val.real, slice_val.imag)))
-
-    for p in range(YL.size):
-        if levin[p]:
-            o_re, o_im = next(levin_rows)
-        else:
-            y_probe = np.array([YL[p], ymid[p], YR[p]])
-            XL, XR, _ = _swing_panels(lambda x, _: f((0, 0), x[:, None], y_probe[None, :]),
-                                      [ax], [bx], [0], lam_abs, cap, cfg.max_panels)
-            cells += XL.size
-            if cells > cfg.max_panels:
-                raise PanelBudgetError(
-                    f"2D cell budget {cfg.max_panels} exceeded (lambda too large for config)",
-                    lam_abs=lam_abs,
-                )
-
-            def samples(xs, _, y_nodes=Y[p]):
-                th = lam * f((0, 0), xs[:, None], y_nodes[None, :])
-                return np.cos(th), np.sin(th)
-
-            # the 15 y nodes are the integrand columns of the inner x-rule
-            val, inner_err = _kronrod(samples, XL, XR)
-            inner_sup = max(inner_sup, float(inner_err.sum(axis=0).max()))
-            o_re, o_im = (yhalf[p] * (v.sum(axis=0) @ _W) for v in val)
-        total += complex(o_re[0], o_im[0])
-        outer_err += math.hypot(o_re[1], o_im[1])
-
-    err = outer_err + inner_sup * (by - ay) + 8.0 * _EPS * dom.area
-    return QuadResult(complex(total), float(err), int(cells), float(lam))
+                              [dom.ay], [dom.by], [0], abs(lam), cfg.phase_variation_cap,
+                              cfg.max_panels)
+    yhalf = 0.5 * (YR - YL)
+    ys = (0.5 * (YL + YR)[:, None] + yhalf[:, None] * _NODES).ravel()
+    n = ys.size
+    val, slice_err, used, converged = _pieces_integral(
+        lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), lam,
+        np.full(n, dom.ax), np.full(n, dom.bx), np.arange(n), n, cfg)
+    # row p holds outer panel p's (K15, K15 - G7) over its 15 slices
+    o_re, o_im = (yhalf[:, None] * (v.reshape(-1, _NODES.size) @ _W) for v in (val.real, val.imag))
+    err = (np.hypot(o_re[:, 1], o_im[:, 1]).sum() + slice_err.max() * (dom.by - dom.ay)
+           + 8.0 * _EPS * dom.area)
+    return QuadResult(complex(o_re[:, 0].sum(), o_im[:, 0].sum()), float(err), int(used),
+                      float(lam), converged)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +469,7 @@ def adaptive_quad(fvec, a: float, b: float, rel_tol: float = 1e-9,
     """
     if b <= a:
         return 0.0, 0.0, True
-    val, err, converged = _refine(
-        lambda x, _: fvec(x), [a], [b], lambda total: max(abs_floor, rel_tol * abs(total[0])) / (b - a),
-        63, ADAPTIVE_MAX_SEGMENTS)
+    val, err, _, converged = _refine(
+        lambda x, _: fvec(x), [a], [b], [0],
+        lambda total: max(abs_floor, rel_tol * abs(total[0])) / (b - a), 63, ADAPTIVE_MAX_SEGMENTS)
     return float(np.sum(val[0])), float(np.sum(err)), converged

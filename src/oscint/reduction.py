@@ -20,7 +20,7 @@ is a power of y, integrated in closed form, and the tail term
 (``quadrature._levin_halving``) in u = ln y: there the amplitude
 e^u T_k(|lam| e^{ju}) is smooth over the whole range, so a few pieces carry
 it at any lambda.  The cost of the reduction therefore does not grow with
-lambda, against the O(lambda^2) cells a planar quadrature needs.
+lambda, against the O(lambda) slices a planar quadrature needs.
 
 Both the profile and the reduction are cross-checked in the test suite
 against the planar integrator (moderate lambda) and high-precision oracles.
@@ -136,14 +136,14 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
     y0 = min(1.0, (DIRECT_SWITCH / la) ** (1.0 / j))
     # the second column caps the widths near y0 / 4: next to y = 0 the
     # profile is a power series in y^j, of a degree the rule misses for j >= 5
-    L, R, _ = _swing_panels(lambda y, _: np.stack([y**j, y * (y0 ** (j - 1) / 8.0)], axis=-1),
+    L, R, S = _swing_panels(lambda y, _: np.stack([y**j, y * (y0 ** (j - 1) / 8.0)], axis=-1),
                             [0.0], [y0], [0], la, SWING_CAP, MAX_PANELS)
 
     def profile(y, _):
         a = monomial_profile(k, la * y**j)
         return a.real, a.imag
 
-    val, _ = _kronrod(profile, L, R)
+    val, _ = _kronrod(profile, L, R, S)
     head = complex(val[0].sum(), val[1].sum())
     if y0 == 1.0:
         return head, L.size, 0
@@ -159,13 +159,13 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
     SL, SR, SS, n_levin, tail, _ = _levin_halving(
         ev, lambda u, _: j * ev(u, _), amp, la, [math.log(y0)], [0.0], [0], 1,
         TAIL_RTOL * (abs(head) + abs(power)), MAX_PANELS)
-    TL, TR, _ = _swing_panels(ev, SL, SR, SS, la, SWING_CAP, MAX_PANELS)
+    TL, TR, TS = _swing_panels(ev, SL, SR, SS, la, SWING_CAP, MAX_PANELS)
 
     def tail_samples(u, _):
         v = np.exp(1j * la * ev(u, _)) * amp(u, _)
         return v.real, v.imag
 
-    val, _ = _kronrod(tail_samples, TL, TR)
+    val, _ = _kronrod(tail_samples, TL, TR, TS)
     value = head + power + complex(val[0].sum(), val[1].sum()) + complex(tail[0])
     return value, L.size + TL.size, n_levin
 
