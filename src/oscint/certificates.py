@@ -619,8 +619,8 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
             x_start = hi_x[0]
         span = bx - x_start
         cluster = x_start + span * np.geomspace(1e-8, 1.0, SLICE_SAMPLES)
-        xs = np.unique(np.concatenate([[x_start], cluster,
-                                       np.linspace(x_start, bx, SLICE_SAMPLES)]))
+        xs = np.sort(np.concatenate([[x_start], cluster, np.linspace(x_start, bx, SLICE_SAMPLES)]))
+        xs = xs[np.append(True, xs[1:] != xs[:-1])]
     subs = _ge_gamma_slices(lambda x, y: f.eval_fn((0, 1), x, y), xs, gamma,
                             dom.y_extent(), cap)
     # every (slice, subinterval) is one job of a single engine run

@@ -296,7 +296,8 @@ def _band_candidates(P: Polynomial, eps_values: Sequence[float], tol: float):
     eps = np.asarray(eps_values, dtype=float)
     if not np.all(eps > 0.0):
         raise PreconditionError("eps must be positive")
-    re = np.unique(roots(P, tol).real_parts)
+    re = np.array(roots(P, tol).real_parts)  # ascending, as ``roots`` orders them
+    re = re[np.append(True, re[1:] != re[:-1])]
     c = np.asarray(P.coeffs)
     d = P.degree
     levels = eps ** d

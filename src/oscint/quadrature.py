@@ -5,9 +5,10 @@ whose swing |lambda| * |g(b) - g(a)| exceeds ``LEVIN_SWING`` is integrated
 by Levin collocation (D. Levin, Math. Comp. 38, 1982): the integral of
 h e^{i lambda g} over [a, b] is p(b) e^{i lambda g(b)} - p(a) e^{i lambda g(a)}
 for the non-oscillatory solution p of p' + i lambda g' p = h, collocated at
-two Chebyshev orders whose distance is the error estimate, at a cost that
-does not grow with lambda.  ``osc_integrate_1d`` takes h = 1; the profile
-reduction passes a smooth amplitude h sampled at the collocation points.
+one Chebyshev order, at a cost that does not grow with lambda; the residual
+of the computed p, integrated in modulus, is the error estimate.
+``osc_integrate_1d`` takes h = 1; the profile reduction passes a smooth
+amplitude h sampled at the collocation points and the QK15 nodes.
 One halving loop, ``_levin_halving``, serves every caller: a piece that
 fails its share of the tolerance, or on which g' does not keep a strict
 sign, is halved, so the pieces next to a stationary point shrink
@@ -160,11 +161,10 @@ def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray):
     """QK15 on the panels [L_i, R_i] of slots S_i: each panel's K15 sum and |K15 - G7|.
 
     ``fvec(x, s)`` maps the flat nodes x, 15 consecutive ones per panel, and
-    their panels' slots s to samples: a real array, an (nodes, k) array of k
-    integrands, or a (real, imaginary) pair of either.
-    Returns ``(val, err)``: ``val[p]`` holds part p's sums, and ``err`` is
-    the modulus of the complex difference for a pair; each has shape
-    (panels,) or (panels, k).  Panels go _CHUNK at a time to bound memory.
+    their panels' slots s to samples: a real array or a (real, imaginary)
+    pair of them.  Returns ``(val, err)``: ``val[p]`` holds part p's sums,
+    and ``err`` is the modulus of the complex difference for a pair; both
+    are per panel.  Panels go _CHUNK at a time to bound memory.
     """
     n = L.size
     val = err = None
@@ -173,15 +173,14 @@ def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray):
         half = 0.5 * (R[s:e] - L[s:e])
         out = fvec((0.5 * (L[s:e] + R[s:e])[:, None] + half[:, None] * _NODES).ravel(),
                    np.repeat(S[s:e], _NODES.size))
-        # (part, panel, node, k...) -> (part, panel, k..., [K15, K15 - G7])
-        kg = np.stack([np.moveaxis(np.reshape(p, (e - s, _NODES.size) + np.shape(p)[1:]), 1, -1)
-                       @ _W for p in (out if isinstance(out, tuple) else (out,))])
-        kg *= half.reshape((1, -1) + (1,) * (kg.ndim - 2))
+        # (part, panel, [K15, K15 - G7])
+        kg = np.stack([np.reshape(p, (e - s, _NODES.size)) @ _W
+                       for p in (out if isinstance(out, tuple) else (out,))])
+        kg *= half[:, None]
         if val is None:
-            val = np.empty(kg.shape[:1] + (n,) + kg.shape[2:-1])
-            err = np.empty(val.shape[1:])
+            val, err = np.empty((len(kg), n)), np.empty(n)
         val[:, s:e] = kg[..., 0]
-        err[s:e] = np.hypot(*kg[..., 1]) if len(kg) == 2 else np.abs(kg[0, ..., 1])
+        err[s:e] = np.hypot(*kg[..., 1]) if len(kg) == 2 else np.abs(kg[0, :, 1])
     return val, err
 
 
@@ -232,8 +231,23 @@ def _chebyshev(n: int):
     return t, D
 
 
+def _barycentric(t, x):
+    """The matrix that maps values on the Chebyshev-Lobatto points ``t`` to
+    their interpolant's values at ``x`` (barycentric form).  A row whose point
+    lies on a Lobatto point, to within rounding of the cosine, is that point's
+    unit vector."""
+    w = np.where(np.arange(t.size) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    d = x[:, None] - t
+    on = np.abs(d) <= _EPS
+    B = np.where(on.any(axis=1, keepdims=True), on, w / np.where(on, 1.0, d))
+    return B / B.sum(axis=1, keepdims=True)
+
+
 LEVIN_SWING = 40.0  # pieces of larger swing |lambda| |g(b) - g(a)| go to Levin collocation
-_LEVIN = tuple(_chebyshev(n) for n in (16, 24))
+_LEVIN_T, _LEVIN_D = _chebyshev(24)
+_LEVIN_B = _barycentric(_LEVIN_T, _NODES)  # collocation values -> values at the QK15 nodes
+_LEVIN_BD = _LEVIN_B @ _LEVIN_D            # collocation values -> derivative at the nodes
 _LEVIN_CHUNK = 128  # pieces per batched solve: 1.2 MB of order-24 matrices
 
 
@@ -243,33 +257,34 @@ def _levin(gd, h, lam: float, L, R, GL, GR, S):
     ``gd(x, s)`` evaluates g' and ``h(x, s)`` the smooth amplitude of the
     pieces' slots ``s``.  The non-oscillatory solution of p' + i lam g' p = h
     gives the integral p(R) e^{i lam g(R)} - p(L) e^{i lam g(L)}; p is
-    collocated on the Chebyshev-Lobatto points of both orders of ``_LEVIN``,
-    one batched solve per order.  Returns the higher order's values and their
-    error estimates: the distance between the two orders plus the rounding
-    of the solve and of the phase arguments lam g(L), lam g(R).  A piece on
-    which g' does not keep one sign, beyond ``SIGN_TOL``, at every
-    collocation point holds or touches a zero of g', where no
-    non-oscillatory solution exists: it is not solved, and its estimate is
-    infinite.
+    collocated on the order-24 Chebyshev-Lobatto points, in one batched
+    solve.  The computed p has the residual rho = p' + i lam g' p - h, and
+    the value's error is exactly int rho e^{i lam g} dx; the estimate is
+    int |rho| dx by QK15 (``_NODES``, where rho is sampled through the
+    interpolant), plus the rounding of the solve and of the phase arguments
+    lam g(L), lam g(R).  A piece on which g' does not keep one sign, beyond
+    ``SIGN_TOL``, at every collocation point and node holds or touches a zero
+    of g', where no non-oscillatory solution exists: it is not solved, and
+    its estimate is infinite.
     """
+    n = _LEVIN_T.size
     mid, half = 0.5 * (L + R), 0.5 * (R - L)
-    xs = [mid[:, None] + half[:, None] * t for t, _ in _LEVIN]
-    gds = [np.broadcast_to(np.asarray(gd(x, S[:, None]), dtype=float), x.shape) for x in xs]
-    both = np.concatenate(gds, axis=1)
-    ok = (both.min(axis=1) > SIGN_TOL) | (both.max(axis=1) < -SIGN_TOL)
+    x = mid[:, None] + half[:, None] * np.concatenate([_LEVIN_T, _NODES])
+    gdx = np.broadcast_to(np.asarray(gd(x, S[:, None]), dtype=float), x.shape)
+    ok = (gdx.min(axis=1) > SIGN_TOL) | (gdx.max(axis=1) < -SIGN_TOL)
     val, err = np.zeros(L.size, dtype=complex), np.full(L.size, np.inf)
     half, GL, GR, S = half[ok], GL[ok], GR[ok], S[ok]
-    eb, ea = np.exp(1j * lam * GR), np.exp(1j * lam * GL)
-    vals = []
-    for (t, D), x, gdx in zip(_LEVIN, xs, gds):
-        om = (lam * half)[:, None] * gdx[ok]
-        A = np.broadcast_to(D, om.shape + (t.size,)).astype(complex)
-        A.reshape(-1, t.size * t.size)[:, ::t.size + 1] += 1j * om  # the diagonals
-        q = np.linalg.solve(A, h(x[ok], S[:, None])[..., None])[..., 0]
-        pb, pa = half * q[:, 0], half * q[:, -1]  # p at R (t = 1) and at L (t = -1)
-        vals.append(pb * eb - pa * ea)
-    rounding = _EPS * (np.abs(pb) * (t.size + abs(lam * GR)) + np.abs(pa) * (t.size + abs(lam * GL)))
-    val[ok], err[ok] = vals[-1], np.abs(vals[-1] - vals[0]) + rounding
+    # in t, with p = half q on x = mid + half t: q' + i lam half g' q = h
+    om = (lam * half)[:, None] * gdx[ok]
+    hx = h(x[ok], S[:, None])
+    A = np.broadcast_to(_LEVIN_D, (om.shape[0], n, n)).astype(complex)
+    A.reshape(-1, n * n)[:, ::n + 1] += 1j * om[:, :n]  # the diagonals
+    q = np.linalg.solve(A, hx[:, :n, None])[..., 0]
+    rho = q @ _LEVIN_BD.T + 1j * om[:, n:] * (q @ _LEVIN_B.T) - hx[:, n:]
+    pb, pa = half * q[:, 0], half * q[:, -1]  # p at R (t = 1) and at L (t = -1)
+    val[ok] = pb * np.exp(1j * lam * GR) - pa * np.exp(1j * lam * GL)
+    rounding = _EPS * (np.abs(pb) * (n + abs(lam * GR)) + np.abs(pa) * (n + abs(lam * GL)))
+    err[ok] = half * (np.abs(rho) @ _WK) + rounding
     return val, err
 
 
@@ -422,7 +437,9 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     Estimate: the outer |K15 - G7| summed over the outer panels, plus the
     largest slice estimate times the height.  ``panels_used`` counts slice
     panels and Levin pieces, and ``converged`` is False when a slice's
-    refinement stopped over tolerance.
+    refinement stopped over tolerance.  Each slice takes at least one piece
+    or panel, so more slices than ``cfg.max_panels`` raise PANEL_BUDGET
+    before any slice is integrated.
     """
     dom = g.domain
     if lam == 0.0:
@@ -436,6 +453,10 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     yhalf = 0.5 * (YR - YL)
     ys = (0.5 * (YL + YR)[:, None] + yhalf[:, None] * _NODES).ravel()
     n = ys.size
+    if n > cfg.max_panels:
+        raise PanelBudgetError(
+            f"panel budget {cfg.max_panels} exceeded (lambda too large for config)",
+            lam_abs=abs(lam))
     val, slice_err, used, converged = _pieces_integral(
         lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), lam,
         np.full(n, dom.ax), np.full(n, dom.bx), np.arange(n), n, cfg)

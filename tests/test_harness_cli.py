@@ -186,6 +186,21 @@ def test_results_do_not_depend_on_blas_threads():
     assert outs[0].stdout.count("\n") == 10
 
 
+def test_cover_ratio_and_certify_2d_leave_numpy_ma_unimported():
+    # in numpy 2.4, the first np.unique call imports numpy.ma, about 30 ms
+    out = _run_python("-c", """
+import sys
+from oscint import Polynomial, cover_ratio, degenerating_family, xy_phase
+from oscint.certificates import certify_2d
+from oscint.polynomials import default_eps_grid
+cover_ratio(degenerating_family(2, 1e-4), default_eps_grid())
+certify_2d(xy_phase(), Polynomial((0.0, 1.0)), 300.0)
+print("numpy.ma" in sys.modules)
+""")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 def test_cli_sublevel():
     out = _run_cli("sublevel", "--family", "monomial", "--n", "1",
                    "--c", "0.5", "--eps", "0.1")
