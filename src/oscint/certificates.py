@@ -39,7 +39,7 @@ from .errors import (
     SliceOverflowError,
 )
 from .phases import (Interval, Phase2D, PhaseFunction, merge_intervals, monotone_partition,
-                     solve_brackets)
+                     scan_sign_changes, solve_brackets)
 from .polynomials import (
     Polynomial,
     SndConstant,
@@ -519,6 +519,8 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
     if claims is not None:
         notes["C_delta"] = claims["C_delta"]
         notes["A"] = claims["A"]
+        if not C.converged:
+            notes["C_delta_converged"] = False
     cert = _finish(pieces, params, notes)
     return cert
 
@@ -531,17 +533,16 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
 def _ge_gamma_slices(h, x0s: np.ndarray, gamma: float, iv: Interval,
                      cap: int) -> list[list[Interval]]:
     """For each slice x0, the subintervals of iv where |h(x0, y)| >= gamma:
-    one 2-D scan of all slices, and one solve for the crossings of gamma
-    between neighbouring scan points."""
+    one ``phases.scan_sign_changes`` of |h| - gamma over all slices finds
+    the crossings.  More than ``cap`` subintervals in a slice raise
+    SliceOverflowError."""
     ys = np.linspace(iv.lo, iv.hi, 1025)
-    vs = np.abs(np.asarray(h(x0s[:, None], ys[None, :]), dtype=float))
-    ge = vs >= gamma
-    rows, i = np.nonzero(ge[:, 1:] != ge[:, :-1])
-    lo, hi = solve_brackets(lambda y, q: np.abs(h(x0s[rows[q]], y)) - gamma,
-                            ys[i], ys[i + 1], vs[rows, i] - gamma <= 0.0)
-    edges = 0.5 * (lo + hi)
+    ge = np.abs(np.asarray(h(x0s[None, :], ys[:, None]), dtype=float)) >= gamma
+    # a sample at exactly gamma is in a run, so every sample carries a sign
+    rows, edges = scan_sign_changes(lambda y, k: np.abs(h(x0s[k], y)) - gamma, ys,
+                                    np.where(ge, 1.0, -1.0), 0.0, ys.size, "|d_y f| - gamma", 1)
     out: list[list[Interval]] = []
-    for k, (first, last) in enumerate(ge[:, [0, -1]].tolist()):
+    for k, (first, last) in enumerate(ge[[0, -1]].T.tolist()):
         # the run ends alternate, starting at a run's left end
         ends = [iv.lo] * first + edges[rows == k].tolist() + [iv.hi] * last
         runs = [Interval(a, b) for a, b in zip(ends[::2], ends[1::2]) if b > a]

@@ -167,7 +167,8 @@ class SuiteReport:
     rows: list[dict]
     verdicts: list[dict]
     stamp: dict
-    unconverged: list[dict]  # case and lambda of each integral that stopped over tolerance
+    # case and lambda (H-LOG: eps, T5: delta) of each integral that stopped over tolerance
+    unconverged: list[dict]
 
     @property
     def passed(self) -> bool:
@@ -303,7 +304,10 @@ def _composition_case(suite, name, f, outer_obj, composed, mode, lam_grid,
     sweep.
     """
     def certify(lam):
-        return certify_1d(f, outer_obj, lam, mode, **mode_kwargs)
+        cert = certify_1d(f, outer_obj, lam, mode, **mode_kwargs)
+        if cert.notes.get("C_delta_converged") is False:
+            unconverged.append({"case": name, "lambda": lam})
+        return cert
 
     rows, samples, witness = _soundness_sweep(
         suite, name, lam_grid, lambda lam: osc_integrate_1d(composed, lam, cfg=cfg), certify,
@@ -497,6 +501,8 @@ def _run_t5(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
                                                         unconverged)])
         A = max(1.0, fit.C_hat)
         C = osc_to_sublevel_constant(delta)
+        if not C.converged:
+            unconverged.append({"case": case["name"], "delta": delta})
         c_grid = np.geomspace(*opt.get("c_range", (1e-2, 1.0)), int(opt.get("n_c", 50)))
         eps_grid = np.geomspace(*opt.get("eps_range", (1e-2, 1.0)), int(opt.get("n_eps", 50)))
         worst = 0.0

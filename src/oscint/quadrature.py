@@ -475,22 +475,28 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
 ADAPTIVE_MAX_SEGMENTS = 1 << 16
 
 
-def adaptive_quad(fvec, a: float, b: float, rel_tol: float = 1e-9,
-                  abs_floor: float = 1e-14):
+def adaptive_quad(fvec, a, b, rel_tol: float = 1e-9, abs_floor: float = 1e-14):
     """Adaptive Gauss-Kronrod 7/15 rule for a vectorised real integrand.
 
-    ``_refine`` halves each segment whose error |K15 - G7| exceeds its
-    length's share of max(abs_floor, rel_tol * |value|), for at most 63
-    rounds and ``ADAPTIVE_MAX_SEGMENTS`` segments; at either cap the
-    segments still over tolerance are kept as they are.  Not for
-    large-lambda oscillatory phases (use the panel engine); this is the
-    workhorse for slice measures, Fourier profiles, and other smooth or
-    piecewise-smooth integrands.  Returns (value, error_estimate, converged),
-    ``converged`` False when a cap left segments over tolerance.
+    ``a`` and ``b`` are one segment's ends, or equal-length arrays of the
+    ends of segments whose integrals add up, such as the smooth pieces of
+    an integrand between its known kinks.  ``_refine`` halves each piece
+    whose error |K15 - G7| exceeds its width's share of
+    max(abs_floor, rel_tol * |value|), one tolerance over the total value
+    and length of all segments, for at most 63 rounds and
+    ``ADAPTIVE_MAX_SEGMENTS`` pieces; at either cap the pieces still over
+    tolerance are kept as they are.  Not for large-lambda oscillatory phases
+    (use the panel engine); this is the workhorse for slice measures,
+    Fourier profiles, and other smooth or piecewise-smooth integrands.
+    Returns (value, error_estimate, converged), ``converged`` False when a
+    cap left pieces over tolerance.
     """
-    if b <= a:
+    a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
+    a, b = a[b > a], b[b > a]
+    if not a.size:
         return 0.0, 0.0, True
+    length = float(np.sum(b - a))
     val, err, _, converged = _refine(
-        lambda x, _: fvec(x), [a], [b], [0],
-        lambda total: max(abs_floor, rel_tol * abs(total[0])) / (b - a), 63, ADAPTIVE_MAX_SEGMENTS)
+        lambda x, _: fvec(x), a, b, np.zeros(a.size, dtype=np.intp),
+        lambda total: max(abs_floor, rel_tol * abs(total[0])) / length, 63, ADAPTIVE_MAX_SEGMENTS)
     return float(np.sum(val[0])), float(np.sum(err)), converged

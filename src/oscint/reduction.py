@@ -5,11 +5,11 @@ profile A_k(w) = int_0^1 e^{i w x^k} dx against the other variable:
 
     int int e^{i lam x^k y^j} dx dy = int_0^1 A_k(lam * y^j) dy.
 
-The profile is evaluated in closed form for k = 1 and otherwise by a Taylor
-series at small |w|, a fixed Gauss rule at moderate |w|, and for
-|w| > DIRECT_SWITCH as the rotated Gamma integral over the half line less
-the tail int_1^inf e^{i w x^k} dx = e^{iw} T_k(w), T_k summed by parts
-(for k = 1 it stops after one term).
+The profile is evaluated in closed form for k = 1 and otherwise by a fixed
+6x64-node Gauss rule for |w| <= DIRECT_SWITCH, and for |w| > DIRECT_SWITCH
+as the rotated Gamma integral over the half line less the tail
+int_1^inf e^{i w x^k} dx = e^{iw} T_k(w), T_k summed by parts (for k = 1 it
+stops after one term).
 
 The outer integral splits at y0, where |lam| y0^j = DIRECT_SWITCH.  On
 [0, y0] the profile is summed on panels over which lam * y^j swings at most
@@ -37,7 +37,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import PreconditionError
 from .quadrature import _kronrod, _levin_halving, _swing_panels
 
-SERIES_SWITCH = 12.0
 DIRECT_SWITCH = 48.0
 # swing limit and budget of the outer panels in y
 SWING_CAP = math.pi / 2.0
@@ -61,7 +60,11 @@ _DIRECT_RULE = _direct_rule()
 
 
 def monomial_profile(k: int, w) -> np.ndarray:
-    """A_k(w) = int_0^1 e^{i w x^k} dx for real w, vectorised, ~1e-12 accurate."""
+    """A_k(w) = int_0^1 e^{i w x^k} dx for real w, vectorised.
+
+    Against mpmath, for k = 2..6 at steps of 0.25 in w, the Gauss rule is
+    within 1.1e-15 relative for |w| <= 12 and 5.6e-15 up to DIRECT_SWITCH.
+    """
     if k < 1:
         raise PreconditionError("profile needs k >= 1")
     w = np.asarray(w, dtype=float)
@@ -75,30 +78,14 @@ def monomial_profile(k: int, w) -> np.ndarray:
         return out[0] if scalar else out
 
     aw = np.abs(w)
-    small = aw <= SERIES_SWITCH
-    mid = (~small) & (aw <= DIRECT_SWITCH)
-    big = aw > DIRECT_SWITCH
+    small = aw <= DIRECT_SWITCH
+    big = ~small
     if small.any():
-        ws = w[small]
-        acc = np.zeros(ws.shape, dtype=complex)
-        term = np.ones(ws.shape, dtype=complex)
-        m = 0
-        while True:
-            contrib = term / (k * m + 1.0)
-            acc += contrib
-            if np.all(np.abs(contrib) < 1e-16):
-                break
-            m += 1
-            term = term * (1j * ws) / m
-            if m > 200:
-                break
-        out[small] = acc
-    if mid.any():
-        # fixed composite Gauss: swing at most ~DIRECT_SWITCH, 6x64 nodes ample;
+        # fixed composite Gauss: swing at most DIRECT_SWITCH, 6x64 nodes ample;
         # an elementwise sum, as a matrix product would wake a second BLAS thread
         pts, wts = _DIRECT_RULE
         xk = pts**k
-        out[mid] = (np.exp(1j * w[mid][:, None] * xk[None, :]) * wts).sum(axis=1)
+        out[small] = (np.exp(1j * w[small][:, None] * xk[None, :]) * wts).sum(axis=1)
     if big.any():
         awb = aw[big]
         # full line: int_0^inf e^{i|w|x^k} dx = Gamma(1+1/k) e^{i pi/(2k)} |w|^(-1/k)

@@ -47,6 +47,8 @@ class OscToSublevelConstant:
     delta: float
     C_delta: float
     bump_spec: str
+    # False when a cap stopped one of its quadratures with pieces over tolerance
+    converged: bool
 
 
 def band_pieces(g, a, b, ga, gb, lo_t, hi_t, xtol: float = BISECT_XTOL):
@@ -185,15 +187,14 @@ class _Bump:
 
     def sign_change_points(self, hi: float) -> np.ndarray:
         """Sorted zeros of the transform on (0, hi]: the sinc zeros k/3 exactly,
-        and the zeros of rhohat(h xi) bisected to the last bit from a scan at
-        spacing 1/24."""
+        and the zeros of rhohat(h xi) from a scan at spacing 1/24, bisected
+        to ``BISECT_XTOL`` by ``phases.scan_sign_changes``."""
         grid = np.linspace(1e-6, hi, int(hi * 24) + 2)
-        vals = self.rho_hat(self.H * grid)
-        idx = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-        lo_x, hi_x = solve_brackets(lambda x, _: -self.rho_hat(self.H * x),
-                                    grid[idx], grid[idx + 1], vals[idx] >= 0.0, xtol=0.0)
+        _, rho_zeros = scan_sign_changes(lambda x, _: self.rho_hat(self.H * x), grid,
+                                         self.rho_hat(self.H * grid)[:, None], 0.0, grid.size,
+                                         "bump transform", 0)
         sinc_zeros = np.arange(1, int(2.0 * self.CORE * hi) + 1) / (2.0 * self.CORE)
-        return np.sort(np.concatenate([sinc_zeros, 0.5 * (lo_x + hi_x)]))
+        return np.sort(np.concatenate([sinc_zeros, rho_zeros]))
 
 
 @functools.cache
@@ -204,9 +205,15 @@ def _bump() -> _Bump:
 def osc_to_sublevel_constant(delta: float) -> OscToSublevelConstant:
     """C_delta = int_R |phihat(xi)| |xi|^(-delta) d xi for the fixed proof bump.
 
-    The singular end uses the exact substitution u = xi^(1-delta); the tail
-    from ``XI_CUTOFF`` to twice it must contribute less than 1e-8 relative or
-    the computation raises NonconvergentTailError.
+    phihat is even, so C_delta is twice the integral over xi > 0, cut at the
+    transform's sign changes (``_Bump.sign_change_points``) so that each
+    segment is smooth and the modulus costs nothing.  Three ``adaptive_quad``
+    calls, each held to one tolerance over its segments, take the singular
+    head [0, z1] up to the first zero, by the exact substitution
+    u = xi^(1-delta); the body from z1 to ``XI_CUTOFF``; and the tail from
+    ``XI_CUTOFF`` to twice it, which must contribute less than 1e-8 relative
+    or the computation raises NonconvergentTailError.  ``converged`` is
+    False when a cap stopped any of the three with pieces over tolerance.
     """
     if not (0.0 < delta < 1.0):
         raise PreconditionError("delta must lie in (0, 1)")
@@ -214,39 +221,23 @@ def osc_to_sublevel_constant(delta: float) -> OscToSublevelConstant:
     if key in _constant_cache:
         return _constant_cache[key]
     bump = _bump()
-
-    # split at the transform's sign changes so each segment is smooth,
-    # then the absolute value costs nothing
     zeros = bump.sign_change_points(2.0 * XI_CUTOFF)
-
-    def segment_integral(lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        if lo < 1e-9:
-            # singular end: u = xi^(1-delta) removes the |xi|^-delta weight
-            power = 1.0 / (1.0 - delta)
-            val, _, _ = adaptive_quad(
-                lambda us: np.abs(bump.transform_vec(us**power)),
-                0.0, hi ** (1.0 - delta), rel_tol=1e-9,
-            )
-            return power * val
-        val, _, _ = adaptive_quad(
-            lambda xs: np.abs(bump.transform_vec(xs)) * xs ** (-delta),
-            lo, hi, rel_tol=1e-9,
-        )
-        return val
-
-    def integrate_range(lo: float, hi: float) -> float:
-        cuts = [lo] + [z for z in zeros if lo < z < hi] + [hi]
-        return sum(segment_integral(a, b) for a, b in zip(cuts[:-1], cuts[1:]))
-
-    total = 2.0 * integrate_range(0.0, XI_CUTOFF)
-    tail = 2.0 * integrate_range(XI_CUTOFF, 2.0 * XI_CUTOFF)
+    body = np.concatenate([zeros[zeros < XI_CUTOFF], [XI_CUTOFF]])
+    far = np.concatenate([[XI_CUTOFF], zeros[zeros > XI_CUTOFF], [2.0 * XI_CUTOFF]])
+    power = 1.0 / (1.0 - delta)
+    # u = xi^(1-delta) removes the |xi|^-delta weight at the singular end
+    head, _, head_ok = adaptive_quad(lambda us: np.abs(bump.transform_vec(us**power)),
+                                     0.0, body[0] ** (1.0 - delta), rel_tol=1e-9)
+    weighted = lambda xs: np.abs(bump.transform_vec(xs)) * xs ** (-delta)
+    rest, _, body_ok = adaptive_quad(weighted, body[:-1], body[1:], rel_tol=1e-9)
+    tail, _, tail_ok = adaptive_quad(weighted, far[:-1], far[1:], rel_tol=1e-9)
+    total, tail = 2.0 * (power * head + rest), 2.0 * tail
     if tail > 1e-8 * total:
         raise NonconvergentTailError(
             f"tail beyond xi={XI_CUTOFF} contributes {tail:.3e} > 1e-8 relative",
             tail=tail,
         )
-    out = OscToSublevelConstant(float(delta), float(total), _BUMP_SPEC)
+    out = OscToSublevelConstant(float(delta), float(total), _BUMP_SPEC,
+                                head_ok and body_ok and tail_ok)
     _constant_cache[key] = out
     return out

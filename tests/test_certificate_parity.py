@@ -2,12 +2,15 @@
 
 Each case's ``to_dict()`` (piece kinds, supports, bounds, formulas, details,
 params and notes) must equal the frozen copy exactly.  Re-freeze only for a
-deliberate output change, and say why in CHANGES.md:
+deliberate output change, and say why in CHANGES.md.  With case names, only
+those entries are rewritten and the others stay byte for byte; with none,
+every case is:
 
-    PYTHONPATH=src python tests/test_certificate_parity.py
+    PYTHONPATH=src python tests/test_certificate_parity.py [CASE ...]
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,8 @@ def test_certificate_matches_frozen(case):
 
 if __name__ == "__main__":
     FROZEN.parent.mkdir(exist_ok=True)
-    doc = {c: certificate_doc(c) for c in CASES}
+    names = sys.argv[1:]
+    doc = json.loads(FROZEN.read_text()) if names else {}
+    doc.update({c: certificate_doc(c) for c in names or CASES})
     FROZEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FROZEN}")

@@ -7,6 +7,7 @@ from oscint import (
     Polynomial,
     PowerTransform,
     PreconditionError,
+    SliceOverflowError,
     certify_1d,
     certify_2d,
     compose_with_polynomial,
@@ -23,7 +24,7 @@ from oscint import (
     xy_phase,
     xy_quad_phase,
 )
-from oscint.phases import closure_phase, PhaseMeta
+from oscint.phases import Phase2D, PhaseMeta, closure_phase, unit_square
 
 P_HALF_SQUARE = Polynomial((0.0, 0.0, 0.5))          # t^2/2, P' = t monic
 P_THIRD_CUBE = Polynomial((0.0, 0.0, 0.0, 1.0 / 3.0))  # t^3/3, P' = t^2 monic
@@ -141,6 +142,16 @@ class TestCertify1D:
         assert cert.verify_against(osc_integrate_1d(comp, lam))
         assert "C_delta" in cert.notes
 
+    def test_c_delta_stop_is_noted(self, monkeypatch):
+        f = monomial(2, (0.0, 1.0))
+        cert = certify_1d(f, P_THIRD_CUBE, 2e3, "general", delta=0.5, A=1.0)
+        assert "C_delta_converged" not in cert.notes
+        monkeypatch.setattr("oscint.sublevel._constant_cache", {})
+        monkeypatch.setattr("oscint.sublevel.adaptive_quad", stopped_adaptive_quad)
+        stopped = certify_1d(f, P_THIRD_CUBE, 2e3, "general", delta=0.5, A=1.0)
+        assert stopped.notes.pop("C_delta_converged") is False
+        assert stopped.to_dict() == cert.to_dict()
+
     def test_vdc_N1_no_small_pieces(self):
         f = monomial(1, (0.0, 1.0))
         cert = certify_1d(f, P_HALF_SQUARE, 1e3, "vdc", N=1)
@@ -223,6 +234,20 @@ class TestCertify2D:
         stopped = certify_2d(f2, P_HALF_SQUARE, 300.0)
         assert stopped.notes.pop("region2_converged") is False
         assert stopped.to_dict() == cert.to_dict()
+
+    def test_slice_with_too_many_runs_overflows(self):
+        # |d_y f| = x (1 + 0.9 cos 40y) crosses gamma = 0.01 on every period
+        # of the cosine for x in (0.0053, 0.1)
+        def ev(orders, x, y):
+            # f = x (y + 0.0225 sin 40y), declared to orders (1, 2)
+            i, j = orders
+            wave = (y + 0.0225 * np.sin(40.0 * y), 1.0 + 0.9 * np.cos(40.0 * y),
+                    -36.0 * np.sin(40.0 * y))[j]
+            return (x if i == 0 else np.ones_like(x)) * wave
+
+        f2 = Phase2D(ev, (1, 2), unit_square(), derivative_lower_bound=0.1, name="wavy")
+        with pytest.raises(SliceOverflowError, match="decomposed into 5 intervals, cap 4"):
+            certify_2d(f2, Polynomial((0.0, 1.0)), 1e4)
 
     # totals before the slices moved to one batched engine run
     @pytest.mark.parametrize("P, lam, frozen", [

@@ -378,6 +378,20 @@ def test_hlog_notes_band_areas_whose_quadrature_stops(monkeypatch):
                                for e in harness._grid(opts["eps_grid"])]
 
 
+def test_t1_notes_certificates_whose_c_delta_quadrature_stops(monkeypatch):
+    from oscint import harness
+    from test_certificates import stopped_adaptive_quad
+
+    monkeypatch.setattr("oscint.sublevel._constant_cache", {})
+    monkeypatch.setattr("oscint.sublevel.adaptive_quad", stopped_adaptive_quad)
+    rep = run_suite(ExperimentConfig(suite="T1", quad=QuadConfig(phase_variation_cap=2.8),
+                                     options=SMALL_T1))
+    assert rep.unconverged == [{"case": case["name"], "lambda": float(l)}
+                               for case in SMALL_T1["cases"]
+                               for key in ("lambda_sound", "cert_sweep")
+                               for l in harness._grid(SMALL_T1[key])]
+
+
 def test_t1_fits_each_base_phase_once(monkeypatch):
     """Two T1 cases that share f build it once and sweep its integrals once."""
     from oscint import harness

@@ -314,6 +314,19 @@ def test_adaptive_quad_kinked():
     assert converged
 
 
+def test_adaptive_quad_segments_split_at_a_kink():
+    # unsplit, the kink at eps sits inside a panel and the estimate reports
+    # 6.3e-13 against an error of 2.5e-8; split there, each segment is smooth
+    eps = 0.003920094501613018
+    val, err, converged = adaptive_quad(
+        lambda x: np.minimum(1.0, eps / np.maximum(x, 1e-300)), [0.0, eps], [eps, 1.0],
+        rel_tol=1e-9)
+    exact = eps * (1.0 + np.log(1.0 / eps))
+    assert abs(val - exact) <= 1e-12 * exact
+    assert err >= abs(val - exact)
+    assert converged
+
+
 def test_adaptive_quad_flags_a_segment_cap(monkeypatch):
     # one segment cannot hold the kink to 1e-9
     monkeypatch.setattr("oscint.quadrature.ADAPTIVE_MAX_SEGMENTS", 1)

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,6 +21,16 @@ def test_profile_matches_gamma_oracle(w):
     a = monomial_profile(3, w)
     oracle = monomial_profile_gamma(3, w)
     assert abs(a - oracle) / abs(oracle) < 1e-9
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_profile_at_small_w_matches_mpmath(k):
+    # A_k(w) = 1F1(1/k; 1 + 1/k; i w); the fixed Gauss rule holds 1e-15 here
+    ws = np.linspace(-12.0, 12.0, 97)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.hyp1f1(mp.mpf(1) / k, 1 + mp.mpf(1) / k, 1j * mp.mpf(w)))
+                        for w in ws])
+    assert np.max(np.abs(monomial_profile(k, ws) - ref) / np.abs(ref)) < 1e-14
 
 
 def test_profile_vectorized():

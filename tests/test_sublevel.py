@@ -19,6 +19,7 @@ from oscint import (
 from oscint.decay import DecaySample, fit_decay, geometric_grid
 from oscint.phases import (Phase2D, PhaseFunction, PlanarDomain, compose2d_with_polynomial,
                            unit_square, xy_quad_phase)
+from oscint.quadrature import adaptive_quad
 from oscint import phases, sublevel
 from oscint.sublevel import _bump, sublevel_rows
 
@@ -129,6 +130,26 @@ class TestConstant:
         monkeypatch.setattr(sublevel, "XI_CUTOFF", 4.0)
         with pytest.raises(NonconvergentTailError):
             osc_to_sublevel_constant(0.5)
+
+    def test_three_quadratures(self, monkeypatch):
+        # the head, the body to XI_CUTOFF and the tail, each over its segments
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return adaptive_quad(*args, **kwargs)
+
+        monkeypatch.setattr(sublevel, "_constant_cache", {})
+        monkeypatch.setattr(sublevel, "adaptive_quad", counted)
+        C = osc_to_sublevel_constant(0.5)
+        assert len(calls) == 3 and C.converged
+        assert calls[1][1][-1] == calls[2][0][0] == sublevel.XI_CUTOFF
+
+    def test_cutoff_off_a_sinc_zero(self, monkeypatch):
+        # 64.1 is no zero of the transform, and still cuts body from tail
+        monkeypatch.setattr(sublevel, "XI_CUTOFF", 64.1)
+        assert osc_to_sublevel_constant(0.5).C_delta == pytest.approx(5.616516938071103,
+                                                                      rel=1e-9)
 
     # computed independently from a tabulated bump and its direct cosine
     # transform; any correct transform of the same bump reproduces them

@@ -3,13 +3,15 @@
 The frozen file pins which rows and verdicts each runner emits, in order:
 case, check, `passed`, row verdicts and witness keys must match exactly,
 numbers to 1e-12 relative. Re-freeze only for a deliberate output change,
-and say why in CHANGES.md:
+and say why in CHANGES.md. With suite names, only those entries are
+rewritten and the others stay byte for byte; with none, every suite is:
 
-    PYTHONPATH=src python tests/test_suite_parity.py
+    PYTHONPATH=src python tests/test_suite_parity.py [SUITE ...]
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +113,8 @@ def test_small_suite_matches_frozen(suite):
 
 if __name__ == "__main__":
     FROZEN.parent.mkdir(exist_ok=True)
-    doc = {s: small_report(s)[0] for s in SMALL}
+    names = sys.argv[1:]
+    doc = json.loads(FROZEN.read_text()) if names else {}
+    doc.update({s: small_report(s)[0] for s in names or SMALL})
     FROZEN.write_text(json.dumps(doc, indent=1, sort_keys=True, default=lambda o: o.item()) + "\n")
     print(f"wrote {FROZEN}")
