@@ -71,6 +71,7 @@ from .polynomials import (
     classify,
     cover_ratio,
     cover_violations,
+    cover_violations_rows,
     degenerating_family,
     derivative,
     estimate_B,

@@ -40,14 +40,16 @@ from .phases import (
     compose2d_with_polynomial,
     compose_with_polynomial,
     compose_with_power,
+    monotone_partition,
     phase2d_from_config,
     phase_from_config,
     xy_phase,
 )
 from .polynomials import (
     Polynomial,
+    RETRY_ROOT_TOL,
     cover_ratio,
-    cover_violations,
+    cover_violations_rows,
     default_eps_grid,
     degenerating_family,
     estimate_B,
@@ -55,7 +57,7 @@ from .polynomials import (
 )
 from .quadrature import QuadConfig, osc_integrate_1d, osc_integrate_2d
 from .reduction import product_monomial_integral
-from .sublevel import osc_to_sublevel_constant, sublevel_1d, sublevel_2d
+from .sublevel import band_sets, osc_to_sublevel_constant, sublevel_2d
 
 CSV_COLUMNS = ("suite", "case", "lambda", "eps", "c", "value_re", "value_im",
                "magnitude", "err_est", "bound", "delta_hat", "verdict")
@@ -505,16 +507,21 @@ def _run_t5(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
             unconverged.append({"case": case["name"], "delta": delta})
         c_grid = np.geomspace(*opt.get("c_range", (1e-2, 1.0)), int(opt.get("n_c", 50)))
         eps_grid = np.geomspace(*opt.get("eps_range", (1e-2, 1.0)), int(opt.get("n_eps", 50)))
+        # the sublevel sets of every (eps, c) pair, as rows of one band solve
+        pieces = monotone_partition(f, order_cap=1)
+        ee, cc = np.meshgrid(eps_grid, c_grid, indexing="ij")
+        bands = band_sets(lambda x, _: f.eval_fn(0, x), [pieces] * ee.size,
+                          (cc - ee).ravel(), (cc + ee).ravel())
+        measures = iter([sum(iv.hi - iv.lo for iv in comps) for comps in bands])
         worst = 0.0
         worst_at = None
         for eps in eps_grid:
             sup_c = 0.0
             arg_c = None
-            for c in c_grid:
-                res = sublevel_1d(f, float(c), float(eps))
-                ratio = res.measure / (A * eps**delta)
+            for c in c_grid.tolist():
+                ratio = next(measures) / (A * eps**delta)
                 if ratio > sup_c:
-                    sup_c, arg_c = ratio, float(c)
+                    sup_c, arg_c = ratio, c
             rows.append(_row("T5", case["name"], eps=float(eps), c=arg_c,
                              magnitude=sup_c, bound=C.C_delta,
                              verdict="within" if sup_c <= C.C_delta else "exceeds"))
@@ -545,35 +552,48 @@ def _run_t6(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
         verdicts.append({"case": case, "check": "zero_violations",
                          "passed": count == 0, "witness": witness})
 
-    # monic inclusion
+    # monic inclusion: every trial drawn first, then one cover kernel call per degree
     trials = int(opt.get("monic_trials", 1000))
     max_deg = int(opt.get("monic_max_degree", 6))
-    violations = 0
-    witness = None
+    draws = []
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 6001, t)))
         d = int(rng.integers(1, max_deg + 1))
         coeffs = rng.uniform(-1.0, 1.0, size=d + 1)
         coeffs[-1] = 1.0
-        P = Polynomial(tuple(coeffs))
-        eps = float(rng.uniform(0.0, 1.0)) or 0.5
-        bad = cover_violations(P, 1.0, eps)
-        if bad:
-            violations += 1
-            if witness is None:
-                witness = {"trial": t, "coeffs": list(P.coeffs), "eps": eps,
-                           "first": bad[0]}
-    zero_violations("monic_inclusion", violations, witness)
+        draws.append((coeffs, float(rng.uniform(0.0, 1.0)) or 0.5))
+    degrees = np.array([coeffs.size - 1 for coeffs, _ in draws])
+    bad: dict[int, list[dict]] = {}
+    for d in np.unique(degrees).tolist():
+        ts = np.flatnonzero(degrees == d).tolist()
+        found = cover_violations_rows(np.array([draws[t][0] for t in ts]), 1.0,
+                                      np.array([draws[t][1] for t in ts]))
+        bad.update((t, b) for t, b in zip(ts, found) if b)
+    witness = None
+    if bad:
+        t = min(bad)
+        witness = {"trial": t, "coeffs": draws[t][0].tolist(), "eps": draws[t][1],
+                   "first": bad[t][0]}
+    zero_violations("monic_inclusion", len(bad), witness)
 
     # SND inclusion, checked on the per-trial ratios of the estimator's own
     # seeded sample: B is their maximum rounded up, so no draw here exceeds
     # it; only draws the estimate did not see could
     snd_trials = int(opt.get("snd_trials", 1000))
+
+    def snd_constant(d):
+        """estimate_B at degree d, noting each trial it retried at the looser
+        root tolerance."""
+        B = estimate_B(d, trials=snd_trials, seed=seed)
+        unconverged.extend({"case": f"snd_inclusion_d{d}", "trial": t, "root_tol": RETRY_ROOT_TOL}
+                           for t in B.retried)
+        return B
+
     eps_grid = default_eps_grid()
     b_by_degree = {}
     for d in opt.get("snd_degrees", (2, 3, 4, 5)):
         d = int(d)
-        B = estimate_B(d, trials=snd_trials, seed=seed)
+        B = snd_constant(d)
         b_by_degree[d] = B.B
         over = [t for t, ratio in enumerate(B.ratios) if ratio > B.B]
         wit = {"trial": over[0], "ratio": B.ratios[over[0]], "B": B.B} if over else None
@@ -596,7 +616,7 @@ def _run_t6(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
     if min(etas) <= float(opt.get("exceed_at_eta", 1e-5)):
         ref_d = 2 * k - 1
         if ref_d not in b_by_degree:
-            b_by_degree[ref_d] = estimate_B(ref_d, trials=snd_trials, seed=seed).B
+            b_by_degree[ref_d] = snd_constant(ref_d).B
         threshold = 10.0 * b_by_degree[ref_d]
         verdicts.append({"case": "degenerating_family",
                          "check": "b_min_exceeds_10x_snd_constant",

@@ -8,6 +8,12 @@ depending only on the degree; no closed form for B_d is used here, instances
 are estimated empirically from exact cover ratios, sups taken at band edges.
 A degenerating family demonstrating failure of the inclusion for non-SND
 polynomials is provided alongside.
+
+Roots and covers run as kernels over coefficient rows of one degree: one
+stacked ``eigvals`` call for the roots of every row and one for the band
+edges of every row and eps, taken ``COVER_CHUNK`` rows at a time so that
+memory stays bounded.  The one-polynomial functions are one-row calls of
+the same kernels.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ _polyval = np.polynomial.polynomial.polyval
 CLASSIFY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
 COVER_ROOT_TOL = 1e-7
+RETRY_ROOT_TOL = 1e-5
+COVER_CHUNK = 32  # polynomials per stacked eigenvalue call of the cover kernel
 SND_MAX_DRAWS = 1000
 
 
@@ -84,8 +92,10 @@ class RootSet:
 class SndConstant:
     d: int
     B: float
-    # per-trial cover ratios B was estimated from; not part of comparison
+    # per-trial cover ratios B was estimated from, and the trials whose roots
+    # passed only the looser residual check; not part of comparison
     ratios: tuple[float, ...] = field(default=(), compare=False, repr=False)
+    retried: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.B < 1.0:
@@ -143,10 +153,14 @@ def _near_real(z: np.ndarray) -> np.ndarray:
     return np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))
 
 
-def _snap_and_sort(z: np.ndarray) -> tuple[complex, ...]:
-    """Put roots within 1e-9 relative of the real axis on it; order by (real, imag)."""
-    out = [complex(w.real, 0.0) if r else complex(w) for w, r in zip(z, _near_real(z))]
-    return tuple(sorted(out, key=lambda w: (w.real, w.imag)))
+def _snap(z: np.ndarray) -> np.ndarray:
+    """Put roots within 1e-9 relative of the real axis on it."""
+    return np.where(_near_real(z), z.real, z)
+
+
+def _rows_at(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row k's polynomial at x[k, ...], for ascending coefficient rows c."""
+    return _polyval(x, c.T.reshape(c.shape[::-1] + (1,) * (np.ndim(x) - 1)), tensor=False)
 
 
 def _companion(c: np.ndarray) -> np.ndarray:
@@ -158,9 +172,58 @@ def _companion(c: np.ndarray) -> np.ndarray:
     return comp
 
 
+def _quadratic_rows(c: np.ndarray) -> np.ndarray:
+    """Both roots of each quadratic row, by the stable closed form; a complex
+    pair is averaged into an exact conjugate pair."""
+    a0, a1, a2 = c.T
+    sq = np.sqrt((a1 * a1 - 4.0 * a2 * a0).astype(complex))
+    # stable quadratic: avoid cancellation in the small root
+    q = -0.5 * (a1 + np.where(a1 >= 0, sq, -sq))
+    r1 = q / a2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(q != 0, a0 / q, -a1 / a2 - r1)
+    z = np.stack([r1, r2], axis=1)
+    # a pair off the axis: average it, positive-imaginary root first
+    up = r1.imag > 0
+    avg = 0.5 * (np.where(up, r1, r2) + np.conj(np.where(up, r2, r1)))
+    pair = ~_near_real(z).any(axis=1)
+    return np.where(pair[:, None], np.stack([np.conj(avg), avg], axis=1), _snap(z))
+
+
+def _root_rows(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of every ascending coefficient row of c, all of one degree d >= 1.
+
+    Closed forms for d <= 2, vectorised over the rows; for d >= 3 one
+    stacked ``eigvals`` call over the rows' companion matrices.  Returns
+    ``(z, ok, worst)``: z of shape (rows, d), each row sorted by (real, imag)
+    with near-real roots on the axis; ``ok`` says whether every root of the
+    row passes the residual check at ``tol`` (see ``roots``), ``worst`` is
+    the row's largest residual.  Closed-form rows always pass.
+    """
+    n, d = c.shape[0], c.shape[1] - 1
+    if d < 1:
+        raise PreconditionError("roots requires degree >= 1")
+    ok, worst = np.ones(n, dtype=bool), np.zeros(n)
+    if d == 1:
+        z = (-c[:, 0] / c[:, 1]).astype(complex)[:, None]
+    elif d == 2:
+        z = _quadratic_rows(c)
+    else:
+        z = np.linalg.eigvals(_companion(c))
+        resid = np.abs(_rows_at(c, z))
+        mags = np.abs(z)
+        eval_scale = sum(np.abs(c[:, j:j + 1]) * mags**j for j in range(d + 1))
+        max_abs = np.abs(c).max(axis=1, keepdims=True)
+        ok = np.all(resid <= np.maximum(tol * (1.0 + max_abs), tol * (1.0 + eval_scale)), axis=1)
+        worst = resid.max(axis=1)
+        z = _snap(z)
+    return np.sort(z, axis=1), ok, worst
+
+
 def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:
     """All complex roots: closed forms for degree 1 and 2, companion-matrix
-    eigenvalues (LAPACK, backward stable) for degree 3 and up.
+    eigenvalues (LAPACK, backward stable) for degree 3 and up; a one-row
+    call of the kernel that batched cover checks use.
 
     Complex roots come in exact conjugate pairs.  Every root satisfies
     |P(z)| <= tol * (1 + max|a_j|), relaxed to the float backward-error scale
@@ -168,37 +231,12 @@ def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:
     evaluation noise exceeds the coefficient scale; otherwise the call raises
     ``RootConvergenceError``.
     """
-    d = P.degree
-    if d < 1:
-        raise PreconditionError("roots requires degree >= 1")
-    if d == 1:
-        a0, a1 = P.coeffs
-        return RootSet((complex(-a0 / a1),))
-    if d == 2:
-        a0, a1, a2 = P.coeffs
-        disc = complex(a1 * a1 - 4.0 * a2 * a0)
-        sq = np.sqrt(disc)
-        # stable quadratic: avoid cancellation in the small root
-        q = -0.5 * (a1 + (sq if a1 >= 0 else -sq))
-        r1 = q / a2
-        r2 = (a0 / q) if q != 0 else -a1 / a2 - r1
-        z = np.array([r1, r2])
-        if not _near_real(z).any():
-            # a complex pair: average it, positive-imaginary root first
-            zp, zn = (r1, r2) if r1.imag > 0 else (r2, r1)
-            avg = 0.5 * (zp + np.conj(zn))
-            return RootSet((complex(np.conj(avg)), complex(avg)))
-        return RootSet(_snap_and_sort(z))
-
-    z = np.linalg.eigvals(_companion(np.asarray(P.coeffs)))
-    resid = np.abs(P.eval_complex(z))
-    mags = np.abs(z)
-    eval_scale = sum(abs(a) * mags**j for j, a in enumerate(P.coeffs))
-    if not np.all(resid <= np.maximum(tol * (1.0 + P.max_abs_coeff), tol * (1.0 + eval_scale))):
+    z, ok, worst = _root_rows(np.array([P.coeffs]), tol)
+    if not ok[0]:
         raise RootConvergenceError(
-            f"root residual {resid.max():.3e} above tolerance scale", degree=d
+            f"root residual {worst[0]:.3e} above tolerance scale", degree=P.degree
         )
-    return RootSet(_snap_and_sort(z))
+    return RootSet(tuple(complex(w) for w in z[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -280,63 +318,109 @@ def snd_sublevel_cover(P: Polynomial, eps: float, B: SndConstant) -> list[Interv
                        NotSndError(f"polynomial is {rep.label}, not SND", report=rep))
 
 
-def _band_candidates(P: Polynomial, eps_values: Sequence[float], tol: float):
-    """Points where dist(x, nearest root real part) can peak on {|P| <= eps^d}.
+def _band_candidates(c: np.ndarray, re: np.ndarray, eps: np.ndarray):
+    """Points where dist(x, nearest root real part) can peak on {|P| <= eps^d},
+    for many polynomials of one degree d at once.
 
-    That set is a union of bands whose edges are the real roots of P -/+ eps^d,
-    and between neighbouring real parts the distance peaks at their midpoint,
-    so its sup is attained at an edge or at a midpoint in the set.  Edges come
-    from one eigenvalue call over the companion matrices of every (eps, sign),
-    real by the rule ``roots`` snaps with, once per conjugate pair; near a
-    double root they are fixed only to about sqrt(machine eps).  A midpoint m
-    is kept where |P(m)| <= eps^d + 64 ulp * sum |a_j| |m|^j (rounding slack).
+    c holds ascending coefficient rows, re each row's d root real parts in
+    ascending order and eps each row's eps values, shape (rows, m).  The set
+    is a union of bands whose edges are the real roots of P -/+ eps^d, and
+    between neighbouring real parts the distance peaks at their midpoint, so
+    its sup is attained at an edge or at a midpoint in the set.  Edges come
+    from one stacked eigenvalue call over the companion matrices of every
+    row, (eps, sign) pair, real by the rule ``roots`` snaps with, once per
+    conjugate pair; near a double root they are fixed only to about
+    sqrt(machine eps).  A midpoint m is kept where |P(m)| <= eps^d + 64 ulp *
+    sum |a_j| |m|^j (rounding slack).  The real parts of a conjugate pair
+    stay in ``re`` twice: their midpoint is the root's own real part, at
+    distance 0, so it moves neither a sup nor a violation list.
 
-    Returns ``(x, |P(x)|, dist, keep)``, each of shape (len(eps_values), n).
+    Returns ``(x, |P(x)|, dist, keep)``, each of shape (rows, m, 3d - 1).
     """
-    eps = np.asarray(eps_values, dtype=float)
+    n, d = re.shape
+    levels = eps ** d
+    shifted = np.broadcast_to(c[:, None, None, :], (n, 2) + eps.shape[1:] + (d + 1,)).copy()
+    shifted[..., 0] -= np.stack([levels, -levels], axis=1)
+    z = np.linalg.eigvals(_companion(shifted)).swapaxes(1, 2).reshape(n, -1, 2 * d)
+    mids = 0.5 * (re[:, None, :-1] + re[:, None, 1:])
+    x = np.concatenate([z.real, np.broadcast_to(mids, z.shape[:2] + mids.shape[2:])], axis=2)
+    pv = np.abs(_rows_at(c, x))
+    slack = 64.0 * np.finfo(float).eps * _rows_at(np.abs(c), np.abs(mids))
+    keep = np.concatenate([_near_real(z) & (z.imag >= 0),
+                           pv[..., 2 * d:] <= levels[..., None] + slack], axis=2)
+    dist = np.min(np.abs(x[..., None] - re[:, None, None, :]), axis=-1)
+    return x, pv, dist, keep
+
+
+def _cover_chunks(c: np.ndarray, re: np.ndarray, eps):
+    """``_band_candidates`` over ``COVER_CHUNK`` rows at a time, so that the
+    stacked matrices stay bounded; yields (row slice, its candidates)."""
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (c.shape[0], np.shape(eps)[-1]))
     if not np.all(eps > 0.0):
         raise PreconditionError("eps must be positive")
-    re = np.array(roots(P, tol).real_parts)  # ascending, as ``roots`` orders them
-    re = re[np.append(True, re[1:] != re[:-1])]
-    c = np.asarray(P.coeffs)
-    d = P.degree
-    levels = eps ** d
-    shifted = np.tile(c, (2, levels.size, 1))
-    shifted[..., 0] -= np.stack([levels, -levels])
-    z = np.concatenate(np.linalg.eigvals(_companion(shifted)), axis=1)
-    mids = np.broadcast_to(0.5 * (re[:-1] + re[1:]), (levels.size, re.size - 1))
-    x = np.concatenate([z.real, mids], axis=1)
-    pv = np.abs(P(x))
-    slack = 64.0 * np.finfo(float).eps * _polyval(np.abs(mids), np.abs(c))
-    keep = np.concatenate([_near_real(z) & (z.imag >= 0),
-                           pv[:, 2 * d:] <= levels[:, None] + slack], axis=1)
-    dist = np.min(np.abs(x[..., None] - re), axis=-1)
-    return x, pv, dist, keep
+    for lo in range(0, c.shape[0], COVER_CHUNK):
+        rows = slice(lo, lo + COVER_CHUNK)
+        yield rows, _band_candidates(c[rows], re[rows], eps[rows])
+
+
+def _cover_ratio_rows(c: np.ndarray, re: np.ndarray, eps_values) -> np.ndarray:
+    """``cover_ratio`` of every row of c, with root real parts ``re``."""
+    eps = np.asarray(eps_values, dtype=float)
+    out = np.empty(c.shape[0])
+    for rows, (_, _, dist, keep) in _cover_chunks(c, re, eps):
+        worst = np.where(keep, dist, 0.0).max(axis=2)
+        out[rows] = (worst / eps).max(axis=1)
+    return out
 
 
 def cover_ratio(P: Polynomial, eps_values: Sequence[float],
                 tol: float = COVER_ROOT_TOL) -> float:
     """Sup of dist(x, nearest root real part)/eps over x in {|P| <= eps^d}
     and eps in ``eps_values`` (0.0 when every such set is empty): exactly the
-    minimal radius scale B for which the root-proximity cover holds there."""
-    _, _, dist, keep = _band_candidates(P, eps_values, tol)
-    worst = np.where(keep, dist, 0.0).max(axis=1)
-    return float((worst / np.asarray(eps_values, dtype=float)).max())
+    minimal radius scale B for which the root-proximity cover holds there.
+    A one-row call of the kernel ``estimate_B`` runs over all its trials."""
+    re = np.array([roots(P, tol).real_parts])
+    return float(_cover_ratio_rows(np.array([P.coeffs]), re, eps_values)[0])
+
+
+def cover_violations_rows(coeffs: np.ndarray, radius_scale: float,
+                          eps: np.ndarray) -> list[list[dict]]:
+    """``cover_violations`` of many polynomials of one degree at once: row k
+    of ``coeffs`` (ascending) at ``eps[k]``.  Roots are checked at
+    ``COVER_ROOT_TOL``; a row that fails raises ``RootConvergenceError``
+    naming its degree and row."""
+    c = np.asarray(coeffs, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    z, ok, worst = _root_rows(c, COVER_ROOT_TOL)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise RootConvergenceError(
+            f"root residual {worst[k]:.3e} above tolerance scale in row {k}",
+            degree=c.shape[1] - 1, row=k)
+    out: list[list[dict]] = [[] for _ in range(c.shape[0])]
+    for rows, (x, pv, dist, keep) in _cover_chunks(c, z.real, eps[:, None]):
+        e = eps[rows]
+        bad = keep[:, 0] & (dist[:, 0] > radius_scale * e[:, None] + 1e-8)
+        for k in np.flatnonzero(bad.any(axis=1)):
+            i = np.flatnonzero(bad[k])
+            out[rows.start + k] = [
+                {"x": float(x[k, 0, j]), "abs_P": float(pv[k, 0, j]),
+                 "dist": float(dist[k, 0, j]), "eps": float(e[k])}
+                for j in i[np.argsort(x[k, 0, i])]]
+    return out
 
 
 def cover_violations(P: Polynomial, radius_scale: float, eps: float,
                      n_grid: int | None = None) -> list[dict]:
     """Band edges and in-set root midpoints of {|P| <= eps^d} farther than
     radius_scale*eps + 1e-8 (root-residual slack) from every root real part,
-    in ascending x; roots are checked at ``COVER_ROOT_TOL``.
+    in ascending x; roots are checked at ``COVER_ROOT_TOL``.  A one-row call
+    of ``cover_violations_rows``.
 
     ``n_grid`` is accepted and ignored, for callers written against the
     former grid check.
     """
-    x, pv, dist, keep = (a[0] for a in _band_candidates(P, [eps], COVER_ROOT_TOL))
-    bad = np.flatnonzero(keep & (dist > radius_scale * eps + 1e-8))
-    return [{"x": float(x[i]), "abs_P": float(pv[i]), "dist": float(dist[i]), "eps": float(eps)}
-            for i in bad[np.argsort(x[bad])]]
+    return cover_violations_rows(np.array([P.coeffs]), radius_scale, np.array([eps]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +453,13 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0) -> SndConstant:
     ``default_eps_grid()``; each cover ratio is the exact sup over a sublevel set.
 
     Trials draw with per-trial derived seeds, so results do not depend on
-    evaluation order.  The per-trial ratios come back as ``ratios``.
+    evaluation order.  All trials are drawn first and go through the cover
+    kernel together.  A trial whose roots miss the residual check at
+    ``COVER_ROOT_TOL`` (clustered roots) is retried at ``RETRY_ROOT_TOL``,
+    since the cover uses real parts and B only needs 2 digits; the retry
+    changes the check, not the ratio, and a trial that fails it too raises
+    ``RootConvergenceError``.  The per-trial ratios come back as ``ratios``,
+    the retried trials as ``retried``.
     """
     if d < 1:
         raise PreconditionError("degree must be >= 1")
@@ -379,20 +469,22 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0) -> SndConstant:
     if trials < 100:
         raise PreconditionError("estimate_B needs at least 100 trials")
     eps_values = default_eps_grid()
-    ratios = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, d, t)))
-        P = sample_snd(d, rng)
+    polys = [sample_snd(d, np.random.default_rng(np.random.SeedSequence(entropy=(seed, d, t))))
+             for t in range(trials)]
+    c = np.array([P.coeffs for P in polys])
+    z, ok, _ = _root_rows(c, COVER_ROOT_TOL)
+    ratios = _cover_ratio_rows(c, z.real, eps_values)
+    retried = np.flatnonzero(~ok)
+    for t in retried:
+        # the one-row call at the looser check gives the same ratio, or raises
         try:
-            ratios[t] = cover_ratio(P, eps_values)
-        except RootConvergenceError:
-            # clustered roots: accept the looser residual, the cover uses
-            # real parts and B only needs 2 digits
-            ratios[t] = cover_ratio(P, eps_values, tol=1e-5)
+            ratios[t] = cover_ratio(polys[t], eps_values, tol=RETRY_ROOT_TOL)
+        except RootConvergenceError as err:
+            raise RootConvergenceError(f"{err} at trial {t}", degree=d, trial=int(t)) from err
     worst = max(1.0, float(ratios.max()))
     quantum = 10.0 ** (math.floor(math.log10(worst)) - 1)
     B = math.ceil(worst / quantum) * quantum
-    return SndConstant(d, B, tuple(ratios.tolist()))
+    return SndConstant(d, B, tuple(ratios.tolist()), tuple(retried.tolist()))
 
 
 def degenerating_family(k: int, eta: float) -> Polynomial:

@@ -52,21 +52,24 @@ class OscToSublevelConstant:
 
 
 def band_pieces(g, a, b, ga, gb, lo_t, hi_t, xtol: float = BISECT_XTOL):
-    """{x in [a_k, b_k] : lo_t <= g_k(x) <= hi_t} for many monotone pieces at once.
+    """{x in [a_k, b_k] : lo_t_k <= g_k(x) <= hi_t_k} for many monotone pieces at once.
 
     ``g(x, idx)`` evaluates the functions of the pieces ``idx`` and ``ga``,
-    ``gb`` hold their values at the ends.  An end where g lies outside the
-    band is moved by bracketing g = lo_t or g = hi_t on the whole piece, all
-    pieces in one solve bisected to ``xtol``.  Returns (x_lo, x_hi, found);
-    ``found`` is False where the piece misses the band.
+    ``gb`` hold their values at the ends; the levels ``lo_t``, ``hi_t`` are
+    per piece or one for all.  An end where g lies outside the band is moved
+    by bracketing g = lo_t or g = hi_t on the whole piece, all pieces in one
+    solve bisected to ``xtol``.  Returns (x_lo, x_hi, found); ``found`` is
+    False where the piece misses the band.
     """
     a, b, ga, gb = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, ga, gb))
+    lo_t, hi_t = (np.broadcast_to(np.asarray(v, dtype=float), a.shape) for v in (lo_t, hi_t))
     inc = gb >= ga
     hit = ~((np.minimum(ga, gb) > hi_t) | (np.maximum(ga, gb) < lo_t))
     move_lo = np.flatnonzero(hit & np.where(inc, ga < lo_t, ga > hi_t))
     move_hi = np.flatnonzero(hit & np.where(inc, gb > hi_t, gb < lo_t))
     k = np.concatenate([move_lo, move_hi])
-    t = np.concatenate([np.where(inc[move_lo], lo_t, hi_t), np.where(inc[move_hi], hi_t, lo_t)])
+    t = np.where(inc[k], np.concatenate([lo_t[move_lo], hi_t[move_hi]]),
+                 np.concatenate([hi_t[move_lo], lo_t[move_hi]]))
     lo, hi = solve_brackets(lambda x, q: g(x, k[q]) - t[q], a[k], b[k], ga[k] - t <= 0.0, xtol)
     x = 0.5 * (lo + hi)
     x_lo, x_hi = a.copy(), b.copy()
@@ -75,14 +78,18 @@ def band_pieces(g, a, b, ga, gb, lo_t, hi_t, xtol: float = BISECT_XTOL):
     return x_lo, x_hi, hit & (x_hi > x_lo)
 
 
-def band_sets(g, rows_pieces: list[list[Interval]], lo_t: float, hi_t: float,
+def band_sets(g, rows_pieces: list[list[Interval]], lo_t, hi_t,
               xtol: float = BISECT_XTOL) -> list[list[Interval]]:
     """Per row, the merged {x : lo_t <= g_row(x) <= hi_t} over the row's
     monotone pieces, with one solve for all rows to ``xtol``; ``g(x, rows)``
-    evaluates the functions of the rows at x."""
-    row = np.repeat(np.arange(len(rows_pieces)), [len(ps) for ps in rows_pieces])
+    evaluates the functions of the rows at x, and the levels are per row or
+    one for all."""
+    n_rows = len(rows_pieces)
+    row = np.repeat(np.arange(n_rows), [len(ps) for ps in rows_pieces])
     a = np.array([p.lo for ps in rows_pieces for p in ps])
     b = np.array([p.hi for ps in rows_pieces for p in ps])
+    lo_t, hi_t = (np.broadcast_to(np.asarray(v, dtype=float), (n_rows,))[row]
+                  for v in (lo_t, hi_t))
     gq = lambda x, q: g(x, row[q])
     q = np.arange(a.size)
     x_lo, x_hi, found = band_pieces(gq, a, b, gq(a, q), gq(b, q), lo_t, hi_t, xtol)

@@ -420,31 +420,47 @@ def test_t1_fits_each_base_phase_once(monkeypatch):
 
 @pytest.mark.parametrize("degrees", [[2, 3], [2]])
 def test_t6_computes_each_cover_ratio_once(monkeypatch, degrees):
-    """T6 reads the SND ratios estimate_B computed, and estimates the
-    reference degree of the 10x check (3 here) only when it has not already."""
+    """Each monic draw, SND draw and eta goes through the cover kernel once:
+    T6 reads the SND ratios estimate_B computed, and estimates the reference
+    degree of the 10x check (3 here) only when it has not already."""
     from oscint import harness, polynomials
 
-    calls = {"cover_ratio": 0, "estimate_B": 0}
+    calls = {"rows": 0, "estimate_B": 0}
+    kernel, estimate = polynomials._band_candidates, harness.estimate_B
 
-    def count(module, name):
-        fn = getattr(module, name)
+    def counted_kernel(c, re, eps):
+        calls["rows"] += c.shape[0]
+        return kernel(c, re, eps)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+    def counted_estimate(*args, **kwargs):
+        calls["estimate_B"] += 1
+        return estimate(*args, **kwargs)
 
-    count(polynomials, "cover_ratio")
-    count(harness, "cover_ratio")
-    count(harness, "estimate_B")
+    monkeypatch.setattr(polynomials, "_band_candidates", counted_kernel)
+    monkeypatch.setattr(harness, "estimate_B", counted_estimate)
     opts = dict(SMALL_T6, snd_degrees=degrees, exceed_at_eta=0.01)
     rep = run_suite(ExperimentConfig(suite="T6", seed=7, options=opts))
     checks = [v["check"] for v in rep.verdicts]
     assert "b_min_exceeds_10x_snd_constant" in checks
     assert checks.count("zero_violations") == len(degrees) + 2
     assert calls["estimate_B"] == 2
-    # one ratio per SND draw (no retry fires on this seed), one per eta
-    assert calls["cover_ratio"] == 2 * SMALL_T6["snd_trials"] + len(SMALL_T6["etas"])
+    # no retry fires on this seed
+    assert calls["rows"] == (SMALL_T6["monic_trials"] + 2 * SMALL_T6["snd_trials"]
+                             + len(SMALL_T6["etas"]))
+    assert rep.unconverged == []
+
+
+def test_t6_notes_snd_trials_retried_at_the_looser_root_tolerance(monkeypatch):
+    from oscint import polynomials
+
+    # a negative tolerance fails every strict residual check; degree 2 draws
+    # and the quadratic monic draws take closed forms, which have none
+    monkeypatch.setattr(polynomials, "COVER_ROOT_TOL", -1.0)
+    opts = dict(SMALL_T6, monic_max_degree=2, snd_degrees=[2, 3])
+    rep = run_suite(ExperimentConfig(suite="T6", seed=7, options=opts))
+    assert rep.passed
+    assert rep.unconverged == [{"case": "snd_inclusion_d3", "trial": t, "root_tol": 1e-5}
+                               for t in range(SMALL_T6["snd_trials"])]
 
 
 def test_t6_threshold_cover_check_fails_on_short_thresholds(monkeypatch):

@@ -10,6 +10,7 @@ from oscint import (
     NotSndError,
     Polynomial,
     PreconditionError,
+    RootConvergenceError,
     SndConstant,
     classify,
     cover_ratio,
@@ -191,6 +192,22 @@ class TestCovers:
         assert len(cover) == 1
         np.testing.assert_allclose((cover[0].lo, cover[0].hi), (-0.5, 0.5), atol=1e-9)
 
+    def test_violation_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(3)
+        c = rng.uniform(-1.0, 1.0, size=(2 * polynomials.COVER_CHUNK + 3, 5))
+        c[:, -1] = 1.0
+        eps = rng.uniform(0.05, 1.0, size=c.shape[0])
+        rows = polynomials.cover_violations_rows(c, 0.5, eps)
+        assert rows == [cover_violations(Polynomial(tuple(r)), 0.5, e) for r, e in zip(c, eps)]
+        assert any(rows) and not all(rows)
+
+    def test_violation_row_failing_the_root_check_is_named(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "COVER_ROOT_TOL", -1.0)
+        with pytest.raises(RootConvergenceError, match="in row 0") as err:
+            polynomials.cover_violations_rows(np.array([[0.5, -0.2, 0.1, 1.0]]), 1.0,
+                                              np.array([0.5]))
+        assert err.value.context == {"degree": 3, "row": 0}
+
     def test_monic_inclusion_random(self):
         rng = np.random.default_rng(42)
         eps_grid = default_eps_grid()
@@ -263,6 +280,31 @@ class TestEstimateB:
     def test_requires_enough_trials(self):
         with pytest.raises(PreconditionError):
             estimate_B(2, trials=10)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_batched_ratios_equal_per_trial_cover_ratio(self, d):
+        # more trials than one chunk of the cover kernel
+        trials = max(100, 2 * polynomials.COVER_CHUNK) + 5
+        B = estimate_B(d, trials=trials, seed=5)
+        one_by_one = [cover_ratio(sample_snd(d, np.random.default_rng(
+            np.random.SeedSequence(entropy=(5, d, t)))), default_eps_grid()) for t in range(trials)]
+        assert list(B.ratios) == one_by_one
+        assert B.retried == ()
+
+    def test_retry_changes_the_check_not_the_ratios(self, monkeypatch):
+        strict = estimate_B(3, trials=100, seed=7)
+        # a negative tolerance fails every row's residual check
+        monkeypatch.setattr(polynomials, "COVER_ROOT_TOL", -1.0)
+        retried = estimate_B(3, trials=100, seed=7)
+        assert retried.ratios == strict.ratios and retried.B == strict.B
+        assert retried.retried == tuple(range(100))
+
+    def test_trial_failing_both_root_checks_raises_naming_it(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "COVER_ROOT_TOL", -1.0)
+        monkeypatch.setattr(polynomials, "RETRY_ROOT_TOL", -1.0)
+        with pytest.raises(RootConvergenceError, match="at trial 0") as err:
+            estimate_B(4, trials=100, seed=7)
+        assert err.value.context == {"degree": 4, "trial": 0}
 
     def test_degree_comparison_computed(self):
         # the double-root family (t+a)^2/(2a), a <= 2, forces ratios near 2 at

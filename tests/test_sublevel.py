@@ -271,6 +271,15 @@ def test_rows_match_sublevel_1d_on_each_slice(c, eps):
         assert got == sublevel_1d(row, c, eps).measure
 
 
+def test_band_sets_take_per_row_levels():
+    f = monomial(2, (-1.0, 1.0))
+    pieces = phases.monotone_partition(f, order_cap=1)
+    c = np.array([0.1, -0.4, 0.3, 0.9])
+    eps = np.array([0.05, 0.2, 0.01, 0.5])
+    rows = sublevel.band_sets(lambda x, _: f.eval_fn(0, x), [pieces] * c.size, c - eps, c + eps)
+    assert rows == [list(sublevel_1d(f, ci, ei).components) for ci, ei in zip(c, eps)]
+
+
 def _parabola_plus_ramp():
     def ev(orders, x, y):
         shape = np.broadcast_shapes(x.shape, y.shape)
