@@ -13,6 +13,7 @@ from .certificates import (
     CertificateParams,
     PowerTransform,
     certify_1d,
+    certify_1d_sweep,
     certify_2d,
     default_snd_constant,
     derivpush_bound,
@@ -86,6 +87,7 @@ from .quadrature import (
     QuadResult,
     adaptive_quad,
     osc_integrate_1d,
+    osc_integrate_1d_sweep,
     osc_integrate_2d,
 )
 from .sublevel import (

@@ -17,7 +17,15 @@ lambda sweep of totals recovers the predicted exponent.
 Every outer function P reaches the engine as one model (``_outer``): a
 polynomial of degree >= 2 through its normalised derivative, a power
 transform |t|^s, or, for P(t) = t + c, the identity, whose intervals take
-the classical van der Corput bound 3 / (r |lambda|).
+the classical van der Corput bound 3 / (r |lambda|).  A polynomial's model
+finds the roots it needs once, when it is built.
+
+The engine (``_engine_1d``) runs many jobs at once, each an interval of a
+phase with its own lambda, eps, r and claims: every job's cover bands go to
+one band solve with per-row levels, and its thresholds and small-slope
+bands are per-piece arrays.  A job's decomposition is the one it gets alone.
+``certify_1d_sweep`` certifies a grid of lambdas as one job each, in one
+run; ``certify_1d`` is its one-element call.
 
 ``certify_2d`` runs the two-variable version at n = 2 with beta = (1, 1):
 the domain splits at |d_y f| = gamma, the sampled slices of the
@@ -43,12 +51,11 @@ from .phases import (Interval, Phase2D, PhaseFunction, merge_intervals, monotone
 from .polynomials import (
     Polynomial,
     SndConstant,
+    _merged_cover,
     classify,
     derivative,
     estimate_B,
-    monic_sublevel_cover,
     roots,
-    snd_sublevel_cover,
 )
 from .quadrature import QuadResult, adaptive_quad
 from .sublevel import band_pieces, band_sets, osc_to_sublevel_constant, sublevel_rows
@@ -180,14 +187,13 @@ class _Outer:
     """An outer function P of degree ``d`` as the engine sees it: a cover of
     the t where |P'(t)| is small (``cover``, radius ``cover_radius`` around
     each of ``n_centers`` centres), the threshold eps^(d-1) outside it,
-    |P'| itself, the breaks of P' monotonicity, and the bound on an interval
-    where |f'| >= r and |P'(f)| >= m."""
+    |P'| itself, the breaks of P' monotonicity (``prime_breaks``), and the
+    bound on an interval where |f'| >= r and |P'(f)| >= m."""
+
+    prime_breaks: tuple[float, ...] = ()
 
     def threshold(self, eps: float) -> float:
         return eps ** (self.d - 1.0)
-
-    def prime_breaks(self) -> list[float]:
-        return []
 
     def ibp(self, r: float, m: float, lam: float) -> tuple[float, str]:
         return ibp_bound(r, m ** (1.0 / (self.d - 1.0)), self.d, lam), "ibp_6_over_r_lam_eps"
@@ -244,6 +250,9 @@ class PowerTransform(_Outer):
 
 
 class _PolyOuter(_Outer):
+    """P' normalised, with the real parts of its roots (the cover's centres)
+    and the real roots of P'' found once, at construction."""
+
     def __init__(self, P: Polynomial, lam_abs: float):
         if P.degree < 2:
             raise PreconditionError("P needs degree >= 2, or P' = 1 for the base case")
@@ -262,23 +271,21 @@ class _PolyOuter(_Outer):
         self.B = 1.0 if rep.is_monic else self.snd.B
         self.n_centers = self.Pp.degree
         self.label = "monic" if rep.is_monic else "SND"
+        self.centers = roots(self.Pp).real_parts
+        if self.Pp.degree >= 2:
+            self.prime_breaks = tuple(z.real for z in roots(derivative(self.Pp)).roots
+                                      if z.imag == 0.0)
 
     def cover(self, eps: float) -> list[Interval]:
-        if self.is_monic:
-            return monic_sublevel_cover(self.Pp, eps)
-        return snd_sublevel_cover(self.Pp, min(eps, 1.0), self.snd)
+        """``polynomials.monic_sublevel_cover`` of P' at eps, or its
+        ``snd_sublevel_cover`` at min(eps, 1)."""
+        return _merged_cover(self.centers, eps if self.is_monic else self.B * min(eps, 1.0))
 
     def cover_radius(self, eps: float) -> float:
         return self.B * eps
 
     def dprime_abs(self, t):
         return np.abs(self.Pp(t))
-
-    def prime_breaks(self) -> list[float]:
-        if self.Pp.degree < 2:
-            return []
-        rs = roots(derivative(self.Pp))
-        return [z.real for z in rs.roots if z.imag == 0.0]
 
 
 def _outer(P: Polynomial | PowerTransform, lam_abs: float) -> _Outer:
@@ -324,20 +331,33 @@ def _flat(per_job: list[list[Interval]]):
     return job, np.array([iv.lo for iv in ivs]), np.array([iv.hi for iv in ivs])
 
 
-def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float,
-               eps: float, r: float, claims: dict | None,
+def _partitions(jobs: list[tuple[PhaseFunction, Interval]], order: int | None):
+    """``monotone_partition`` of each job's phase on its interval, built once
+    per distinct (phase, interval); jobs that share one share the list."""
+    memo: dict = {}
+    for f, iv in jobs:
+        if (id(f), iv) not in memo:
+            memo[id(f), iv] = monotone_partition(f, order_cap=order, interval=iv)
+    return [memo[id(f), iv] for f, iv in jobs]
+
+
+def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: Sequence[float],
+               eps: Sequence[float], r: Sequence[float], claims: Sequence[dict | None],
                partition_order: int | None = None) -> list[tuple[list[CertPiece], dict]]:
     """Per-piece decompositions of many intervals at once, one per job.
 
     ``jobs`` holds (phase, interval) pairs and ``ev(order, x, j)`` evaluates
     derivative ``order`` (0 or 1) of the phases of jobs ``j`` at the points
     ``x``, so each bracket solve below serves every job.  ``outer`` is the
-    model of P (``_outer``).  Returns (pieces, notes) per job.
+    model of P (``_outer``); job j runs at ``lam[j]``, ``eps[j]`` and
+    ``r[j]`` with the claims ``claims[j]`` (None without a decay claim).
+    Each job's decomposition is the one it gets alone.  Returns (pieces,
+    notes) per job.
     """
-    bases = [monotone_partition(f, order_cap=partition_order, interval=iv) for f, iv in jobs]
+    bases = _partitions(jobs, partition_order)
 
     # refine at pullbacks of the outer derivative's monotonicity breaks
-    t_stars = np.array(outer.prime_breaks())
+    t_stars = np.array(outer.prime_breaks)
     if t_stars.size:
         pj, lo, hi = _flat(bases)
         fa, fb = ev(0, lo, pj), ev(0, hi, pj)
@@ -353,23 +373,27 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
                            | set(cuts[inside & (pj[k] == j)].tolist()))
             bases[j] = [Interval(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
-    # removed root-proximity cover, pulled back through f
+    # removed root-proximity cover, pulled back through f: one band row per
+    # job and cover interval, all in one solve
+    covers = {e: outer.cover(e) for e in set(eps)}
+    spans = [(j, 0.5 * (t_iv.lo + t_iv.hi), 0.5 * (t_iv.hi - t_iv.lo))
+             for j, e in enumerate(eps) for t_iv in covers[e]]
+    rows = [(j, center - radius, center + radius) for j, center, radius in spans if radius > 0]
     removed: list[list[Interval]] = [[] for _ in jobs]
-    t_cover = outer.cover(eps)
-    mono = [monotone_partition(f, order_cap=1, interval=iv) for f, iv in jobs] if t_cover else []
-    for t_iv in t_cover:
-        center, radius = 0.5 * (t_iv.lo + t_iv.hi), 0.5 * (t_iv.hi - t_iv.lo)
-        if radius > 0:
-            bands = band_sets(lambda x, q: ev(0, x, q), mono, center - radius, center + radius)
-            for rem, comps in zip(removed, bands):
-                rem.extend(comps)
+    if rows:
+        row_job, lo_t, hi_t = (np.array(v) for v in zip(*rows))
+        mono = _partitions(jobs, 1)
+        bands = band_sets(lambda x, q: ev(0, x, row_job[q]), [mono[j] for j in row_job],
+                          lo_t, hi_t)
+        for j, comps in zip(row_job.tolist(), bands):
+            removed[j].extend(comps)
     removed = [merge_intervals((iv.as_tuple() for iv in rem), 1e-13) for rem in removed]
 
     out: list[tuple[list[CertPiece], dict]] = []
-    per_root = None if claims is None else claims["removed_unit"]
-    for rem in removed:
+    for rem, claim in zip(removed, claims):
+        per_root = None if claim is None else claim["removed_unit"]
         measured = sum(iv.length for iv in rem)
-        claimed = 0.0 if claims is None else per_root * outer.n_centers
+        claimed = 0.0 if claim is None else per_root * outer.n_centers
         out.append(([CertPiece(
             KIND_REMOVED, iv.as_tuple(),
             iv.length * claimed / measured if measured > claimed > 0 else iv.length,
@@ -383,7 +407,7 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
                       for base, rem in zip(bases, removed)])
     a0, b0 = a.tolist(), b.tolist()
     safety: list[Interval | None] = [None] * a.size
-    threshold = outer.threshold(eps)
+    threshold = np.array([outer.threshold(e) for e in eps])[kj]
     ea, eb = outer.dprime_abs(ev(0, a, kj)), outer.dprime_abs(ev(0, b, kj))
     thr_ok = threshold * (1.0 - 1e-9)
     low_a, low_b = ea < thr_ok, eb < thr_ok
@@ -391,8 +415,8 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
         safety[k] = Interval(a0[k], b0[k])
     sv = np.flatnonzero(low_a ^ low_b)
     lo_s, hi_s = solve_brackets(
-        lambda x, q: outer.dprime_abs(ev(0, x, kj[sv[q]])) - threshold,
-        a[sv], b[sv], ea[sv] - threshold <= 0.0)
+        lambda x, q: outer.dprime_abs(ev(0, x, kj[sv[q]])) - threshold[sv[q]],
+        a[sv], b[sv], ea[sv] - threshold[sv] <= 0.0)
     for k, x_star in zip(sv.tolist(), (0.5 * (lo_s + hi_s)).tolist()):
         if low_a[k]:
             safety[k], a[k] = Interval(a0[k], x_star), x_star
@@ -406,8 +430,9 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
     # the small-slope band {|f'| <= r} of every live piece, in one solve
     lj = kj[live]
     f1a, f1b = ev(1, a[live], lj), ev(1, b[live], lj)
+    r_live = np.array(r, dtype=float)[lj]
     s_lo, s_hi, found = band_pieces(lambda x, q: ev(1, x, lj[q]), a[live], b[live],
-                                    f1a, f1b, -r * (1.0 - 1e-12), r * (1.0 - 1e-12))
+                                    f1a, f1b, -r_live * (1.0 - 1e-12), r_live * (1.0 - 1e-12))
     ends = [np.abs(v).tolist() for v in (f1a, f1b, ev(1, s_lo, lj), ev(1, s_hi, lj))]
     slot = dict(zip(live.tolist(), zip(*ends, s_lo.tolist(), s_hi.tolist(), found.tolist())))
 
@@ -431,17 +456,18 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
             sub_ibp = [(Interval(lo, hi), r_lo, r_hi) for lo, hi, r_lo, r_hi, keep in
                        ((a[k], x_lo, ra, rs_lo, x_lo > a[k] + 1e-13),
                         (x_hi, b[k], rs_hi, rb, x_hi < b[k] - 1e-13)) if keep]
-            details = {"measured": small.length, "r": r}
-            if claims is not None:
-                details["derivpush"] = derivpush_bound(claims["sublevel_B"], claims["delta"], r)
+            details = {"measured": small.length, "r": r[j]}
+            if claims[j] is not None:
+                details["derivpush"] = derivpush_bound(claims[j]["sublevel_B"], claims[j]["delta"],
+                                                       r[j])
             pieces.append(CertPiece(
                 KIND_SMALL, small.as_tuple(), small.length,
                 "measured_interval_length", details,
             ))
 
         for ivb, ra, rb in sub_ibp:
-            r_piece = max(min(ra, rb), r)
-            formula_val, formula_name = outer.ibp(r_piece, m_piece[k], lam)
+            r_piece = max(min(ra, rb), r[j])
+            formula_val, formula_name = outer.ibp(r_piece, m_piece[k], lam[j])
             bound = min(ivb.length, formula_val)
             pieces.append(CertPiece(
                 KIND_IBP, ivb.as_tuple(), bound, formula_name,
@@ -456,21 +482,27 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: float
 # ---------------------------------------------------------------------------
 
 
-def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
-               mode: str, delta: float | None = None, A: float | None = None,
-               N: int | None = None) -> Certificate:
-    """Certificate for |int_I e^{i lam P(f(x))} dx|.
+def certify_1d_sweep(f: PhaseFunction, P: Polynomial | PowerTransform, lams: Sequence[float],
+                     mode: str, delta: float | None = None, A: float | None = None,
+                     N: int | None = None) -> list[Certificate]:
+    """Certificates for |int_I e^{i lam P(f(x))} dx|, one per lambda of ``lams``.
 
     mode "general": f carries an oscillatory-decay claim |I(lam)| <= A lam^-delta
     (A >= 1, 0 < delta < 1) plus the single-signed structure of order meta.N;
     delta defaults to ``f.meta.claimed_delta``, A must be given.
     mode "vdc": |f^(N)| >= 1 is declared (f' monotone when N = 1) and the
     certified rate is 1/(N d).
+
+    The model of P is built once and every lambda is one job of a single
+    engine run; each certificate is the one its lambda gets alone.
     """
-    if lam == 0.0:
+    lams = [float(lam) for lam in lams]
+    if not lams:
+        return []
+    if 0.0 in lams:
         raise PreconditionError("certify_1d needs lambda != 0")
-    lam_abs = abs(lam)
-    outer = _outer(P, lam_abs)
+    lam_abs = [abs(lam) for lam in lams]
+    outer = _outer(P, min(lam_abs))
     if outer is _IDENTITY:
         raise PreconditionError("composition theorem requires degree >= 2")
     d = outer.d
@@ -484,16 +516,15 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
         if A < 1.0:
             raise PreconditionError("general mode needs A >= 1")
         delta_eff = float(delta)
-        r = lam_abs ** (-(1.0 - delta_eff) / d)
+        r = [la ** (-(1.0 - delta_eff) / d) for la in lam_abs]
         C = osc_to_sublevel_constant(delta_eff)
-        radius = outer.cover_radius(lam_abs ** (-1.0 / d))
-        claims = {
+        claims = [{
             "delta": delta_eff,
             "A": float(A),
             "C_delta": C.C_delta,
             "sublevel_B": C.C_delta * float(A),
-            "removed_unit": C.C_delta * float(A) * radius**delta_eff,
-        }
+            "removed_unit": C.C_delta * float(A) * outer.cover_radius(la ** (-1.0 / d))**delta_eff,
+        } for la in lam_abs]
     elif mode == "vdc":
         N_eff = N if N is not None else f.meta.N
         if N_eff < 1:
@@ -503,25 +534,36 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
             raise PreconditionError(
                 "vdc mode needs a declared derivative lower bound |f^(N)| >= 1"
             )
-        if lam_abs < 1.0:
+        if min(lam_abs) < 1.0:
             raise PreconditionError("vdc mode certifies |lambda| >= 1")
         delta_eff = 1.0 / N_eff
-        r = lam_abs ** (-(N_eff - 1.0) / (N_eff * d))
-        claims = None
+        r = [la ** (-(N_eff - 1.0) / (N_eff * d)) for la in lam_abs]
+        claims = [None] * len(lams)
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
 
-    eps = lam_abs ** (-1.0 / d)
-    [(pieces, notes)] = _engine_1d([(f, f.domain)], lambda order, x, _: f.eval_fn(order, x),
-                                   outer, lam, eps, r, claims)
-    params = CertificateParams(eps, r, float(lam), delta_eff, d, None, mode)
-    notes["outer"] = outer.label
-    if claims is not None:
-        notes["C_delta"] = claims["C_delta"]
-        notes["A"] = claims["A"]
-        if not C.converged:
-            notes["C_delta_converged"] = False
-    cert = _finish(pieces, params, notes)
+    eps = [la ** (-1.0 / d) for la in lam_abs]
+    results = _engine_1d([(f, f.domain)] * len(lams), lambda order, x, _: f.eval_fn(order, x),
+                         outer, lams, eps, r, claims)
+    certs = []
+    for lam, e, r_j, claim, (pieces, notes) in zip(lams, eps, r, claims, results):
+        notes["outer"] = outer.label
+        if claim is not None:
+            notes["C_delta"] = claim["C_delta"]
+            notes["A"] = claim["A"]
+            if not C.converged:
+                notes["C_delta_converged"] = False
+        certs.append(_finish(pieces, CertificateParams(e, r_j, lam, delta_eff, d, None, mode),
+                             notes))
+    return certs
+
+
+def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
+               mode: str, delta: float | None = None, A: float | None = None,
+               N: int | None = None) -> Certificate:
+    """Certificate for |int_I e^{i lam P(f(x))} dx|: the one-element
+    ``certify_1d_sweep``, whose docstring gives the modes."""
+    [cert] = certify_1d_sweep(f, P, [lam], mode, delta=delta, A=A, N=N)
     return cert
 
 
@@ -631,8 +673,9 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
         jobs.extend((hy, sub) for sub in slice_subs)
         job_slice.extend([k] * len(slice_subs))
     job_x = xs[np.array(job_slice, dtype=int)]
+    n_jobs = len(jobs)
     results = _engine_1d(jobs, lambda order, y, j: f.eval_fn((0, order), job_x[j], y),
-                         outer, lam, eps, r, None,
+                         outer, [lam] * n_jobs, [eps] * n_jobs, [r] * n_jobs, [None] * n_jobs,
                          partition_order=min(N2, f.max_orders[1]))
     per_slice: list[list[CertPiece]] = [[] for _ in xs]
     for k, (ps, _) in zip(job_slice, results):

@@ -5,8 +5,14 @@ Each suite checks one family of estimates end to end and reports one row per
 Reruns with the same config and seed produce byte-identical CSV bodies; the
 environment stamp lives in the JSON report only.
 
-The runners share their steps: `_soundness_sweep` integrates and certifies
-over a lambda grid (1D and planar), `_reduction_sweep` runs the profile
+The runners share their steps, which work on whole lambda grids: a 1D
+grid is integrated by one `osc_integrate_1d_sweep` call (`_integrals`), and a
+composition case certifies its soundness grid and its certificate sweep in
+one `certify_1d_sweep` run (`_composition_case`); planar integrals and
+certificates are still made one lambda at a time.  `_soundness_sweep` turns
+a grid's integrals and certificates into rows (1D and planar), noting in
+`unconverged`, lambda by lambda, each integral and then each certificate
+whose quadrature stopped over tolerance; `_reduction_sweep` runs the profile
 reduction with its planar cross-check, `_value_row` and `_sample` turn an
 integral into a row and a decay sample, and `_rate_check` fits a decay
 exponent and judges it.
@@ -33,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certificates import PowerTransform, certify_1d, certify_2d
+from .certificates import PowerTransform, certify_1d_sweep, certify_2d
 from .decay import DecaySample, fit_decay, fit_log_model, geometric_grid
 from .errors import ConfigError
 from .phases import (
@@ -55,7 +61,7 @@ from .polynomials import (
     estimate_B,
     young_cover,
 )
-from .quadrature import QuadConfig, osc_integrate_1d, osc_integrate_2d
+from .quadrature import QuadConfig, osc_integrate_1d_sweep, osc_integrate_2d
 from .reduction import product_monomial_integral
 from .sublevel import band_sets, osc_to_sublevel_constant, sublevel_2d
 
@@ -227,10 +233,18 @@ def _checked(q, case, unconverged: list):
     return q
 
 
+def _cert_checked(cert, case, unconverged: list):
+    """``cert``, after noting its case and lambda in ``unconverged`` when one
+    of its quadratures stopped over tolerance (``C_delta`` in 1D, the second
+    region's measure in 2D)."""
+    if False in (cert.notes.get("C_delta_converged"), cert.notes.get("region2_converged")):
+        unconverged.append({"case": case, "lambda": cert.params.lam})
+    return cert
+
+
 def _integrals(f, lam_grid, quad_cfg, case, unconverged: list) -> list:
-    """``osc_integrate_1d`` of f at each lambda of the grid, each checked."""
-    return [_checked(osc_integrate_1d(f, float(lam), cfg=quad_cfg), case, unconverged)
-            for lam in lam_grid]
+    """f integrated at every lambda of the grid in one sweep, each checked."""
+    return [_checked(q, case, unconverged) for q in osc_integrate_1d_sweep(f, lam_grid, quad_cfg)]
 
 
 def _rate_check(suite, case, check, samples, expected, tol=None,
@@ -252,16 +266,18 @@ def _rate_check(suite, case, check, samples, expected, tol=None,
             {"case": case, "check": check, "passed": passed, "witness": witness})
 
 
-def _soundness_sweep(suite, case, lam_grid, integrate, certify, unconverged):
-    """Integrate and certify at each lambda, one row each.
+def _soundness_sweep(suite, case, quads, certs, unconverged):
+    """One row per lambda of a grid's integrals and certificates; at each
+    lambda the integral is checked, then the certificate.
 
     Returns the rows, the decay samples of the integrals and the first
     violation (None when every certificate dominates its integral).
     """
     rows, samples, witness = [], [], None
-    for lam in map(float, lam_grid):
-        quad = _checked(integrate(lam), case, unconverged)
-        cert = certify(lam)
+    for quad, cert in zip(quads, certs):
+        lam = quad.lam
+        _checked(quad, case, unconverged)
+        _cert_checked(cert, case, unconverged)
         ok = cert.verify_against(quad)
         if not ok and witness is None:
             witness = {"lambda": lam, "magnitude": abs(quad.value),
@@ -300,21 +316,17 @@ def _reduction_sweep(suite, case, f2, k, j, lam_grid, cross_lams, quad_cfg, unco
 def _composition_case(suite, name, f, outer_obj, composed, mode, lam_grid,
                       cert_grid, cfg, unconverged, rate, cert_fit_tol, mode_kwargs,
                       bounded_window=None, bounded_ratio_max=3.0):
-    """Soundness rows + certificate sweep fit for one (f, P) pair.
+    """Soundness rows + certificate sweep fit for one (f, P) pair: the
+    soundness lambdas and the certificate sweep's are certified in one run.
 
     Returns the rows, the verdicts and the decay samples of the soundness
     sweep.
     """
-    def certify(lam):
-        cert = certify_1d(f, outer_obj, lam, mode, **mode_kwargs)
-        if cert.notes.get("C_delta_converged") is False:
-            unconverged.append({"case": name, "lambda": lam})
-        return cert
-
+    n = len(lam_grid)
+    certs = certify_1d_sweep(f, outer_obj, [*lam_grid, *cert_grid], mode, **mode_kwargs)
     rows, samples, witness = _soundness_sweep(
-        suite, name, lam_grid, lambda lam: osc_integrate_1d(composed, lam, cfg=cfg), certify,
-        unconverged)
-    certs = [certify(float(lam)) for lam in cert_grid]
+        suite, name, osc_integrate_1d_sweep(composed, lam_grid, cfg), certs[:n], unconverged)
+    certs = [_cert_checked(c, name, unconverged) for c in certs[n:]]
     row, cert_rate = _rate_check(
         suite, name, "certificate_rate",
         [DecaySample(float(lam), c.total_bound) for lam, c in zip(cert_grid, certs)],
@@ -431,14 +443,12 @@ def _run_t3(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
         name = case["name"]
 
         def certify(lam):
-            cert = certify_2d(f2, P, lam)
-            if cert.notes.get("region2_converged") is False:
-                unconverged.append({"case": name, "lambda": lam})
-            return cert
+            return _cert_checked(certify_2d(f2, P, lam), name, unconverged)
 
+        lams = [float(lam) for lam in lam_grid]
         r, samples, witness = _soundness_sweep(
-            "T3", name, lam_grid, lambda lam: osc_integrate_2d(composed, lam, cfg=cfg.quad),
-            certify, unconverged)
+            "T3", name, [osc_integrate_2d(composed, lam, cfg=cfg.quad) for lam in lams],
+            [certify_2d(f2, P, lam) for lam in lams], unconverged)
         sound = witness is None
         for lam in case.get("hi_rows", ()):
             # separable cases reach higher lambda through the profile

@@ -61,15 +61,8 @@ class Polynomial:
     def leading(self) -> float:
         return self.coeffs[-1]
 
-    @property
-    def max_abs_coeff(self) -> float:
-        return max(abs(v) for v in self.coeffs)
-
     def __call__(self, x):
         return _polyval(np.asarray(x, dtype=float), np.asarray(self.coeffs))
-
-    def eval_complex(self, z):
-        return _polyval(np.asarray(z, dtype=complex), np.asarray(self.coeffs))
 
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial(tuple(factor * v for v in self.coeffs))
@@ -293,8 +286,12 @@ def _root_cover(P: Polynomial, eps: float, radius: float,
     err = reject(classify(P))
     if err is not None:
         raise err
-    rs = roots(P)
-    return merge_intervals(((c - radius, c + radius) for c in rs.real_parts), 1e-15)
+    return _merged_cover(roots(P).real_parts, radius)
+
+
+def _merged_cover(centers, radius: float) -> list[Interval]:
+    """The intervals of ``radius`` around ``centers``, merged."""
+    return merge_intervals(((c - radius, c + radius) for c in centers), 1e-15)
 
 
 def monic_sublevel_cover(P: Polynomial, eps: float) -> list[Interval]:

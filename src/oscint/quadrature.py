@@ -17,15 +17,20 @@ Small-swing pieces are cut into panels whose swing (on a monotone piece the
 endpoint difference IS the swing, so no derivative bounds are needed) is at
 most the configured cap.  The loop, the panel cutter, the panel rule and
 the refiner all take functions of (x, slot), as ``phases.solve_brackets``
-does, so many integrals run through them at once and each piece adds to
-its own slot's sum.  ``_pieces_integral`` chains them for a set of monotone
-pieces; ``osc_integrate_1d`` calls it with one slot.
+does, so many integrals run through them at once: each slot carries its own
+lambda, each piece adds to its own slot's sum, and each slot reports its
+own convergence.  ``_pieces_integral`` chains them for a set of monotone
+pieces.  ``osc_integrate_1d_sweep`` gives each lambda of a grid one slot over
+the phase's monotone pieces, so a whole grid is one call;
+``osc_integrate_1d`` is its one-element call.  Every product is taken so
+that a slot's bits do not depend on the slots batched with it: a lambda gets
+the same result in any sweep.
 
 In two dimensions ``osc_integrate_2d`` integrates over y on swing panels,
 and the x-integrals at their Kronrod nodes (slices) are 1D integrals: one
-``_pieces_integral`` call takes them all, one slot per slice, with
-g' = d_x f, so the work grows like lambda, not lambda^2 (details and the
-estimate in its docstring).
+``_pieces_integral`` call takes them all, one slot per slice, each at the
+integral's lambda, with g' = d_x f, so the work grows like lambda, not
+lambda^2 (details and the estimate in its docstring).
 
 Every integrator applies one panel rule,
 ``_kronrod``: the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose
@@ -115,30 +120,32 @@ DEFAULT_CONFIG = QuadConfig()
 # ---------------------------------------------------------------------------
 
 
-def _swing_panels(vmap, lo, hi, slot, lam_abs: float, cap: float, max_panels: int):
+def _swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels: int):
     """Halve the panels [lo_i, hi_i] until each swing is at most ``cap``.
 
     ``vmap(x, s)`` maps n points and their slots to n values or to an (n, k)
-    array; a panel's swing is lam_abs * max_k |v(right) - v(left)|, and the
-    panels cut from [lo_i, hi_i] keep its slot ``slot[i]``.  Endpoint values
-    are kept, so each pass evaluates only the new midpoints.  Returns the
-    (left, right, slot) arrays, sorted by slot, then left end.  Raises
-    PANEL_BUDGET before allocating past ``max_panels``.
+    array; a panel's swing is lam_abs[s] * max_k |v(right) - v(left)|, with
+    ``lam_abs`` the |lambda| of each slot, and the panels cut from
+    [lo_i, hi_i] keep its slot ``slot[i]``.  Endpoint values are kept, so
+    each pass evaluates only the new midpoints.  Returns the (left, right,
+    slot) arrays, sorted by slot, then left end.  Raises PANEL_BUDGET before
+    allocating past ``max_panels``.
     """
     L = np.asarray(lo, dtype=float)
     R = np.asarray(hi, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
+    lam_abs = np.asarray(lam_abs, dtype=float)
     VL, VR = vmap(L, S), vmap(R, S)
     done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     n_done = 0
     while L.size:
-        swing = lam_abs * np.abs(VR - VL).reshape(L.size, -1).max(axis=1)
+        swing = lam_abs[S] * np.abs(VR - VL).reshape(L.size, -1).max(axis=1)
         bad = swing > cap
         n_bad = int(bad.sum())
         if n_done + L.size + n_bad > max_panels:
             raise PanelBudgetError(
                 f"panel budget {max_panels} exceeded (lambda too large for config)",
-                lam_abs=lam_abs,
+                lam_abs=float(lam_abs.max()),
             )
         if n_bad < L.size:
             done.append((L[~bad], R[~bad], S[~bad]))
@@ -173,9 +180,11 @@ def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray):
         half = 0.5 * (R[s:e] - L[s:e])
         out = fvec((0.5 * (L[s:e] + R[s:e])[:, None] + half[:, None] * _NODES).ravel(),
                    np.repeat(S[s:e], _NODES.size))
-        # (part, panel, [K15, K15 - G7])
-        kg = np.stack([np.reshape(p, (e - s, _NODES.size)) @ _W
-                       for p in (out if isinstance(out, tuple) else (out,))])
+        parts = out if isinstance(out, tuple) else (out,)
+        # (part, panel, [K15, K15 - G7]) from one product over every part, so
+        # a pair never takes BLAS's one-row path and each panel's bits do not
+        # depend on how many panels share the chunk
+        kg = (np.reshape(np.stack(parts), (-1, _NODES.size)) @ _W).reshape(len(parts), e - s, 2)
         kg *= half[:, None]
         if val is None:
             val, err = np.empty((len(kg), n)), np.empty(n)
@@ -184,9 +193,9 @@ def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray):
     return val, err
 
 
-def _refine(fvec, L, R, S, density, max_splits: int, max_panels: int):
-    """``_kronrod`` on the panels [L_i, R_i] of slots S_i, halving those over
-    tolerance.
+def _refine(fvec, L, R, S, n_slots: int, density, max_splits: int, max_panels: int):
+    """``_kronrod`` on the panels [L_i, R_i] of slots S_i, one of
+    0..n_slots-1, halving those over tolerance.
 
     A panel just evaluated is over tolerance when its error exceeds
     ``density(total) * width``, ``total`` being the per-part sums over all
@@ -194,8 +203,8 @@ def _refine(fvec, L, R, S, density, max_splits: int, max_panels: int):
     they keep their panel's slot.  Halving stops after ``max_splits`` rounds,
     or before the panel count would pass ``max_panels``.  Returns (val, err,
     slot, converged) with the panels ordered by slot, then left end (input
-    so ordered is kept as it is); ``converged`` is False when a stop left
-    panels over tolerance.
+    so ordered is kept as it is); ``converged[s]`` is False when a stop left
+    panels of slot s over tolerance.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=np.intp)
@@ -212,12 +221,14 @@ def _refine(fvec, L, R, S, density, max_splits: int, max_panels: int):
         M = 0.5 * (L[bad] + R[bad])
         L, R, S = np.concatenate([L[bad], M]), np.concatenate([M, R[bad]]), np.tile(S[bad], 2)
         val, err = _kronrod(fvec, L, R, S)
+    converged = np.ones(n_slots, dtype=bool)
+    converged[S[bad]] = False
     if done:
         done.append((L, S, val, err))
         L, S, val, err = (np.concatenate([d[i] for d in done], axis=-1) for i in range(4))
         order = np.lexsort((L, S))
         S, val, err = S[order], val[:, order], err[order]
-    return val, err, S, not n_bad
+    return val, err, S, converged
 
 
 def _chebyshev(n: int):
@@ -247,21 +258,23 @@ def _barycentric(t, x):
 LEVIN_SWING = 40.0  # pieces of larger swing |lambda| |g(b) - g(a)| go to Levin collocation
 _LEVIN_T, _LEVIN_D = _chebyshev(24)
 _LEVIN_B = _barycentric(_LEVIN_T, _NODES)  # collocation values -> values at the QK15 nodes
-_LEVIN_BD = _LEVIN_B @ _LEVIN_D            # collocation values -> derivative at the nodes
+# collocation values -> (derivative, value) at the QK15 nodes, as one complex matrix
+_LEVIN_DB = np.concatenate([_LEVIN_B @ _LEVIN_D, _LEVIN_B]).T.astype(complex)
 _LEVIN_CHUNK = 128  # pieces per batched solve: 1.2 MB of order-24 matrices
 
 
-def _levin(gd, h, lam: float, L, R, GL, GR, S):
+def _levin(gd, h, lam, L, R, GL, GR, S):
     """Levin collocation for int_{L_i}^{R_i} h e^{i lam g} dx on each piece.
 
     ``gd(x, s)`` evaluates g' and ``h(x, s)`` the smooth amplitude of the
-    pieces' slots ``s``.  The non-oscillatory solution of p' + i lam g' p = h
-    gives the integral p(R) e^{i lam g(R)} - p(L) e^{i lam g(L)}; p is
-    collocated on the order-24 Chebyshev-Lobatto points, in one batched
-    solve.  The computed p has the residual rho = p' + i lam g' p - h, and
-    the value's error is exactly int rho e^{i lam g} dx; the estimate is
-    int |rho| dx by QK15 (``_NODES``, where rho is sampled through the
-    interpolant), plus the rounding of the solve and of the phase arguments
+    pieces' slots ``s``, and ``lam[s]`` is the slot's lambda.  The
+    non-oscillatory solution of p' + i lam g' p = h gives the integral
+    p(R) e^{i lam g(R)} - p(L) e^{i lam g(L)}; p is collocated on the
+    order-24 Chebyshev-Lobatto points, in one batched solve.  The computed
+    p has the residual rho = p' + i lam g' p - h, and the value's error is
+    exactly int rho e^{i lam g} dx; the estimate is int |rho| dx by QK15
+    (``_NODES``, where rho is sampled through the interpolant), plus the
+    rounding of the solve and of the phase arguments
     lam g(L), lam g(R).  A piece on which g' does not keep one sign, beyond
     ``SIGN_TOL``, at every collocation point and node holds or touches a zero
     of g', where no non-oscillatory solution exists: it is not solved, and
@@ -274,17 +287,22 @@ def _levin(gd, h, lam: float, L, R, GL, GR, S):
     ok = (gdx.min(axis=1) > SIGN_TOL) | (gdx.max(axis=1) < -SIGN_TOL)
     val, err = np.zeros(L.size, dtype=complex), np.full(L.size, np.inf)
     half, GL, GR, S = half[ok], GL[ok], GR[ok], S[ok]
+    lam = np.asarray(lam, dtype=float)[S]
     # in t, with p = half q on x = mid + half t: q' + i lam half g' q = h
     om = (lam * half)[:, None] * gdx[ok]
     hx = h(x[ok], S[:, None])
     A = np.broadcast_to(_LEVIN_D, (om.shape[0], n, n)).astype(complex)
     A.reshape(-1, n * n)[:, ::n + 1] += 1j * om[:, :n]  # the diagonals
     q = np.linalg.solve(A, hx[:, :n, None])[..., 0]
-    rho = q @ _LEVIN_BD.T + 1j * om[:, n:] * (q @ _LEVIN_B.T) - hx[:, n:]
+    # a stack of one-row products: BLAS rounds a row of a matrix product by
+    # the row's place in the batch, and each piece must get the same bits in
+    # any batch
+    qd, qv = np.split((q[:, None, :] @ _LEVIN_DB)[:, 0], 2, axis=1)
+    rho = qd + 1j * om[:, n:] * qv - hx[:, n:]
     pb, pa = half * q[:, 0], half * q[:, -1]  # p at R (t = 1) and at L (t = -1)
     val[ok] = pb * np.exp(1j * lam * GR) - pa * np.exp(1j * lam * GL)
-    rounding = _EPS * (np.abs(pb) * (n + abs(lam * GR)) + np.abs(pa) * (n + abs(lam * GL)))
-    err[ok] = half * (np.abs(rho) @ _WK) + rounding
+    rounding = _EPS * (np.abs(pb) * (n + np.abs(lam * GR)) + np.abs(pa) * (n + np.abs(lam * GL)))
+    err[ok] = half * (np.abs(rho)[:, None, :] @ _WK)[:, 0] + rounding
     return val, err
 
 
@@ -308,32 +326,33 @@ def _slot_sums(slot, v, n: int) -> np.ndarray:
     return out
 
 
-def _levin_halving(gval, gd, h, lam: float, L, R, slot, n_slots: int, tol: float,
+def _levin_halving(gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
                    max_pieces: int):
     """Levin collocation of int h e^{i lam g} over the pieces [L_i, R_i].
 
     ``gval``, ``gd`` and ``h`` take points and their slots, as ``_levin``
     does; piece i and every piece cut from it add to slot ``slot[i]``, one of
-    0..n_slots-1.  A piece whose swing |lam| |g(b) - g(a)| is at most
-    ``LEVIN_SWING`` is set aside for panels.  A larger one goes to
-    ``_levin``, ``_LEVIN_CHUNK`` pieces per solve, and is accepted when its
-    estimate is at most ``tol`` times its width, which it never is where g'
-    vanishes or changes sign; otherwise it is halved and both halves are
-    classified again.  Next to a zero of g' the halving closes in dyadically
+    0..n_slots-1, whose lambda is ``lam[slot[i]]``.  A piece whose swing
+    |lam| |g(b) - g(a)| is at most ``LEVIN_SWING`` is set aside for panels.
+    A larger one goes to ``_levin``, ``_LEVIN_CHUNK`` pieces per solve, and
+    is accepted when its estimate is at most ``tol`` times its width, which
+    it never is where g' vanishes or changes sign; otherwise it is halved
+    and both halves are classified again.  Next to a zero of g' the halving closes in dyadically
     until the swing is small enough for panels.  Returns the set-aside pieces
-    as (left, right, slot) arrays, the number of accepted pieces, and per
-    slot their summed value and summed estimate.  Raises PANEL_BUDGET when
-    the accepted pieces and the pending halves would pass ``max_pieces``.
+    as (left, right, slot) arrays, and per slot the number of accepted
+    pieces, their summed value and their summed estimate.  Raises
+    PANEL_BUDGET when the accepted pieces of every slot and the pending
+    halves would pass ``max_pieces``.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
-    lam_abs = abs(lam)
+    lam_abs = np.abs(np.asarray(lam, dtype=float))
     GL, GR = gval(L, S), gval(R, S)
     small = []
-    n_levin = 0
+    n_levin = np.zeros(n_slots, dtype=np.intp)
     levin_val, levin_err = np.zeros(n_slots, dtype=complex), np.zeros(n_slots)
     while True:
-        near = lam_abs * np.abs(GR - GL) <= LEVIN_SWING
+        near = lam_abs[S] * np.abs(GR - GL) <= LEVIN_SWING
         small.append((L[near], R[near], S[near]))
         far = ~near
         L, R, S, GL, GR = L[far], R[far], S[far], GL[far], GR[far]
@@ -344,15 +363,15 @@ def _levin_halving(gval, gd, h, lam: float, L, R, slot, n_slots: int, tol: float
             k = slice(c, c + _LEVIN_CHUNK)
             val[k], err[k] = _levin(gd, h, lam, L[k], R[k], GL[k], GR[k], S[k])
         ok = err <= tol * (R - L)
-        n_levin += int(np.count_nonzero(ok))
+        n_levin += np.bincount(S[ok], minlength=n_slots)
         levin_val += _slot_sums(S[ok], val[ok], n_slots)
         levin_err += _slot_sums(S[ok], err[ok], n_slots)
         bad = ~ok
         L, R, S, GL, GR = L[bad], R[bad], S[bad], GL[bad], GR[bad]
-        if n_levin + 2 * L.size > max_pieces:
+        if n_levin.sum() + 2 * L.size > max_pieces:
             raise PanelBudgetError(
                 f"panel budget {max_pieces} exceeded (lambda too large for config)",
-                lam_abs=lam_abs,
+                lam_abs=float(lam_abs.max()),
             )
         M = 0.5 * (L + R)
         GM = gval(M, S)
@@ -362,60 +381,84 @@ def _levin_halving(gval, gd, h, lam: float, L, R, slot, n_slots: int, tol: float
     return SL, SR, SS, n_levin, levin_val, levin_err
 
 
-def _pieces_integral(gval, gd, lam: float, L, R, S, n_slots: int, cfg: QuadConfig):
+def _pieces_integral(gval, gd, lam, L, R, S, n_slots: int, cfg: QuadConfig):
     """int e^{i lam g} over the pieces [L_i, R_i], summed per slot.
 
     ``gval(x, s)`` and ``gd(x, s)`` evaluate g and g' at the points x of
-    slots s, and piece i adds to slot ``S[i]``, one of 0..n_slots-1.  The
-    pieces go through ``_levin_halving`` at amplitude 1; those it sets aside
-    are cut into swing panels, which ``_refine`` halves for at most 3 rounds.
-    Both are held to ``cfg.rel_tol`` per unit width.  The swing panels
-    assume g monotone on each piece; where it is not, refinement alone
-    answers for the error.  Returns per slot the value and the estimate
-    (Levin estimates plus panel |K15 - G7|), then the number of Levin pieces
-    and panels, which may not pass ``cfg.max_panels``, and ``converged``,
-    False when refinement stopped with panels over tolerance.
+    slots s, piece i adds to slot ``S[i]``, one of 0..n_slots-1, and
+    ``lam[s]`` is slot s's lambda.  The pieces go through ``_levin_halving``
+    at amplitude 1; those it sets aside are cut into swing panels, which
+    ``_refine`` halves for at most 3 rounds.  Both are held to
+    ``cfg.rel_tol`` per unit width.  The swing panels assume g monotone on
+    each piece; where it is not, refinement alone answers for the error.
+    Returns per slot the value, the estimate (Levin estimates plus panel
+    |K15 - G7|), the number of Levin pieces and panels, and ``converged``,
+    False when refinement stopped with panels of the slot over tolerance.
+    The pieces and panels of all slots together may not pass
+    ``cfg.max_panels``.
     """
+    lam = np.asarray(lam, dtype=float)
     SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
         gval, gd, lambda x, _: np.ones_like(x), lam, L, R, S, n_slots, cfg.rel_tol,
         cfg.max_panels)
-    budget = cfg.max_panels - n_levin
-    PL, PR, PS = _swing_panels(gval, SL, SR, SS, abs(lam), cfg.phase_variation_cap, budget)
+    budget = cfg.max_panels - int(n_levin.sum())
+    PL, PR, PS = _swing_panels(gval, SL, SR, SS, np.abs(lam), cfg.phase_variation_cap, budget)
 
     def samples(x, s):
-        th = lam * gval(x, s)
+        th = lam[s] * gval(x, s)
         return np.cos(th), np.sin(th)
 
-    pv, pe, PS, converged = _refine(samples, PL, PR, PS, lambda total: cfg.rel_tol, 3, budget)
+    pv, pe, PS, converged = _refine(samples, PL, PR, PS, n_slots, lambda total: cfg.rel_tol, 3,
+                                    budget)
     val = np.empty(n_slots, dtype=complex)
     val.real, val.imag = (_slot_sums(PS, v, n_slots) for v in pv)
     val += levin_val
-    return val, _slot_sums(PS, pe, n_slots) + levin_err, n_levin + pe.size, converged
+    return (val, _slot_sums(PS, pe, n_slots) + levin_err,
+            n_levin + np.bincount(PS, minlength=n_slots), converged)
+
+
+def osc_integrate_1d_sweep(g: PhaseFunction, lams,
+                           cfg: QuadConfig = DEFAULT_CONFIG) -> list[QuadResult]:
+    """Integrals of e^{i*lam*g(x)} over g's domain, one per lambda of
+    ``lams``; build the phase on the interval wanted (every family takes a
+    ``domain``).
+
+    g is split into monotone pieces once, and each nonzero lambda integrates
+    them in its own slot of one ``_pieces_integral`` call: Levin collocation
+    where the swing |lam| |g(b) - g(a)| exceeds ``LEVIN_SWING``, refined
+    Kronrod panels elsewhere, at a cost that does not grow with lam.  A
+    lambda of 0 gives the domain's length, with no pieces.  Each result's
+    ``panels_used`` counts its own panels plus Levin pieces; those of the
+    whole sweep together may not pass ``cfg.max_panels``, so a lone lambda
+    has the whole budget.  Each lambda's result is that of its one-element
+    sweep.
+    """
+    lams = [float(lam) for lam in lams]
+    length = g.domain.length
+    out = [QuadResult(complex(length, 0.0), 0.0, 0, 0.0)] * len(lams)
+    live = [k for k, lam in enumerate(lams) if lam != 0.0]
+    if not live:
+        return out
+    pieces = [p for p in monotone_partition(g, order_cap=1) if p.hi > p.lo]
+    L = np.array([p.lo for p in pieces], dtype=float)
+    R = np.array([p.hi for p in pieces], dtype=float)
+    n = len(live)
+    val, err, used, converged = _pieces_integral(
+        lambda x, _: np.asarray(g.eval_fn(0, x), dtype=float), lambda x, _: g.eval_fn(1, x),
+        [lams[k] for k in live], np.tile(L, n), np.tile(R, n), np.repeat(np.arange(n), L.size),
+        n, cfg)
+    for s, k in enumerate(live):
+        out[k] = QuadResult(complex(val[s]), float(err[s] + 8.0 * _EPS * length), int(used[s]),
+                            lams[k], bool(converged[s]))
+    return out
 
 
 def osc_integrate_1d(g: PhaseFunction, lam: float,
                      cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Integral of e^{i*lam*g(x)} over g's domain; build the phase on the
-    interval wanted (every family takes a ``domain``).
-
-    g's monotone pieces go through ``_pieces_integral``: Levin collocation
-    where the swing |lam| |g(b) - g(a)| exceeds ``LEVIN_SWING``, refined
-    Kronrod panels elsewhere, at a cost that does not grow with lam.
-    ``panels_used`` counts panels plus Levin pieces, which together may not
-    pass ``cfg.max_panels``.
-    """
-    length = g.domain.length
-    if lam == 0.0:
-        return QuadResult(complex(length, 0.0), 0.0, 0, 0.0)
-
-    pieces = [p for p in monotone_partition(g, order_cap=1) if p.hi > p.lo]
-    L = np.array([p.lo for p in pieces], dtype=float)
-    R = np.array([p.hi for p in pieces], dtype=float)
-    val, err, used, converged = _pieces_integral(
-        lambda x, _: np.asarray(g.eval_fn(0, x), dtype=float), lambda x, _: g.eval_fn(1, x),
-        lam, L, R, np.zeros(L.size, dtype=np.intp), 1, cfg)
-    return QuadResult(complex(val[0]), float(err[0] + 8.0 * _EPS * length), int(used),
-                      float(lam), converged)
+    """Integral of e^{i*lam*g(x)} over g's domain: the one-element
+    ``osc_integrate_1d_sweep``."""
+    [res] = osc_integrate_1d_sweep(g, [lam], cfg)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +491,7 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     f = g.eval_fn
     x_probe = np.linspace(dom.ax, dom.bx, 9)
     YL, YR, _ = _swing_panels(lambda y, _: f((0, 0), x_probe[None, :], y[:, None]),
-                              [dom.ay], [dom.by], [0], abs(lam), cfg.phase_variation_cap,
+                              [dom.ay], [dom.by], [0], [abs(lam)], cfg.phase_variation_cap,
                               cfg.max_panels)
     yhalf = 0.5 * (YR - YL)
     ys = (0.5 * (YL + YR)[:, None] + yhalf[:, None] * _NODES).ravel()
@@ -458,14 +501,14 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
             f"panel budget {cfg.max_panels} exceeded (lambda too large for config)",
             lam_abs=abs(lam))
     val, slice_err, used, converged = _pieces_integral(
-        lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), lam,
+        lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), np.full(n, lam),
         np.full(n, dom.ax), np.full(n, dom.bx), np.arange(n), n, cfg)
     # row p holds outer panel p's (K15, K15 - G7) over its 15 slices
     o_re, o_im = (yhalf[:, None] * (v.reshape(-1, _NODES.size) @ _W) for v in (val.real, val.imag))
     err = (np.hypot(o_re[:, 1], o_im[:, 1]).sum() + slice_err.max() * (dom.by - dom.ay)
            + 8.0 * _EPS * dom.area)
-    return QuadResult(complex(o_re[:, 0].sum(), o_im[:, 0].sum()), float(err), int(used),
-                      float(lam), converged)
+    return QuadResult(complex(o_re[:, 0].sum(), o_im[:, 0].sum()), float(err), int(used.sum()),
+                      float(lam), bool(converged.all()))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +540,6 @@ def adaptive_quad(fvec, a, b, rel_tol: float = 1e-9, abs_floor: float = 1e-14):
         return 0.0, 0.0, True
     length = float(np.sum(b - a))
     val, err, _, converged = _refine(
-        lambda x, _: fvec(x), a, b, np.zeros(a.size, dtype=np.intp),
+        lambda x, _: fvec(x), a, b, np.zeros(a.size, dtype=np.intp), 1,
         lambda total: max(abs_floor, rel_tol * abs(total[0])) / length, 63, ADAPTIVE_MAX_SEGMENTS)
-    return float(np.sum(val[0])), float(np.sum(err)), converged
+    return float(np.sum(val[0])), float(np.sum(err)), bool(converged[0])

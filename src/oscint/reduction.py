@@ -124,7 +124,7 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
     # the second column caps the widths near y0 / 4: next to y = 0 the
     # profile is a power series in y^j, of a degree the rule misses for j >= 5
     L, R, S = _swing_panels(lambda y, _: np.stack([y**j, y * (y0 ** (j - 1) / 8.0)], axis=-1),
-                            [0.0], [y0], [0], la, SWING_CAP, MAX_PANELS)
+                            [0.0], [y0], [0], [la], SWING_CAP, MAX_PANELS)
 
     def profile(y, _):
         a = monomial_profile(k, la * y**j)
@@ -144,9 +144,9 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
     ev = lambda u, _: np.exp(j * u)
     amp = lambda u, _: -np.exp(u) * _tail_amplitude(k, la * ev(u, _))
     SL, SR, SS, n_levin, tail, _ = _levin_halving(
-        ev, lambda u, _: j * ev(u, _), amp, la, [math.log(y0)], [0.0], [0], 1,
+        ev, lambda u, _: j * ev(u, _), amp, [la], [math.log(y0)], [0.0], [0], 1,
         TAIL_RTOL * (abs(head) + abs(power)), MAX_PANELS)
-    TL, TR, TS = _swing_panels(ev, SL, SR, SS, la, SWING_CAP, MAX_PANELS)
+    TL, TR, TS = _swing_panels(ev, SL, SR, SS, [la], SWING_CAP, MAX_PANELS)
 
     def tail_samples(u, _):
         v = np.exp(1j * la * ev(u, _)) * amp(u, _)
@@ -154,7 +154,7 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
 
     val, _ = _kronrod(tail_samples, TL, TR, TS)
     value = head + power + complex(val[0].sum(), val[1].sum()) + complex(tail[0])
-    return value, L.size + TL.size, n_levin
+    return value, L.size + TL.size, int(n_levin[0])
 
 
 def product_monomial_integral(k: int, j: int, lam: float, coeff: float = 1.0) -> complex:

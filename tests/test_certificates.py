@@ -9,6 +9,7 @@ from oscint import (
     PreconditionError,
     SliceOverflowError,
     certify_1d,
+    certify_1d_sweep,
     certify_2d,
     compose_with_polynomial,
     compose_with_power,
@@ -178,6 +179,50 @@ class TestCertify1D:
         assert "integration_by_parts" in kinds
         for p in doc["pieces"]:
             assert {"kind", "support", "bound", "formula"} <= set(p)
+
+
+# (phase, outer, mode, keywords): every outer model, and vdc at N = 1 to 3
+SWEEP_CASES = {
+    "monic_vdc_N1": (lambda: monomial(1, (0.0, 1.0)), P_HALF_SQUARE, "vdc", {"N": 1}),
+    "monic_vdc_N2": (lambda: monomial(2, (0.0, 1.0)), P_HALF_SQUARE, "vdc", {}),
+    "monic_vdc_N3_prime_break": (lambda: monomial(3, (-1.0, 1.0)), P_THIRD_CUBE, "vdc", {}),
+    "monic_general": (lambda: monomial(2, (0.0, 1.0)), P_THIRD_CUBE, "general",
+                      {"delta": 0.5, "A": 1.0}),
+    "snd_general": (lambda: monomial(2, (0.0, 1.0)), P_SND_ONLY, "general",
+                    {"delta": 0.5, "A": 1.0}),
+    "snd_vdc_N3": (lambda: monomial(3, (0.0, 1.0)), P_SND_ONLY, "vdc", {}),
+    "power_vdc": (lambda: monomial(2, (0.0, 1.0)), PowerTransform(1.5), "vdc", {}),
+}
+SWEEP_LAMS = [1e4, 30.0, -2e3, 1.0, 1e6, 5e2]
+
+
+class TestCertify1DSweep:
+    @pytest.mark.parametrize("case", list(SWEEP_CASES))
+    def test_each_lambda_gets_its_own_certificate(self, case):
+        make_f, P, mode, kw = SWEEP_CASES[case]
+        f = make_f()
+        certs = certify_1d_sweep(f, P, SWEEP_LAMS, mode, **kw)
+        assert [c.to_dict() for c in certs] == \
+            [certify_1d(f, P, lam, mode, **kw).to_dict() for lam in SWEEP_LAMS]
+
+    def test_engine_gives_each_job_its_own_identity_decomposition(self):
+        from oscint.certificates import _IDENTITY, _engine_1d
+
+        f = monomial(2, (0.0, 1.0))
+        lams = [30.0, -1e3, 1e5]
+        rs = [abs(lam) ** -0.25 for lam in lams]
+        ev = lambda order, x, _: f.eval_fn(order, x)
+        jobs = [(f, f.domain)] * len(lams)
+        together = _engine_1d(jobs, ev, _IDENTITY, lams, [1.0] * 3, rs, [None] * 3)
+        assert together == [_engine_1d(jobs[:1], ev, _IDENTITY, [lam], [1.0], [r], [None])[0]
+                            for lam, r in zip(lams, rs)]
+
+    def test_rejects_what_a_lone_lambda_rejects(self):
+        f = monomial(3, (0.0, 1.0))
+        assert certify_1d_sweep(f, P_SND, [], "vdc") == []
+        for lams in ([1e4, 0.0], [1e4, 0.5]):
+            with pytest.raises(PreconditionError):
+                certify_1d_sweep(f, P_SND, lams, "vdc")
 
 
 class TestCertify2D:

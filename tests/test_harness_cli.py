@@ -397,23 +397,23 @@ def test_t1_fits_each_base_phase_once(monkeypatch):
     from oscint import harness
 
     built, swept = [], []
-    build, integrate = harness.phase_from_config, harness.osc_integrate_1d
+    build, integrate = harness.phase_from_config, harness.osc_integrate_1d_sweep
 
     def counted_build(spec):
         built.append(build(spec))
         return built[-1]
 
-    def counted_integrate(g, lam, cfg):
+    def counted_integrate(g, lams, cfg):
         if any(g is f for f in built):
-            swept.append(lam)
-        return integrate(g, lam, cfg=cfg)
+            swept.append(list(lams))
+        return integrate(g, lams, cfg=cfg)
 
     monkeypatch.setattr(harness, "phase_from_config", counted_build)
-    monkeypatch.setattr(harness, "osc_integrate_1d", counted_integrate)
+    monkeypatch.setattr(harness, "osc_integrate_1d_sweep", counted_integrate)
     rep = run_suite(ExperimentConfig(suite="T1", quad=QuadConfig(phase_variation_cap=2.8),
                                      options=SMALL_T1))
     assert len(built) == 1
-    assert len(swept) == len(harness._grid(SMALL_T1["lambda_sound"]))
+    assert swept == [[float(lam) for lam in harness._grid(SMALL_T1["lambda_sound"])]]
     checks = [v["check"] for v in rep.verdicts]
     assert checks.count("base_rate_recovered") == len(SMALL_T1["cases"]) == 2
 

@@ -12,10 +12,12 @@ from oscint import (
     PanelBudgetError,
     PreconditionError,
     QuadConfig,
+    QuadResult,
     adaptive_quad,
     monomial,
     monomial_sin,
     osc_integrate_1d,
+    osc_integrate_1d_sweep,
     osc_integrate_2d,
     polynomial_phase,
     product_phase,
@@ -146,7 +148,7 @@ def test_levin_polynomial_amplitude_on_linear_phase(lam):
             (-1) ** m * h.deriv(m)(x) / (1j * lam) ** (m + 1) for m in range(4))
 
     L, R = np.array([a]), np.array([b])
-    val, err = _levin(lambda x, _: np.ones_like(x), lambda x, _: h(x), lam, L, R, L, R,
+    val, err = _levin(lambda x, _: np.ones_like(x), lambda x, _: h(x), [lam], L, R, L, R,
                       np.zeros(1, dtype=int))
     exact = closed(b) - closed(a)
     assert abs(val[0] - exact) <= err[0] + 1e-15 * abs(exact)
@@ -156,8 +158,8 @@ def test_levin_polynomial_amplitude_on_linear_phase(lam):
 def _levin_x3(lam):
     # one piece of x^3 on [0.125, 0.25]
     L, R = np.array([0.125]), np.array([0.25])
-    return _levin(lambda x, _: 3.0 * x**2, lambda x, _: np.ones_like(x), lam, L, R, L**3, R**3,
-                  np.zeros(1, dtype=int))
+    return _levin(lambda x, _: 3.0 * x**2, lambda x, _: np.ones_like(x), [lam], L, R, L**3,
+                  R**3, np.zeros(1, dtype=int))
 
 
 def test_levin_residual_estimate_bounds_one_piece_against_mpmath():
@@ -190,11 +192,11 @@ def test_levin_residual_node_on_a_collocation_point_is_a_unit_row():
 
 # osc_integrate_1d on T1's x2_monic_d3 (x^6 / 3) under the suite config: the
 # bits (value, error estimate) and panel count, frozen with the Levin residual
-# estimate
+# estimate taken by one-row products
 X2_MONIC_D3_BITS = {
-    1e3: ("0x1.5ca4e9f5f006dp-2", "0x1.738f30fc1f5a5p-4", "0x1.672eba2149b35p-35", 6),
-    1e5: ("0x1.4382d01822f4ep-3", "0x1.5ab52b3aa0972p-5", "0x1.e76ec79e0bf2fp-34", 7),
-    1e7: ("0x1.2c501713f4056p-4", "0x1.41e0081d6f52dp-6", "0x1.d85c2372458e0p-42", 13),
+    1e3: ("0x1.5ca4e9f5f006dp-2", "0x1.738f30fc1f5a5p-4", "0x1.672ebe9695761p-35", 6),
+    1e5: ("0x1.4382d01822f4ep-3", "0x1.5ab52b3aa0972p-5", "0x1.e76ec45aab3a0p-34", 7),
+    1e7: ("0x1.2c501713f4056p-4", "0x1.41e0081d6f52dp-6", "0x1.d851f96968ed2p-42", 13),
 }
 
 
@@ -365,7 +367,7 @@ def test_refine_reports_its_split_cap():
     kink = lambda x, _: np.abs(x - 0.3)
 
     def run(max_splits):
-        return _refine(kink, [0.0], [1.0], [0], lambda total: 1e-12, max_splits, 1 << 16)
+        return _refine(kink, [0.0], [1.0], [0], 1, lambda total: 1e-12, max_splits, 1 << 16)
 
     val, err, _, converged = run(2)
     assert not converged and err.size == 3  # only the panel holding the kink is halved
@@ -380,16 +382,16 @@ def test_two_slot_refine_keeps_each_slots_one_slot_bits():
     kinks = np.array([0.3, 0.55])
     fvec = lambda x, s: np.abs(x - kinks[s])
     density = lambda total: 1e-12
-    both = _refine(fvec, [0.2, 0.0], [0.9, 1.0], [1, 0], density, 60, 1 << 16)
+    both = _refine(fvec, [0.2, 0.0], [0.9, 1.0], [1, 0], 2, density, 60, 1 << 16)
     assert np.all(np.diff(both[2]) >= 0)  # ordered by slot
     for k, (a, b) in enumerate([(0.0, 1.0), (0.2, 0.9)]):
-        one = _refine(lambda x, _: fvec(x, np.full(x.shape, k)), [a], [b], [0], density, 60,
+        one = _refine(lambda x, _: fvec(x, np.full(x.shape, k)), [a], [b], [0], 1, density, 60,
                       1 << 16)
         mine = both[2] == k
         np.testing.assert_array_equal(both[0][:, mine], one[0])
         np.testing.assert_array_equal(both[1][mine], one[1])
         assert np.sum(both[0][0, mine]) == np.sum(one[0][0])
-        assert one[3] and both[3]
+        assert one[3].all() and both[3].all()
 
 
 def _monomial_moment(d: int) -> float:
@@ -436,7 +438,7 @@ def test_each_kept_panel_evaluated_about_once():
 
     object.__setattr__(g, "eval_fn", counted)
     res = osc_integrate_1d(g, lam, cfg=SUITE_CONFIG)
-    swing_panels = _swing_panels(lambda x, _: plain(0, x), [0.0], [1.0], [0], lam,
+    swing_panels = _swing_panels(lambda x, _: plain(0, x), [0.0], [1.0], [0], [lam],
                                  SUITE_CONFIG.phase_variation_cap, 1 << 20)[0].size
     halved = res.panels_used - swing_panels
     assert res.converged and halved > 0
@@ -448,6 +450,50 @@ def test_unreachable_tolerance_flags_nonconvergence():
     res = osc_integrate_1d(g, 1e4, cfg=QuadConfig(rel_tol=1e-16))
     assert not res.converged
     assert abs(res.value - FRESNEL_FROZEN[1e4]) / abs(FRESNEL_FROZEN[1e4]) < 1e-8
+
+
+def test_sweep_flags_only_the_lambda_that_stops_over_tolerance():
+    # at rel_tol 1e-16 lambda = 1e4 stops over tolerance, as above, while
+    # lambda = 1 meets it after two halvings
+    g = monomial(2, (0.0, 1.0))
+    cfg = QuadConfig(rel_tol=1e-16)
+    lams = [1.0, 1e4, 0.0]
+    sweep = osc_integrate_1d_sweep(g, lams, cfg=cfg)
+    assert [q.converged for q in sweep] == [True, False, True]
+    assert sweep == [osc_integrate_1d(g, lam, cfg=cfg) for lam in lams]
+
+
+# x^2, x^3, P(x^2) with P = t^3/3 and |x^2|^1.5, over a grid that holds 0, a
+# negative lambda, lambdas below LEVIN_SWING and one whose integral is a
+# single panel
+SWEEP_PHASES = {
+    "x2": lambda: monomial(2, (0.0, 1.0)),
+    "x3": lambda: monomial(3, (0.0, 1.0)),
+    "x2_third_cube": lambda: compose_with_polynomial(monomial(2, (0.0, 1.0)),
+                                                     [0.0, 0.0, 0.0, 1.0 / 3.0]),
+    "x2_abs_1p5": lambda: compose_with_power(monomial(2, (0.0, 1.0)), 1.5),
+}
+SWEEP_LAMS = [1e4, 0.0, -300.0, 0.5 * LEVIN_SWING, 0.3, 2.0, 1e2, 3e3, -1e6, 1e6, 1e8]
+
+
+@pytest.mark.parametrize("name", list(SWEEP_PHASES))
+def test_sweep_gives_each_lambda_its_one_element_result(name):
+    g = SWEEP_PHASES[name]()
+    sweep = osc_integrate_1d_sweep(g, SWEEP_LAMS, cfg=SUITE_CONFIG)
+    for lam, q in zip(SWEEP_LAMS, sweep, strict=True):
+        one = osc_integrate_1d(g, lam, cfg=SUITE_CONFIG)
+        assert (q.value, q.error_estimate, q.panels_used, q.converged, q.lam) == \
+            (one.value, one.error_estimate, one.panels_used, one.converged, lam), lam
+    assert sweep[1] == QuadResult(1.0 + 0.0j, 0.0, 0, 0.0)
+
+
+def test_sweep_charges_the_panel_budget_once_for_all_lambdas():
+    g = monomial(2, (0.0, 1.0))
+    lams = [LEVIN_SWING, 0.5 * LEVIN_SWING]
+    used = [osc_integrate_1d(g, lam).panels_used for lam in lams]
+    assert osc_integrate_1d_sweep(g, lams, cfg=QuadConfig(max_panels=sum(used)))
+    with pytest.raises(PanelBudgetError):
+        osc_integrate_1d_sweep(g, lams, cfg=QuadConfig(max_panels=sum(used) - 1))
 
 
 def test_panel_budget_stops_refinement_and_flags_nonconvergence():
