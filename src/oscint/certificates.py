@@ -18,7 +18,7 @@ Every outer function P reaches the engine as one model (``_outer``): a
 polynomial of degree >= 2 through its normalised derivative, a power
 transform |t|^s, or, for P(t) = t + c, the identity, whose intervals take
 the classical van der Corput bound 3 / (r |lambda|).  A polynomial's model
-finds the roots it needs once, when it is built.
+finds the roots it needs once: its P' caches the cover's centres.
 
 The engine (``_engine_1d``) runs many jobs at once, each an interval of a
 phase with its own lambda, eps, r and claims: every job's cover bands go to
@@ -51,11 +51,12 @@ from .phases import (Interval, Phase2D, PhaseFunction, merge_intervals, monotone
 from .polynomials import (
     Polynomial,
     SndConstant,
-    _merged_cover,
     classify,
     derivative,
     estimate_B,
+    monic_sublevel_cover,
     roots,
+    snd_sublevel_cover,
 )
 from .quadrature import QuadResult, adaptive_quad
 from .sublevel import band_pieces, band_sets, osc_to_sublevel_constant, sublevel_rows
@@ -250,8 +251,9 @@ class PowerTransform(_Outer):
 
 
 class _PolyOuter(_Outer):
-    """P' normalised, with the real parts of its roots (the cover's centres)
-    and the real roots of P'' found once, at construction."""
+    """P' normalised, with the real roots of P'' found once, at
+    construction; P' finds the real parts of its roots, the cover's centres,
+    once too, at the first cover."""
 
     def __init__(self, P: Polynomial, lam_abs: float):
         if P.degree < 2:
@@ -271,15 +273,14 @@ class _PolyOuter(_Outer):
         self.B = 1.0 if rep.is_monic else self.snd.B
         self.n_centers = self.Pp.degree
         self.label = "monic" if rep.is_monic else "SND"
-        self.centers = roots(self.Pp).real_parts
         if self.Pp.degree >= 2:
             self.prime_breaks = tuple(z.real for z in roots(derivative(self.Pp)).roots
                                       if z.imag == 0.0)
 
     def cover(self, eps: float) -> list[Interval]:
-        """``polynomials.monic_sublevel_cover`` of P' at eps, or its
-        ``snd_sublevel_cover`` at min(eps, 1)."""
-        return _merged_cover(self.centers, eps if self.is_monic else self.B * min(eps, 1.0))
+        if self.is_monic:
+            return monic_sublevel_cover(self.Pp, eps)
+        return snd_sublevel_cover(self.Pp, min(eps, 1.0), self.snd)
 
     def cover_radius(self, eps: float) -> float:
         return self.B * eps

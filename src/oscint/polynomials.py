@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,6 +64,12 @@ class Polynomial:
 
     def __call__(self, x):
         return _polyval(np.asarray(x, dtype=float), np.asarray(self.coeffs))
+
+    @cached_property
+    def _cover_centers(self) -> tuple[float, ...]:
+        """The real parts of the roots, the centres of the root-proximity
+        covers; found once per polynomial, which is immutable."""
+        return roots(self).real_parts
 
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial(tuple(factor * v for v in self.coeffs))
@@ -286,12 +293,7 @@ def _root_cover(P: Polynomial, eps: float, radius: float,
     err = reject(classify(P))
     if err is not None:
         raise err
-    return _merged_cover(roots(P).real_parts, radius)
-
-
-def _merged_cover(centers, radius: float) -> list[Interval]:
-    """The intervals of ``radius`` around ``centers``, merged."""
-    return merge_intervals(((c - radius, c + radius) for c in centers), 1e-15)
+    return merge_intervals(((c - radius, c + radius) for c in P._cover_centers), 1e-15)
 
 
 def monic_sublevel_cover(P: Polynomial, eps: float) -> list[Interval]:

@@ -22,9 +22,12 @@ lambda, each piece adds to its own slot's sum, and each slot reports its
 own convergence.  ``_pieces_integral`` chains them for a set of monotone
 pieces.  ``osc_integrate_1d_sweep`` gives each lambda of a grid one slot over
 the phase's monotone pieces, so a whole grid is one call;
-``osc_integrate_1d`` is its one-element call.  Every product is taken so
-that a slot's bits do not depend on the slots batched with it: a lambda gets
-the same result in any sweep.
+``osc_integrate_1d`` is its one-element call.  Slots are grouped in runs,
+each the work of one call on its own: a lambda of a sweep, or all the
+slices of one 2D integral.  Each run has the whole panel budget, and takes
+its matrix products in the blocks such a call cuts (``_run_blocks``), since
+BLAS rounds a row by the product it sits in; so a lambda gets the same bits
+in any sweep as alone.
 
 In two dimensions ``osc_integrate_2d`` integrates over y on swing panels,
 and the x-integrals at their Kronrod nodes (slices) are 1D integrals: one
@@ -120,7 +123,28 @@ DEFAULT_CONFIG = QuadConfig()
 # ---------------------------------------------------------------------------
 
 
-def _swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels: int):
+def _one_run(run, n_slots: int):
+    """Each slot's run as an array and the number of runs; None puts every
+    slot in run 0."""
+    run = np.zeros(n_slots, dtype=np.intp) if run is None else np.asarray(run, dtype=np.intp)
+    return run, int(run.max(initial=0)) + 1
+
+
+def _check_budget(count, budget, lam_abs, run):
+    """Raise PANEL_BUDGET for the first run whose ``count`` passes its
+    ``budget`` (one for all runs, or one per run), naming the largest
+    |lambda| among its slots; ``lam_abs`` and ``run`` are per slot."""
+    over = np.flatnonzero(count > budget)
+    if over.size:
+        r = over[0]
+        raise PanelBudgetError(
+            f"panel budget {int(np.broadcast_to(budget, count.shape)[r])} exceeded "
+            "(lambda too large for config)",
+            lam_abs=float(lam_abs[run == r].max()),
+        )
+
+
+def _swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels, run=None):
     """Halve the panels [lo_i, hi_i] until each swing is at most ``cap``.
 
     ``vmap(x, s)`` maps n points and their slots to n values or to an (n, k)
@@ -128,29 +152,29 @@ def _swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels: int):
     ``lam_abs`` the |lambda| of each slot, and the panels cut from
     [lo_i, hi_i] keep its slot ``slot[i]``.  Endpoint values are kept, so
     each pass evaluates only the new midpoints.  Returns the (left, right,
-    slot) arrays, sorted by slot, then left end.  Raises PANEL_BUDGET before
-    allocating past ``max_panels``.
+    slot) arrays, sorted by slot, then left end.  ``run[s]`` is slot s's run
+    (all slots are one run by default), and ``max_panels`` is one budget for
+    every run or one per run: PANEL_BUDGET is raised before a run's panels
+    would pass its budget.
     """
     L = np.asarray(lo, dtype=float)
     R = np.asarray(hi, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
     lam_abs = np.asarray(lam_abs, dtype=float)
+    run, n_runs = _one_run(run, lam_abs.size)
     VL, VR = vmap(L, S), vmap(R, S)
     done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    n_done = 0
+    n_done = np.zeros(n_runs, dtype=np.intp)
     while L.size:
         swing = lam_abs[S] * np.abs(VR - VL).reshape(L.size, -1).max(axis=1)
         bad = swing > cap
-        n_bad = int(bad.sum())
-        if n_done + L.size + n_bad > max_panels:
-            raise PanelBudgetError(
-                f"panel budget {max_panels} exceeded (lambda too large for config)",
-                lam_abs=float(lam_abs.max()),
-            )
-        if n_bad < L.size:
+        rs = run[S]
+        _check_budget(n_done + np.bincount(rs, minlength=n_runs)
+                      + np.bincount(rs[bad], minlength=n_runs), max_panels, lam_abs, run)
+        if not bad.all():
             done.append((L[~bad], R[~bad], S[~bad]))
-            n_done += L.size - n_bad
-        if not n_bad:
+            n_done += np.bincount(rs[~bad], minlength=n_runs)
+        if not bad.any():
             break
         L, R, S, VL, VR = L[bad], R[bad], S[bad], VL[bad], VR[bad]
         M = 0.5 * (L + R)
@@ -164,65 +188,113 @@ def _swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels: int):
     return left[order], right[order], slots[order]
 
 
-def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray):
+def _run_blocks(rows_run, size: int):
+    """Rows taken run by run and cut as a call holding one run alone cuts them.
+
+    ``rows_run[i]`` is row i's run.  ``order`` lists the rows by run, each
+    run's rows in their order, and each run's rows are cut into blocks of
+    ``size``; consecutive blocks are packed, at most ``size`` rows a pack.
+    Returns ``order`` and the packs, each the list of its block edges as
+    positions in ``order``.  With one run the packs are the blocks; with no
+    rows there is one empty pack.
+    """
+    order = np.argsort(rows_run, kind="stable")
+    r = rows_run[order]
+    starts = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
+    packs, pack = [], [0]
+    for a, b in zip(starts[:-1], starts[1:]):
+        for c in range(a, b, size):
+            if min(b, c + size) - pack[0] > size:
+                packs.append(pack)
+                pack = [c]
+            pack.append(min(b, c + size))
+    packs.append(pack if len(pack) > 1 else [0, 0])
+    return order, packs
+
+
+def _blockwise(x, edges, M):
+    """``x @ M``, the rows between consecutive ``edges`` one product each.
+
+    BLAS rounds a row of a product by the product's shape and the row's
+    place in it (a lone row takes another kernel), so a block gets the bits
+    it gets as a product of its own only when it is one.
+    """
+    if len(edges) == 2:
+        return x @ M
+    return np.concatenate([x[a:b] @ M for a, b in zip(edges[:-1], edges[1:])])
+
+
+def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray, run=None):
     """QK15 on the panels [L_i, R_i] of slots S_i: each panel's K15 sum and |K15 - G7|.
 
     ``fvec(x, s)`` maps the flat nodes x, 15 consecutive ones per panel, and
     their panels' slots s to samples: a real array or a (real, imaginary)
     pair of them.  Returns ``(val, err)``: ``val[p]`` holds part p's sums,
     and ``err`` is the modulus of the complex difference for a pair; both
-    are per panel.  Panels go _CHUNK at a time to bound memory.
+    are per panel.  ``run[s]`` is slot s's run (all slots are one run by
+    default): each run's panels take their weight products _CHUNK at a time
+    in their order, apart from other runs' (``_run_blocks``), so a run's bits
+    are those it gets alone.  Panels are evaluated a pack of at most _CHUNK
+    at a time to bound memory.
     """
     n = L.size
+    order, packs = _run_blocks(np.zeros(n, dtype=np.intp) if run is None else run[S], _CHUNK)
     val = err = None
-    for s in range(0, max(n, 1), _CHUNK):  # with no panels, one empty chunk sets the shapes
-        e = min(n, s + _CHUNK)
-        half = 0.5 * (R[s:e] - L[s:e])
-        out = fvec((0.5 * (L[s:e] + R[s:e])[:, None] + half[:, None] * _NODES).ravel(),
-                   np.repeat(S[s:e], _NODES.size))
-        parts = out if isinstance(out, tuple) else (out,)
-        # (part, panel, [K15, K15 - G7]) from one product over every part, so
-        # a pair never takes BLAS's one-row path and each panel's bits do not
-        # depend on how many panels share the chunk
-        kg = (np.reshape(np.stack(parts), (-1, _NODES.size)) @ _W).reshape(len(parts), e - s, 2)
+    for cuts in packs:  # with no panels, one empty pack sets the shapes
+        k = order[cuts[0]:cuts[-1]]
+        half = 0.5 * (R[k] - L[k])
+        out = fvec((0.5 * (L[k] + R[k])[:, None] + half[:, None] * _NODES).ravel(),
+                   np.repeat(S[k], _NODES.size))
+        edges = np.subtract(cuts, cuts[0])
+        # (part, panel, [K15, K15 - G7])
+        kg = np.stack([_blockwise(np.reshape(p, (k.size, _NODES.size)), edges, _W)
+                       for p in (out if isinstance(out, tuple) else (out,))])
         kg *= half[:, None]
         if val is None:
             val, err = np.empty((len(kg), n)), np.empty(n)
-        val[:, s:e] = kg[..., 0]
-        err[s:e] = np.hypot(*kg[..., 1]) if len(kg) == 2 else np.abs(kg[0, :, 1])
+        val[:, k] = kg[..., 0]
+        err[k] = np.hypot(*kg[..., 1]) if len(kg) == 2 else np.abs(kg[0, :, 1])
     return val, err
 
 
-def _refine(fvec, L, R, S, n_slots: int, density, max_splits: int, max_panels: int):
+def _refine(fvec, L, R, S, n_slots: int, density, max_splits: int, max_panels, run=None):
     """``_kronrod`` on the panels [L_i, R_i] of slots S_i, one of
     0..n_slots-1, halving those over tolerance.
 
     A panel just evaluated is over tolerance when its error exceeds
     ``density(total) * width``, ``total`` being the per-part sums over all
     current panels of every slot; only the halves are evaluated next, and
-    they keep their panel's slot.  Halving stops after ``max_splits`` rounds,
-    or before the panel count would pass ``max_panels``.  Returns (val, err,
-    slot, converged) with the panels ordered by slot, then left end (input
-    so ordered is kept as it is); ``converged[s]`` is False when a stop left
-    panels of slot s over tolerance.
+    they keep their panel's slot.  ``run[s]`` is slot s's run (all slots are
+    one run by default) and ``max_panels`` one budget for every run or one
+    per run.  A run stops halving after ``max_splits`` rounds, or before its
+    panel count would pass its budget; its panels are then kept as they are.
+    A density that reads ``total`` ties the runs together; a constant one
+    leaves each run as it is alone.  Returns (val, err, slot, converged)
+    with the panels ordered by slot, then left end (input so ordered is kept
+    as it is); ``converged[s]`` is False when a stop left panels of slot s
+    over tolerance.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=np.intp)
-    val, err = _kronrod(fvec, L, R, S)
-    done, n_done, acc = [], 0, 0.0
+    run, n_runs = _one_run(run, n_slots)
+    val, err = _kronrod(fvec, L, R, S, run)
+    done, n_done, acc = [], np.zeros(n_runs, dtype=np.intp), 0.0
+    converged = np.ones(n_slots, dtype=bool)
     for split in range(max_splits + 1):
         bad = err > density(acc + val.sum(axis=1)) * (R - L)
-        n_bad = int(np.count_nonzero(bad))
-        if not n_bad or split == max_splits or n_done + L.size + n_bad > max_panels:
+        rs = run[S]
+        stop = (split == max_splits) | (n_done + np.bincount(rs, minlength=n_runs)
+                                        + np.bincount(rs[bad], minlength=n_runs) > max_panels)
+        converged[S[bad & stop[rs]]] = False
+        bad &= ~stop[rs]
+        if not bad.any():
             break
         done.append((L[~bad], S[~bad], val[:, ~bad], err[~bad]))
-        n_done += L.size - n_bad
+        n_done += np.bincount(rs[~bad], minlength=n_runs)
         acc = acc + done[-1][2].sum(axis=1)
         M = 0.5 * (L[bad] + R[bad])
         L, R, S = np.concatenate([L[bad], M]), np.concatenate([M, R[bad]]), np.tile(S[bad], 2)
-        val, err = _kronrod(fvec, L, R, S)
-    converged = np.ones(n_slots, dtype=bool)
-    converged[S[bad]] = False
+        val, err = _kronrod(fvec, L, R, S, run)
     if done:
         done.append((L, S, val, err))
         L, S, val, err = (np.concatenate([d[i] for d in done], axis=-1) for i in range(4))
@@ -258,12 +330,11 @@ def _barycentric(t, x):
 LEVIN_SWING = 40.0  # pieces of larger swing |lambda| |g(b) - g(a)| go to Levin collocation
 _LEVIN_T, _LEVIN_D = _chebyshev(24)
 _LEVIN_B = _barycentric(_LEVIN_T, _NODES)  # collocation values -> values at the QK15 nodes
-# collocation values -> (derivative, value) at the QK15 nodes, as one complex matrix
-_LEVIN_DB = np.concatenate([_LEVIN_B @ _LEVIN_D, _LEVIN_B]).T.astype(complex)
+_LEVIN_BD = _LEVIN_B @ _LEVIN_D            # collocation values -> derivative at the nodes
 _LEVIN_CHUNK = 128  # pieces per batched solve: 1.2 MB of order-24 matrices
 
 
-def _levin(gd, h, lam, L, R, GL, GR, S):
+def _levin(gd, h, lam, L, R, GL, GR, S, edges=None):
     """Levin collocation for int_{L_i}^{R_i} h e^{i lam g} dx on each piece.
 
     ``gd(x, s)`` evaluates g' and ``h(x, s)`` the smooth amplitude of the
@@ -278,7 +349,8 @@ def _levin(gd, h, lam, L, R, GL, GR, S):
     lam g(L), lam g(R).  A piece on which g' does not keep one sign, beyond
     ``SIGN_TOL``, at every collocation point and node holds or touches a zero
     of g', where no non-oscillatory solution exists: it is not solved, and
-    its estimate is infinite.
+    its estimate is infinite.  The residual's products go block by block
+    between ``edges`` (``_blockwise``; all pieces are one block by default).
     """
     n = _LEVIN_T.size
     mid, half = 0.5 * (L + R), 0.5 * (R - L)
@@ -294,15 +366,13 @@ def _levin(gd, h, lam, L, R, GL, GR, S):
     A = np.broadcast_to(_LEVIN_D, (om.shape[0], n, n)).astype(complex)
     A.reshape(-1, n * n)[:, ::n + 1] += 1j * om[:, :n]  # the diagonals
     q = np.linalg.solve(A, hx[:, :n, None])[..., 0]
-    # a stack of one-row products: BLAS rounds a row of a matrix product by
-    # the row's place in the batch, and each piece must get the same bits in
-    # any batch
-    qd, qv = np.split((q[:, None, :] @ _LEVIN_DB)[:, 0], 2, axis=1)
-    rho = qd + 1j * om[:, n:] * qv - hx[:, n:]
+    edges = np.concatenate([[0], np.cumsum(ok)])[[0, -1] if edges is None else edges]
+    rho = (_blockwise(q, edges, _LEVIN_BD.T) + 1j * om[:, n:] * _blockwise(q, edges, _LEVIN_B.T)
+           - hx[:, n:])
     pb, pa = half * q[:, 0], half * q[:, -1]  # p at R (t = 1) and at L (t = -1)
     val[ok] = pb * np.exp(1j * lam * GR) - pa * np.exp(1j * lam * GL)
     rounding = _EPS * (np.abs(pb) * (n + np.abs(lam * GR)) + np.abs(pa) * (n + np.abs(lam * GL)))
-    err[ok] = half * (np.abs(rho)[:, None, :] @ _WK)[:, 0] + rounding
+    err[ok] = half * _blockwise(np.abs(rho), edges, _WK) + rounding
     return val, err
 
 
@@ -327,26 +397,30 @@ def _slot_sums(slot, v, n: int) -> np.ndarray:
 
 
 def _levin_halving(gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
-                   max_pieces: int):
+                   max_pieces: int, run=None):
     """Levin collocation of int h e^{i lam g} over the pieces [L_i, R_i].
 
     ``gval``, ``gd`` and ``h`` take points and their slots, as ``_levin``
     does; piece i and every piece cut from it add to slot ``slot[i]``, one of
     0..n_slots-1, whose lambda is ``lam[slot[i]]``.  A piece whose swing
     |lam| |g(b) - g(a)| is at most ``LEVIN_SWING`` is set aside for panels.
-    A larger one goes to ``_levin``, ``_LEVIN_CHUNK`` pieces per solve, and
-    is accepted when its estimate is at most ``tol`` times its width, which
-    it never is where g' vanishes or changes sign; otherwise it is halved
-    and both halves are classified again.  Next to a zero of g' the halving closes in dyadically
-    until the swing is small enough for panels.  Returns the set-aside pieces
-    as (left, right, slot) arrays, and per slot the number of accepted
-    pieces, their summed value and their summed estimate.  Raises
-    PANEL_BUDGET when the accepted pieces of every slot and the pending
-    halves would pass ``max_pieces``.
+    A larger one goes to ``_levin`` and is accepted when its estimate is at
+    most ``tol`` times its width, which it never is where g' vanishes or
+    changes sign; otherwise it is halved and both halves are classified
+    again.  Next to a zero of g' the halving closes in dyadically until the
+    swing is small enough for panels.  ``run[s]`` is slot s's run (all
+    slots are one run by default): each round, each run's pieces go to
+    ``_levin`` ``_LEVIN_CHUNK`` at a time, as they would alone, in solves
+    of at most ``_LEVIN_CHUNK`` pieces (``_run_blocks``).  Returns the
+    set-aside pieces as (left, right, slot) arrays, and per slot the number
+    of accepted pieces, their summed value and their summed estimate.
+    Raises PANEL_BUDGET when a run's accepted pieces and pending halves
+    would pass ``max_pieces``.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
     lam_abs = np.abs(np.asarray(lam, dtype=float))
+    run, n_runs = _one_run(run, n_slots)
     GL, GR = gval(L, S), gval(R, S)
     small = []
     n_levin = np.zeros(n_slots, dtype=np.intp)
@@ -354,25 +428,24 @@ def _levin_halving(gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
     while True:
         near = lam_abs[S] * np.abs(GR - GL) <= LEVIN_SWING
         small.append((L[near], R[near], S[near]))
-        far = ~near
+        order, packs = _run_blocks(run[S[~near]], _LEVIN_CHUNK)
+        far = np.flatnonzero(~near)[order]
         L, R, S, GL, GR = L[far], R[far], S[far], GL[far], GR[far]
         if not L.size:
             break
         val, err = np.empty(L.size, dtype=complex), np.empty(L.size)
-        for c in range(0, L.size, _LEVIN_CHUNK):
-            k = slice(c, c + _LEVIN_CHUNK)
-            val[k], err[k] = _levin(gd, h, lam, L[k], R[k], GL[k], GR[k], S[k])
+        for cuts in packs:
+            k = slice(cuts[0], cuts[-1])
+            val[k], err[k] = _levin(gd, h, lam, L[k], R[k], GL[k], GR[k], S[k],
+                                    np.subtract(cuts, cuts[0]))
         ok = err <= tol * (R - L)
         n_levin += np.bincount(S[ok], minlength=n_slots)
         levin_val += _slot_sums(S[ok], val[ok], n_slots)
         levin_err += _slot_sums(S[ok], err[ok], n_slots)
         bad = ~ok
         L, R, S, GL, GR = L[bad], R[bad], S[bad], GL[bad], GR[bad]
-        if n_levin.sum() + 2 * L.size > max_pieces:
-            raise PanelBudgetError(
-                f"panel budget {max_pieces} exceeded (lambda too large for config)",
-                lam_abs=float(lam_abs.max()),
-            )
+        _check_budget(np.bincount(run, n_levin, n_runs) + 2 * np.bincount(run[S], minlength=n_runs),
+                      max_pieces, lam_abs, run)
         M = 0.5 * (L + R)
         GM = gval(M, S)
         L, R, S = np.concatenate([L, M]), np.concatenate([M, R]), np.concatenate([S, S])
@@ -381,35 +454,38 @@ def _levin_halving(gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
     return SL, SR, SS, n_levin, levin_val, levin_err
 
 
-def _pieces_integral(gval, gd, lam, L, R, S, n_slots: int, cfg: QuadConfig):
+def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig):
     """int e^{i lam g} over the pieces [L_i, R_i], summed per slot.
 
     ``gval(x, s)`` and ``gd(x, s)`` evaluate g and g' at the points x of
-    slots s, piece i adds to slot ``S[i]``, one of 0..n_slots-1, and
-    ``lam[s]`` is slot s's lambda.  The pieces go through ``_levin_halving``
-    at amplitude 1; those it sets aside are cut into swing panels, which
+    slots s, piece i adds to slot ``S[i]``, ``lam[s]`` is slot s's lambda
+    and ``run[s]`` its run.  The pieces go through ``_levin_halving`` at
+    amplitude 1; those it sets aside are cut into swing panels, which
     ``_refine`` halves for at most 3 rounds.  Both are held to
     ``cfg.rel_tol`` per unit width.  The swing panels assume g monotone on
     each piece; where it is not, refinement alone answers for the error.
     Returns per slot the value, the estimate (Levin estimates plus panel
     |K15 - G7|), the number of Levin pieces and panels, and ``converged``,
     False when refinement stopped with panels of the slot over tolerance.
-    The pieces and panels of all slots together may not pass
-    ``cfg.max_panels``.
+    Each run's pieces and panels may not pass ``cfg.max_panels``, and each
+    run's results are those of a call holding its slots alone.
     """
     lam = np.asarray(lam, dtype=float)
+    run, n_runs = _one_run(run, lam.size)
+    n_slots = lam.size
     SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
         gval, gd, lambda x, _: np.ones_like(x), lam, L, R, S, n_slots, cfg.rel_tol,
-        cfg.max_panels)
-    budget = cfg.max_panels - int(n_levin.sum())
-    PL, PR, PS = _swing_panels(gval, SL, SR, SS, np.abs(lam), cfg.phase_variation_cap, budget)
+        cfg.max_panels, run)
+    budget = cfg.max_panels - np.bincount(run, n_levin, n_runs).astype(np.intp)
+    PL, PR, PS = _swing_panels(gval, SL, SR, SS, np.abs(lam), cfg.phase_variation_cap, budget,
+                               run)
 
     def samples(x, s):
         th = lam[s] * gval(x, s)
         return np.cos(th), np.sin(th)
 
     pv, pe, PS, converged = _refine(samples, PL, PR, PS, n_slots, lambda total: cfg.rel_tol, 3,
-                                    budget)
+                                    budget, run)
     val = np.empty(n_slots, dtype=complex)
     val.real, val.imag = (_slot_sums(PS, v, n_slots) for v in pv)
     val += levin_val
@@ -428,10 +504,11 @@ def osc_integrate_1d_sweep(g: PhaseFunction, lams,
     where the swing |lam| |g(b) - g(a)| exceeds ``LEVIN_SWING``, refined
     Kronrod panels elsewhere, at a cost that does not grow with lam.  A
     lambda of 0 gives the domain's length, with no pieces.  Each result's
-    ``panels_used`` counts its own panels plus Levin pieces; those of the
-    whole sweep together may not pass ``cfg.max_panels``, so a lone lambda
-    has the whole budget.  Each lambda's result is that of its one-element
-    sweep.
+    ``panels_used`` counts its own panels plus Levin pieces, which may not
+    pass ``cfg.max_panels``: each lambda has the whole budget, and a sweep
+    raises PANEL_BUDGET when one of its lambdas would alone.  Each slot is a
+    run of its own (see ``_pieces_integral``), so each lambda's result is
+    that of its one-element sweep, bit for bit.
     """
     lams = [float(lam) for lam in lams]
     length = g.domain.length
@@ -446,7 +523,7 @@ def osc_integrate_1d_sweep(g: PhaseFunction, lams,
     val, err, used, converged = _pieces_integral(
         lambda x, _: np.asarray(g.eval_fn(0, x), dtype=float), lambda x, _: g.eval_fn(1, x),
         [lams[k] for k in live], np.tile(L, n), np.tile(R, n), np.repeat(np.arange(n), L.size),
-        n, cfg)
+        np.arange(n), cfg)
     for s, k in enumerate(live):
         out[k] = QuadResult(complex(val[s]), float(err[s] + 8.0 * _EPS * length), int(used[s]),
                             lams[k], bool(converged[s]))
@@ -502,7 +579,7 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
             lam_abs=abs(lam))
     val, slice_err, used, converged = _pieces_integral(
         lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), np.full(n, lam),
-        np.full(n, dom.ax), np.full(n, dom.bx), np.arange(n), n, cfg)
+        np.full(n, dom.ax), np.full(n, dom.bx), np.arange(n), np.zeros(n, dtype=np.intp), cfg)
     # row p holds outer panel p's (K15, K15 - G7) over its 15 slices
     o_re, o_im = (yhalf[:, None] * (v.reshape(-1, _NODES.size) @ _W) for v in (val.real, val.imag))
     err = (np.hypot(o_re[:, 1], o_im[:, 1]).sum() + slice_err.max() * (dom.by - dom.ay)

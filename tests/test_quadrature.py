@@ -36,6 +36,7 @@ from oscint.quadrature import (
     _kronrod,
     _levin,
     _refine,
+    _run_blocks,
     _slot_sums,
     _swing_panels,
 )
@@ -192,11 +193,11 @@ def test_levin_residual_node_on_a_collocation_point_is_a_unit_row():
 
 # osc_integrate_1d on T1's x2_monic_d3 (x^6 / 3) under the suite config: the
 # bits (value, error estimate) and panel count, frozen with the Levin residual
-# estimate taken by one-row products
+# estimate
 X2_MONIC_D3_BITS = {
-    1e3: ("0x1.5ca4e9f5f006dp-2", "0x1.738f30fc1f5a5p-4", "0x1.672ebe9695761p-35", 6),
-    1e5: ("0x1.4382d01822f4ep-3", "0x1.5ab52b3aa0972p-5", "0x1.e76ec45aab3a0p-34", 7),
-    1e7: ("0x1.2c501713f4056p-4", "0x1.41e0081d6f52dp-6", "0x1.d851f96968ed2p-42", 13),
+    1e3: ("0x1.5ca4e9f5f006dp-2", "0x1.738f30fc1f5a5p-4", "0x1.672eba2149b35p-35", 6),
+    1e5: ("0x1.4382d01822f4ep-3", "0x1.5ab52b3aa0972p-5", "0x1.e76ec79e0bf2fp-34", 7),
+    1e7: ("0x1.2c501713f4056p-4", "0x1.41e0081d6f52dp-6", "0x1.d85c2372458e0p-42", 13),
 }
 
 
@@ -376,6 +377,16 @@ def test_refine_reports_its_split_cap():
     assert val[0].sum() == pytest.approx(0.29, abs=1e-12)
 
 
+def test_run_blocks_cut_each_run_as_alone_and_pack_whole_blocks():
+    order, packs = _run_blocks(np.array([2, 0, 1, 1, 1, 0]), 2)
+    assert order.tolist() == [1, 5, 2, 3, 4, 0]
+    # run 0: [0, 2); run 1: [2, 4), [4, 5); run 2: [5, 6)
+    assert packs == [[0, 2], [2, 4], [4, 5, 6]]
+    order, packs = _run_blocks(np.zeros(5, dtype=np.intp), 2)
+    assert order.tolist() == list(range(5)) and packs == [[0, 2], [2, 4], [4, 5]]
+    assert _run_blocks(np.zeros(0, dtype=np.intp), 2)[1] == [[0, 0]]
+
+
 def test_two_slot_refine_keeps_each_slots_one_slot_bits():
     # slot 0 is a kink at 0.3 on [0, 1], slot 1 a kink at 0.55 on [0.2, 0.9]:
     # each slot's panels and sums are those of its own one-slot run
@@ -487,13 +498,25 @@ def test_sweep_gives_each_lambda_its_one_element_result(name):
     assert sweep[1] == QuadResult(1.0 + 0.0j, 0.0, 0, 0.0)
 
 
-def test_sweep_charges_the_panel_budget_once_for_all_lambdas():
+def test_sweep_gives_each_lambda_the_whole_panel_budget():
+    # lambda = LEVIN_SWING stops refinement at the budget, as below, and the
+    # other lambda still refines as it does alone, on a budget of its own
     g = monomial(2, (0.0, 1.0))
     lams = [LEVIN_SWING, 0.5 * LEVIN_SWING]
-    used = [osc_integrate_1d(g, lam).panels_used for lam in lams]
-    assert osc_integrate_1d_sweep(g, lams, cfg=QuadConfig(max_panels=sum(used)))
-    with pytest.raises(PanelBudgetError):
-        osc_integrate_1d_sweep(g, lams, cfg=QuadConfig(max_panels=sum(used) - 1))
+    cfg = QuadConfig(rel_tol=1e-16, max_panels=osc_integrate_1d(g, LEVIN_SWING).panels_used)
+    sweep = osc_integrate_1d_sweep(g, lams, cfg=cfg)
+    assert sweep == [osc_integrate_1d(g, lam, cfg=cfg) for lam in lams]
+    assert not sweep[0].converged and sweep[0].panels_used == cfg.max_panels
+    assert sum(q.panels_used for q in sweep) > cfg.max_panels
+
+
+def test_sweep_raises_where_one_lambda_alone_raises():
+    g = monomial(2, (0.0, 1.0))
+    cfg = QuadConfig(max_panels=4)
+    assert osc_integrate_1d(g, 1.0, cfg=cfg).panels_used <= 4
+    for lams in ([LEVIN_SWING], [1.0, LEVIN_SWING]):
+        with pytest.raises(PanelBudgetError):
+            osc_integrate_1d_sweep(g, lams, cfg=cfg)
 
 
 def test_panel_budget_stops_refinement_and_flags_nonconvergence():
