@@ -123,7 +123,7 @@ DEFAULT_CONFIG = QuadConfig()
 # ---------------------------------------------------------------------------
 
 
-def _one_run(run, n_slots: int):
+def _runs(run, n_slots: int):
     """Each slot's run as an array and the number of runs; None puts every
     slot in run 0."""
     run = np.zeros(n_slots, dtype=np.intp) if run is None else np.asarray(run, dtype=np.intp)
@@ -161,7 +161,7 @@ def _swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels, run=None)
     R = np.asarray(hi, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
     lam_abs = np.asarray(lam_abs, dtype=float)
-    run, n_runs = _one_run(run, lam_abs.size)
+    run, n_runs = _runs(run, lam_abs.size)
     VL, VR = vmap(L, S), vmap(R, S)
     done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     n_done = np.zeros(n_runs, dtype=np.intp)
@@ -216,8 +216,8 @@ def _blockwise(x, edges, M):
     """``x @ M``, the rows between consecutive ``edges`` one product each.
 
     BLAS rounds a row of a product by the product's shape and the row's
-    place in it (a lone row takes another kernel), so a block gets the bits
-    it gets as a product of its own only when it is one.
+    place in it (a lone row takes another kernel), so a block has the bits
+    of its own product only when it is taken as one.
     """
     if len(edges) == 2:
         return x @ M
@@ -276,7 +276,7 @@ def _refine(fvec, L, R, S, n_slots: int, density, max_splits: int, max_panels, r
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=np.intp)
-    run, n_runs = _one_run(run, n_slots)
+    run, n_runs = _runs(run, n_slots)
     val, err = _kronrod(fvec, L, R, S, run)
     done, n_done, acc = [], np.zeros(n_runs, dtype=np.intp), 0.0
     converged = np.ones(n_slots, dtype=bool)
@@ -420,7 +420,7 @@ def _levin_halving(gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
     lam_abs = np.abs(np.asarray(lam, dtype=float))
-    run, n_runs = _one_run(run, n_slots)
+    run, n_runs = _runs(run, n_slots)
     GL, GR = gval(L, S), gval(R, S)
     small = []
     n_levin = np.zeros(n_slots, dtype=np.intp)
@@ -471,7 +471,7 @@ def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig):
     run's results are those of a call holding its slots alone.
     """
     lam = np.asarray(lam, dtype=float)
-    run, n_runs = _one_run(run, lam.size)
+    run, n_runs = _runs(run, lam.size)
     n_slots = lam.size
     SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
         gval, gd, lambda x, _: np.ones_like(x), lam, L, R, S, n_slots, cfg.rel_tol,
