@@ -23,11 +23,10 @@ own convergence.  ``_pieces_integral`` chains them for a set of monotone
 pieces.  ``osc_integrate_1d_sweep`` gives each lambda of a grid one slot over
 the phase's monotone pieces, so a whole grid is one call;
 ``osc_integrate_1d`` is its one-element call.  Slots are grouped in runs,
-each the work of one call on its own: a lambda of a sweep, or all the
-slices of one 2D integral.  Each run has the whole panel budget, and takes
-its matrix products in the blocks such a call cuts (``_run_blocks``), since
-BLAS rounds a row by the product it sits in; so a lambda gets the same bits
-in any sweep as alone.
+each the work of one call on its own (a lambda of a sweep, or all the
+slices of one 2D integral), and runs decide budgets only: each run has the
+whole panel budget.  Every panel's and piece's products are its own
+(``_rowwise``), so a lambda gets the same bits in any sweep as alone.
 
 In two dimensions ``osc_integrate_2d`` integrates over y on swing panels,
 and the x-integrals at their Kronrod nodes (slices) are 1D integrals: one
@@ -46,7 +45,7 @@ bounds the error generously.
 
 Evaluation is vectorised and chunked; summation order is fixed (panels
 left to right within a slot, Levin pieces in the order they are accepted),
-so results are bit-stable across runs.
+so results are bit-stable across reruns.
 """
 
 from __future__ import annotations
@@ -157,8 +156,7 @@ def _swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels, run=None)
     every run or one per run: PANEL_BUDGET is raised before a run's panels
     would pass its budget.
     """
-    L = np.asarray(lo, dtype=float)
-    R = np.asarray(hi, dtype=float)
+    L, R = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
     lam_abs = np.asarray(lam_abs, dtype=float)
     run, n_runs = _runs(run, lam_abs.size)
@@ -188,70 +186,37 @@ def _swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels, run=None)
     return left[order], right[order], slots[order]
 
 
-def _run_blocks(rows_run, size: int):
-    """Rows taken run by run and cut as a call holding one run alone cuts them.
-
-    ``rows_run[i]`` is row i's run.  ``order`` lists the rows by run, each
-    run's rows in their order, and each run's rows are cut into blocks of
-    ``size``; consecutive blocks are packed, at most ``size`` rows a pack.
-    Returns ``order`` and the packs, each the list of its block edges as
-    positions in ``order``.  With one run the packs are the blocks; with no
-    rows there is one empty pack.
-    """
-    order = np.argsort(rows_run, kind="stable")
-    r = rows_run[order]
-    starts = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
-    packs, pack = [], [0]
-    for a, b in zip(starts[:-1], starts[1:]):
-        for c in range(a, b, size):
-            if min(b, c + size) - pack[0] > size:
-                packs.append(pack)
-                pack = [c]
-            pack.append(min(b, c + size))
-    packs.append(pack if len(pack) > 1 else [0, 0])
-    return order, packs
+def _rowwise(x, M):
+    """``x @ M``, each row of ``x`` a product of its own: BLAS rounds a row
+    of a larger product by the product's shape and the row's place in it,
+    so the rows batched beside a panel or piece would move its bits."""
+    return (x[:, None, :] @ M)[:, 0]
 
 
-def _blockwise(x, edges, M):
-    """``x @ M``, the rows between consecutive ``edges`` one product each.
-
-    BLAS rounds a row of a product by the product's shape and the row's
-    place in it (a lone row takes another kernel), so a block has the bits
-    of its own product only when it is taken as one.
-    """
-    if len(edges) == 2:
-        return x @ M
-    return np.concatenate([x[a:b] @ M for a, b in zip(edges[:-1], edges[1:])])
-
-
-def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray, run=None):
+def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray):
     """QK15 on the panels [L_i, R_i] of slots S_i: each panel's K15 sum and |K15 - G7|.
 
     ``fvec(x, s)`` maps the flat nodes x, 15 consecutive ones per panel, and
     their panels' slots s to samples: a real array or a (real, imaginary)
     pair of them.  Returns ``(val, err)``: ``val[p]`` holds part p's sums,
     and ``err`` is the modulus of the complex difference for a pair; both
-    are per panel.  ``run[s]`` is slot s's run (all slots are one run by
-    default): each run's panels take their weight products _CHUNK at a time
-    in their order, apart from other runs' (``_run_blocks``), so a run's bits
-    are those it gets alone.  Panels are evaluated a pack of at most _CHUNK
-    at a time to bound memory.
+    are per panel.  Panels are evaluated _CHUNK at a time to bound memory,
+    and each panel's weight product is its own (``_rowwise``), so a panel's
+    bits do not depend on the panels evaluated with it.
     """
     n = L.size
-    order, packs = _run_blocks(np.zeros(n, dtype=np.intp) if run is None else run[S], _CHUNK)
-    val = err = None
-    for cuts in packs:  # with no panels, one empty pack sets the shapes
-        k = order[cuts[0]:cuts[-1]]
+    val, err = None, np.empty(n)
+    for a in range(0, max(n, 1), _CHUNK):  # with no panels, one empty chunk sets the shapes
+        k = slice(a, a + _CHUNK)
         half = 0.5 * (R[k] - L[k])
         out = fvec((0.5 * (L[k] + R[k])[:, None] + half[:, None] * _NODES).ravel(),
                    np.repeat(S[k], _NODES.size))
-        edges = np.subtract(cuts, cuts[0])
         # (part, panel, [K15, K15 - G7])
-        kg = np.stack([_blockwise(np.reshape(p, (k.size, _NODES.size)), edges, _W)
+        kg = np.stack([_rowwise(np.reshape(p, (half.size, _NODES.size)), _W)
                        for p in (out if isinstance(out, tuple) else (out,))])
         kg *= half[:, None]
         if val is None:
-            val, err = np.empty((len(kg), n)), np.empty(n)
+            val = np.empty((len(kg), n))
         val[:, k] = kg[..., 0]
         err[k] = np.hypot(*kg[..., 1]) if len(kg) == 2 else np.abs(kg[0, :, 1])
     return val, err
@@ -277,7 +242,7 @@ def _refine(fvec, L, R, S, n_slots: int, density, max_splits: int, max_panels, r
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=np.intp)
     run, n_runs = _runs(run, n_slots)
-    val, err = _kronrod(fvec, L, R, S, run)
+    val, err = _kronrod(fvec, L, R, S)
     done, n_done, acc = [], np.zeros(n_runs, dtype=np.intp), 0.0
     converged = np.ones(n_slots, dtype=bool)
     for split in range(max_splits + 1):
@@ -294,7 +259,7 @@ def _refine(fvec, L, R, S, n_slots: int, density, max_splits: int, max_panels, r
         acc = acc + done[-1][2].sum(axis=1)
         M = 0.5 * (L[bad] + R[bad])
         L, R, S = np.concatenate([L[bad], M]), np.concatenate([M, R[bad]]), np.tile(S[bad], 2)
-        val, err = _kronrod(fvec, L, R, S, run)
+        val, err = _kronrod(fvec, L, R, S)
     if done:
         done.append((L, S, val, err))
         L, S, val, err = (np.concatenate([d[i] for d in done], axis=-1) for i in range(4))
@@ -334,7 +299,7 @@ _LEVIN_BD = _LEVIN_B @ _LEVIN_D            # collocation values -> derivative at
 _LEVIN_CHUNK = 128  # pieces per batched solve: 1.2 MB of order-24 matrices
 
 
-def _levin(gd, h, lam, L, R, GL, GR, S, edges=None):
+def _levin(gd, h, lam, L, R, GL, GR, S):
     """Levin collocation for int_{L_i}^{R_i} h e^{i lam g} dx on each piece.
 
     ``gd(x, s)`` evaluates g' and ``h(x, s)`` the smooth amplitude of the
@@ -349,8 +314,9 @@ def _levin(gd, h, lam, L, R, GL, GR, S, edges=None):
     lam g(L), lam g(R).  A piece on which g' does not keep one sign, beyond
     ``SIGN_TOL``, at every collocation point and node holds or touches a zero
     of g', where no non-oscillatory solution exists: it is not solved, and
-    its estimate is infinite.  The residual's products go block by block
-    between ``edges`` (``_blockwise``; all pieces are one block by default).
+    its estimate is infinite.  Each piece's residual products are its own
+    (``_rowwise``), as its solve is, so a piece's value and estimate do not
+    depend on the pieces solved with it.
     """
     n = _LEVIN_T.size
     mid, half = 0.5 * (L + R), 0.5 * (R - L)
@@ -366,13 +332,11 @@ def _levin(gd, h, lam, L, R, GL, GR, S, edges=None):
     A = np.broadcast_to(_LEVIN_D, (om.shape[0], n, n)).astype(complex)
     A.reshape(-1, n * n)[:, ::n + 1] += 1j * om[:, :n]  # the diagonals
     q = np.linalg.solve(A, hx[:, :n, None])[..., 0]
-    edges = np.concatenate([[0], np.cumsum(ok)])[[0, -1] if edges is None else edges]
-    rho = (_blockwise(q, edges, _LEVIN_BD.T) + 1j * om[:, n:] * _blockwise(q, edges, _LEVIN_B.T)
-           - hx[:, n:])
+    rho = _rowwise(q, _LEVIN_BD.T) + 1j * om[:, n:] * _rowwise(q, _LEVIN_B.T) - hx[:, n:]
     pb, pa = half * q[:, 0], half * q[:, -1]  # p at R (t = 1) and at L (t = -1)
     val[ok] = pb * np.exp(1j * lam * GR) - pa * np.exp(1j * lam * GL)
     rounding = _EPS * (np.abs(pb) * (n + np.abs(lam * GR)) + np.abs(pa) * (n + np.abs(lam * GL)))
-    err[ok] = half * _blockwise(np.abs(rho), edges, _WK) + rounding
+    err[ok] = half * _rowwise(np.abs(rho), _WK) + rounding
     return val, err
 
 
@@ -408,14 +372,13 @@ def _levin_halving(gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
     most ``tol`` times its width, which it never is where g' vanishes or
     changes sign; otherwise it is halved and both halves are classified
     again.  Next to a zero of g' the halving closes in dyadically until the
-    swing is small enough for panels.  ``run[s]`` is slot s's run (all
-    slots are one run by default): each round, each run's pieces go to
-    ``_levin`` ``_LEVIN_CHUNK`` at a time, as they would alone, in solves
-    of at most ``_LEVIN_CHUNK`` pieces (``_run_blocks``).  Returns the
-    set-aside pieces as (left, right, slot) arrays, and per slot the number
-    of accepted pieces, their summed value and their summed estimate.
-    Raises PANEL_BUDGET when a run's accepted pieces and pending halves
-    would pass ``max_pieces``.
+    swing is small enough for panels.  Each round's pieces go to ``_levin``
+    ``_LEVIN_CHUNK`` at a time; a piece's result is its own, whatever else
+    the chunk holds.  Returns the set-aside pieces as (left, right, slot)
+    arrays, and per slot the number of accepted pieces, their summed value
+    and their summed estimate.  ``run[s]`` is slot s's run (all slots are
+    one run by default), and PANEL_BUDGET is raised when a run's accepted
+    pieces and pending halves would pass ``max_pieces``.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
@@ -428,16 +391,13 @@ def _levin_halving(gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
     while True:
         near = lam_abs[S] * np.abs(GR - GL) <= LEVIN_SWING
         small.append((L[near], R[near], S[near]))
-        order, packs = _run_blocks(run[S[~near]], _LEVIN_CHUNK)
-        far = np.flatnonzero(~near)[order]
-        L, R, S, GL, GR = L[far], R[far], S[far], GL[far], GR[far]
+        L, R, S, GL, GR = L[~near], R[~near], S[~near], GL[~near], GR[~near]
         if not L.size:
             break
         val, err = np.empty(L.size, dtype=complex), np.empty(L.size)
-        for cuts in packs:
-            k = slice(cuts[0], cuts[-1])
-            val[k], err[k] = _levin(gd, h, lam, L[k], R[k], GL[k], GR[k], S[k],
-                                    np.subtract(cuts, cuts[0]))
+        for a in range(0, L.size, _LEVIN_CHUNK):
+            k = slice(a, a + _LEVIN_CHUNK)
+            val[k], err[k] = _levin(gd, h, lam, L[k], R[k], GL[k], GR[k], S[k])
         ok = err <= tol * (R - L)
         n_levin += np.bincount(S[ok], minlength=n_slots)
         levin_val += _slot_sums(S[ok], val[ok], n_slots)
@@ -468,7 +428,8 @@ def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig):
     |K15 - G7|), the number of Levin pieces and panels, and ``converged``,
     False when refinement stopped with panels of the slot over tolerance.
     Each run's pieces and panels may not pass ``cfg.max_panels``, and each
-    run's results are those of a call holding its slots alone.
+    run's results are those of a call holding its slots alone: a slot's
+    bits depend only on its own pieces, its budget on its own run.
     """
     lam = np.asarray(lam, dtype=float)
     run, n_runs = _runs(run, lam.size)
@@ -507,8 +468,8 @@ def osc_integrate_1d_sweep(g: PhaseFunction, lams,
     ``panels_used`` counts its own panels plus Levin pieces, which may not
     pass ``cfg.max_panels``: each lambda has the whole budget, and a sweep
     raises PANEL_BUDGET when one of its lambdas would alone.  Each slot is a
-    run of its own (see ``_pieces_integral``), so each lambda's result is
-    that of its one-element sweep, bit for bit.
+    run of its own, and its products are its own rows (``_rowwise``), so
+    each lambda's result is that of its one-element sweep, bit for bit.
     """
     lams = [float(lam) for lam in lams]
     length = g.domain.length
@@ -573,15 +534,13 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     yhalf = 0.5 * (YR - YL)
     ys = (0.5 * (YL + YR)[:, None] + yhalf[:, None] * _NODES).ravel()
     n = ys.size
-    if n > cfg.max_panels:
-        raise PanelBudgetError(
-            f"panel budget {cfg.max_panels} exceeded (lambda too large for config)",
-            lam_abs=abs(lam))
+    _check_budget(np.array([n]), cfg.max_panels, np.array([abs(lam)]), np.zeros(1))
     val, slice_err, used, converged = _pieces_integral(
         lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), np.full(n, lam),
         np.full(n, dom.ax), np.full(n, dom.bx), np.arange(n), np.zeros(n, dtype=np.intp), cfg)
     # row p holds outer panel p's (K15, K15 - G7) over its 15 slices
-    o_re, o_im = (yhalf[:, None] * (v.reshape(-1, _NODES.size) @ _W) for v in (val.real, val.imag))
+    o_re, o_im = (yhalf[:, None] * _rowwise(v.reshape(-1, _NODES.size), _W)
+                  for v in (val.real, val.imag))
     err = (np.hypot(o_re[:, 1], o_im[:, 1]).sum() + slice_err.max() * (dom.by - dom.ay)
            + 8.0 * _EPS * dom.area)
     return QuadResult(complex(o_re[:, 0].sum(), o_im[:, 0].sum()), float(err), int(used.sum()),

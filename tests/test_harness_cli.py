@@ -156,12 +156,15 @@ def test_cli_integrate_2d_family():
     assert "|value| = " in out.stdout
 
 
-# Integrators whose panel rule runs through BLAS matrix products, and roots
-# and cover ratios, which run through LAPACK; their bits must not depend on
-# how many threads OpenBLAS uses.
+# Integrators, the lambda sweep that T1, T2 and T7 run among them, and roots
+# and cover ratios: their bits must not depend on how many threads OpenBLAS
+# uses.  Levin solves, roots and cover ratios run through LAPACK; the panel
+# rule and the Levin residual are one-row products, rounded from each row's
+# own data.
 _BITS_SCRIPT = """
 from oscint import (Polynomial, compose_with_polynomial, cover_ratio, degenerating_family,
-                    monomial, osc_integrate_1d, osc_integrate_2d, roots, xy_phase)
+                    monomial, osc_integrate_1d, osc_integrate_1d_sweep, osc_integrate_2d, roots,
+                    xy_phase)
 from oscint.phases import compose2d_with_polynomial
 from oscint.polynomials import default_eps_grid
 from oscint.reduction import product_monomial_integral
@@ -169,6 +172,8 @@ from oscint.sublevel import osc_to_sublevel_constant
 print(repr(osc_integrate_1d(monomial(2), 2e5)))
 print(repr(osc_integrate_1d(monomial(3), 1e8)))
 print(repr(osc_integrate_1d(compose_with_polynomial(monomial(2), (0.0, 0.0, 0.5, 1.0 / 3.0)), 1e6)))
+print(repr(osc_integrate_1d_sweep(compose_with_polynomial(monomial(2), (0.0, 0.0, 0.5)),
+                                  [0.0, 30.0, -1e3, 1e5, 1e7])))
 print(repr(osc_integrate_2d(xy_phase(), 300.0)))
 print(repr(osc_integrate_2d(compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)), 1e3)))
 print(repr(product_monomial_integral(2, 2, 1e5)))
@@ -183,7 +188,7 @@ def test_results_do_not_depend_on_blas_threads():
     outs = [_run_python("-c", _BITS_SCRIPT, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
     assert all(o.returncode == 0 for o in outs), [o.stderr for o in outs]
     assert outs[0].stdout == outs[1].stdout
-    assert outs[0].stdout.count("\n") == 10
+    assert outs[0].stdout.count("\n") == 11
 
 
 def test_cover_ratio_and_certify_2d_leave_numpy_ma_unimported():

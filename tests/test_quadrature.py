@@ -27,6 +27,7 @@ from oscint.phases import Phase2D, PlanarDomain, compose2d_with_polynomial, unit
 from oscint.quadrature import (
     _CHUNK,
     _LEVIN_B,
+    _LEVIN_CHUNK,
     _LEVIN_T,
     _NODES,
     _WG,
@@ -36,7 +37,6 @@ from oscint.quadrature import (
     _kronrod,
     _levin,
     _refine,
-    _run_blocks,
     _slot_sums,
     _swing_panels,
 )
@@ -193,11 +193,11 @@ def test_levin_residual_node_on_a_collocation_point_is_a_unit_row():
 
 # osc_integrate_1d on T1's x2_monic_d3 (x^6 / 3) under the suite config: the
 # bits (value, error estimate) and panel count, frozen with the Levin residual
-# estimate
+# estimate and row-local panel and residual products
 X2_MONIC_D3_BITS = {
-    1e3: ("0x1.5ca4e9f5f006dp-2", "0x1.738f30fc1f5a5p-4", "0x1.672eba2149b35p-35", 6),
-    1e5: ("0x1.4382d01822f4ep-3", "0x1.5ab52b3aa0972p-5", "0x1.e76ec79e0bf2fp-34", 7),
-    1e7: ("0x1.2c501713f4056p-4", "0x1.41e0081d6f52dp-6", "0x1.d85c2372458e0p-42", 13),
+    1e3: ("0x1.5ca4e9f5f006dp-2", "0x1.738f30fc1f5a5p-4", "0x1.672ebb4a3d783p-35", 6),
+    1e5: ("0x1.4382d01822f4cp-3", "0x1.5ab52b3aa0973p-5", "0x1.e76ec7b85b9ebp-34", 7),
+    1e7: ("0x1.2c501713f4055p-4", "0x1.41e0081d6f52cp-6", "0x1.d85c53ecf5336p-42", 13),
 }
 
 
@@ -377,14 +377,29 @@ def test_refine_reports_its_split_cap():
     assert val[0].sum() == pytest.approx(0.29, abs=1e-12)
 
 
-def test_run_blocks_cut_each_run_as_alone_and_pack_whole_blocks():
-    order, packs = _run_blocks(np.array([2, 0, 1, 1, 1, 0]), 2)
-    assert order.tolist() == [1, 5, 2, 3, 4, 0]
-    # run 0: [0, 2); run 1: [2, 4), [4, 5); run 2: [5, 6)
-    assert packs == [[0, 2], [2, 4], [4, 5, 6]]
-    order, packs = _run_blocks(np.zeros(5, dtype=np.intp), 2)
-    assert order.tolist() == list(range(5)) and packs == [[0, 2], [2, 4], [4, 5]]
-    assert _run_blocks(np.zeros(0, dtype=np.intp), 2)[1] == [[0, 0]]
+def test_kronrod_and_levin_give_each_panel_and_piece_its_lone_bits():
+    # more panels than one chunk and more pieces than one solve, on three
+    # slots of their own lambdas: each panel and piece has the bits it gets
+    # alone, wherever it sits in the batch
+    lam = np.array([5.0, 70.0, 3e3])
+    edges = np.linspace(0.0, 3.0, _CHUNK + 38)
+    L, R = edges[:-1], edges[1:]
+    S = np.arange(L.size) % 3
+    fvec = lambda x, s: (np.cos(lam[s] * x**2), np.sin(lam[s] * x**2))
+    val, err = _kronrod(fvec, L, R, S)
+    for i in range(L.size):
+        one_val, one_err = _kronrod(fvec, L[i:i + 1], R[i:i + 1], S[i:i + 1])
+        assert (val[:, i].tolist(), err[i]) == (one_val[:, 0].tolist(), one_err[0]), i
+    edges = np.linspace(0.5, 1.5, 3 * _LEVIN_CHUNK + 8)
+    L, R = edges[:-1], edges[1:]
+    S = np.arange(L.size) % 3
+    gd, h = lambda x, _: 2.0 * x, lambda x, _: np.ones_like(x)
+    val, err = _levin(gd, h, lam, L, R, L**2, R**2, S)
+    assert np.isfinite(err).all()
+    for i in range(L.size):
+        one_val, one_err = _levin(gd, h, lam, L[i:i + 1], R[i:i + 1], L[i:i + 1]**2,
+                                  R[i:i + 1]**2, S[i:i + 1])
+        assert (val[i], err[i]) == (one_val[0], one_err[0]), i
 
 
 def test_two_slot_refine_keeps_each_slots_one_slot_bits():
