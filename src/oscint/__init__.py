@@ -53,6 +53,7 @@ from .phases import (
     monomial,
     monomial_sin,
     monotone_partition,
+    monotone_partitions,
     phase2d_from_config,
     phase_from_config,
     polynomial_phase,

@@ -46,7 +46,7 @@ from .errors import (
     PreconditionError,
     SliceOverflowError,
 )
-from .phases import (Interval, Phase2D, PhaseFunction, merge_intervals, monotone_partition,
+from .phases import (Interval, Phase2D, PhaseFunction, merge_intervals, monotone_partitions,
                      scan_sign_changes, solve_brackets)
 from .polynomials import (
     Polynomial,
@@ -59,7 +59,8 @@ from .polynomials import (
     snd_sublevel_cover,
 )
 from .quadrature import QuadResult, adaptive_quad
-from .sublevel import band_pieces, band_sets, osc_to_sublevel_constant, sublevel_rows
+from .sublevel import (band_pieces, band_sets, kink_segments, osc_to_sublevel_constant,
+                       sublevel_rows)
 
 KIND_REMOVED = "removed_sublevel"
 KIND_SMALL = "small_derivative"
@@ -332,16 +333,6 @@ def _flat(per_job: list[list[Interval]]):
     return job, np.array([iv.lo for iv in ivs]), np.array([iv.hi for iv in ivs])
 
 
-def _partitions(jobs: list[tuple[PhaseFunction, Interval]], order: int | None):
-    """``monotone_partition`` of each job's phase on its interval, built once
-    per distinct (phase, interval); jobs that share one share the list."""
-    memo: dict = {}
-    for f, iv in jobs:
-        if (id(f), iv) not in memo:
-            memo[id(f), iv] = monotone_partition(f, order_cap=order, interval=iv)
-    return [memo[id(f), iv] for f, iv in jobs]
-
-
 def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: Sequence[float],
                eps: Sequence[float], r: Sequence[float], claims: Sequence[dict | None],
                partition_order: int | None = None) -> list[tuple[list[CertPiece], dict]]:
@@ -355,7 +346,7 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: Seque
     Each job's decomposition is the one it gets alone.  Returns (pieces,
     notes) per job.
     """
-    bases = _partitions(jobs, partition_order)
+    bases = monotone_partitions(jobs, partition_order)
 
     # refine at pullbacks of the outer derivative's monotonicity breaks
     t_stars = np.array(outer.prime_breaks)
@@ -383,7 +374,7 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: Seque
     removed: list[list[Interval]] = [[] for _ in jobs]
     if rows:
         row_job, lo_t, hi_t = (np.array(v) for v in zip(*rows))
-        mono = _partitions(jobs, 1)
+        mono = monotone_partitions(jobs, 1)
         bands = band_sets(lambda x, q: ev(0, x, row_job[q]), [mono[j] for j in row_job],
                           lo_t, hi_t)
         for j, comps in zip(row_job.tolist(), bands):
@@ -606,9 +597,13 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
     gamma = |lambda|^(-1/(2d)).  On the large side, slices in y at sampled x
     are certified by the one-dimensional engine with r = gamma (the base
     case P(t) = t uses the classical per-interval bound); the region bound
-    is the x-projection width times the worst sampled slice total.  The
-    small side is charged by its measure, at most the parametric
-    2 * gamma * height.
+    is the x-projection width times the worst sampled slice total; the
+    slices' monotone partitions come from one ``phases.monotone_partitions``
+    call, which for a phase with coefficients takes them all from roots,
+    one kernel pass per order.  The small side is charged by its measure,
+    at most the parametric 2 * gamma * height: ``sublevel_rows`` measures
+    |d_y f| < gamma along x, and ``adaptive_quad`` integrates that over y on
+    the segments of ``sublevel.kink_segments`` at -/+ gamma.
     """
     if lam == 0.0:
         raise PreconditionError("certify_2d needs lambda != 0")
@@ -699,7 +694,7 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
     gamma_strict = gamma * (1.0 - 1e-12)
     measured, quad_err, converged = adaptive_quad(
         lambda ys: sublevel_rows(f, (0, 1), ys, 0.0, gamma_strict, Interval(ax, bx)),
-        ay, by, rel_tol=1e-6)
+        *kink_segments(f, (0, 1), (-gamma_strict, gamma_strict)), rel_tol=1e-6)
     if not converged:
         notes["region2_converged"] = False
     parametric = 2.0 * gamma * height

@@ -694,7 +694,7 @@ def _run_hlog(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], lis
     eps_grid = _grid(opt["eps_grid"])
     points = []
     for eps in eps_grid:
-        m, converged = sublevel_2d(f2, 0.0, float(eps))
+        m, _, converged = sublevel_2d(f2, 0.0, float(eps))
         if not converged:
             unconverged.append({"case": "xy_sublevel", "eps": float(eps)})
         points.append((float(eps), m))

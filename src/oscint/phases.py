@@ -4,14 +4,20 @@ A phase is a real function on an interval (or planar rectangle) whose
 derivatives up to a declared order can be evaluated directly.  Families are
 parametric (monomial, polynomial, sine and exponential perturbations) and a
 generic closure form is provided for anything else; closures self-report
-their derivatives, there is no automatic differentiation.
+their derivatives, there is no automatic differentiation.  The polynomial
+families also carry their coefficients (``coeffs``), and slices and
+products of them inherit theirs.
 
 The two structural operations every other module leans on are
 ``sign_partition`` (tile the domain into pieces on which one derivative does
 not cross zero) and ``monotone_partition`` (pieces on which the function and
-its derivatives up to order N-1 are all monotone).  Root detection is a
-dense scan followed by bisection: the phases in play are smooth and low
-complexity at desk scale, so robustness beats cleverness.
+its derivatives up to order N-1 are all monotone).  For a phase with
+coefficients the breaks are roots: ``sign_breaks`` takes the real roots of
+many coefficient rows from one kernel (``real_roots``: closed forms to
+degree 2, one stacked companion-matrix ``eigvals`` call above), decides each
+sub-piece's sign between them and polishes the sign changes by bisection
+(``polish``).  Any other phase is scanned densely and bisected between the
+samples that change sign.
 
 ``solve_brackets`` is the one bisection solver of the package: it advances
 every open bracket of an array each step, so many roots cost one vectorised
@@ -91,7 +97,8 @@ class PhaseFunction:
     """Evaluator of f and its derivatives on an interval.
 
     ``eval_fn(order, x)`` must be a pure, numpy-vectorised function of its
-    arguments (order 0 is f itself).
+    arguments (order 0 is f itself).  A polynomial phase also gives its
+    ``coeffs`` in ascending order; its partitions then come from roots.
     """
 
     eval_fn: Callable[[int, np.ndarray], np.ndarray]
@@ -99,6 +106,7 @@ class PhaseFunction:
     domain: Interval
     meta: PhaseMeta = PhaseMeta()
     name: str = "phase"
+    coeffs: tuple[float, ...] | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def eval(self, order: int, x):
@@ -141,6 +149,191 @@ def solve_brackets(g, lo, hi, below, xtol: float = BISECT_XTOL):
             idx, a, b, mid, below = idx[open_], a[open_], b[open_], mid[open_], below[open_]
         up = (np.asarray(g(mid, idx)) <= 0.0) == below
         a, b = np.where(up, mid, a), np.where(up, b, mid)
+
+
+# ---------------------------------------------------------------------------
+# Roots of coefficient rows: closed forms to degree 2, companion-matrix
+# eigenvalues above
+# ---------------------------------------------------------------------------
+
+_polyval = np.polynomial.polynomial.polyval
+
+
+def _near_real(z: np.ndarray) -> np.ndarray:
+    return np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))
+
+
+def _snap(z: np.ndarray) -> np.ndarray:
+    """Put roots within 1e-9 relative of the real axis on it."""
+    return np.where(_near_real(z), z.real, z)
+
+
+def _rows_at(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row k's polynomial at x[k, ...], for ascending coefficient rows c."""
+    return _polyval(x, c.T.reshape(c.shape[::-1] + (1,) * (np.ndim(x) - 1)), tensor=False)
+
+
+def _companion(c: np.ndarray) -> np.ndarray:
+    """Companion matrices of the ascending coefficient rows c[..., :]."""
+    d = c.shape[-1] - 1
+    comp = np.zeros(c.shape[:-1] + (d, d))
+    comp[..., 1:, :-1] = np.eye(d - 1)
+    comp[..., :, -1] = -c[..., :-1] / c[..., -1:]
+    return comp
+
+
+def _quadratic_rows(c: np.ndarray) -> np.ndarray:
+    """Both roots of each quadratic row, by the stable closed form; a complex
+    pair is averaged into an exact conjugate pair."""
+    a0, a1, a2 = c.T
+    sq = np.sqrt((a1 * a1 - 4.0 * a2 * a0).astype(complex))
+    # stable quadratic: avoid cancellation in the small root
+    q = -0.5 * (a1 + np.where(a1 >= 0, sq, -sq))
+    r1 = q / a2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(q != 0, a0 / q, -a1 / a2 - r1)
+    z = np.stack([r1, r2], axis=1)
+    # a pair off the axis: average it, positive-imaginary root first
+    up = r1.imag > 0
+    avg = 0.5 * (np.where(up, r1, r2) + np.conj(np.where(up, r2, r1)))
+    pair = ~_near_real(z).any(axis=1)
+    return np.where(pair[:, None], np.stack([np.conj(avg), avg], axis=1), _snap(z))
+
+
+def _root_rows(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of every ascending coefficient row of c, all of one degree d >= 1.
+
+    Closed forms for d <= 2, vectorised over the rows; for d >= 3 one
+    stacked ``eigvals`` call over the rows' companion matrices.  Returns
+    ``(z, ok, worst)``: z of shape (rows, d), each row sorted by (real, imag)
+    with near-real roots on the axis; ``ok`` says whether every root of the
+    row passes the residual check at ``tol`` (see ``polynomials.roots``),
+    ``worst`` is the row's largest residual.  Closed-form rows always pass.
+    """
+    n, d = c.shape[0], c.shape[1] - 1
+    if d < 1:
+        raise PreconditionError("roots requires degree >= 1")
+    ok, worst = np.ones(n, dtype=bool), np.zeros(n)
+    if d == 1:
+        z = (-c[:, 0] / c[:, 1]).astype(complex)[:, None]
+    elif d == 2:
+        z = _quadratic_rows(c)
+    else:
+        z = np.linalg.eigvals(_companion(c))
+        resid = np.abs(_rows_at(c, z))
+        mags = np.abs(z)
+        eval_scale = sum(np.abs(c[:, j:j + 1]) * mags**j for j in range(d + 1))
+        max_abs = np.abs(c).max(axis=1, keepdims=True)
+        ok = np.all(resid <= np.maximum(tol * (1.0 + max_abs), tol * (1.0 + eval_scale)), axis=1)
+        worst = resid.max(axis=1)
+        z = _snap(z)
+    return np.sort(z, axis=1), ok, worst
+
+
+def derivative_coeffs(c, k: int) -> np.ndarray:
+    """The k-th derivative of ascending coefficients along the last axis of c;
+    a derivative past the degree is the zero constant."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[-1]
+    if k == 0:
+        return c
+    if k >= n:
+        return np.zeros(c.shape[:-1] + (1,))
+    return c[..., k:] * np.array([_falling(j, k) for j in range(k, n)])
+
+
+def real_roots(c, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots of the ascending coefficient rows c[k] inside the open
+    intervals (lo[k], hi[k]), unpolished.
+
+    Rows are grouped by effective degree, which a vanishing leading
+    coefficient drops; a row of degree 0 (a constant, or the zero row) has
+    no roots.  Each group is one ``_root_rows`` call.  Returns (row, root)
+    arrays ordered by row, then left to right.
+    """
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), c.shape[:1]) for v in (lo, hi))
+    nz = c != 0.0
+    deg = np.where(nz.any(axis=1), c.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
+    rows, xs = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for d in range(1, int(deg.max(initial=0)) + 1):
+        k = np.flatnonzero(deg == d)
+        if not k.size:
+            continue
+        z = _root_rows(c[k, :d + 1], np.inf)[0]
+        r, j = np.nonzero((z.imag == 0.0) & (lo[k, None] < z.real) & (z.real < hi[k, None]))
+        rows.append(k[r])
+        xs.append(z.real[r, j])
+    row, x = np.concatenate(rows), np.concatenate(xs)
+    order = np.lexsort((x, row))
+    return row[order], x[order]
+
+
+def polish(g, x, lo, hi, below, xtol: float):
+    """Roots of the functions ``g(., q)`` bisected to ``xtol`` in one solve.
+
+    [lo_q, hi_q] must bracket root q: g <= 0 at lo_q exactly where
+    ``below[q]``.  With estimates ``x`` (None for none, NaN for none at q),
+    root q starts from [x_q - h, x_q + h] inside its bracket, h = 1e-9
+    (1 + |x_q|), where g's signs at those ends show a change, and from the
+    whole bracket elsewhere.  Returns the midpoints of the final brackets.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if x is not None:
+        h = 1e-9 * (1.0 + np.abs(x))
+        t_lo, t_hi = np.fmax(lo, x - h), np.fmin(hi, x + h)
+        q = np.arange(lo.size)
+        v = np.asarray(g(np.concatenate([t_lo, t_hi]), np.concatenate([q, q]))) <= 0.0
+        tight = v[:lo.size] != v[lo.size:]
+        lo, hi = np.where(tight, t_lo, lo), np.where(tight, t_hi, hi)
+        below = np.where(tight, v[:lo.size], below)
+    lo, hi = solve_brackets(g, lo, hi, below, xtol)
+    return 0.5 * (lo + hi)
+
+
+def sign_breaks(c, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sign partitions of many coefficient rows at once, from their roots.
+
+    Row k's real roots in (lo[k], hi[k]) cut its interval into sub-pieces on
+    which it keeps one sign.  A sub-piece takes the sign of its largest
+    sample (its ends, quarter points and midpoint) where that exceeds
+    ``tol`` in magnitude, and no sign otherwise, so a touching zero within
+    ``tol`` splits nothing; neighbours of equal sign merge.  Each change of
+    sign is polished to ``BISECT_XTOL`` from a bracket around the root
+    between the two pieces, or else from their largest samples.  A row of
+    degree d changes sign at most d times, so no cap applies.  Returns
+    (row, break) arrays ordered by row, then left to right, and each row's
+    first sign (+1, -1, or 0 for a row within ``tol`` of zero throughout);
+    the signs alternate from there.
+    """
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    n = c.shape[0]
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (lo, hi))
+    r_row, r_x = real_roots(c, lo, hi)
+    # sub-pieces: row k's interval cut at its roots, row by row
+    counts = np.bincount(r_row, minlength=n)
+    first = np.cumsum(counts + 1) - (counts + 1)
+    sub = np.repeat(np.arange(n), counts + 1)
+    left, right = np.empty(sub.size), np.empty(sub.size)
+    left[first], right[first + counts] = lo, hi
+    at = first[r_row] + np.arange(r_x.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    right[at], left[at + 1] = r_x, r_x
+    pts = left[:, None] + (right - left)[:, None] * np.linspace(0.0, 1.0, 5)
+    vals = _rows_at(c[sub], pts)
+    j = np.argmax(np.abs(vals), axis=1)
+    peak = vals[np.arange(sub.size), j]
+    sgn = np.where(np.abs(peak) > tol, np.sign(peak), 0.0).astype(int)
+    witness = pts[np.arange(sub.size), j]
+    k = np.flatnonzero(sgn)
+    chg = np.flatnonzero((sub[k[1:]] == sub[k[:-1]]) & (sgn[k[1:]] != sgn[k[:-1]]))
+    a, b = k[chg], k[chg + 1]
+    row = sub[a]
+    x = polish(lambda x, q: _rows_at(c[row[q]], x), right[a], witness[a], witness[b],
+               sgn[a] < 0, BISECT_XTOL)
+    first_sign = np.zeros(n, dtype=int)
+    lead = k[np.diff(sub[k], prepend=-1) != 0]
+    first_sign[sub[lead]] = sgn[lead]
+    return row, x, first_sign
 
 
 def scan_grid(iv: Interval) -> np.ndarray:
@@ -189,8 +382,9 @@ def sign_partition(
     Single-signed is non-strict: touching zeros (no crossing beyond ``tol``)
     do not split a piece.  Returns (interval, sign) pairs ordered left to
     right with sign in {+1, -1, 0}; sign 0 means the derivative is below
-    ``tol`` in magnitude on the whole piece.  More than ``PARTITION_CAP``
-    sign changes raise PartitionOverflowError.
+    ``tol`` in magnitude on the whole piece.  A phase with coefficients is
+    partitioned at its roots (``sign_breaks``); any other is scanned, and
+    more than ``PARTITION_CAP`` sign changes raise PartitionOverflowError.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
@@ -201,46 +395,86 @@ def sign_partition(
     a, b = iv.lo, iv.hi
     if b <= a:
         return [(iv, 0)]
-    xs = scan_grid(iv)
-    vs = np.asarray(phase.eval(order, xs), dtype=float)
-    _, breaks = scan_sign_changes(lambda x, _: phase.eval(order, x), xs, vs[:, None],
-                                  tol, PARTITION_CAP, phase.name, order)
-
-    pieces: list[tuple[Interval, int]] = []
-    edges = [a, *breaks.tolist(), b]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sub = vs[np.searchsorted(xs, lo - 1e-15):np.searchsorted(xs, hi + 1e-15, "right")]
-        piece_sign = 0
-        if sub.size:
-            j = int(np.argmax(np.abs(sub)))
-            if abs(sub[j]) > tol:
-                piece_sign = 1 if sub[j] > 0 else -1
-        pieces.append((Interval(lo, hi), piece_sign))
+    if phase.coeffs is not None:
+        _, breaks, first = sign_breaks(derivative_coeffs(phase.coeffs, order), a, b, tol)
+        edges = [a, *breaks.tolist(), b]
+        signs = [int(first[0]) * (-1) ** i for i in range(len(edges) - 1)]
+    else:
+        xs = scan_grid(iv)
+        vs = np.asarray(phase.eval(order, xs), dtype=float)
+        _, breaks = scan_sign_changes(lambda x, _: phase.eval(order, x), xs, vs[:, None],
+                                      tol, PARTITION_CAP, phase.name, order)
+        edges = [a, *breaks.tolist(), b]
+        signs = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            sub = vs[np.searchsorted(xs, lo - 1e-15):np.searchsorted(xs, hi + 1e-15, "right")]
+            piece_sign = 0
+            if sub.size:
+                j = int(np.argmax(np.abs(sub)))
+                if abs(sub[j]) > tol:
+                    piece_sign = 1 if sub[j] > 0 else -1
+            signs.append(piece_sign)
+    pieces = [(Interval(lo, hi), s) for lo, hi, s in zip(edges[:-1], edges[1:], signs)]
     phase._cache[key] = pieces
     return pieces
 
 
-def monotone_partition(
-    phase: PhaseFunction,
-    order_cap: int | None = None,
-    interval: Interval | None = None,
-) -> list[Interval]:
-    """Intervals on which f and its derivatives up to order N-1 are monotone.
+def monotone_partitions(jobs: Sequence[tuple[PhaseFunction, Interval]],
+                        N: int | None) -> list[list[Interval]]:
+    """``monotone_partition`` of many (phase, interval) jobs at once; ``N``
+    None takes each phase's ``meta.N``.
+
+    The jobs of phases with coefficients are partitioned together, one
+    ``sign_breaks`` pass per order over all of them; any other phase is
+    scanned by ``sign_partition``.  A phase keeps its partitions, and jobs
+    that repeat a (phase, interval) share one list.
+    """
+    out: list[list[Interval] | None] = [None] * len(jobs)
+    todo: dict = {}
+    for j, (f, iv) in enumerate(jobs):
+        n = N if N is not None else f.meta.N
+        if f.max_order < n:
+            raise PreconditionError(
+                f"phase {f.name!r} reports derivatives up to {f.max_order}, need {n}")
+        key = ("mp", n, PARTITION_CAP, iv.as_tuple())
+        if key in f._cache:
+            out[j] = f._cache[key]
+        else:
+            todo.setdefault((id(f), key), (f, iv, n, key, []))[4].append(j)
+    work = list(todo.values())
+    breaks: list[list[float]] = [[] for _ in work]
+    poly = [u for u, (f, iv, *_) in enumerate(work) if f.coeffs is not None and iv.hi > iv.lo]
+    if poly:
+        c = np.zeros((len(poly), max(len(work[u][0].coeffs) for u in poly)))
+        for r, u in enumerate(poly):
+            c[r, :len(work[u][0].coeffs)] = work[u][0].coeffs
+        lo, hi, orders = (np.array([work[u][1].lo for u in poly]),
+                          np.array([work[u][1].hi for u in poly]),
+                          np.array([work[u][2] for u in poly]))
+        for k in range(1, int(orders.max()) + 1):
+            sel = np.flatnonzero(orders >= k)
+            row, x, _ = sign_breaks(derivative_coeffs(c[sel], k), lo[sel], hi[sel], SIGN_TOL)
+            for r, xv in zip(sel[row].tolist(), x.tolist()):
+                breaks[poly[r]].append(xv)
+    for (f, iv, n, key, js), br in zip(work, breaks):
+        if f.coeffs is None:
+            for k in range(1, n + 1):
+                br.extend(p.hi for p, _ in sign_partition(f, k, SIGN_TOL, iv)[:-1])
+        f._cache[key] = pieces = pieces_between(iv, br)
+        for j in js:
+            out[j] = pieces
+    return out
+
+
+def monotone_partition(phase: PhaseFunction, order_cap: int | None = None) -> list[Interval]:
+    """Intervals of the domain on which f and its derivatives up to order
+    N-1 are monotone.
 
     N comes from ``phase.meta.N`` (override via ``order_cap``); the pieces are
-    the common refinement of the sign partitions of orders 1..N.
+    the common refinement of the sign partitions of orders 1..N.  The
+    one-element call of ``monotone_partitions``.
     """
-    N = order_cap if order_cap is not None else phase.meta.N
-    if phase.max_order < N:
-        raise PreconditionError(
-            f"phase {phase.name!r} reports derivatives up to {phase.max_order}, need {N}"
-        )
-    iv = interval or phase.domain
-    breaks: list[float] = []
-    for k in range(1, N + 1):
-        for piece, _ in sign_partition(phase, k, SIGN_TOL, interval=iv)[:-1]:
-            breaks.append(piece.hi)
-    return pieces_between(iv, breaks)
+    return monotone_partitions([(phase, phase.domain)], order_cap)[0]
 
 
 def pieces_between(iv: Interval, breaks) -> list[Interval]:
@@ -278,7 +512,8 @@ def monomial(n: int, domain=(0.0, 1.0), meta: PhaseMeta | None = None) -> PhaseF
             return np.zeros_like(x)
         return _falling(n, order) * x ** (n - order)
 
-    return PhaseFunction(ev, max_order=max(n, 2), domain=iv, meta=meta, name=f"x^{n}")
+    return PhaseFunction(ev, max_order=max(n, 2), domain=iv, meta=meta, name=f"x^{n}",
+                         coeffs=(0.0,) * n + (1.0,))
 
 
 def polynomial_phase(coeffs: Sequence[float], domain=(0.0, 1.0), meta: PhaseMeta | None = None) -> PhaseFunction:
@@ -299,7 +534,8 @@ def polynomial_phase(coeffs: Sequence[float], domain=(0.0, 1.0), meta: PhaseMeta
             return np.zeros_like(x)
         return np.polynomial.polynomial.polyval(x, derivs[order])
 
-    return PhaseFunction(ev, max_order=max(d, 2), domain=iv, meta=meta, name="poly")
+    return PhaseFunction(ev, max_order=max(d, 2), domain=iv, meta=meta, name="poly",
+                         coeffs=tuple(c.tolist()))
 
 
 def sine(amplitude: float = 1.0, frequency: float = 1.0, domain=(0.0, 2.0 * math.pi),
@@ -429,7 +665,10 @@ class Phase2D:
 
     ``eval_fn((i, j), x, y)`` returns the (i, j) mixed partial.  The phase
     claims |d_x d_y f| >= ``derivative_lower_bound`` on the domain and a
-    single-signed d_y^2 f, the hypothesis ``certify_2d`` states.
+    single-signed d_y^2 f, the hypothesis ``certify_2d`` states.  A
+    polynomial phase also gives ``coeffs``, where ``coeffs[i][j]``
+    multiplies x^i y^j; ``rows_in_x`` and ``column_in_y`` read its
+    derivatives as coefficient rows.
     """
 
     eval_fn: Callable[[tuple[int, int], np.ndarray, np.ndarray], np.ndarray]
@@ -437,12 +676,26 @@ class Phase2D:
     domain: PlanarDomain
     derivative_lower_bound: float = 1.0
     name: str = "phase2d"
+    coeffs: tuple[tuple[float, ...], ...] | None = None
 
     def eval(self, orders: tuple[int, int], x, y):
         i, j = orders
         if i < 0 or j < 0 or i > self.max_orders[0] or j > self.max_orders[1]:
             raise PreconditionError(f"orders {orders} outside declared maxima {self.max_orders}")
         return self.eval_fn((i, j), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+    def _matrix(self, orders: tuple[int, int]) -> np.ndarray:
+        """The coefficients of d^orders f: entry [a, b] multiplies x^a y^b."""
+        i, j = orders
+        return derivative_coeffs(derivative_coeffs(self.coeffs, j).T, i).T
+
+    def rows_in_x(self, orders: tuple[int, int], ys) -> np.ndarray:
+        """Row k: the ascending coefficients of x -> d^orders f(x, ys[k])."""
+        return np.atleast_2d(_polyval(np.asarray(ys, dtype=float), self._matrix(orders).T).T)
+
+    def column_in_y(self, orders: tuple[int, int], x: float) -> np.ndarray:
+        """The ascending coefficients of y -> d^orders f(x, y)."""
+        return _polyval(float(x), self._matrix(orders))
 
     def slice_in_y(self, x: float, max_order: int = 4) -> PhaseFunction:
         """One-dimensional phase y -> f(x0, y) on [ay, by] for fixed x0."""
@@ -452,8 +705,9 @@ class Phase2D:
         def ev(order, y):
             return self.eval_fn((0, order), np.full_like(y, x0), y)
 
+        coeffs = None if self.coeffs is None else tuple(self.column_in_y((0, 0), x0).tolist())
         return PhaseFunction(ev, max_order=min(max_order, self.max_orders[1]), domain=iv,
-                             meta=PhaseMeta(N=1), name=f"{self.name}|x={x0:.6g}")
+                             meta=PhaseMeta(N=1), name=f"{self.name}|x={x0:.6g}", coeffs=coeffs)
 
 
 def product_phase(fx: PhaseFunction, gy: PhaseFunction) -> Phase2D:
@@ -465,8 +719,11 @@ def product_phase(fx: PhaseFunction, gy: PhaseFunction) -> Phase2D:
         i, j = orders
         return fx.eval_fn(i, x) * gy.eval_fn(j, y)
 
+    coeffs = None
+    if fx.coeffs is not None and gy.coeffs is not None:
+        coeffs = tuple(map(tuple, np.outer(fx.coeffs, gy.coeffs).tolist()))
     return Phase2D(ev, max_orders=(fx.max_order, gy.max_order), domain=dom,
-                   name=f"{fx.name}*{gy.name}")
+                   name=f"{fx.name}*{gy.name}", coeffs=coeffs)
 
 
 def xy_phase() -> Phase2D:
@@ -482,7 +739,8 @@ def xy_phase() -> Phase2D:
             return np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape)).copy()
         return x * y
 
-    return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), name="xy")
+    return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), name="xy",
+                   coeffs=((0.0, 0.0), (0.0, 1.0)))
 
 
 def xy_quad_phase(c: float) -> Phase2D:
@@ -511,7 +769,8 @@ def xy_quad_phase(c: float) -> Phase2D:
 
     lb = 1.0 if cc >= 0 else max(1e-9, 1.0 + 4.0 * cc)
     return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), derivative_lower_bound=lb,
-                   name=f"xy+{cc}x2y2")
+                   name=f"xy+{cc}x2y2",
+                   coeffs=((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, cc)))
 
 
 def compose2d_with_polynomial(phase: Phase2D, coeffs: Sequence[float]) -> Phase2D:

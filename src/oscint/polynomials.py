@@ -28,9 +28,8 @@ import numpy as np
 
 from .decay import geometric_grid
 from .errors import NotSndError, PreconditionError, RootConvergenceError
-from .phases import Interval, merge_intervals
-
-_polyval = np.polynomial.polynomial.polyval
+from .phases import (Interval, _companion, _near_real, _polyval, _root_rows, _rows_at,
+                     merge_intervals)
 
 CLASSIFY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
@@ -145,79 +144,9 @@ def classify(P: Polynomial) -> ClassifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Root finding: closed forms to degree 2, companion-matrix eigenvalues above
+# Root finding: the row kernel of ``phases`` (closed forms to degree 2,
+# companion-matrix eigenvalues above)
 # ---------------------------------------------------------------------------
-
-
-def _near_real(z: np.ndarray) -> np.ndarray:
-    return np.abs(z.imag) <= 1e-9 * (1.0 + np.abs(z.real))
-
-
-def _snap(z: np.ndarray) -> np.ndarray:
-    """Put roots within 1e-9 relative of the real axis on it."""
-    return np.where(_near_real(z), z.real, z)
-
-
-def _rows_at(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row k's polynomial at x[k, ...], for ascending coefficient rows c."""
-    return _polyval(x, c.T.reshape(c.shape[::-1] + (1,) * (np.ndim(x) - 1)), tensor=False)
-
-
-def _companion(c: np.ndarray) -> np.ndarray:
-    """Companion matrices of the ascending coefficient rows c[..., :]."""
-    d = c.shape[-1] - 1
-    comp = np.zeros(c.shape[:-1] + (d, d))
-    comp[..., 1:, :-1] = np.eye(d - 1)
-    comp[..., :, -1] = -c[..., :-1] / c[..., -1:]
-    return comp
-
-
-def _quadratic_rows(c: np.ndarray) -> np.ndarray:
-    """Both roots of each quadratic row, by the stable closed form; a complex
-    pair is averaged into an exact conjugate pair."""
-    a0, a1, a2 = c.T
-    sq = np.sqrt((a1 * a1 - 4.0 * a2 * a0).astype(complex))
-    # stable quadratic: avoid cancellation in the small root
-    q = -0.5 * (a1 + np.where(a1 >= 0, sq, -sq))
-    r1 = q / a2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(q != 0, a0 / q, -a1 / a2 - r1)
-    z = np.stack([r1, r2], axis=1)
-    # a pair off the axis: average it, positive-imaginary root first
-    up = r1.imag > 0
-    avg = 0.5 * (np.where(up, r1, r2) + np.conj(np.where(up, r2, r1)))
-    pair = ~_near_real(z).any(axis=1)
-    return np.where(pair[:, None], np.stack([np.conj(avg), avg], axis=1), _snap(z))
-
-
-def _root_rows(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of every ascending coefficient row of c, all of one degree d >= 1.
-
-    Closed forms for d <= 2, vectorised over the rows; for d >= 3 one
-    stacked ``eigvals`` call over the rows' companion matrices.  Returns
-    ``(z, ok, worst)``: z of shape (rows, d), each row sorted by (real, imag)
-    with near-real roots on the axis; ``ok`` says whether every root of the
-    row passes the residual check at ``tol`` (see ``roots``), ``worst`` is
-    the row's largest residual.  Closed-form rows always pass.
-    """
-    n, d = c.shape[0], c.shape[1] - 1
-    if d < 1:
-        raise PreconditionError("roots requires degree >= 1")
-    ok, worst = np.ones(n, dtype=bool), np.zeros(n)
-    if d == 1:
-        z = (-c[:, 0] / c[:, 1]).astype(complex)[:, None]
-    elif d == 2:
-        z = _quadratic_rows(c)
-    else:
-        z = np.linalg.eigvals(_companion(c))
-        resid = np.abs(_rows_at(c, z))
-        mags = np.abs(z)
-        eval_scale = sum(np.abs(c[:, j:j + 1]) * mags**j for j in range(d + 1))
-        max_abs = np.abs(c).max(axis=1, keepdims=True)
-        ok = np.all(resid <= np.maximum(tol * (1.0 + max_abs), tol * (1.0 + eval_scale)), axis=1)
-        worst = resid.max(axis=1)
-        z = _snap(z)
-    return np.sort(z, axis=1), ok, worst
 
 
 def roots(P: Polynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:

@@ -32,7 +32,9 @@ In two dimensions ``osc_integrate_2d`` integrates over y on swing panels,
 and the x-integrals at their Kronrod nodes (slices) are 1D integrals: one
 ``_pieces_integral`` call takes them all, one slot per slice, each at the
 integral's lambda, with g' = d_x f, so the work grows like lambda, not
-lambda^2 (details and the estimate in its docstring).
+lambda^2 (details and the estimate in its docstring).  A polynomial phase's
+slices are first cut at the sign changes of d_x f, so every slice piece is
+monotone.
 
 Every integrator applies one panel rule,
 ``_kronrod``: the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelBudgetError, PreconditionError
-from .phases import SIGN_TOL, Phase2D, PhaseFunction, monotone_partition
+from .phases import SIGN_TOL, Phase2D, PhaseFunction, monotone_partition, sign_breaks
 
 # QK15 on [-1, 1]: Kronrod nodes x_i >= 0 (the 7-point Gauss nodes are x_1, x_3,
 # x_5 and 0), the Kronrod weights, and the Gauss weights on those four nodes.
@@ -512,8 +514,11 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     the slices, are 1D integrals: all of them go through one
     ``_pieces_integral`` call, one slot per slice, with g' = d_x f, so each
     slice is held to ``cfg.rel_tol`` per unit width at a cost that does not
-    grow with lam.  g must expose the (1, 0) partial when a slice's swing
-    exceeds ``LEVIN_SWING``.
+    grow with lam.  A phase with coefficients has each slice cut at the
+    sign changes of d_x f (one ``phases.sign_breaks`` call over all
+    slices), so its pieces are monotone; any other phase's slices are taken
+    whole.  g must expose the (1, 0) partial when a slice's swing exceeds
+    ``LEVIN_SWING``.
 
     Estimate: the outer |K15 - G7| summed over the outer panels, plus the
     largest slice estimate times the height.  ``panels_used`` counts slice
@@ -535,9 +540,18 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     ys = (0.5 * (YL + YR)[:, None] + yhalf[:, None] * _NODES).ravel()
     n = ys.size
     _check_budget(np.array([n]), cfg.max_panels, np.array([abs(lam)]), np.zeros(1))
+    S = np.arange(n)
+    if g.coeffs is not None:
+        slot, cut, _ = sign_breaks(g.rows_in_x((1, 0), ys), dom.ax, dom.bx, SIGN_TOL)
+        S = np.sort(np.concatenate([S, slot]))
+    # slot s's pieces run from ax through its cuts to bx
+    L, R = np.full(S.size, dom.ax), np.full(S.size, dom.bx)
+    if S.size > n:
+        at = np.searchsorted(S, slot) + np.arange(slot.size) - np.searchsorted(slot, slot)
+        R[at], L[at + 1] = cut, cut
     val, slice_err, used, converged = _pieces_integral(
         lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), np.full(n, lam),
-        np.full(n, dom.ax), np.full(n, dom.bx), np.arange(n), np.zeros(n, dtype=np.intp), cfg)
+        L, R, S, np.zeros(n, dtype=np.intp), cfg)
     # row p holds outer panel p's (K15, K15 - G7) over its 15 slices
     o_re, o_im = (yhalf[:, None] * _rowwise(v.reshape(-1, _NODES.size), _W)
                   for v in (val.real, val.imag))

@@ -11,7 +11,10 @@ product per batch of xi and its sinc zeros k/3 are known in closed form.
 
 Bands are found piece by piece on monotone partitions, and the brackets of
 all pieces, or of all rows of a planar batch, go to the shared solver
-``phases.solve_brackets`` together.
+``phases.solve_brackets`` together.  For a phase with coefficients the
+monotone breaks and the band edges start from roots (``phases.sign_breaks``,
+``phases.real_roots``), and the band areas are cut at the y-kinks of their
+slice measures (``kink_segments``).
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from numpy.polynomial.legendre import leggauss
 
 from . import phases
 from .errors import NonconvergentTailError, PreconditionError
-from .phases import (BISECT_XTOL, Interval, Phase2D, PhaseFunction, merge_intervals,
-                     monotone_partition, pieces_between, scan_grid, scan_sign_changes,
-                     solve_brackets)
+from .phases import (BISECT_XTOL, SIGN_TOL, Interval, Phase2D, PhaseFunction,
+                     derivative_coeffs, merge_intervals, monotone_partition, pieces_between,
+                     polish, real_roots, scan_grid, scan_sign_changes, sign_breaks)
 from .quadrature import adaptive_quad
 
 BAND_AREA_REL_TOL = 1e-7
@@ -51,15 +54,17 @@ class OscToSublevelConstant:
     converged: bool
 
 
-def band_pieces(g, a, b, ga, gb, lo_t, hi_t, xtol: float = BISECT_XTOL):
+def band_pieces(g, a, b, ga, gb, lo_t, hi_t, xtol: float = BISECT_XTOL, seeds=None):
     """{x in [a_k, b_k] : lo_t_k <= g_k(x) <= hi_t_k} for many monotone pieces at once.
 
     ``g(x, idx)`` evaluates the functions of the pieces ``idx`` and ``ga``,
     ``gb`` hold their values at the ends; the levels ``lo_t``, ``hi_t`` are
     per piece or one for all.  An end where g lies outside the band is moved
-    by bracketing g = lo_t or g = hi_t on the whole piece, all pieces in one
-    solve bisected to ``xtol``.  Returns (x_lo, x_hi, found); ``found`` is
-    False where the piece misses the band.
+    to the crossing of g = lo_t or g = hi_t, all pieces in one
+    ``phases.polish`` to ``xtol``: from a bracket around its estimate
+    ``seeds(idx, t)`` (NaN for none) where one is given and g changes sign
+    across it, else from the whole piece.  Returns (x_lo, x_hi, found);
+    ``found`` is False where the piece misses the band.
     """
     a, b, ga, gb = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, ga, gb))
     lo_t, hi_t = (np.broadcast_to(np.asarray(v, dtype=float), a.shape) for v in (lo_t, hi_t))
@@ -70,8 +75,8 @@ def band_pieces(g, a, b, ga, gb, lo_t, hi_t, xtol: float = BISECT_XTOL):
     k = np.concatenate([move_lo, move_hi])
     t = np.where(inc[k], np.concatenate([lo_t[move_lo], hi_t[move_hi]]),
                  np.concatenate([hi_t[move_lo], lo_t[move_hi]]))
-    lo, hi = solve_brackets(lambda x, q: g(x, k[q]) - t[q], a[k], b[k], ga[k] - t <= 0.0, xtol)
-    x = 0.5 * (lo + hi)
+    x = polish(lambda x, q: g(x, k[q]) - t[q], None if seeds is None else seeds(k, t),
+               a[k], b[k], ga[k] - t <= 0.0, xtol)
     x_lo, x_hi = a.copy(), b.copy()
     x_lo[move_lo] = x[:move_lo.size]
     x_hi[move_hi] = x[move_lo.size:]
@@ -79,11 +84,13 @@ def band_pieces(g, a, b, ga, gb, lo_t, hi_t, xtol: float = BISECT_XTOL):
 
 
 def band_sets(g, rows_pieces: list[list[Interval]], lo_t, hi_t,
-              xtol: float = BISECT_XTOL) -> list[list[Interval]]:
+              xtol: float = BISECT_XTOL, coeffs=None) -> list[list[Interval]]:
     """Per row, the merged {x : lo_t <= g_row(x) <= hi_t} over the row's
     monotone pieces, with one solve for all rows to ``xtol``; ``g(x, rows)``
     evaluates the functions of the rows at x, and the levels are per row or
-    one for all."""
+    one for all.  Where g's rows are polynomials, ``coeffs`` holds their
+    ascending coefficients, one row each, and each band edge starts from a
+    root of its row minus the level."""
     n_rows = len(rows_pieces)
     row = np.repeat(np.arange(n_rows), [len(ps) for ps in rows_pieces])
     a = np.array([p.lo for ps in rows_pieces for p in ps])
@@ -92,7 +99,19 @@ def band_sets(g, rows_pieces: list[list[Interval]], lo_t, hi_t,
                   for v in (lo_t, hi_t))
     gq = lambda x, q: g(x, row[q])
     q = np.arange(a.size)
-    x_lo, x_hi, found = band_pieces(gq, a, b, gq(a, q), gq(b, q), lo_t, hi_t, xtol)
+    seeds = None
+    if coeffs is not None:
+        c = np.atleast_2d(np.asarray(coeffs, dtype=float))[row]
+
+        def seeds(k, t):
+            ck = c[k]
+            ck[:, 0] -= t
+            r, x = real_roots(ck, a[k], b[k])
+            out = np.full(k.size, np.nan)
+            out[r] = x
+            return out
+
+    x_lo, x_hi, found = band_pieces(gq, a, b, gq(a, q), gq(b, q), lo_t, hi_t, xtol, seeds)
     spans: list[list[tuple[float, float]]] = [[] for _ in rows_pieces]
     for r, lo, hi in zip(row[found].tolist(), x_lo[found].tolist(), x_hi[found].tolist()):
         spans[r].append((lo, hi))
@@ -109,7 +128,8 @@ def sublevel_1d(f: PhaseFunction, c: float, eps: float) -> SublevelResult:
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     pieces = monotone_partition(f, order_cap=1)
-    comps = band_sets(lambda x, _: f.eval_fn(0, x), [pieces], c - eps, c + eps)[0]
+    comps = band_sets(lambda x, _: f.eval_fn(0, x), [pieces], c - eps, c + eps,
+                      coeffs=None if f.coeffs is None else [f.coeffs])[0]
     measure = float(sum(comp.hi - comp.lo for comp in comps))
     return SublevelResult(measure, tuple(comps), float(c), float(eps))
 
@@ -117,38 +137,75 @@ def sublevel_1d(f: PhaseFunction, c: float, eps: float) -> SublevelResult:
 def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
                   interval: Interval, xtol: float = BISECT_XTOL) -> np.ndarray:
     """The measure of {x in ``interval`` : |d^orders f(x, y) - c| <= eps} for
-    every y of a batch: one 2-D sign scan, one solve for the monotone breaks
-    of all rows and one for their band edges, bisected to ``xtol``."""
+    every y of a batch, with band edges bisected to ``xtol``.
+
+    For a phase with coefficients, each row's monotone breaks are the sign
+    changes of its x-derivative from ``phases.sign_breaks`` and its band
+    edges start from the roots of the row minus each level.  Any other
+    phase takes one 2-D sign scan of d_x d^orders f for the breaks of all
+    rows, and its band edges are bracketed on whole pieces.
+    """
     i, j = orders
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    xs = scan_grid(interval)
-    dx = np.asarray(f.eval_fn((i + 1, j), xs[:, None], ys[None, :]), dtype=float)
-    rows, breaks = scan_sign_changes(lambda x, k: f.eval_fn((i + 1, j), x, ys[k]), xs, dx,
-                                     phases.SIGN_TOL, phases.PARTITION_CAP,
-                                     f"{f.name} d{orders} row", 1)
+    if f.coeffs is not None:
+        coeffs = f.rows_in_x(orders, ys)
+        rows, breaks, _ = sign_breaks(derivative_coeffs(coeffs, 1), interval.lo, interval.hi,
+                                      SIGN_TOL)
+    else:
+        coeffs = None
+        xs = scan_grid(interval)
+        dx = np.asarray(f.eval_fn((i + 1, j), xs[:, None], ys[None, :]), dtype=float)
+        rows, breaks = scan_sign_changes(lambda x, k: f.eval_fn((i + 1, j), x, ys[k]), xs, dx,
+                                         SIGN_TOL, phases.PARTITION_CAP,
+                                         f"{f.name} d{orders} row", 1)
     split = np.searchsorted(rows, np.arange(1, ys.size))
     per_row = [pieces_between(interval, br.tolist()) for br in np.split(breaks, split)]
     comps = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]), per_row, c - eps, c + eps,
-                      xtol)
+                      xtol, coeffs)
     return np.array([float(sum(iv.hi - iv.lo for iv in cs)) for cs in comps])
 
 
-def sublevel_2d(f: Phase2D, c: float, eps: float) -> tuple[float, bool]:
+def kink_segments(f: Phase2D, orders: tuple[int, int], levels) -> tuple[np.ndarray, np.ndarray]:
+    """[ay, by] cut where the slice measure of a band of d^orders f may kink,
+    as the (a, b) segment ends that ``adaptive_quad`` takes.
+
+    A band edge meets a vertical side of the rectangle where d^orders f(ax, y)
+    or d^orders f(bx, y) crosses one of the ``levels``; for a phase with
+    coefficients these are the sign changes in (ay, by) of the columns
+    minus each level.  The kinks where a level crosses a critical value of
+    the slice inside the rectangle are not cut, nor is anything for a phase
+    without coefficients.
+    """
+    dom = f.domain
+    cuts = np.zeros(0)
+    if f.coeffs is not None:
+        levels = np.asarray(levels, dtype=float)
+        cols = np.repeat([f.column_in_y(orders, dom.ax), f.column_in_y(orders, dom.bx)],
+                         levels.size, axis=0)
+        cols[:, 0] -= np.tile(levels, 2)
+        cuts = sign_breaks(cols, dom.ay, dom.by, 0.0)[1]
+    edges = np.concatenate([[dom.ay], np.sort(cuts), [dom.by]])
+    return edges[:-1], edges[1:]
+
+
+def sublevel_2d(f: Phase2D, c: float, eps: float) -> tuple[float, float, bool]:
     """Planar measure of {|f - c| <= eps} over ``f.domain``: ``sublevel_rows``
     measures the x-slices with band edges bisected to the last bit, and
-    ``adaptive_quad`` integrates them over y.  f must expose d/dx f, whose
-    sign scan splits each slice into monotone pieces.  Returns (measure,
-    converged), ``converged`` False when ``adaptive_quad`` stopped at a cap
-    with segments still over tolerance.
+    ``adaptive_quad`` integrates them over y, on the segments between the
+    kinks of ``kink_segments`` at c -/+ eps.  f must expose d/dx f when it
+    has no coefficients.  Returns (measure, error_estimate, converged),
+    ``converged`` False when ``adaptive_quad`` stopped at a cap with
+    segments still over tolerance.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     dom = f.domain
     iv = Interval(dom.ax, dom.bx)
-    val, _, converged = adaptive_quad(
+    val, err, converged = adaptive_quad(
         lambda ys: sublevel_rows(f, (0, 0), ys, c, eps, iv, xtol=0.0),
-        dom.ay, dom.by, rel_tol=BAND_AREA_REL_TOL, abs_floor=1e-12)
-    return float(val), converged
+        *kink_segments(f, (0, 0), (c - eps, c + eps)), rel_tol=BAND_AREA_REL_TOL,
+        abs_floor=1e-12)
+    return float(val), err, converged
 
 
 # ---------------------------------------------------------------------------

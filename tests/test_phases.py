@@ -291,3 +291,114 @@ def test_merge_intervals_slack():
     spans = [(0.5, 0.7), (0.0, 0.2), (0.2 + 1e-12, 0.3), (0.69, 0.8)]
     assert [iv.as_tuple() for iv in merge_intervals(spans, 1e-11)] == [(0.0, 0.3), (0.5, 0.8)]
     assert len(merge_intervals(spans, 1e-13)) == 3
+
+
+# ---------------------------------------------------------------------------
+# Coefficients and the root path
+# ---------------------------------------------------------------------------
+
+_polyval = np.polynomial.polynomial.polyval
+_polyval2d = np.polynomial.polynomial.polyval2d
+
+
+def _coefficient_phases_1d():
+    yield monomial(1)
+    yield monomial(4, (-1.0, 2.0))
+    yield polynomial_phase((0.3, -1.0, -2.0, 1.0, 1.0), (-2.0, 2.0))
+    for x0 in (0.0, 0.37, 1.0):
+        yield phases.xy_quad_phase(0.1).slice_in_y(x0)
+        yield product_phase(monomial(3), polynomial_phase((0.2, 0.0, -1.5))).slice_in_y(x0)
+
+
+def _coefficient_phases_2d():
+    yield phases.xy_phase()
+    yield xy_quad_phase(0.1)
+    yield xy_quad_phase(-0.2)
+    yield product_phase(monomial(3), monomial(2))
+    yield product_phase(polynomial_phase((0.25, -1.0, 1.0)), polynomial_phase((0.5, 2.0, -3.0),
+                                                                               (-1.0, 1.0)))
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * (1.0 + np.abs(want).max()))
+
+
+@pytest.mark.parametrize("f", list(_coefficient_phases_1d()), ids=lambda f: f.name)
+def test_coefficients_match_eval_fn_1d(f):
+    x = np.random.default_rng(7).uniform(f.domain.lo, f.domain.hi, 64)
+    for k in range(f.max_order + 1):
+        _close(_polyval(x, phases.derivative_coeffs(f.coeffs, k)), f.eval_fn(k, x))
+
+
+@pytest.mark.parametrize("f2", list(_coefficient_phases_2d()), ids=lambda f2: f2.name)
+def test_coefficients_match_eval_fn_2d(f2):
+    rng = np.random.default_rng(11)
+    dom = f2.domain
+    x, y = rng.uniform(dom.ax, dom.bx, 48), rng.uniform(dom.ay, dom.by, 48)
+    for i in range(f2.max_orders[0] + 1):
+        for j in range(f2.max_orders[1] + 1):
+            want = f2.eval_fn((i, j), x, y)
+            _close(_polyval2d(x, y, f2._matrix((i, j))), want)
+            _close([_polyval(xk, row) for xk, row in zip(x, f2.rows_in_x((i, j), y))], want)
+            _close([_polyval(yk, f2.column_in_y((i, j), xk)) for xk, yk in zip(x, y)], want)
+
+
+def test_families_without_coefficients():
+    assert sine().coeffs is None
+    assert compose_with_polynomial(monomial(2), (0.0, 0.0, 0.5)).coeffs is None
+    assert product_phase(sine(), monomial(1)).coeffs is None
+    assert compose2d_with_polynomial(xy_quad_phase(0.1), (0.0, 1.0)).coeffs is None
+
+
+def _scanned(f):
+    """The same phase without its coefficients, so that it is scanned."""
+    return phases.PhaseFunction(f.eval_fn, f.max_order, f.domain, f.meta, f.name)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_root_path_matches_the_scan_path(seed):
+    rng = np.random.default_rng([20261019, seed])
+    for d in range(1, 7):
+        f = polynomial_phase(rng.uniform(-1.0, 1.0, d + 1), (-1.5, 1.5))
+        for order in range(d):
+            roots = sign_partition(f, order, phases.SIGN_TOL)
+            scan = sign_partition(_scanned(f), order, phases.SIGN_TOL)
+            assert [s for _, s in roots] == [s for _, s in scan], (d, order)
+            np.testing.assert_allclose([iv.hi for iv, _ in roots], [iv.hi for iv, _ in scan],
+                                       rtol=0.0, atol=phases.BISECT_XTOL)
+
+
+def test_root_path_keeps_a_touching_zero_in_one_piece():
+    # (x - 1/2)^2 touches zero at 1/2 without crossing
+    f = polynomial_phase((0.25, -1.0, 1.0))
+    assert sign_partition(f, 0, phases.SIGN_TOL) == [(Interval(0.0, 1.0), 1)]
+    assert sign_partition(_scanned(f), 0, phases.SIGN_TOL) == [(Interval(0.0, 1.0), 1)]
+
+
+def test_a_vanishing_slice_is_one_piece_of_sign_zero():
+    # the xy slice at x0 = 0 is the zero polynomial
+    hy = phases.xy_phase().slice_in_y(0.0)
+    for order in range(hy.max_order + 1):
+        assert sign_partition(hy, order, phases.SIGN_TOL) == [(Interval(0.0, 1.0), 0)]
+
+
+def test_real_roots_group_rows_by_effective_degree():
+    c = np.array([[0.0, 0.0, 0.0, 0.0],      # zero row: no roots
+                  [-0.25, 1.0, 0.0, 0.0],    # degree 1: 0.25
+                  [0.06, -0.5, 1.0, 0.0],    # degree 2: 0.2 and 0.3
+                  [-0.024, 0.26, -0.9, 1.0],  # degree 3: 0.2, 0.3 and 0.4
+                  [2.0, 0.0, 0.0, 0.0]])     # constant: no roots
+    row, x = phases.real_roots(c, 0.0, [1.0, 1.0, 1.0, 0.35, 1.0])
+    assert row.tolist() == [1, 2, 2, 3, 3]
+    np.testing.assert_allclose(x, [0.25, 0.2, 0.3, 0.2, 0.3], atol=1e-12)
+
+
+def test_monotone_partitions_batch_equals_lone_calls():
+    fs = [polynomial_phase((0.0, -3.0, 0.0, 1.0), (-2.0, 2.0)), monomial(2, (-1.0, 1.0)),
+          sine(1.0, 1.0, (0.0, 7.0)), xy_quad_phase(0.1).slice_in_y(0.5)]
+    jobs = [(f, f.domain) for f in fs] + [(fs[0], Interval(0.0, 2.0))]
+    batch = phases.monotone_partitions(jobs, 2)
+    lone = [phases.monotone_partitions([job], 2)[0] for job in jobs]
+    assert batch == lone
+    np.testing.assert_allclose([iv.hi for iv in batch[0][:-1]], [-1.0, 0.0, 1.0], atol=1e-12)
+    assert [iv.as_tuple() for iv in batch[4]] == [(0.0, batch[0][2].hi), (batch[0][2].hi, 2.0)]

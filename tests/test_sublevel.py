@@ -17,6 +17,7 @@ from oscint import (
     xy_phase,
 )
 from oscint.decay import DecaySample, fit_decay, geometric_grid
+from oscint.harness import load_config
 from oscint.phases import (Phase2D, PhaseFunction, PlanarDomain, compose2d_with_polynomial,
                            unit_square, xy_quad_phase)
 from oscint.quadrature import adaptive_quad
@@ -80,19 +81,19 @@ class TestSublevel2D:
             return np.zeros(shape)
 
         f2 = Phase2D(sep, (2, 2), unit_square(), name="x+y")
-        m, converged = sublevel_2d(f2, 1.0, 0.1)
+        m, _, converged = sublevel_2d(f2, 1.0, 0.1)
         assert converged
         assert m == pytest.approx(0.19, rel=1e-6)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-2])
     def test_xy_log_formula(self, eps):
-        m, converged = sublevel_2d(xy_phase(), 0.0, eps)
+        m, _, converged = sublevel_2d(xy_phase(), 0.0, eps)
         assert converged
         exact = eps * (1.0 + math.log(1.0 / eps))
         assert m == pytest.approx(exact, rel=1e-6)
 
     def test_saturates_at_area(self):
-        m, converged = sublevel_2d(xy_phase(), 0.0, 2.0)
+        m, _, converged = sublevel_2d(xy_phase(), 0.0, 2.0)
         assert converged
         assert m == pytest.approx(1.0, rel=1e-9)
 
@@ -265,10 +266,13 @@ def test_rows_match_sublevel_1d_on_each_slice(c, eps):
     f2 = xy_quad_phase(0.1)
     ys = np.array([0.0, 0.1, 0.37, 0.9, 1.0])
     rows = sublevel_rows(f2, (0, 0), ys, c, eps, Interval(0.0, 1.0))
-    for y, got in zip(ys, rows):
-        row = PhaseFunction(lambda k, x, y=y: f2.eval_fn((k, 0), x, np.full_like(x, y)),
-                            2, Interval(0.0, 1.0))
+    for y, coeffs, got in zip(ys, f2.rows_in_x((0, 0), ys), rows):
+        ev = lambda k, x, y=y: f2.eval_fn((k, 0), x, np.full_like(x, y))
+        row = PhaseFunction(ev, 2, Interval(0.0, 1.0), coeffs=tuple(coeffs))
         assert got == sublevel_1d(row, c, eps).measure
+        # the same row without coefficients takes the scan and whole-piece brackets
+        scanned = sublevel_1d(PhaseFunction(ev, 2, Interval(0.0, 1.0)), c, eps).measure
+        assert abs(got - scanned) <= 2.0 * phases.BISECT_XTOL
 
 
 def test_band_sets_take_per_row_levels():
@@ -276,7 +280,8 @@ def test_band_sets_take_per_row_levels():
     pieces = phases.monotone_partition(f, order_cap=1)
     c = np.array([0.1, -0.4, 0.3, 0.9])
     eps = np.array([0.05, 0.2, 0.01, 0.5])
-    rows = sublevel.band_sets(lambda x, _: f.eval_fn(0, x), [pieces] * c.size, c - eps, c + eps)
+    rows = sublevel.band_sets(lambda x, _: f.eval_fn(0, x), [pieces] * c.size, c - eps, c + eps,
+                              coeffs=[f.coeffs] * c.size)
     assert rows == [list(sublevel_1d(f, ci, ei).components) for ci, ei in zip(c, eps)]
 
 
@@ -311,7 +316,7 @@ def test_band_area_needs_the_x_derivative():
 def test_band_area_of_a_composed_phase():
     # x^2 y^2 / 2 <= eps exactly where |xy| <= sqrt(2 eps)
     eps = 0.02
-    area, converged = sublevel_2d(compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)),
+    area, _, converged = sublevel_2d(compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)),
                                   0.0, eps)
     assert converged
     assert area == pytest.approx(sublevel_2d(xy_phase(), 0.0, math.sqrt(2.0 * eps))[0],
@@ -335,3 +340,23 @@ def test_rows_read_the_partition_cap(monkeypatch):
     monkeypatch.setattr(phases, "PARTITION_CAP", 5)
     with pytest.raises(PartitionOverflowError):
         sublevel_rows(f2, (0, 0), ys, 0.5, 0.1, Interval(0.0, 1.0))
+
+
+def test_xy_band_areas_on_the_packaged_grid_are_covered_by_their_estimates():
+    # m(y) = min(1, eps / y) kinks at y = eps, where the band edge eps / y
+    # meets the side x = 1; cut there, the estimate must cover the error
+    opt = load_config("H-LOG").options["eps_grid"]
+    for eps in geometric_grid(opt["lo"], opt["hi"], opt["per_decade"]):
+        area, err, converged = sublevel_2d(xy_phase(), 0.0, float(eps))
+        exact = eps * (1.0 + math.log(1.0 / eps))
+        assert converged
+        assert abs(area - exact) <= err, eps
+        assert abs(area - exact) <= 1e-12 * exact, eps
+
+
+def test_kink_segments_cut_where_a_band_edge_meets_a_side():
+    a, b = sublevel.kink_segments(xy_phase(), (0, 0), (-0.01, 0.01))
+    np.testing.assert_allclose(np.append(a, b[-1]), [0.0, 0.01, 1.0], atol=1e-12)
+    # a phase without coefficients is not cut
+    a, b = sublevel.kink_segments(_parabola_plus_ramp(), (0, 0), (0.05, 0.11))
+    assert (a.tolist(), b.tolist()) == ([0.0], [1.0])
