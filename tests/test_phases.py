@@ -402,3 +402,13 @@ def test_monotone_partitions_batch_equals_lone_calls():
     assert batch == lone
     np.testing.assert_allclose([iv.hi for iv in batch[0][:-1]], [-1.0, 0.0, 1.0], atol=1e-12)
     assert [iv.as_tuple() for iv in batch[4]] == [(0.0, batch[0][2].hi), (batch[0][2].hi, 2.0)]
+
+
+def test_polish_falls_back_to_the_whole_bracket():
+    # estimates that are missing, outside the bracket or off the root by more
+    # than the tight half-width all polish from [0, 2]; a good one from near it
+    g = lambda x, _: x * x - 2.0
+    est = np.array([np.nan, 5.0, 1.3, math.sqrt(2.0)])
+    x = phases.polish(g, est, np.zeros(4), np.full(4, 2.0), np.ones(4, dtype=bool),
+                      phases.BISECT_XTOL)
+    np.testing.assert_allclose(x, math.sqrt(2.0), rtol=0.0, atol=phases.BISECT_XTOL)
