@@ -437,8 +437,7 @@ def _run_t3(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
     for case in opt["cases"]:
         f2 = phase2d_from_config(case["f2"])
         P = Polynomial(tuple(case["poly"]))
-        composed = f2 if P.degree == 1 and P.coeffs == (0.0, 1.0) \
-            else compose2d_with_polynomial(f2, P.coeffs)
+        composed = compose2d_with_polynomial(f2, P.coeffs)
         rate = 1.0 / (2 * P.degree)
         name = case["name"]
 

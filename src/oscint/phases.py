@@ -3,10 +3,12 @@
 A phase is a real function on an interval (or planar rectangle) whose
 derivatives up to a declared order can be evaluated directly.  Families are
 parametric (monomial, polynomial, sine and exponential perturbations) and a
-generic closure form is provided for anything else; closures self-report
-their derivatives, there is no automatic differentiation.  The polynomial
-families also carry their coefficients (``coeffs``), and slices and
-products of them inherit theirs.
+generic closure form is provided for anything else.  The polynomial
+families, and their slices, products and compositions with a polynomial
+(composed in coefficient space), carry their coefficients (``coeffs``) and
+are evaluated at every order by one Horner evaluator on them.  Any other
+phase self-reports its derivatives through a closure of its own; there is
+no automatic differentiation.
 
 The two structural operations every other module leans on are
 ``sign_partition`` (tile the domain into pieces on which one derivative does
@@ -28,7 +30,7 @@ every column of a scan with array operations and bisects them in one solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,7 +100,8 @@ class PhaseFunction:
 
     ``eval_fn(order, x)`` must be a pure, numpy-vectorised function of its
     arguments (order 0 is f itself).  A polynomial phase also gives its
-    ``coeffs`` in ascending order; its partitions then come from roots.
+    ``coeffs`` in ascending order; its ``eval_fn`` is then the Horner
+    evaluator on them, and its partitions come from roots.
     """
 
     eval_fn: Callable[[int, np.ndarray], np.ndarray]
@@ -239,7 +242,7 @@ def derivative_coeffs(c, k: int) -> np.ndarray:
         return c
     if k >= n:
         return np.zeros(c.shape[:-1] + (1,))
-    return c[..., k:] * np.array([_falling(j, k) for j in range(k, n)])
+    return c[..., k:] * np.array([float(math.perm(j, k)) for j in range(k, n)])
 
 
 def real_roots(c, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -248,13 +251,17 @@ def real_roots(c, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
     Rows are grouped by effective degree, which a vanishing leading
     coefficient drops; a row of degree 0 (a constant, or the zero row) has
-    no roots.  Each group is one ``_root_rows`` call.  Returns (row, root)
-    arrays ordered by row, then left to right.
+    no roots, nor has, by Descartes' rule of signs, a row on an interval in
+    [0, inf) whose nonzero coefficients share one sign.  Each group is one
+    ``_root_rows`` call.  Returns (row, root) arrays ordered by row, then
+    left to right.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), c.shape[:1]) for v in (lo, hi))
     nz = c != 0.0
-    deg = np.where(nz.any(axis=1), c.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
+    one_sign = (c >= 0.0).all(axis=1) | (c <= 0.0).all(axis=1)
+    deg = np.where(nz.any(axis=1) & ~(one_sign & (lo >= 0.0)),
+                   c.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
     rows, xs = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     for d in range(1, int(deg.max(initial=0)) + 1):
         k = np.flatnonzero(deg == d)
@@ -397,24 +404,18 @@ def sign_partition(
         return [(iv, 0)]
     if phase.coeffs is not None:
         _, breaks, first = sign_breaks(derivative_coeffs(phase.coeffs, order), a, b, tol)
-        edges = [a, *breaks.tolist(), b]
-        signs = [int(first[0]) * (-1) ** i for i in range(len(edges) - 1)]
+        first = int(first[0])
     else:
         xs = scan_grid(iv)
         vs = np.asarray(phase.eval(order, xs), dtype=float)
         _, breaks = scan_sign_changes(lambda x, _: phase.eval(order, x), xs, vs[:, None],
                                       tol, PARTITION_CAP, phase.name, order)
-        edges = [a, *breaks.tolist(), b]
-        signs = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            sub = vs[np.searchsorted(xs, lo - 1e-15):np.searchsorted(xs, hi + 1e-15, "right")]
-            piece_sign = 0
-            if sub.size:
-                j = int(np.argmax(np.abs(sub)))
-                if abs(sub[j]) > tol:
-                    piece_sign = 1 if sub[j] > 0 else -1
-            signs.append(piece_sign)
-    pieces = [(Interval(lo, hi), s) for lo, hi, s in zip(edges[:-1], edges[1:], signs)]
+        # every piece holds a sample beyond tol of the sign that follows its left break
+        signed = vs[np.abs(vs) > tol]
+        first = int(np.sign(signed[0])) if signed.size else 0
+    edges = [a, *breaks.tolist(), b]
+    pieces = [(Interval(lo, hi), first * (-1) ** i)
+              for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
     phase._cache[key] = pieces
     return pieces
 
@@ -492,28 +493,44 @@ def pieces_between(iv: Interval, breaks) -> list[Interval]:
 # ---------------------------------------------------------------------------
 
 
-def _falling(n: int, k: int) -> float:
-    """n (n-1) ... (n-k+1), the k-th derivative coefficient of x^n."""
-    out = 1.0
-    for j in range(k):
-        out *= n - j
-    return out
+def _horner(terms: list, x, y=None):
+    """sum_k terms[k] x^k by Horner's rule, 0.0 for no terms: an entry is a
+    float, or with ``y`` the terms of a polynomial in y, summed the same way,
+    or None for a zero, which costs no operation.  The one evaluator of every
+    phase with coefficients."""
+    out = None
+    for a in reversed(terms):
+        if out is not None:
+            out = out * x
+        if a is not None:
+            if y is not None:
+                a = _horner(a, y)
+            out = a if out is None else out + a
+    return 0.0 if out is None else out
+
+
+def _coefficient_phase(coeffs, *args) -> PhaseFunction:
+    """The 1D phase with ascending ``coeffs``, evaluated by Horner on each
+    order's ``derivative_coeffs``, kept per order; ``args`` are
+    PhaseFunction's max_order, domain, meta and name."""
+    c = tuple(float(v) for v in coeffs)
+    cache: dict[int, list] = {}
+
+    def horner_1d(order, x):
+        t = cache.get(order)
+        if t is None:
+            t = cache[order] = [float(a) or None for a in derivative_coeffs(c, order)]
+        out = _horner(t, x)
+        return out if getattr(out, "shape", None) == np.shape(x) else np.full(np.shape(x), out)
+
+    return PhaseFunction(horner_1d, *args, c)
 
 
 def monomial(n: int, domain=(0.0, 1.0), meta: PhaseMeta | None = None) -> PhaseFunction:
     if n < 1:
         raise PreconditionError("monomial degree must be >= 1")
-    iv = Interval(*map(float, domain))
-    if meta is None:
-        meta = PhaseMeta(N=n, derivative_lower_bound=float(math.factorial(n)))
-
-    def ev(order, x):
-        if order > n:
-            return np.zeros_like(x)
-        return _falling(n, order) * x ** (n - order)
-
-    return PhaseFunction(ev, max_order=max(n, 2), domain=iv, meta=meta, name=f"x^{n}",
-                         coeffs=(0.0,) * n + (1.0,))
+    f = polynomial_phase((0.0,) * n + (1.0,), domain)
+    return replace(f, meta=meta or f.meta, name=f"x^{n}")
 
 
 def polynomial_phase(coeffs: Sequence[float], domain=(0.0, 1.0), meta: PhaseMeta | None = None) -> PhaseFunction:
@@ -524,18 +541,7 @@ def polynomial_phase(coeffs: Sequence[float], domain=(0.0, 1.0), meta: PhaseMeta
     iv = Interval(*map(float, domain))
     if meta is None:
         meta = PhaseMeta(N=d, derivative_lower_bound=abs(c[-1]) * math.factorial(d))
-    derivs = [c]
-    for _ in range(d):
-        prev = derivs[-1]
-        derivs.append(prev[1:] * np.arange(1, prev.size))
-
-    def ev(order, x):
-        if order > d:
-            return np.zeros_like(x)
-        return np.polynomial.polynomial.polyval(x, derivs[order])
-
-    return PhaseFunction(ev, max_order=max(d, 2), domain=iv, meta=meta, name="poly",
-                         coeffs=tuple(c.tolist()))
+    return _coefficient_phase(c, max(d, 2), iv, meta, "poly")
 
 
 def sine(amplitude: float = 1.0, frequency: float = 1.0, domain=(0.0, 2.0 * math.pi),
@@ -593,20 +599,29 @@ def closure_phase(derivatives: Sequence[Callable], domain, meta: PhaseMeta | Non
 # ---------------------------------------------------------------------------
 
 
+def _compose_coeffs(c, P: Sequence[float]) -> np.ndarray:
+    """The coefficients of P(f) for f's coefficient array ``c``, a vector
+    or a matrix: Horner in P over products of coefficient arrays."""
+    c = np.asarray(c, dtype=float)
+    out = np.full((1,) * c.ndim, float(P[-1]))
+    for p in P[-2::-1]:
+        prod = np.zeros(tuple(m + n - 1 for m, n in zip(out.shape, c.shape)))
+        for at, v in np.ndenumerate(out):
+            prod[tuple(slice(k, k + n) for k, n in zip(at, c.shape))] += v * c
+        out = prod
+        out[(0,) * c.ndim] += p
+    return out
+
+
 def compose_with_polynomial(phase: PhaseFunction, coeffs: Sequence[float]) -> PhaseFunction:
-    """Phase x -> P(f(x)) with its first derivative by the chain rule."""
-    c = np.asarray(coeffs, dtype=float)
-    dc = c[1:] * np.arange(1, c.size)
-    pv = np.polynomial.polynomial.polyval
-
-    def ev(order, x):
-        f = phase.eval_fn(0, x)
-        if order == 0:
-            return pv(f, c)
-        return pv(f, dc) * phase.eval_fn(1, x)
-
-    return PhaseFunction(ev, max_order=min(1, phase.max_order), domain=phase.domain,
-                         meta=PhaseMeta(N=1), name=f"P({phase.name})")
+    """Phase x -> P(f(x)): for f with coefficients the polynomial P(f), else
+    its value and first derivative by the chain rule."""
+    if phase.coeffs is not None:
+        c = _compose_coeffs(phase.coeffs, coeffs)
+        return _coefficient_phase(c, max(phase.max_order, c.size - 1), phase.domain,
+                                  PhaseMeta(N=1), f"P({phase.name})")
+    P = [[float(a) or None for a in derivative_coeffs(coeffs, k)] for k in (0, 1)]
+    return _chain(phase, lambda order, t: _horner(P[order], t), f"P({phase.name})")
 
 
 def compose_with_power(phase: PhaseFunction, exponent: float) -> PhaseFunction:
@@ -615,15 +630,20 @@ def compose_with_power(phase: PhaseFunction, exponent: float) -> PhaseFunction:
     if s <= 1.0:
         raise PreconditionError("power transform needs exponent > 1")
 
+    return _chain(phase, lambda order, t: np.abs(t)**s if order == 0
+                  else s * np.abs(t) ** (s - 1.0) * np.sign(t), f"|{phase.name}|^{s}")
+
+
+def _chain(phase: PhaseFunction, outer, name: str) -> PhaseFunction:
+    """x -> outer(0, f(x)) with its first derivative outer(1, f(x)) f'(x)
+    by the chain rule."""
+
     def ev(order, x):
-        f = phase.eval_fn(0, x)
-        af = np.abs(f)
-        if order == 0:
-            return af**s
-        return s * af ** (s - 1.0) * np.sign(f) * phase.eval_fn(1, x)
+        value = outer(order, phase.eval_fn(0, x))
+        return value if order == 0 else value * phase.eval_fn(1, x)
 
     return PhaseFunction(ev, max_order=min(1, phase.max_order), domain=phase.domain,
-                         meta=PhaseMeta(N=1), name=f"|{phase.name}|^{s}")
+                         meta=PhaseMeta(N=1), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +687,9 @@ class Phase2D:
     claims |d_x d_y f| >= ``derivative_lower_bound`` on the domain and a
     single-signed d_y^2 f, the hypothesis ``certify_2d`` states.  A
     polynomial phase also gives ``coeffs``, where ``coeffs[i][j]``
-    multiplies x^i y^j; ``rows_in_x`` and ``column_in_y`` read its
-    derivatives as coefficient rows.
+    multiplies x^i y^j; its ``eval_fn`` is then the Horner evaluator on
+    them, and ``rows_in_x`` and ``column_in_y`` read its derivatives as
+    coefficient rows.
     """
 
     eval_fn: Callable[[tuple[int, int], np.ndarray, np.ndarray], np.ndarray]
@@ -700,96 +721,74 @@ class Phase2D:
     def slice_in_y(self, x: float, max_order: int = 4) -> PhaseFunction:
         """One-dimensional phase y -> f(x0, y) on [ay, by] for fixed x0."""
         x0 = float(x)
-        iv = self.domain.y_extent()
+        args = (min(max_order, self.max_orders[1]), self.domain.y_extent(), PhaseMeta(N=1),
+                f"{self.name}|x={x0:.6g}")
+        if self.coeffs is not None:
+            return _coefficient_phase(self.column_in_y((0, 0), x0), *args)
 
         def ev(order, y):
             return self.eval_fn((0, order), np.full_like(y, x0), y)
 
-        coeffs = None if self.coeffs is None else tuple(self.column_in_y((0, 0), x0).tolist())
-        return PhaseFunction(ev, max_order=min(max_order, self.max_orders[1]), domain=iv,
-                             meta=PhaseMeta(N=1), name=f"{self.name}|x={x0:.6g}", coeffs=coeffs)
+        return PhaseFunction(ev, *args)
+
+
+def _coefficient_phase2d(coeffs, *args) -> Phase2D:
+    """The planar phase with coefficient matrix ``coeffs``, evaluated by Horner in y
+    along each x-row of ``Phase2D._matrix``, kept per order, then in x over the rows;
+    ``args`` are Phase2D's max_orders, domain, derivative_lower_bound and name."""
+    C = tuple(map(tuple, np.asarray(coeffs, dtype=float).tolist()))
+    cache: dict[tuple[int, int], list] = {}
+
+    def horner_2d(orders, x, y):
+        rows = cache.get(orders)
+        if rows is None:
+            rows = cache[orders] = [[float(a) or None for a in r] if r.any() else None
+                                    for r in f._matrix(orders)]
+        out = _horner(rows, x, y)
+        shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
+        return out if getattr(out, "shape", None) == shape else np.broadcast_to(out, shape).copy()
+
+    f = Phase2D(horner_2d, *args, C)
+    return f
 
 
 def product_phase(fx: PhaseFunction, gy: PhaseFunction) -> Phase2D:
-    """f(x) * g(y) on the rectangle of the factors' domains, with mixed
-    partials from the self-reported 1D derivatives and Phase2D's claims."""
-    dom = PlanarDomain(fx.domain.lo, fx.domain.hi, gy.domain.lo, gy.domain.hi)
+    """f(x) * g(y) on the rectangle of the factors' domains, with Phase2D's
+    claims: the outer product of the factors' coefficients where both have
+    them, else mixed partials from the factors' 1D derivatives."""
+    args = ((fx.max_order, gy.max_order),
+            PlanarDomain(fx.domain.lo, fx.domain.hi, gy.domain.lo, gy.domain.hi), 1.0,
+            f"{fx.name}*{gy.name}")
+    if fx.coeffs is not None and gy.coeffs is not None:
+        return _coefficient_phase2d(np.outer(fx.coeffs, gy.coeffs), *args)
 
     def ev(orders, x, y):
         i, j = orders
         return fx.eval_fn(i, x) * gy.eval_fn(j, y)
 
-    coeffs = None
-    if fx.coeffs is not None and gy.coeffs is not None:
-        coeffs = tuple(map(tuple, np.outer(fx.coeffs, gy.coeffs).tolist()))
-    return Phase2D(ev, max_orders=(fx.max_order, gy.max_order), domain=dom,
-                   name=f"{fx.name}*{gy.name}", coeffs=coeffs)
+    return Phase2D(ev, *args)
 
 
 def xy_phase() -> Phase2D:
-    def ev(orders, x, y):
-        i, j = orders
-        if i > 1 or j > 1:
-            return np.zeros(np.broadcast_shapes(x.shape, y.shape))
-        if i == 1 and j == 1:
-            return np.ones(np.broadcast_shapes(x.shape, y.shape))
-        if i == 1:
-            return np.broadcast_to(y, np.broadcast_shapes(x.shape, y.shape)).copy()
-        if j == 1:
-            return np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape)).copy()
-        return x * y
-
-    return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), name="xy",
-                   coeffs=((0.0, 0.0), (0.0, 1.0)))
+    return _coefficient_phase2d(((0.0, 0.0), (0.0, 1.0)), (4, 4), unit_square(), 1.0, "xy")
 
 
 def xy_quad_phase(c: float) -> Phase2D:
     """x*y + c*x^2*y^2 on [0,1]^2; the mixed (1,1) derivative is 1 + 4c*x*y."""
     cc = float(c)
-
-    def mono(n, k, v):
-        """d^k/dv^k v^n for k <= n <= 2, whose coefficient n!/(n-k)! is 1 at
-        k = 0 and n otherwise; no v**0 or v**1 array pass is made."""
-        vp = 1.0 if k == n else v if k == n - 1 else v ** (n - k)
-        return vp if k == 0 or n == 1 else n * vp
-
-    def term(orders, x, y):
-        i, j = orders
-        first = mono(1, i, x) * mono(1, j, y) if (i <= 1 and j <= 1) else 0.0
-        second = cc * mono(2, i, x) * mono(2, j, y) if (i <= 2 and j <= 2) else 0.0
-        return first + second
-
-    def ev(orders, x, y):
-        # term gives a scalar or a fresh array, never an input array itself
-        val = term(orders, x, y)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        if not isinstance(val, np.ndarray):
-            return np.full(shape, float(val))
-        return val if val.shape == shape else np.broadcast_to(val, shape).copy()
-
     lb = 1.0 if cc >= 0 else max(1e-9, 1.0 + 4.0 * cc)
-    return Phase2D(ev, max_orders=(4, 4), domain=unit_square(), derivative_lower_bound=lb,
-                   name=f"xy+{cc}x2y2",
-                   coeffs=((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, cc)))
+    return _coefficient_phase2d(((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, cc)), (4, 4),
+                                unit_square(), lb, f"xy+{cc}x2y2")
 
 
 def compose2d_with_polynomial(phase: Phase2D, coeffs: Sequence[float]) -> Phase2D:
-    """Planar phase (x, y) -> P(f(x, y)) with its x-derivative P'(f) d_x f by
-    the chain rule (enough to integrate)."""
-    c = np.asarray(coeffs, dtype=float)
-    dc = c[1:] * np.arange(1, c.size)
-    pv = np.polynomial.polynomial.polyval
-
-    def ev(orders, x, y):
-        if orders == (0, 0):
-            return pv(phase.eval_fn((0, 0), x, y), c)
-        if orders == (1, 0):
-            return pv(phase.eval_fn((0, 0), x, y), dc) * phase.eval_fn((1, 0), x, y)
-        raise PreconditionError("composed planar phase exposes f and d_x f only")
-
-    return Phase2D(ev, max_orders=(1, 0), domain=phase.domain,
-                   derivative_lower_bound=phase.derivative_lower_bound,
-                   name=f"P({phase.name})")
+    """Planar phase (x, y) -> P(f(x, y)) of a phase with coefficients: the
+    polynomial P(f), which answers every order up to its degrees."""
+    if phase.coeffs is None:
+        raise PreconditionError(f"composing {phase.name!r} with P needs its coefficients")
+    C = _compose_coeffs(phase.coeffs, coeffs)
+    return _coefficient_phase2d(C, tuple(max(m, n - 1) for m, n in zip(phase.max_orders, C.shape)),
+                                phase.domain, phase.derivative_lower_bound, f"P({phase.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from .decay import geometric_grid
 from .errors import NotSndError, PreconditionError, RootConvergenceError
 from .phases import (Interval, _companion, _near_real, _polyval, _root_rows, _rows_at,
-                     merge_intervals)
+                     derivative_coeffs, merge_intervals)
 
 CLASSIFY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
@@ -114,8 +114,7 @@ class ClassifyReport:
 def derivative(P: Polynomial) -> Polynomial:
     if P.degree < 1:
         raise PreconditionError("cannot differentiate a constant polynomial")
-    c = np.asarray(P.coeffs)
-    return Polynomial(tuple(c[1:] * np.arange(1, c.size)))
+    return Polynomial(tuple(derivative_coeffs(P.coeffs, 1)))
 
 
 def classify(P: Polynomial) -> ClassifyReport:
@@ -410,8 +409,10 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0) -> SndConstant:
         except RootConvergenceError as err:
             raise RootConvergenceError(f"{err} at trial {t}", degree=d, trial=int(t)) from err
     worst = max(1.0, float(ratios.max()))
-    quantum = 10.0 ** (math.floor(math.log10(worst)) - 1)
-    B = math.ceil(worst / quantum) * quantum
+    digits = 1 - math.floor(math.log10(worst))  # two significant digits
+    quantum = 10.0 ** -digits
+    # rounded to the quantum's decimals: 23 quanta of 0.1 multiply out to 2.3000000000000003
+    B = round(math.ceil(worst / quantum) * quantum, digits)
     return SndConstant(d, B, tuple(ratios.tolist()), tuple(retried.tolist()))
 
 

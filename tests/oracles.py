@@ -5,7 +5,14 @@ special functions, polynomial roots and sublevel band edges (mpmath),
 Gauss-Legendre quadrature at 30 digits and central finite differences.  ``companion_eigenvalues`` is the
 exception: it is the route ``polynomials.roots`` takes for degree >= 3, so
 root checks use ``mpmath_roots``.
+
+The reference evaluators at the end are written by hand per phase, apart
+from the one Horner evaluator that ``oscint.phases`` runs for every phase
+with coefficients: the derivative tables of ``xy`` and ``xy_quad``, the
+product rule of separable phases and the chain rule of compositions.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -119,3 +126,69 @@ def oscillatory_integral(g, g_float, lam: float, a: float, b: float, breaks=()) 
             mid, half = (x0 + x1) / 2, (x1 - x0) / 2
             total += half * mp.fsum(w * mp.expj(lam * g(mid + half * t)) for t, w in _GL24)
     return complex(total)
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluators of polynomial phases
+# ---------------------------------------------------------------------------
+
+
+def xy_derivative(orders, x, y):
+    """The (i, j) partial of x*y, by table."""
+    i, j = orders
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    if i > 1 or j > 1:
+        return np.zeros(shape)
+    if i == 1 and j == 1:
+        return np.ones(shape)
+    if i == 1:
+        return np.broadcast_to(y, shape).copy()
+    if j == 1:
+        return np.broadcast_to(x, shape).copy()
+    return x * y
+
+
+def xy_quad_derivative(c: float, orders, x, y):
+    """The (i, j) partial of x*y + c*x^2*y^2, term by term."""
+    i, j = orders
+
+    def mono(n, k, v):
+        # d^k/dv^k v^n = n!/(n-k)! v^(n-k), zero past the degree
+        return 0.0 if k > n else math.factorial(n) // math.factorial(n - k) * v ** (n - k)
+
+    val = mono(1, i, x) * mono(1, j, y) + c * mono(2, i, x) * mono(2, j, y)
+    return np.broadcast_to(val, np.broadcast_shapes(np.shape(x), np.shape(y))).copy()
+
+
+def product_derivative(fx_coeffs, gy_coeffs, orders, x, y):
+    """The (i, j) partial of f(x) g(y) for ascending coefficients of f and g,
+    as f^(i)(x) g^(j)(y) from ``numpy.polynomial``."""
+    i, j = orders
+    P = np.polynomial.Polynomial
+    return P(fx_coeffs).deriv(i)(x) * P(gy_coeffs).deriv(j)(y)
+
+
+def chain_rule_1d(P, f, df):
+    """Orders 0 and 1 of x -> P(f(x)): P(f) and P'(f) f', for ascending
+    coefficients P and callables f and f'."""
+    c = np.asarray(P, dtype=float)
+    dc = c[1:] * np.arange(1, c.size)
+    pv = np.polynomial.polynomial.polyval
+
+    def ev(order, x):
+        return pv(f(x), c) if order == 0 else pv(f(x), dc) * df(x)
+
+    return ev
+
+
+def chain_rule_2d(P, f, fx):
+    """Orders (0, 0) and (1, 0) of (x, y) -> P(f(x, y)): P(f) and
+    P'(f) d_x f, for ascending coefficients P and callables f and d_x f."""
+    c = np.asarray(P, dtype=float)
+    dc = c[1:] * np.arange(1, c.size)
+    pv = np.polynomial.polynomial.polyval
+
+    def ev(orders, x, y):
+        return pv(f(x, y), c) if orders == (0, 0) else pv(f(x, y), dc) * fx(x, y)
+
+    return ev

@@ -24,7 +24,10 @@ from oscint import (
     xy_quad_phase,
 )
 from oscint import phases
+from oscint.harness import load_config
 from oscint.phases import compose2d_with_polynomial, merge_intervals, solve_brackets
+
+import oracles
 
 
 def test_sign_partition_x2_order1():
@@ -174,18 +177,28 @@ def test_xy_quad_mixed_derivative():
 
 def test_composed_planar_x_derivative():
     # P(f) with P = t^2/2 + t^3/3 on xy + 0.1 x^2 y^2: d_x P(f) = (f + f^2) d_x f
-    f2 = xy_quad_phase(0.1)
-    comp = compose2d_with_polynomial(f2, (0.0, 0.0, 0.5, 1.0 / 3.0))
-    xs, ys = np.meshgrid(np.linspace(0.05, 0.95, 5), np.linspace(0.1, 0.9, 4))
-    f, fx = f2.eval((0, 0), xs, ys), f2.eval((1, 0), xs, ys)
-    np.testing.assert_allclose(comp.eval((0, 0), xs, ys), f**2 / 2.0 + f**3 / 3.0, rtol=1e-14)
-    np.testing.assert_allclose(comp.eval((1, 0), xs, ys), (f + f**2) * fx, rtol=1e-14)
-    h = 1e-5
-    fd = (comp.eval((0, 0), xs + h, ys) - comp.eval((0, 0), xs - h, ys)) / (2.0 * h)
-    np.testing.assert_allclose(comp.eval((1, 0), xs, ys), fd, rtol=1e-8)
-    assert comp.max_orders == (1, 0)
-    with pytest.raises(PreconditionError):
-        comp.eval((0, 1), xs, ys)
+    P = (0.0, 0.0, 0.5, 1.0 / 3.0)
+    comp = compose2d_with_polynomial(xy_quad_phase(0.1), P)
+    ref = oracles.chain_rule_2d(P, lambda x, y: oracles.xy_quad_derivative(0.1, (0, 0), x, y),
+                                lambda x, y: oracles.xy_quad_derivative(0.1, (1, 0), x, y))
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0.0, 1.0, 24), rng.uniform(0.0, 1.0, 24)
+    for orders in ((0, 0), (1, 0)):
+        want = ref(orders, x, y)
+        _close(comp.eval(orders, x, y), want)
+        _close(_polyval2d(x, y, comp._matrix(orders)), want)
+        _close([_polyval(xk, row) for xk, row in zip(x, comp.rows_in_x(orders, y))], want)
+        _close([_polyval(yk, comp.column_in_y(orders, xk)) for xk, yk in zip(x, y)], want)
+    # the orders the chain-rule closure never exposed, by differences in y
+    at = lambda orders, xk, yk: float(ref(orders, np.array(xk), np.array(yk)))
+    for xk, yk in zip(x, y):
+        d_y = lambda t: oracles.central_diff(lambda u: at((0, 0), xk, u), t)
+        np.testing.assert_allclose(comp.eval((0, 1), xk, yk), d_y(yk), rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(comp.eval((1, 1), xk, yk),
+                                   oracles.central_diff(lambda u: at((1, 0), xk, u), yk),
+                                   rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(comp.eval((0, 2), xk, yk),
+                                   oracles.central_diff(d_y, yk, h=1e-4), rtol=1e-5, atol=1e-6)
 
 
 def test_interval_validation():
@@ -301,43 +314,64 @@ _polyval = np.polynomial.polynomial.polyval
 _polyval2d = np.polynomial.polynomial.polyval2d
 
 
+def _polynomial_reference(c):
+    """f^(k)(x) for ascending coefficients c, from ``numpy.polynomial``."""
+    return lambda k, x: np.polynomial.Polynomial(c).deriv(k)(x)
+
+
 def _coefficient_phases_1d():
-    yield monomial(1)
-    yield monomial(4, (-1.0, 2.0))
-    yield polynomial_phase((0.3, -1.0, -2.0, 1.0, 1.0), (-2.0, 2.0))
+    """(phase, reference evaluator) pairs."""
+    yield monomial(1), _polynomial_reference((0.0, 1.0))
+    yield monomial(4, (-1.0, 2.0)), _polynomial_reference((0.0, 0.0, 0.0, 0.0, 1.0))
+    c = (0.3, -1.0, -2.0, 1.0, 1.0)
+    yield polynomial_phase(c, (-2.0, 2.0)), _polynomial_reference(c)
     for x0 in (0.0, 0.37, 1.0):
-        yield phases.xy_quad_phase(0.1).slice_in_y(x0)
-        yield product_phase(monomial(3), polynomial_phase((0.2, 0.0, -1.5))).slice_in_y(x0)
+        yield (phases.xy_quad_phase(0.1).slice_in_y(x0),
+               lambda k, y, x0=x0: oracles.xy_quad_derivative(0.1, (0, k), x0, y))
+        yield (product_phase(monomial(3), polynomial_phase((0.2, 0.0, -1.5))).slice_in_y(x0),
+               lambda k, y, x0=x0: oracles.product_derivative((0.0, 0.0, 0.0, 1.0),
+                                                              (0.2, 0.0, -1.5), (0, k), x0, y))
 
 
 def _coefficient_phases_2d():
-    yield phases.xy_phase()
-    yield xy_quad_phase(0.1)
-    yield xy_quad_phase(-0.2)
-    yield product_phase(monomial(3), monomial(2))
-    yield product_phase(polynomial_phase((0.25, -1.0, 1.0)), polynomial_phase((0.5, 2.0, -3.0),
-                                                                               (-1.0, 1.0)))
+    """(phase, reference evaluator) pairs."""
+    yield phases.xy_phase(), oracles.xy_derivative
+    for c in (0.1, -0.2):
+        yield xy_quad_phase(c), lambda o, x, y, c=c: oracles.xy_quad_derivative(c, o, x, y)
+    yield (product_phase(monomial(3), monomial(2)),
+           lambda o, x, y: oracles.product_derivative((0, 0, 0, 1), (0, 0, 1), o, x, y))
+    cx, cy = (0.25, -1.0, 1.0), (0.5, 2.0, -3.0)
+    yield (product_phase(polynomial_phase(cx), polynomial_phase(cy, (-1.0, 1.0))),
+           lambda o, x, y: oracles.product_derivative(cx, cy, o, x, y))
 
 
 def _close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * (1.0 + np.abs(want).max()))
 
 
-@pytest.mark.parametrize("f", list(_coefficient_phases_1d()), ids=lambda f: f.name)
-def test_coefficients_match_eval_fn_1d(f):
+_CASES_1D = list(_coefficient_phases_1d())
+_CASES_2D = list(_coefficient_phases_2d())
+
+
+@pytest.mark.parametrize("f, ref", _CASES_1D, ids=[f.name for f, _ in _CASES_1D])
+def test_coefficients_match_eval_fn_1d(f, ref):
+    # the coefficients and the Horner evaluator both agree with the reference
     x = np.random.default_rng(7).uniform(f.domain.lo, f.domain.hi, 64)
     for k in range(f.max_order + 1):
-        _close(_polyval(x, phases.derivative_coeffs(f.coeffs, k)), f.eval_fn(k, x))
+        want = ref(k, x)
+        _close(_polyval(x, phases.derivative_coeffs(f.coeffs, k)), want)
+        _close(f.eval_fn(k, x), want)
 
 
-@pytest.mark.parametrize("f2", list(_coefficient_phases_2d()), ids=lambda f2: f2.name)
-def test_coefficients_match_eval_fn_2d(f2):
+@pytest.mark.parametrize("f2, ref", _CASES_2D, ids=[f2.name for f2, _ in _CASES_2D])
+def test_coefficients_match_eval_fn_2d(f2, ref):
     rng = np.random.default_rng(11)
     dom = f2.domain
     x, y = rng.uniform(dom.ax, dom.bx, 48), rng.uniform(dom.ay, dom.by, 48)
     for i in range(f2.max_orders[0] + 1):
         for j in range(f2.max_orders[1] + 1):
-            want = f2.eval_fn((i, j), x, y)
+            want = ref((i, j), x, y)
+            _close(f2.eval_fn((i, j), x, y), want)
             _close(_polyval2d(x, y, f2._matrix((i, j))), want)
             _close([_polyval(xk, row) for xk, row in zip(x, f2.rows_in_x((i, j), y))], want)
             _close([_polyval(yk, f2.column_in_y((i, j), xk)) for xk, yk in zip(x, y)], want)
@@ -345,9 +379,68 @@ def test_coefficients_match_eval_fn_2d(f2):
 
 def test_families_without_coefficients():
     assert sine().coeffs is None
-    assert compose_with_polynomial(monomial(2), (0.0, 0.0, 0.5)).coeffs is None
     assert product_phase(sine(), monomial(1)).coeffs is None
-    assert compose2d_with_polynomial(xy_quad_phase(0.1), (0.0, 1.0)).coeffs is None
+    assert compose_with_polynomial(sine(), (0.0, 0.0, 0.5)).coeffs is None
+    # a composition of a phase with coefficients carries its own
+    assert compose_with_polynomial(monomial(2), (0.0, 0.0, 0.5)).coeffs == (0.0,) * 4 + (0.5,)
+    f2 = xy_quad_phase(0.1)
+    assert compose2d_with_polynomial(f2, (0.0, 1.0)).coeffs == f2.coeffs
+
+
+def test_planar_composition_needs_coefficients():
+    with pytest.raises(PreconditionError, match="coefficients"):
+        compose2d_with_polynomial(product_phase(sine(), monomial(1)), (0.0, 0.0, 0.5))
+
+
+def _composition_pairs():
+    """The distinct (P, n) of T1's and T2's packaged cases, f = x^n."""
+    pairs = {(tuple(case["poly"]), int(case["f"]["n"]))
+             for suite in ("T1", "T2") for case in load_config(suite, "default").options["cases"]}
+    return sorted(pairs, key=lambda pn: (pn[1], pn[0]))
+
+
+@pytest.mark.parametrize("P, n", _composition_pairs())
+def test_composed_coefficients_match_numpy_composition(P, n):
+    comp = compose_with_polynomial(monomial(n), P)
+    inner = np.polynomial.Polynomial((0.0,) * n + (1.0,))
+    want = np.polynomial.Polynomial(P)(inner)
+    np.testing.assert_allclose(comp.coeffs, want.coef, rtol=1e-15, atol=0.0)
+    # the values and first derivative against the chain rule on x^n
+    ref = oracles.chain_rule_1d(P, lambda x: x**n, lambda x: n * x ** (n - 1))
+    x = np.random.default_rng(3).uniform(0.0, 1.0, 32)
+    for k in (0, 1):
+        _close(comp.eval(k, x), ref(k, x))
+
+
+# every config family, with the keys it needs
+_FAMILY_SPECS_1D = {"monomial": {"n": 3}, "polynomial": {"coeffs": [0.5, -1.0, 2.0]},
+                    "sin": {}, "exp": {}, "monomial_sin": {"n": 2, "amplitude": 0.1,
+                                                           "frequency": 3.0}}
+_FAMILY_SPECS_2D = {"xy": {}, "xy_quad": {"c": 0.1}}
+
+
+def _kernel_evaluated(f) -> bool:
+    want = ("_coefficient_phase2d.<locals>.horner_2d" if isinstance(f, phases.Phase2D)
+            else "_coefficient_phase.<locals>.horner_1d")
+    return f.eval_fn.__qualname__ == want
+
+
+def test_every_phase_with_coefficients_runs_the_horner_evaluator():
+    assert set(_FAMILY_SPECS_1D) == set(phases._FAMILIES_1D)
+    assert set(_FAMILY_SPECS_2D) == set(phases._FAMILIES_2D)
+    ones = [phase_from_config({"family": k, **p}) for k, p in _FAMILY_SPECS_1D.items()]
+    ones = [f for f in ones if f.coeffs is not None]
+    twos = [phase2d_from_config({"family": k, **p}) for k, p in _FAMILY_SPECS_2D.items()]
+    assert ones and all(f2.coeffs is not None for f2 in twos)
+    twos += [product_phase(f, g) for f in ones for g in ones]
+    twos += [compose2d_with_polynomial(f2, (0.0, 0.5, 0.5)) for f2 in twos]
+    ones += [compose_with_polynomial(f, (0.0, 0.5, 0.5)) for f in ones]
+    ones += [f2.slice_in_y(0.3) for f2 in twos]
+    for f in ones + twos:
+        assert f.coeffs is not None and _kernel_evaluated(f), f.name
+    # a phase without coefficients keeps an evaluator of its own
+    for f in (sine(), compose_with_polynomial(sine(), (0.0, 1.0)), product_phase(sine(), ones[0])):
+        assert f.coeffs is None and not _kernel_evaluated(f), f.name
 
 
 def _scanned(f):
@@ -391,6 +484,20 @@ def test_real_roots_group_rows_by_effective_degree():
     row, x = phases.real_roots(c, 0.0, [1.0, 1.0, 1.0, 0.35, 1.0])
     assert row.tolist() == [1, 2, 2, 3, 3]
     np.testing.assert_allclose(x, [0.25, 0.2, 0.3, 0.2, 0.3], atol=1e-12)
+
+
+def test_real_roots_skip_one_signed_rows_on_the_positive_axis():
+    # x + 0.5, x^2 + 0.3 x + 0.02 and x^5 have no root in (0, 1) by Descartes' rule,
+    # but the negative roots of the first two are found on (-1, 1); x^2 - 1/4 has both
+    c = np.array([[0.5, 1.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.02, 0.3, 1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                  [-0.25, 0.0, 1.0, 0.0, 0.0, 0.0]])
+    row, x = phases.real_roots(c, 0.0, 1.0)
+    assert row.tolist() == [3] and x.tolist() == [0.5]
+    row, x = phases.real_roots(c, [-1.0, -1.0, 0.0, -1.0], 1.0)
+    assert row.tolist() == [0, 1, 1, 3, 3]
+    np.testing.assert_allclose(x, [-0.5, -0.2, -0.1, -0.5, 0.5], atol=1e-12)
 
 
 def test_monotone_partitions_batch_equals_lone_calls():

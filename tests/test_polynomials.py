@@ -277,6 +277,10 @@ class TestEstimateB:
         assert worst <= B.B < worst + quantum
         assert B.B / quantum == pytest.approx(round(B.B / quantum), abs=1e-9)
 
+    def test_rounded_value_is_the_decimal_itself(self):
+        # 23 quanta of 0.1 multiply out to 2.3000000000000003
+        assert estimate_B(2, trials=200, seed=1).B == 2.3
+
     def test_requires_enough_trials(self):
         with pytest.raises(PreconditionError):
             estimate_B(2, trials=10)

@@ -193,11 +193,12 @@ def test_levin_residual_node_on_a_collocation_point_is_a_unit_row():
 
 # osc_integrate_1d on T1's x2_monic_d3 (x^6 / 3) under the suite config: the
 # bits (value, error estimate) and panel count, frozen with the Levin residual
-# estimate and row-local panel and residual products
+# estimate, row-local panel and residual products, and the phase evaluated
+# by Horner's rule on its composed coefficients
 X2_MONIC_D3_BITS = {
-    1e3: ("0x1.5ca4e9f5f006dp-2", "0x1.738f30fc1f5a5p-4", "0x1.672ebb4a3d783p-35", 6),
-    1e5: ("0x1.4382d01822f4cp-3", "0x1.5ab52b3aa0973p-5", "0x1.e76ec7b85b9ebp-34", 7),
-    1e7: ("0x1.2c501713f4055p-4", "0x1.41e0081d6f52cp-6", "0x1.d85c53ecf5336p-42", 13),
+    1e3: ("0x1.5ca4e9f5f006dp-2", "0x1.738f30fc1f5a5p-4", "0x1.672e6ed16845cp-35", 6),
+    1e5: ("0x1.4382d01822f4cp-3", "0x1.5ab52b3aa0973p-5", "0x1.e76ebef01f8cep-34", 7),
+    1e7: ("0x1.2c501713f4055p-4", "0x1.41e0081d6f52ap-6", "0x1.d8547a64c8946p-42", 13),
 }
 
 
