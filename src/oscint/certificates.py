@@ -672,7 +672,7 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
     n_jobs = len(jobs)
     results = _engine_1d(jobs, lambda order, y, j: f.eval_fn((0, order), job_x[j], y),
                          outer, [lam] * n_jobs, [eps] * n_jobs, [r] * n_jobs, [None] * n_jobs,
-                         partition_order=min(N2, f.max_orders[1]))
+                         partition_order=N2)
     per_slice: list[list[CertPiece]] = [[] for _ in xs]
     for k, (ps, _) in zip(job_slice, results):
         per_slice[k].extend(ps)

@@ -1,14 +1,15 @@
 """Phase functions with derivative access and structural partitions.
 
-A phase is a real function on an interval (or planar rectangle) whose
-derivatives up to a declared order can be evaluated directly.  Families are
-parametric (monomial, polynomial, sine and exponential perturbations) and a
-generic closure form is provided for anything else.  The polynomial
-families, and their slices, products and compositions with a polynomial
-(composed in coefficient space), carry their coefficients (``coeffs``) and
-are evaluated at every order by one Horner evaluator on them.  Any other
-phase self-reports its derivatives through a closure of its own; there is
-no automatic differentiation.
+A 1D phase is a real function on an interval whose derivatives up to a
+declared order can be evaluated directly.  Families are parametric
+(monomial, polynomial, sine and exponential perturbations) and a generic
+closure form is provided for anything else; there is no automatic
+differentiation.  A planar phase (``Phase2D``) is a polynomial on a
+rectangle, given by its coefficient matrix.  The polynomial families, every
+planar phase, its slices, and compositions with a polynomial (composed in
+coefficient space) carry their coefficients (``coeffs``) and are evaluated
+at every order by one Horner evaluator on them; any other 1D phase
+self-reports its derivatives through a closure of its own.
 
 The two structural operations every other module leans on are
 ``sign_partition`` (tile the domain into pieces on which one derivative does
@@ -18,8 +19,8 @@ coefficients the breaks are roots: ``sign_breaks`` takes the real roots of
 many coefficient rows from one kernel (``real_roots``: closed forms to
 degree 2, one stacked companion-matrix ``eigvals`` call above), decides each
 sub-piece's sign between them and polishes the sign changes by bisection
-(``polish``).  Any other phase is scanned densely and bisected between the
-samples that change sign.
+(``polish``).  Any other 1D phase is scanned densely and bisected between
+the samples that change sign.
 
 ``solve_brackets`` is the one bisection solver of the package: it advances
 every open bracket of an array each step, so many roots cost one vectorised
@@ -343,12 +344,6 @@ def sign_breaks(c, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return row, x, first_sign
 
 
-def scan_grid(iv: Interval) -> np.ndarray:
-    """The sign scan's sample points on ``iv``."""
-    n = max(MIN_SCAN_SAMPLES, int(math.ceil(SCAN_SAMPLES_PER_UNIT * iv.length)) + 1)
-    return np.linspace(iv.lo, iv.hi, n)
-
-
 def scan_sign_changes(ev, xs, vs, tol: float, cap: int, what: str, order: int):
     """Zeros at the sign changes down each column of a scan, bisected together.
 
@@ -406,7 +401,8 @@ def sign_partition(
         _, breaks, first = sign_breaks(derivative_coeffs(phase.coeffs, order), a, b, tol)
         first = int(first[0])
     else:
-        xs = scan_grid(iv)
+        n = max(MIN_SCAN_SAMPLES, int(math.ceil(SCAN_SAMPLES_PER_UNIT * iv.length)) + 1)
+        xs = np.linspace(a, b, n)
         vs = np.asarray(phase.eval(order, xs), dtype=float)
         _, breaks = scan_sign_changes(lambda x, _: phase.eval(order, x), xs, vs[:, None],
                                       tol, PARTITION_CAP, phase.name, order)
@@ -681,28 +677,52 @@ def unit_square() -> PlanarDomain:
 
 @dataclass(frozen=True)
 class Phase2D:
-    """Two-dimensional phase with mixed-derivative access.
+    """A polynomial phase on a rectangle: ``coeffs[i][j]`` multiplies x^i y^j.
 
-    ``eval_fn((i, j), x, y)`` returns the (i, j) mixed partial.  The phase
-    claims |d_x d_y f| >= ``derivative_lower_bound`` on the domain and a
-    single-signed d_y^2 f, the hypothesis ``certify_2d`` states.  A
-    polynomial phase also gives ``coeffs``, where ``coeffs[i][j]``
-    multiplies x^i y^j; its ``eval_fn`` is then the Horner evaluator on
-    them, and ``rows_in_x`` and ``column_in_y`` read its derivatives as
-    coefficient rows.
+    ``eval_fn((i, j), x, y)`` returns the (i, j) mixed partial by Horner's
+    rule in y along each x-row of ``_matrix((i, j))``, kept per order, then
+    in x over the rows; every order answers, one past the degree with zeros.
+    The phase claims |d_x d_y f| >= ``derivative_lower_bound`` on the domain
+    and a single-signed d_y^2 f, the hypothesis ``certify_2d`` states.
+    ``rows_in_x`` and ``column_in_y`` read its derivatives as coefficient
+    rows.
     """
 
-    eval_fn: Callable[[tuple[int, int], np.ndarray, np.ndarray], np.ndarray]
-    max_orders: tuple[int, int]
+    coeffs: tuple[tuple[float, ...], ...]
     domain: PlanarDomain
     derivative_lower_bound: float = 1.0
     name: str = "phase2d"
-    coeffs: tuple[tuple[float, ...], ...] | None = None
+    eval_fn: Callable[[tuple[int, int], np.ndarray, np.ndarray], np.ndarray] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            C = np.asarray(self.coeffs, dtype=float)
+        except (TypeError, ValueError):
+            C = np.zeros(0)
+        if C.ndim != 2 or not C.size or not np.isfinite(C).all():
+            raise PreconditionError(
+                f"planar phase {self.name!r} needs a finite 2-D coefficient matrix")
+        object.__setattr__(self, "coeffs", tuple(map(tuple, C.tolist())))
+        cache: dict[tuple[int, int], list] = {}
+
+        def horner_2d(orders, x, y):
+            rows = cache.get(orders)
+            if rows is None:
+                rows = cache[orders] = [[float(a) or None for a in r] if r.any() else None
+                                        for r in self._matrix(orders)]
+            out = _horner(rows, x, y)
+            shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
+            if getattr(out, "shape", None) == shape:
+                return out
+            return np.broadcast_to(out, shape).copy()
+
+        object.__setattr__(self, "eval_fn", horner_2d)
 
     def eval(self, orders: tuple[int, int], x, y):
         i, j = orders
-        if i < 0 or j < 0 or i > self.max_orders[0] or j > self.max_orders[1]:
-            raise PreconditionError(f"orders {orders} outside declared maxima {self.max_orders}")
+        if i < 0 or j < 0:
+            raise PreconditionError(f"negative orders {orders} for phase {self.name!r}")
         return self.eval_fn((i, j), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def _matrix(self, orders: tuple[int, int]) -> np.ndarray:
@@ -721,74 +741,39 @@ class Phase2D:
     def slice_in_y(self, x: float, max_order: int = 4) -> PhaseFunction:
         """One-dimensional phase y -> f(x0, y) on [ay, by] for fixed x0."""
         x0 = float(x)
-        args = (min(max_order, self.max_orders[1]), self.domain.y_extent(), PhaseMeta(N=1),
-                f"{self.name}|x={x0:.6g}")
-        if self.coeffs is not None:
-            return _coefficient_phase(self.column_in_y((0, 0), x0), *args)
-
-        def ev(order, y):
-            return self.eval_fn((0, order), np.full_like(y, x0), y)
-
-        return PhaseFunction(ev, *args)
-
-
-def _coefficient_phase2d(coeffs, *args) -> Phase2D:
-    """The planar phase with coefficient matrix ``coeffs``, evaluated by Horner in y
-    along each x-row of ``Phase2D._matrix``, kept per order, then in x over the rows;
-    ``args`` are Phase2D's max_orders, domain, derivative_lower_bound and name."""
-    C = tuple(map(tuple, np.asarray(coeffs, dtype=float).tolist()))
-    cache: dict[tuple[int, int], list] = {}
-
-    def horner_2d(orders, x, y):
-        rows = cache.get(orders)
-        if rows is None:
-            rows = cache[orders] = [[float(a) or None for a in r] if r.any() else None
-                                    for r in f._matrix(orders)]
-        out = _horner(rows, x, y)
-        shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
-        return out if getattr(out, "shape", None) == shape else np.broadcast_to(out, shape).copy()
-
-    f = Phase2D(horner_2d, *args, C)
-    return f
+        return _coefficient_phase(self.column_in_y((0, 0), x0), max_order,
+                                  self.domain.y_extent(), PhaseMeta(N=1),
+                                  f"{self.name}|x={x0:.6g}")
 
 
 def product_phase(fx: PhaseFunction, gy: PhaseFunction) -> Phase2D:
     """f(x) * g(y) on the rectangle of the factors' domains, with Phase2D's
-    claims: the outer product of the factors' coefficients where both have
-    them, else mixed partials from the factors' 1D derivatives."""
-    args = ((fx.max_order, gy.max_order),
-            PlanarDomain(fx.domain.lo, fx.domain.hi, gy.domain.lo, gy.domain.hi), 1.0,
-            f"{fx.name}*{gy.name}")
-    if fx.coeffs is not None and gy.coeffs is not None:
-        return _coefficient_phase2d(np.outer(fx.coeffs, gy.coeffs), *args)
-
-    def ev(orders, x, y):
-        i, j = orders
-        return fx.eval_fn(i, x) * gy.eval_fn(j, y)
-
-    return Phase2D(ev, *args)
+    claims: the outer product of the factors' coefficients."""
+    name = f"{fx.name}*{gy.name}"
+    if fx.coeffs is None or gy.coeffs is None:
+        raise PreconditionError(f"the product {name!r} needs the coefficients of both factors")
+    return Phase2D(np.outer(fx.coeffs, gy.coeffs),
+                   PlanarDomain(fx.domain.lo, fx.domain.hi, gy.domain.lo, gy.domain.hi),
+                   1.0, name)
 
 
 def xy_phase() -> Phase2D:
-    return _coefficient_phase2d(((0.0, 0.0), (0.0, 1.0)), (4, 4), unit_square(), 1.0, "xy")
+    return Phase2D(((0.0, 0.0), (0.0, 1.0)), unit_square(), 1.0, "xy")
 
 
 def xy_quad_phase(c: float) -> Phase2D:
     """x*y + c*x^2*y^2 on [0,1]^2; the mixed (1,1) derivative is 1 + 4c*x*y."""
     cc = float(c)
     lb = 1.0 if cc >= 0 else max(1e-9, 1.0 + 4.0 * cc)
-    return _coefficient_phase2d(((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, cc)), (4, 4),
-                                unit_square(), lb, f"xy+{cc}x2y2")
+    return Phase2D(((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, cc)), unit_square(), lb,
+                   f"xy+{cc}x2y2")
 
 
 def compose2d_with_polynomial(phase: Phase2D, coeffs: Sequence[float]) -> Phase2D:
-    """Planar phase (x, y) -> P(f(x, y)) of a phase with coefficients: the
-    polynomial P(f), which answers every order up to its degrees."""
-    if phase.coeffs is None:
-        raise PreconditionError(f"composing {phase.name!r} with P needs its coefficients")
-    C = _compose_coeffs(phase.coeffs, coeffs)
-    return _coefficient_phase2d(C, tuple(max(m, n - 1) for m, n in zip(phase.max_orders, C.shape)),
-                                phase.domain, phase.derivative_lower_bound, f"P({phase.name})")
+    """Planar phase (x, y) -> P(f(x, y)): the polynomial P(f), composed in
+    coefficient space."""
+    return Phase2D(_compose_coeffs(phase.coeffs, coeffs), phase.domain,
+                   phase.derivative_lower_bound, f"P({phase.name})")
 
 
 # ---------------------------------------------------------------------------

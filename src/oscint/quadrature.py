@@ -514,11 +514,9 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     the slices, are 1D integrals: all of them go through one
     ``_pieces_integral`` call, one slot per slice, with g' = d_x f, so each
     slice is held to ``cfg.rel_tol`` per unit width at a cost that does not
-    grow with lam.  A phase with coefficients has each slice cut at the
-    sign changes of d_x f (one ``phases.sign_breaks`` call over all
-    slices), so its pieces are monotone; any other phase's slices are taken
-    whole.  g must expose the (1, 0) partial when a slice's swing exceeds
-    ``LEVIN_SWING``.
+    grow with lam.  Each slice is cut at the sign changes of d_x f (one
+    ``phases.sign_breaks`` call over all slices), so its pieces are
+    monotone.
 
     Estimate: the outer |K15 - G7| summed over the outer panels, plus the
     largest slice estimate times the height.  ``panels_used`` counts slice
@@ -540,15 +538,12 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     ys = (0.5 * (YL + YR)[:, None] + yhalf[:, None] * _NODES).ravel()
     n = ys.size
     _check_budget(np.array([n]), cfg.max_panels, np.array([abs(lam)]), np.zeros(1))
-    S = np.arange(n)
-    if g.coeffs is not None:
-        slot, cut, _ = sign_breaks(g.rows_in_x((1, 0), ys), dom.ax, dom.bx, SIGN_TOL)
-        S = np.sort(np.concatenate([S, slot]))
+    slot, cut, _ = sign_breaks(g.rows_in_x((1, 0), ys), dom.ax, dom.bx, SIGN_TOL)
+    S = np.sort(np.concatenate([np.arange(n), slot]))
     # slot s's pieces run from ax through its cuts to bx
     L, R = np.full(S.size, dom.ax), np.full(S.size, dom.bx)
-    if S.size > n:
-        at = np.searchsorted(S, slot) + np.arange(slot.size) - np.searchsorted(slot, slot)
-        R[at], L[at + 1] = cut, cut
+    at = np.searchsorted(S, slot) + np.arange(slot.size) - np.searchsorted(slot, slot)
+    R[at], L[at + 1] = cut, cut
     val, slice_err, used, converged = _pieces_integral(
         lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), np.full(n, lam),
         L, R, S, np.zeros(n, dtype=np.intp), cfg)

@@ -11,10 +11,10 @@ product per batch of xi and its sinc zeros k/3 are known in closed form.
 
 Bands are found piece by piece on monotone partitions, and the brackets of
 all pieces, or of all rows of a planar batch, go to the shared solver
-``phases.solve_brackets`` together.  For a phase with coefficients the
-monotone breaks and the band edges start from roots (``phases.sign_breaks``,
-``phases.real_roots``), and the band areas are cut at the y-kinks of their
-slice measures (``kink_segments``).
+``phases.solve_brackets`` together.  For a phase with coefficients, which
+every planar phase has, the monotone breaks and the band edges start from
+roots (``phases.sign_breaks``, ``phases.real_roots``), and the band areas
+are cut at the y-kinks of their slice measures (``kink_segments``).
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import phases
 from .errors import NonconvergentTailError, PreconditionError
 from .phases import (BISECT_XTOL, SIGN_TOL, Interval, Phase2D, PhaseFunction,
                      derivative_coeffs, merge_intervals, monotone_partition, pieces_between,
-                     polish, real_roots, scan_grid, scan_sign_changes, sign_breaks)
+                     polish, real_roots, scan_sign_changes, sign_breaks)
 from .quadrature import adaptive_quad
 
 BAND_AREA_REL_TOL = 1e-7
@@ -139,25 +138,15 @@ def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
     """The measure of {x in ``interval`` : |d^orders f(x, y) - c| <= eps} for
     every y of a batch, with band edges bisected to ``xtol``.
 
-    For a phase with coefficients, each row's monotone breaks are the sign
-    changes of its x-derivative from ``phases.sign_breaks`` and its band
-    edges start from the roots of the row minus each level.  Any other
-    phase takes one 2-D sign scan of d_x d^orders f for the breaks of all
-    rows, and its band edges are bracketed on whole pieces.
+    Each row's monotone breaks are the sign changes of its x-derivative
+    from ``phases.sign_breaks``, and its band edges start from the roots of
+    the row minus each level.
     """
     i, j = orders
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if f.coeffs is not None:
-        coeffs = f.rows_in_x(orders, ys)
-        rows, breaks, _ = sign_breaks(derivative_coeffs(coeffs, 1), interval.lo, interval.hi,
-                                      SIGN_TOL)
-    else:
-        coeffs = None
-        xs = scan_grid(interval)
-        dx = np.asarray(f.eval_fn((i + 1, j), xs[:, None], ys[None, :]), dtype=float)
-        rows, breaks = scan_sign_changes(lambda x, k: f.eval_fn((i + 1, j), x, ys[k]), xs, dx,
-                                         SIGN_TOL, phases.PARTITION_CAP,
-                                         f"{f.name} d{orders} row", 1)
+    coeffs = f.rows_in_x(orders, ys)
+    rows, breaks, _ = sign_breaks(derivative_coeffs(coeffs, 1), interval.lo, interval.hi,
+                                  SIGN_TOL)
     split = np.searchsorted(rows, np.arange(1, ys.size))
     per_row = [pieces_between(interval, br.tolist()) for br in np.split(breaks, split)]
     comps = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]), per_row, c - eps, c + eps,
@@ -170,20 +159,16 @@ def kink_segments(f: Phase2D, orders: tuple[int, int], levels) -> tuple[np.ndarr
     as the (a, b) segment ends that ``adaptive_quad`` takes.
 
     A band edge meets a vertical side of the rectangle where d^orders f(ax, y)
-    or d^orders f(bx, y) crosses one of the ``levels``; for a phase with
-    coefficients these are the sign changes in (ay, by) of the columns
-    minus each level.  The kinks where a level crosses a critical value of
-    the slice inside the rectangle are not cut, nor is anything for a phase
-    without coefficients.
+    or d^orders f(bx, y) crosses one of the ``levels``: the sign changes in
+    (ay, by) of the columns minus each level.  The kinks where a level
+    crosses a critical value of the slice inside the rectangle are not cut.
     """
     dom = f.domain
-    cuts = np.zeros(0)
-    if f.coeffs is not None:
-        levels = np.asarray(levels, dtype=float)
-        cols = np.repeat([f.column_in_y(orders, dom.ax), f.column_in_y(orders, dom.bx)],
-                         levels.size, axis=0)
-        cols[:, 0] -= np.tile(levels, 2)
-        cuts = sign_breaks(cols, dom.ay, dom.by, 0.0)[1]
+    levels = np.asarray(levels, dtype=float)
+    cols = np.repeat([f.column_in_y(orders, dom.ax), f.column_in_y(orders, dom.bx)],
+                     levels.size, axis=0)
+    cols[:, 0] -= np.tile(levels, 2)
+    cuts = sign_breaks(cols, dom.ay, dom.by, 0.0)[1]
     edges = np.concatenate([[dom.ay], np.sort(cuts), [dom.by]])
     return edges[:-1], edges[1:]
 
@@ -192,10 +177,9 @@ def sublevel_2d(f: Phase2D, c: float, eps: float) -> tuple[float, float, bool]:
     """Planar measure of {|f - c| <= eps} over ``f.domain``: ``sublevel_rows``
     measures the x-slices with band edges bisected to the last bit, and
     ``adaptive_quad`` integrates them over y, on the segments between the
-    kinks of ``kink_segments`` at c -/+ eps.  f must expose d/dx f when it
-    has no coefficients.  Returns (measure, error_estimate, converged),
-    ``converged`` False when ``adaptive_quad`` stopped at a cap with
-    segments still over tolerance.
+    kinks of ``kink_segments`` at c -/+ eps.  Returns (measure,
+    error_estimate, converged), ``converged`` False when ``adaptive_quad``
+    stopped at a cap with segments still over tolerance.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")

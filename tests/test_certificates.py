@@ -281,16 +281,13 @@ class TestCertify2D:
         assert stopped.to_dict() == cert.to_dict()
 
     def test_slice_with_too_many_runs_overflows(self):
-        # |d_y f| = x (1 + 0.9 cos 40y) crosses gamma = 0.01 on every period
-        # of the cosine for x in (0.0053, 0.1)
-        def ev(orders, x, y):
-            # f = x (y + 0.0225 sin 40y), declared to orders (1, 2)
-            i, j = orders
-            wave = (y + 0.0225 * np.sin(40.0 * y), 1.0 + 0.9 * np.cos(40.0 * y),
-                    -36.0 * np.sin(40.0 * y))[j]
-            return (x if i == 0 else np.ones_like(x)) * wave
-
-        f2 = Phase2D(ev, (1, 2), unit_square(), derivative_lower_bound=0.1, name="wavy")
+        # f = x g(y) with g' = 1 + 0.9 T_8(2y - 1) >= 0.1: |d_y f| = x g'(y)
+        # crosses gamma = 0.01 at each of the four dips of g' for x in (0.0053, 0.1)
+        dg = np.polynomial.Chebyshev.basis(8, domain=[0.0, 1.0]).convert(
+            kind=np.polynomial.Polynomial) * 0.9 + 1.0
+        g = dg.integ().coef
+        f2 = Phase2D((np.zeros_like(g), g), unit_square(), derivative_lower_bound=0.1,
+                     name="wavy")
         with pytest.raises(SliceOverflowError, match="decomposed into 5 intervals, cap 4"):
             certify_2d(f2, Polynomial((0.0, 1.0)), 1e4)
 

@@ -9,18 +9,23 @@ from oscint import (
     PartitionOverflowError,
     PhaseMeta,
     PlanarDomain,
+    Polynomial,
     PreconditionError,
+    certify_2d,
     compose_with_polynomial,
     compose_with_power,
     monomial,
     monotone_partition,
+    osc_integrate_2d,
     phase2d_from_config,
     phase_from_config,
     polynomial_phase,
     product_phase,
     sign_partition,
     sine,
+    sublevel_2d,
     unit_square,
+    xy_phase,
     xy_quad_phase,
 )
 from oscint import phases
@@ -368,8 +373,9 @@ def test_coefficients_match_eval_fn_2d(f2, ref):
     rng = np.random.default_rng(11)
     dom = f2.domain
     x, y = rng.uniform(dom.ax, dom.bx, 48), rng.uniform(dom.ay, dom.by, 48)
-    for i in range(f2.max_orders[0] + 1):
-        for j in range(f2.max_orders[1] + 1):
+    # every order up to one past the degree in each variable, where it is zero
+    for i in range(len(f2.coeffs) + 1):
+        for j in range(len(f2.coeffs[0]) + 1):
             want = ref((i, j), x, y)
             _close(f2.eval_fn((i, j), x, y), want)
             _close(_polyval2d(x, y, f2._matrix((i, j))), want)
@@ -379,17 +385,40 @@ def test_coefficients_match_eval_fn_2d(f2, ref):
 
 def test_families_without_coefficients():
     assert sine().coeffs is None
-    assert product_phase(sine(), monomial(1)).coeffs is None
     assert compose_with_polynomial(sine(), (0.0, 0.0, 0.5)).coeffs is None
     # a composition of a phase with coefficients carries its own
     assert compose_with_polynomial(monomial(2), (0.0, 0.0, 0.5)).coeffs == (0.0,) * 4 + (0.5,)
     f2 = xy_quad_phase(0.1)
     assert compose2d_with_polynomial(f2, (0.0, 1.0)).coeffs == f2.coeffs
+    # a planar product is a coefficient matrix, so both factors need coefficients
+    for fx, gy in ((sine(), monomial(1)), (monomial(1), sine())):
+        with pytest.raises(PreconditionError, match="coefficients"):
+            product_phase(fx, gy)
 
 
 def test_planar_composition_needs_coefficients():
-    with pytest.raises(PreconditionError, match="coefficients"):
-        compose2d_with_polynomial(product_phase(sine(), monomial(1)), (0.0, 0.0, 0.5))
+    # a planar phase is a finite coefficient matrix and nothing else, so every
+    # planar phase can be composed in coefficient space
+    def old_style_closure(orders, x, y):
+        return x * y
+
+    nan, inf = float("nan"), float("inf")
+    for coeffs in (old_style_closure, None, 1.0, (0.0, 1.0), (((1.0,),),), ((0.0, 1.0), (1.0,)),
+                   ((0.0, nan),), ((inf,),), ((0.0, "y"),), (), ((),)):
+        with pytest.raises(PreconditionError, match="coefficient matrix"):
+            phases.Phase2D(coeffs, unit_square())
+
+
+def test_planar_orders_past_the_degree_are_zero():
+    f2 = phases.Phase2D(((0.5, 2.0), (1.0, 3.0)), PlanarDomain(0.0, 2.0, -1.0, 1.0))
+    x, y = np.linspace(0.0, 2.0, 3)[:, None], np.linspace(-1.0, 1.0, 4)[None, :]
+    for orders in ((2, 0), (0, 2), (5, 7)):
+        out = f2.eval(orders, x, y)
+        assert out.shape == (3, 4) and not out.any()
+    np.testing.assert_array_equal(f2.eval((1, 1), x, y), np.full((3, 4), 3.0))
+    for orders in ((-1, 0), (0, -1)):
+        with pytest.raises(PreconditionError, match="negative"):
+            f2.eval(orders, x, y)
 
 
 def _composition_pairs():
@@ -420,7 +449,7 @@ _FAMILY_SPECS_2D = {"xy": {}, "xy_quad": {"c": 0.1}}
 
 
 def _kernel_evaluated(f) -> bool:
-    want = ("_coefficient_phase2d.<locals>.horner_2d" if isinstance(f, phases.Phase2D)
+    want = ("Phase2D.__post_init__.<locals>.horner_2d" if isinstance(f, phases.Phase2D)
             else "_coefficient_phase.<locals>.horner_1d")
     return f.eval_fn.__qualname__ == want
 
@@ -439,8 +468,30 @@ def test_every_phase_with_coefficients_runs_the_horner_evaluator():
     for f in ones + twos:
         assert f.coeffs is not None and _kernel_evaluated(f), f.name
     # a phase without coefficients keeps an evaluator of its own
-    for f in (sine(), compose_with_polynomial(sine(), (0.0, 1.0)), product_phase(sine(), ones[0])):
+    for f in (sine(), compose_with_polynomial(sine(), (0.0, 1.0))):
         assert f.coeffs is None and not _kernel_evaluated(f), f.name
+
+
+def test_planar_layers_evaluate_through_the_eval_fn_attribute():
+    # a profiler may swap a built phase's evaluator for a counting wrapper, as
+    # object.__setattr__ on the frozen dataclass; every planar layer must then
+    # call the wrapper, or its counters read zero
+    for f2 in (xy_phase(), xy_quad_phase(0.1)):
+        calls = []
+        inner = f2.eval_fn
+
+        def counting(*args, inner=inner, calls=calls):
+            calls.append(args[0])
+            return inner(*args)
+
+        object.__setattr__(f2, "eval_fn", counting)
+        layers = {"osc_integrate_2d": lambda: osc_integrate_2d(f2, 30.0),
+                  "sublevel_2d": lambda: sublevel_2d(f2, 0.0, 0.1),
+                  "certify_2d": lambda: certify_2d(f2, Polynomial((0.0, 1.0)), 300.0)}
+        for layer, run in layers.items():
+            calls.clear()
+            run()
+            assert calls, (f2.name, layer)
 
 
 def _scanned(f):
