@@ -53,7 +53,6 @@ from .phases import (
     monomial,
     monomial_sin,
     monotone_partition,
-    monotone_partitions,
     phase2d_from_config,
     phase_from_config,
     polynomial_phase,

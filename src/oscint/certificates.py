@@ -20,17 +20,20 @@ transform |t|^s, or, for P(t) = t + c, the identity, whose intervals take
 the classical van der Corput bound 3 / (r |lambda|).  A polynomial's model
 finds the roots it needs once: its P' caches the cover's centres.
 
-The engine (``_engine_1d``) runs many jobs at once, each an interval of a
-phase with its own lambda, eps, r and claims: every job's cover bands go to
-one band solve with per-row levels, and its thresholds and small-slope
-bands are per-piece arrays.  A job's decomposition is the one it gets alone.
+The engine (``_engine_1d``) runs many jobs at once, each an interval given
+by its monotone pieces, with its own lambda, eps, r and claims: every job's
+cover bands go to one band solve with per-row levels, and its thresholds
+and small-slope bands are per-piece arrays.  A job's decomposition is the
+one it gets alone.
 ``certify_1d_sweep`` certifies a grid of lambdas as one job each, in one
 run; ``certify_1d`` is its one-element call.
 
 ``certify_2d`` runs the two-variable version at n = 2 with beta = (1, 1):
-the domain splits at |d_y f| = gamma, the sampled slices of the
-large-derivative region are certified in one run of the one-dimensional
-engine, and the complementary region is charged by its measure.
+the domain splits at |d_y f| = gamma; the boundary of the large-derivative
+region, and the runs and monotone pieces of its sampled slices, are cut at
+roots of the phase's coefficient rows and columns; the slices are certified
+in one run of the one-dimensional engine, and the complementary region is
+charged by its measure.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .errors import (
     PreconditionError,
     SliceOverflowError,
 )
-from .phases import (Interval, Phase2D, PhaseFunction, merge_intervals, monotone_partitions,
-                     scan_sign_changes, solve_brackets)
+from .phases import (Interval, Phase2D, PhaseFunction, merge_intervals, monotone_partition,
+                     monotone_rows, real_roots, sign_breaks, solve_brackets)
 from .polynomials import (
     Polynomial,
     SndConstant,
@@ -333,20 +336,21 @@ def _flat(per_job: list[list[Interval]]):
     return job, np.array([iv.lo for iv in ivs]), np.array([iv.hi for iv in ivs])
 
 
-def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: Sequence[float],
-               eps: Sequence[float], r: Sequence[float], claims: Sequence[dict | None],
-               partition_order: int | None = None) -> list[tuple[list[CertPiece], dict]]:
+def _engine_1d(bases: Sequence[list[Interval]], mono: Sequence[list[Interval]], ev, outer,
+               lam: Sequence[float], eps: Sequence[float], r: Sequence[float],
+               claims: Sequence[dict | None]) -> list[tuple[list[CertPiece], dict]]:
     """Per-piece decompositions of many intervals at once, one per job.
 
-    ``jobs`` holds (phase, interval) pairs and ``ev(order, x, j)`` evaluates
-    derivative ``order`` (0 or 1) of the phases of jobs ``j`` at the points
-    ``x``, so each bracket solve below serves every job.  ``outer`` is the
-    model of P (``_outer``); job j runs at ``lam[j]``, ``eps[j]`` and
-    ``r[j]`` with the claims ``claims[j]`` (None without a decay claim).
-    Each job's decomposition is the one it gets alone.  Returns (pieces,
-    notes) per job.
+    Job j is an interval given by its monotone pieces: ``bases[j]`` of the
+    hypothesis order N and ``mono[j]`` of order 1.  ``ev(order, x, j)``
+    evaluates derivative ``order`` (0 or 1) of the phases of jobs ``j`` at
+    the points ``x``, so each bracket solve below serves every job.
+    ``outer`` is the model of P (``_outer``); job j runs at ``lam[j]``,
+    ``eps[j]`` and ``r[j]`` with the claims ``claims[j]`` (None without a
+    decay claim).  Each job's decomposition is the one it gets alone.
+    Returns (pieces, notes) per job.
     """
-    bases = monotone_partitions(jobs, partition_order)
+    bases = list(bases)
 
     # refine at pullbacks of the outer derivative's monotonicity breaks
     t_stars = np.array(outer.prime_breaks)
@@ -371,10 +375,9 @@ def _engine_1d(jobs: list[tuple[PhaseFunction, Interval]], ev, outer, lam: Seque
     spans = [(j, 0.5 * (t_iv.lo + t_iv.hi), 0.5 * (t_iv.hi - t_iv.lo))
              for j, e in enumerate(eps) for t_iv in covers[e]]
     rows = [(j, center - radius, center + radius) for j, center, radius in spans if radius > 0]
-    removed: list[list[Interval]] = [[] for _ in jobs]
+    removed: list[list[Interval]] = [[] for _ in bases]
     if rows:
         row_job, lo_t, hi_t = (np.array(v) for v in zip(*rows))
-        mono = monotone_partitions(jobs, 1)
         bands = band_sets(lambda x, q: ev(0, x, row_job[q]), [mono[j] for j in row_job],
                           lo_t, hi_t)
         for j, comps in zip(row_job.tolist(), bands):
@@ -535,8 +538,9 @@ def certify_1d_sweep(f: PhaseFunction, P: Polynomial | PowerTransform, lams: Seq
         raise PreconditionError(f"unknown mode {mode!r}")
 
     eps = [la ** (-1.0 / d) for la in lam_abs]
-    results = _engine_1d([(f, f.domain)] * len(lams), lambda order, x, _: f.eval_fn(order, x),
-                         outer, lams, eps, r, claims)
+    n = len(lams)
+    results = _engine_1d([monotone_partition(f)] * n, [monotone_partition(f, order_cap=1)] * n,
+                         lambda order, x, _: f.eval_fn(order, x), outer, lams, eps, r, claims)
     certs = []
     for lam, e, r_j, claim, (pieces, notes) in zip(lams, eps, r, claims, results):
         notes["outer"] = outer.label
@@ -564,27 +568,58 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
 # ---------------------------------------------------------------------------
 
 
-def _ge_gamma_slices(h, x0s: np.ndarray, gamma: float, iv: Interval,
-                     cap: int) -> list[list[Interval]]:
-    """For each slice x0, the subintervals of iv where |h(x0, y)| >= gamma:
-    one ``phases.scan_sign_changes`` of |h| - gamma over all slices finds
-    the crossings.  More than ``cap`` subintervals in a slice raise
-    SliceOverflowError."""
-    ys = np.linspace(iv.lo, iv.hi, 1025)
-    ge = np.abs(np.asarray(h(x0s[None, :], ys[:, None]), dtype=float)) >= gamma
-    # a sample at exactly gamma is in a run, so every sample carries a sign
-    rows, edges = scan_sign_changes(lambda y, k: np.abs(h(x0s[k], y)) - gamma, ys,
-                                    np.where(ge, 1.0, -1.0), 0.0, ys.size, "|d_y f| - gamma", 1)
-    out: list[list[Interval]] = []
-    for k, (first, last) in enumerate(ge[[0, -1]].T.tolist()):
-        # the run ends alternate, starting at a run's left end
-        ends = [iv.lo] * first + edges[rows == k].tolist() + [iv.hi] * last
-        runs = [Interval(a, b) for a, b in zip(ends[::2], ends[1::2]) if b > a]
+def _x_start(f: Phase2D, gamma: float) -> float | None:
+    """The least x of the rectangle whose slice reaches |d_y f| >= gamma, or
+    None.  Under N2 = 2, d_y f is monotone along each slice, so its largest
+    modulus sits at y = ay or y = by: ``ax`` itself, or the least root in
+    (ax, bx) of the rows d_y f(., ay) -/+ gamma and d_y f(., by) -/+ gamma,
+    bisected to the last bit from a bracket around it."""
+    dom = f.domain
+    y_ends = np.array([dom.ay, dom.by])
+
+    def margin(x, _=None):
+        # <= 0 where the slice at x reaches gamma
+        return gamma - np.abs(f.eval_fn((0, 1), x[:, None], y_ends[None, :])).max(axis=1)
+
+    if margin(np.array([dom.ax]))[0] <= 0.0:
+        return dom.ax
+    rows = np.repeat(f.rows_in_x((0, 1), y_ends), 2, axis=0)
+    rows[:, 0] -= np.tile([gamma, -gamma], 2)
+    x = real_roots(rows, dom.ax, dom.bx)[1]
+    if not x.size:
+        return None
+    x0 = x.min()
+    h = 1e-9 * (1.0 + abs(x0))
+    return float(solve_brackets(margin, max(dom.ax, x0 - h), min(dom.bx, x0 + h), False,
+                                xtol=0.0)[1][0])
+
+
+def _runs(f: Phase2D, xs: np.ndarray, gamma: float, cap: int) -> list[list[Interval]]:
+    """For each slice x0 of ``xs``, the runs in [ay, by] where
+    |d_y f(x0, y)| >= gamma: the signs of the rows d_y f(x0, .) - gamma
+    (in a run where >= 0) and d_y f(x0, .) + gamma (where <= 0), from one
+    ``phases.sign_breaks`` call over all slices.  A row that is zero
+    throughout, a slice at exactly gamma, is one run.  More than ``cap``
+    runs in a slice raise SliceOverflowError."""
+    dom = f.domain
+    rows = np.tile(f.column_in_y((0, 1), xs), (2, 1))
+    rows[:, 0] -= np.repeat([gamma, -gamma], xs.size)
+    row, breaks, first = sign_breaks(rows, dom.ay, dom.by, 0.0)
+    split = np.split(breaks, np.searchsorted(row, np.arange(1, rows.shape[0])))
+    out: list[list[Interval]] = [[] for _ in xs]
+    for q, (br, s) in enumerate(zip(split, first.tolist())):
+        # the signs alternate from the first; a run's sign is +1 on a first
+        # row, -1 on a second, or 0 on a zero row
+        outside = -1 if q < xs.size else 1
+        edges = [dom.ay, *br.tolist(), dom.by]
+        out[q % xs.size] += [Interval(a, b) for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]))
+                             if b > a and s * (-1) ** i != outside]
+    for runs in out:
         if len(runs) > cap:
             raise SliceOverflowError(
                 f"slice decomposed into {len(runs)} intervals, cap {cap}", gamma=gamma
             )
-        out.append(runs)
+        runs.sort(key=lambda iv: iv.lo)
     return out
 
 
@@ -592,18 +627,22 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
     """Certificate for |int_X e^{i lam P(f(x, y))} dx dy| at n = 2.
 
     Hypothesis: beta = (1, 1), that is |d_x d_y f| >= ``derivative_lower_bound``
-    on the rectangle, and each slice y -> f(x0, y) has N2 = 2 (d_y^2 f is
-    single-signed).  The domain splits where |d_y f| crosses
-    gamma = |lambda|^(-1/(2d)).  On the large side, slices in y at sampled x
-    are certified by the one-dimensional engine with r = gamma (the base
-    case P(t) = t uses the classical per-interval bound); the region bound
-    is the x-projection width times the worst sampled slice total; the
-    slices' monotone partitions come from one ``phases.monotone_partitions``
-    call, which for a phase with coefficients takes them all from roots,
-    one kernel pass per order.  The small side is charged by its measure,
-    at most the parametric 2 * gamma * height: ``sublevel_rows`` measures
-    |d_y f| < gamma along x, and ``adaptive_quad`` integrates that over y on
-    the segments of ``sublevel.kink_segments`` at -/+ gamma.
+    on the rectangle, and N2 = 2: d_y^2 f is single-signed, so d_y f is
+    monotone along each slice y -> f(x0, y).  Both packaged families meet it
+    for every c: d_y^2 f is 0 for ``xy`` and 2 c x^2 for ``xy_quad(c)``.
+    The domain splits where |d_y f| crosses gamma = |lambda|^(-1/(2d)).
+
+    The large side comes from roots, with no scan: it starts at
+    ``_x_start``, each sampled slice's runs come from ``_runs``, and their
+    monotone pieces from ``phases.monotone_rows`` over the slices'
+    coefficient columns.  The runs are certified in one run of the
+    one-dimensional engine with r = gamma (the base case P(t) = t uses the
+    classical per-interval bound); the region bound is the x-projection
+    width times the worst sampled slice total.  The small side is charged
+    by its measure, at most the parametric 2 * gamma * height:
+    ``sublevel_rows`` measures |d_y f| < gamma along x, and
+    ``adaptive_quad`` integrates that over y on the segments of
+    ``sublevel.kink_segments`` at -/+ gamma.
     """
     if lam == 0.0:
         raise PreconditionError("certify_2d needs lambda != 0")
@@ -637,42 +676,24 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
 
     # region 1: |d_y f| >= gamma, certified slice by slice.  The worst
     # slice sits at the region boundary (where the slice derivative bound is
-    # exactly gamma), so locate that boundary and cluster samples against it.
-    y_probe = np.linspace(ay, by, 65)
-
-    def inactive_margin(x):
-        # <= 0 where the slice at x reaches gamma somewhere
-        vals = np.abs(f.eval_fn((0, 1), x[:, None], y_probe[None, :]))
-        return gamma - vals.max(axis=1)
-
-    x_scan = np.linspace(ax, bx, 257)
-    active = inactive_margin(x_scan) <= 0.0
-    if not active.any():
+    # exactly gamma), so cluster samples against it.
+    x_start = _x_start(f, gamma)
+    if x_start is None:
         xs = np.array([])
     else:
-        i0 = int(np.argmax(active))
-        x_start = x_scan[i0]
-        if i0 > 0:
-            _, hi_x = solve_brackets(lambda x, _: inactive_margin(x),
-                                     x_scan[i0 - 1], x_scan[i0], False, xtol=0.0)
-            x_start = hi_x[0]
         span = bx - x_start
         cluster = x_start + span * np.geomspace(1e-8, 1.0, SLICE_SAMPLES)
         xs = np.sort(np.concatenate([[x_start], cluster, np.linspace(x_start, bx, SLICE_SAMPLES)]))
         xs = xs[np.append(True, xs[1:] != xs[:-1])]
-    subs = _ge_gamma_slices(lambda x, y: f.eval_fn((0, 1), x, y), xs, gamma,
-                            dom.y_extent(), cap)
-    # every (slice, subinterval) is one job of a single engine run
-    jobs, job_slice = [], []
-    for k, (x0, slice_subs) in enumerate(zip(xs.tolist(), subs)):
-        hy = f.slice_in_y(x0, max_order=N2)
-        jobs.extend((hy, sub) for sub in slice_subs)
-        job_slice.extend([k] * len(slice_subs))
-    job_x = xs[np.array(job_slice, dtype=int)]
-    n_jobs = len(jobs)
-    results = _engine_1d(jobs, lambda order, y, j: f.eval_fn((0, order), job_x[j], y),
-                         outer, [lam] * n_jobs, [eps] * n_jobs, [r] * n_jobs, [None] * n_jobs,
-                         partition_order=N2)
+    # every (slice, run) is one job of a single engine run
+    job_slice, job_lo, job_hi = _flat(_runs(f, xs, gamma, cap))
+    job_x = xs[job_slice]
+    slices = f.column_in_y((0, 0), job_x)
+    n_jobs = job_slice.size
+    results = _engine_1d(monotone_rows(slices, job_lo, job_hi, N2),
+                         monotone_rows(slices, job_lo, job_hi, 1),
+                         lambda order, y, j: f.eval_fn((0, order), job_x[j], y),
+                         outer, [lam] * n_jobs, [eps] * n_jobs, [r] * n_jobs, [None] * n_jobs)
     per_slice: list[list[CertPiece]] = [[] for _ in xs]
     for k, (ps, _) in zip(job_slice, results):
         per_slice[k].extend(ps)

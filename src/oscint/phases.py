@@ -5,11 +5,13 @@ declared order can be evaluated directly.  Families are parametric
 (monomial, polynomial, sine and exponential perturbations) and a generic
 closure form is provided for anything else; there is no automatic
 differentiation.  A planar phase (``Phase2D``) is a polynomial on a
-rectangle, given by its coefficient matrix.  The polynomial families, every
-planar phase, its slices, and compositions with a polynomial (composed in
-coefficient space) carry their coefficients (``coeffs``) and are evaluated
-at every order by one Horner evaluator on them; any other 1D phase
-self-reports its derivatives through a closure of its own.
+rectangle, given by its coefficient matrix; its slices are read as
+coefficient rows in x (``rows_in_x``) or columns in y (``column_in_y``),
+many at once.  The polynomial families, every planar phase and compositions
+with a polynomial (composed in coefficient space) carry their coefficients
+(``coeffs``) and are evaluated at every order by one Horner evaluator on
+them; any other 1D phase self-reports its derivatives through a closure of
+its own.
 
 The two structural operations every other module leans on are
 ``sign_partition`` (tile the domain into pieces on which one derivative does
@@ -19,8 +21,9 @@ coefficients the breaks are roots: ``sign_breaks`` takes the real roots of
 many coefficient rows from one kernel (``real_roots``: closed forms to
 degree 2, one stacked companion-matrix ``eigvals`` call above), decides each
 sub-piece's sign between them and polishes the sign changes by bisection
-(``polish``).  Any other 1D phase is scanned densely and bisected between
-the samples that change sign.
+(``polish``), and ``monotone_rows`` tiles many rows at once at the sign
+changes of their derivatives of orders 1..n.  Any other 1D phase is scanned
+densely and bisected between the samples that change sign.
 
 ``solve_brackets`` is the one bisection solver of the package: it advances
 every open bracket of an array each step, so many roots cost one vectorised
@@ -41,7 +44,7 @@ from .errors import ConfigError, PartitionOverflowError, PreconditionError
 SCAN_SAMPLES_PER_UNIT = 4096
 MIN_SCAN_SAMPLES = 257
 BISECT_XTOL = 1e-12
-SIGN_TOL = 1e-11  # monotone_partition's sign_partition tol
+SIGN_TOL = 1e-11  # the sign tol of monotone partitions and monotone_rows
 PARTITION_CAP = 64
 
 
@@ -373,12 +376,7 @@ def scan_sign_changes(ev, xs, vs, tol: float, cap: int, what: str, order: int):
     return col, 0.5 * (lo + hi)
 
 
-def sign_partition(
-    phase: PhaseFunction,
-    order: int,
-    tol: float,
-    interval: Interval | None = None,
-) -> list[tuple[Interval, int]]:
+def sign_partition(phase: PhaseFunction, order: int, tol: float) -> list[tuple[Interval, int]]:
     """Tile the domain into intervals on which ``eval(order, .)`` is single-signed.
 
     Single-signed is non-strict: touching zeros (no crossing beyond ``tol``)
@@ -390,7 +388,7 @@ def sign_partition(
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    iv = interval or phase.domain
+    iv = phase.domain
     key = ("sp", order, tol, PARTITION_CAP, iv.as_tuple())
     if key in phase._cache:
         return phase._cache[key]
@@ -416,51 +414,20 @@ def sign_partition(
     return pieces
 
 
-def monotone_partitions(jobs: Sequence[tuple[PhaseFunction, Interval]],
-                        N: int | None) -> list[list[Interval]]:
-    """``monotone_partition`` of many (phase, interval) jobs at once; ``N``
-    None takes each phase's ``meta.N``.
-
-    The jobs of phases with coefficients are partitioned together, one
-    ``sign_breaks`` pass per order over all of them; any other phase is
-    scanned by ``sign_partition``.  A phase keeps its partitions, and jobs
-    that repeat a (phase, interval) share one list.
-    """
-    out: list[list[Interval] | None] = [None] * len(jobs)
-    todo: dict = {}
-    for j, (f, iv) in enumerate(jobs):
-        n = N if N is not None else f.meta.N
-        if f.max_order < n:
-            raise PreconditionError(
-                f"phase {f.name!r} reports derivatives up to {f.max_order}, need {n}")
-        key = ("mp", n, PARTITION_CAP, iv.as_tuple())
-        if key in f._cache:
-            out[j] = f._cache[key]
-        else:
-            todo.setdefault((id(f), key), (f, iv, n, key, []))[4].append(j)
-    work = list(todo.values())
-    breaks: list[list[float]] = [[] for _ in work]
-    poly = [u for u, (f, iv, *_) in enumerate(work) if f.coeffs is not None and iv.hi > iv.lo]
-    if poly:
-        c = np.zeros((len(poly), max(len(work[u][0].coeffs) for u in poly)))
-        for r, u in enumerate(poly):
-            c[r, :len(work[u][0].coeffs)] = work[u][0].coeffs
-        lo, hi, orders = (np.array([work[u][1].lo for u in poly]),
-                          np.array([work[u][1].hi for u in poly]),
-                          np.array([work[u][2] for u in poly]))
-        for k in range(1, int(orders.max()) + 1):
-            sel = np.flatnonzero(orders >= k)
-            row, x, _ = sign_breaks(derivative_coeffs(c[sel], k), lo[sel], hi[sel], SIGN_TOL)
-            for r, xv in zip(sel[row].tolist(), x.tolist()):
-                breaks[poly[r]].append(xv)
-    for (f, iv, n, key, js), br in zip(work, breaks):
-        if f.coeffs is None:
-            for k in range(1, n + 1):
-                br.extend(p.hi for p, _ in sign_partition(f, k, SIGN_TOL, iv)[:-1])
-        f._cache[key] = pieces = pieces_between(iv, br)
-        for j in js:
-            out[j] = pieces
-    return out
+def monotone_rows(c, lo, hi, n: int) -> list[list[Interval]]:
+    """Row k's interval [lo[k], hi[k]] tiled at the sign changes of the
+    derivatives of orders 1..n of the ascending coefficient row c[k]: one
+    ``sign_breaks`` pass per order over all rows, each row tiled by
+    ``pieces_between``."""
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), c.shape[:1]) for v in (lo, hi))
+    rows, xs = zip(*(sign_breaks(derivative_coeffs(c, k), lo, hi, SIGN_TOL)[:2]
+                     for k in range(1, n + 1)))
+    row, x = np.concatenate(rows), np.concatenate(xs)
+    order = np.argsort(row, kind="stable")
+    split = np.searchsorted(row[order], np.arange(1, c.shape[0]))
+    return [pieces_between(Interval(a, b), br.tolist())
+            for a, b, br in zip(lo.tolist(), hi.tolist(), np.split(x[order], split))]
 
 
 def monotone_partition(phase: PhaseFunction, order_cap: int | None = None) -> list[Interval]:
@@ -468,10 +435,24 @@ def monotone_partition(phase: PhaseFunction, order_cap: int | None = None) -> li
     N-1 are monotone.
 
     N comes from ``phase.meta.N`` (override via ``order_cap``); the pieces are
-    the common refinement of the sign partitions of orders 1..N.  The
-    one-element call of ``monotone_partitions``.
+    the common refinement of the sign partitions of orders 1..N, from roots
+    (``monotone_rows``) for a phase with coefficients, else scanned by
+    ``sign_partition``.  The phase keeps its partitions.
     """
-    return monotone_partitions([(phase, phase.domain)], order_cap)[0]
+    n = order_cap if order_cap is not None else phase.meta.N
+    if phase.max_order < n:
+        raise PreconditionError(
+            f"phase {phase.name!r} reports derivatives up to {phase.max_order}, need {n}")
+    iv = phase.domain
+    key = ("mp", n, PARTITION_CAP, iv.as_tuple())
+    if key not in phase._cache:
+        if phase.coeffs is not None:
+            pieces = monotone_rows(phase.coeffs, iv.lo, iv.hi, n)[0]
+        else:
+            pieces = pieces_between(iv, [p.hi for k in range(1, n + 1)
+                                         for p, _ in sign_partition(phase, k, SIGN_TOL)[:-1]])
+        phase._cache[key] = pieces
+    return phase._cache[key]
 
 
 def pieces_between(iv: Interval, breaks) -> list[Interval]:
@@ -685,7 +666,7 @@ class Phase2D:
     The phase claims |d_x d_y f| >= ``derivative_lower_bound`` on the domain
     and a single-signed d_y^2 f, the hypothesis ``certify_2d`` states.
     ``rows_in_x`` and ``column_in_y`` read its derivatives as coefficient
-    rows.
+    rows, one per y or x of an array.
     """
 
     coeffs: tuple[tuple[float, ...], ...]
@@ -734,16 +715,9 @@ class Phase2D:
         """Row k: the ascending coefficients of x -> d^orders f(x, ys[k])."""
         return np.atleast_2d(_polyval(np.asarray(ys, dtype=float), self._matrix(orders).T).T)
 
-    def column_in_y(self, orders: tuple[int, int], x: float) -> np.ndarray:
-        """The ascending coefficients of y -> d^orders f(x, y)."""
-        return _polyval(float(x), self._matrix(orders))
-
-    def slice_in_y(self, x: float, max_order: int = 4) -> PhaseFunction:
-        """One-dimensional phase y -> f(x0, y) on [ay, by] for fixed x0."""
-        x0 = float(x)
-        return _coefficient_phase(self.column_in_y((0, 0), x0), max_order,
-                                  self.domain.y_extent(), PhaseMeta(N=1),
-                                  f"{self.name}|x={x0:.6g}")
+    def column_in_y(self, orders: tuple[int, int], xs) -> np.ndarray:
+        """Row k: the ascending coefficients of y -> d^orders f(xs[k], y)."""
+        return np.atleast_2d(_polyval(np.asarray(xs, dtype=float), self._matrix(orders)).T)
 
 
 def product_phase(fx: PhaseFunction, gy: PhaseFunction) -> Phase2D:

@@ -13,7 +13,7 @@ Bands are found piece by piece on monotone partitions, and the brackets of
 all pieces, or of all rows of a planar batch, go to the shared solver
 ``phases.solve_brackets`` together.  For a phase with coefficients, which
 every planar phase has, the monotone breaks and the band edges start from
-roots (``phases.sign_breaks``, ``phases.real_roots``), and the band areas
+roots (``phases.monotone_rows``, ``phases.real_roots``), and the band areas
 are cut at the y-kinks of their slice measures (``kink_segments``).
 """
 
@@ -27,9 +27,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NonconvergentTailError, PreconditionError
-from .phases import (BISECT_XTOL, SIGN_TOL, Interval, Phase2D, PhaseFunction,
-                     derivative_coeffs, merge_intervals, monotone_partition, pieces_between,
-                     polish, real_roots, scan_sign_changes, sign_breaks)
+from .phases import (BISECT_XTOL, Interval, Phase2D, PhaseFunction, merge_intervals,
+                     monotone_partition, monotone_rows, polish, real_roots, scan_sign_changes,
+                     sign_breaks)
 from .quadrature import adaptive_quad
 
 BAND_AREA_REL_TOL = 1e-7
@@ -138,18 +138,14 @@ def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
     """The measure of {x in ``interval`` : |d^orders f(x, y) - c| <= eps} for
     every y of a batch, with band edges bisected to ``xtol``.
 
-    Each row's monotone breaks are the sign changes of its x-derivative
-    from ``phases.sign_breaks``, and its band edges start from the roots of
-    the row minus each level.
+    Each row's monotone pieces come from ``phases.monotone_rows``, and its
+    band edges start from the roots of the row minus each level.
     """
     i, j = orders
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     coeffs = f.rows_in_x(orders, ys)
-    rows, breaks, _ = sign_breaks(derivative_coeffs(coeffs, 1), interval.lo, interval.hi,
-                                  SIGN_TOL)
-    split = np.searchsorted(rows, np.arange(1, ys.size))
-    per_row = [pieces_between(interval, br.tolist()) for br in np.split(breaks, split)]
-    comps = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]), per_row, c - eps, c + eps,
+    comps = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]),
+                      monotone_rows(coeffs, interval.lo, interval.hi, 1), c - eps, c + eps,
                       xtol, coeffs)
     return np.array([float(sum(iv.hi - iv.lo for iv in cs)) for cs in comps])
 
@@ -165,8 +161,7 @@ def kink_segments(f: Phase2D, orders: tuple[int, int], levels) -> tuple[np.ndarr
     """
     dom = f.domain
     levels = np.asarray(levels, dtype=float)
-    cols = np.repeat([f.column_in_y(orders, dom.ax), f.column_in_y(orders, dom.bx)],
-                     levels.size, axis=0)
+    cols = np.repeat(f.column_in_y(orders, [dom.ax, dom.bx]), levels.size, axis=0)
     cols[:, 0] -= np.tile(levels, 2)
     cuts = sign_breaks(cols, dom.ay, dom.by, 0.0)[1]
     edges = np.concatenate([[dom.ay], np.sort(cuts), [dom.by]])

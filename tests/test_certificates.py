@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from oscint import (
     geometric_grid,
     ibp_bound,
     monomial,
+    monotone_partition,
     osc_integrate_1d,
     osc_integrate_2d,
     product_phase,
@@ -212,9 +214,9 @@ class TestCertify1DSweep:
         lams = [30.0, -1e3, 1e5]
         rs = [abs(lam) ** -0.25 for lam in lams]
         ev = lambda order, x, _: f.eval_fn(order, x)
-        jobs = [(f, f.domain)] * len(lams)
-        together = _engine_1d(jobs, ev, _IDENTITY, lams, [1.0] * 3, rs, [None] * 3)
-        assert together == [_engine_1d(jobs[:1], ev, _IDENTITY, [lam], [1.0], [r], [None])[0]
+        base, mono = [monotone_partition(f)], [monotone_partition(f, order_cap=1)]
+        together = _engine_1d(base * 3, mono * 3, ev, _IDENTITY, lams, [1.0] * 3, rs, [None] * 3)
+        assert together == [_engine_1d(base, mono, ev, _IDENTITY, [lam], [1.0], [r], [None])[0]
                             for lam, r in zip(lams, rs)]
 
     def test_rejects_what_a_lone_lambda_rejects(self):
@@ -290,6 +292,43 @@ class TestCertify2D:
                      name="wavy")
         with pytest.raises(SliceOverflowError, match="decomposed into 5 intervals, cap 4"):
             certify_2d(f2, Polynomial((0.0, 1.0)), 1e4)
+
+    def test_region1_starts_at_the_closed_form_boundary(self):
+        from oscint.certificates import _x_start
+
+        for lam in (30.0, 1e3, 1e5):
+            for d in (1.0, 2.0, 3.0):
+                gamma = lam ** (-1.0 / (2.0 * d))
+                # xy: d_y f = x reaches gamma at x = gamma, to the last bit
+                assert _x_start(xy_phase(), gamma) == gamma
+                # xy + 0.1 x^2 y^2: the largest d_y f = x + 0.2 x^2 y sits at y = 1
+                root = float(2.0 * mpmath.mpf(gamma)
+                             / (1.0 + mpmath.sqrt(1.0 + 0.8 * mpmath.mpf(gamma))))
+                x_start = _x_start(xy_quad_phase(0.1), gamma)
+                assert abs(x_start - root) <= np.spacing(root), (lam, d)
+        # a rectangle whose slices all reach gamma starts at ax; one whose
+        # slices never do has no region 1
+        assert _x_start(product_phase(monomial(1, (0.5, 2.0)), monomial(1, (1.0, 1.75))),
+                        0.1) == 0.5
+        assert _x_start(product_phase(monomial(1, (0.0, 0.05)), monomial(1)), 0.1) is None
+
+    def test_region1_runs_leave_out_a_narrow_gap(self):
+        # f = xy + K (y - 1/2)^2 / 2: each slice's gap |d_y f| < gamma is
+        # 2 gamma / K = 2e-5 wide; region 2 charges it, so region 1's runs
+        # must leave it out, or it is charged twice
+        K = 1e4
+        f2 = Phase2D(((K / 8.0, -K / 2.0, K / 2.0), (0.0, 1.0, 0.0)), unit_square(), 1.0, "gap")
+        cert = certify_2d(f2, Polynomial((0.0, 1.0)), 100.0)
+        assert cert.params.gamma == 0.1
+        small = [p for p in cert.pieces if p.kind == "small_derivative"]
+        assert small and all(p.details["measured"] < 1e-9 for p in small)
+        [region2] = [p for p in cert.pieces if p.kind == "slice_small_mixed"]
+        assert region2.bound == pytest.approx(2e-5, rel=1e-6)
+        assert cert.total_bound == pytest.approx(0.60002, abs=1e-8)
+        # the same integral with x and y swapped, whose slices osc_integrate_2d
+        # resolves within its panel budget
+        swapped = Phase2D(np.transpose(f2.coeffs), unit_square(), 1.0, "gap_swapped")
+        assert cert.verify_against(osc_integrate_2d(swapped, 100.0))
 
     # totals before the slices moved to one batched engine run
     @pytest.mark.parametrize("P, lam, frozen", [

@@ -166,10 +166,10 @@ def test_planar_domain_rectangle():
 def test_product_phase_takes_its_factors_rectangle():
     f2 = product_phase(monomial(1, (0.5, 2.0)), monomial(1, (1.0, 1.75)))
     assert f2.domain == PlanarDomain(0.5, 2.0, 1.0, 1.75)
-    hy = f2.slice_in_y(1.5)
-    assert hy.domain == Interval(1.0, 1.75)
-    np.testing.assert_allclose(hy.eval(0, np.array([1.2])), 1.5 * 1.2)
-    np.testing.assert_allclose(hy.eval(1, np.array([1.2])), 1.5)
+    assert f2.domain.y_extent() == Interval(1.0, 1.75)
+    # the column of the slice at x0 = 1.5, and of its y-derivative
+    np.testing.assert_allclose(_polyval(1.2, f2.column_in_y((0, 0), 1.5)[0]), 1.5 * 1.2)
+    np.testing.assert_allclose(_polyval(1.2, f2.column_in_y((0, 1), 1.5)[0]), 1.5)
 
 
 def test_xy_quad_mixed_derivative():
@@ -193,7 +193,7 @@ def test_composed_planar_x_derivative():
         _close(comp.eval(orders, x, y), want)
         _close(_polyval2d(x, y, comp._matrix(orders)), want)
         _close([_polyval(xk, row) for xk, row in zip(x, comp.rows_in_x(orders, y))], want)
-        _close([_polyval(yk, comp.column_in_y(orders, xk)) for xk, yk in zip(x, y)], want)
+        _close([_polyval(yk, col) for yk, col in zip(y, comp.column_in_y(orders, x))], want)
     # the orders the chain-rule closure never exposed, by differences in y
     at = lambda orders, xk, yk: float(ref(orders, np.array(xk), np.array(yk)))
     for xk, yk in zip(x, y):
@@ -324,6 +324,12 @@ def _polynomial_reference(c):
     return lambda k, x: np.polynomial.Polynomial(c).deriv(k)(x)
 
 
+def _slice(f2, x0):
+    """The phase y -> f2(x0, y) on [ay, by], from its coefficient column."""
+    return phases._coefficient_phase(f2.column_in_y((0, 0), x0)[0], 4, f2.domain.y_extent(),
+                                     PhaseMeta(N=1), f"{f2.name}|x={x0:.6g}")
+
+
 def _coefficient_phases_1d():
     """(phase, reference evaluator) pairs."""
     yield monomial(1), _polynomial_reference((0.0, 1.0))
@@ -331,9 +337,9 @@ def _coefficient_phases_1d():
     c = (0.3, -1.0, -2.0, 1.0, 1.0)
     yield polynomial_phase(c, (-2.0, 2.0)), _polynomial_reference(c)
     for x0 in (0.0, 0.37, 1.0):
-        yield (phases.xy_quad_phase(0.1).slice_in_y(x0),
+        yield (_slice(phases.xy_quad_phase(0.1), x0),
                lambda k, y, x0=x0: oracles.xy_quad_derivative(0.1, (0, k), x0, y))
-        yield (product_phase(monomial(3), polynomial_phase((0.2, 0.0, -1.5))).slice_in_y(x0),
+        yield (_slice(product_phase(monomial(3), polynomial_phase((0.2, 0.0, -1.5))), x0),
                lambda k, y, x0=x0: oracles.product_derivative((0.0, 0.0, 0.0, 1.0),
                                                               (0.2, 0.0, -1.5), (0, k), x0, y))
 
@@ -380,7 +386,7 @@ def test_coefficients_match_eval_fn_2d(f2, ref):
             _close(f2.eval_fn((i, j), x, y), want)
             _close(_polyval2d(x, y, f2._matrix((i, j))), want)
             _close([_polyval(xk, row) for xk, row in zip(x, f2.rows_in_x((i, j), y))], want)
-            _close([_polyval(yk, f2.column_in_y((i, j), xk)) for xk, yk in zip(x, y)], want)
+            _close([_polyval(yk, col) for yk, col in zip(y, f2.column_in_y((i, j), x))], want)
 
 
 def test_families_without_coefficients():
@@ -464,7 +470,6 @@ def test_every_phase_with_coefficients_runs_the_horner_evaluator():
     twos += [product_phase(f, g) for f in ones for g in ones]
     twos += [compose2d_with_polynomial(f2, (0.0, 0.5, 0.5)) for f2 in twos]
     ones += [compose_with_polynomial(f, (0.0, 0.5, 0.5)) for f in ones]
-    ones += [f2.slice_in_y(0.3) for f2 in twos]
     for f in ones + twos:
         assert f.coeffs is not None and _kernel_evaluated(f), f.name
     # a phase without coefficients keeps an evaluator of its own
@@ -520,10 +525,14 @@ def test_root_path_keeps_a_touching_zero_in_one_piece():
 
 
 def test_a_vanishing_slice_is_one_piece_of_sign_zero():
-    # the xy slice at x0 = 0 is the zero polynomial
-    hy = phases.xy_phase().slice_in_y(0.0)
-    for order in range(hy.max_order + 1):
-        assert sign_partition(hy, order, phases.SIGN_TOL) == [(Interval(0.0, 1.0), 0)]
+    # the xy slice at x0 = 0 is the zero polynomial: a zero row, with no
+    # break and sign 0 at every order, and one monotone piece
+    col = phases.xy_phase().column_in_y((0, 0), [0.0])
+    for order in range(3):
+        row, x, first = phases.sign_breaks(phases.derivative_coeffs(col, order), 0.0, 1.0,
+                                           phases.SIGN_TOL)
+        assert row.size == x.size == 0 and first.tolist() == [0]
+    assert phases.monotone_rows(col, 0.0, 1.0, 2) == [[Interval(0.0, 1.0)]]
 
 
 def test_real_roots_group_rows_by_effective_degree():
@@ -551,15 +560,22 @@ def test_real_roots_skip_one_signed_rows_on_the_positive_axis():
     np.testing.assert_allclose(x, [-0.5, -0.2, -0.1, -0.5, 0.5], atol=1e-12)
 
 
-def test_monotone_partitions_batch_equals_lone_calls():
-    fs = [polynomial_phase((0.0, -3.0, 0.0, 1.0), (-2.0, 2.0)), monomial(2, (-1.0, 1.0)),
-          sine(1.0, 1.0, (0.0, 7.0)), xy_quad_phase(0.1).slice_in_y(0.5)]
-    jobs = [(f, f.domain) for f in fs] + [(fs[0], Interval(0.0, 2.0))]
-    batch = phases.monotone_partitions(jobs, 2)
-    lone = [phases.monotone_partitions([job], 2)[0] for job in jobs]
+def test_monotone_rows_batch_equals_lone_calls():
+    # x^3 - 3x on [-2, 2], x^2 on [-1, 1], the slice of xy + 0.1 x^2 y^2 at
+    # x0 = 0.5 on [0, 1], and x^3 - 3x again on [0, 2]
+    cubic = (0.0, -3.0, 0.0, 1.0)
+    rows = [cubic, (0.0, 0.0, 1.0), xy_quad_phase(0.1).column_in_y((0, 0), 0.5)[0], cubic]
+    c = np.zeros((len(rows), 4))
+    for k, row in enumerate(rows):
+        c[k, :len(row)] = row
+    lo, hi = [-2.0, -1.0, 0.0, 0.0], [2.0, 1.0, 1.0, 2.0]
+    batch = phases.monotone_rows(c, lo, hi, 2)
+    lone = [phases.monotone_rows(row, a, b, 2)[0] for row, a, b in zip(rows, lo, hi)]
     assert batch == lone
     np.testing.assert_allclose([iv.hi for iv in batch[0][:-1]], [-1.0, 0.0, 1.0], atol=1e-12)
-    assert [iv.as_tuple() for iv in batch[4]] == [(0.0, batch[0][2].hi), (batch[0][2].hi, 2.0)]
+    assert [iv.as_tuple() for iv in batch[3]] == [(0.0, batch[0][2].hi), (batch[0][2].hi, 2.0)]
+    # a phase with coefficients is partitioned by the same rows
+    assert monotone_partition(polynomial_phase(cubic, (-2.0, 2.0)), 2) == batch[0]
 
 
 def test_polish_falls_back_to_the_whole_bracket():
