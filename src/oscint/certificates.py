@@ -634,10 +634,11 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
 
     The large side comes from roots, with no scan: it starts at
     ``_x_start``, each sampled slice's runs come from ``_runs``, and their
-    monotone pieces from ``phases.monotone_rows`` over the slices'
-    coefficient columns.  The runs are certified in one run of the
-    one-dimensional engine with r = gamma (the base case P(t) = t uses the
-    classical per-interval bound); the region bound is the x-projection
+    monotone pieces of orders up to N2 and up to 1 from one
+    ``phases.monotone_rows`` call over the slices' coefficient columns.
+    The runs are certified in one run of the one-dimensional engine with
+    r = gamma (the base case P(t) = t uses the classical per-interval
+    bound); the region bound is the x-projection
     width times the worst sampled slice total.  The small side is charged
     by its measure, at most the parametric 2 * gamma * height:
     ``sublevel_rows`` measures |d_y f| < gamma along x, and
@@ -690,8 +691,8 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
     job_x = xs[job_slice]
     slices = f.column_in_y((0, 0), job_x)
     n_jobs = job_slice.size
-    results = _engine_1d(monotone_rows(slices, job_lo, job_hi, N2),
-                         monotone_rows(slices, job_lo, job_hi, 1),
+    by_order = monotone_rows(slices, job_lo, job_hi, N2)
+    results = _engine_1d(by_order[N2 - 1], by_order[0],
                          lambda order, y, j: f.eval_fn((0, order), job_x[j], y),
                          outer, [lam] * n_jobs, [eps] * n_jobs, [r] * n_jobs, [None] * n_jobs)
     per_slice: list[list[CertPiece]] = [[] for _ in xs]

@@ -414,20 +414,24 @@ def sign_partition(phase: PhaseFunction, order: int, tol: float) -> list[tuple[I
     return pieces
 
 
-def monotone_rows(c, lo, hi, n: int) -> list[list[Interval]]:
+def monotone_rows(c, lo, hi, n: int) -> list[list[list[Interval]]]:
     """Row k's interval [lo[k], hi[k]] tiled at the sign changes of the
-    derivatives of orders 1..n of the ascending coefficient row c[k]: one
-    ``sign_breaks`` pass per order over all rows, each row tiled by
-    ``pieces_between``."""
+    derivatives of orders 1..m of the ascending coefficient row c[k], for
+    each m = 1..n: element m - 1 holds every row's tiling at orders 1..m.
+    One ``sign_breaks`` pass per order over all rows serves every m, and
+    each row is tiled by ``pieces_between``."""
     c = np.atleast_2d(np.asarray(c, dtype=float))
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), c.shape[:1]) for v in (lo, hi))
     rows, xs = zip(*(sign_breaks(derivative_coeffs(c, k), lo, hi, SIGN_TOL)[:2]
                      for k in range(1, n + 1)))
-    row, x = np.concatenate(rows), np.concatenate(xs)
-    order = np.argsort(row, kind="stable")
-    split = np.searchsorted(row[order], np.arange(1, c.shape[0]))
-    return [pieces_between(Interval(a, b), br.tolist())
-            for a, b, br in zip(lo.tolist(), hi.tolist(), np.split(x[order], split))]
+    out = []
+    for m in range(1, n + 1):
+        row, x = np.concatenate(rows[:m]), np.concatenate(xs[:m])
+        order = np.argsort(row, kind="stable")
+        split = np.searchsorted(row[order], np.arange(1, c.shape[0]))
+        out.append([pieces_between(Interval(a, b), br.tolist())
+                    for a, b, br in zip(lo.tolist(), hi.tolist(), np.split(x[order], split))])
+    return out
 
 
 def monotone_partition(phase: PhaseFunction, order_cap: int | None = None) -> list[Interval]:
@@ -447,7 +451,7 @@ def monotone_partition(phase: PhaseFunction, order_cap: int | None = None) -> li
     key = ("mp", n, PARTITION_CAP, iv.as_tuple())
     if key not in phase._cache:
         if phase.coeffs is not None:
-            pieces = monotone_rows(phase.coeffs, iv.lo, iv.hi, n)[0]
+            pieces = monotone_rows(phase.coeffs, iv.lo, iv.hi, n)[-1][0]
         else:
             pieces = pieces_between(iv, [p.hi for k in range(1, n + 1)
                                          for p, _ in sign_partition(phase, k, SIGN_TOL)[:-1]])

@@ -4,9 +4,10 @@ In one dimension each monotone piece of the phase is a work item.  A piece
 whose swing |lambda| * |g(b) - g(a)| exceeds ``LEVIN_SWING`` is integrated
 by Levin collocation (D. Levin, Math. Comp. 38, 1982): the integral of
 h e^{i lambda g} over [a, b] is p(b) e^{i lambda g(b)} - p(a) e^{i lambda g(a)}
-for the non-oscillatory solution p of p' + i lambda g' p = h, collocated at
-one Chebyshev order, at a cost that does not grow with lambda; the residual
-of the computed p, integrated in modulus, is the error estimate.
+for the non-oscillatory solution p of p' + i lambda g' p = h, collocated on
+Chebyshev-Lobatto points (order 16 for the monotone pieces of a phase, 24
+for the reduction's tail), at a cost that does not grow with lambda; the
+residual of the computed p, integrated in modulus, is the error estimate.
 ``osc_integrate_1d`` takes h = 1; the profile reduction passes a smooth
 amplitude h sampled at the collocation points and the QK15 nodes.
 One halving loop, ``_levin_halving``, serves every caller: a piece that
@@ -295,34 +296,49 @@ def _barycentric(t, x):
 
 
 LEVIN_SWING = 40.0  # pieces of larger swing |lambda| |g(b) - g(a)| go to Levin collocation
-_LEVIN_T, _LEVIN_D = _chebyshev(24)
-_LEVIN_B = _barycentric(_LEVIN_T, _NODES)  # collocation values -> values at the QK15 nodes
-_LEVIN_BD = _LEVIN_B @ _LEVIN_D            # collocation values -> derivative at the nodes
-_LEVIN_CHUNK = 128  # pieces per batched solve: 1.2 MB of order-24 matrices
 
 
-def _levin(gd, h, lam, L, R, GL, GR, S):
+def _collocation(n: int):
+    """The order-n Levin collocation set (T, D, B, B @ D): the Lobatto points
+    and their differentiation matrix, and the maps from collocation values to
+    values and to derivatives at the QK15 nodes."""
+    t, D = _chebyshev(n)
+    B = _barycentric(t, _NODES)
+    return t, D, B, B @ D
+
+
+# order 16 for the monotone pieces of ``_pieces_integral`` (1D sweeps and
+# planar slices), order 24 for the reduction's tail, whose amplitude
+# -e^u T_k(la e^{ju}) is not a polynomial and takes more pieces at order 16
+_LEVIN_16, _LEVIN_24 = _collocation(16), _collocation(24)
+# pieces per batched solve: 0.6 MB of order-16 matrices; a solve's cost per
+# piece is within 10% of this batch's from 32 to 2,048 pieces
+_LEVIN_CHUNK = 128
+
+
+def _levin(colloc, gd, h, lam, L, R, GL, GR, S):
     """Levin collocation for int_{L_i}^{R_i} h e^{i lam g} dx on each piece.
 
     ``gd(x, s)`` evaluates g' and ``h(x, s)`` the smooth amplitude of the
     pieces' slots ``s``, and ``lam[s]`` is the slot's lambda.  The
     non-oscillatory solution of p' + i lam g' p = h gives the integral
     p(R) e^{i lam g(R)} - p(L) e^{i lam g(L)}; p is collocated on the
-    order-24 Chebyshev-Lobatto points, in one batched solve.  The computed
-    p has the residual rho = p' + i lam g' p - h, and the value's error is
-    exactly int rho e^{i lam g} dx; the estimate is int |rho| dx by QK15
-    (``_NODES``, where rho is sampled through the interpolant), plus the
-    rounding of the solve and of the phase arguments
-    lam g(L), lam g(R).  A piece on which g' does not keep one sign, beyond
-    ``SIGN_TOL``, at every collocation point and node holds or touches a zero
-    of g', where no non-oscillatory solution exists: it is not solved, and
-    its estimate is infinite.  Each piece's residual products are its own
-    (``_rowwise``), as its solve is, so a piece's value and estimate do not
-    depend on the pieces solved with it.
+    Chebyshev-Lobatto points of ``colloc``, a ``_collocation`` set, in one
+    batched solve.  The computed p has the residual
+    rho = p' + i lam g' p - h, and the value's error is exactly
+    int rho e^{i lam g} dx; the estimate is int |rho| dx by QK15 (``_NODES``,
+    where rho is sampled through the interpolant), plus the rounding of the
+    solve and of the phase arguments lam g(L), lam g(R).  A piece on which
+    g' does not keep one sign, beyond ``SIGN_TOL``, at every collocation
+    point and node holds or touches a zero of g', where no non-oscillatory
+    solution exists: it is not solved, and its estimate is infinite.  Each
+    piece's residual products are its own (``_rowwise``), as its solve is, so
+    a piece's value and estimate do not depend on the pieces solved with it.
     """
-    n = _LEVIN_T.size
+    T, D, B, BD = colloc
+    n = T.size
     mid, half = 0.5 * (L + R), 0.5 * (R - L)
-    x = mid[:, None] + half[:, None] * np.concatenate([_LEVIN_T, _NODES])
+    x = mid[:, None] + half[:, None] * np.concatenate([T, _NODES])
     gdx = np.broadcast_to(np.asarray(gd(x, S[:, None]), dtype=float), x.shape)
     ok = (gdx.min(axis=1) > SIGN_TOL) | (gdx.max(axis=1) < -SIGN_TOL)
     val, err = np.zeros(L.size, dtype=complex), np.full(L.size, np.inf)
@@ -331,10 +347,10 @@ def _levin(gd, h, lam, L, R, GL, GR, S):
     # in t, with p = half q on x = mid + half t: q' + i lam half g' q = h
     om = (lam * half)[:, None] * gdx[ok]
     hx = h(x[ok], S[:, None])
-    A = np.broadcast_to(_LEVIN_D, (om.shape[0], n, n)).astype(complex)
+    A = np.broadcast_to(D, (om.shape[0], n, n)).astype(complex)
     A.reshape(-1, n * n)[:, ::n + 1] += 1j * om[:, :n]  # the diagonals
     q = np.linalg.solve(A, hx[:, :n, None])[..., 0]
-    rho = _rowwise(q, _LEVIN_BD.T) + 1j * om[:, n:] * _rowwise(q, _LEVIN_B.T) - hx[:, n:]
+    rho = _rowwise(q, BD.T) + 1j * om[:, n:] * _rowwise(q, B.T) - hx[:, n:]
     pb, pa = half * q[:, 0], half * q[:, -1]  # p at R (t = 1) and at L (t = -1)
     val[ok] = pb * np.exp(1j * lam * GR) - pa * np.exp(1j * lam * GL)
     rounding = _EPS * (np.abs(pb) * (n + np.abs(lam * GR)) + np.abs(pa) * (n + np.abs(lam * GL)))
@@ -362,13 +378,14 @@ def _slot_sums(slot, v, n: int) -> np.ndarray:
     return out
 
 
-def _levin_halving(gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
+def _levin_halving(colloc, gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
                    max_pieces: int, run=None):
     """Levin collocation of int h e^{i lam g} over the pieces [L_i, R_i].
 
-    ``gval``, ``gd`` and ``h`` take points and their slots, as ``_levin``
-    does; piece i and every piece cut from it add to slot ``slot[i]``, one of
-    0..n_slots-1, whose lambda is ``lam[slot[i]]``.  A piece whose swing
+    ``colloc`` is the collocation set of ``_levin``, and ``gval``, ``gd``
+    and ``h`` take points and their slots, as it does; piece i and every
+    piece cut from it add to slot ``slot[i]``, one of 0..n_slots-1, whose
+    lambda is ``lam[slot[i]]``.  A piece whose swing
     |lam| |g(b) - g(a)| is at most ``LEVIN_SWING`` is set aside for panels.
     A larger one goes to ``_levin`` and is accepted when its estimate is at
     most ``tol`` times its width, which it never is where g' vanishes or
@@ -399,7 +416,7 @@ def _levin_halving(gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
         val, err = np.empty(L.size, dtype=complex), np.empty(L.size)
         for a in range(0, L.size, _LEVIN_CHUNK):
             k = slice(a, a + _LEVIN_CHUNK)
-            val[k], err[k] = _levin(gd, h, lam, L[k], R[k], GL[k], GR[k], S[k])
+            val[k], err[k] = _levin(colloc, gd, h, lam, L[k], R[k], GL[k], GR[k], S[k])
         ok = err <= tol * (R - L)
         n_levin += np.bincount(S[ok], minlength=n_slots)
         levin_val += _slot_sums(S[ok], val[ok], n_slots)
@@ -422,8 +439,8 @@ def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig):
     ``gval(x, s)`` and ``gd(x, s)`` evaluate g and g' at the points x of
     slots s, piece i adds to slot ``S[i]``, ``lam[s]`` is slot s's lambda
     and ``run[s]`` its run.  The pieces go through ``_levin_halving`` at
-    amplitude 1; those it sets aside are cut into swing panels, which
-    ``_refine`` halves for at most 3 rounds.  Both are held to
+    amplitude 1 on ``_LEVIN_16``; those it sets aside are cut into swing
+    panels, which ``_refine`` halves for at most 3 rounds.  Both are held to
     ``cfg.rel_tol`` per unit width.  The swing panels assume g monotone on
     each piece; where it is not, refinement alone answers for the error.
     Returns per slot the value, the estimate (Levin estimates plus panel
@@ -437,7 +454,7 @@ def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig):
     run, n_runs = _runs(run, lam.size)
     n_slots = lam.size
     SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
-        gval, gd, lambda x, _: np.ones_like(x), lam, L, R, S, n_slots, cfg.rel_tol,
+        _LEVIN_16, gval, gd, lambda x, _: np.ones_like(x), lam, L, R, S, n_slots, cfg.rel_tol,
         cfg.max_panels, run)
     budget = cfg.max_panels - np.bincount(run, n_levin, n_runs).astype(np.intp)
     PL, PR, PS = _swing_panels(gval, SL, SR, SS, np.abs(lam), cfg.phase_variation_cap, budget,

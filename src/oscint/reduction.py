@@ -17,10 +17,11 @@ The outer integral splits at y0, where |lam| y0^j = DIRECT_SWITCH.  On
 swing there is DIRECT_SWITCH whatever lambda is.  On [y0, 1] the Gamma term
 is a power of y, integrated in closed form, and the tail term
 -e^{i |lam| y^j} T_k(|lam| y^j) goes to Levin collocation with an amplitude
-(``quadrature._levin_halving``) in u = ln y: there the amplitude
-e^u T_k(|lam| e^{ju}) is smooth over the whole range, so a few pieces carry
-it at any lambda.  The cost of the reduction therefore does not grow with
-lambda, against the O(lambda) slices a planar quadrature needs.
+(``quadrature._levin_halving``, on the order-24 set) in u = ln y: there the
+amplitude e^u T_k(|lam| e^{ju}) is smooth over the whole range, so a few
+pieces carry it at any lambda.  The cost of the reduction therefore does
+not grow with lambda, against the O(lambda) slices a planar quadrature
+needs.
 
 Both the profile and the reduction are cross-checked in the test suite
 against the planar integrator (moderate lambda) and high-precision oracles.
@@ -35,7 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import PreconditionError
-from .quadrature import _kronrod, _levin_halving, _swing_panels
+from .quadrature import _LEVIN_24, _kronrod, _levin_halving, _swing_panels
 
 DIRECT_SWITCH = 48.0
 # swing limit and budget of the outer panels in y
@@ -144,7 +145,7 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
     ev = lambda u, _: np.exp(j * u)
     amp = lambda u, _: -np.exp(u) * _tail_amplitude(k, la * ev(u, _))
     SL, SR, SS, n_levin, tail, _ = _levin_halving(
-        ev, lambda u, _: j * ev(u, _), amp, [la], [math.log(y0)], [0.0], [0], 1,
+        _LEVIN_24, ev, lambda u, _: j * ev(u, _), amp, [la], [math.log(y0)], [0.0], [0], 1,
         TAIL_RTOL * (abs(head) + abs(power)), MAX_PANELS)
     TL, TR, TS = _swing_panels(ev, SL, SR, SS, [la], SWING_CAP, MAX_PANELS)
 

@@ -145,7 +145,7 @@ def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     coeffs = f.rows_in_x(orders, ys)
     comps = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]),
-                      monotone_rows(coeffs, interval.lo, interval.hi, 1), c - eps, c + eps,
+                      monotone_rows(coeffs, interval.lo, interval.hi, 1)[0], c - eps, c + eps,
                       xtol, coeffs)
     return np.array([float(sum(iv.hi - iv.lo for iv in cs)) for cs in comps])
 

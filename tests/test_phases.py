@@ -532,7 +532,7 @@ def test_a_vanishing_slice_is_one_piece_of_sign_zero():
         row, x, first = phases.sign_breaks(phases.derivative_coeffs(col, order), 0.0, 1.0,
                                            phases.SIGN_TOL)
         assert row.size == x.size == 0 and first.tolist() == [0]
-    assert phases.monotone_rows(col, 0.0, 1.0, 2) == [[Interval(0.0, 1.0)]]
+    assert phases.monotone_rows(col, 0.0, 1.0, 2) == [[[Interval(0.0, 1.0)]]] * 2
 
 
 def test_real_roots_group_rows_by_effective_degree():
@@ -569,9 +569,13 @@ def test_monotone_rows_batch_equals_lone_calls():
     for k, row in enumerate(rows):
         c[k, :len(row)] = row
     lo, hi = [-2.0, -1.0, 0.0, 0.0], [2.0, 1.0, 1.0, 2.0]
-    batch = phases.monotone_rows(c, lo, hi, 2)
-    lone = [phases.monotone_rows(row, a, b, 2)[0] for row, a, b in zip(rows, lo, hi)]
+    by_order = phases.monotone_rows(c, lo, hi, 2)
+    batch = by_order[1]
+    lone = [phases.monotone_rows(row, a, b, 2)[1][0] for row, a, b in zip(rows, lo, hi)]
     assert batch == lone
+    # the order-1 tiling of the same call is that of an order-1 call
+    assert by_order[0] == phases.monotone_rows(c, lo, hi, 1)[0]
+    np.testing.assert_allclose([iv.hi for iv in by_order[0][0][:-1]], [-1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose([iv.hi for iv in batch[0][:-1]], [-1.0, 0.0, 1.0], atol=1e-12)
     assert [iv.as_tuple() for iv in batch[3]] == [(0.0, batch[0][2].hi), (batch[0][2].hi, 2.0)]
     # a phase with coefficients is partitioned by the same rows

@@ -26,9 +26,9 @@ from oscint import (
 from oscint.phases import Phase2D, PlanarDomain, compose2d_with_polynomial, unit_square
 from oscint.quadrature import (
     _CHUNK,
-    _LEVIN_B,
+    _LEVIN_16,
+    _LEVIN_24,
     _LEVIN_CHUNK,
-    _LEVIN_T,
     _NODES,
     _WG,
     _WK,
@@ -149,25 +149,51 @@ def test_levin_polynomial_amplitude_on_linear_phase(lam):
             (-1) ** m * h.deriv(m)(x) / (1j * lam) ** (m + 1) for m in range(4))
 
     L, R = np.array([a]), np.array([b])
-    val, err = _levin(lambda x, _: np.ones_like(x), lambda x, _: h(x), [lam], L, R, L, R,
-                      np.zeros(1, dtype=int))
+    # an amplitude h, as the reduction's tail passes on its set
+    val, err = _levin(_LEVIN_24, lambda x, _: np.ones_like(x), lambda x, _: h(x), [lam], L, R,
+                      L, R, np.zeros(1, dtype=int))
     exact = closed(b) - closed(a)
     assert abs(val[0] - exact) <= err[0] + 1e-15 * abs(exact)
     assert abs(val[0] - exact) / abs(exact) < 1e-13
 
 
-def _levin_x3(lam):
+def _levin_x3(colloc, lam):
     # one piece of x^3 on [0.125, 0.25]
     L, R = np.array([0.125]), np.array([0.25])
-    return _levin(lambda x, _: 3.0 * x**2, lambda x, _: np.ones_like(x), [lam], L, R, L**3,
-                  R**3, np.zeros(1, dtype=int))
+    return _levin(colloc, lambda x, _: 3.0 * x**2, lambda x, _: np.ones_like(x), [lam], L, R,
+                  L**3, R**3, np.zeros(1, dtype=int))
 
 
 def test_levin_residual_estimate_bounds_one_piece_against_mpmath():
     lam = 3e3
-    val, err = _levin_x3(lam)
+    val, err = _levin_x3(_LEVIN_24, lam)
     exact = oscillatory_integral(lambda x: x**3, lambda x: x**3, lam, 0.125, 0.25)
     assert abs(val[0] - exact) <= err[0] <= 1e-14
+
+
+def test_levin_order_16_estimate_bounds_one_piece_against_mpmath():
+    # the same piece on the set of the integrator's monotone pieces
+    lam = 3e3
+    val, err = _levin_x3(_LEVIN_16, lam)
+    exact = oscillatory_integral(lambda x: x**3, lambda x: x**3, lam, 0.125, 0.25)
+    assert abs(val[0] - exact) <= err[0] <= 5e-13  # measured 3.5e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lam", [1e3, 1e4, 1e5, 1e6])
+def test_levin_order_16_estimates_bound_pieces_next_to_a_zero_of_g_prime(n, lam):
+    # the three dyadic pieces [2^-k, 2^(1-k)] of x^n nearest its zero of g'
+    # at 0 whose swing passes LEVIN_SWING (two for x^3 at 1e3)
+    edges = 2.0 ** -np.arange(12.0, -1.0, -1.0)
+    L, R = edges[:-1], edges[1:]
+    keep = lam * (R**n - L**n) > LEVIN_SWING
+    L, R = L[keep][:3], R[keep][:3]
+    val, err = _levin(_LEVIN_16, lambda x, _: n * x ** (n - 1), lambda x, _: np.ones_like(x),
+                      [lam], L, R, L**n, R**n, np.zeros(L.size, dtype=int))
+    assert L.size >= 2 and np.isfinite(err).all()
+    for a, b, v, e in zip(L, R, val, err):
+        exact = oscillatory_integral(lambda x: x**n, lambda x: x**n, lam, a, b)
+        assert abs(v - exact) <= e, (a, b)
 
 
 def test_levin_makes_one_batched_solve(monkeypatch):
@@ -179,26 +205,30 @@ def test_levin_makes_one_batched_solve(monkeypatch):
         return solve(A, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    _levin_x3(3e3)
-    assert calls == [(1, _LEVIN_T.size, _LEVIN_T.size)]
+    _levin_x3(_LEVIN_16, 3e3)
+    n = _LEVIN_16[0].size
+    assert calls == [(1, n, n)] and n == 17
 
 
-def test_levin_residual_node_on_a_collocation_point_is_a_unit_row():
+@pytest.mark.parametrize("colloc", [_LEVIN_16, _LEVIN_24], ids=["order16", "order24"])
+def test_levin_residual_node_on_a_collocation_point_is_a_unit_row(colloc):
     # t = 0 is a QK15 node and, up to the rounding of cos(pi / 2), a Lobatto point
-    node, point = np.flatnonzero(_NODES == 0.0), np.argmin(np.abs(_LEVIN_T))
-    assert node.size == 1 and abs(_LEVIN_T[point]) < 1e-16
-    np.testing.assert_array_equal(_LEVIN_B[node[0]], np.eye(_LEVIN_T.size)[point])
-    np.testing.assert_allclose(_LEVIN_B.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    T, _, B, _ = colloc
+    node, point = np.flatnonzero(_NODES == 0.0), np.argmin(np.abs(T))
+    assert node.size == 1 and abs(T[point]) < 1e-16
+    np.testing.assert_array_equal(B[node[0]], np.eye(T.size)[point])
+    np.testing.assert_allclose(B.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 # osc_integrate_1d on T1's x2_monic_d3 (x^6 / 3) under the suite config: the
 # bits (value, error estimate) and panel count, frozen with the Levin residual
-# estimate, row-local panel and residual products, and the phase evaluated
-# by Horner's rule on its composed coefficients
+# estimate on the order-16 collocation set, row-local panel and residual
+# products, and the phase evaluated by Horner's rule on its composed
+# coefficients
 X2_MONIC_D3_BITS = {
-    1e3: ("0x1.5ca4e9f5f006dp-2", "0x1.738f30fc1f5a5p-4", "0x1.672e6ed16845cp-35", 6),
-    1e5: ("0x1.4382d01822f4cp-3", "0x1.5ab52b3aa0973p-5", "0x1.e76ebef01f8cep-34", 7),
-    1e7: ("0x1.2c501713f4055p-4", "0x1.41e0081d6f52ap-6", "0x1.d8547a64c8946p-42", 13),
+    1e3: ("0x1.5ca4e9f5ef3fcp-2", "0x1.738f30fc15f38p-4", "0x1.60afa25ab6b42p-35", 7),
+    1e5: ("0x1.4382d018242bap-3", "0x1.5ab52b3aa000fp-5", "0x1.e72234619353bp-34", 9),
+    1e7: ("0x1.2c501713f3b56p-4", "0x1.41e0081d704e8p-6", "0x1.10f6d86781df8p-41", 16),
 }
 
 
@@ -386,10 +416,10 @@ def test_kronrod_and_levin_give_each_panel_and_piece_its_lone_bits():
     L, R = edges[:-1], edges[1:]
     S = np.arange(L.size) % 3
     gd, h = lambda x, _: 2.0 * x, lambda x, _: np.ones_like(x)
-    val, err = _levin(gd, h, lam, L, R, L**2, R**2, S)
+    val, err = _levin(_LEVIN_16, gd, h, lam, L, R, L**2, R**2, S)
     assert np.isfinite(err).all()
     for i in range(L.size):
-        one_val, one_err = _levin(gd, h, lam, L[i:i + 1], R[i:i + 1], L[i:i + 1]**2,
+        one_val, one_err = _levin(_LEVIN_16, gd, h, lam, L[i:i + 1], R[i:i + 1], L[i:i + 1]**2,
                                   R[i:i + 1]**2, S[i:i + 1])
         assert (val[i], err[i]) == (one_val[0], one_err[0]), i
 
