@@ -210,14 +210,16 @@ def test_levin_makes_one_batched_solve(monkeypatch):
     assert calls == [(1, n, n)] and n == 17
 
 
-@pytest.mark.parametrize("colloc", [_LEVIN_16, _LEVIN_24], ids=["order16", "order24"])
-def test_levin_residual_node_on_a_collocation_point_is_a_unit_row(colloc):
-    # t = 0 is a QK15 node and, up to the rounding of cos(pi / 2), a Lobatto point
-    T, _, B, _ = colloc
-    node, point = np.flatnonzero(_NODES == 0.0), np.argmin(np.abs(T))
-    assert node.size == 1 and abs(T[point]) < 1e-16
-    np.testing.assert_array_equal(B[node[0]], np.eye(T.size)[point])
-    np.testing.assert_allclose(B.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+def test_levin_residual_node_on_a_collocation_point_is_a_unit_row():
+    # t = 0 is a QK15 node and, up to the rounding of cos(pi / 2), a Lobatto
+    # point of both collocation sets
+    node = np.flatnonzero(_NODES == 0.0)
+    assert node.size == 1
+    for T, _, B, _ in (_LEVIN_16, _LEVIN_24):
+        point = np.argmin(np.abs(T))
+        assert abs(T[point]) < 1e-16
+        np.testing.assert_array_equal(B[node[0]], np.eye(T.size)[point])
+        np.testing.assert_allclose(B.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 # osc_integrate_1d on T1's x2_monic_d3 (x^6 / 3) under the suite config: the
