@@ -56,7 +56,6 @@ from .polynomials import (
     RETRY_ROOT_TOL,
     cover_ratio,
     cover_violations_rows,
-    default_eps_grid,
     degenerating_family,
     estimate_B,
     young_cover,
@@ -573,7 +572,7 @@ def _run_t6(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
         draws.append((coeffs, float(rng.uniform(0.0, 1.0)) or 0.5))
     degrees = np.array([coeffs.size - 1 for coeffs, _ in draws])
     bad: dict[int, list[dict]] = {}
-    for d in np.unique(degrees).tolist():
+    for d in sorted(set(degrees.tolist())):
         ts = np.flatnonzero(degrees == d).tolist()
         found = cover_violations_rows(np.array([draws[t][0] for t in ts]), 1.0,
                                       np.array([draws[t][1] for t in ts]))
@@ -598,7 +597,6 @@ def _run_t6(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
                            for t in B.retried)
         return B
 
-    eps_grid = default_eps_grid()
     b_by_degree = {}
     for d in opt.get("snd_degrees", (2, 3, 4, 5)):
         d = int(d)
@@ -614,7 +612,7 @@ def _run_t6(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
     b_mins = []
     for eta in etas:
         P = degenerating_family(k, eta)
-        ratio = cover_ratio(P, eps_grid)
+        ratio = cover_ratio(P)
         b_mins.append(ratio)
         rows.append(_row("T6", f"degenerating_eta{eta:g}", eps=eta, magnitude=ratio,
                          verdict="witnessed"))

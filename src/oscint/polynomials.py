@@ -5,15 +5,17 @@ the union of intervals of radius eps around the real parts of its roots.
 For SND-normalised polynomials (largest coefficient magnitude equal to 1 and
 attained in the top half) the same holds with radius B_d * eps for a constant
 depending only on the degree; no closed form for B_d is used here, instances
-are estimated empirically from exact cover ratios, sups taken at band edges.
+are estimated empirically from cover ratios, each the exact sup over
+eps in [COVER_T_LO, 1] of a sublevel set's distance to the root real parts.
 A degenerating family demonstrating failure of the inclusion for non-SND
 polynomials is provided alongside.
 
 Roots and covers run as kernels over coefficient rows of one degree: one
-stacked ``eigvals`` call for the roots of every row and one for the band
-edges of every row and eps, taken ``COVER_CHUNK`` rows at a time so that
-memory stays bounded.  The one-polynomial functions are one-row calls of
-the same kernels.
+stacked ``eigvals`` call for the roots of every row, one for the band
+edges of every row and eps, and for cover ratios one for the stationary
+points of every row and centre, taken ``COVER_CHUNK`` rows at a time so
+that memory stays bounded.  The one-polynomial functions are one-row calls
+of the same kernels.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .decay import geometric_grid
 from .errors import NotSndError, PreconditionError, RootConvergenceError
 from .phases import (Interval, _companion, _near_real, _polyval, _root_rows, _rows_at,
-                     derivative_coeffs, merge_intervals)
+                     derivative_coeffs, merge_intervals, real_roots)
 
 CLASSIFY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
 COVER_ROOT_TOL = 1e-7
+COVER_T_LO = 0.01  # the SND cover ratios take their sup over t = eps in [COVER_T_LO, 1]
 RETRY_ROOT_TOL = 1e-5
 COVER_CHUNK = 32  # polynomials per stacked eigenvalue call of the cover kernel
 SND_MAX_DRAWS = 1000
@@ -245,6 +247,11 @@ def snd_sublevel_cover(P: Polynomial, eps: float, B: SndConstant) -> list[Interv
                        NotSndError(f"polynomial is {rep.label}, not SND", report=rep))
 
 
+def _slack(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """64 ulp * sum |a_j| |x|^j: the rounding slack of |P(x)| against a level."""
+    return 64.0 * np.finfo(float).eps * _rows_at(np.abs(c), np.abs(x))
+
+
 def _band_candidates(c: np.ndarray, re: np.ndarray, eps: np.ndarray):
     """Points where dist(x, nearest root real part) can peak on {|P| <= eps^d},
     for many polynomials of one degree d at once.
@@ -257,10 +264,10 @@ def _band_candidates(c: np.ndarray, re: np.ndarray, eps: np.ndarray):
     from one stacked eigenvalue call over the companion matrices of every
     row, (eps, sign) pair, real by the rule ``roots`` snaps with, once per
     conjugate pair; near a double root they are fixed only to about
-    sqrt(machine eps).  A midpoint m is kept where |P(m)| <= eps^d + 64 ulp *
-    sum |a_j| |m|^j (rounding slack).  The real parts of a conjugate pair
-    stay in ``re`` twice: their midpoint is the root's own real part, at
-    distance 0, so it moves neither a sup nor a violation list.
+    sqrt(machine eps).  A midpoint m is kept where |P(m)| <= eps^d +
+    ``_slack``.  The real parts of a conjugate pair stay in ``re`` twice:
+    their midpoint is the root's own real part, at distance 0, so it moves
+    neither a sup nor a violation list.
 
     Returns ``(x, |P(x)|, dist, keep)``, each of shape (rows, m, 3d - 1).
     """
@@ -272,9 +279,8 @@ def _band_candidates(c: np.ndarray, re: np.ndarray, eps: np.ndarray):
     mids = 0.5 * (re[:, None, :-1] + re[:, None, 1:])
     x = np.concatenate([z.real, np.broadcast_to(mids, z.shape[:2] + mids.shape[2:])], axis=2)
     pv = np.abs(_rows_at(c, x))
-    slack = 64.0 * np.finfo(float).eps * _rows_at(np.abs(c), np.abs(mids))
     keep = np.concatenate([_near_real(z) & (z.imag >= 0),
-                           pv[..., 2 * d:] <= levels[..., None] + slack], axis=2)
+                           pv[..., 2 * d:] <= levels[..., None] + _slack(c, mids)], axis=2)
     dist = np.min(np.abs(x[..., None] - re[:, None, None, :]), axis=-1)
     return x, pv, dist, keep
 
@@ -290,24 +296,62 @@ def _cover_chunks(c: np.ndarray, re: np.ndarray, eps):
         yield rows, _band_candidates(c[rows], re[rows], eps[rows])
 
 
-def _cover_ratio_rows(c: np.ndarray, re: np.ndarray, eps_values) -> np.ndarray:
-    """``cover_ratio`` of every row of c, with root real parts ``re``."""
-    eps = np.asarray(eps_values, dtype=float)
-    out = np.empty(c.shape[0])
-    for rows, (_, _, dist, keep) in _cover_chunks(c, re, eps):
-        worst = np.where(keep, dist, 0.0).max(axis=2)
-        out[rows] = (worst / eps).max(axis=1)
+def _stationary_rows(c: np.ndarray, re: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of Q = d P - (x - r) P' for every row of c and
+    every centre r of that row in ``re``, shape (rows, d, d): along a band
+    edge x(t) of {|P| <= t^d}, |x - r| / t is stationary where Q(x) = 0.  The
+    x^d terms cancel, so q_k = (d - k) a_k + r (k + 1) a_(k+1), k < d."""
+    d = re.shape[1]
+    k = np.arange(d)
+    return (d - k) * c[:, None, :-1] + re[..., None] * (k + 1) * c[:, None, 1:]
+
+
+def _cover_ratio_rows(c: np.ndarray, re: np.ndarray) -> np.ndarray:
+    """``cover_ratio`` of every row of c, with root real parts ``re``.
+
+    x lies in S(t) = {|P| <= t^d} exactly when t >= |P(x)|^(1/d), so the sup
+    over t in [COVER_T_LO, 1] of sup_{S(t)} dist/t is the max over S(1) of
+    g(x) = dist(x) / max(COVER_T_LO, |P(x)|^(1/d)).  It is attained at a band
+    edge at level 1 or COVER_T_LO^d (``_band_candidates`` at those two t,
+    each edge over its t), at an in-set midpoint of neighbouring real parts,
+    or where g is stationary: at a real root of a ``_stationary_rows`` row.
+    Those rows drop in degree where their leading coefficient vanishes (a
+    centre at the centroid of the roots); ``phases.real_roots`` groups them
+    by their own degree.  Every candidate is a real point of S(1), so the
+    max never exceeds the sup.
+    """
+    n, d = re.shape
+    t = np.array([COVER_T_LO, 1.0])
+
+    def g(dist, p):
+        return dist / np.maximum(COVER_T_LO, p ** (1.0 / d))
+
+    out = np.empty(n)
+    for rows, (_, pv, dist, keep) in _cover_chunks(c, re, t):
+        edges = np.where(keep[..., :2 * d], dist[..., :2 * d], 0.0) / t[:, None]
+        mids = np.where(keep[:, 1, 2 * d:], g(dist[:, 1, 2 * d:], pv[:, 1, 2 * d:]), 0.0)
+        worst = np.maximum(edges.max(axis=(1, 2)), mids.max(axis=1, initial=0.0))
+        k, xs = real_roots(_stationary_rows(c[rows], re[rows]).reshape(-1, d), -np.inf, np.inf)
+        k //= d
+        ck, xs = c[rows][k], xs[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # a root far out of S(1)
+            p = np.abs(_rows_at(ck, xs))[:, 0]
+            inside = p <= 1.0 + _slack(ck, xs)[:, 0]
+            gs = g(np.min(np.abs(xs - re[rows][k]), axis=1), p)
+        np.maximum.at(worst, k[inside], gs[inside])
+        out[rows] = worst
     return out
 
 
-def cover_ratio(P: Polynomial, eps_values: Sequence[float],
-                tol: float = COVER_ROOT_TOL) -> float:
-    """Sup of dist(x, nearest root real part)/eps over x in {|P| <= eps^d}
-    and eps in ``eps_values`` (0.0 when every such set is empty): exactly the
-    minimal radius scale B for which the root-proximity cover holds there.
-    A one-row call of the kernel ``estimate_B`` runs over all its trials."""
+def cover_ratio(P: Polynomial, tol: float = COVER_ROOT_TOL) -> float:
+    """Sup of dist(x, nearest root real part)/t over x in {|P| <= t^d} and t
+    in [COVER_T_LO, 1] (0.0 when every such set is empty): the minimal
+    radius scale B for which the root-proximity cover holds at every such
+    t, taken over a finite set of candidates (see ``_cover_ratio_rows``),
+    with no grid in t.  A one-row call of the kernel ``estimate_B`` runs
+    over all its trials; roots are checked at ``tol``."""
     re = np.array([roots(P, tol).real_parts])
-    return float(_cover_ratio_rows(np.array([P.coeffs]), re, eps_values)[0])
+    return float(_cover_ratio_rows(np.array([P.coeffs]), re)[0])
 
 
 def cover_violations_rows(coeffs: np.ndarray, radius_scale: float,
@@ -369,15 +413,11 @@ def sample_snd(d: int, rng: np.random.Generator) -> Polynomial:
     raise PreconditionError(f"rejection sampling drew no SND polynomial in SND_MAX_DRAWS = {SND_MAX_DRAWS} draws")
 
 
-def default_eps_grid() -> np.ndarray:
-    """The 51 eps of the SND cover estimates: 25 per decade on [0.01, 1]."""
-    return geometric_grid(1e-2, 1.0, 25)
-
-
 def estimate_B(d: int, trials: int = 400, seed: int = 0) -> SndConstant:
     """Smallest radius scale (to 2 significant digits, rounded up) for which
-    the SND cover holds on all sampled polynomials at every eps of
-    ``default_eps_grid()``; each cover ratio is the exact sup over a sublevel set.
+    the SND cover holds on all sampled polynomials at every eps in
+    [COVER_T_LO, 1]; each trial's ratio is ``cover_ratio``'s sup over that
+    range, so only the draws are sampled.
 
     Trials draw with per-trial derived seeds, so results do not depend on
     evaluation order.  All trials are drawn first and go through the cover
@@ -395,17 +435,16 @@ def estimate_B(d: int, trials: int = 400, seed: int = 0) -> SndConstant:
         return SndConstant(1, 1.0)
     if trials < 100:
         raise PreconditionError("estimate_B needs at least 100 trials")
-    eps_values = default_eps_grid()
     polys = [sample_snd(d, np.random.default_rng(np.random.SeedSequence(entropy=(seed, d, t))))
              for t in range(trials)]
     c = np.array([P.coeffs for P in polys])
     z, ok, _ = _root_rows(c, COVER_ROOT_TOL)
-    ratios = _cover_ratio_rows(c, z.real, eps_values)
+    ratios = _cover_ratio_rows(c, z.real)
     retried = np.flatnonzero(~ok)
     for t in retried:
         # the one-row call at the looser check gives the same ratio, or raises
         try:
-            ratios[t] = cover_ratio(polys[t], eps_values, tol=RETRY_ROOT_TOL)
+            ratios[t] = cover_ratio(polys[t], tol=RETRY_ROOT_TOL)
         except RootConvergenceError as err:
             raise RootConvergenceError(f"{err} at trial {t}", degree=d, trial=int(t)) from err
     worst = max(1.0, float(ratios.max()))

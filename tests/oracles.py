@@ -101,6 +101,42 @@ def mpmath_band_edges(coeffs, level: float) -> np.ndarray:
     return np.sort(np.array(edges))
 
 
+def mpmath_cover_sup(coeffs, t_lo: float) -> float:
+    """Max of dist(x, C) / max(t_lo, |P(x)|^(1/d)) over the candidates of an
+    exact cover ratio, every root by mpmath at 50 digits: C holds the real
+    parts of P's roots, and the candidates are the band edges at levels 1
+    and t_lo^d (over 1 and t_lo), the midpoints of neighbouring centres and,
+    for each centre c, the real roots of d P - (x - c) P', both where
+    |P| <= 1.  That row's coefficients below 1e-30 of its largest are
+    dropped, so that a centre at the roots' centroid lowers its degree."""
+    with mp.workdps(50):
+        a = [mp.mpf(float(v)) for v in coeffs]
+        d = len(a) - 1
+        centres = sorted(mp.re(z) for z in mp.polyroots(a[::-1], maxsteps=500, extraprec=200))
+
+        def dist(x):
+            return min(abs(x - c) for c in centres)
+
+        best = mp.mpf(0)
+        for t in (mp.mpf(t_lo), mp.mpf(1)):
+            for x in mpmath_band_edges(coeffs, float(t) ** d):
+                best = max(best, dist(mp.mpf(x)) / t)
+        inner = [0.5 * (u + v) for u, v in zip(centres[:-1], centres[1:])]
+        for c in centres:
+            q = [(d - k) * a[k] + c * (k + 1) * a[k + 1] for k in range(d)]
+            scale = max(abs(v) for v in q)
+            while q and abs(q[-1]) <= mp.mpf(10) ** -30 * scale:
+                q.pop()
+            if len(q) > 1:
+                inner += [mp.re(z) for z in mp.polyroots(q[::-1], maxsteps=500, extraprec=200)
+                          if abs(mp.im(z)) <= mp.mpf(10) ** -20 * (1 + abs(z))]
+        for x in inner:
+            p = abs(mp.polyval(a[::-1], x))
+            if p <= 1:
+                best = max(best, dist(x) / max(mp.mpf(t_lo), p ** (mp.mpf(1) / d)))
+        return float(best)
+
+
 _GL24 = GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)  # 24 (node, weight) pairs on [-1, 1]
 
 

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from oscint.polynomials import (Polynomial, cover_ratio, cover_violations, default_eps_grid,
-                                degenerating_family, estimate_B)
+from oscint.polynomials import (Polynomial, cover_ratio, cover_violations, degenerating_family,
+                                estimate_B)
 
 FROZEN = Path(__file__).with_name("data") / "covers.json"
 ETAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -39,12 +39,11 @@ def violations(t: int) -> list[dict]:
 
 
 def compute() -> dict:
-    grid = default_eps_grid()
     return {
         "estimate_B": {str(d): [r.hex() for r in estimate_B(d, trials=100, seed=7).ratios]
                        for d in range(3, 7)},
-        "degenerating": {str(k): [cover_ratio(degenerating_family(k, eta), grid).hex()
-                                  for eta in ETAS] for k in (2, 3)},
+        "degenerating": {str(k): [cover_ratio(degenerating_family(k, eta)).hex() for eta in ETAS]
+                         for k in (2, 3)},
         "violations": [violations(t) for t in range(DRAWS)],
     }
 

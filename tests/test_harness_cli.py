@@ -166,7 +166,6 @@ from oscint import (Polynomial, compose_with_polynomial, cover_ratio, degenerati
                     monomial, osc_integrate_1d, osc_integrate_1d_sweep, osc_integrate_2d, roots,
                     xy_phase)
 from oscint.phases import compose2d_with_polynomial
-from oscint.polynomials import default_eps_grid
 from oscint.reduction import product_monomial_integral
 from oscint.sublevel import osc_to_sublevel_constant
 print(repr(osc_integrate_1d(monomial(2), 2e5)))
@@ -180,7 +179,7 @@ print(repr(product_monomial_integral(2, 2, 1e5)))
 print(repr(osc_to_sublevel_constant(0.5)))
 print(repr(roots(Polynomial((-3.0, 1.0, 0.0, -2.0, 0.0, 1.0)))))
 print(repr(roots(degenerating_family(2, 1e-4))))
-print(repr(cover_ratio(degenerating_family(2, 1e-4), default_eps_grid())))
+print(repr(cover_ratio(degenerating_family(2, 1e-4))))
 """
 
 
@@ -193,13 +192,14 @@ def test_results_do_not_depend_on_blas_threads():
 
 def test_cover_ratio_and_certify_2d_leave_numpy_ma_unimported():
     # in numpy 2.4, the first np.unique call imports numpy.ma, about 30 ms
-    out = _run_python("-c", """
+    out = _run_python("-c", f"""
 import sys
 from oscint import Polynomial, cover_ratio, degenerating_family, xy_phase
 from oscint.certificates import certify_2d
-from oscint.polynomials import default_eps_grid
-cover_ratio(degenerating_family(2, 1e-4), default_eps_grid())
+from oscint.harness import ExperimentConfig, run_suite
+cover_ratio(degenerating_family(2, 1e-4))
 certify_2d(xy_phase(), Polynomial((0.0, 1.0)), 300.0)
+run_suite(ExperimentConfig(suite="T6", seed=7, options={SMALL_T6!r}))
 print("numpy.ma" in sys.modules)
 """)
     assert out.returncode == 0, out.stderr

@@ -25,9 +25,10 @@ from oscint import (
     young_cover,
 )
 from oscint import polynomials
-from oscint.polynomials import default_eps_grid
+from oscint.decay import geometric_grid
 
-from oracles import central_diff, companion_eigenvalues, mpmath_band_edges, mpmath_roots
+from oracles import (central_diff, companion_eigenvalues, mpmath_band_edges, mpmath_cover_sup,
+                     mpmath_roots)
 
 
 class TestRoots:
@@ -210,7 +211,6 @@ class TestCovers:
 
     def test_monic_inclusion_random(self):
         rng = np.random.default_rng(42)
-        eps_grid = default_eps_grid()
         for _ in range(150):
             d = int(rng.integers(1, 7))
             c = rng.uniform(-1, 1, size=d + 1)
@@ -218,7 +218,7 @@ class TestCovers:
             P = Polynomial(tuple(c))
             eps = float(rng.uniform(0.05, 1.0))
             assert cover_violations(P, 1.0, eps) == []
-            ratio = cover_ratio(P, eps_grid)
+            ratio = cover_ratio(P)
             assert ratio <= 1.0 + 1e-6
 
     def test_snd_cover_basic(self):
@@ -240,11 +240,10 @@ class TestCovers:
 
     def test_snd_random_covered_with_estimate(self):
         B = estimate_B(3, trials=120, seed=5)
-        eps_grid = default_eps_grid()
         for t in range(120):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(5, 3, t)))
             P = sample_snd(3, rng)
-            ratio = cover_ratio(P, eps_grid)
+            ratio = cover_ratio(P)
             assert ratio <= B.B + 1e-9
 
 
@@ -264,7 +263,7 @@ class TestEstimateB:
         B = estimate_B(2, trials=100, seed=3)
         assert len(B.ratios) == 100 and max(B.ratios) <= B.B
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(3, 2, 7)))
-        ratio = cover_ratio(sample_snd(2, rng), default_eps_grid())
+        ratio = cover_ratio(sample_snd(2, rng))
         assert B.ratios[7] == ratio
         assert B == SndConstant(2, B.B)
 
@@ -278,8 +277,8 @@ class TestEstimateB:
         assert B.B / quantum == pytest.approx(round(B.B / quantum), abs=1e-9)
 
     def test_rounded_value_is_the_decimal_itself(self):
-        # 23 quanta of 0.1 multiply out to 2.3000000000000003
-        assert estimate_B(2, trials=200, seed=1).B == 2.3
+        # 24 quanta of 0.1 multiply out to 2.4000000000000004
+        assert estimate_B(2, trials=200, seed=1).B == 2.4
 
     def test_requires_enough_trials(self):
         with pytest.raises(PreconditionError):
@@ -291,7 +290,7 @@ class TestEstimateB:
         trials = max(100, 2 * polynomials.COVER_CHUNK) + 5
         B = estimate_B(d, trials=trials, seed=5)
         one_by_one = [cover_ratio(sample_snd(d, np.random.default_rng(
-            np.random.SeedSequence(entropy=(5, d, t)))), default_eps_grid()) for t in range(trials)]
+            np.random.SeedSequence(entropy=(5, d, t))))) for t in range(trials)]
         assert list(B.ratios) == one_by_one
         assert B.retried == ()
 
@@ -397,24 +396,41 @@ def _assert_violations_match(P, eps, rtol):
 _DOUBLE_ROOT_RTOL = 1e-6
 _SIMPLE_ROOT_RTOL = 1e-9
 _ORACLE_EPS = np.geomspace(1e-2, 1.0, 5)
+_EPS_51 = geometric_grid(polynomials.COVER_T_LO, 1.0, 25)  # 51 eps, 25 per decade
+
+
+def _grid_ratio(P, eps, chunk=2500):
+    """The sampled ratio: the max over the grid ``eps`` of the sup of dist/eps
+    over the band edges and in-set midpoints of {|P| <= eps^d}."""
+    c = np.array([P.coeffs])
+    re = polynomials._root_rows(c, np.inf)[0].real
+    eps = np.asarray(eps, dtype=float)
+    worst = 0.0
+    for lo in range(0, eps.size, chunk):
+        e = eps[lo:lo + chunk]
+        _, _, dist, keep = polynomials._band_candidates(c, re, e[None, :])
+        worst = max(worst, float((np.where(keep, dist, 0.0).max(axis=2)[0] / e).max()))
+    return worst
 
 
 @pytest.mark.parametrize("eta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
 def test_cover_ratio_matches_mpmath_band_edges_on_the_degenerating_family(eta):
     P = degenerating_family(2, eta)
-    ratio, eps = _oracle_ratio(P, default_eps_grid())
-    assert cover_ratio(P, default_eps_grid()) == pytest.approx(ratio, rel=_DOUBLE_ROOT_RTOL)
-    _assert_violations_match(P, eps, _DOUBLE_ROOT_RTOL)
+    assert cover_ratio(P) == pytest.approx(mpmath_cover_sup(P.coeffs, polynomials.COVER_T_LO),
+                                           rel=_DOUBLE_ROOT_RTOL)
+    _assert_violations_match(P, _oracle_ratio(P, _EPS_51)[1], _DOUBLE_ROOT_RTOL)
 
 
 def test_cover_ratio_matches_mpmath_band_edges_on_snd_draws():
+    # the exact sup's candidates at 50 digits; violations per eps, at the
+    # eps of the worst band-edge ratio on a 5-point grid
     for t in range(100):
         d = 2 + t % 5
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(12, d, t)))
         P = sample_snd(d, rng)
-        ratio, eps = _oracle_ratio(P, _ORACLE_EPS)
-        assert cover_ratio(P, _ORACLE_EPS) == pytest.approx(ratio, rel=_SIMPLE_ROOT_RTOL), P
-        _assert_violations_match(P, eps, _SIMPLE_ROOT_RTOL)
+        assert cover_ratio(P) == pytest.approx(mpmath_cover_sup(P.coeffs, polynomials.COVER_T_LO),
+                                               rel=_SIMPLE_ROOT_RTOL), P
+        _assert_violations_match(P, _oracle_ratio(P, _ORACLE_EPS)[1], _SIMPLE_ROOT_RTOL)
 
 
 def test_cover_ratio_is_not_below_its_own_sample():
@@ -424,16 +440,84 @@ def test_cover_ratio_is_not_below_its_own_sample():
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(20260415, 3, 935)))
     P = sample_snd(3, rng)
     np.testing.assert_allclose(P.coeffs, (0.64493, -0.97503, -1.0, -0.20886), atol=1e-5)
-    ratio = cover_ratio(P, default_eps_grid())
+    ratio = cover_ratio(P)
     assert ratio > 1.6
-    assert ratio == pytest.approx(_oracle_ratio(P, default_eps_grid())[0], rel=_SIMPLE_ROOT_RTOL)
+    assert ratio == pytest.approx(mpmath_cover_sup(P.coeffs, polynomials.COVER_T_LO),
+                                  rel=_SIMPLE_ROOT_RTOL)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_exact_ratio_is_at_least_the_51_point_ratio(d):
+    B = estimate_B(d, trials=100, seed=7)
+    for t, ratio in enumerate(B.ratios):
+        P = sample_snd(d, np.random.default_rng(np.random.SeedSequence(entropy=(7, d, t))))
+        assert ratio >= _grid_ratio(P, _EPS_51), (d, t)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_exact_ratio_is_the_limit_of_a_fine_grid(d):
+    # a 20,001-point grid in eps samples the same sup from below
+    fine = np.geomspace(polynomials.COVER_T_LO, 1.0, 20_001)
+    for t in range(6):
+        P = sample_snd(d, np.random.default_rng(np.random.SeedSequence(entropy=(7, d, t))))
+        ratio, grid = cover_ratio(P), _grid_ratio(P, fine)
+        assert ratio >= grid * (1.0 - 1e-12), (d, t)
+        assert ratio == pytest.approx(grid, rel=1e-3), (d, t)
+
+
+def test_exact_ratio_peaks_between_grid_points():
+    # P' = t + t^2/2 of the SND-only outer polynomial: the midpoint -1 of the
+    # roots -2 and 0 enters {|P| <= t^2} at t = 1/sqrt(2), where dist/t = sqrt(2)
+    P = Polynomial((0.0, 1.0, 0.5))
+    assert cover_ratio(P) == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0.0)
+    assert _grid_ratio(P, _EPS_51) < 1.32
+
+
+def test_stationary_rows_drop_in_degree_at_the_centroid():
+    # x^3 - x: Q = 3P - (x - 0) P' = -2x for the centre 0, the roots' centroid
+    c = np.array([[0.0, -1.0, 0.0, 1.0]])
+    re = np.array([[-1.0, 0.0, 1.0]])
+    q = polynomials._stationary_rows(c, re)
+    np.testing.assert_array_equal(q[0, 1], [0.0, -2.0, 0.0])
+    np.testing.assert_array_equal(q[0, 2], [-1.0, -2.0, 3.0])  # (3x + 1)(x - 1)
+    P = Polynomial(tuple(c[0]))
+    exact = float(polynomials._cover_ratio_rows(c, re)[0])
+    assert exact == pytest.approx(mpmath_cover_sup(P.coeffs, polynomials.COVER_T_LO),
+                                  rel=_SIMPLE_ROOT_RTOL)
+    assert cover_ratio(P) == pytest.approx(exact, rel=_SIMPLE_ROOT_RTOL)
+    assert exact >= _grid_ratio(P, np.geomspace(polynomials.COVER_T_LO, 1.0, 20_001))
+
+
+def test_stationary_row_of_a_complex_pair_is_constant():
+    # x^2 + 1: Q = 2P - x P' = 2 for the centre 0 of +-i, and {|P| <= 1} is
+    # the one point 0, at distance 0; x^2 + 2 has an empty {|P| <= 1}
+    for coeffs in ((1.0, 0.0, 1.0), (2.0, 0.0, 1.0)):
+        re = np.array([[0.0, 0.0]])
+        np.testing.assert_array_equal(polynomials._stationary_rows(np.array([coeffs]), re)[0],
+                                      [[2.0 * coeffs[0], 0.0]] * 2)
+        assert cover_ratio(Polynomial(coeffs)) == 0.0
+
+
+def test_batched_ratio_rows_equal_one_row_calls():
+    # draws of one degree with exact degree drops mixed in: x^3 - x, whose
+    # centre 0 is the roots' centroid, and (x - 1/2)^3, whose stationary
+    # row is zero and whose ratio is 1 at every t
+    rng = np.random.default_rng(11)
+    c = rng.uniform(-1.0, 1.0, size=(polynomials.COVER_CHUNK + 7, 4))
+    c[:2] = [[0.0, -1.0, 0.0, 1.0], [-0.125, 0.75, -1.5, 1.0]]
+    re = polynomials._root_rows(c, np.inf)[0].real
+    re[:2] = [[-1.0, 0.0, 1.0], [0.5, 0.5, 0.5]]
+    assert not polynomials._stationary_rows(c[1:2], re[1:2]).any()
+    batched = polynomials._cover_ratio_rows(c, re)
+    one_by_one = [polynomials._cover_ratio_rows(c[k:k + 1], re[k:k + 1])[0]
+                  for k in range(c.shape[0])]
+    assert batched.tolist() == one_by_one
+    assert batched[1] == pytest.approx(1.0, rel=_SIMPLE_ROOT_RTOL)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
 def test_cover_checks_reject_non_positive_eps(eps):
     P = Polynomial((-1.0, 0.0, 1.0))
-    with pytest.raises(PreconditionError):
-        cover_ratio(P, [eps, 0.5])
     with pytest.raises(PreconditionError):
         cover_violations(P, 1.0, eps)
 
