@@ -96,6 +96,7 @@ from .sublevel import (
     osc_to_sublevel_constant,
     sublevel_1d,
     sublevel_2d,
+    sublevel_2d_sweep,
 )
 
 __version__ = "0.1.0"

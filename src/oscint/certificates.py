@@ -21,9 +21,10 @@ the classical van der Corput bound 3 / (r |lambda|).  A polynomial's model
 finds the roots it needs once: its P' caches the cover's centres.
 
 The engine (``_engine_1d``) runs many jobs at once, each an interval given
-by its monotone pieces, with its own lambda, eps, r and claims: every job's
-cover bands go to one band solve with per-row levels, and its thresholds
-and small-slope bands are per-piece arrays.  A job's decomposition is the
+by its monotone pieces, with its own lambda, eps, r and claims: the pieces
+of all jobs are flat (job, lo, hi) arrays, every job's cover bands go to
+one band solve with per-row levels, and its thresholds and small-slope
+bands are per-piece arrays.  A job's decomposition is the
 one it gets alone.
 ``certify_1d_sweep`` certifies a grid of lambdas as one job each, in one
 run; ``certify_1d`` is its one-element call.
@@ -49,8 +50,8 @@ from .errors import (
     PreconditionError,
     SliceOverflowError,
 )
-from .phases import (Interval, Phase2D, PhaseFunction, merge_intervals, monotone_partition,
-                     monotone_rows, real_roots, sign_breaks, solve_brackets)
+from .phases import (Interval, Phase2D, PhaseFunction, _gaps, flat_rows, merge_rows,
+                     monotone_partition, monotone_rows, real_roots, sign_breaks, solve_brackets)
 from .polynomials import (
     Polynomial,
     SndConstant,
@@ -304,45 +305,27 @@ def _outer(P: Polynomial | PowerTransform, lam_abs: float) -> _Outer:
 
 
 # ---------------------------------------------------------------------------
-# Interval bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def _subtract(piece: Interval, removed: Sequence[Interval]) -> list[Interval]:
-    kept: list[Interval] = []
-    cursor = piece.lo
-    for r in removed:
-        if r.hi <= piece.lo or r.lo >= piece.hi:
-            continue
-        if r.lo > cursor:
-            kept.append(Interval(cursor, min(r.lo, piece.hi)))
-        cursor = max(cursor, r.hi)
-        if cursor >= piece.hi:
-            break
-    if cursor < piece.hi:
-        kept.append(Interval(cursor, piece.hi))
-    return [iv for iv in kept if iv.length > 1e-13]
-
-
-# ---------------------------------------------------------------------------
 # The shared 1D engine
 # ---------------------------------------------------------------------------
 
 
-def _flat(per_job: list[list[Interval]]):
-    """Job index, lo and hi arrays of per-job interval lists."""
-    job = np.repeat(np.arange(len(per_job)), [len(ivs) for ivs in per_job])
-    ivs = [iv for ivs in per_job for iv in ivs]
-    return job, np.array([iv.lo for iv in ivs]), np.array([iv.hi for iv in ivs])
+def _expand(rows: np.ndarray, of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each entry i of ``rows``, the entries of the sorted ``of`` that
+    equal rows[i]: (owner, index) arrays, by owner, then index."""
+    start = np.searchsorted(of, rows)
+    count = np.searchsorted(of, rows, side="right") - start
+    owner = np.repeat(np.arange(rows.size), count)
+    return owner, np.arange(owner.size) + np.repeat(start - np.cumsum(count) + count, count)
 
 
-def _engine_1d(bases: Sequence[list[Interval]], mono: Sequence[list[Interval]], ev, outer,
-               lam: Sequence[float], eps: Sequence[float], r: Sequence[float],
-               claims: Sequence[dict | None]) -> list[tuple[list[CertPiece], dict]]:
+def _engine_1d(bases, mono, ev, outer, lam: Sequence[float], eps: Sequence[float],
+               r: Sequence[float], claims: Sequence[dict | None]
+               ) -> list[tuple[list[CertPiece], dict]]:
     """Per-piece decompositions of many intervals at once, one per job.
 
-    Job j is an interval given by its monotone pieces: ``bases[j]`` of the
-    hypothesis order N and ``mono[j]`` of order 1.  ``ev(order, x, j)``
+    Job j is an interval given by its monotone pieces, the entries of job j
+    in ``bases`` (of the hypothesis order N) and ``mono`` (of order 1), flat
+    (job, lo, hi) arrays ordered by job, then left end.  ``ev(order, x, j)``
     evaluates derivative ``order`` (0 or 1) of the phases of jobs ``j`` at
     the points ``x``, so each bracket solve below serves every job.
     ``outer`` is the model of P (``_outer``); job j runs at ``lam[j]``,
@@ -350,24 +333,27 @@ def _engine_1d(bases: Sequence[list[Interval]], mono: Sequence[list[Interval]], 
     decay claim).  Each job's decomposition is the one it gets alone.
     Returns (pieces, notes) per job.
     """
-    bases = list(bases)
+    n_jobs = len(lam)
+    bj, blo, bhi = bases
 
-    # refine at pullbacks of the outer derivative's monotonicity breaks
+    # refine at pullbacks of the outer derivative's monotonicity breaks: each
+    # job's pieces run between its distinct edges and cuts
     t_stars = np.array(outer.prime_breaks)
     if t_stars.size:
-        pj, lo, hi = _flat(bases)
-        fa, fb = ev(0, lo, pj), ev(0, hi, pj)
+        fa, fb = ev(0, blo, bj), ev(0, bhi, bj)
         k, t = np.nonzero((np.minimum(fa, fb)[:, None] < t_stars)
                           & (t_stars < np.maximum(fa, fb)[:, None]))
         t = t_stars[t]
-        lo_b, hi_b = solve_brackets(lambda x, q: ev(0, x, pj[k[q]]) - t[q], lo[k], hi[k],
+        lo_b, hi_b = solve_brackets(lambda x, q: ev(0, x, bj[k[q]]) - t[q], blo[k], bhi[k],
                                     fa[k] - t <= 0.0)
         cuts = 0.5 * (lo_b + hi_b)
-        inside = (lo[k] < cuts) & (cuts < hi[k])
-        for j, base in enumerate(bases):
-            edges = sorted({p.lo for p in base} | {p.hi for p in base}
-                           | set(cuts[inside & (pj[k] == j)].tolist()))
-            bases[j] = [Interval(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+        inside = (blo[k] < cuts) & (cuts < bhi[k])
+        ej = np.concatenate([bj, bj, bj[k[inside]]])
+        ex = np.concatenate([blo, bhi, cuts[inside]])
+        order = np.lexsort((ex, ej))
+        ej, ex = ej[order], ex[order]
+        step = (ej[1:] == ej[:-1]) & (ex[1:] > ex[:-1])
+        bj, blo, bhi = ej[:-1][step], ex[:-1][step], ex[1:][step]
 
     # removed root-proximity cover, pulled back through f: one band row per
     # job and cover interval, all in one solve
@@ -375,31 +361,34 @@ def _engine_1d(bases: Sequence[list[Interval]], mono: Sequence[list[Interval]], 
     spans = [(j, 0.5 * (t_iv.lo + t_iv.hi), 0.5 * (t_iv.hi - t_iv.lo))
              for j, e in enumerate(eps) for t_iv in covers[e]]
     rows = [(j, center - radius, center + radius) for j, center, radius in spans if radius > 0]
-    removed: list[list[Interval]] = [[] for _ in bases]
+    rj, rlo, rhi = np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
     if rows:
         row_job, lo_t, hi_t = (np.array(v) for v in zip(*rows))
-        bands = band_sets(lambda x, q: ev(0, x, row_job[q]), [mono[j] for j in row_job],
-                          lo_t, hi_t)
-        for j, comps in zip(row_job.tolist(), bands):
-            removed[j].extend(comps)
-    removed = [merge_intervals((iv.as_tuple() for iv in rem), 1e-13) for rem in removed]
+        owner, at = _expand(row_job, mono[0])
+        band, lo, hi = band_sets(lambda x, q: ev(0, x, row_job[q]),
+                                 (owner, mono[1][at], mono[2][at]), lo_t, hi_t)
+        rj, rlo, rhi = merge_rows(row_job[band], lo, hi, 1e-13)
+    measured = np.bincount(rj, rhi - rlo, n_jobs).tolist()
 
-    out: list[tuple[list[CertPiece], dict]] = []
-    for rem, claim in zip(removed, claims):
-        per_root = None if claim is None else claim["removed_unit"]
-        measured = sum(iv.length for iv in rem)
-        claimed = 0.0 if claim is None else per_root * outer.n_centers
-        out.append(([CertPiece(
-            KIND_REMOVED, iv.as_tuple(),
-            iv.length * claimed / measured if measured > claimed > 0 else iv.length,
+    out: list[tuple[list[CertPiece], dict]] = [([], {"shrunk_for_threshold": 0})
+                                               for _ in range(n_jobs)]
+    for j, lo, hi in zip(rj.tolist(), rlo.tolist(), rhi.tolist()):
+        per_root = None if claims[j] is None else claims[j]["removed_unit"]
+        claimed = 0.0 if claims[j] is None else per_root * outer.n_centers
+        out[j][0].append(CertPiece(
+            KIND_REMOVED, (lo, hi),
+            (hi - lo) * claimed / measured[j] if measured[j] > claimed > 0 else hi - lo,
             "measured_sublevel_measure",
-            {"measured": iv.length, "claimed_per_root": per_root, "origin": "root_proximity_cover"},
-        ) for iv in rem], {"shrunk_for_threshold": 0}))
+            {"measured": hi - lo, "claimed_per_root": per_root, "origin": "root_proximity_cover"},
+        ))
 
     # what the cover leaves; where |P'(f)| is under the threshold at one end,
     # shave that end off at the crossing, and at both ends drop the piece
-    kj, a, b = _flat([[kv for piece in base for kv in _subtract(piece, rem)]
-                      for base, rem in zip(bases, removed)])
+    gj, glo, ghi = _gaps(n_jobs, rj, rlo, rhi, np.full(n_jobs, -np.inf), np.full(n_jobs, np.inf))
+    owner, at = _expand(bj, gj)
+    a, b = np.maximum(blo[owner], glo[at]), np.minimum(bhi[owner], ghi[at])
+    kept = b - a > 1e-13
+    kj, a, b = bj[owner][kept], a[kept], b[kept]
     a0, b0 = a.tolist(), b.tolist()
     safety: list[Interval | None] = [None] * a.size
     threshold = np.array([outer.threshold(e) for e in eps])[kj]
@@ -539,7 +528,8 @@ def certify_1d_sweep(f: PhaseFunction, P: Polynomial | PowerTransform, lams: Seq
 
     eps = [la ** (-1.0 / d) for la in lam_abs]
     n = len(lams)
-    results = _engine_1d([monotone_partition(f)] * n, [monotone_partition(f, order_cap=1)] * n,
+    results = _engine_1d(flat_rows(monotone_partition(f), n),
+                         flat_rows(monotone_partition(f, order_cap=1), n),
                          lambda order, x, _: f.eval_fn(order, x), outer, lams, eps, r, claims)
     certs = []
     for lam, e, r_j, claim, (pieces, notes) in zip(lams, eps, r, claims, results):
@@ -594,33 +584,34 @@ def _x_start(f: Phase2D, gamma: float) -> float | None:
                                 xtol=0.0)[1][0])
 
 
-def _runs(f: Phase2D, xs: np.ndarray, gamma: float, cap: int) -> list[list[Interval]]:
+def _runs(f: Phase2D, xs: np.ndarray, gamma: float,
+          cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each slice x0 of ``xs``, the runs in [ay, by] where
-    |d_y f(x0, y)| >= gamma: the signs of the rows d_y f(x0, .) - gamma
+    |d_y f(x0, y)| >= gamma, as flat (slice, lo, hi) arrays ordered by
+    slice, then left end: the signs of the rows d_y f(x0, .) - gamma
     (in a run where >= 0) and d_y f(x0, .) + gamma (where <= 0), from one
     ``phases.sign_breaks`` call over all slices.  A row that is zero
     throughout, a slice at exactly gamma, is one run.  More than ``cap``
     runs in a slice raise SliceOverflowError."""
     dom = f.domain
     rows = np.tile(f.column_in_y((0, 1), xs), (2, 1))
+    n = rows.shape[0]
     rows[:, 0] -= np.repeat([gamma, -gamma], xs.size)
     row, breaks, first = sign_breaks(rows, dom.ay, dom.by, 0.0)
-    split = np.split(breaks, np.searchsorted(row, np.arange(1, rows.shape[0])))
-    out: list[list[Interval]] = [[] for _ in xs]
-    for q, (br, s) in enumerate(zip(split, first.tolist())):
-        # the signs alternate from the first; a run's sign is +1 on a first
-        # row, -1 on a second, or 0 on a zero row
-        outside = -1 if q < xs.size else 1
-        edges = [dom.ay, *br.tolist(), dom.by]
-        out[q % xs.size] += [Interval(a, b) for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]))
-                             if b > a and s * (-1) ** i != outside]
-    for runs in out:
-        if len(runs) > cap:
-            raise SliceOverflowError(
-                f"slice decomposed into {len(runs)} intervals, cap {cap}", gamma=gamma
-            )
-        runs.sort(key=lambda iv: iv.lo)
-    return out
+    q, lo, hi = _gaps(n, row, breaks, breaks, np.full(n, dom.ay), np.full(n, dom.by))
+    # the signs alternate from the first; a run's sign is +1 on a first
+    # row, -1 on a second, or 0 on a zero row
+    sign = first[q] * np.where((np.arange(q.size) - np.searchsorted(q, q)) % 2, -1, 1)
+    run = (hi > lo) & (sign != np.where(q < xs.size, -1, 1))
+    q, lo, hi = q[run] % xs.size, lo[run], hi[run]
+    count = np.bincount(q, minlength=xs.size)
+    over = np.flatnonzero(count > cap)
+    if over.size:
+        raise SliceOverflowError(
+            f"slice decomposed into {count[over[0]]} intervals, cap {cap}", gamma=gamma
+        )
+    order = np.lexsort((lo, q))
+    return q[order], lo[order], hi[order]
 
 
 def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
@@ -635,15 +626,15 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
     The large side comes from roots, with no scan: it starts at
     ``_x_start``, each sampled slice's runs come from ``_runs``, and their
     monotone pieces of orders up to N2 and up to 1 from one
-    ``phases.monotone_rows`` call over the slices' coefficient columns.
-    The runs are certified in one run of the one-dimensional engine with
-    r = gamma (the base case P(t) = t uses the classical per-interval
-    bound); the region bound is the x-projection
-    width times the worst sampled slice total.  The small side is charged
-    by its measure, at most the parametric 2 * gamma * height:
-    ``sublevel_rows`` measures |d_y f| < gamma along x, and
-    ``adaptive_quad`` integrates that over y on the segments of
-    ``sublevel.kink_segments`` at -/+ gamma.
+    ``phases.monotone_rows`` call over the slices' coefficient columns;
+    runs and pieces are flat (job, lo, hi) arrays.  The runs are certified
+    in one run of the one-dimensional engine with r = gamma (the base case
+    P(t) = t uses the classical per-interval bound); the region bound is
+    the x-projection width times the worst sampled slice total.  The small
+    side is charged by its measure, at most the parametric
+    2 * gamma * height: ``sublevel_rows`` measures |d_y f| < gamma along x,
+    one flat batch of rows per round, and ``adaptive_quad`` integrates that
+    over y on the segments of ``sublevel.kink_segments`` at -/+ gamma.
     """
     if lam == 0.0:
         raise PreconditionError("certify_2d needs lambda != 0")
@@ -687,7 +678,7 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
         xs = np.sort(np.concatenate([[x_start], cluster, np.linspace(x_start, bx, SLICE_SAMPLES)]))
         xs = xs[np.append(True, xs[1:] != xs[:-1])]
     # every (slice, run) is one job of a single engine run
-    job_slice, job_lo, job_hi = _flat(_runs(f, xs, gamma, cap))
+    job_slice, job_lo, job_hi = _runs(f, xs, gamma, cap)
     job_x = xs[job_slice]
     slices = f.column_in_y((0, 0), job_x)
     n_jobs = job_slice.size
@@ -714,9 +705,10 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
 
     # region 2: |d_y f| < gamma, charged by measure
     gamma_strict = gamma * (1.0 - 1e-12)
+    a, b, _ = kink_segments(f, (0, 1), (-gamma_strict, gamma_strict))
     measured, quad_err, converged = adaptive_quad(
-        lambda ys: sublevel_rows(f, (0, 1), ys, 0.0, gamma_strict, Interval(ax, bx)),
-        *kink_segments(f, (0, 1), (-gamma_strict, gamma_strict)), rel_tol=1e-6)
+        lambda ys: sublevel_rows(f, (0, 1), ys, 0.0, gamma_strict, Interval(ax, bx)), a, b,
+        rel_tol=1e-6)
     if not converged:
         notes["region2_converged"] = False
     parametric = 2.0 * gamma * height

@@ -46,6 +46,7 @@ from .phases import (
     compose2d_with_polynomial,
     compose_with_polynomial,
     compose_with_power,
+    flat_rows,
     monotone_partition,
     phase2d_from_config,
     phase_from_config,
@@ -62,7 +63,7 @@ from .polynomials import (
 )
 from .quadrature import QuadConfig, osc_integrate_1d_sweep, osc_integrate_2d
 from .reduction import product_monomial_integral
-from .sublevel import band_sets, osc_to_sublevel_constant, sublevel_2d
+from .sublevel import band_sets, osc_to_sublevel_constant, sublevel_2d_sweep
 
 CSV_COLUMNS = ("suite", "case", "lambda", "eps", "c", "value_re", "value_im",
                "magnitude", "err_est", "bound", "delta_hat", "verdict")
@@ -516,11 +517,11 @@ def _run_t5(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
         c_grid = np.geomspace(*opt.get("c_range", (1e-2, 1.0)), int(opt.get("n_c", 50)))
         eps_grid = np.geomspace(*opt.get("eps_range", (1e-2, 1.0)), int(opt.get("n_eps", 50)))
         # the sublevel sets of every (eps, c) pair, as rows of one band solve
-        pieces = monotone_partition(f, order_cap=1)
         ee, cc = np.meshgrid(eps_grid, c_grid, indexing="ij")
-        bands = band_sets(lambda x, _: f.eval_fn(0, x), [pieces] * ee.size,
-                          (cc - ee).ravel(), (cc + ee).ravel())
-        measures = iter([sum(iv.hi - iv.lo for iv in comps) for comps in bands])
+        row, lo, hi = band_sets(lambda x, _: f.eval_fn(0, x),
+                                flat_rows(monotone_partition(f, order_cap=1), ee.size),
+                                (cc - ee).ravel(), (cc + ee).ravel())
+        measures = iter(np.bincount(row, hi - lo, ee.size).tolist())
         worst = 0.0
         worst_at = None
         for eps in eps_grid:
@@ -690,8 +691,7 @@ def _run_hlog(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], lis
 
     eps_grid = _grid(opt["eps_grid"])
     points = []
-    for eps in eps_grid:
-        m, _, converged = sublevel_2d(f2, 0.0, float(eps))
+    for eps, (m, _, converged) in zip(eps_grid, sublevel_2d_sweep(f2, 0.0, eps_grid)):
         if not converged:
             unconverged.append({"case": "xy_sublevel", "eps": float(eps)})
         points.append((float(eps), m))

@@ -25,6 +25,13 @@ sub-piece's sign between them and polishes the sign changes by bisection
 changes of their derivatives of orders 1..n.  Any other 1D phase is scanned
 densely and bisected between the samples that change sign.
 
+Rows of pieces are flat array programs: a batch of rows is three arrays
+(row, lo, hi), ordered by row, then left end.  ``tile_rows`` cuts rows at
+their breaks, ``merge_rows`` joins each row's spans by a sort and a running
+maximum, and ``flat_rows`` repeats one list of pieces for many rows;
+``Interval`` lists are built only at the public edges (``sign_partition``,
+``monotone_partition``).
+
 ``solve_brackets`` is the one bisection solver of the package: it advances
 every open bracket of an array each step, so many roots cost one vectorised
 evaluation per step.  ``scan_sign_changes`` finds the sign changes down
@@ -65,9 +72,31 @@ class Interval:
         return (self.lo, self.hi)
 
 
+def merge_rows(row, lo, hi, slack: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, the union of the spans [lo_i, hi_i] of that row, as flat
+    (row, lo, hi) arrays ordered by row, then left end; spans whose gap is
+    at most ``slack`` are joined.  The spans are sorted by row, then left
+    end, and a span opens a new one where its left end passes the running
+    maximum of its row's right ends by more than ``slack``."""
+    order = np.lexsort((lo, row))
+    row, lo, hi = row[order], lo[order], hi[order]
+    if not row.size:
+        return row, lo, hi
+    # the running maximum within each row, through ranks ordered by (row, hi)
+    by_rank = np.lexsort((hi, row))
+    rank = np.empty(row.size, dtype=np.intp)
+    rank[by_rank] = np.arange(row.size)
+    top = hi[by_rank[np.maximum.accumulate(rank)]]
+    start = np.ones(row.size, dtype=bool)
+    start[1:] = (row[1:] != row[:-1]) | (lo[1:] > top[:-1] + slack)
+    at = np.flatnonzero(start)
+    return row[at], lo[at], np.maximum.reduceat(hi, at)
+
+
 def merge_intervals(spans, slack: float) -> list[Interval]:
-    """Union of (lo, hi) spans as ordered intervals; spans whose gap is at
-    most ``slack`` are joined."""
+    """Union of (lo, hi) spans as ordered intervals, ``merge_rows``'s rule
+    span by span for the few spans of a cover; spans whose gap is at most
+    ``slack`` are joined."""
     out: list[list[float]] = []
     for lo, hi in sorted(spans, key=lambda sp: sp[0]):
         if out and lo <= out[-1][1] + slack:
@@ -75,6 +104,27 @@ def merge_intervals(spans, slack: float) -> list[Interval]:
         else:
             out.append([lo, hi])
     return [Interval(lo, hi) for lo, hi in out]
+
+
+def flat_rows(pieces: Sequence[Interval], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The same ``pieces`` for each of n rows, as flat (row, lo, hi) arrays
+    ordered by row, then as given."""
+    k = len(pieces)
+    return (np.repeat(np.arange(n), k), np.tile(np.array([p.lo for p in pieces], dtype=float), n),
+            np.tile(np.array([p.hi for p in pieces], dtype=float), n))
+
+
+def _gaps(n: int, row, a, b, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row k's interval [lo[k], hi[k]], k < n, less the spans [a_i, b_i] of
+    the entries i of row k: flat (row, left, right) arrays of each row's
+    count + 1 gaps, ordered by row, then left to right.  ``row`` is sorted,
+    and a row's spans are ordered and disjoint; with a = b the intervals
+    are cut at those points."""
+    sub = np.repeat(np.arange(n), np.bincount(row, minlength=n) + 1)
+    left, right = lo[sub], hi[sub]
+    at = np.arange(row.size) + row
+    right[at], left[at + 1] = a, b
+    return sub, left, right
 
 
 @dataclass(frozen=True)
@@ -322,13 +372,7 @@ def sign_breaks(c, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (lo, hi))
     r_row, r_x = real_roots(c, lo, hi)
     # sub-pieces: row k's interval cut at its roots, row by row
-    counts = np.bincount(r_row, minlength=n)
-    first = np.cumsum(counts + 1) - (counts + 1)
-    sub = np.repeat(np.arange(n), counts + 1)
-    left, right = np.empty(sub.size), np.empty(sub.size)
-    left[first], right[first + counts] = lo, hi
-    at = first[r_row] + np.arange(r_x.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    right[at], left[at + 1] = r_x, r_x
+    sub, left, right = _gaps(n, r_row, r_x, r_x, lo, hi)
     pts = left[:, None] + (right - left)[:, None] * np.linspace(0.0, 1.0, 5)
     vals = _rows_at(c[sub], pts)
     j = np.argmax(np.abs(vals), axis=1)
@@ -414,24 +458,44 @@ def sign_partition(phase: PhaseFunction, order: int, tol: float) -> list[tuple[I
     return pieces
 
 
-def monotone_rows(c, lo, hi, n: int) -> list[list[list[Interval]]]:
+def monotone_rows(c, lo, hi, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Row k's interval [lo[k], hi[k]] tiled at the sign changes of the
     derivatives of orders 1..m of the ascending coefficient row c[k], for
-    each m = 1..n: element m - 1 holds every row's tiling at orders 1..m.
-    One ``sign_breaks`` pass per order over all rows serves every m, and
-    each row is tiled by ``pieces_between``."""
+    each m = 1..n: element m - 1 holds every row's pieces at orders 1..m as
+    ``tile_rows``'s flat (row, lo, hi) arrays.  One ``sign_breaks`` pass per
+    order over all rows serves every m."""
     c = np.atleast_2d(np.asarray(c, dtype=float))
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), c.shape[:1]) for v in (lo, hi))
     rows, xs = zip(*(sign_breaks(derivative_coeffs(c, k), lo, hi, SIGN_TOL)[:2]
                      for k in range(1, n + 1)))
-    out = []
-    for m in range(1, n + 1):
-        row, x = np.concatenate(rows[:m]), np.concatenate(xs[:m])
-        order = np.argsort(row, kind="stable")
-        split = np.searchsorted(row[order], np.arange(1, c.shape[0]))
-        out.append([pieces_between(Interval(a, b), br.tolist())
-                    for a, b, br in zip(lo.tolist(), hi.tolist(), np.split(x[order], split))])
-    return out
+    return [tile_rows(np.concatenate(rows[:m]), np.concatenate(xs[:m]), lo, hi)
+            for m in range(1, n + 1)]
+
+
+def tile_rows(row, x, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row k's interval [lo[k], hi[k]] tiled at its breaks, the x_i of row
+    i = k in any order, as flat (row, lo, hi) arrays ordered by row, then
+    left end.  Taken left to right, a break within ``BISECT_XTOL`` of the
+    last break kept in its row is dropped (a row's first is kept); so are
+    the breaks outside (lo[k], hi[k]) and the empty pieces."""
+    order = np.lexsort((x, row))
+    row, x = row[order], x[order]
+    first = np.diff(row, prepend=-1) != 0
+    keep = np.ones(x.size, dtype=bool)
+    # a break's fate reads only the breaks before it, so the fixed point is
+    # the left-to-right rule, reached in one pass unless breaks cluster
+    while x.size:
+        last = np.maximum.accumulate(np.where(keep, np.arange(x.size), 0))
+        kept = first.copy()
+        kept[1:] |= x[1:] - x[last[:-1]] > BISECT_XTOL
+        if (kept == keep).all():
+            break
+        keep = kept
+    row, x = row[keep], x[keep]
+    inside = (lo[row] < x) & (x < hi[row])
+    sub, left, right = _gaps(lo.size, row[inside], x[inside], x[inside], lo, hi)
+    live = right > left
+    return sub[live], left[live], right[live]
 
 
 def monotone_partition(phase: PhaseFunction, order_cap: int | None = None) -> list[Interval]:
@@ -440,8 +504,9 @@ def monotone_partition(phase: PhaseFunction, order_cap: int | None = None) -> li
 
     N comes from ``phase.meta.N`` (override via ``order_cap``); the pieces are
     the common refinement of the sign partitions of orders 1..N, from roots
-    (``monotone_rows``) for a phase with coefficients, else scanned by
-    ``sign_partition``.  The phase keeps its partitions.
+    (``monotone_rows``) for a phase with coefficients, else the breaks of
+    ``sign_partition``'s scans tiled by ``tile_rows``.  The phase keeps its
+    partitions.
     """
     n = order_cap if order_cap is not None else phase.meta.N
     if phase.max_order < n:
@@ -451,22 +516,14 @@ def monotone_partition(phase: PhaseFunction, order_cap: int | None = None) -> li
     key = ("mp", n, PARTITION_CAP, iv.as_tuple())
     if key not in phase._cache:
         if phase.coeffs is not None:
-            pieces = monotone_rows(phase.coeffs, iv.lo, iv.hi, n)[-1][0]
+            _, a, b = monotone_rows(phase.coeffs, iv.lo, iv.hi, n)[-1]
         else:
-            pieces = pieces_between(iv, [p.hi for k in range(1, n + 1)
-                                         for p, _ in sign_partition(phase, k, SIGN_TOL)[:-1]])
-        phase._cache[key] = pieces
+            x = np.array([p.hi for k in range(1, n + 1)
+                          for p, _ in sign_partition(phase, k, SIGN_TOL)[:-1]], dtype=float)
+            _, a, b = tile_rows(np.zeros(x.size, dtype=np.intp), x, np.array([iv.lo]),
+                                np.array([iv.hi]))
+        phase._cache[key] = [Interval(lo, hi) for lo, hi in zip(a.tolist(), b.tolist())]
     return phase._cache[key]
-
-
-def pieces_between(iv: Interval, breaks) -> list[Interval]:
-    """Tile ``iv`` at its inner breaks, dropping any within BISECT_XTOL of the last kept."""
-    merged: list[float] = []
-    for x in sorted(set(breaks)):
-        if not merged or x - merged[-1] > BISECT_XTOL:
-            merged.append(x)
-    edges = [iv.lo] + [x for x in merged if iv.lo < x < iv.hi] + [iv.hi]
-    return [Interval(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +534,13 @@ def pieces_between(iv: Interval, breaks) -> list[Interval]:
 def _horner(terms: list, x, y=None):
     """sum_k terms[k] x^k by Horner's rule, 0.0 for no terms: an entry is a
     float, or with ``y`` the terms of a polynomial in y, summed the same way,
-    or None for a zero, which costs no operation.  The one evaluator of every
-    phase with coefficients."""
+    or None for a zero, which costs no operation, nor does a product with a
+    unit coefficient (1.0 * x is x exactly).  The result may be ``x`` or
+    ``y`` itself.  The one evaluator of every phase with coefficients."""
     out = None
     for a in reversed(terms):
         if out is not None:
-            out = out * x
+            out = x if type(out) is float and out == 1.0 else out * x
         if a is not None:
             if y is not None:
                 a = _horner(a, y)
@@ -502,7 +560,9 @@ def _coefficient_phase(coeffs, *args) -> PhaseFunction:
         if t is None:
             t = cache[order] = [float(a) or None for a in derivative_coeffs(c, order)]
         out = _horner(t, x)
-        return out if getattr(out, "shape", None) == np.shape(x) else np.full(np.shape(x), out)
+        if out is not x and getattr(out, "shape", None) == np.shape(x):
+            return out
+        return np.full(np.shape(x), out)
 
     return PhaseFunction(horner_1d, *args, c)
 
@@ -698,7 +758,7 @@ class Phase2D:
                                         for r in self._matrix(orders)]
             out = _horner(rows, x, y)
             shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
-            if getattr(out, "shape", None) == shape:
+            if out is not x and out is not y and getattr(out, "shape", None) == shape:
                 return out
             return np.broadcast_to(out, shape).copy()
 

@@ -44,7 +44,10 @@ from the 7-point Gauss sum, which reuses 7 of the same 15 samples.  One
 refiner, ``_refine``, halves the panels whose estimate exceeds their share
 of the tolerance and evaluates only the halves.  With the default cap of
 pi/2 the Kronrod value is exact to machine precision, so the estimate
-bounds the error generously.
+bounds the error generously.  The smooth integrands (slice measures, the
+``C_delta`` transform) go through ``_adaptive_slots``: many integrals at
+once, one per slot, each held to its own tolerance relative to its own
+total, with its own caps and flag; ``adaptive_quad`` is its one-slot call.
 
 Evaluation is vectorised and chunked; summation order is fixed (panels
 left to right within a slot, Levin pieces in the order they are accepted),
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelBudgetError, PreconditionError
-from .phases import SIGN_TOL, Phase2D, PhaseFunction, monotone_partition, sign_breaks
+from .phases import SIGN_TOL, Phase2D, PhaseFunction, _gaps, monotone_partition, sign_breaks
 
 # QK15 on [-1, 1]: Kronrod nodes x_i >= 0 (the 7-point Gauss nodes are x_1, x_3,
 # x_5 and 0), the Kronrod weights, and the Gauss weights on those four nodes.
@@ -229,27 +232,32 @@ def _refine(fvec, L, R, S, n_slots: int, density, max_splits: int, max_panels, r
     """``_kronrod`` on the panels [L_i, R_i] of slots S_i, one of
     0..n_slots-1, halving those over tolerance.
 
-    A panel just evaluated is over tolerance when its error exceeds
-    ``density(total) * width``, ``total`` being the per-part sums over all
-    current panels of every slot; only the halves are evaluated next, and
-    they keep their panel's slot.  ``run[s]`` is slot s's run (all slots are
-    one run by default) and ``max_panels`` one budget for every run or one
-    per run.  A run stops halving after ``max_splits`` rounds, or before its
-    panel count would pass its budget; its panels are then kept as they are.
-    A density that reads ``total`` ties the runs together; a constant one
-    leaves each run as it is alone.  Returns (val, err, slot, converged)
-    with the panels ordered by slot, then left end (input so ordered is kept
-    as it is); ``converged[s]`` is False when a stop left panels of slot s
-    over tolerance.
+    A panel just evaluated is over tolerance when its error exceeds its
+    slot's tolerance per unit width times its width.  ``density`` is that
+    tolerance, one number for every slot, or a function of the per-slot
+    totals over all current panels (an array of part by slot, from
+    ``_slot_sums``, so a lone slot reads ``np.sum`` of its panels) giving
+    one per slot; a constant never pays for the totals.  Only the halves are
+    evaluated next, and they keep their panel's slot.  ``run[s]`` is slot
+    s's run (all slots are one run by default) and ``max_panels`` one budget
+    for every run or one per run.  A run stops halving after ``max_splits``
+    rounds, or before its panel count would pass its budget; its panels are
+    then kept as they are.  A slot's decisions read only its own panels, so
+    each slot halves as it would alone in a run of its own.  Returns (val,
+    err, slot, converged) with the panels ordered by slot, then left end
+    (input so ordered is kept as it is); ``converged[s]`` is False when a
+    stop left panels of slot s over tolerance.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=np.intp)
     run, n_runs = _runs(run, n_slots)
+    totals = lambda S, val: np.array([_slot_sums(S, v, n_slots) for v in val])
     val, err = _kronrod(fvec, L, R, S)
     done, n_done, acc = [], np.zeros(n_runs, dtype=np.intp), 0.0
     converged = np.ones(n_slots, dtype=bool)
     for split in range(max_splits + 1):
-        bad = err > density(acc + val.sum(axis=1)) * (R - L)
+        tol = density(acc + totals(S, val))[S] if callable(density) else density
+        bad = err > tol * (R - L)
         rs = run[S]
         stop = (split == max_splits) | (n_done + np.bincount(rs, minlength=n_runs)
                                         + np.bincount(rs[bad], minlength=n_runs) > max_panels)
@@ -259,7 +267,8 @@ def _refine(fvec, L, R, S, n_slots: int, density, max_splits: int, max_panels, r
             break
         done.append((L[~bad], S[~bad], val[:, ~bad], err[~bad]))
         n_done += np.bincount(rs[~bad], minlength=n_runs)
-        acc = acc + done[-1][2].sum(axis=1)
+        if callable(density):
+            acc = acc + totals(*done[-1][1:3])
         M = 0.5 * (L[bad] + R[bad])
         L, R, S = np.concatenate([L[bad], M]), np.concatenate([M, R[bad]]), np.tile(S[bad], 2)
         val, err = _kronrod(fvec, L, R, S)
@@ -464,8 +473,7 @@ def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig):
         th = lam[s] * gval(x, s)
         return np.cos(th), np.sin(th)
 
-    pv, pe, PS, converged = _refine(samples, PL, PR, PS, n_slots, lambda total: cfg.rel_tol, 3,
-                                    budget, run)
+    pv, pe, PS, converged = _refine(samples, PL, PR, PS, n_slots, cfg.rel_tol, 3, budget, run)
     val = np.empty(n_slots, dtype=complex)
     val.real, val.imag = (_slot_sums(PS, v, n_slots) for v in pv)
     val += levin_val
@@ -556,11 +564,8 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
     n = ys.size
     _check_budget(np.array([n]), cfg.max_panels, np.array([abs(lam)]), np.zeros(1))
     slot, cut, _ = sign_breaks(g.rows_in_x((1, 0), ys), dom.ax, dom.bx, SIGN_TOL)
-    S = np.sort(np.concatenate([np.arange(n), slot]))
     # slot s's pieces run from ax through its cuts to bx
-    L, R = np.full(S.size, dom.ax), np.full(S.size, dom.bx)
-    at = np.searchsorted(S, slot) + np.arange(slot.size) - np.searchsorted(slot, slot)
-    R[at], L[at + 1] = cut, cut
+    S, L, R = _gaps(n, slot, cut, cut, np.full(n, dom.ax), np.full(n, dom.bx))
     val, slice_err, used, converged = _pieces_integral(
         lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), np.full(n, lam),
         L, R, S, np.zeros(n, dtype=np.intp), cfg)
@@ -580,28 +585,52 @@ def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -
 ADAPTIVE_MAX_SEGMENTS = 1 << 16
 
 
-def adaptive_quad(fvec, a, b, rel_tol: float = 1e-9, abs_floor: float = 1e-14):
-    """Adaptive Gauss-Kronrod 7/15 rule for a vectorised real integrand.
+def _adaptive_slots(fvec, a, b, slot, n_slots: int, rel_tol: float, abs_floor: float):
+    """Adaptive Gauss-Kronrod 7/15 integrals of a vectorised real integrand,
+    one per slot 0..n_slots-1.
+
+    Segment [a_i, b_i] adds to slot ``slot[i]``, and ``fvec(x, s)`` evaluates
+    the integrand of slots s at the points x.  Each slot is a run of its
+    own: ``_refine`` halves each of its pieces whose error |K15 - G7|
+    exceeds its width's share of max(abs_floor, rel_tol * |slot total|),
+    one tolerance over the slot's current total and its segments' length,
+    for at most 63 rounds and ``ADAPTIVE_MAX_SEGMENTS`` pieces of the slot;
+    at either cap the pieces still over tolerance are kept as they are.
+    Empty segments are dropped, and a slot's segments are taken by left end.
+    A slot reads only its own pieces and sums them as one ``np.sum`` does,
+    so each slot's result is that of its one-slot call, bit for bit, where
+    ``fvec`` gives each point's value whatever else it is evaluated with.
+    Returns per-slot arrays (value, error_estimate, converged), ``converged``
+    False where a cap left pieces of the slot over tolerance.
+    """
+    a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
+    slot = np.broadcast_to(np.asarray(slot, dtype=np.intp), a.shape)
+    keep = b > a
+    order = np.lexsort((a[keep], slot[keep]))
+    a, b, slot = a[keep][order], b[keep][order], slot[keep][order]
+    if not a.size:
+        return np.zeros(n_slots), np.zeros(n_slots), np.ones(n_slots, dtype=bool)
+    length = _slot_sums(slot, b - a, n_slots)
+    length[length == 0.0] = 1.0  # a slot with no segments has no panels to hold
+    val, err, S, converged = _refine(
+        fvec, a, b, slot, n_slots,
+        lambda total: np.maximum(abs_floor, rel_tol * np.abs(total[0])) / length, 63,
+        ADAPTIVE_MAX_SEGMENTS, np.arange(n_slots))
+    return _slot_sums(S, val[0], n_slots), _slot_sums(S, err, n_slots), converged
+
+
+def adaptive_quad(fvec, a, b, rel_tol: float = 1e-9):
+    """Adaptive Gauss-Kronrod 7/15 rule for a vectorised real integrand: the
+    one-slot call of ``_adaptive_slots``.
 
     ``a`` and ``b`` are one segment's ends, or equal-length arrays of the
     ends of segments whose integrals add up, such as the smooth pieces of
-    an integrand between its known kinks.  ``_refine`` halves each piece
-    whose error |K15 - G7| exceeds its width's share of
-    max(abs_floor, rel_tol * |value|), one tolerance over the total value
-    and length of all segments, for at most 63 rounds and
-    ``ADAPTIVE_MAX_SEGMENTS`` pieces; at either cap the pieces still over
-    tolerance are kept as they are.  Not for large-lambda oscillatory phases
-    (use the panel engine); this is the workhorse for slice measures,
-    Fourier profiles, and other smooth or piecewise-smooth integrands.
-    Returns (value, error_estimate, converged), ``converged`` False when a
-    cap left pieces over tolerance.
+    an integrand between its known kinks; they are held to one tolerance,
+    max(1e-14, rel_tol * |value|), over their total value and length.
+    Not for large-lambda oscillatory phases (use the panel engine); this is
+    the workhorse for slice measures, Fourier profiles, and other smooth or
+    piecewise-smooth integrands.  Returns (value, error_estimate,
+    converged), ``converged`` False when a cap left pieces over tolerance.
     """
-    a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
-    a, b = a[b > a], b[b > a]
-    if not a.size:
-        return 0.0, 0.0, True
-    length = float(np.sum(b - a))
-    val, err, _, converged = _refine(
-        lambda x, _: fvec(x), a, b, np.zeros(a.size, dtype=np.intp), 1,
-        lambda total: max(abs_floor, rel_tol * abs(total[0])) / length, 63, ADAPTIVE_MAX_SEGMENTS)
-    return float(np.sum(val[0])), float(np.sum(err)), bool(converged[0])
+    val, err, converged = _adaptive_slots(lambda x, _: fvec(x), a, b, 0, 1, rel_tol, 1e-14)
+    return float(val[0]), float(err[0]), bool(converged[0])

@@ -11,10 +11,16 @@ product per batch of xi and its sinc zeros k/3 are known in closed form.
 
 Bands are found piece by piece on monotone partitions, and the brackets of
 all pieces, or of all rows of a planar batch, go to the shared solver
-``phases.solve_brackets`` together.  For a phase with coefficients, which
-every planar phase has, the monotone breaks and the band edges start from
-roots (``phases.monotone_rows``, ``phases.real_roots``), and the band areas
-are cut at the y-kinks of their slice measures (``kink_segments``).
+``phases.solve_brackets`` together.  The row layers are flat array
+programs: pieces and bands are (row, lo, hi) arrays ordered by row, then
+left end, merged by ``phases.merge_rows``, and a row's measure is a
+``bincount``; ``Interval`` appears only in ``sublevel_1d``'s components.
+For a phase with coefficients, which every planar phase has, the monotone
+breaks and the band edges start from roots (``phases.monotone_rows``,
+``phases.real_roots``), and the band areas are cut at the y-kinks of their
+slice measures (``kink_segments``).  ``sublevel_2d_sweep`` measures a whole
+eps grid in one call, each eps a slot of the per-slot adaptive quadrature
+``quadrature._adaptive_slots``; ``sublevel_2d`` is its one-element call.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NonconvergentTailError, PreconditionError
-from .phases import (BISECT_XTOL, Interval, Phase2D, PhaseFunction, merge_intervals,
-                     monotone_partition, monotone_rows, polish, real_roots, scan_sign_changes,
-                     sign_breaks)
-from .quadrature import adaptive_quad
+from .phases import (BISECT_XTOL, Interval, Phase2D, PhaseFunction, _gaps, flat_rows,
+                     merge_rows, monotone_partition, monotone_rows, polish, real_roots,
+                     scan_sign_changes, sign_breaks)
+from .quadrature import _adaptive_slots
 
 BAND_AREA_REL_TOL = 1e-7
 XI_CUTOFF = 64.0
@@ -82,20 +88,22 @@ def band_pieces(g, a, b, ga, gb, lo_t, hi_t, xtol: float = BISECT_XTOL, seeds=No
     return x_lo, x_hi, hit & (x_hi > x_lo)
 
 
-def band_sets(g, rows_pieces: list[list[Interval]], lo_t, hi_t,
-              xtol: float = BISECT_XTOL, coeffs=None) -> list[list[Interval]]:
+def band_sets(g, pieces, lo_t, hi_t, xtol: float = BISECT_XTOL,
+              coeffs=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row, the merged {x : lo_t <= g_row(x) <= hi_t} over the row's
-    monotone pieces, with one solve for all rows to ``xtol``; ``g(x, rows)``
-    evaluates the functions of the rows at x, and the levels are per row or
-    one for all.  Where g's rows are polynomials, ``coeffs`` holds their
-    ascending coefficients, one row each, and each band edge starts from a
-    root of its row minus the level."""
-    n_rows = len(rows_pieces)
-    row = np.repeat(np.arange(n_rows), [len(ps) for ps in rows_pieces])
-    a = np.array([p.lo for ps in rows_pieces for p in ps])
-    b = np.array([p.hi for ps in rows_pieces for p in ps])
-    lo_t, hi_t = (np.broadcast_to(np.asarray(v, dtype=float), (n_rows,))[row]
-                  for v in (lo_t, hi_t))
+    monotone pieces, with one solve for all rows to ``xtol``.
+
+    ``pieces`` are flat (row, lo, hi) arrays ordered by row, then left end,
+    as ``phases.monotone_rows`` gives them; ``g(x, rows)`` evaluates the
+    functions of the rows at x, and the levels are per row or one for all.
+    Where g's rows are polynomials, ``coeffs`` holds their ascending
+    coefficients, one row each, and each band edge starts from a root of its
+    row minus the level.  Returns the bands as flat (row, lo, hi) arrays in
+    the same order, the spans of a row within 1e-11 of each other joined.
+    """
+    row, a, b = pieces
+    lo_t, hi_t = (np.asarray(v, dtype=float) for v in (lo_t, hi_t))
+    lo_t, hi_t = (v[row] if v.ndim else v for v in (lo_t, hi_t))
     gq = lambda x, q: g(x, row[q])
     q = np.arange(a.size)
     seeds = None
@@ -111,10 +119,7 @@ def band_sets(g, rows_pieces: list[list[Interval]], lo_t, hi_t,
             return out
 
     x_lo, x_hi, found = band_pieces(gq, a, b, gq(a, q), gq(b, q), lo_t, hi_t, xtol, seeds)
-    spans: list[list[tuple[float, float]]] = [[] for _ in rows_pieces]
-    for r, lo, hi in zip(row[found].tolist(), x_lo[found].tolist(), x_hi[found].tolist()):
-        spans[r].append((lo, hi))
-    return [merge_intervals(sp, 1e-11) for sp in spans]
+    return merge_rows(row[found], x_lo[found], x_hi[found], 1e-11)
 
 
 def sublevel_1d(f: PhaseFunction, c: float, eps: float) -> SublevelResult:
@@ -126,65 +131,90 @@ def sublevel_1d(f: PhaseFunction, c: float, eps: float) -> SublevelResult:
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    pieces = monotone_partition(f, order_cap=1)
-    comps = band_sets(lambda x, _: f.eval_fn(0, x), [pieces], c - eps, c + eps,
-                      coeffs=None if f.coeffs is None else [f.coeffs])[0]
+    _, lo, hi = band_sets(lambda x, _: f.eval_fn(0, x),
+                          flat_rows(monotone_partition(f, order_cap=1), 1), c - eps, c + eps,
+                          coeffs=None if f.coeffs is None else [f.coeffs])
+    comps = [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
     measure = float(sum(comp.hi - comp.lo for comp in comps))
     return SublevelResult(measure, tuple(comps), float(c), float(eps))
 
 
-def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c: float, eps: float,
-                  interval: Interval, xtol: float = BISECT_XTOL) -> np.ndarray:
+def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c, eps, interval: Interval,
+                  xtol: float = BISECT_XTOL) -> np.ndarray:
     """The measure of {x in ``interval`` : |d^orders f(x, y) - c| <= eps} for
-    every y of a batch, with band edges bisected to ``xtol``.
+    every y of a batch, with band edges bisected to ``xtol``; ``c`` and
+    ``eps`` are one for all rows or one per row.
 
     Each row's monotone pieces come from ``phases.monotone_rows``, and its
-    band edges start from the roots of the row minus each level.
+    band edges start from the roots of the row minus each level.  A row's
+    measure sums its bands left to right from 0.0 (``np.bincount``).
     """
     i, j = orders
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     coeffs = f.rows_in_x(orders, ys)
-    comps = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]),
-                      monotone_rows(coeffs, interval.lo, interval.hi, 1)[0], c - eps, c + eps,
-                      xtol, coeffs)
-    return np.array([float(sum(iv.hi - iv.lo for iv in cs)) for cs in comps])
+    c, eps = np.asarray(c, dtype=float), np.asarray(eps, dtype=float)
+    row, lo, hi = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]),
+                            monotone_rows(coeffs, interval.lo, interval.hi, 1)[0],
+                            c - eps, c + eps, xtol, coeffs)
+    return np.bincount(row, hi - lo, ys.size)
 
 
-def kink_segments(f: Phase2D, orders: tuple[int, int], levels) -> tuple[np.ndarray, np.ndarray]:
-    """[ay, by] cut where the slice measure of a band of d^orders f may kink,
-    as the (a, b) segment ends that ``adaptive_quad`` takes.
+def kink_segments(f: Phase2D, orders: tuple[int, int], levels) -> tuple[np.ndarray, ...]:
+    """[ay, by] cut, once per row of ``levels``, where the slice measure of a
+    band of d^orders f may kink, as the (a, b, slot) segments that
+    ``quadrature._adaptive_slots`` takes: row s of ``levels`` gives slot s.
 
     A band edge meets a vertical side of the rectangle where d^orders f(ax, y)
-    or d^orders f(bx, y) crosses one of the ``levels``: the sign changes in
-    (ay, by) of the columns minus each level.  The kinks where a level
+    or d^orders f(bx, y) crosses one of its row's levels: the sign changes
+    in (ay, by) of the columns minus each level, from one
+    ``phases.sign_breaks`` call over every row.  The kinks where a level
     crosses a critical value of the slice inside the rectangle are not cut.
     """
     dom = f.domain
-    levels = np.asarray(levels, dtype=float)
+    levels = np.atleast_2d(np.asarray(levels, dtype=float))
+    n_slots, per = levels.shape
     cols = np.repeat(f.column_in_y(orders, [dom.ax, dom.bx]), levels.size, axis=0)
-    cols[:, 0] -= np.tile(levels, 2)
-    cuts = sign_breaks(cols, dom.ay, dom.by, 0.0)[1]
-    edges = np.concatenate([[dom.ay], np.sort(cuts), [dom.by]])
-    return edges[:-1], edges[1:]
+    cols[:, 0] -= np.tile(levels.ravel(), 2)
+    row, cuts = sign_breaks(cols, dom.ay, dom.by, 0.0)[:2]
+    cut_slot = row % levels.size // per
+    order = np.lexsort((cuts, cut_slot))
+    slot, a, b = _gaps(n_slots, cut_slot[order], cuts[order], cuts[order],
+                       np.full(n_slots, dom.ay), np.full(n_slots, dom.by))
+    return a, b, slot
 
 
-def sublevel_2d(f: Phase2D, c: float, eps: float) -> tuple[float, float, bool]:
-    """Planar measure of {|f - c| <= eps} over ``f.domain``: ``sublevel_rows``
-    measures the x-slices with band edges bisected to the last bit, and
-    ``adaptive_quad`` integrates them over y, on the segments between the
-    kinks of ``kink_segments`` at c -/+ eps.  Returns (measure,
-    error_estimate, converged), ``converged`` False when ``adaptive_quad``
-    stopped at a cap with segments still over tolerance.
+def sublevel_2d_sweep(f: Phase2D, c: float, eps_values) -> list[tuple[float, float, bool]]:
+    """Planar measures of {|f - c| <= eps} over ``f.domain``, one per eps of
+    ``eps_values``, each as (measure, error_estimate, converged).
+
+    ``sublevel_rows`` measures the x-slices with band edges bisected to the
+    last bit, and ``quadrature._adaptive_slots`` integrates them over y,
+    each eps a slot of its own over the segments between the kinks of
+    ``kink_segments`` at c -/+ eps, held to ``BAND_AREA_REL_TOL`` of its own
+    area.  Each round of the quadrature is one ``sublevel_rows`` call, with
+    every row at its slot's levels.  A row's measure reads only its own
+    slice and levels, so each eps gets the bits of its one-element sweep.
+    ``converged`` is False when the quadrature stopped at a cap with
+    segments of that eps still over tolerance.
     """
-    if eps <= 0:
+    eps = np.array(eps_values, dtype=float, ndmin=1)
+    if not (eps > 0).all():
         raise PreconditionError("eps must be positive")
     dom = f.domain
     iv = Interval(dom.ax, dom.bx)
-    val, err, converged = adaptive_quad(
-        lambda ys: sublevel_rows(f, (0, 0), ys, c, eps, iv, xtol=0.0),
-        *kink_segments(f, (0, 0), (c - eps, c + eps)), rel_tol=BAND_AREA_REL_TOL,
-        abs_floor=1e-12)
-    return float(val), err, converged
+    a, b, slot = kink_segments(f, (0, 0), np.column_stack([c - eps, c + eps]))
+    val, err, converged = _adaptive_slots(
+        lambda ys, s: sublevel_rows(f, (0, 0), ys, c, eps[s], iv, xtol=0.0), a, b, slot,
+        eps.size, BAND_AREA_REL_TOL, 1e-12)
+    return [(float(v), float(e), bool(ok))
+            for v, e, ok in zip(val.tolist(), err.tolist(), converged.tolist())]
+
+
+def sublevel_2d(f: Phase2D, c: float, eps: float) -> tuple[float, float, bool]:
+    """Planar measure of {|f - c| <= eps} over ``f.domain``: the one-element
+    ``sublevel_2d_sweep``.  Returns (measure, error_estimate, converged)."""
+    [res] = sublevel_2d_sweep(f, c, [eps])
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +280,14 @@ def osc_to_sublevel_constant(delta: float) -> OscToSublevelConstant:
 
     phihat is even, so C_delta is twice the integral over xi > 0, cut at the
     transform's sign changes (``_Bump.sign_change_points``) so that each
-    segment is smooth and the modulus costs nothing.  Three ``adaptive_quad``
-    calls, each held to one tolerance over its segments, take the singular
-    head [0, z1] up to the first zero, by the exact substitution
-    u = xi^(1-delta); the body from z1 to ``XI_CUTOFF``; and the tail from
-    ``XI_CUTOFF`` to twice it, which must contribute less than 1e-8 relative
-    or the computation raises NonconvergentTailError.  ``converged`` is
-    False when a cap stopped any of the three with pieces over tolerance.
+    segment is smooth and the modulus costs nothing.  One
+    ``quadrature._adaptive_slots`` call takes three slots, each held to its
+    own tolerance over its segments: the singular head [0, z1] up to the
+    first zero, by the exact substitution u = xi^(1-delta); the body from z1
+    to ``XI_CUTOFF``; and the tail from ``XI_CUTOFF`` to twice it, which must
+    contribute less than 1e-8 relative or the computation raises
+    NonconvergentTailError.  ``converged`` is False when a cap stopped any
+    of the three with pieces over tolerance.
     """
     if not (0.0 < delta < 1.0):
         raise PreconditionError("delta must lie in (0, 1)")
@@ -268,19 +299,29 @@ def osc_to_sublevel_constant(delta: float) -> OscToSublevelConstant:
     body = np.concatenate([zeros[zeros < XI_CUTOFF], [XI_CUTOFF]])
     far = np.concatenate([[XI_CUTOFF], zeros[zeros > XI_CUTOFF], [2.0 * XI_CUTOFF]])
     power = 1.0 / (1.0 - delta)
-    # u = xi^(1-delta) removes the |xi|^-delta weight at the singular end
-    head, _, head_ok = adaptive_quad(lambda us: np.abs(bump.transform_vec(us**power)),
-                                     0.0, body[0] ** (1.0 - delta), rel_tol=1e-9)
-    weighted = lambda xs: np.abs(bump.transform_vec(xs)) * xs ** (-delta)
-    rest, _, body_ok = adaptive_quad(weighted, body[:-1], body[1:], rel_tol=1e-9)
-    tail, _, tail_ok = adaptive_quad(weighted, far[:-1], far[1:], rel_tol=1e-9)
+
+    def integrand(x, s):
+        # each slot's samples go to a transform call of their own, whose
+        # matrix product rounds a sample by the batch it is in
+        out = np.empty(x.size)
+        for k in np.unique(s).tolist():
+            at = s == k
+            if k == 0:  # u = xi^(1-delta) removes the |xi|^-delta weight at the singular end
+                out[at] = np.abs(bump.transform_vec(x[at] ** power))
+            else:
+                out[at] = np.abs(bump.transform_vec(x[at])) * x[at] ** (-delta)
+        return out
+
+    (head, rest, tail), _, converged = _adaptive_slots(
+        integrand, np.concatenate([[0.0], body[:-1], far[:-1]]),
+        np.concatenate([[body[0] ** (1.0 - delta)], body[1:], far[1:]]),
+        np.repeat([0, 1, 2], [1, body.size - 1, far.size - 1]), 3, 1e-9, 1e-14)
     total, tail = 2.0 * (power * head + rest), 2.0 * tail
     if tail > 1e-8 * total:
         raise NonconvergentTailError(
             f"tail beyond xi={XI_CUTOFF} contributes {tail:.3e} > 1e-8 relative",
             tail=tail,
         )
-    out = OscToSublevelConstant(float(delta), float(total), _BUMP_SPEC,
-                                head_ok and body_ok and tail_ok)
+    out = OscToSublevelConstant(float(delta), float(total), _BUMP_SPEC, bool(converged.all()))
     _constant_cache[key] = out
     return out

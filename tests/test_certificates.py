@@ -27,7 +27,7 @@ from oscint import (
     xy_phase,
     xy_quad_phase,
 )
-from oscint.phases import Phase2D, PhaseMeta, closure_phase, unit_square
+from oscint.phases import Phase2D, PhaseMeta, closure_phase, flat_rows, unit_square
 
 P_HALF_SQUARE = Polynomial((0.0, 0.0, 0.5))          # t^2/2, P' = t monic
 P_THIRD_CUBE = Polynomial((0.0, 0.0, 0.0, 1.0 / 3.0))  # t^3/3, P' = t^2 monic
@@ -40,6 +40,14 @@ def stopped_adaptive_quad(*args, **kwargs):
     from oscint.quadrature import adaptive_quad
 
     return adaptive_quad(*args, **kwargs)[:2] + (False,)
+
+
+def stopped_adaptive_slots(*args, **kwargs):
+    """``quadrature._adaptive_slots``, reporting that a cap stopped every slot."""
+    from oscint.quadrature import _adaptive_slots
+
+    val, err, converged = _adaptive_slots(*args, **kwargs)
+    return val, err, np.zeros_like(converged)
 
 
 class TestFormulas:
@@ -150,7 +158,7 @@ class TestCertify1D:
         cert = certify_1d(f, P_THIRD_CUBE, 2e3, "general", delta=0.5, A=1.0)
         assert "C_delta_converged" not in cert.notes
         monkeypatch.setattr("oscint.sublevel._constant_cache", {})
-        monkeypatch.setattr("oscint.sublevel.adaptive_quad", stopped_adaptive_quad)
+        monkeypatch.setattr("oscint.sublevel._adaptive_slots", stopped_adaptive_slots)
         stopped = certify_1d(f, P_THIRD_CUBE, 2e3, "general", delta=0.5, A=1.0)
         assert stopped.notes.pop("C_delta_converged") is False
         assert stopped.to_dict() == cert.to_dict()
@@ -214,9 +222,11 @@ class TestCertify1DSweep:
         lams = [30.0, -1e3, 1e5]
         rs = [abs(lam) ** -0.25 for lam in lams]
         ev = lambda order, x, _: f.eval_fn(order, x)
-        base, mono = [monotone_partition(f)], [monotone_partition(f, order_cap=1)]
-        together = _engine_1d(base * 3, mono * 3, ev, _IDENTITY, lams, [1.0] * 3, rs, [None] * 3)
-        assert together == [_engine_1d(base, mono, ev, _IDENTITY, [lam], [1.0], [r], [None])[0]
+        base, mono = monotone_partition(f), monotone_partition(f, order_cap=1)
+        together = _engine_1d(flat_rows(base, 3), flat_rows(mono, 3), ev, _IDENTITY, lams,
+                              [1.0] * 3, rs, [None] * 3)
+        assert together == [_engine_1d(flat_rows(base, 1), flat_rows(mono, 1), ev, _IDENTITY,
+                                       [lam], [1.0], [r], [None])[0]
                             for lam, r in zip(lams, rs)]
 
     def test_rejects_what_a_lone_lambda_rejects(self):

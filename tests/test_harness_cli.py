@@ -372,9 +372,9 @@ def test_t3_notes_certificates_whose_region_quadrature_stops(monkeypatch):
 
 def test_hlog_notes_band_areas_whose_quadrature_stops(monkeypatch):
     from oscint import harness
-    from test_certificates import stopped_adaptive_quad
+    from test_certificates import stopped_adaptive_slots
 
-    monkeypatch.setattr("oscint.sublevel.adaptive_quad", stopped_adaptive_quad)
+    monkeypatch.setattr("oscint.sublevel._adaptive_slots", stopped_adaptive_slots)
     opts = {"eps_grid": {"lo": 1e-3, "hi": 0.1, "per_decade": 4},
             "lambda_grid": {"lo": 1e3, "hi": 1e5, "per_decade": 4}, "cross_check": [100.0]}
     rep = run_suite(ExperimentConfig(suite="H-LOG", quad=QuadConfig(phase_variation_cap=2.8),
@@ -385,10 +385,10 @@ def test_hlog_notes_band_areas_whose_quadrature_stops(monkeypatch):
 
 def test_t1_notes_certificates_whose_c_delta_quadrature_stops(monkeypatch):
     from oscint import harness
-    from test_certificates import stopped_adaptive_quad
+    from test_certificates import stopped_adaptive_slots
 
     monkeypatch.setattr("oscint.sublevel._constant_cache", {})
-    monkeypatch.setattr("oscint.sublevel.adaptive_quad", stopped_adaptive_quad)
+    monkeypatch.setattr("oscint.sublevel._adaptive_slots", stopped_adaptive_slots)
     rep = run_suite(ExperimentConfig(suite="T1", quad=QuadConfig(phase_variation_cap=2.8),
                                      options=SMALL_T1))
     assert rep.unconverged == [{"case": case["name"], "lambda": float(l)}

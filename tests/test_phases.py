@@ -532,7 +532,8 @@ def test_a_vanishing_slice_is_one_piece_of_sign_zero():
         row, x, first = phases.sign_breaks(phases.derivative_coeffs(col, order), 0.0, 1.0,
                                            phases.SIGN_TOL)
         assert row.size == x.size == 0 and first.tolist() == [0]
-    assert phases.monotone_rows(col, 0.0, 1.0, 2) == [[[Interval(0.0, 1.0)]]] * 2
+    by_order = phases.monotone_rows(col, 0.0, 1.0, 2)
+    assert [_rows_of(flat) for flat in by_order] == [[[(0.0, 1.0)]]] * 2
 
 
 def test_real_roots_group_rows_by_effective_degree():
@@ -560,6 +561,16 @@ def test_real_roots_skip_one_signed_rows_on_the_positive_axis():
     np.testing.assert_allclose(x, [-0.5, -0.2, -0.1, -0.5, 0.5], atol=1e-12)
 
 
+def _rows_of(flat):
+    """Flat (row, lo, hi) pieces as one list of (lo, hi) per row, checking
+    that they come ordered by row, then left end."""
+    row, lo, hi = flat
+    assert np.all(np.diff(row) >= 0)
+    assert np.all((np.diff(lo) > 0) | (np.diff(row) > 0))
+    return [list(zip(lo[row == k].tolist(), hi[row == k].tolist()))
+            for k in range(int(row.max(initial=-1)) + 1)]
+
+
 def test_monotone_rows_batch_equals_lone_calls():
     # x^3 - 3x on [-2, 2], x^2 on [-1, 1], the slice of xy + 0.1 x^2 y^2 at
     # x0 = 0.5 on [0, 1], and x^3 - 3x again on [0, 2]
@@ -569,17 +580,84 @@ def test_monotone_rows_batch_equals_lone_calls():
     for k, row in enumerate(rows):
         c[k, :len(row)] = row
     lo, hi = [-2.0, -1.0, 0.0, 0.0], [2.0, 1.0, 1.0, 2.0]
-    by_order = phases.monotone_rows(c, lo, hi, 2)
+    by_order = [_rows_of(flat) for flat in phases.monotone_rows(c, lo, hi, 2)]
     batch = by_order[1]
-    lone = [phases.monotone_rows(row, a, b, 2)[1][0] for row, a, b in zip(rows, lo, hi)]
+    lone = [_rows_of(phases.monotone_rows(row, a, b, 2)[1])[0] for row, a, b in zip(rows, lo, hi)]
     assert batch == lone
     # the order-1 tiling of the same call is that of an order-1 call
-    assert by_order[0] == phases.monotone_rows(c, lo, hi, 1)[0]
-    np.testing.assert_allclose([iv.hi for iv in by_order[0][0][:-1]], [-1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose([iv.hi for iv in batch[0][:-1]], [-1.0, 0.0, 1.0], atol=1e-12)
-    assert [iv.as_tuple() for iv in batch[3]] == [(0.0, batch[0][2].hi), (batch[0][2].hi, 2.0)]
+    assert by_order[0] == _rows_of(phases.monotone_rows(c, lo, hi, 1)[0])
+    np.testing.assert_allclose([b for _, b in by_order[0][0][:-1]], [-1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose([b for _, b in batch[0][:-1]], [-1.0, 0.0, 1.0], atol=1e-12)
+    assert batch[3] == [(0.0, batch[0][2][1]), (batch[0][2][1], 2.0)]
     # a phase with coefficients is partitioned by the same rows
-    assert monotone_partition(polynomial_phase(cubic, (-2.0, 2.0)), 2) == batch[0]
+    assert [iv.as_tuple() for iv in monotone_partition(polynomial_phase(cubic, (-2.0, 2.0)), 2)] \
+        == batch[0]
+
+
+def _tiled_reference(lo, hi, breaks):
+    """The tiling rule of ``tile_rows`` for one row, break by break: sorted
+    and deduplicated, a break within BISECT_XTOL of the last kept one is
+    dropped, then the breaks outside (lo, hi) and the empty pieces."""
+    merged = []
+    for x in sorted(set(breaks)):
+        if not merged or x - merged[-1] > phases.BISECT_XTOL:
+            merged.append(x)
+    edges = [lo] + [x for x in merged if lo < x < hi] + [hi]
+    return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+
+
+def test_tile_rows_keep_the_left_to_right_rule_in_clusters():
+    # 0.2 + 0.6e-12 is within the tolerance of 0.2 and dropped, but 0.2 + 1.2e-12
+    # is measured from 0.2, the last kept, not from its dropped neighbour
+    t = phases.BISECT_XTOL
+    x = np.array([0.2 + 1.2 * t, 0.2, 0.2 + 0.6 * t, 0.7, 0.7, 1.0, 0.0 + 0.5 * t])
+    row = np.array([0, 0, 0, 0, 0, 0, 1])
+    got = _rows_of(phases.tile_rows(row, x, np.array([0.0, 0.0]), np.array([1.0, 1.0])))
+    assert got[0] == [(0.0, 0.2), (0.2, 0.2 + 1.2 * t), (0.2 + 1.2 * t, 0.7), (0.7, 1.0)]
+    assert got[1] == [(0.0, 0.5 * t), (0.5 * t, 1.0)]
+    rng = np.random.default_rng(20261020)
+    for _ in range(50):
+        n = rng.integers(0, 12)
+        x = np.round(rng.uniform(-0.1, 1.1, n), 2) + rng.integers(-3, 4, n) * 0.4 * t
+        row = rng.integers(0, 3, n)
+        lo, hi = np.array([0.0, 0.3, 0.5]), np.array([1.0, 0.3, 0.9])
+        got = _rows_of(phases.tile_rows(row, x, lo, hi))
+        got += [[]] * (3 - len(got))
+        assert got == [_tiled_reference(lo[k], hi[k], x[row == k].tolist()) for k in range(3)]
+
+
+def test_merge_rows_join_within_the_slack():
+    slack = 1e-11
+    # a gap of exactly the slack joins, twice the slack does not, overlaps merge
+    row = np.array([0, 0, 1, 1, 2, 2, 2])
+    lo = np.array([0.5 + slack, 0.0, 0.5 + 2.0 * slack, 0.0, 0.1, 0.3, 0.2])
+    hi = np.array([1.0, 0.5, 1.0, 0.5, 0.4, 0.35, 0.9])
+    assert _rows_of(phases.merge_rows(row, lo, hi, slack)) == [
+        [(0.0, 1.0)], [(0.0, 0.5), (0.5 + 2.0 * slack, 1.0)], [(0.1, 0.9)]]
+    assert [len(v) for v in phases.merge_rows(row[:0], lo[:0], hi[:0], slack)] == [0, 0, 0]
+    rng = np.random.default_rng(20261021)
+    for _ in range(50):
+        n = rng.integers(1, 15)
+        lo = np.round(rng.uniform(0.0, 1.0, n), 2)
+        hi = lo + np.round(rng.uniform(0.0, 0.3, n), 2) + rng.integers(0, 2, n) * slack
+        row = rng.integers(0, 2, n)
+        got = _rows_of(phases.merge_rows(row, lo, hi, slack))
+        got += [[]] * (2 - len(got))
+        assert got == [[iv.as_tuple() for iv in merge_intervals(
+            zip(lo[row == k].tolist(), hi[row == k].tolist()), slack)] for k in range(2)]
+
+
+def test_xy_evaluator_skips_its_unit_coefficient():
+    # x * y with no product by the coefficient 1.0, and a derivative that is
+    # one of the variables comes back as a new array
+    x, y = np.linspace(0.0, 1.0, 7), np.linspace(-1.0, 2.0, 7)
+    f = xy_phase()
+    assert np.array_equal(f.eval_fn((0, 0), x, y), x * y)
+    for orders, want in (((1, 0), y), ((0, 1), x)):
+        got = f.eval_fn(orders, x, y)
+        assert np.array_equal(got, want) and got is not want
+    t = monomial(1).eval_fn(0, x)
+    assert np.array_equal(t, x) and t is not x
 
 
 def test_polish_falls_back_to_the_whole_bracket():

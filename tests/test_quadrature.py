@@ -34,6 +34,7 @@ from oscint.quadrature import (
     _WK,
     DEFAULT_CONFIG,
     LEVIN_SWING,
+    _adaptive_slots,
     _kronrod,
     _levin,
     _refine,
@@ -361,6 +362,45 @@ def test_adaptive_quad_flags_a_segment_cap(monkeypatch):
                              0.0, 1.0, rel_tol=1e-9)[2]
 
 
+def test_slots_flag_their_own_segment_cap(monkeypatch):
+    # with one segment per slot, the kink of slot 0 stops at the cap, while
+    # slot 1's cubic is exact on its one segment and converges with the bits
+    # of its lone call
+    monkeypatch.setattr("oscint.quadrature.ADAPTIVE_MAX_SEGMENTS", 1)
+    kink = lambda x: np.minimum(1.0, 0.001 / np.maximum(x, 1e-300))
+    cubic = lambda x: x**3 - x
+    fvec = lambda x, s: np.where(s == 0, kink(x), cubic(x))
+    val, err, converged = _adaptive_slots(fvec, [0.0, 0.5], [1.0, 2.0], [0, 1], 2, 1e-9, 1e-14)
+    assert converged.tolist() == [False, True]
+    assert (val[1], err[1], True) == adaptive_quad(cubic, 0.5, 2.0)
+    assert not adaptive_quad(kink, 0.0, 1.0)[2]
+
+
+def test_slots_keep_their_lone_bits_beside_a_refined_slot():
+    # slot 1 halves for many rounds while slot 0 converges at once and slot 2
+    # has no segment: each slot gets its lone call's value, error and flag
+    fs = [lambda x: np.exp(x), lambda x: np.sqrt(np.abs(x - 0.37)), lambda x: x]
+    fvec = lambda x, s: np.choose(s, [f(x) for f in fs])
+    a, b, slot = [0.0, 0.0, 0.5, 1.0], [1.0, 0.5, 1.0, 1.0], [0, 1, 1, 2]
+    val, err, converged = _adaptive_slots(fvec, a, b, slot, 3, 1e-12, 1e-14)
+    assert (val[2], err[2], converged[2]) == (0.0, 0.0, True)
+    for k in (0, 1):
+        mine = np.array(slot) == k
+        assert (val[k], err[k], converged[k]) == adaptive_quad(
+            fs[k], np.array(a)[mine], np.array(b)[mine], rel_tol=1e-12)
+
+
+def test_a_tiny_slot_meets_its_own_tolerance_beside_a_large_one():
+    # held to one tolerance over both totals, the 1e-8 slot would be left at
+    # the first rule's relative error; each slot meets rel_tol of its own value
+    scale = np.array([1e8, 1e-8])
+    fvec = lambda x, s: scale[s] * np.sqrt(x)
+    val, err, converged = _adaptive_slots(fvec, [0.0, 0.0], [1.0, 1.0], [0, 1], 2, 1e-10, 1e-30)
+    exact = scale * 2.0 / 3.0
+    assert converged.all()
+    np.testing.assert_array_less(np.abs(val - exact), 1e-10 * exact)
+
+
 def test_adaptive_quad_evaluates_whole_rules_only():
     # every integrand call is one set of 15-point rules, with no probe point
     points = []
@@ -392,7 +432,7 @@ def test_refine_reports_its_split_cap():
     kink = lambda x, _: np.abs(x - 0.3)
 
     def run(max_splits):
-        return _refine(kink, [0.0], [1.0], [0], 1, lambda total: 1e-12, max_splits, 1 << 16)
+        return _refine(kink, [0.0], [1.0], [0], 1, 1e-12, max_splits, 1 << 16)
 
     val, err, _, converged = run(2)
     assert not converged and err.size == 3  # only the panel holding the kink is halved
@@ -431,7 +471,7 @@ def test_two_slot_refine_keeps_each_slots_one_slot_bits():
     # each slot's panels and sums are those of its own one-slot run
     kinks = np.array([0.3, 0.55])
     fvec = lambda x, s: np.abs(x - kinks[s])
-    density = lambda total: 1e-12
+    density = 1e-12
     both = _refine(fvec, [0.2, 0.0], [0.9, 1.0], [1, 0], 2, density, 60, 1 << 16)
     assert np.all(np.diff(both[2]) >= 0)  # ordered by slot
     for k, (a, b) in enumerate([(0.0, 1.0), (0.2, 0.9)]):

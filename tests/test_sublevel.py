@@ -19,7 +19,7 @@ from oscint.decay import DecaySample, fit_decay, geometric_grid
 from oscint.harness import load_config
 from oscint.phases import (Phase2D, PhaseFunction, PlanarDomain, compose2d_with_polynomial,
                            unit_square, xy_quad_phase)
-from oscint.quadrature import adaptive_quad
+from oscint.quadrature import _adaptive_slots, adaptive_quad
 from oscint import phases, sublevel
 from oscint.sublevel import _bump, sublevel_rows
 
@@ -123,18 +123,40 @@ class TestConstant:
             osc_to_sublevel_constant(0.5)
 
     def test_three_quadratures(self, monkeypatch):
-        # the head, the body to XI_CUTOFF and the tail, each over its segments
+        # the head, the body to XI_CUTOFF and the tail: three slots of one
+        # call, each over its segments
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return adaptive_quad(*args, **kwargs)
+        def counted(fvec, a, b, slot, n_slots, *args):
+            calls.append((a, b, slot, n_slots))
+            return _adaptive_slots(fvec, a, b, slot, n_slots, *args)
 
         monkeypatch.setattr(sublevel, "_constant_cache", {})
-        monkeypatch.setattr(sublevel, "adaptive_quad", counted)
+        monkeypatch.setattr(sublevel, "_adaptive_slots", counted)
         C = osc_to_sublevel_constant(0.5)
-        assert len(calls) == 3 and C.converged
-        assert calls[1][1][-1] == calls[2][0][0] == sublevel.XI_CUTOFF
+        assert len(calls) == 1 and C.converged
+        a, b, slot, n_slots = calls[0]
+        assert n_slots == 3 and slot.tolist() == sorted(slot.tolist()) and set(slot) == {0, 1, 2}
+        assert a[slot == 0].tolist() == [0.0]
+        assert b[slot == 1][-1] == a[slot == 2][0] == sublevel.XI_CUTOFF
+        assert b[slot == 2][-1] == 2.0 * sublevel.XI_CUTOFF
+
+    def test_one_slot_call_keeps_the_bits_of_three_lone_calls(self, monkeypatch):
+        # each slot's samples are evaluated apart from the others', so the
+        # constant is that of the head, body and tail integrated one by one
+        monkeypatch.setattr(sublevel, "_constant_cache", {})
+        delta = 1.0 / 3.0
+        bump = sublevel._bump()
+        zeros = bump.sign_change_points(2.0 * sublevel.XI_CUTOFF)
+        body = np.concatenate([zeros[zeros < sublevel.XI_CUTOFF], [sublevel.XI_CUTOFF]])
+        far = np.concatenate([[sublevel.XI_CUTOFF], zeros[zeros > sublevel.XI_CUTOFF],
+                              [2.0 * sublevel.XI_CUTOFF]])
+        power = 1.0 / (1.0 - delta)
+        head = adaptive_quad(lambda u: np.abs(bump.transform_vec(u**power)), 0.0,
+                             body[0] ** (1.0 - delta))[0]
+        weighted = lambda x: np.abs(bump.transform_vec(x)) * x ** (-delta)
+        rest = adaptive_quad(weighted, body[:-1], body[1:])[0]
+        assert osc_to_sublevel_constant(delta).C_delta == 2.0 * (power * head + rest)
 
     def test_cutoff_off_a_sinc_zero(self, monkeypatch):
         # 64.1 is no zero of the transform, and still cuts body from tail
@@ -264,9 +286,25 @@ def test_band_sets_take_per_row_levels():
     pieces = phases.monotone_partition(f, order_cap=1)
     c = np.array([0.1, -0.4, 0.3, 0.9])
     eps = np.array([0.05, 0.2, 0.01, 0.5])
-    rows = sublevel.band_sets(lambda x, _: f.eval_fn(0, x), [pieces] * c.size, c - eps, c + eps,
-                              coeffs=[f.coeffs] * c.size)
-    assert rows == [list(sublevel_1d(f, ci, ei).components) for ci, ei in zip(c, eps)]
+    row, lo, hi = sublevel.band_sets(lambda x, _: f.eval_fn(0, x), phases.flat_rows(pieces, c.size),
+                                     c - eps, c + eps, coeffs=[f.coeffs] * c.size)
+    assert np.all(np.diff(row) >= 0)
+    assert [[Interval(a, b) for a, b in zip(lo[row == k].tolist(), hi[row == k].tolist())]
+            for k in range(c.size)] == [list(sublevel_1d(f, ci, ei).components)
+                                        for ci, ei in zip(c, eps)]
+
+
+def test_rows_take_per_row_levels_and_measure_an_empty_row_as_zero():
+    # xy at y = 0.1 meets [0.4, 0.6] only for x in [4, 6]: no band, measure 0.0,
+    # also as the last row; the other rows match their lone calls
+    f2 = xy_phase()
+    ys = np.array([0.9, 0.5, 0.1])
+    c, eps = np.array([0.3, 0.2, 0.5]), np.array([0.05, 0.1, 0.1])
+    rows = sublevel_rows(f2, (0, 0), ys, c, eps, Interval(0.0, 1.0))
+    assert rows.tolist()[2] == 0.0 and rows.size == 3
+    for k in range(3):
+        assert rows[k] == sublevel_rows(f2, (0, 0), ys[k:k + 1], c[k], eps[k],
+                                        Interval(0.0, 1.0))[0]
 
 
 def _parabola_plus_ramp():
@@ -304,5 +342,30 @@ def test_xy_band_areas_on_the_packaged_grid_are_covered_by_their_estimates():
 
 
 def test_kink_segments_cut_where_a_band_edge_meets_a_side():
-    a, b = sublevel.kink_segments(xy_phase(), (0, 0), (-0.01, 0.01))
+    a, b, slot = sublevel.kink_segments(xy_phase(), (0, 0), (-0.01, 0.01))
     np.testing.assert_allclose(np.append(a, b[-1]), [0.0, 0.01, 1.0], atol=1e-12)
+    assert slot.tolist() == [0, 0]
+    # one row of levels per slot, each cut at its own kinks
+    a, b, slot = sublevel.kink_segments(xy_phase(), (0, 0), [(-0.3, 0.3), (-0.01, 0.01)])
+    assert slot.tolist() == [0, 0, 1, 1]
+    np.testing.assert_allclose(a, [0.0, 0.3, 0.0, 0.01], atol=1e-12)
+    np.testing.assert_allclose(b, [0.3, 1.0, 0.01, 1.0], atol=1e-12)
+
+
+def _hlog_eps_grid():
+    opt = load_config("H-LOG").options["eps_grid"]
+    return [float(e) for e in geometric_grid(opt["lo"], opt["hi"], opt["per_decade"])]
+
+
+def test_sweep_equals_its_lone_calls_bit_for_bit():
+    eps = _hlog_eps_grid()
+    lone = [sublevel_2d(xy_phase(), 0.0, e) for e in eps]
+    assert sublevel.sublevel_2d_sweep(xy_phase(), 0.0, eps) == lone
+    # shuffled, and with one eps twice
+    order = np.random.default_rng(20261020).permutation(len(eps)).tolist()
+    assert sublevel.sublevel_2d_sweep(xy_phase(), 0.0, [eps[k] for k in order]) == \
+        [lone[k] for k in order]
+    twice = [eps[5], eps[0], eps[5]]
+    assert sublevel.sublevel_2d_sweep(xy_phase(), 0.0, twice) == [lone[5], lone[0], lone[5]]
+    with pytest.raises(PreconditionError):
+        sublevel.sublevel_2d_sweep(xy_phase(), 0.0, [0.1, 0.0])
