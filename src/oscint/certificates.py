@@ -24,8 +24,8 @@ The engine (``_engine_1d``) runs many jobs at once, each an interval given
 by its monotone pieces, with its own lambda, eps, r and claims: the pieces
 of all jobs are flat (job, lo, hi) arrays, every job's cover bands go to
 one band solve with per-row levels, and its thresholds and small-slope
-bands are per-piece arrays.  A job's decomposition is the
-one it gets alone.
+bands are per-piece arrays.  A job's decomposition is the one it gets
+alone.
 ``certify_1d_sweep`` certifies a grid of lambdas as one job each, in one
 run; ``certify_1d`` is its one-element call.
 
