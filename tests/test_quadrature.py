@@ -363,16 +363,16 @@ def test_adaptive_quad_flags_a_segment_cap(monkeypatch):
 
 
 def test_slots_flag_their_own_segment_cap(monkeypatch):
-    # with one segment per slot, the kink of slot 0 stops at the cap, while
-    # slot 1's cubic is exact on its one segment and converges with the bits
-    # of its lone call
-    monkeypatch.setattr("oscint.quadrature.ADAPTIVE_MAX_SEGMENTS", 1)
+    # 12 pieces a slot: the kink of slot 0 stops at the cap, while slot 1
+    # converges in 9 pieces, as alone, with the bits of its lone call; a cap
+    # shared by the slots would stop slot 1 too
+    monkeypatch.setattr("oscint.quadrature.ADAPTIVE_MAX_SEGMENTS", 12)
     kink = lambda x: np.minimum(1.0, 0.001 / np.maximum(x, 1e-300))
-    cubic = lambda x: x**3 - x
-    fvec = lambda x, s: np.where(s == 0, kink(x), cubic(x))
-    val, err, converged = _adaptive_slots(fvec, [0.0, 0.5], [1.0, 2.0], [0, 1], 2, 1e-9, 1e-14)
+    root = lambda x: np.sqrt(x + 1e-3)
+    fvec = lambda x, s: np.where(s == 0, kink(x), root(x))
+    val, err, converged = _adaptive_slots(fvec, [0.0, 0.0], [1.0, 1.0], [0, 1], 2, 1e-9, 1e-14)
     assert converged.tolist() == [False, True]
-    assert (val[1], err[1], True) == adaptive_quad(cubic, 0.5, 2.0)
+    assert (val[1], err[1], True) == adaptive_quad(root, 0.0, 1.0)
     assert not adaptive_quad(kink, 0.0, 1.0)[2]
 
 
