@@ -312,10 +312,11 @@ def osc_to_sublevel_constant(delta: float) -> OscToSublevelConstant:
                 out[at] = np.abs(bump.transform_vec(x[at])) * x[at] ** (-delta)
         return out
 
-    (head, rest, tail), _, converged = _adaptive_slots(
+    val, _, converged = _adaptive_slots(
         integrand, np.concatenate([[0.0], body[:-1], far[:-1]]),
         np.concatenate([[body[0] ** (1.0 - delta)], body[1:], far[1:]]),
         np.repeat([0, 1, 2], [1, body.size - 1, far.size - 1]), 3, 1e-9, 1e-14)
+    head, rest, tail = val.tolist()
     total, tail = 2.0 * (power * head + rest), 2.0 * tail
     if tail > 1e-8 * total:
         raise NonconvergentTailError(
