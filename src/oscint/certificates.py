@@ -17,15 +17,17 @@ lambda sweep of totals recovers the predicted exponent.
 Every outer function P reaches the engine as one model (``_outer``): a
 polynomial of degree >= 2 through its normalised derivative, a power
 transform |t|^s, or, for P(t) = t + c, the identity, whose intervals take
-the classical van der Corput bound 3 / (r |lambda|).  A polynomial's model
-finds the roots it needs once: its P' caches the cover's centres.
+the classical van der Corput bound 3 / (r |lambda|).  A model gives its
+root-proximity cover as data: ``centers`` (the real parts of the roots of
+P', found once; 0 for |t|^s; none for the identity) and one radius
+``cover_radius(eps)``.
 
 The engine (``_engine_1d``) runs many jobs at once, each an interval given
 by its monotone pieces, with its own lambda, eps, r and claims: the pieces
-of all jobs are flat (job, lo, hi) arrays, every job's cover bands go to
-one band solve with per-row levels, and its thresholds and small-slope
-bands are per-piece arrays.  A job's decomposition is the one it gets
-alone.
+of all jobs are flat (job, lo, hi) arrays, every job's cover rows
+(centre -/+ radius) go to one band solve with per-row levels and one
+per-job merge, and its thresholds and small-slope bands are per-piece
+arrays.  A job's decomposition is the one it gets alone.
 ``certify_1d_sweep`` certifies a grid of lambdas as one job each, in one
 run; ``certify_1d`` is its one-element call.
 
@@ -52,16 +54,7 @@ from .errors import (
 )
 from .phases import (Interval, Phase2D, PhaseFunction, _gaps, flat_rows, merge_rows,
                      monotone_partition, monotone_rows, real_roots, sign_breaks, solve_brackets)
-from .polynomials import (
-    Polynomial,
-    SndConstant,
-    classify,
-    derivative,
-    estimate_B,
-    monic_sublevel_cover,
-    roots,
-    snd_sublevel_cover,
-)
+from .polynomials import Polynomial, SndConstant, classify, derivative, estimate_B, roots
 from .quadrature import QuadResult, adaptive_quad
 from .sublevel import (band_pieces, band_sets, kink_segments, osc_to_sublevel_constant,
                        sublevel_rows)
@@ -191,10 +184,11 @@ def _finish(pieces: list[CertPiece], params: CertificateParams, notes: dict) -> 
 
 class _Outer:
     """An outer function P of degree ``d`` as the engine sees it: a cover of
-    the t where |P'(t)| is small (``cover``, radius ``cover_radius`` around
-    each of ``n_centers`` centres), the threshold eps^(d-1) outside it,
-    |P'| itself, the breaks of P' monotonicity (``prime_breaks``), and the
-    bound on an interval where |f'| >= r and |P'(f)| >= m."""
+    the t where |P'(t)| is small, as data (intervals of radius
+    ``cover_radius(eps)`` about each of ``centers``), the threshold
+    eps^(d-1) outside it, |P'| itself, the breaks of P' monotonicity
+    (``prime_breaks``), and the bound on an interval where |f'| >= r and
+    |P'(f)| >= m."""
 
     prime_breaks: tuple[float, ...] = ()
 
@@ -209,10 +203,7 @@ class _Identity(_Outer):
     """P(t) = t + c, the base case: no cover, |P'| = 1 and the classical van
     der Corput bound 3 / (r |lambda|)."""
 
-    d, label, n_centers = 1.0, "identity", 0
-
-    def cover(self, eps: float) -> list[Interval]:
-        return []
+    d, label, centers = 1.0, "identity", ()
 
     def dprime_abs(self, t):
         return np.ones_like(t)
@@ -234,7 +225,7 @@ class PowerTransform(_Outer):
     """
 
     exponent: float
-    label, n_centers = "power", 1
+    label, centers = "power", (0.0,)
 
     def __post_init__(self):
         if self.exponent <= 1.0:
@@ -244,10 +235,6 @@ class PowerTransform(_Outer):
     def d(self) -> float:
         return self.exponent
 
-    def cover(self, eps: float) -> list[Interval]:
-        c = self.cover_radius(eps)
-        return [Interval(-c, c)]
-
     def cover_radius(self, eps: float) -> float:
         return eps * self.d ** (-1.0 / (self.d - 1.0))
 
@@ -256,9 +243,10 @@ class PowerTransform(_Outer):
 
 
 class _PolyOuter(_Outer):
-    """P' normalised, with the real roots of P'' found once, at
-    construction; P' finds the real parts of its roots, the cover's centres,
-    once too, at the first cover."""
+    """P' normalised, with the real roots of P'' and the real parts of the
+    roots of P', the cover's centres, found once, at construction.  The
+    radius is B * eps: the monic cover's eps, or B_d * eps for SND, which
+    holds for eps <= 1, and SND needs |lambda| >= 1, so eps <= 1."""
 
     def __init__(self, P: Polynomial, lam_abs: float):
         if P.degree < 2:
@@ -271,21 +259,14 @@ class _PolyOuter(_Outer):
                 f"P' is {rep.label}; rescale by {rep.rescale:.6g} to restore max coefficient 1",
                 report=rep,
             )
-        self.is_monic = rep.is_monic
         if not rep.is_monic and lam_abs < 1.0:
             raise PreconditionError("SND normalisation requires |lambda| >= 1")
-        self.snd = None if rep.is_monic else default_snd_constant(self.Pp.degree)
-        self.B = 1.0 if rep.is_monic else self.snd.B
-        self.n_centers = self.Pp.degree
+        self.B = 1.0 if rep.is_monic else default_snd_constant(self.Pp.degree).B
+        self.centers = self.Pp._cover_centers
         self.label = "monic" if rep.is_monic else "SND"
         if self.Pp.degree >= 2:
             self.prime_breaks = tuple(z.real for z in roots(derivative(self.Pp)).roots
                                       if z.imag == 0.0)
-
-    def cover(self, eps: float) -> list[Interval]:
-        if self.is_monic:
-            return monic_sublevel_cover(self.Pp, eps)
-        return snd_sublevel_cover(self.Pp, min(eps, 1.0), self.snd)
 
     def cover_radius(self, eps: float) -> float:
         return self.B * eps
@@ -337,7 +318,8 @@ def _engine_1d(bases, mono, ev, outer, lam: Sequence[float], eps: Sequence[float
     bj, blo, bhi = bases
 
     # refine at pullbacks of the outer derivative's monotonicity breaks: each
-    # job's pieces run between its distinct edges and cuts
+    # piece is cut at its cuts, in x order, and a cut twice at one point
+    # (a doubled break) leaves no empty piece
     t_stars = np.array(outer.prime_breaks)
     if t_stars.size:
         fa, fb = ev(0, blo, bj), ev(0, bhi, bj)
@@ -348,25 +330,23 @@ def _engine_1d(bases, mono, ev, outer, lam: Sequence[float], eps: Sequence[float
                                     fa[k] - t <= 0.0)
         cuts = 0.5 * (lo_b + hi_b)
         inside = (blo[k] < cuts) & (cuts < bhi[k])
-        ej = np.concatenate([bj, bj, bj[k[inside]]])
-        ex = np.concatenate([blo, bhi, cuts[inside]])
-        order = np.lexsort((ex, ej))
-        ej, ex = ej[order], ex[order]
-        step = (ej[1:] == ej[:-1]) & (ex[1:] > ex[:-1])
-        bj, blo, bhi = ej[:-1][step], ex[:-1][step], ex[1:][step]
+        k, cuts = k[inside], cuts[inside]
+        order = np.lexsort((cuts, k))
+        piece, blo, bhi = _gaps(bj.size, k[order], cuts[order], cuts[order], blo, bhi)
+        step = bhi > blo
+        bj, blo, bhi = bj[piece][step], blo[step], bhi[step]
 
     # removed root-proximity cover, pulled back through f: one band row per
-    # job and cover interval, all in one solve
-    covers = {e: outer.cover(e) for e in set(eps)}
-    spans = [(j, 0.5 * (t_iv.lo + t_iv.hi), 0.5 * (t_iv.hi - t_iv.lo))
-             for j, e in enumerate(eps) for t_iv in covers[e]]
-    rows = [(j, center - radius, center + radius) for j, center, radius in spans if radius > 0]
+    # job and distinct centre (a conjugate pair's real part once), all in one
+    # solve; each job's bands merged
+    centers = np.array(sorted(set(outer.centers)))
     rj, rlo, rhi = np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
-    if rows:
-        row_job, lo_t, hi_t = (np.array(v) for v in zip(*rows))
+    if centers.size:
+        row_job = np.repeat(np.arange(n_jobs), centers.size)
+        t, radius = np.tile(centers, n_jobs), outer.cover_radius(np.array(eps))[row_job]
         owner, at = _expand(row_job, mono[0])
         band, lo, hi = band_sets(lambda x, q: ev(0, x, row_job[q]),
-                                 (owner, mono[1][at], mono[2][at]), lo_t, hi_t)
+                                 (owner, mono[1][at], mono[2][at]), t - radius, t + radius)
         rj, rlo, rhi = merge_rows(row_job[band], lo, hi, 1e-13)
     measured = np.bincount(rj, rhi - rlo, n_jobs).tolist()
 
@@ -374,7 +354,7 @@ def _engine_1d(bases, mono, ev, outer, lam: Sequence[float], eps: Sequence[float
                                                for _ in range(n_jobs)]
     for j, lo, hi in zip(rj.tolist(), rlo.tolist(), rhi.tolist()):
         per_root = None if claims[j] is None else claims[j]["removed_unit"]
-        claimed = 0.0 if claims[j] is None else per_root * outer.n_centers
+        claimed = 0.0 if claims[j] is None else per_root * len(outer.centers)
         out[j][0].append(CertPiece(
             KIND_REMOVED, (lo, hi),
             (hi - lo) * claimed / measured[j] if measured[j] > claimed > 0 else hi - lo,
@@ -707,8 +687,7 @@ def certify_2d(f: Phase2D, P: Polynomial, lam: float) -> Certificate:
     gamma_strict = gamma * (1.0 - 1e-12)
     a, b, _ = kink_segments(f, (0, 1), (-gamma_strict, gamma_strict))
     measured, quad_err, converged = adaptive_quad(
-        lambda ys: sublevel_rows(f, (0, 1), ys, 0.0, gamma_strict, Interval(ax, bx)), a, b,
-        rel_tol=1e-6)
+        lambda ys: sublevel_rows(f, (0, 1), ys, 0.0, gamma_strict), a, b, rel_tol=1e-6)
     if not converged:
         notes["region2_converged"] = False
     parametric = 2.0 * gamma * height

@@ -27,8 +27,10 @@ densely and bisected between the samples that change sign.
 
 Rows of pieces are flat array programs: a batch of rows is three arrays
 (row, lo, hi), ordered by row, then left end.  ``tile_rows`` cuts rows at
-their breaks, ``merge_rows`` joins each row's spans by a sort and a running
-maximum, and ``flat_rows`` repeats one list of pieces for many rows;
+their breaks, ``_gaps`` takes points or spans out of each row's interval,
+``merge_rows`` joins each row's spans by a sort and a running maximum (the
+one interval merge of the package; a public root-proximity cover is its
+one-row call), and ``flat_rows`` repeats one list of pieces for many rows;
 ``Interval`` lists are built only at the public edges (``sign_partition``,
 ``monotone_partition``).
 
@@ -91,19 +93,6 @@ def merge_rows(row, lo, hi, slack: float) -> tuple[np.ndarray, np.ndarray, np.nd
     start[1:] = (row[1:] != row[:-1]) | (lo[1:] > top[:-1] + slack)
     at = np.flatnonzero(start)
     return row[at], lo[at], np.maximum.reduceat(hi, at)
-
-
-def merge_intervals(spans, slack: float) -> list[Interval]:
-    """Union of (lo, hi) spans as ordered intervals, ``merge_rows``'s rule
-    span by span for the few spans of a cover; spans whose gap is at most
-    ``slack`` are joined."""
-    out: list[list[float]] = []
-    for lo, hi in sorted(spans, key=lambda sp: sp[0]):
-        if out and lo <= out[-1][1] + slack:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [Interval(lo, hi) for lo, hi in out]
 
 
 def flat_rows(pieces: Sequence[Interval], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -711,9 +700,6 @@ class PlanarDomain:
     @property
     def area(self) -> float:
         return (self.bx - self.ax) * (self.by - self.ay)
-
-    def y_extent(self) -> Interval:
-        return Interval(self.ay, self.by)
 
 
 def unit_square() -> PlanarDomain:

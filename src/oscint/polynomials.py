@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NotSndError, PreconditionError, RootConvergenceError
 from .phases import (Interval, _companion, _near_real, _polyval, _root_rows, _rows_at,
-                     derivative_coeffs, merge_intervals, real_roots)
+                     derivative_coeffs, merge_rows, real_roots)
 
 CLASSIFY_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-10
@@ -223,7 +223,9 @@ def _root_cover(P: Polynomial, eps: float, radius: float,
     err = reject(classify(P))
     if err is not None:
         raise err
-    return merge_intervals(((c - radius, c + radius) for c in P._cover_centers), 1e-15)
+    c = np.array(P._cover_centers)
+    _, lo, hi = merge_rows(np.zeros(c.size, dtype=np.intp), c - radius, c + radius, 1e-15)
+    return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def monic_sublevel_cover(P: Polynomial, eps: float) -> list[Interval]:

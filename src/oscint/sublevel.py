@@ -139,11 +139,12 @@ def sublevel_1d(f: PhaseFunction, c: float, eps: float) -> SublevelResult:
     return SublevelResult(measure, tuple(comps), float(c), float(eps))
 
 
-def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c, eps, interval: Interval,
+def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c, eps,
                   xtol: float = BISECT_XTOL) -> np.ndarray:
-    """The measure of {x in ``interval`` : |d^orders f(x, y) - c| <= eps} for
-    every y of a batch, with band edges bisected to ``xtol``; ``c`` and
-    ``eps`` are one for all rows or one per row.
+    """The measure of {x in [ax, bx] : |d^orders f(x, y) - c| <= eps}, the
+    x-range of ``f.domain``, for every y of a batch, with band edges
+    bisected to ``xtol``; ``c`` and ``eps`` are one for all rows or one per
+    row.
 
     Each row's monotone pieces come from ``phases.monotone_rows``, and its
     band edges start from the roots of the row minus each level.  A row's
@@ -154,7 +155,7 @@ def sublevel_rows(f: Phase2D, orders: tuple[int, int], ys, c, eps, interval: Int
     coeffs = f.rows_in_x(orders, ys)
     c, eps = np.asarray(c, dtype=float), np.asarray(eps, dtype=float)
     row, lo, hi = band_sets(lambda x, k: f.eval_fn((i, j), x, ys[k]),
-                            monotone_rows(coeffs, interval.lo, interval.hi, 1)[0],
+                            monotone_rows(coeffs, f.domain.ax, f.domain.bx, 1)[0],
                             c - eps, c + eps, xtol, coeffs)
     return np.bincount(row, hi - lo, ys.size)
 
@@ -200,11 +201,9 @@ def sublevel_2d_sweep(f: Phase2D, c: float, eps_values) -> list[tuple[float, flo
     eps = np.array(eps_values, dtype=float, ndmin=1)
     if not (eps > 0).all():
         raise PreconditionError("eps must be positive")
-    dom = f.domain
-    iv = Interval(dom.ax, dom.bx)
     a, b, slot = kink_segments(f, (0, 0), np.column_stack([c - eps, c + eps]))
     val, err, converged = _adaptive_slots(
-        lambda ys, s: sublevel_rows(f, (0, 0), ys, c, eps[s], iv, xtol=0.0), a, b, slot,
+        lambda ys, s: sublevel_rows(f, (0, 0), ys, c, eps[s], xtol=0.0), a, b, slot,
         eps.size, BAND_AREA_REL_TOL, 1e-12)
     return [(float(v), float(e), bool(ok))
             for v, e, ok in zip(val.tolist(), err.tolist(), converged.tolist())]

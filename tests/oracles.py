@@ -10,6 +10,8 @@ The reference evaluators at the end are written by hand per phase, apart
 from the one Horner evaluator that ``oscint.phases`` runs for every phase
 with coefficients: the derivative tables of ``xy`` and ``xy_quad``, the
 product rule of separable phases and the chain rule of compositions.
+``merge_intervals`` joins spans one at a time, the reference for
+``phases.merge_rows``' sort and running maximum.
 """
 
 import math
@@ -138,6 +140,18 @@ def mpmath_cover_sup(coeffs, t_lo: float) -> float:
 
 
 _GL24 = GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)  # 24 (node, weight) pairs on [-1, 1]
+
+
+def merge_intervals(spans, slack: float) -> list[tuple[float, float]]:
+    """Union of (lo, hi) spans as ordered (lo, hi) pairs, span by span in
+    order of left end; spans whose gap is at most ``slack`` are joined."""
+    out: list[list[float]] = []
+    for lo, hi in sorted(spans, key=lambda sp: sp[0]):
+        if out and lo <= out[-1][1] + slack:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return [(lo, hi) for lo, hi in out]
 
 
 def oscillatory_integral(g, g_float, lam: float, a: float, b: float, breaks=()) -> complex:

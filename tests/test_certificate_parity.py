@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from oscint import (Polynomial, PowerTransform, certify_1d, certify_2d, monomial,
-                    product_phase, xy_phase, xy_quad_phase)
+                    polynomial_phase, product_phase, xy_phase, xy_quad_phase)
 
 FROZEN = Path(__file__).with_name("data") / "certificates.json"
 
@@ -24,12 +24,17 @@ P_LINEAR = Polynomial((0.0, 1.0))                     # the base case P(t) = t
 P_HALF_SQUARE = Polynomial((0.0, 0.0, 0.5))           # P' = t, monic
 P_THIRD_CUBE = Polynomial((0.0, 0.0, 0.0, 1.0 / 3.0))  # P' = t^2, monic, P'' = 0 at t = 0
 P_SND_ONLY = Polynomial((0.0, 0.0, 0.5, 1.0 / 6.0))   # P' = 0.5 t^2 + t, SND not monic
+P_DOUBLE_WELL = Polynomial((0.0, 0.0, -0.5, 0.0, 0.25))  # P' = t^3 - t, breaks at +/-1/sqrt(3)
 
 CASES = {
     "1d_monic_vdc": lambda: certify_1d(monomial(2), P_HALF_SQUARE, 1e4, "vdc"),
     # f = x^3 on [-1, 1] crosses t = 0, where P' = t^2 turns, so the pieces split there
     "1d_monic_vdc_prime_break": lambda: certify_1d(monomial(3, (-1.0, 1.0)), P_THIRD_CUBE,
                                                    1e4, "vdc"),
+    # f = -x on [-1, 1] decreases across both breaks of P' = t^3 - t, so each
+    # piece is cut twice, and its cuts run against the order of the breaks
+    "1d_monic_vdc_two_breaks": lambda: certify_1d(polynomial_phase((0.0, -1.0), (-1.0, 1.0)),
+                                                  P_DOUBLE_WELL, 1e4, "vdc"),
     "1d_snd_general": lambda: certify_1d(monomial(2), P_SND_ONLY, 2e3, "general",
                                          delta=0.5, A=1.0),
     "1d_power_vdc": lambda: certify_1d(monomial(2), PowerTransform(1.5), 1e4, "vdc"),

@@ -1,3 +1,5 @@
+import contextlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -18,16 +20,19 @@ from oscint import (
     fit_decay,
     geometric_grid,
     ibp_bound,
+    monic_sublevel_cover,
     monomial,
     monotone_partition,
     osc_integrate_1d,
     osc_integrate_2d,
     product_phase,
+    sample_snd,
+    snd_sublevel_cover,
     sublevel_1d,
     xy_phase,
     xy_quad_phase,
 )
-from oscint.phases import Phase2D, PhaseMeta, closure_phase, flat_rows, unit_square
+from oscint.phases import Phase2D, PhaseMeta, closure_phase, flat_rows, merge_rows, unit_square
 
 P_HALF_SQUARE = Polynomial((0.0, 0.0, 0.5))          # t^2/2, P' = t monic
 P_THIRD_CUBE = Polynomial((0.0, 0.0, 0.0, 1.0 / 3.0))  # t^3/3, P' = t^2 monic
@@ -235,6 +240,37 @@ class TestCertify1DSweep:
         for lams in ([1e4, 0.0], [1e4, 0.5]):
             with pytest.raises(PreconditionError):
                 certify_1d_sweep(f, P_SND, lams, "vdc")
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.05, 0.4, 1.0])
+def test_outer_cover_data_is_the_public_cover(eps):
+    # the engine reads a cover as the model's centres -/+ its radius; merged,
+    # that is P''s public monic or SND cover, or [-r, r] for a power transform
+    from oscint.certificates import _outer, default_snd_constant
+
+    def merged(outer):
+        c, radius = np.array(outer.centers), outer.cover_radius(eps)
+        _, lo, hi = merge_rows(np.zeros(c.size, dtype=np.intp), c - radius, c + radius, 1e-15)
+        return list(zip(lo.tolist(), hi.tolist()))
+
+    rng = np.random.default_rng(20261020)
+    for d in (1, 2, 3, 1, 2, 3):
+        snd = sample_snd(d, rng).coeffs
+        # -P' is SND as well, and not monic where a draw of P' is
+        snd = tuple(-a for a in snd) if snd[-1] == 1.0 else snd
+        for label, dP in (("monic", np.append(rng.uniform(-3.0, 3.0, d), 1.0)), ("SND", snd)):
+            outer = _outer(Polynomial((0.0,) + tuple(a / (k + 1) for k, a in enumerate(dP))), 1.0)
+            assert outer.label == label
+            if label == "monic":
+                public = monic_sublevel_cover(outer.Pp, eps)
+            else:
+                with pytest.warns(UserWarning) if eps == 1.0 else contextlib.nullcontext():
+                    public = snd_sublevel_cover(outer.Pp, eps, default_snd_constant(d))
+            assert len(outer.centers) == d
+            assert merged(outer) == [iv.as_tuple() for iv in public]
+    for s in (1.5, 3.0):
+        power = PowerTransform(s)
+        assert merged(power) == [(-power.cover_radius(eps), power.cover_radius(eps))]
 
 
 class TestCertify2D:

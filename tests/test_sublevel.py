@@ -271,7 +271,7 @@ def test_xy_band_area_parity(eps, frozen):
 def test_rows_match_sublevel_1d_on_each_slice(c, eps):
     f2 = xy_quad_phase(0.1)
     ys = np.array([0.0, 0.1, 0.37, 0.9, 1.0])
-    rows = sublevel_rows(f2, (0, 0), ys, c, eps, Interval(0.0, 1.0))
+    rows = sublevel_rows(f2, (0, 0), ys, c, eps)
     for y, coeffs, got in zip(ys, f2.rows_in_x((0, 0), ys), rows):
         ev = lambda k, x, y=y: f2.eval_fn((k, 0), x, np.full_like(x, y))
         row = PhaseFunction(ev, 2, Interval(0.0, 1.0), coeffs=tuple(coeffs))
@@ -300,11 +300,10 @@ def test_rows_take_per_row_levels_and_measure_an_empty_row_as_zero():
     f2 = xy_phase()
     ys = np.array([0.9, 0.5, 0.1])
     c, eps = np.array([0.3, 0.2, 0.5]), np.array([0.05, 0.1, 0.1])
-    rows = sublevel_rows(f2, (0, 0), ys, c, eps, Interval(0.0, 1.0))
+    rows = sublevel_rows(f2, (0, 0), ys, c, eps)
     assert rows.tolist()[2] == 0.0 and rows.size == 3
     for k in range(3):
-        assert rows[k] == sublevel_rows(f2, (0, 0), ys[k:k + 1], c[k], eps[k],
-                                        Interval(0.0, 1.0))[0]
+        assert rows[k] == sublevel_rows(f2, (0, 0), ys[k:k + 1], c[k], eps[k])[0]
 
 
 def _parabola_plus_ramp():
