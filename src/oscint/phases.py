@@ -288,6 +288,31 @@ def derivative_coeffs(c, k: int) -> np.ndarray:
     return c[..., k:] * np.array([float(math.perm(j, k)) for j in range(k, n)])
 
 
+def taylor_shift(c, x0, scale=1.0) -> np.ndarray:
+    """The ascending coefficients in t of p(x0 + scale t), for p's ascending
+    coefficients along the last axis of c; ``x0`` and ``scale`` broadcast
+    against c's other axes.  With x0 = 0 and scale = 1 the coefficients
+    come back exactly."""
+    c = np.asarray(c, dtype=float)
+    a, k = np.indices((c.shape[-1],) * 2)
+    binom = np.array([[math.comb(i, j) for j in range(a.shape[0])] for i in range(a.shape[0])])
+    x0, scale = (np.asarray(v, dtype=float)[..., None, None] for v in (x0, scale))
+    S = np.where(a >= k, binom * x0 ** np.maximum(a - k, 0) * scale ** k, 0.0)
+    return np.einsum("...a,...ak->...k", c, S)
+
+
+def bernstein(c, lo, hi) -> np.ndarray:
+    """The Bernstein coefficients on [lo, hi] of the ascending coefficients
+    along the last axis of c (``lo`` and ``hi`` broadcast against c's other
+    axes).  The polynomial lies between their least and greatest, so where
+    they share one strict sign, so does it on all of [lo, hi]."""
+    d = np.shape(c)[-1] - 1
+    i, k = np.indices((d + 1,) * 2)
+    M = np.where(k <= i, [[math.comb(a, b) / math.comb(d, b) for b in range(d + 1)]
+                          for a in range(d + 1)], 0.0)
+    return taylor_shift(c, lo, np.subtract(hi, lo)) @ M.T
+
+
 def real_roots(c, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Real roots of the ascending coefficient rows c[k] inside the open
     intervals (lo[k], hi[k]), unpolished.

@@ -29,13 +29,15 @@ slices of one 2D integral), and runs decide budgets only: each run has the
 whole panel budget.  Every panel's and piece's products are its own
 (``_rowwise``), so a lambda gets the same bits in any sweep as alone.
 
-In two dimensions ``osc_integrate_2d`` integrates over y on swing panels,
-and the x-integrals at their Kronrod nodes (slices) are 1D integrals: one
-``_pieces_integral`` call takes them all, one slot per slice, each at the
-integral's lambda, with g' = d_x f, so the work grows like lambda, not
-lambda^2 (details and the estimate in its docstring).  A polynomial phase's
-slices are first cut at the sign changes of d_x f, so every slice piece is
-monotone.
+In two dimensions (Levin's planar scheme, same paper) the slice integrals
+I(y) = int e^{i lambda f(x, y)} dx are, where every slice is monotone with
+a large swing, sums of end terms A(y) e^{i lambda f(side, y)}, whose
+amplitudes come from the slices' Levin solutions; the outer integral is
+then ``_levin_halving`` over y on the edge columns, at a cost that grows
+like log lambda.  The rest (small swing, slices short in swing or turning
+inside) runs on swing panels in y whose nodes' x-integrals go through one
+``_pieces_integral`` call, at a cost that grows like lambda times its swing
+(details and the estimate in ``osc_integrate_2d``).
 
 Every integrator applies one panel rule,
 ``_kronrod``: the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose
@@ -57,12 +59,15 @@ so results are bit-stable across reruns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import PanelBudgetError, PreconditionError
-from .phases import SIGN_TOL, Phase2D, PhaseFunction, _gaps, monotone_partition, sign_breaks
+from .phases import (SIGN_TOL, Phase2D, PhaseFunction, PlanarDomain, _gaps, _rows_at, bernstein,
+                     derivative_coeffs, monotone_partition, real_roots, sign_breaks,
+                     solve_brackets, taylor_shift)
 
 # QK15 on [-1, 1]: Kronrod nodes x_i >= 0 (the 7-point Gauss nodes are x_1, x_3,
 # x_5 and 0), the Kronrod weights, and the Gauss weights on those four nodes.
@@ -343,6 +348,8 @@ def _levin(colloc, gd, h, lam, L, R, GL, GR, S):
     solution exists: it is not solved, and its estimate is infinite.  Each
     piece's residual products are its own (``_rowwise``), as its solve is, so
     a piece's value and estimate do not depend on the pieces solved with it.
+    Returns per piece the value, the estimate and p at L and at R (0 on an
+    unsolved piece).
     """
     T, D, B, BD = colloc
     n = T.size
@@ -351,6 +358,7 @@ def _levin(colloc, gd, h, lam, L, R, GL, GR, S):
     gdx = np.broadcast_to(np.asarray(gd(x, S[:, None]), dtype=float), x.shape)
     ok = (gdx.min(axis=1) > SIGN_TOL) | (gdx.max(axis=1) < -SIGN_TOL)
     val, err = np.zeros(L.size, dtype=complex), np.full(L.size, np.inf)
+    p_left, p_right = np.zeros(L.size, dtype=complex), np.zeros(L.size, dtype=complex)
     half, GL, GR, S = half[ok], GL[ok], GR[ok], S[ok]
     lam = np.asarray(lam, dtype=float)[S]
     # in t, with p = half q on x = mid + half t: q' + i lam half g' q = h
@@ -364,7 +372,8 @@ def _levin(colloc, gd, h, lam, L, R, GL, GR, S):
     val[ok] = pb * np.exp(1j * lam * GR) - pa * np.exp(1j * lam * GL)
     rounding = _EPS * (np.abs(pb) * (n + np.abs(lam * GR)) + np.abs(pa) * (n + np.abs(lam * GL)))
     err[ok] = half * _rowwise(np.abs(rho), _WK) + rounding
-    return val, err
+    p_left[ok], p_right[ok] = pa, pb
+    return val, err, p_left, p_right
 
 
 def _slot_sums(slot, v, n: int) -> np.ndarray:
@@ -387,26 +396,31 @@ def _slot_sums(slot, v, n: int) -> np.ndarray:
     return out
 
 
-def _levin_halving(colloc, gval, gd, h, lam, L, R, slot, n_slots: int, tol: float,
-                   max_pieces: int, run=None):
-    """Levin collocation of int h e^{i lam g} over the pieces [L_i, R_i].
+def _levin_halving(solve, gval, lam, L, R, slot, n_slots: int, tol: float, max_pieces: int,
+                   run=None, ends=None):
+    """Levin collocation of an oscillatory integral over the pieces [L_i, R_i].
 
-    ``colloc`` is the collocation set of ``_levin``, and ``gval``, ``gd``
-    and ``h`` take points and their slots, as it does; piece i and every
-    piece cut from it add to slot ``slot[i]``, one of 0..n_slots-1, whose
-    lambda is ``lam[slot[i]]``.  A piece whose swing
-    |lam| |g(b) - g(a)| is at most ``LEVIN_SWING`` is set aside for panels.
-    A larger one goes to ``_levin`` and is accepted when its estimate is at
-    most ``tol`` times its width, which it never is where g' vanishes or
-    changes sign; otherwise it is halved and both halves are classified
-    again.  Next to a zero of g' the halving closes in dyadically until the
-    swing is small enough for panels.  Each round's pieces go to ``_levin``
-    ``_LEVIN_CHUNK`` at a time; a piece's result is its own, whatever else
-    the chunk holds.  Returns the set-aside pieces as (left, right, slot)
-    arrays, and per slot the number of accepted pieces, their summed value
-    and their summed estimate.  ``run[s]`` is slot s's run (all slots are
-    one run by default), and PANEL_BUDGET is raised when a run's accepted
-    pieces and pending halves would pass ``max_pieces``.
+    ``solve(L, R, GL, GR, S)`` solves pieces, given their ends, the values
+    of ``gval`` there and their slots, and returns per piece a value, an
+    estimate and any further arrays (``_levin`` bound to a collocation set,
+    g', an amplitude h and the slots' lambdas, for one).  ``gval(x, s)``
+    gives the phase at points x of slots s, n values or an (n, k) array;
+    piece i and every piece cut from it add to slot ``slot[i]``, one of
+    0..n_slots-1, whose lambda is ``lam[slot[i]]``.  A piece whose swing
+    |lam| max_k |g(b) - g(a)| is at most ``LEVIN_SWING`` is set aside for
+    panels.  A larger one is solved and accepted when its estimate is at
+    most ``tol`` times its width, which ``_levin``'s never is where g'
+    vanishes or changes sign; otherwise it is halved and both halves are
+    classified again.  Next to a zero of g' the halving closes in
+    dyadically until the swing is small enough for panels.  Each round's
+    pieces are solved ``_LEVIN_CHUNK`` at a time; a piece's result is its
+    own, whatever else the chunk holds.  Returns the set-aside pieces as
+    (left, right, slot) arrays, and per slot the number of accepted pieces,
+    their summed value and their summed estimate; a list ``ends`` gets each
+    round's accepted (left, right, slot, *further arrays).  ``run[s]`` is
+    slot s's run (all slots are one run by default), and PANEL_BUDGET is
+    raised when a run's accepted pieces and pending halves would pass
+    ``max_pieces``.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
@@ -417,19 +431,21 @@ def _levin_halving(colloc, gval, gd, h, lam, L, R, slot, n_slots: int, tol: floa
     n_levin = np.zeros(n_slots, dtype=np.intp)
     levin_val, levin_err = np.zeros(n_slots, dtype=complex), np.zeros(n_slots)
     while True:
-        near = lam_abs[S] * np.abs(GR - GL) <= LEVIN_SWING
+        swing = np.abs(GR - GL)
+        near = lam_abs[S] * (swing.max(axis=1) if swing.ndim > 1 else swing) <= LEVIN_SWING
         small.append((L[near], R[near], S[near]))
         L, R, S, GL, GR = L[~near], R[~near], S[~near], GL[~near], GR[~near]
         if not L.size:
             break
-        val, err = np.empty(L.size, dtype=complex), np.empty(L.size)
-        for a in range(0, L.size, _LEVIN_CHUNK):
-            k = slice(a, a + _LEVIN_CHUNK)
-            val[k], err[k] = _levin(colloc, gd, h, lam, L[k], R[k], GL[k], GR[k], S[k])
+        val, err, *more = (np.concatenate(parts) for parts in zip(*(
+            solve(L[k], R[k], GL[k], GR[k], S[k])
+            for k in (slice(a, a + _LEVIN_CHUNK) for a in range(0, L.size, _LEVIN_CHUNK)))))
         ok = err <= tol * (R - L)
         n_levin += np.bincount(S[ok], minlength=n_slots)
         levin_val += _slot_sums(S[ok], val[ok], n_slots)
         levin_err += _slot_sums(S[ok], err[ok], n_slots)
+        if ends is not None:
+            ends.append((L[ok], R[ok], S[ok], *(m[ok] for m in more)))
         bad = ~ok
         L, R, S, GL, GR = L[bad], R[bad], S[bad], GL[bad], GR[bad]
         _check_budget(np.bincount(run, n_levin, n_runs) + 2 * np.bincount(run[S], minlength=n_runs),
@@ -442,7 +458,7 @@ def _levin_halving(colloc, gval, gd, h, lam, L, R, slot, n_slots: int, tol: floa
     return SL, SR, SS, n_levin, levin_val, levin_err
 
 
-def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig):
+def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig, ends=None):
     """int e^{i lam g} over the pieces [L_i, R_i], summed per slot.
 
     ``gval(x, s)`` and ``gd(x, s)`` evaluate g and g' at the points x of
@@ -463,8 +479,8 @@ def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig):
     run, n_runs = _runs(run, lam.size)
     n_slots = lam.size
     SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
-        _LEVIN_16, gval, gd, lambda x, _: np.ones_like(x), lam, L, R, S, n_slots, cfg.rel_tol,
-        cfg.max_panels, run)
+        partial(_levin, _LEVIN_16, gd, lambda x, _: np.ones_like(x), lam), gval, lam, L, R, S,
+        n_slots, cfg.rel_tol, cfg.max_panels, run, ends)
     budget = cfg.max_panels - np.bincount(run, n_levin, n_runs).astype(np.intp)
     PL, PR, PS = _swing_panels(gval, SL, SR, SS, np.abs(lam), cfg.phase_variation_cap, budget,
                                run)
@@ -527,55 +543,266 @@ def osc_integrate_1d(g: PhaseFunction, lam: float,
 
 
 # ---------------------------------------------------------------------------
-# Two dimensions: outer panels in y over x-slices
+# Two dimensions: Levin in y over the slices' end terms, outer panels near zero
 # ---------------------------------------------------------------------------
 
+# the outer Levin samples: the order-16 collocation points, then the QK15 nodes
+_Y_POINTS = np.concatenate([_LEVIN_16[0], _NODES])
 
-def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Iterated integration over the rectangle ``g.domain``.
 
-    The outer variable is the second coordinate: swing panels in y, each
-    integrated by QK15 over its 15 nodes.  The x-integrals at those nodes,
-    the slices, are 1D integrals: all of them go through one
-    ``_pieces_integral`` call, one slot per slice, with g' = d_x f, so each
-    slice is held to ``cfg.rel_tol`` per unit width at a cost that does not
-    grow with lam.  Each slice is cut at the sign changes of d_x f (one
-    ``phases.sign_breaks`` call over all slices), so its pieces are
-    monotone.
+def _probe(g: Phase2D):
+    """f at nine x-probes from ax to bx, a function of (y, slot) giving an
+    (n, 9) array: the y-swing of the outer pieces and panels."""
+    x_probe = np.linspace(g.domain.ax, g.domain.bx, 9)
+    return lambda y, _: g.eval_fn((0, 0), x_probe[None, :], y[:, None])
 
-    Estimate: the outer |K15 - G7| summed over the outer panels, plus the
-    largest slice estimate times the height.  ``panels_used`` counts slice
-    panels and Levin pieces, and ``converged`` is False when a slice's
-    refinement stopped over tolerance.  Each slice takes at least one piece
-    or panel, so more slices than ``cfg.max_panels`` raise PANEL_BUDGET
-    before any slice is integrated.
+
+def _edge_swing(c, lo, hi) -> float:
+    """The largest total variation over [lo, hi] of the polynomials whose
+    ascending coefficients are the rows of c (from their values at the ends
+    and the real roots of their derivatives)."""
+    row, x = real_roots(derivative_coeffs(c, 1), lo, hi)
+    sub, left, right = _gaps(c.shape[0], row, x, x, np.full(c.shape[0], lo),
+                             np.full(c.shape[0], hi))
+    v = np.abs(_rows_at(c[sub], right) - _rows_at(c[sub], left))
+    return float(np.bincount(sub, v, c.shape[0]).max())
+
+
+def _outer_second(g: Phase2D) -> Phase2D:
+    """g itself, or its transpose when its edge rows (x-slices at y = ay, by)
+    swing less than its edge columns (y-slices at x = ax, bx), so that the
+    outer variable is the one of smaller swing; a tie keeps y."""
+    d = g.domain
+    rows = _edge_swing(g.rows_in_x((0, 0), [d.ay, d.by]), d.ax, d.bx)
+    cols = _edge_swing(g.column_in_y((0, 0), [d.ax, d.bx]), d.ay, d.by)
+    if rows >= cols:
+        return g
+    return Phase2D(np.transpose(g.coeffs), PlanarDomain(d.ay, d.by, d.ax, d.bx),
+                   g.derivative_lower_bound, g.name)
+
+
+def _zero_sides(g: Phase2D):
+    """The orders m_a, m_b to which d_x f vanishes identically in y on the
+    sides x = ax and x = bx, and the coefficients of the rest q in x - bx
+    (rows in y, x along the last axis): d_x f = (x - ax)^m_a (x - bx)^m_b q.
+    An order counts only coefficients that come out exactly zero; q is None
+    when d_x f is the zero polynomial."""
+    d = g.domain
+    q, m = g._matrix((1, 0)).T, []
+    for shift in (d.ax, d.bx - d.ax):
+        q = taylor_shift(q, shift)
+        zero = ~q.any(axis=0)
+        m.append(int(np.argmin(zero)) if not zero.all() else q.shape[1])
+        q = q[:, m[-1]:]
+    return m[0], m[1], (q if q.size else None)
+
+
+def _levin_in_y(g: Phase2D, lam: float, cfg: QuadConfig):
+    """The part of the integral over g.domain that Levin collocation in y
+    serves (Levin's planar scheme), and the y-pieces it sets aside.
+
+    A y-piece qualifies when, on all of it, the Bernstein coefficients of q
+    (``_zero_sides``) share one strict sign, so every slice x -> f(x, y) is
+    monotone, and those of f(bx, y) - f(ax, y) show a slice swing above
+    LEVIN_SWING once per zero side and once more.  Each slice integral is
+    then I(y) = A_a(y) e^{i lam f(ax, y)} + A_b(y) e^{i lam f(bx, y)}:
+    - next to a zero side the slice is cut once, at the root x_c of
+      |lam| |f(x_c, y) - f(side, y)| = LEVIN_SWING (``solve_brackets``);
+      the end piece goes to panels in the phase relative to the side's,
+      and its value joins that side's amplitude with p(x_c)'s term;
+    - the rest is one ``_pieces_integral`` call per outer round over all
+      slices; its accepted Levin pieces give p at the slice's ends, so on a
+      plain side A_b = p(bx) and A_a = -p(ax).  The end form drops the
+      interior piece ends; their mismatches |p_k(x_m) - p_(k+1)(x_m)| join
+      the slice estimate with its pieces' and panels'.  A slice whose rest
+      sets a piece aside has no end form.
+
+    The outer integral is ``_levin_halving`` at the y-swing of ``_probe``.
+    It solves a piece by one inner pass over its collocation points and
+    QK15 nodes, then each side's term by ``_levin`` on the edge column
+    f(side, .) with amplitude A_side, or by QK15 where that estimate is
+    smaller (as on a constant column, f(0, y) of every packaged phase).  A
+    piece is accepted when its terms' estimates sum to at most
+    ``cfg.rel_tol`` times its width; one that does not qualify, or holds a
+    slice without the end form, has an infinite estimate and is halved.
+    Returns the set-aside (left, right) arrays, the value, the estimate (the
+    accepted pieces' term estimates plus each one's largest slice estimate
+    times its width), the slices' pieces and panels plus the accepted outer
+    pieces, and whether every slice of an accepted piece converged.
     """
-    dom = g.domain
-    if lam == 0.0:
-        return QuadResult(complex(dom.area, 0.0), 0.0, 0, 0.0)
-
+    d = g.domain
     f = g.eval_fn
-    x_probe = np.linspace(dom.ax, dom.bx, 9)
-    YL, YR, _ = _swing_panels(lambda y, _: f((0, 0), x_probe[None, :], y[:, None]),
-                              [dom.ay], [dom.by], [0], [abs(lam)], cfg.phase_variation_cap,
-                              cfg.max_panels)
+    lam_abs = abs(lam)
+    m_a, m_b, q = _zero_sides(g)
+    zero = (m_a > 0, m_b > 0)
+    q_x = None if q is None else bernstein(q, d.ax - d.bx, 0.0).T  # Bernstein in x, rows in x
+    swing_col = (g.column_in_y((0, 0), [d.bx]) - g.column_in_y((0, 0), [d.ax]))[0]
+    need = (1 + sum(zero)) * LEVIN_SWING / lam_abs
+    sides = (d.ax, d.bx)
+    used = [0]
+
+    def certified(L, R):
+        if q_x is None:
+            return np.zeros(L.size, dtype=bool)
+        b = bernstein(q_x, L[:, None], R[:, None]).reshape(L.size, -1)
+        s = bernstein(swing_col, L, R)
+        return (((b > 0.0).all(axis=1) | (b < 0.0).all(axis=1))
+                & ((s > need).all(axis=1) | (s < -need).all(axis=1)))
+
+    def amplitudes(ys):
+        """Per slice (A_a, A_b), the estimate, whether the end form holds,
+        and whether its panels converged."""
+        n = ys.size
+        ref = np.concatenate([f((0, 0), np.full(n, x), ys) for x in sides])
+        # the cut next to each zero side: its bracket keeps the swing from the side <= LEVIN_SWING
+        k = np.concatenate([np.zeros(0, dtype=np.intp)]
+                           + [np.arange(n) + n * j for j in (0, 1) if zero[j]])
+        lo, hi = solve_brackets(
+            lambda x, i: lam_abs * np.abs(f((0, 0), x, ys[k[i] % n]) - ref[k[i]]) - LEVIN_SWING,
+            np.full(k.size, d.ax), np.full(k.size, d.bx), k < n)
+        cut = np.concatenate([np.full(n, d.ax), np.full(n, d.bx)])
+        cut[k] = np.where(k < n, lo, hi)
+        # slot i < n: the slice's Levin part; n + i and 2n + i: its end pieces at ax and bx
+        L = np.concatenate([cut[:n], np.full(n, d.ax), cut[n:]])
+        R = np.concatenate([cut[n:], cut[:n], np.full(n, d.bx)])
+        slot = np.arange(3 * n)
+        keep = (slot < n) | (R > L)
+        base = np.concatenate([ref[:n], ref])  # the Levin part's phase is taken from ax's
+        gval = lambda x, s: f((0, 0), x, ys[s % n]) - base[s]
+        acc = []
+        val, err, n_used, converged = _pieces_integral(
+            gval, lambda x, s: f((1, 0), x, ys[s % n]), np.full(3 * n, lam), L[keep], R[keep],
+            slot[keep], np.zeros(3 * n, dtype=np.intp),
+            replace(cfg, max_panels=max(1, cfg.max_panels - used[0])), acc)
+        used[0] += int(n_used.sum())
+        _check_budget(np.array(used), cfg.max_panels, np.array([lam_abs]), np.zeros(1))
+        PL, _, PS, pa, pb = (np.concatenate([a[i] for a in acc]) for i in range(5))
+        order = np.lexsort((PL, PS))
+        PS, pa, pb = PS[order], pa[order], pb[order]
+        count = np.bincount(PS, minlength=n)[:n]
+        ok = (count > 0) & (count == n_used[:n])
+        A = np.zeros((n, 2), dtype=complex)
+        first = np.cumsum(count) - count
+        A[ok, 0], A[ok, 1] = -pa[first[ok]], pb[(first + count - 1)[ok]]
+        joined = PS[1:] == PS[:-1]
+        mismatch = np.bincount(PS[1:][joined], np.abs(pb[:-1] - pa[1:])[joined], n)
+        for j, x in enumerate(sides):
+            if zero[j]:
+                c = cut[j * n:(j + 1) * n]
+                A[:, j] = val[(j + 1) * n:(j + 2) * n] + A[:, j] * np.exp(
+                    1j * lam * (f((0, 0), c, ys) - ref[j * n:(j + 1) * n]))
+        eps = err[:n] + err[n:2 * n] + err[2 * n:] + mismatch
+        return A, eps, ok, converged.reshape(3, n).all(axis=0)
+
+    def solve(L, R, GL, GR, S):
+        n = L.size
+        val, err = np.zeros(n, dtype=complex), np.full(n, np.inf)
+        inner, converged = np.zeros(n), np.ones(n, dtype=bool)
+        live = np.flatnonzero(certified(L, R))
+        if not live.size:
+            return val, err, inner, converged
+        mid, half = 0.5 * (L[live] + R[live]), 0.5 * (R[live] - L[live])
+        ys = mid[:, None] + half[:, None] * _Y_POINTS
+        A, eps, ok, conv = (v.reshape(live.size, _Y_POINTS.size, *v.shape[1:])
+                            for v in amplitudes(ys.ravel()))
+        good = ok.all(axis=1)
+        live, ys, half, A = live[good], ys[good], half[good], A[good]
+        inner[live] = eps[good].max(axis=1) * (R[live] - L[live])
+        converged[live] = conv[good].all(axis=1)
+        idx = np.arange(live.size)
+        lam_k = np.full(live.size, lam)
+        val_k, err_k = np.zeros(live.size, dtype=complex), np.zeros(live.size)
+        for j, x in enumerate(sides):
+            col = lambda o, y: f(o, np.full(y.shape, x), y)  # the edge column at x = side
+            lv, le, _, _ = _levin(_LEVIN_16, lambda y, _: col((0, 1), y),
+                                  lambda y, s: A[s[:, 0], :, j], lam_k, L[live], R[live],
+                                  col((0, 0), L[live]), col((0, 0), R[live]), idx)
+            # QK15 of the term A e^{i lam f(side, y)} at the nodes
+            t = A[:, -_NODES.size:, j] * np.exp(1j * lam * col((0, 0), ys[:, -_NODES.size:]))
+            kr, ki = (half[:, None] * _rowwise(v, _W) for v in (t.real, t.imag))
+            ke = np.hypot(kr[:, 1], ki[:, 1])
+            use = le <= ke
+            val_k += np.where(use, lv, kr[:, 0] + 1j * ki[:, 0])
+            err_k += np.where(use, le, ke)
+        val[live], err[live] = val_k, err_k
+        return val, err, inner, converged
+
+    ends = []
+    SL, SR, _, n_outer, value, outer_err = _levin_halving(
+        solve, _probe(g), [lam], [d.ay], [d.by], [0], 1, cfg.rel_tol, cfg.max_panels, ends=ends)
+    inner, converged = (np.concatenate([e[i] for e in ends]) if ends else np.zeros(0)
+                        for i in (3, 4))
+    return (SL, SR, complex(value[0]), float(outer_err[0] + inner.sum()),
+            used[0] + int(n_outer[0]), bool(np.all(converged)))
+
+
+def _slices_in_y(g: Phase2D, lam: float, lo, hi, cfg: QuadConfig):
+    """The integral over the y-pieces [lo_i, hi_i] by swing panels in y,
+    each integrated by QK15 over its 15 nodes.
+
+    The x-integrals at the nodes, the slices, are 1D integrals: all of them
+    go through one ``_pieces_integral`` call, one slot per slice, with
+    g' = d_x f, each cut at the sign changes of d_x f (one
+    ``phases.sign_breaks`` call over all slices), so its pieces are
+    monotone.  Returns the value, the estimate (the outer |K15 - G7| summed
+    over the panels, plus the largest slice estimate times the pieces'
+    height), the slices' panels and Levin pieces, and whether every slice
+    converged.  Each slice takes at least one piece or panel, so more
+    slices than ``cfg.max_panels`` raise PANEL_BUDGET before any slice is
+    integrated.
+    """
+    d = g.domain
+    f = g.eval_fn
+    YL, YR, _ = _swing_panels(_probe(g), lo, hi, np.zeros(len(lo), dtype=np.intp), [abs(lam)],
+                              cfg.phase_variation_cap, cfg.max_panels)
     yhalf = 0.5 * (YR - YL)
     ys = (0.5 * (YL + YR)[:, None] + yhalf[:, None] * _NODES).ravel()
     n = ys.size
     _check_budget(np.array([n]), cfg.max_panels, np.array([abs(lam)]), np.zeros(1))
-    slot, cut, _ = sign_breaks(g.rows_in_x((1, 0), ys), dom.ax, dom.bx, SIGN_TOL)
+    slot, cut, _ = sign_breaks(g.rows_in_x((1, 0), ys), d.ax, d.bx, SIGN_TOL)
     # slot s's pieces run from ax through its cuts to bx
-    S, L, R = _gaps(n, slot, cut, cut, np.full(n, dom.ax), np.full(n, dom.bx))
+    S, L, R = _gaps(n, slot, cut, cut, np.full(n, d.ax), np.full(n, d.bx))
     val, slice_err, used, converged = _pieces_integral(
         lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), np.full(n, lam),
         L, R, S, np.zeros(n, dtype=np.intp), cfg)
     # row p holds outer panel p's (K15, K15 - G7) over its 15 slices
     o_re, o_im = (yhalf[:, None] * _rowwise(v.reshape(-1, _NODES.size), _W)
                   for v in (val.real, val.imag))
-    err = (np.hypot(o_re[:, 1], o_im[:, 1]).sum() + slice_err.max() * (dom.by - dom.ay)
-           + 8.0 * _EPS * dom.area)
-    return QuadResult(complex(o_re[:, 0].sum(), o_im[:, 0].sum()), float(err), int(used.sum()),
-                      float(lam), bool(converged.all()))
+    err = np.hypot(o_re[:, 1], o_im[:, 1]).sum() + slice_err.max() * np.sum(np.subtract(hi, lo))
+    return (complex(o_re[:, 0].sum(), o_im[:, 0].sum()), float(err), int(used.sum()),
+            bool(converged.all()))
+
+
+def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
+    """Iterated integration over the rectangle ``g.domain``.
+
+    The outer variable is y, or x when the edge rows of f swing less than
+    its edge columns (``_outer_second``).  ``_levin_in_y`` integrates over
+    the y-pieces where every slice is monotone with a large swing, at a
+    cost that grows like log lam.  The pieces it sets aside (swing at most
+    ``LEVIN_SWING``, a slice short in swing or turning inside, or a side
+    term neither Levin nor QK15 meets) go to ``_slices_in_y``'s swing
+    panels, at a cost that grows like lam times their swing.
+
+    Estimate: on the Levin part, each accepted y-piece's side-term
+    estimates (held to ``cfg.rel_tol`` per unit width) plus its largest
+    slice estimate times its width; on the panel part, the outer
+    |K15 - G7| plus the largest slice estimate times the part's height.
+    ``panels_used`` counts the slices' panels and Levin pieces and the
+    accepted outer pieces, and ``converged`` is False when a slice's
+    refinement stopped over tolerance.  Every slice counts against
+    ``cfg.max_panels``; the panel part raises PANEL_BUDGET before any of its
+    slices is integrated when they alone would pass what is left.
+    """
+    if lam == 0.0:
+        return QuadResult(complex(g.domain.area, 0.0), 0.0, 0, 0.0)
+    g = _outer_second(g)
+    SL, SR, value, err, used, converged = _levin_in_y(g, lam, cfg)
+    if SL.size:
+        v, e, u, c = _slices_in_y(g, lam, SL, SR,
+                                  replace(cfg, max_panels=max(1, cfg.max_panels - used)))
+        value, err, used, converged = value + v, err + e, used + u, converged and c
+    return QuadResult(value, float(err + 8.0 * _EPS * g.domain.area), used, float(lam), converged)
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import PreconditionError
-from .quadrature import _LEVIN_24, _kronrod, _levin_halving, _swing_panels
+from .quadrature import _LEVIN_24, _kronrod, _levin, _levin_halving, _swing_panels
 
 DIRECT_SWITCH = 48.0
 # swing limit and budget of the outer panels in y
@@ -145,8 +146,8 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
     ev = lambda u, _: np.exp(j * u)
     amp = lambda u, _: -np.exp(u) * _tail_amplitude(k, la * ev(u, _))
     SL, SR, SS, n_levin, tail, _ = _levin_halving(
-        _LEVIN_24, ev, lambda u, _: j * ev(u, _), amp, [la], [math.log(y0)], [0.0], [0], 1,
-        TAIL_RTOL * (abs(head) + abs(power)), MAX_PANELS)
+        partial(_levin, _LEVIN_24, lambda u, _: j * ev(u, _), amp, [la]), ev, [la],
+        [math.log(y0)], [0.0], [0], 1, TAIL_RTOL * (abs(head) + abs(power)), MAX_PANELS)
     TL, TR, TS = _swing_panels(ev, SL, SR, SS, [la], SWING_CAP, MAX_PANELS)
 
     def tail_samples(u, _):

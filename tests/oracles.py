@@ -47,6 +47,23 @@ def xy_square_integral(lam: float) -> complex:
     return out if lam >= 0 else out.conjugate()
 
 
+def composed_xy_square_integral(F, lam: float) -> complex:
+    """int_[0,1]^2 e^{i lam F(xy)} for the polynomial F of ascending
+    coefficients ``F``, as int_0^1 e^{i lam F(t)} (-ln t) dt (substitute
+    t = xy in the inner integral, then swap the order): mpmath's tanh-sinh
+    quadrature, which takes the log at t = 0, on pieces of phase swing
+    |lam| |F(t1) - F(t0)| about 6 or less, cut on a dense float grid."""
+    P = np.polynomial.Polynomial(F)
+    ts = np.linspace(0.0, 1.0, 20001)
+    var = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(P(ts))))])
+    m = max(1, int(np.ceil(abs(lam) * var[-1] / 6.0)))
+    cuts = [0.0, *np.interp(var[-1] * np.arange(1, m) / m, var, ts), 1.0]
+    l = mp.mpf(lam)
+    phase = lambda t: mp.polyval([mp.mpf(c) for c in F[::-1]], t)
+    return complex(mp.quad(lambda t: -mp.log(t) * mp.expj(l * phase(t)),
+                           [mp.mpf(float(c)) for c in cuts]))
+
+
 def shifted_square_ramp_integral(lam: float, s: float) -> complex:
     """int_[0,1]^2 e^{i lam (x - s)^2 y}: the y-integral in closed form,
     (e^{i lam a} - 1) / (i lam a) with a = (x - s)^2, then mpmath quadrature

@@ -669,3 +669,33 @@ def test_polish_falls_back_to_the_whole_bracket():
     x = phases.polish(g, est, np.zeros(4), np.full(4, 2.0), np.ones(4, dtype=bool),
                       phases.BISECT_XTOL)
     np.testing.assert_allclose(x, math.sqrt(2.0), rtol=0.0, atol=phases.BISECT_XTOL)
+
+
+def test_taylor_shift_matches_numpy_composition():
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=(3, 5))
+    x0, scale = np.array([0.3, -1.2, 2.0]), np.array([0.5, 2.0, -0.25])
+    t = np.linspace(-1.0, 1.0, 11)
+    got = phases.taylor_shift(c, x0, scale)
+    for k in range(3):
+        want = np.polynomial.polynomial.polyval(x0[k] + scale[k] * t, c[k])
+        np.testing.assert_allclose(np.polynomial.polynomial.polyval(t, got[k]), want,
+                                   rtol=1e-13, atol=1e-13)
+    # no shift gives the coefficients back bit for bit
+    assert np.array_equal(phases.taylor_shift(c, 0.0), c)
+
+
+def test_bernstein_coefficients_bound_the_polynomial():
+    rng = np.random.default_rng(11)
+    c = rng.normal(size=(4, 6))
+    lo, hi = np.array([-1.0, 0.0, 0.25, 2.0]), np.array([1.0, 0.5, 0.3, 5.0])
+    b = phases.bernstein(c, lo, hi)
+    for k in range(4):
+        v = np.polynomial.polynomial.polyval(np.linspace(lo[k], hi[k], 401), c[k])
+        assert b[k].min() - 1e-12 <= v.min() and v.max() <= b[k].max() + 1e-12
+        # the end coefficients are the end values
+        np.testing.assert_allclose(b[k, [0, -1]], v[[0, -1]], rtol=1e-12, atol=1e-12)
+    # y^2 on [0.1, 1] is positive, and so are all its coefficients; on [0, 1]
+    # one of them is 0, so the strict sign is not certified
+    assert (phases.bernstein([0.0, 0.0, 1.0], 0.1, 1.0) > 0.0).all()
+    assert not (phases.bernstein([0.0, 0.0, 1.0], 0.0, 1.0) > 0.0).all()

@@ -23,7 +23,8 @@ from oscint import (
     product_phase,
     xy_phase,
 )
-from oscint.phases import Phase2D, PlanarDomain, compose2d_with_polynomial, unit_square
+from oscint.phases import (Phase2D, PlanarDomain, compose2d_with_polynomial, unit_square,
+                           xy_quad_phase)
 from oscint.quadrature import (
     _CHUNK,
     _LEVIN_16,
@@ -37,6 +38,7 @@ from oscint.quadrature import (
     _adaptive_slots,
     _kronrod,
     _levin,
+    _outer_second,
     _refine,
     _slot_sums,
     _swing_panels,
@@ -44,6 +46,7 @@ from oscint.quadrature import (
 from oscint.reduction import product_monomial_integral
 
 from oracles import (
+    composed_xy_square_integral,
     fresnel_integral,
     linear_phase_integral,
     monomial_profile_gamma,
@@ -151,8 +154,8 @@ def test_levin_polynomial_amplitude_on_linear_phase(lam):
 
     L, R = np.array([a]), np.array([b])
     # an amplitude h, as the reduction's tail passes on its set
-    val, err = _levin(_LEVIN_24, lambda x, _: np.ones_like(x), lambda x, _: h(x), [lam], L, R,
-                      L, R, np.zeros(1, dtype=int))
+    val, err, *_ = _levin(_LEVIN_24, lambda x, _: np.ones_like(x), lambda x, _: h(x), [lam], L, R,
+                          L, R, np.zeros(1, dtype=int))
     exact = closed(b) - closed(a)
     assert abs(val[0] - exact) <= err[0] + 1e-15 * abs(exact)
     assert abs(val[0] - exact) / abs(exact) < 1e-13
@@ -162,7 +165,7 @@ def _levin_x3(colloc, lam):
     # one piece of x^3 on [0.125, 0.25]
     L, R = np.array([0.125]), np.array([0.25])
     return _levin(colloc, lambda x, _: 3.0 * x**2, lambda x, _: np.ones_like(x), [lam], L, R,
-                  L**3, R**3, np.zeros(1, dtype=int))
+                  L**3, R**3, np.zeros(1, dtype=int))[:2]
 
 
 def test_levin_residual_estimate_bounds_one_piece_against_mpmath():
@@ -189,8 +192,8 @@ def test_levin_order_16_estimates_bound_pieces_next_to_a_zero_of_g_prime(n, lam)
     L, R = edges[:-1], edges[1:]
     keep = lam * (R**n - L**n) > LEVIN_SWING
     L, R = L[keep][:3], R[keep][:3]
-    val, err = _levin(_LEVIN_16, lambda x, _: n * x ** (n - 1), lambda x, _: np.ones_like(x),
-                      [lam], L, R, L**n, R**n, np.zeros(L.size, dtype=int))
+    val, err, *_ = _levin(_LEVIN_16, lambda x, _: n * x ** (n - 1), lambda x, _: np.ones_like(x),
+                          [lam], L, R, L**n, R**n, np.zeros(L.size, dtype=int))
     assert L.size >= 2 and np.isfinite(err).all()
     for a, b, v, e in zip(L, R, val, err):
         exact = oscillatory_integral(lambda x: x**n, lambda x: x**n, lam, a, b)
@@ -305,13 +308,16 @@ def test_2d_xy_oracle(lam):
 
 
 def test_2d_over_budget_slice_count_raises_before_any_slice(monkeypatch):
-    # 1,966,080 slices against the default budget of 1,048,576
+    # every slice of (x - 1/2)^2 y turns at x = 1/2, so no y-piece has the
+    # end form and all of [0, 1] goes to the outer swing panels: 1,966,080
+    # slices against the default budget of 1,048,576
     def no_levin(*args):
         raise AssertionError("a slice was integrated")
 
+    f2 = product_phase(polynomial_phase([0.25, -1.0, 1.0]), monomial(1, (0.0, 1.0)))
     monkeypatch.setattr("oscint.quadrature._levin", no_levin)
     with pytest.raises(PanelBudgetError):
-        osc_integrate_2d(xy_phase(), 1.03e5)
+        osc_integrate_2d(f2, 5e5)
 
 
 def test_2d_lambda_zero_area():
@@ -458,11 +464,11 @@ def test_kronrod_and_levin_give_each_panel_and_piece_its_lone_bits():
     L, R = edges[:-1], edges[1:]
     S = np.arange(L.size) % 3
     gd, h = lambda x, _: 2.0 * x, lambda x, _: np.ones_like(x)
-    val, err = _levin(_LEVIN_16, gd, h, lam, L, R, L**2, R**2, S)
+    val, err, *_ = _levin(_LEVIN_16, gd, h, lam, L, R, L**2, R**2, S)
     assert np.isfinite(err).all()
     for i in range(L.size):
-        one_val, one_err = _levin(_LEVIN_16, gd, h, lam, L[i:i + 1], R[i:i + 1], L[i:i + 1]**2,
-                                  R[i:i + 1]**2, S[i:i + 1])
+        one_val, one_err, *_ = _levin(_LEVIN_16, gd, h, lam, L[i:i + 1], R[i:i + 1],
+                                      L[i:i + 1]**2, R[i:i + 1]**2, S[i:i + 1])
         assert (val[i], err[i]) == (one_val[0], one_err[0]), i
 
 
@@ -676,6 +682,68 @@ def test_2d_work_grows_linearly_in_lambda():
     for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
         lo, hi = (osc_integrate_2d(xy_phase(), lam, cfg=cfg).panels_used for lam in (1e2, 1e3))
         assert hi <= 2 * 10 * lo, cfg
+
+
+# T3's three phases are F(xy) on the unit square: (phase, coefficients of F)
+_T3_PHASES = {
+    "xy": (xy_phase(), (0.0, 1.0)),
+    "P(xy)": (compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)), (0.0, 0.0, 0.5)),
+    "P(xy_quad)": (compose2d_with_polynomial(xy_quad_phase(0.1), (0.0, 0.0, 0.5)),
+                   (0.0, 0.0, 0.5, 0.1, 0.005)),
+}
+
+
+def test_composed_xy_oracle_matches_the_xy_closed_form():
+    for lam in (10.0, 100.0):
+        assert composed_xy_square_integral((0.0, 1.0), lam) == pytest.approx(
+            xy_square_integral(lam), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [10.0, 1e2, 1e3])
+@pytest.mark.parametrize("name", list(_T3_PHASES))
+def test_2d_t3_phases_against_the_log_oracle(name, lam):
+    f2, F = _T3_PHASES[name]
+    oracle = composed_xy_square_integral(F, lam)
+    for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
+        res = osc_integrate_2d(f2, lam, cfg=cfg)
+        assert res.converged, cfg
+        assert abs(res.value - oracle) <= res.error_estimate, cfg
+
+
+@pytest.mark.parametrize("name", ["xy", "P(xy)", "x3_y2"])
+def test_2d_work_barely_grows_from_1e4_to_1e6(name):
+    # Levin in y over the slices' end terms: the y-pieces grow like log lam,
+    # and the swing panels near y = 0 cover a swing that does not grow
+    f2, oracle = {
+        "xy": (xy_phase(), xy_square_integral),
+        "P(xy)": (_T3_PHASES["P(xy)"][0], lambda lam: product_monomial_integral(2, 2, lam, 0.5)),
+        "x3_y2": (_X3_Y2[0], lambda lam: product_monomial_integral(3, 2, lam)),
+    }[name]
+    for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
+        used = []
+        for lam in (1e4, 1e6):
+            res = osc_integrate_2d(f2, lam, cfg=cfg)
+            assert abs(res.value - oracle(lam)) <= res.error_estimate, (cfg, lam)
+            used.append(res.panels_used)
+        assert used[1] <= 4 * used[0], cfg
+
+
+def test_2d_takes_the_outer_variable_of_smaller_swing():
+    # xy + 1e4 (y - 1/2)^2 / 2 swings 1.25e5 rad in y at lambda 100 and 100 in
+    # x; with y outer the y < 0.4 slices are short in swing and the panels
+    # there pass the budget, so the integral is taken over the transpose
+    c = np.array([[1250.0, -5000.0, 5000.0], [0.0, 1.0, 0.0]])
+    res = osc_integrate_2d(Phase2D(c, unit_square()), 100.0)
+    swapped = osc_integrate_2d(Phase2D(c.T, unit_square()), 100.0)
+    assert res.converged and swapped.converged
+    assert abs(res.value - swapped.value) <= res.error_estimate + swapped.error_estimate
+    assert abs(res.value) == pytest.approx(1.15e-5, rel=0.01)  # stationary phase
+
+
+def test_2d_packaged_phases_keep_y_outer():
+    # a tie of edge swings keeps y, so no packaged phase changes orientation
+    for f2 in [p for p, _ in _T3_PHASES.values()] + [_X3_Y2[0], _x_plus_y(unit_square())]:
+        assert _outer_second(f2) is f2
 
 
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SUITE_CONFIG], ids=["default", "suite"])
