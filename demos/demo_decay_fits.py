@@ -13,6 +13,7 @@ from oscint import (
     geometric_grid,
     monomial,
     osc_integrate_1d,
+    product_phase,
 )
 from oscint.reduction import product_monomial_integral
 
@@ -39,6 +40,7 @@ print(f"{'(x^2)^2/2 (d = 2)':<28} {fit_magnitudes(composed):8.4f} {0.25:10.4f}")
 power = compose_with_power(f, 1.5)
 print(f"{'|x^2|^1.5 (s = 3/2)':<28} {fit_magnitudes(power):8.4f} {1/3:10.4f}")
 
-samples = [DecaySample(float(l), abs(product_monomial_integral(3, 2, float(l))))
-           for l in geometric_grid(1e3, 3e5, 8)]
+x3_y2 = product_phase(monomial(3, (0.0, 1.0)), monomial(2, (0.0, 1.0)))
+quads = [product_monomial_integral(x3_y2, float(l)) for l in geometric_grid(1e3, 3e5, 8)]
+samples = [DecaySample(q.lam, abs(q.value), q.error_estimate) for q in quads]
 print(f"{'x^3 y^2 on the square':<28} {fit_decay(samples).delta_hat:8.4f} {1/3:10.4f}")

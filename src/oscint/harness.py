@@ -213,12 +213,10 @@ def _row(suite, case, **kw) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _value_row(suite, case, lam, value, err_est=None, **kw) -> dict:
-    """The row of one integral value at one lambda; ``err_est`` when known."""
-    if err_est is not None:
-        kw["err_est"] = err_est
-    return _row(suite, case, **{"lambda": lam}, value_re=value.real,
-                value_im=value.imag, magnitude=abs(value), **kw)
+def _value_row(suite, case, q, **kw) -> dict:
+    """The row of one integral ``q``: its lambda, value and estimate."""
+    return _row(suite, case, **{"lambda": q.lam}, value_re=q.value.real, value_im=q.value.imag,
+                magnitude=abs(q.value), err_est=q.error_estimate, **kw)
 
 
 def _sample(q) -> DecaySample:
@@ -275,42 +273,40 @@ def _soundness_sweep(suite, case, quads, certs, unconverged):
     """
     rows, samples, witness = [], [], None
     for quad, cert in zip(quads, certs):
-        lam = quad.lam
         _checked(quad, case, unconverged)
         _cert_checked(cert, case, unconverged)
         ok = cert.verify_against(quad)
         if not ok and witness is None:
-            witness = {"lambda": lam, "magnitude": abs(quad.value),
+            witness = {"lambda": quad.lam, "magnitude": abs(quad.value),
                        "bound": cert.total_bound}
         samples.append(_sample(quad))
-        rows.append(_value_row(suite, case, lam, quad.value, quad.error_estimate,
-                               bound=cert.total_bound,
+        rows.append(_value_row(suite, case, quad, bound=cert.total_bound,
                                verdict="sound" if ok else "violation"))
     return rows, samples, witness
 
 
-def _reduction_sweep(suite, case, f2, k, j, lam_grid, cross_lams, quad_cfg, unconverged):
-    """Profile-reduction rows for x^k y^j over ``lam_grid``, and planar
-    integrator rows at ``cross_lams`` that must agree to 1e-7 relative.
+def _reduction_sweep(suite, case, f2, lam_grid, cross_lams, quad_cfg, unconverged):
+    """Profile-reduction rows for f2 over ``lam_grid``, and planar
+    integrator rows at ``cross_lams`` that must agree with it to 1e-7 relative.
 
     Returns the rows, the decay samples of the reduction and the
-    cross-check verdict.
+    cross-check verdict, witnessed by the largest relative difference and
+    its lambda.
     """
-    rows, samples = [], []
-    for lam in map(float, lam_grid):
-        val = product_monomial_integral(k, j, lam)
-        samples.append(DecaySample(lam, abs(val)))
-        rows.append(_value_row(suite, case, lam, val))
-    xcheck_ok = True
+    quads = [product_monomial_integral(f2, lam) for lam in map(float, lam_grid)]
+    rows = [_value_row(suite, case, q) for q in quads]
+    diffs = []
     for lam in map(float, cross_lams):
-        red = product_monomial_integral(k, j, lam)
+        red = product_monomial_integral(f2, lam).value
         quad = _checked(osc_integrate_2d(f2, lam, cfg=quad_cfg), case, unconverged)
-        ok = abs(red - quad.value) / max(abs(quad.value), 1e-300) <= 1e-7
-        xcheck_ok = xcheck_ok and ok
-        rows.append(_value_row(suite, case, lam, quad.value, quad.error_estimate,
-                               verdict="xcheck_ok" if ok else "xcheck_off"))
-    return rows, samples, {"case": case, "check": "reduction_cross_check",
-                           "passed": xcheck_ok, "witness": None}
+        diff = abs(red - quad.value) / max(abs(quad.value), 1e-300)
+        diffs.append((diff, lam))
+        rows.append(_value_row(suite, case, quad,
+                               verdict="xcheck_ok" if diff <= 1e-7 else "xcheck_off"))
+    worst, at = max(diffs, default=(0.0, None))
+    return rows, [_sample(q) for q in quads], {
+        "case": case, "check": "reduction_cross_check", "passed": worst <= 1e-7,
+        "witness": {"max_rel_diff": worst, "lambda": at}}
 
 
 def _composition_case(suite, name, f, outer_obj, composed, mode, lam_grid,
@@ -405,7 +401,7 @@ def _run_t2(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
                            unconverged)
         row, verdict = _rate_check("T2", name, "vdc_rate_recovered",
                                    [_sample(q) for q in quads], 1.0 / n, 0.03)
-        rows += [_value_row("T2", name, q.lam, q.value, q.error_estimate) for q in quads] + [row]
+        rows += [_value_row("T2", name, q) for q in quads] + [row]
         verdicts.append(verdict)
     for case in opt["cases"]:
         f = phase_from_config(case["f"])
@@ -444,25 +440,16 @@ def _run_t3(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
         def certify(lam):
             return _cert_checked(certify_2d(f2, P, lam), name, unconverged)
 
+        # one-term phases reach higher lambda through the profile reduction
         lams = [float(lam) for lam in lam_grid]
+        quads = [osc_integrate_2d(composed, lam, cfg=cfg.quad) for lam in lams]
+        hi_lams = [float(lam) for lam in case.get("hi_rows", ())]
+        quads += [product_monomial_integral(composed, lam) for lam in hi_lams]
         r, samples, witness = _soundness_sweep(
-            "T3", name, [osc_integrate_2d(composed, lam, cfg=cfg.quad) for lam in lams],
-            [certify_2d(f2, P, lam) for lam in lams], unconverged)
-        sound = witness is None
-        for lam in case.get("hi_rows", ()):
-            # separable cases reach higher lambda through the profile
-            # reduction, cross-checked against the integrator elsewhere
-            red = case["reduction"]
-            lam = float(lam)
-            val = product_monomial_integral(red["k"], red["j"], lam, red.get("coeff", 1.0))
-            cert = certify(lam)
-            ok = abs(val) <= cert.total_bound + 1e-9
-            sound = sound and ok
-            r.append(_value_row("T3", name, lam, val, 1e-12, bound=cert.total_bound,
-                                verdict="sound" if ok else "violation"))
+            "T3", name, quads, [certify_2d(f2, P, q.lam) for q in quads], unconverged)
         soundness = {"case": name, "check": "certificate_soundness",
-                     "passed": sound, "witness": witness}
-        fit_row, decay = _rate_check("T3", name, "composed_decay_at_least", samples,
+                     "passed": witness is None, "witness": witness}
+        fit_row, decay = _rate_check("T3", name, "composed_decay_at_least", samples[:len(lams)],
                                      min(rate - 0.05, fit_min),
                                      labels=("composed_fit", "composed_fit"))
         totals = [DecaySample(float(l), certify(float(l)).total_bound) for l in cert_grid]
@@ -485,10 +472,8 @@ def _run_t4(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
     for case in cfg.options["cases"]:
         k, j = int(case["k"]), int(case["j"])
         f2 = product_phase(monomial(k, (0.0, 1.0)), monomial(j, (0.0, 1.0)))
-        r, samples, xcheck = _reduction_sweep("T4", case["name"], f2, k, j,
-                                              _grid(case["lambda_grid"]),
-                                              case.get("cross_check", ()), cfg.quad,
-                                              unconverged)
+        r, samples, xcheck = _reduction_sweep("T4", case["name"], f2, _grid(case["lambda_grid"]),
+                                              case.get("cross_check", ()), cfg.quad, unconverged)
         row, verdict = _rate_check("T4", case["name"], "joint_decay_exponent", samples,
                                    1.0 / max(k, j), float(case.get("fit_tol", 0.04)))
         rows += r + [row]
@@ -703,8 +688,7 @@ def _run_hlog(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], lis
                      "passed": b > 0.0 and r2 >= 0.99,
                      "witness": {"a": a, "b": b, "r_squared": r2}})
 
-    r, samples, xcheck = _reduction_sweep("H-LOG", "xy_decay", f2, 1, 1,
-                                          _grid(opt["lambda_grid"]),
+    r, samples, xcheck = _reduction_sweep("H-LOG", "xy_decay", f2, _grid(opt["lambda_grid"]),
                                           opt.get("cross_check", (1e2, 1e3)), cfg.quad,
                                           unconverged)
     row, verdict = _rate_check("H-LOG", "xy_decay", "near_unit_decay", samples,

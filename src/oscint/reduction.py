@@ -11,7 +11,7 @@ as the rotated Gamma integral over the half line less the tail
 int_1^inf e^{i w x^k} dx = e^{iw} T_k(w), T_k summed by parts (for k = 1 it
 stops after one term).
 
-The outer integral splits at y0, where |lam| y0^j = DIRECT_SWITCH.  On
+The outer integral splits at y0, where |lam c| y0^j = DIRECT_SWITCH.  On
 [0, y0] the profile is summed on panels over which lam * y^j swings at most
 ``SWING_CAP``, with the engine's panel rule (``quadrature._kronrod``); the
 swing there is DIRECT_SWITCH whatever lambda is.  On [y0, 1] the Gamma term
@@ -20,8 +20,8 @@ is a power of y, integrated in closed form, and the tail term
 (``quadrature._levin_halving``, on the order-24 set) in u = ln y: there the
 amplitude e^u T_k(|lam| e^{ju}) is smooth over the whole range, so a few
 pieces carry it at any lambda.  The cost of the reduction therefore does
-not grow with lambda, against the O(lambda) slices a planar quadrature
-needs.
+not grow with lambda.  The estimate adds the panels' |K15 - G7|, the
+tail's Levin estimate, ``PROFILE_ERR`` times y0 and the 8 eps floor.
 
 Both the profile and the reduction are cross-checked in the test suite
 against the planar integrator (moderate lambda) and high-precision oracles.
@@ -37,7 +37,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import PreconditionError
-from .quadrature import _LEVIN_24, _kronrod, _levin, _levin_halving, _swing_panels
+from .phases import Phase2D, unit_square
+from .quadrature import (_EPS, _LEVIN_24, QuadResult, _kronrod, _levin, _levin_halving,
+                         _swing_panels)
 
 DIRECT_SWITCH = 48.0
 # swing limit and budget of the outer panels in y
@@ -46,6 +48,9 @@ MAX_PANELS = 1 << 22
 # a Levin piece of the tail is accepted when its estimate is at most this
 # times (|head| + |power term|) per unit length in u = ln y
 TAIL_RTOL = 1e-14
+# absolute error of the profile for |w| <= DIRECT_SWITCH: at most 9.2e-16
+# against mpmath's 1F1 for k = 1..6 at steps of 0.02 in w
+PROFILE_ERR = 1e-15
 
 
 def _direct_rule():
@@ -114,8 +119,8 @@ def _tail_amplitude(k: int, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
-    """(int_0^1 A_k(la y^j) dy, panels, Levin pieces) for la > 0.
+def _reduce(k: int, j: int, la: float) -> tuple[complex, float, int, int]:
+    """(int_0^1 A_k(la y^j) dy, its estimate, panels, Levin pieces) for la > 0.
 
     The panels cover [0, y0] and the tail pieces whose swing is at most
     ``quadrature.LEVIN_SWING``; their count does not grow with la.  The
@@ -132,10 +137,11 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
         a = monomial_profile(k, la * y**j)
         return a.real, a.imag
 
-    val, _ = _kronrod(profile, L, R, S)
+    val, err = _kronrod(profile, L, R, S)
     head = complex(val[0].sum(), val[1].sum())
+    est = float(err.sum()) + PROFILE_ERR * y0
     if y0 == 1.0:
-        return head, L.size, 0
+        return head, est, L.size, 0
 
     # Gamma term: Gamma(1+1/k) e^{i pi/2k} la^(-1/k) int_{y0}^1 y^(-j/k) dy
     a = 1.0 - j / k
@@ -145,7 +151,7 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
     # tail term in u = ln y: -int e^{i la e^{ju}} e^u T_k(la e^{ju}) du over [ln y0, 0]
     ev = lambda u, _: np.exp(j * u)
     amp = lambda u, _: -np.exp(u) * _tail_amplitude(k, la * ev(u, _))
-    SL, SR, SS, n_levin, tail, _ = _levin_halving(
+    SL, SR, SS, n_levin, tail, tail_err = _levin_halving(
         partial(_levin, _LEVIN_24, lambda u, _: j * ev(u, _), amp, [la]), ev, [la],
         [math.log(y0)], [0.0], [0], 1, TAIL_RTOL * (abs(head) + abs(power)), MAX_PANELS)
     TL, TR, TS = _swing_panels(ev, SL, SR, SS, [la], SWING_CAP, MAX_PANELS)
@@ -154,21 +160,26 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, int, int]:
         v = np.exp(1j * la * ev(u, _)) * amp(u, _)
         return v.real, v.imag
 
-    val, _ = _kronrod(tail_samples, TL, TR, TS)
+    val, err = _kronrod(tail_samples, TL, TR, TS)
     value = head + power + complex(val[0].sum(), val[1].sum()) + complex(tail[0])
-    return value, L.size + TL.size, int(n_levin[0])
+    return value, est + float(tail_err[0] + err.sum()), L.size + TL.size, int(n_levin[0])
 
 
-def product_monomial_integral(k: int, j: int, lam: float, coeff: float = 1.0) -> complex:
-    """int_0^1 int_0^1 e^{i lam coeff x^k y^j} dx dy via the profile reduction.
-
-    Evaluated for |lam coeff| as in the module docstring; a negative product
-    gives the complex conjugate.
+def product_monomial_integral(f: Phase2D, lam: float) -> QuadResult:
+    """int_0^1 int_0^1 e^{i lam f} dx dy via the profile reduction, for f one
+    term c x^k y^j (k, j >= 1) on the unit square; any other f raises
+    PreconditionError.  Evaluated for |lam c| as in the module docstring; a
+    negative product gives the complex conjugate.
     """
-    if j < 1:
-        raise PreconditionError("reduction needs j >= 1")
-    lam_eff = lam * coeff
+    C = np.asarray(f.coeffs)
+    at = np.argwhere(C)
+    if f.domain != unit_square() or len(at) != 1 or at.min() < 1:
+        raise PreconditionError(f"the profile reduction needs one term c x^k y^j with k, j >= 1 "
+                                f"on the unit square; {f.name!r} is not one")
+    k, j = at[0].tolist()
+    lam_eff = lam * float(C[k, j])
     if lam_eff == 0.0:
-        return 1.0 + 0.0j
-    value = _reduce(k, j, abs(lam_eff))[0]
-    return value if lam_eff > 0 else value.conjugate()
+        return QuadResult(1.0 + 0.0j, float(8.0 * _EPS), 0, float(lam))
+    value, err, panels, pieces = _reduce(k, j, abs(lam_eff))
+    return QuadResult(value if lam_eff > 0 else value.conjugate(), float(err + 8.0 * _EPS),
+                      panels + pieces, float(lam))

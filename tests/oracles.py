@@ -85,6 +85,18 @@ def monomial_profile_gamma(k: int, w: float) -> complex:
     return complex(val)
 
 
+def product_monomial_square_integral(k: int, j: int, lam: float) -> complex:
+    """int_[0,1]^2 e^{i lam x^k y^j} for k != j, from the density
+    (t^(1/j - 1) - t^(1/k - 1)) / (j - k) of t = x^k y^j and
+    int_0^1 t^(a-1) e^{i lam t} dt = gammainc(a, 0, -i lam) / (-i lam)^a."""
+    if k == j:
+        raise ValueError("the density form needs k != j")
+    z = -1j * mp.mpf(abs(lam))
+    part = lambda n: mp.gammainc(mp.mpf(1) / n, 0, z) / z ** (mp.mpf(1) / n)
+    out = complex((part(j) - part(k)) / (j - k))
+    return out if lam >= 0 else out.conjugate()
+
+
 def central_diff(f, x: float, h: float = 1e-5) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

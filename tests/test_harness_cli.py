@@ -174,8 +174,9 @@ print(repr(osc_integrate_1d(compose_with_polynomial(monomial(2), (0.0, 0.0, 0.5,
 print(repr(osc_integrate_1d_sweep(compose_with_polynomial(monomial(2), (0.0, 0.0, 0.5)),
                                   [0.0, 30.0, -1e3, 1e5, 1e7])))
 print(repr(osc_integrate_2d(xy_phase(), 300.0)))
-print(repr(osc_integrate_2d(compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)), 1e3)))
-print(repr(product_monomial_integral(2, 2, 1e5)))
+half_xy2 = compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5))
+print(repr(osc_integrate_2d(half_xy2, 1e3)))
+print(repr(product_monomial_integral(half_xy2, 1e5)))
 print(repr(osc_to_sublevel_constant(0.5)))
 print(repr(roots(Polynomial((-3.0, 1.0, 0.0, -2.0, 0.0, 1.0)))))
 print(repr(roots(degenerating_family(2, 1e-4))))
@@ -287,9 +288,7 @@ def test_cli_malformed_config_exit_2(tmp_path):
     assert out.returncode == 2
 
 
-# Each of these runs in about a second; demo_decay_fits is left out because
-# it takes about 25 s.
-@pytest.mark.parametrize("demo", ["demo_certificates", "demo_inclusions",
+@pytest.mark.parametrize("demo", ["demo_certificates", "demo_decay_fits", "demo_inclusions",
                                   "demo_quadrature", "demo_sublevel"])
 def test_demo_runs(demo):
     path = Path(__file__).resolve().parents[1] / "demos" / f"{demo}.py"
@@ -356,6 +355,19 @@ SMALL_T3 = {
     "lambda_sound": {"lo": 10.0, "hi": 1000.0, "per_decade": 4}, "cert_sweep": CERT_GRID,
     "cases": [{"name": "xy_base", "f2": {"family": "xy"}, "poly": [0.0, 1.0]}],
 }
+
+
+def test_cli_t3_hi_rows_need_a_phase_the_reduction_takes(tmp_path):
+    # xyq_d2 integrates P(xy + 0.1 x^2 y^2), not one term c x^k y^j
+    case = {"name": "xyq_d2", "f2": {"family": "xy_quad", "c": 0.1}, "poly": [0.0, 0.0, 0.5],
+            "hi_rows": [1e4]}
+    p = tmp_path / "t3_hi.json"
+    p.write_text(json.dumps({"suite": "T3", "options": {
+        "lambda_sound": {"lo": 10.0, "hi": 100.0, "per_decade": 1}, "cert_sweep": CERT_GRID,
+        "cases": [case]}}))
+    out = _run_cli("suite", "T3", "--config", str(p), "--out", str(tmp_path / "rep"))
+    assert out.returncode == 1
+    assert "error [PRECONDITION]" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_t3_notes_certificates_whose_region_quadrature_stops(monkeypatch):

@@ -633,18 +633,17 @@ def test_error_estimate_bounds_xy_error(lam):
         assert abs(res.value - xy_square_integral(lam)) <= res.error_estimate, cfg
 
 
-# (phase, (k, j, coeff) of its reduction c x^k y^j): x^3 y^2, whose slices all
-# touch the x-stationary line x = 0, and T3's xy_d2, P(xy) with P = t^2/2
-_X3_Y2 = (product_phase(monomial(3, (0.0, 1.0)), monomial(2, (0.0, 1.0))), (3, 2, 1.0))
-_XY_D2 = (compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)), (2, 2, 0.5))
+# phases c x^k y^j that the reduction serves: x^3 y^2, whose slices all touch
+# the x-stationary line x = 0, and T3's xy_d2, P(xy) with P = t^2/2
+_X3_Y2 = product_phase(monomial(3, (0.0, 1.0)), monomial(2, (0.0, 1.0)))
+_XY_D2 = compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5))
 
 
-@pytest.mark.parametrize("case, lam", [pytest.param(_X3_Y2, 316.0, id="316.0"),
-                                       pytest.param(_X3_Y2, 1000.0, id="1000.0"),
-                                       pytest.param(_XY_D2, 39.81, id="xy_d2-39.81")])
-def test_2d_x3_y2_matches_the_reduction(case, lam):
-    f2, (k, j, coeff) = case
-    ref = product_monomial_integral(k, j, lam, coeff)
+@pytest.mark.parametrize("f2, lam", [pytest.param(_X3_Y2, 316.0, id="316.0"),
+                                     pytest.param(_X3_Y2, 1000.0, id="1000.0"),
+                                     pytest.param(_XY_D2, 39.81, id="xy_d2-39.81")])
+def test_2d_x3_y2_matches_the_reduction(f2, lam):
+    ref = product_monomial_integral(f2, lam).value
     for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
         res = osc_integrate_2d(f2, lam, cfg=cfg)
         assert abs(res.value - ref) <= 1e-12 * abs(ref), cfg
@@ -716,8 +715,8 @@ def test_2d_work_barely_grows_from_1e4_to_1e6(name):
     # and the swing panels near y = 0 cover a swing that does not grow
     f2, oracle = {
         "xy": (xy_phase(), xy_square_integral),
-        "P(xy)": (_T3_PHASES["P(xy)"][0], lambda lam: product_monomial_integral(2, 2, lam, 0.5)),
-        "x3_y2": (_X3_Y2[0], lambda lam: product_monomial_integral(3, 2, lam)),
+        "P(xy)": (_XY_D2, lambda lam: product_monomial_integral(_XY_D2, lam).value),
+        "x3_y2": (_X3_Y2, lambda lam: product_monomial_integral(_X3_Y2, lam).value),
     }[name]
     for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
         used = []
@@ -742,7 +741,7 @@ def test_2d_takes_the_outer_variable_of_smaller_swing():
 
 def test_2d_packaged_phases_keep_y_outer():
     # a tie of edge swings keeps y, so no packaged phase changes orientation
-    for f2 in [p for p, _ in _T3_PHASES.values()] + [_X3_Y2[0], _x_plus_y(unit_square())]:
+    for f2 in [p for p, _ in _T3_PHASES.values()] + [_X3_Y2, _x_plus_y(unit_square())]:
         assert _outer_second(f2) is f2
 
 

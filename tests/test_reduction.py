@@ -2,10 +2,48 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oscint import QuadConfig, monomial, osc_integrate_1d, osc_integrate_2d, product_phase
-from oscint.reduction import DIRECT_SWITCH, _reduce, monomial_profile, product_monomial_integral
+from oscint import (
+    Phase2D,
+    PlanarDomain,
+    PreconditionError,
+    QuadConfig,
+    monomial,
+    osc_integrate_1d,
+    osc_integrate_2d,
+    product_phase,
+    unit_square,
+    xy_phase,
+    xy_quad_phase,
+)
+from oscint.phases import compose2d_with_polynomial
+from oscint.reduction import (
+    DIRECT_SWITCH,
+    PROFILE_ERR,
+    _reduce,
+    monomial_profile,
+    product_monomial_integral,
+)
 
-from oracles import monomial_profile_gamma, xy_square_integral
+from oracles import (
+    composed_xy_square_integral,
+    monomial_profile_gamma,
+    product_monomial_square_integral,
+    xy_square_integral,
+)
+
+
+def term(k, j, c=1.0):
+    """The phase c x^k y^j on the unit square."""
+    C = np.zeros((k + 1, j + 1))
+    C[k, j] = c
+    return Phase2D(C, unit_square())
+
+
+def reduction(k, j, lam, c=1.0):
+    return product_monomial_integral(term(k, j, c), lam).value
+
+
+X3_Y2 = term(3, 2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -25,12 +63,16 @@ def test_profile_matches_gamma_oracle(w):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_profile_at_small_w_matches_mpmath(k):
-    # A_k(w) = 1F1(1/k; 1 + 1/k; i w); the fixed Gauss rule holds 1e-15 here
-    ws = np.linspace(-12.0, 12.0, 97)
+    # A_k(w) = 1F1(1/k; 1 + 1/k; i w); the fixed Gauss rule holds 1e-14
+    # relative and PROFILE_ERR absolute, the reduction's profile term, over
+    # every |w| <= DIRECT_SWITCH it serves
+    ws = np.linspace(-DIRECT_SWITCH, DIRECT_SWITCH, 385)
     with mp.workdps(30):
         ref = np.array([complex(mp.hyp1f1(mp.mpf(1) / k, 1 + mp.mpf(1) / k, 1j * mp.mpf(w)))
                         for w in ws])
-    assert np.max(np.abs(monomial_profile(k, ws) - ref) / np.abs(ref)) < 1e-14
+    err = np.abs(monomial_profile(k, ws) - ref)
+    assert np.max(err / np.abs(ref)) < 1e-14
+    assert np.max(err) <= PROFILE_ERR
 
 
 def test_profile_vectorized():
@@ -44,11 +86,12 @@ def test_profile_vectorized():
             assert abs(v - q.value) < 1e-9
 
 
-@pytest.mark.parametrize("lam", [10.0, 1e3, 1e5, 1e6])
+@pytest.mark.parametrize("lam", [10.0, 30.0, 1e3, 1e5, 1e6, 1e12])
 def test_xy_reduction_vs_closed_form(lam):
-    val = product_monomial_integral(1, 1, lam)
+    res = product_monomial_integral(xy_phase(), lam)
     oracle = xy_square_integral(lam)
-    assert abs(val - oracle) / abs(oracle) < 1e-12
+    assert abs(res.value - oracle) / abs(oracle) < 1e-12
+    assert abs(res.value - oracle) <= res.error_estimate
 
 
 @pytest.mark.parametrize("lam", [100.0, 1000.0])
@@ -56,25 +99,25 @@ def test_product_reduction_vs_planar_integrator(lam):
     f2 = product_phase(monomial(3, (0.0, 1.0)), monomial(2, (0.0, 1.0)))
     cfg = QuadConfig(rel_tol=1e-9, max_panels=1 << 22, phase_variation_cap=2.8)
     quad = osc_integrate_2d(f2, lam, cfg=cfg)
-    red = product_monomial_integral(3, 2, lam)
+    red = product_monomial_integral(f2, lam).value
     assert abs(red - quad.value) / abs(quad.value) < 1e-7
 
 
 def test_reduction_with_coefficient():
     # e^{i lam (xy)^2 / 2} is the product x^2 y^2 with coefficient 1/2
     lam = 500.0
-    red = product_monomial_integral(2, 2, lam, coeff=0.5)
-    red2 = product_monomial_integral(2, 2, 0.5 * lam, coeff=1.0)
+    red = reduction(2, 2, lam, 0.5)
+    red2 = reduction(2, 2, 0.5 * lam)
     assert red == pytest.approx(red2)
 
 
 def test_reduction_lambda_zero():
-    assert product_monomial_integral(3, 2, 0.0) == pytest.approx(1.0)
+    assert product_monomial_integral(X3_Y2, 0.0).value == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("lam", [1e7, 3e7, 1e8])
 def test_xy_reduction_vs_closed_form_to_1e8(lam):
-    val = product_monomial_integral(1, 1, lam)
+    val = product_monomial_integral(xy_phase(), lam).value
     oracle = xy_square_integral(lam)
     assert abs(val - oracle) / abs(oracle) < 1e-12
 
@@ -84,7 +127,7 @@ def test_reduction_work_does_not_grow_with_lambda(k, j, coeff):
     # panels cover [0, y0], where lam y^j swings DIRECT_SWITCH at any lambda;
     # the Levin range ln(lam / DIRECT_SWITCH) / j in u = ln y grows only
     # logarithmically, and each doubling of it may take one more piece
-    panels, pieces = zip(*(_reduce(k, j, lam * coeff)[1:] for lam in (1e4, 1e8, 1e12)))
+    panels, pieces = zip(*(_reduce(k, j, lam * coeff)[2:] for lam in (1e4, 1e8, 1e12)))
     assert panels[1] <= panels[0] and panels[2] <= panels[0]
     assert max(pieces) <= 4
 
@@ -92,18 +135,17 @@ def test_reduction_work_does_not_grow_with_lambda(k, j, coeff):
 @pytest.mark.parametrize("k, j", [(1, 1), (3, 2), (2, 2)])
 @pytest.mark.parametrize("lam", [30.0, 1e3, 1e6])
 def test_negative_lambda_or_coefficient_gives_the_conjugate(k, j, lam):
-    val = product_monomial_integral(k, j, lam, 0.5)
-    assert product_monomial_integral(k, j, -lam, 0.5) == val.conjugate()
-    assert product_monomial_integral(k, j, lam, -0.5) == val.conjugate()
+    val = reduction(k, j, lam, 0.5)
+    assert reduction(k, j, -lam, 0.5) == val.conjugate()
+    assert reduction(k, j, lam, -0.5) == val.conjugate()
 
 
 @pytest.mark.parametrize("lam", [1.0, 20.0, DIRECT_SWITCH])
 def test_small_lambda_stays_on_the_panel_path(lam):
-    val, panels, pieces = _reduce(3, 2, lam)
+    val, _, panels, pieces = _reduce(3, 2, lam)
     assert pieces == 0 and panels > 0
-    assert val == product_monomial_integral(3, 2, lam)
-    f2 = product_phase(monomial(3, (0.0, 1.0)), monomial(2, (0.0, 1.0)))
-    quad = osc_integrate_2d(f2, lam, cfg=QuadConfig(rel_tol=1e-12))
+    assert val == reduction(3, 2, lam)
+    quad = osc_integrate_2d(X3_Y2, lam, cfg=QuadConfig(rel_tol=1e-12))
     assert abs(val - quad.value) <= 1e-12
 
 
@@ -111,7 +153,7 @@ def test_small_lambda_stays_on_the_panel_path(lam):
 def test_xy_reduction_across_the_split(lam):
     # below DIRECT_SWITCH no split; up to DIRECT_SWITCH + LEVIN_SWING the tail
     # is on panels; above it the tail goes to Levin pieces
-    val = product_monomial_integral(1, 1, lam)
+    val = product_monomial_integral(xy_phase(), lam).value
     oracle = xy_square_integral(lam)
     assert abs(val - oracle) / abs(oracle) < 1e-13
 
@@ -127,4 +169,43 @@ X3_Y2_PANEL_VALUES = {
 @pytest.mark.parametrize("lam", sorted(X3_Y2_PANEL_VALUES))
 def test_x3_y2_matches_the_panel_reduction(lam):
     ref = X3_Y2_PANEL_VALUES[lam]
-    assert abs(product_monomial_integral(3, 2, lam) - ref) / abs(ref) < 1e-13
+    assert abs(reduction(3, 2, lam) - ref) / abs(ref) < 1e-13
+
+
+def test_density_oracle_matches_the_profile_gamma_route():
+    # x^k y^1: int_0^1 A_k(lam y) dy, the y-integral of the profile oracle
+    # by mpmath, against the density form
+    lam = 100.0
+    with mp.workdps(20):
+        ref = complex(mp.quad(lambda y: mp.mpc(monomial_profile_gamma(3, lam * y)),
+                              mp.linspace(0, 1, 9)))
+    assert abs(product_monomial_square_integral(3, 1, lam) - ref) <= 1e-15
+
+
+@pytest.mark.parametrize("lam", np.geomspace(30.0, 1e12, 23).tolist(), ids="{:.3g}".format)
+def test_estimate_bounds_the_error_of_x3_y2(lam):
+    res = product_monomial_integral(X3_Y2, lam)
+    assert res.converged and res.lam == lam
+    assert abs(res.value - product_monomial_square_integral(3, 2, lam)) <= res.error_estimate
+    assert res.error_estimate <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [30.0, 300.0, 3e3])
+def test_estimate_bounds_the_error_of_half_xy_squared(lam):
+    # T3's xy_d2 phase (xy)^2 / 2 is the term 0.5 x^2 y^2
+    f2 = compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5))
+    res = product_monomial_integral(f2, lam)
+    assert res.value == reduction(2, 2, lam, 0.5)
+    assert abs(res.value - composed_xy_square_integral((0.0, 0.0, 0.5), lam)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("f2", [
+    pytest.param(xy_quad_phase(0.1), id="two_terms"),
+    pytest.param(term(3, 0), id="no_y"),
+    pytest.param(Phase2D(((0.0, 0.0), (0.0, 0.0)), unit_square()), id="zero"),
+    pytest.param(Phase2D(((0.0, 0.0), (0.0, 1.0)), PlanarDomain(0.0, 2.0, 0.0, 1.0)),
+                 id="not_the_unit_square"),
+])
+def test_reduction_rejects_other_phases(f2):
+    with pytest.raises(PreconditionError):
+        product_monomial_integral(f2, 1e3)

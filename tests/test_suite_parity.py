@@ -41,7 +41,7 @@ SMALL = {
         "lambda_sound": {"lo": 10.0, "hi": 1000.0, "per_decade": 4}, "cert_sweep": CERT_GRID,
         "cases": [
             {"name": "xy_base", "f2": {"family": "xy"}, "poly": [0.0, 1.0],
-             "hi_rows": [1e4], "reduction": {"k": 1, "j": 1, "coeff": 1.0}},
+             "hi_rows": [1e4]},
             {"name": "xyq_d2", "f2": {"family": "xy_quad", "c": 0.1},
              "poly": [0.0, 0.0, 0.5]},
         ],
