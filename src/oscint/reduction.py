@@ -11,17 +11,18 @@ as the rotated Gamma integral over the half line less the tail
 int_1^inf e^{i w x^k} dx = e^{iw} T_k(w), T_k summed by parts (for k = 1 it
 stops after one term).
 
-The outer integral splits at y0, where |lam c| y0^j = DIRECT_SWITCH.  On
-[0, y0] the profile is summed on panels over which lam * y^j swings at most
-``SWING_CAP``, with the engine's panel rule (``quadrature._kronrod``); the
-swing there is DIRECT_SWITCH whatever lambda is.  On [y0, 1] the Gamma term
-is a power of y, integrated in closed form, and the tail term
--e^{i |lam| y^j} T_k(|lam| y^j) goes to Levin collocation with an amplitude
-(``quadrature._levin_halving``, on the order-24 set) in u = ln y: there the
-amplitude e^u T_k(|lam| e^{ju}) is smooth over the whole range, so a few
-pieces carry it at any lambda.  The cost of the reduction therefore does
-not grow with lambda.  The estimate adds the panels' |K15 - G7|, the
-tail's Levin estimate, ``PROFILE_ERR`` times y0 and the 8 eps floor.
+The outer integral splits at y0, where |lam c| y0^j = DIRECT_SWITCH.  With
+y = y0 s the head on [0, y0] is y0 times int_0^1 A_k(w s^j) ds, where
+w = min(|lam c|, DIRECT_SWITCH), so its swing is at most DIRECT_SWITCH at
+any lambda: the profile's own 6x64 rule in s sums it, one tensor of
+384 x 384 nodes.  On [y0, 1] the Gamma term is a power of y, integrated
+in closed form, and the tail term -e^{i |lam| y^j} T_k(|lam| y^j) goes to
+Levin collocation with an amplitude (``quadrature._levin_halving``, on the
+order-24 set) in u = ln y: there the amplitude e^u T_k(|lam| e^{ju}) is
+smooth over the whole range, so a few pieces carry it at any lambda.  The
+cost of the reduction therefore does not grow with lambda.  The estimate
+adds ``PROFILE_ERR`` times y0 for each axis of the head, the tail's Levin
+estimate and its panels' |K15 - G7|, and the 8 eps floor.
 
 Both the profile and the reduction are cross-checked in the test suite
 against the planar integrator (moderate lambda) and high-precision oracles.
@@ -42,15 +43,16 @@ from .quadrature import (_EPS, _LEVIN_24, QuadResult, _kronrod, _levin, _levin_h
                          _swing_panels)
 
 DIRECT_SWITCH = 48.0
-# swing limit and budget of the outer panels in y
+# swing limit and budget of the tail's panels in u = ln y
 SWING_CAP = math.pi / 2.0
 MAX_PANELS = 1 << 22
 # a Levin piece of the tail is accepted when its estimate is at most this
 # times (|head| + |power term|) per unit length in u = ln y
 TAIL_RTOL = 1e-14
-# absolute error of the profile for |w| <= DIRECT_SWITCH: at most 9.2e-16
-# against mpmath's 1F1 for k = 1..6 at steps of 0.02 in w
-PROFILE_ERR = 1e-15
+# absolute error of the 6x64 rule on int_0^1 e^{i c t^m} dt for |c| <=
+# DIRECT_SWITCH: against mpmath's 1F1 at steps of 0.02 in c, at most 1.7e-15
+# for m = 1 and 9.5e-16 for m = 2..24
+PROFILE_ERR = 2e-15
 
 
 def _direct_rule():
@@ -69,8 +71,8 @@ _DIRECT_RULE = _direct_rule()
 def monomial_profile(k: int, w) -> np.ndarray:
     """A_k(w) = int_0^1 e^{i w x^k} dx for real w, vectorised.
 
-    Against mpmath, for k = 2..6 at steps of 0.25 in w, the Gauss rule is
-    within 1.1e-15 relative for |w| <= 12 and 5.6e-15 up to DIRECT_SWITCH.
+    For |w| <= DIRECT_SWITCH and k >= 2 the 6x64 Gauss rule is within
+    ``PROFILE_ERR`` of mpmath's 1F1 (9.5e-16 for k = 2..24).
     """
     if k < 1:
         raise PreconditionError("profile needs k >= 1")
@@ -122,26 +124,20 @@ def _tail_amplitude(k: int, w: np.ndarray) -> np.ndarray:
 def _reduce(k: int, j: int, la: float) -> tuple[complex, float, int, int]:
     """(int_0^1 A_k(la y^j) dy, its estimate, panels, Levin pieces) for la > 0.
 
-    The panels cover [0, y0] and the tail pieces whose swing is at most
-    ``quadrature.LEVIN_SWING``; their count does not grow with la.  The
-    Levin pieces cover the rest of [ln y0, 0], whose length grows as ln la,
-    so halving it adds a piece at most each time that length doubles.
+    The head on [0, y0] is one tensor block, and panels cover the tail
+    pieces whose swing is at most ``quadrature.LEVIN_SWING``; their count
+    does not grow with la.  The Levin pieces cover the rest of [ln y0, 0],
+    whose length grows as ln la, so halving it adds a piece at most each
+    time that length doubles.
     """
     y0 = min(1.0, (DIRECT_SWITCH / la) ** (1.0 / j))
-    # the second column caps the widths near y0 / 4: next to y = 0 the
-    # profile is a power series in y^j, of a degree the rule misses for j >= 5
-    L, R, S = _swing_panels(lambda y, _: np.stack([y**j, y * (y0 ** (j - 1) / 8.0)], axis=-1),
-                            [0.0], [y0], [0], [la], SWING_CAP, MAX_PANELS)
-
-    def profile(y, _):
-        a = monomial_profile(k, la * y**j)
-        return a.real, a.imag
-
-    val, err = _kronrod(profile, L, R, S)
-    head = complex(val[0].sum(), val[1].sum())
-    est = float(err.sum()) + PROFILE_ERR * y0
+    # y = y0 s; the s-integrand is an x-average of e^{i c s^j}, |c| <=
+    # DIRECT_SWITCH, so each axis costs at most PROFILE_ERR
+    pts, wts = _DIRECT_RULE
+    head = y0 * complex(np.sum(monomial_profile(k, min(la, DIRECT_SWITCH) * pts**j) * wts))
+    est = 2.0 * PROFILE_ERR * y0
     if y0 == 1.0:
-        return head, est, L.size, 0
+        return head, est, 1, 0
 
     # Gamma term: Gamma(1+1/k) e^{i pi/2k} la^(-1/k) int_{y0}^1 y^(-j/k) dy
     a = 1.0 - j / k
@@ -162,20 +158,21 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, float, int, int]:
 
     val, err = _kronrod(tail_samples, TL, TR, TS)
     value = head + power + complex(val[0].sum(), val[1].sum()) + complex(tail[0])
-    return value, est + float(tail_err[0] + err.sum()), L.size + TL.size, int(n_levin[0])
+    return value, est + float(tail_err[0] + err.sum()), 1 + TL.size, int(n_levin[0])
 
 
 def product_monomial_integral(f: Phase2D, lam: float) -> QuadResult:
     """int_0^1 int_0^1 e^{i lam f} dx dy via the profile reduction, for f one
-    term c x^k y^j (k, j >= 1) on the unit square; any other f raises
+    term c x^k y^j (1 <= k, j <= 24) on the unit square; any other f raises
     PreconditionError.  Evaluated for |lam c| as in the module docstring; a
     negative product gives the complex conjugate.
     """
     C = np.asarray(f.coeffs)
     at = np.argwhere(C)
-    if f.domain != unit_square() or len(at) != 1 or at.min() < 1:
-        raise PreconditionError(f"the profile reduction needs one term c x^k y^j with k, j >= 1 "
-                                f"on the unit square; {f.name!r} is not one")
+    # PROFILE_ERR is measured for exponents up to 24 only
+    if f.domain != unit_square() or len(at) != 1 or at.min() < 1 or at.max() > 24:
+        raise PreconditionError(f"the profile reduction needs one term c x^k y^j with "
+                                f"1 <= k, j <= 24 on the unit square; {f.name!r} is not one")
     k, j = at[0].tolist()
     lam_eff = lam * float(C[k, j])
     if lam_eff == 0.0:

@@ -86,14 +86,17 @@ def monomial_profile_gamma(k: int, w: float) -> complex:
 
 
 def product_monomial_square_integral(k: int, j: int, lam: float) -> complex:
-    """int_[0,1]^2 e^{i lam x^k y^j} for k != j, from the density
-    (t^(1/j - 1) - t^(1/k - 1)) / (j - k) of t = x^k y^j and
-    int_0^1 t^(a-1) e^{i lam t} dt = gammainc(a, 0, -i lam) / (-i lam)^a."""
-    if k == j:
-        raise ValueError("the density form needs k != j")
+    """int_[0,1]^2 e^{i lam x^k y^j} from the density of t = x^k y^j and
+    G(a) = int_0^1 t^(a-1) e^{i lam t} dt = gammainc(a, 0, -i lam) / (-i lam)^a.
+    For k != j the density is (t^(1/j - 1) - t^(1/k - 1)) / (j - k); for
+    k = j it is t^(1/k - 1) (-ln t) / k^2, whose integral is -G'(1/k) / k^2,
+    differentiated by mpmath."""
     z = -1j * mp.mpf(abs(lam))
-    part = lambda n: mp.gammainc(mp.mpf(1) / n, 0, z) / z ** (mp.mpf(1) / n)
-    out = complex((part(j) - part(k)) / (j - k))
+    part = lambda a: mp.gammainc(a, 0, z) / z**a
+    if k == j:
+        out = complex(-mp.diff(part, mp.mpf(1) / k) / k**2)
+    else:
+        out = complex((part(mp.mpf(1) / j) - part(mp.mpf(1) / k)) / (j - k))
     return out if lam >= 0 else out.conjugate()
 
 

@@ -17,6 +17,7 @@ from oscint import (
 )
 from oscint.phases import compose2d_with_polynomial
 from oscint.reduction import (
+    _DIRECT_RULE,
     DIRECT_SWITCH,
     PROFILE_ERR,
     _reduce,
@@ -61,18 +62,32 @@ def test_profile_matches_gamma_oracle(w):
     assert abs(a - oracle) / abs(oracle) < 1e-9
 
 
+def hyp1f1_profile(m, ws):
+    """int_0^1 e^{i w t^m} dt = 1F1(1/m; 1 + 1/m; i w) by mpmath at 30 digits."""
+    with mp.workdps(30):
+        return np.array([complex(mp.hyp1f1(mp.mpf(1) / m, 1 + mp.mpf(1) / m, 1j * mp.mpf(w)))
+                         for w in ws])
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_profile_at_small_w_matches_mpmath(k):
-    # A_k(w) = 1F1(1/k; 1 + 1/k; i w); the fixed Gauss rule holds 1e-14
-    # relative and PROFILE_ERR absolute, the reduction's profile term, over
+    # the fixed Gauss rule holds 1e-14 relative and 1e-15 absolute over
     # every |w| <= DIRECT_SWITCH it serves
     ws = np.linspace(-DIRECT_SWITCH, DIRECT_SWITCH, 385)
-    with mp.workdps(30):
-        ref = np.array([complex(mp.hyp1f1(mp.mpf(1) / k, 1 + mp.mpf(1) / k, 1j * mp.mpf(w)))
-                        for w in ws])
+    ref = hyp1f1_profile(k, ws)
     err = np.abs(monomial_profile(k, ws) - ref)
     assert np.max(err / np.abs(ref)) < 1e-14
-    assert np.max(err) <= PROFILE_ERR
+    assert np.max(err) <= 1e-15
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_direct_rule_is_within_profile_err_on_every_exponent(m):
+    # the reduction's head runs the rule on e^{i c t^m} along both axes,
+    # m = k in x and m = j in s, for |c| <= DIRECT_SWITCH
+    pts, wts = _DIRECT_RULE
+    cs = np.linspace(-DIRECT_SWITCH, DIRECT_SWITCH, 385)
+    got = (np.exp(1j * cs[:, None] * pts[None, :] ** m) * wts).sum(axis=1)
+    assert np.max(np.abs(got - hyp1f1_profile(m, cs))) <= PROFILE_ERR
 
 
 def test_profile_vectorized():
@@ -124,9 +139,9 @@ def test_xy_reduction_vs_closed_form_to_1e8(lam):
 
 @pytest.mark.parametrize("k, j, coeff", [(1, 1, 1.0), (3, 2, 1.0), (2, 2, 0.5)])
 def test_reduction_work_does_not_grow_with_lambda(k, j, coeff):
-    # panels cover [0, y0], where lam y^j swings DIRECT_SWITCH at any lambda;
-    # the Levin range ln(lam / DIRECT_SWITCH) / j in u = ln y grows only
-    # logarithmically, and each doubling of it may take one more piece
+    # the head on [0, y0], where lam y^j swings DIRECT_SWITCH at any lambda,
+    # is one block; the Levin range ln(lam / DIRECT_SWITCH) / j in u = ln y
+    # grows only logarithmically, and each doubling of it may take one more piece
     panels, pieces = zip(*(_reduce(k, j, lam * coeff)[2:] for lam in (1e4, 1e8, 1e12)))
     assert panels[1] <= panels[0] and panels[2] <= panels[0]
     assert max(pieces) <= 4
@@ -190,19 +205,48 @@ def test_estimate_bounds_the_error_of_x3_y2(lam):
     assert res.error_estimate <= 1e-13
 
 
-@pytest.mark.parametrize("lam", [30.0, 300.0, 3e3])
+@pytest.mark.parametrize("lam", [1e2, 1e3])
+def test_square_oracle_matches_the_xy_oracles(lam):
+    # k = j: xy is x^1 y^1 and (xy)^2 / 2 the term 0.5 x^2 y^2
+    assert abs(product_monomial_square_integral(1, 1, lam) - xy_square_integral(lam)) <= 1e-16
+    ref = composed_xy_square_integral((0.0, 0.0, 0.5), lam)
+    assert abs(product_monomial_square_integral(2, 2, 0.5 * lam) - ref) <= 1e-16
+
+
+@pytest.mark.parametrize("lam", [30.0 * 10.0**i for i in range(11)] + [1e12])
 def test_estimate_bounds_the_error_of_half_xy_squared(lam):
     # T3's xy_d2 phase (xy)^2 / 2 is the term 0.5 x^2 y^2
     f2 = compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5))
     res = product_monomial_integral(f2, lam)
     assert res.value == reduction(2, 2, lam, 0.5)
-    assert abs(res.value - composed_xy_square_integral((0.0, 0.0, 0.5), lam)) <= res.error_estimate
+    assert abs(res.value - product_monomial_square_integral(2, 2, 0.5 * lam)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("k, j", [(1, 8), (1, 12), (3, 11), (1, 24), (24, 1)])
+@pytest.mark.parametrize("lam", [1.0, 20.0, 47.0])
+def test_small_lambda_head_holds_high_exponents(k, j, lam):
+    # below DIRECT_SWITCH the head is the whole integral, of degree up to 24
+    # in y^j next to y = 0
+    res = product_monomial_integral(term(k, j), lam)
+    err = abs(res.value - product_monomial_square_integral(k, j, lam))
+    assert err <= 1e-15 and err <= res.error_estimate
+
+
+@pytest.mark.parametrize("k, j", [(1, 1), (2, 2), (3, 2), (2, 3), (1, 8), (1, 24), (24, 1),
+                                  (24, 24)])
+def test_estimate_bounds_the_error_from_lambda_1_to_1e12(k, j):
+    f2 = term(k, j)
+    for lam in np.geomspace(1.0, 1e12, 25):
+        res = product_monomial_integral(f2, lam)
+        assert abs(res.value - product_monomial_square_integral(k, j, lam)) <= res.error_estimate
 
 
 @pytest.mark.parametrize("f2", [
     pytest.param(xy_quad_phase(0.1), id="two_terms"),
     pytest.param(term(3, 0), id="no_y"),
     pytest.param(Phase2D(((0.0, 0.0), (0.0, 0.0)), unit_square()), id="zero"),
+    pytest.param(term(25, 1), id="k_above_24"),
+    pytest.param(term(1, 25), id="j_above_24"),
     pytest.param(Phase2D(((0.0, 0.0), (0.0, 1.0)), PlanarDomain(0.0, 2.0, 0.0, 1.0)),
                  id="not_the_unit_square"),
 ])
