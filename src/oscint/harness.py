@@ -5,17 +5,17 @@ Each suite checks one family of estimates end to end and reports one row per
 Reruns with the same config and seed produce byte-identical CSV bodies; the
 environment stamp lives in the JSON report only.
 
-The runners share their steps, which work on whole lambda grids: a 1D
-grid is integrated by one `osc_integrate_1d_sweep` call (`_integrals`), and a
+The runners share their steps, which work on whole lambda grids: a 1D grid
+is integrated by one `osc_integrate_1d_sweep` call (`_integrals`), and a
 composition case certifies its soundness grid and its certificate sweep in
 one `certify_1d_sweep` run (`_composition_case`); planar integrals and
 certificates are still made one lambda at a time.  `_soundness_sweep` turns
 a grid's integrals and certificates into rows (1D and planar), noting in
 `unconverged`, lambda by lambda, each integral and then each certificate
-whose quadrature stopped over tolerance; `_reduction_sweep` runs the profile
-reduction with its planar cross-check, `_value_row` and `_sample` turn an
-integral into a row and a decay sample, and `_rate_check` fits a decay
-exponent and judges it.
+whose quadrature stopped over tolerance; `_reduction_sweep` runs the
+profile reduction with its planar cross-check and notes both so,
+`_value_row` and `_sample` turn an integral into a row and a decay sample,
+and `_rate_check` fits a decay exponent and judges it.
 
 Suites:
   T1     polynomial composition under a decay hypothesis (general mode)
@@ -293,7 +293,8 @@ def _reduction_sweep(suite, case, f2, lam_grid, cross_lams, quad_cfg, unconverge
     cross-check verdict, witnessed by the largest relative difference and
     its lambda.
     """
-    quads = [product_monomial_integral(f2, lam) for lam in map(float, lam_grid)]
+    quads = [_checked(product_monomial_integral(f2, lam), case, unconverged)
+             for lam in map(float, lam_grid)]
     rows = [_value_row(suite, case, q) for q in quads]
     diffs = []
     for lam in map(float, cross_lams):

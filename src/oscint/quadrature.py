@@ -8,26 +8,26 @@ for the non-oscillatory solution p of p' + i lambda g' p = h, collocated on
 Chebyshev-Lobatto points (order 16 for the monotone pieces of a phase, 24
 for the reduction's tail), at a cost that does not grow with lambda; the
 residual of the computed p, integrated in modulus, is the error estimate.
-``osc_integrate_1d`` takes h = 1; the profile reduction passes a smooth
-amplitude h sampled at the collocation points and the QK15 nodes.
-One halving loop, ``_levin_halving``, serves every caller: a piece that
-fails its share of the tolerance, or on which g' does not keep a strict
-sign, is halved, so the pieces next to a stationary point shrink
-dyadically until their swing is small (S. Olver, BIT 50, 2010).
+``osc_integrate_1d`` takes h = 1; the profile reduction's tail passes a
+smooth amplitude h.  One halving loop, ``_levin_halving``, serves every
+caller: a piece that fails its share of the tolerance, or on which g' does
+not keep a strict sign, is halved, so the pieces next to a stationary point
+shrink dyadically until their swing is small (S. Olver, BIT 50, 2010).
 Small-swing pieces are cut into panels whose swing (on a monotone piece the
 endpoint difference IS the swing, so no derivative bounds are needed) is at
-most the configured cap.  The loop, the panel cutter, the panel rule and
-the refiner all take functions of (x, slot), as ``phases.solve_brackets``
-does, so many integrals run through them at once: each slot carries its own
-lambda, each piece adds to its own slot's sum, and each slot reports its
-own convergence.  ``_pieces_integral`` chains them for a set of monotone
-pieces.  ``osc_integrate_1d_sweep`` gives each lambda of a grid one slot over
-the phase's monotone pieces, so a whole grid is one call;
-``osc_integrate_1d`` is its one-element call.  Slots are grouped in runs,
-each the work of one call on its own (a lambda of a sweep, or all the
-slices of one 2D integral), and runs decide budgets only: each run has the
-whole panel budget.  Every panel's and piece's products are its own
-(``_rowwise``), so a lambda gets the same bits in any sweep as alone.
+most the configured cap.  The loop, the panel cutter, the panel rule and the
+refiner all take functions of (x, slot), as ``phases.solve_brackets`` does,
+so many integrals run through them at once: each slot carries its own
+lambda, each piece adds to its own slot's sum, and each slot reports its own
+convergence.  ``_pieces_integral`` chains them for a set of monotone pieces;
+every oscillatory 1D integral of the package, a planar slice or the
+reduction's tail too, is one of its slots.  ``osc_integrate_1d_sweep`` gives
+each lambda of a grid one slot over the phase's monotone pieces, so a whole
+grid is one call; ``osc_integrate_1d`` is its one-element call.  Slots are
+grouped in runs, each the work of one call on its own (a lambda of a sweep,
+or all the slices of one 2D integral), and runs decide budgets only: each
+run has the whole panel budget.  Every panel's and piece's products are its
+own (``_rowwise``), so a lambda gets the same bits in any sweep as alone.
 
 In two dimensions (Levin's planar scheme, same paper) the slice integrals
 I(y) = int e^{i lambda f(x, y)} dx are, where every slice is monotone with
@@ -458,36 +458,41 @@ def _levin_halving(solve, gval, lam, L, R, slot, n_slots: int, tol: float, max_p
     return SL, SR, SS, n_levin, levin_val, levin_err
 
 
-def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig, ends=None):
-    """int e^{i lam g} over the pieces [L_i, R_i], summed per slot.
+def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig, ends=None, h=None,
+                     colloc=_LEVIN_16):
+    """int h e^{i lam g} over the pieces [L_i, R_i], summed per slot.
 
-    ``gval(x, s)`` and ``gd(x, s)`` evaluate g and g' at the points x of
-    slots s, piece i adds to slot ``S[i]``, ``lam[s]`` is slot s's lambda
-    and ``run[s]`` its run.  The pieces go through ``_levin_halving`` at
-    amplitude 1 on ``_LEVIN_16``; those it sets aside are cut into swing
-    panels, which ``_refine`` halves for at most 3 rounds.  Both are held to
-    ``cfg.rel_tol`` per unit width.  The swing panels assume g monotone on
-    each piece; where it is not, refinement alone answers for the error.
-    Returns per slot the value, the estimate (Levin estimates plus panel
-    |K15 - G7|), the number of Levin pieces and panels, and ``converged``,
-    False when refinement stopped with panels of the slot over tolerance.
-    Each run's pieces and panels may not pass ``cfg.max_panels``, and each
-    run's results are those of a call holding its slots alone: a slot's
-    bits depend only on its own pieces, its budget on its own run.
+    ``gval(x, s)``, ``gd(x, s)`` and ``h(x, s)`` evaluate g, g' and a smooth
+    amplitude (1 when None) at the points x of slots s, piece i adds to slot
+    ``S[i]``, ``lam[s]`` is slot s's lambda and ``run[s]`` its run.  The
+    pieces go through ``_levin_halving`` on the collocation set ``colloc``;
+    those it sets aside are cut into swing panels, which ``_refine`` halves
+    for at most 3 rounds, both held to ``cfg.rel_tol`` per unit width.  The
+    swing panels assume g monotone on each piece; where it is not, refinement
+    alone answers for the error.  Returns per slot the value, the estimate
+    (Levin estimates plus panel |K15 - G7|), the number of Levin pieces and
+    panels, and ``converged``, False when refinement stopped with panels of
+    the slot over tolerance.  Each run's pieces and panels may not pass
+    ``cfg.max_panels``, and each run's results are those of a call holding
+    its slots alone: a slot's bits depend only on its own pieces, its budget
+    on its own run.
     """
     lam = np.asarray(lam, dtype=float)
     run, n_runs = _runs(run, lam.size)
     n_slots = lam.size
     SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
-        partial(_levin, _LEVIN_16, gd, lambda x, _: np.ones_like(x), lam), gval, lam, L, R, S,
-        n_slots, cfg.rel_tol, cfg.max_panels, run, ends)
+        partial(_levin, colloc, gd, (lambda x, _: np.ones_like(x)) if h is None else h, lam),
+        gval, lam, L, R, S, n_slots, cfg.rel_tol, cfg.max_panels, run, ends)
     budget = cfg.max_panels - np.bincount(run, n_levin, n_runs).astype(np.intp)
     PL, PR, PS = _swing_panels(gval, SL, SR, SS, np.abs(lam), cfg.phase_variation_cap, budget,
                                run)
 
     def samples(x, s):
         th = lam[s] * gval(x, s)
-        return np.cos(th), np.sin(th)
+        if h is None:
+            return np.cos(th), np.sin(th)
+        v = np.exp(1j * th) * h(x, s)
+        return v.real, v.imag
 
     pv, pe, PS, converged = _refine(samples, PL, PR, PS, n_slots, cfg.rel_tol, 3, budget, run)
     val = np.empty(n_slots, dtype=complex)

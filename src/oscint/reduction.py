@@ -15,14 +15,13 @@ The outer integral splits at y0, where |lam c| y0^j = DIRECT_SWITCH.  With
 y = y0 s the head on [0, y0] is y0 times int_0^1 A_k(w s^j) ds, where
 w = min(|lam c|, DIRECT_SWITCH), so its swing is at most DIRECT_SWITCH at
 any lambda: the profile's own 6x64 rule in s sums it, one tensor of
-384 x 384 nodes.  On [y0, 1] the Gamma term is a power of y, integrated
-in closed form, and the tail term -e^{i |lam| y^j} T_k(|lam| y^j) goes to
-Levin collocation with an amplitude (``quadrature._levin_halving``, on the
-order-24 set) in u = ln y: there the amplitude e^u T_k(|lam| e^{ju}) is
-smooth over the whole range, so a few pieces carry it at any lambda.  The
-cost of the reduction therefore does not grow with lambda.  The estimate
-adds ``PROFILE_ERR`` times y0 for each axis of the head, the tail's Levin
-estimate and its panels' |K15 - G7|, and the 8 eps floor.
+384 x 384 nodes, once per (k, j, w).  On [y0, 1] the Gamma term is a power
+of y, integrated in closed form, and the tail -e^{i |lam| y^j} T_k(|lam| y^j)
+is one slot of ``quadrature._pieces_integral`` in u = ln y, with the
+amplitude e^u T_k(|lam| e^{ju}), smooth over the whole range, so that a few
+order-24 Levin pieces carry it at any lambda: the cost of the reduction does
+not grow with lambda.  The estimate adds ``PROFILE_ERR`` times y0 for each
+axis of the head, the tail's estimate and the 8 eps floor.
 
 Both the profile and the reduction are cross-checked in the test suite
 against the planar integrator (moderate lambda) and high-precision oracles.
@@ -32,22 +31,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import partial
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import PreconditionError
 from .phases import Phase2D, unit_square
-from .quadrature import (_EPS, _LEVIN_24, QuadResult, _kronrod, _levin, _levin_halving,
-                         _swing_panels)
+from .quadrature import _EPS, _LEVIN_24, DEFAULT_CONFIG, QuadResult, _pieces_integral
 
 DIRECT_SWITCH = 48.0
-# swing limit and budget of the tail's panels in u = ln y
-SWING_CAP = math.pi / 2.0
-MAX_PANELS = 1 << 22
-# a Levin piece of the tail is accepted when its estimate is at most this
-# times (|head| + |power term|) per unit length in u = ln y
+# the tail's tolerance per unit length of u = ln y, times |head| + |power term|
 TAIL_RTOL = 1e-14
 # absolute error of the 6x64 rule on int_0^1 e^{i c t^m} dt for |c| <=
 # DIRECT_SWITCH: against mpmath's 1F1 at steps of 0.02 in c, at most 1.7e-15
@@ -76,9 +71,8 @@ def monomial_profile(k: int, w) -> np.ndarray:
     """
     if k < 1:
         raise PreconditionError("profile needs k >= 1")
-    w = np.asarray(w, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w).astype(float)
+    scalar = np.ndim(w) == 0
+    w = np.atleast_1d(np.asarray(w, dtype=float))
     out = np.empty(w.shape, dtype=complex)
 
     if k == 1:
@@ -121,23 +115,29 @@ def _tail_amplitude(k: int, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reduce(k: int, j: int, la: float) -> tuple[complex, float, int, int]:
-    """(int_0^1 A_k(la y^j) dy, its estimate, panels, Levin pieces) for la > 0.
+@lru_cache
+def _head_sum(k: int, j: int, w: float) -> complex:
+    """int_0^1 A_k(w s^j) ds by the 6x64 rule in s; w is 48 for every la >= 48."""
+    pts, wts = _DIRECT_RULE
+    return complex(np.sum(monomial_profile(k, w * pts**j) * wts))
 
-    The head on [0, y0] is one tensor block, and panels cover the tail
-    pieces whose swing is at most ``quadrature.LEVIN_SWING``; their count
-    does not grow with la.  The Levin pieces cover the rest of [ln y0, 0],
-    whose length grows as ln la, so halving it adds a piece at most each
-    time that length doubles.
+
+def _reduce(k: int, j: int, la: float) -> tuple[complex, float, int, bool]:
+    """(int_0^1 A_k(la y^j) dy, its estimate, blocks, converged) for la > 0.
+
+    The head on [0, y0] is one block, the tail's Levin pieces and panels the
+    others.  The panels cover the tail's end of swing at most
+    ``quadrature.LEVIN_SWING``, so their count does not grow with la; the
+    Levin part grows as ln la, and halving it adds a piece at most each time
+    that length doubles.  ``converged`` is the tail's refinement flag.
     """
     y0 = min(1.0, (DIRECT_SWITCH / la) ** (1.0 / j))
     # y = y0 s; the s-integrand is an x-average of e^{i c s^j}, |c| <=
     # DIRECT_SWITCH, so each axis costs at most PROFILE_ERR
-    pts, wts = _DIRECT_RULE
-    head = y0 * complex(np.sum(monomial_profile(k, min(la, DIRECT_SWITCH) * pts**j) * wts))
+    head = y0 * _head_sum(k, j, min(la, DIRECT_SWITCH))
     est = 2.0 * PROFILE_ERR * y0
     if y0 == 1.0:
-        return head, est, 1, 0
+        return head, est, 1, True
 
     # Gamma term: Gamma(1+1/k) e^{i pi/2k} la^(-1/k) int_{y0}^1 y^(-j/k) dy
     a = 1.0 - j / k
@@ -146,19 +146,12 @@ def _reduce(k: int, j: int, la: float) -> tuple[complex, float, int, int]:
 
     # tail term in u = ln y: -int e^{i la e^{ju}} e^u T_k(la e^{ju}) du over [ln y0, 0]
     ev = lambda u, _: np.exp(j * u)
-    amp = lambda u, _: -np.exp(u) * _tail_amplitude(k, la * ev(u, _))
-    SL, SR, SS, n_levin, tail, tail_err = _levin_halving(
-        partial(_levin, _LEVIN_24, lambda u, _: j * ev(u, _), amp, [la]), ev, [la],
-        [math.log(y0)], [0.0], [0], 1, TAIL_RTOL * (abs(head) + abs(power)), MAX_PANELS)
-    TL, TR, TS = _swing_panels(ev, SL, SR, SS, [la], SWING_CAP, MAX_PANELS)
-
-    def tail_samples(u, _):
-        v = np.exp(1j * la * ev(u, _)) * amp(u, _)
-        return v.real, v.imag
-
-    val, err = _kronrod(tail_samples, TL, TR, TS)
-    value = head + power + complex(val[0].sum(), val[1].sum()) + complex(tail[0])
-    return value, est + float(tail_err[0] + err.sum()), 1 + TL.size, int(n_levin[0])
+    tail, err, used, converged = _pieces_integral(
+        ev, lambda u, _: j * ev(u, _), [la], [math.log(y0)], [0.0], [0], None,
+        replace(DEFAULT_CONFIG, rel_tol=TAIL_RTOL * (abs(head) + abs(power))),
+        h=lambda u, _: -np.exp(u) * _tail_amplitude(k, la * ev(u, _)), colloc=_LEVIN_24)
+    return (head + power + complex(tail[0]), est + float(err[0]), 1 + int(used[0]),
+            bool(converged[0]))
 
 
 def product_monomial_integral(f: Phase2D, lam: float) -> QuadResult:
@@ -177,6 +170,6 @@ def product_monomial_integral(f: Phase2D, lam: float) -> QuadResult:
     lam_eff = lam * float(C[k, j])
     if lam_eff == 0.0:
         return QuadResult(1.0 + 0.0j, float(8.0 * _EPS), 0, float(lam))
-    value, err, panels, pieces = _reduce(k, j, abs(lam_eff))
+    value, err, used, converged = _reduce(k, j, abs(lam_eff))
     return QuadResult(value if lam_eff > 0 else value.conjugate(), float(err + 8.0 * _EPS),
-                      panels + pieces, float(lam))
+                      used, float(lam), converged)

@@ -11,7 +11,8 @@ import pytest
 from oscint import monomial, osc_integrate_1d
 from oscint.harness import load_config, run_suite
 
-from oracles import fresnel_integral, linear_phase_integral
+from oracles import (fresnel_integral, linear_phase_integral, product_monomial_square_integral,
+                     xy_square_integral)
 
 _reports = {}
 
@@ -155,3 +156,27 @@ def test_criterion_10_power_transform():
     record(10, v["passed"],
            f"|t|^1.5 outer transform exponent {v['witness']['delta_hat']:.4f} "
            f"within 0.05 of 1/3")
+
+
+# the lambda-independent oracle of each T3, T4 and H-LOG case whose rows are
+# integrals: xy_d2 is (xy)^2 / 2, the term 0.5 x^2 y^2; xyq_d2, the same P
+# of xy + 0.1 x^2 y^2, has no oracle that holds at every lambda of its grid
+ROW_ORACLES = {
+    "xy_base": xy_square_integral,
+    "xy_decay": xy_square_integral,
+    "xy_d2": lambda lam: product_monomial_square_integral(2, 2, 0.5 * lam),
+    "x3_y2": lambda lam: product_monomial_square_integral(3, 2, lam),
+}
+NO_ORACLE = {"xyq_d2"}
+
+
+def test_every_planar_and_reduction_row_is_within_its_estimate():
+    seen = set()
+    for sid in ("T3", "T4", "H-LOG"):
+        for row in suite_report(sid).rows:
+            if "err_est" not in row or row["case"] in NO_ORACLE:
+                continue
+            oracle = ROW_ORACLES[row["case"]](row["lambda"])
+            assert abs(complex(row["value_re"], row["value_im"]) - oracle) <= row["err_est"], row
+            seen.add(row["case"])
+    assert seen == set(ROW_ORACLES)

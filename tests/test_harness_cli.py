@@ -382,6 +382,19 @@ def test_t3_notes_certificates_whose_region_quadrature_stops(monkeypatch):
     assert rep.unconverged == [{"case": "xy_base", "lambda": l} for l in lams]
 
 
+def test_t4_notes_reductions_whose_tail_refinement_stops(monkeypatch):
+    # no Levin piece or panel of the tail reaches a tolerance of 1e-30: the
+    # pieces are halved down to panels, whose refinement hits its pass cap
+    from oscint import harness
+
+    monkeypatch.setattr("oscint.reduction.TAIL_RTOL", 1e-30)
+    grid = {"lo": 50.0, "hi": 5000.0, "per_decade": 4}
+    rep = run_suite(ExperimentConfig(suite="T4", options={"cases": [
+        {"name": "x3_y2", "k": 3, "j": 2, "lambda_grid": grid}]}))
+    assert rep.unconverged == [{"case": "x3_y2", "lambda": float(l)}
+                               for l in harness._grid(grid)]
+
+
 def test_hlog_notes_band_areas_whose_quadrature_stops(monkeypatch):
     from oscint import harness
     from test_certificates import stopped_adaptive_slots

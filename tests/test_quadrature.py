@@ -1,3 +1,5 @@
+from functools import partial
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -51,6 +53,7 @@ from oracles import (
     linear_phase_integral,
     monomial_profile_gamma,
     oscillatory_integral,
+    product_monomial_square_integral,
     shifted_square_ramp_integral,
     xy_square_integral,
 )
@@ -683,12 +686,14 @@ def test_2d_work_grows_linearly_in_lambda():
         assert hi <= 2 * 10 * lo, cfg
 
 
-# T3's three phases are F(xy) on the unit square: (phase, coefficients of F)
+# T3's three phases are F(xy) on the unit square: (phase, its oracle); (xy)^2 / 2
+# is the term 0.5 x^2 y^2, and only P(xy_quad) needs the log-variable oracle
 _T3_PHASES = {
-    "xy": (xy_phase(), (0.0, 1.0)),
-    "P(xy)": (compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)), (0.0, 0.0, 0.5)),
+    "xy": (xy_phase(), xy_square_integral),
+    "P(xy)": (compose2d_with_polynomial(xy_phase(), (0.0, 0.0, 0.5)),
+              lambda lam: product_monomial_square_integral(2, 2, 0.5 * lam)),
     "P(xy_quad)": (compose2d_with_polynomial(xy_quad_phase(0.1), (0.0, 0.0, 0.5)),
-                   (0.0, 0.0, 0.5, 0.1, 0.005)),
+                   partial(composed_xy_square_integral, (0.0, 0.0, 0.5, 0.1, 0.005))),
 }
 
 
@@ -701,8 +706,8 @@ def test_composed_xy_oracle_matches_the_xy_closed_form():
 @pytest.mark.parametrize("lam", [10.0, 1e2, 1e3])
 @pytest.mark.parametrize("name", list(_T3_PHASES))
 def test_2d_t3_phases_against_the_log_oracle(name, lam):
-    f2, F = _T3_PHASES[name]
-    oracle = composed_xy_square_integral(F, lam)
+    f2, integral = _T3_PHASES[name]
+    oracle = integral(lam)
     for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
         res = osc_integrate_2d(f2, lam, cfg=cfg)
         assert res.converged, cfg

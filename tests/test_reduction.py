@@ -15,6 +15,7 @@ from oscint import (
     xy_phase,
     xy_quad_phase,
 )
+from oscint import quadrature
 from oscint.phases import compose2d_with_polynomial
 from oscint.reduction import (
     _DIRECT_RULE,
@@ -45,6 +46,21 @@ def reduction(k, j, lam, c=1.0):
 
 
 X3_Y2 = term(3, 2)
+
+
+@pytest.fixture
+def levin_pieces(monkeypatch):
+    """The accepted Levin pieces of each ``quadrature._levin_halving`` call
+    made while the test runs, one count per call."""
+    counts, halving = [], quadrature._levin_halving
+
+    def counted(*args, **kwargs):
+        out = halving(*args, **kwargs)
+        counts.append(int(out[3].sum()))
+        return out
+
+    monkeypatch.setattr(quadrature, "_levin_halving", counted)
+    return counts
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -138,11 +154,14 @@ def test_xy_reduction_vs_closed_form_to_1e8(lam):
 
 
 @pytest.mark.parametrize("k, j, coeff", [(1, 1, 1.0), (3, 2, 1.0), (2, 2, 0.5)])
-def test_reduction_work_does_not_grow_with_lambda(k, j, coeff):
+def test_reduction_work_does_not_grow_with_lambda(k, j, coeff, levin_pieces):
     # the head on [0, y0], where lam y^j swings DIRECT_SWITCH at any lambda,
     # is one block; the Levin range ln(lam / DIRECT_SWITCH) / j in u = ln y
     # grows only logarithmically, and each doubling of it may take one more piece
-    panels, pieces = zip(*(_reduce(k, j, lam * coeff)[2:] for lam in (1e4, 1e8, 1e12)))
+    used = [_reduce(k, j, lam * coeff)[2] for lam in (1e4, 1e8, 1e12)]
+    pieces = levin_pieces
+    panels = [u - p for u, p in zip(used, pieces)]
+    assert len(pieces) == 3
     assert panels[1] <= panels[0] and panels[2] <= panels[0]
     assert max(pieces) <= 4
 
@@ -156,9 +175,10 @@ def test_negative_lambda_or_coefficient_gives_the_conjugate(k, j, lam):
 
 
 @pytest.mark.parametrize("lam", [1.0, 20.0, DIRECT_SWITCH])
-def test_small_lambda_stays_on_the_panel_path(lam):
-    val, _, panels, pieces = _reduce(3, 2, lam)
-    assert pieces == 0 and panels > 0
+def test_small_lambda_stays_on_the_panel_path(lam, levin_pieces):
+    # the head block is the whole integral: no tail, so no Levin pass
+    val, _, used, converged = _reduce(3, 2, lam)
+    assert used == 1 and converged and not levin_pieces
     assert val == reduction(3, 2, lam)
     quad = osc_integrate_2d(X3_Y2, lam, cfg=QuadConfig(rel_tol=1e-12))
     assert abs(val - quad.value) <= 1e-12
