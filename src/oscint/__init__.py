@@ -15,6 +15,7 @@ from .certificates import (
     certify_1d,
     certify_1d_sweep,
     certify_2d,
+    certify_2d_sweep,
     default_snd_constant,
     derivpush_bound,
     ibp_bound,

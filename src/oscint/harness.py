@@ -8,14 +8,15 @@ environment stamp lives in the JSON report only.
 The runners share their steps, which work on whole lambda grids: a 1D grid
 is integrated by one `osc_integrate_1d_sweep` call (`_integrals`), and a
 composition case certifies its soundness grid and its certificate sweep in
-one `certify_1d_sweep` run (`_composition_case`); planar integrals and
-certificates are still made one lambda at a time.  `_soundness_sweep` turns
-a grid's integrals and certificates into rows (1D and planar), noting in
-`unconverged`, lambda by lambda, each integral and then each certificate
-whose quadrature stopped over tolerance; `_reduction_sweep` runs the
-profile reduction with its planar cross-check and notes both so,
-`_value_row` and `_sample` turn an integral into a row and a decay sample,
-and `_rate_check` fits a decay exponent and judges it.
+one `certify_1d_sweep` run (`_composition_case`), a T3 case all its lambdas
+in one `certify_2d_sweep` call; only planar integrals are still made one
+lambda at a time.  `_soundness_sweep` turns a grid's integrals and
+certificates into rows (1D and planar), noting in `unconverged`, lambda by
+lambda, each integral and then each certificate whose quadrature stopped
+over tolerance; `_reduction_sweep` runs the profile reduction with its
+planar cross-check and notes both so, `_value_row` and `_sample` turn an
+integral into a row and a decay sample, and `_rate_check` fits a decay
+exponent and judges it.
 
 Suites:
   T1     polynomial composition under a decay hypothesis (general mode)
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certificates import PowerTransform, certify_1d_sweep, certify_2d
+from .certificates import PowerTransform, certify_1d_sweep, certify_2d_sweep
 from .decay import DecaySample, fit_decay, fit_log_model, geometric_grid
 from .errors import ConfigError
 from .phases import (
@@ -437,23 +438,21 @@ def _run_t3(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
         composed = compose2d_with_polynomial(f2, P.coeffs)
         rate = 1.0 / (2 * P.degree)
         name = case["name"]
-
-        def certify(lam):
-            return _cert_checked(certify_2d(f2, P, lam), name, unconverged)
-
         # one-term phases reach higher lambda through the profile reduction
         lams = [float(lam) for lam in lam_grid]
         quads = [osc_integrate_2d(composed, lam, cfg=cfg.quad) for lam in lams]
         hi_lams = [float(lam) for lam in case.get("hi_rows", ())]
         quads += [product_monomial_integral(composed, lam) for lam in hi_lams]
-        r, samples, witness = _soundness_sweep(
-            "T3", name, quads, [certify_2d(f2, P, q.lam) for q in quads], unconverged)
+        certs = certify_2d_sweep(f2, P, [*(q.lam for q in quads), *map(float, cert_grid)])
+        r, samples, witness = _soundness_sweep("T3", name, quads, certs[:len(quads)],
+                                               unconverged)
         soundness = {"case": name, "check": "certificate_soundness",
                      "passed": witness is None, "witness": witness}
         fit_row, decay = _rate_check("T3", name, "composed_decay_at_least", samples[:len(lams)],
                                      min(rate - 0.05, fit_min),
                                      labels=("composed_fit", "composed_fit"))
-        totals = [DecaySample(float(l), certify(float(l)).total_bound) for l in cert_grid]
+        totals = [DecaySample(float(l), _cert_checked(c, name, unconverged).total_bound)
+                  for l, c in zip(cert_grid, certs[len(quads):])]
         cert_row, cert_rate = _rate_check("T3", name, "certificate_rate", totals, rate,
                                           tol, ("cert_fit_ok", "cert_fit_off"))
         rows += r + [fit_row, cert_row]

@@ -40,9 +40,10 @@ inside) runs on swing panels in y whose nodes' x-integrals go through one
 (details and the estimate in ``osc_integrate_2d``).
 
 Every integrator applies one panel rule,
-``_kronrod``: the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose
+``_qk15``: the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose
 value is the 15-point Kronrod sum and whose error estimate is its distance
-from the 7-point Gauss sum, which reuses 7 of the same 15 samples.  One
+from the 7-point Gauss sum, which reuses 7 of the same 15 samples; the
+integrators that sample their own panels call it through ``_kronrod``.  One
 refiner, ``_refine``, halves the panels whose estimate exceeds their share
 of the tolerance and evaluates only the halves.  With the default cap of
 pi/2 the Kronrod value is exact to machine precision, so the estimate
@@ -204,16 +205,24 @@ def _rowwise(x, M):
     return (x[:, None, :] @ M)[:, 0]
 
 
+def _qk15(half, parts):
+    """QK15 from samples at the nodes of panels of half-widths ``half``:
+    ``parts`` holds a (panel, 15) array of real samples, or the real and
+    imaginary ones.  Returns per part the K15 sums, and |K15 - G7| (complex
+    for a pair), per panel; each panel's product is its own (``_rowwise``)."""
+    # (part, panel, [K15, K15 - G7])
+    kg = np.stack([half[:, None] * _rowwise(p, _W) for p in parts])
+    return kg[..., 0], (np.hypot(*kg[..., 1]) if len(kg) == 2 else np.abs(kg[0, :, 1]))
+
+
 def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray):
     """QK15 on the panels [L_i, R_i] of slots S_i: each panel's K15 sum and |K15 - G7|.
 
     ``fvec(x, s)`` maps the flat nodes x, 15 consecutive ones per panel, and
     their panels' slots s to samples: a real array or a (real, imaginary)
-    pair of them.  Returns ``(val, err)``: ``val[p]`` holds part p's sums,
-    and ``err`` is the modulus of the complex difference for a pair; both
-    are per panel.  Panels are evaluated _CHUNK at a time to bound memory,
-    and each panel's weight product is its own (``_rowwise``), so a panel's
-    bits do not depend on the panels evaluated with it.
+    pair of them.  Returns ``(val, err)`` from ``_qk15``: ``val[p]`` holds
+    part p's sums, and both are per panel.  Panels are evaluated _CHUNK at a
+    time to bound memory.
     """
     n = L.size
     val, err = None, np.empty(n)
@@ -222,14 +231,11 @@ def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray):
         half = 0.5 * (R[k] - L[k])
         out = fvec((0.5 * (L[k] + R[k])[:, None] + half[:, None] * _NODES).ravel(),
                    np.repeat(S[k], _NODES.size))
-        # (part, panel, [K15, K15 - G7])
-        kg = np.stack([_rowwise(np.reshape(p, (half.size, _NODES.size)), _W)
-                       for p in (out if isinstance(out, tuple) else (out,))])
-        kg *= half[:, None]
+        v, err[k] = _qk15(half, [np.reshape(p, (half.size, _NODES.size))
+                                 for p in (out if isinstance(out, tuple) else (out,))])
         if val is None:
-            val = np.empty((len(kg), n))
-        val[:, k] = kg[..., 0]
-        err[k] = np.hypot(*kg[..., 1]) if len(kg) == 2 else np.abs(kg[0, :, 1])
+            val = np.empty((len(v), n))
+        val[:, k] = v
     return val, err
 
 
@@ -724,10 +730,9 @@ def _levin_in_y(g: Phase2D, lam: float, cfg: QuadConfig):
                                   col((0, 0), L[live]), col((0, 0), R[live]), idx)
             # QK15 of the term A e^{i lam f(side, y)} at the nodes
             t = A[:, -_NODES.size:, j] * np.exp(1j * lam * col((0, 0), ys[:, -_NODES.size:]))
-            kr, ki = (half[:, None] * _rowwise(v, _W) for v in (t.real, t.imag))
-            ke = np.hypot(kr[:, 1], ki[:, 1])
+            (kr, ki), ke = _qk15(half, (t.real, t.imag))
             use = le <= ke
-            val_k += np.where(use, lv, kr[:, 0] + 1j * ki[:, 0])
+            val_k += np.where(use, lv, kr + 1j * ki)
             err_k += np.where(use, le, ke)
         val[live], err[live] = val_k, err_k
         return val, err, inner, converged
@@ -770,12 +775,10 @@ def _slices_in_y(g: Phase2D, lam: float, lo, hi, cfg: QuadConfig):
     val, slice_err, used, converged = _pieces_integral(
         lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), np.full(n, lam),
         L, R, S, np.zeros(n, dtype=np.intp), cfg)
-    # row p holds outer panel p's (K15, K15 - G7) over its 15 slices
-    o_re, o_im = (yhalf[:, None] * _rowwise(v.reshape(-1, _NODES.size), _W)
-                  for v in (val.real, val.imag))
-    err = np.hypot(o_re[:, 1], o_im[:, 1]).sum() + slice_err.max() * np.sum(np.subtract(hi, lo))
-    return (complex(o_re[:, 0].sum(), o_im[:, 0].sum()), float(err), int(used.sum()),
-            bool(converged.all()))
+    # outer panel p's QK15 over its 15 slices
+    (o_re, o_im), o_err = _qk15(yhalf, [v.reshape(-1, _NODES.size) for v in (val.real, val.imag)])
+    err = o_err.sum() + slice_err.max() * np.sum(np.subtract(hi, lo))
+    return complex(o_re.sum(), o_im.sum()), float(err), int(used.sum()), bool(converged.all())
 
 
 def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
@@ -851,18 +854,18 @@ def _adaptive_slots(fvec, a, b, slot, n_slots: int, rel_tol: float, abs_floor: f
     return _slot_sums(S, val[0], n_slots), _slot_sums(S, err, n_slots), converged
 
 
-def adaptive_quad(fvec, a, b, rel_tol: float = 1e-9):
+def adaptive_quad(fvec, a, b):
     """Adaptive Gauss-Kronrod 7/15 rule for a vectorised real integrand: the
     one-slot call of ``_adaptive_slots``.
 
     ``a`` and ``b`` are one segment's ends, or equal-length arrays of the
     ends of segments whose integrals add up, such as the smooth pieces of
     an integrand between its known kinks; they are held to one tolerance,
-    max(1e-14, rel_tol * |value|), over their total value and length.
+    max(1e-14, 1e-9 * |value|), over their total value and length.
     Not for large-lambda oscillatory phases (use the panel engine); this is
     the workhorse for slice measures, Fourier profiles, and other smooth or
     piecewise-smooth integrands.  Returns (value, error_estimate,
     converged), ``converged`` False when a cap left pieces over tolerance.
     """
-    val, err, converged = _adaptive_slots(lambda x, _: fvec(x), a, b, 0, 1, rel_tol, 1e-14)
+    val, err, converged = _adaptive_slots(lambda x, _: fvec(x), a, b, 0, 1, 1e-9, 1e-14)
     return float(val[0]), float(err[0]), bool(converged[0])

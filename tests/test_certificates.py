@@ -14,6 +14,7 @@ from oscint import (
     certify_1d,
     certify_1d_sweep,
     certify_2d,
+    certify_2d_sweep,
     compose_with_polynomial,
     compose_with_power,
     derivpush_bound,
@@ -38,13 +39,6 @@ P_HALF_SQUARE = Polynomial((0.0, 0.0, 0.5))          # t^2/2, P' = t monic
 P_THIRD_CUBE = Polynomial((0.0, 0.0, 0.0, 1.0 / 3.0))  # t^3/3, P' = t^2 monic
 P_SND = Polynomial((0.0, 0.0, 0.5, 1.0 / 3.0))       # P' = t^2 + t, monic and SND
 P_SND_ONLY = Polynomial((0.0, 0.0, 0.5, 1.0 / 6.0))  # P' = 0.5 t^2 + t, SND not monic
-
-
-def stopped_adaptive_quad(*args, **kwargs):
-    """``adaptive_quad``, reporting that a cap stopped it."""
-    from oscint.quadrature import adaptive_quad
-
-    return adaptive_quad(*args, **kwargs)[:2] + (False,)
 
 
 def stopped_adaptive_slots(*args, **kwargs):
@@ -273,6 +267,15 @@ def test_outer_cover_data_is_the_public_cover(eps):
         assert merged(power) == [(-power.cover_radius(eps), power.cover_radius(eps))]
 
 
+def wavy_phase() -> Phase2D:
+    """f = x g(y) with g' = 1 + 0.9 T_8(2y - 1) >= 0.1: |d_y f| = x g'(y)
+    crosses gamma = 0.01 at each of the four dips of g' for x in (0.0053, 0.1)."""
+    dg = np.polynomial.Chebyshev.basis(8, domain=[0.0, 1.0]).convert(
+        kind=np.polynomial.Polynomial) * 0.9 + 1.0
+    g = dg.integ().coef
+    return Phase2D((np.zeros_like(g), g), unit_square(), derivative_lower_bound=0.1, name="wavy")
+
+
 class TestCertify2D:
     def test_base_case_sound(self):
         f2 = xy_phase()
@@ -323,21 +326,14 @@ class TestCertify2D:
         f2 = xy_quad_phase(0.1)
         cert = certify_2d(f2, P_HALF_SQUARE, 300.0)
         assert "region2_converged" not in cert.notes
-        monkeypatch.setattr("oscint.certificates.adaptive_quad", stopped_adaptive_quad)
+        monkeypatch.setattr("oscint.certificates._adaptive_slots", stopped_adaptive_slots)
         stopped = certify_2d(f2, P_HALF_SQUARE, 300.0)
         assert stopped.notes.pop("region2_converged") is False
         assert stopped.to_dict() == cert.to_dict()
 
     def test_slice_with_too_many_runs_overflows(self):
-        # f = x g(y) with g' = 1 + 0.9 T_8(2y - 1) >= 0.1: |d_y f| = x g'(y)
-        # crosses gamma = 0.01 at each of the four dips of g' for x in (0.0053, 0.1)
-        dg = np.polynomial.Chebyshev.basis(8, domain=[0.0, 1.0]).convert(
-            kind=np.polynomial.Polynomial) * 0.9 + 1.0
-        g = dg.integ().coef
-        f2 = Phase2D((np.zeros_like(g), g), unit_square(), derivative_lower_bound=0.1,
-                     name="wavy")
         with pytest.raises(SliceOverflowError, match="decomposed into 5 intervals, cap 4"):
-            certify_2d(f2, Polynomial((0.0, 1.0)), 1e4)
+            certify_2d(wavy_phase(), Polynomial((0.0, 1.0)), 1e4)
 
     def test_region1_starts_at_the_closed_form_boundary(self):
         from oscint.certificates import _x_start
@@ -396,3 +392,40 @@ class TestCertify2D:
                   for l in lams]
         fit = fit_decay(totals)
         assert abs(fit.delta_hat - 0.25) < 0.02
+
+
+def t3_lambdas() -> list[float]:
+    """Every lambda the packaged T3 run certifies: its soundness grid, its
+    ``hi_rows`` and its certificate sweep."""
+    from oscint.harness import _grid, load_config
+
+    opt = load_config("T3", "default").options
+    hi_rows = [lam for case in opt["cases"] for lam in case.get("hi_rows", ())]
+    return sorted({float(lam) for lam in [*_grid(opt["lambda_sound"]), *hi_rows,
+                                          *_grid(opt["cert_sweep"])]})
+
+
+class TestCertify2DSweep:
+    @pytest.mark.parametrize("f2, P", [
+        (xy_phase(), Polynomial((0.0, 1.0))),
+        (xy_quad_phase(0.1), P_HALF_SQUARE),
+        # x < 0.05: below lambda = 400 no slice reaches gamma, so no region 1
+        (product_phase(monomial(1, (0.0, 0.05)), monomial(1)), Polynomial((0.0, 1.0))),
+    ], ids=["xy_base", "xyq_d2", "narrow"])
+    def test_each_lambda_gets_its_lone_certificate(self, f2, P):
+        # the packaged T3 grid, shuffled, with one lambda twice
+        lams = np.random.default_rng(20261020).permutation(t3_lambdas()).tolist()
+        lams.insert(5, lams[11])
+        certs = certify_2d_sweep(f2, P, lams)
+        assert [c.to_dict() for c in certs] == [certify_2d(f2, P, lam).to_dict() for lam in lams]
+
+    def test_rejects_what_a_lone_lambda_rejects(self):
+        f2 = xy_phase()
+        assert certify_2d_sweep(f2, P_HALF_SQUARE, []) == []
+        with pytest.raises(PreconditionError):
+            certify_2d_sweep(f2, P_HALF_SQUARE, [1e3, 0.0, 30.0])
+        # SND normalisation needs |lambda| >= 1 at every lambda of the sweep
+        with pytest.raises(PreconditionError):
+            certify_2d_sweep(f2, P_SND_ONLY, [50.0, 0.5, 1e3])
+        with pytest.raises(SliceOverflowError, match="decomposed into 5 intervals, cap 4"):
+            certify_2d_sweep(wavy_phase(), Polynomial((0.0, 1.0)), [1e3, 1e4, 1e5])

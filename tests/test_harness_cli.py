@@ -372,9 +372,9 @@ def test_cli_t3_hi_rows_need_a_phase_the_reduction_takes(tmp_path):
 
 def test_t3_notes_certificates_whose_region_quadrature_stops(monkeypatch):
     from oscint import harness
-    from test_certificates import stopped_adaptive_quad
+    from test_certificates import stopped_adaptive_slots
 
-    monkeypatch.setattr("oscint.certificates.adaptive_quad", stopped_adaptive_quad)
+    monkeypatch.setattr("oscint.certificates._adaptive_slots", stopped_adaptive_slots)
     rep = run_suite(ExperimentConfig(suite="T3", quad=QuadConfig(phase_variation_cap=2.8),
                                      options=SMALL_T3))
     lams = [float(l) for key in ("lambda_sound", "cert_sweep")

@@ -345,7 +345,7 @@ def test_quad_config_validation():
 
 def test_adaptive_quad_kinked():
     val, err, converged = adaptive_quad(
-        lambda x: np.minimum(1.0, 0.001 / np.maximum(x, 1e-300)), 0.0, 1.0, rel_tol=1e-9)
+        lambda x: np.minimum(1.0, 0.001 / np.maximum(x, 1e-300)), 0.0, 1.0)
     exact = 0.001 * (1.0 + np.log(1000.0))
     assert abs(val - exact) < 1e-8
     assert converged
@@ -356,8 +356,7 @@ def test_adaptive_quad_segments_split_at_a_kink():
     # 6.3e-13 against an error of 2.5e-8; split there, each segment is smooth
     eps = 0.003920094501613018
     val, err, converged = adaptive_quad(
-        lambda x: np.minimum(1.0, eps / np.maximum(x, 1e-300)), [0.0, eps], [eps, 1.0],
-        rel_tol=1e-9)
+        lambda x: np.minimum(1.0, eps / np.maximum(x, 1e-300)), [0.0, eps], [eps, 1.0])
     exact = eps * (1.0 + np.log(1.0 / eps))
     assert abs(val - exact) <= 1e-12 * exact
     assert err >= abs(val - exact)
@@ -368,7 +367,7 @@ def test_adaptive_quad_flags_a_segment_cap(monkeypatch):
     # one segment cannot hold the kink to 1e-9
     monkeypatch.setattr("oscint.quadrature.ADAPTIVE_MAX_SEGMENTS", 1)
     assert not adaptive_quad(lambda x: np.minimum(1.0, 0.001 / np.maximum(x, 1e-300)),
-                             0.0, 1.0, rel_tol=1e-9)[2]
+                             0.0, 1.0)[2]
 
 
 def test_slots_flag_their_own_segment_cap(monkeypatch):
@@ -395,8 +394,9 @@ def test_slots_keep_their_lone_bits_beside_a_refined_slot():
     assert (val[2], err[2], converged[2]) == (0.0, 0.0, True)
     for k in (0, 1):
         mine = np.array(slot) == k
-        assert (val[k], err[k], converged[k]) == adaptive_quad(
-            fs[k], np.array(a)[mine], np.array(b)[mine], rel_tol=1e-12)
+        lone = _adaptive_slots(lambda x, _: fs[k](x), np.array(a)[mine], np.array(b)[mine], 0, 1,
+                               1e-12, 1e-14)
+        assert (val[k], err[k], converged[k]) == tuple(v[0] for v in lone)
 
 
 def test_a_tiny_slot_meets_its_own_tolerance_beside_a_large_one():
@@ -418,7 +418,7 @@ def test_adaptive_quad_evaluates_whole_rules_only():
         points.append(x.size)
         return np.sqrt(x)
 
-    adaptive_quad(counted, 0.0, 1.0, rel_tol=1e-12)
+    _adaptive_slots(lambda x, _: counted(x), 0.0, 1.0, 0, 1, 1e-12, 1e-14)
     assert len(points) > 1
     assert all(n % 15 == 0 for n in points)
 
