@@ -35,9 +35,11 @@ a large swing, sums of end terms A(y) e^{i lambda f(side, y)}, whose
 amplitudes come from the slices' Levin solutions; the outer integral is
 then ``_levin_halving`` over y on the edge columns, at a cost that grows
 like log lambda.  The rest (small swing, slices short in swing or turning
-inside) runs on swing panels in y whose nodes' x-integrals go through one
+inside) is set aside: a rectangle of small certified swing is one tensor
+Gauss block, at a cost that does not grow with lambda, and any other runs on
+swing panels in y whose nodes' x-integrals go through one
 ``_pieces_integral`` call, at a cost that grows like lambda times its swing
-(details and the estimate in ``osc_integrate_2d``).
+(details and the estimates in ``osc_integrate_2d``).
 
 Every integrator applies one panel rule,
 ``_qk15``: the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose
@@ -64,6 +66,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import PanelBudgetError, PreconditionError
 from .phases import (SIGN_TOL, Phase2D, PhaseFunction, PlanarDomain, _gaps, _rows_at, bernstein,
@@ -554,7 +557,7 @@ def osc_integrate_1d(g: PhaseFunction, lam: float,
 
 
 # ---------------------------------------------------------------------------
-# Two dimensions: Levin in y over the slices' end terms, outer panels near zero
+# Two dimensions: Levin in y over the slices' end terms, blocks or panels near zero
 # ---------------------------------------------------------------------------
 
 # the outer Levin samples: the order-16 collocation points, then the QK15 nodes
@@ -748,7 +751,8 @@ def _levin_in_y(g: Phase2D, lam: float, cfg: QuadConfig):
 
 def _slices_in_y(g: Phase2D, lam: float, lo, hi, cfg: QuadConfig):
     """The integral over the y-pieces [lo_i, hi_i] by swing panels in y,
-    each integrated by QK15 over its 15 nodes.
+    each integrated by QK15 over its 15 nodes: the set-aside rectangles
+    whose swing passes ``BLOCK_SWING``.
 
     The x-integrals at the nodes, the slices, are 1D integrals: all of them
     go through one ``_pieces_integral`` call, one slot per slice, with
@@ -781,33 +785,104 @@ def _slices_in_y(g: Phase2D, lam: float, lo, hi, cfg: QuadConfig):
     return complex(o_re.sum(), o_im.sum()), float(err), int(used.sum()), bool(converged.all())
 
 
+BLOCK_SWING = 200.0  # set-aside rectangles of certified swing up to this are tensor blocks
+# a 32-point Gauss-Legendre panel integrates e^{i c t} over [-1, 1] to rounding
+# for |c| <= 30, so a block's panel takes a linear phase of swing up to 60
+_PANEL_SWING = 60.0
+_BLOCK_POINTS = 1 << 16  # nodes per evaluation: 512 KB per real array
+_GL32 = leggauss(32)
+
+
+def _gauss_panels(m: int, rule=_GL32, lo: float = -1.0, hi: float = 1.0):
+    """Nodes and weights of m composite panels on [lo, hi] of the Gauss rule
+    ``rule``, its (nodes, weights) on [-1, 1]."""
+    t, w = rule
+    edges = np.linspace(lo, hi, m + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
+    return (mid[:, None] + half * t[None, :]).ravel(), np.tile(w * half, m)
+
+
+def _blocks(g: Phase2D, lam: float, lo, hi, m, f_abs):
+    """The summed integrals and estimates over the rectangles [ax, bx] x
+    [lo_i, hi_i], each by a tensor rule of m[i] = (m_x, m_y) composite
+    32-point Gauss-Legendre panels along x and y, and again at 2m (an
+    embedded pair): the finer sum is the value, and |Q(2m) - Q(m)| plus the
+    rounding of the sums and of lam f (|f| <= ``f_abs[i]``) the estimate.
+    Blocks of one m are evaluated together, ``_BLOCK_POINTS`` nodes at a time.
+    """
+    d = g.domain
+    xmid, xhalf = 0.5 * (d.ax + d.bx), 0.5 * (d.bx - d.ax)
+    ymid, yhalf = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    value, err = 0j, 0.0
+    for mx, my in sorted(set(map(tuple, m.tolist()))):
+        k = (m == (mx, my)).all(axis=1)
+        q = []
+        for n in (1, 2):
+            (tx, wx), (ty, wy) = _gauss_panels(n * mx), _gauss_panels(n * my)
+            x = xmid + xhalf * tx
+            y = (ymid[k, None] + yhalf[k, None] * ty).ravel()
+            rows = np.empty(y.size, dtype=complex)
+            step = max(1, _BLOCK_POINTS // x.size)
+            for a in range(0, y.size, step):
+                th = lam * g.eval_fn((0, 0), x[None, :], y[a:a + step, None])
+                rows[a:a + step] = np.cos(th) @ wx + 1j * (np.sin(th) @ wx)
+            q.append(rows.reshape(-1, ty.size) @ wy * (xhalf * yhalf[k]))
+        rounding = _EPS * 4.0 * xhalf * yhalf[k] * (64 * (mx + my) + abs(lam) * f_abs[k])
+        value += q[1].sum()
+        err += float(np.sum(np.abs(q[1] - q[0]) + rounding))
+    return complex(value), err
+
+
 def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
     """Iterated integration over the rectangle ``g.domain``.
 
     The outer variable is y, or x when the edge rows of f swing less than
     its edge columns (``_outer_second``).  ``_levin_in_y`` integrates over
     the y-pieces where every slice is monotone with a large swing, at a
-    cost that grows like log lam.  The pieces it sets aside (swing at most
+    cost that grows like log lam.  It sets aside the rest (swing at most
     ``LEVIN_SWING``, a slice short in swing or turning inside, or a side
-    term neither Levin nor QK15 meets) go to ``_slices_in_y``'s swing
-    panels, at a cost that grows like lam times their swing.
+    term neither Levin nor QK15 meets), the rectangles [ax, bx] x [lo, hi].
+    Where the tensor Bernstein coefficients of f bound the swing of lam f by
+    ``BLOCK_SWING``, a rectangle is a block (``_blocks``) of m =
+    ceil(|lam| s h / _PANEL_SWING) panels along each axis, s the greatest
+    Bernstein coefficient of |d f| along it and h the side.  Those are
+    n / h times differences of f's, so along an axis of degree n,
+    m <= ceil(n BLOCK_SWING / _PANEL_SWING) at any lam.  A rectangle of
+    larger swing goes to ``_slices_in_y``'s swing panels, at a cost that
+    grows like lam times its swing.
 
     Estimate: on the Levin part, each accepted y-piece's side-term
     estimates (held to ``cfg.rel_tol`` per unit width) plus its largest
-    slice estimate times its width; on the panel part, the outer
-    |K15 - G7| plus the largest slice estimate times the part's height.
-    ``panels_used`` counts the slices' panels and Levin pieces and the
-    accepted outer pieces, and ``converged`` is False when a slice's
-    refinement stopped over tolerance.  Every slice counts against
-    ``cfg.max_panels``; the panel part raises PANEL_BUDGET before any of its
-    slices is integrated when they alone would pass what is left.
+    slice estimate times its width; on a block, its embedded pair's
+    difference plus rounding; on the panel part, the outer |K15 - G7| plus
+    the largest slice estimate times the part's height.  ``panels_used``
+    counts the slices' panels and Levin pieces, the accepted outer pieces
+    and each block as one (as the profile reduction counts its head), and
+    ``converged`` is False when a slice's refinement stopped over
+    tolerance.  Every slice and block counts against ``cfg.max_panels``; the
+    panel part raises PANEL_BUDGET before any of its slices is integrated
+    when they alone would pass what is left.
     """
     if lam == 0.0:
         return QuadResult(complex(g.domain.area, 0.0), 0.0, 0, 0.0)
     g = _outer_second(g)
     SL, SR, value, err, used, converged = _levin_in_y(g, lam, cfg)
-    if SL.size:
-        v, e, u, c = _slices_in_y(g, lam, SL, SR,
+    d = g.domain
+    # Bernstein coefficients on each set-aside rectangle, along x, then along y
+    rect = lambda o: bernstein(bernstein(g._matrix(o).T, d.ax, d.bx).T, SL[:, None], SR[:, None])
+    B = rect((0, 0))
+    block = abs(lam) * (B.max(axis=(1, 2)) - B.min(axis=(1, 2))) <= BLOCK_SWING
+    if block.any():
+        used += int(block.sum())
+        _check_budget(np.array([used]), cfg.max_panels, np.array([abs(lam)]), np.zeros(1))
+        sx, sy = (np.abs(rect(o)[block]).max(axis=(1, 2)) for o in ((1, 0), (0, 1)))
+        m = np.ceil(abs(lam) * np.stack([sx * (d.bx - d.ax), sy * (SR - SL)[block]], axis=1)
+                    / _PANEL_SWING)
+        m = np.maximum(m, 1).astype(int)
+        v, e = _blocks(g, lam, SL[block], SR[block], m, np.abs(B[block]).max(axis=(1, 2)))
+        value, err = value + v, err + e
+    if not block.all():
+        v, e, u, c = _slices_in_y(g, lam, SL[~block], SR[~block],
                                   replace(cfg, max_panels=max(1, cfg.max_panels - used)))
         value, err, used, converged = value + v, err + e, used + u, converged and c
     return QuadResult(value, float(err + 8.0 * _EPS * g.domain.area), used, float(lam), converged)

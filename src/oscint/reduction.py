@@ -39,7 +39,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import PreconditionError
 from .phases import Phase2D, unit_square
-from .quadrature import _EPS, _LEVIN_24, DEFAULT_CONFIG, QuadResult, _pieces_integral
+from .quadrature import (_EPS, _LEVIN_24, DEFAULT_CONFIG, QuadResult, _gauss_panels,
+                         _pieces_integral)
 
 DIRECT_SWITCH = 48.0
 # the tail's tolerance per unit length of u = ln y, times |head| + |power term|
@@ -50,17 +51,7 @@ TAIL_RTOL = 1e-14
 PROFILE_ERR = 2e-15
 
 
-def _direct_rule():
-    nodes, weights = leggauss(64)
-    edges = np.linspace(0.0, 1.0, 7)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    pts = (mid[:, None] + half * nodes[None, :]).ravel()
-    wts = np.tile(weights * half, 6)
-    return pts, wts
-
-
-_DIRECT_RULE = _direct_rule()
+_DIRECT_RULE = _gauss_panels(6, leggauss(64), 0.0, 1.0)
 
 
 def monomial_profile(k: int, w) -> np.ndarray:
@@ -85,10 +76,13 @@ def monomial_profile(k: int, w) -> np.ndarray:
     big = ~small
     if small.any():
         # fixed composite Gauss: swing at most DIRECT_SWITCH, 6x64 nodes ample;
-        # an elementwise sum, as a matrix product would wake a second BLAS thread
+        # an elementwise sum, as a matrix product would wake a second BLAS
+        # thread, 64 values of w at a time (390 KB per complex array)
         pts, wts = _DIRECT_RULE
         xk = pts**k
-        out[small] = (np.exp(1j * w[small][:, None] * xk[None, :]) * wts).sum(axis=1)
+        ws = w[small]
+        out[small] = np.concatenate([(np.exp(1j * ws[a:a + 64, None] * xk) * wts).sum(axis=1)
+                                     for a in range(0, ws.size, 64)])
     if big.any():
         awb = aw[big]
         # full line: int_0^inf e^{i|w|x^k} dx = Gamma(1+1/k) e^{i pi/(2k)} |w|^(-1/k)

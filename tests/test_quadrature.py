@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import mpmath as mp
@@ -35,13 +36,17 @@ from oscint.quadrature import (
     _NODES,
     _WG,
     _WK,
+    BLOCK_SWING,
     DEFAULT_CONFIG,
     LEVIN_SWING,
+    _PANEL_SWING,
     _adaptive_slots,
+    _blocks,
     _kronrod,
     _levin,
     _outer_second,
     _refine,
+    _slices_in_y,
     _slot_sums,
     _swing_panels,
 )
@@ -678,12 +683,38 @@ def test_2d_interior_stationary_point_against_mpmath():
         assert abs(res.value - oracle) <= 1e-10 * abs(oracle), cfg
 
 
-def test_2d_work_grows_linearly_in_lambda():
-    # the outer panels halve dyadically, so their count may round up to twice
-    # lam / cap; each carries 15 slices of bounded work
+@pytest.fixture
+def parts(monkeypatch):
+    """The set-aside rectangles of each osc_integrate_2d call: the blocks as
+    (lo, hi, panels per axis) and the swing-panel part as (lo, hi)."""
+    seen = {"blocks": [], "slices": []}
+
+    def blocks(g, lam, lo, hi, m, f_abs):
+        seen["blocks"].append((lo, hi, m))
+        return _blocks(g, lam, lo, hi, m, f_abs)
+
+    def slices(g, lam, lo, hi, cfg):
+        seen["slices"].append((lo, hi))
+        return _slices_in_y(g, lam, lo, hi, cfg)
+
+    monkeypatch.setattr("oscint.quadrature._blocks", blocks)
+    monkeypatch.setattr("oscint.quadrature._slices_in_y", slices)
+    return seen
+
+
+def test_2d_work_grows_linearly_in_lambda(parts):
+    # Levin in y and its slices take the large swing, and what it sets aside
+    # near y = 0 is blocks, each counted as one: lam 1e3 may cost at most
+    # twenty times lam 1e2.  A block's own work is bounded by the cap: along
+    # each axis of degree 1 at most ceil(BLOCK_SWING / _PANEL_SWING) panels
+    cap = math.ceil(BLOCK_SWING / _PANEL_SWING)
     for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
         lo, hi = (osc_integrate_2d(xy_phase(), lam, cfg=cfg).panels_used for lam in (1e2, 1e3))
         assert hi <= 2 * 10 * lo, cfg
+    assert parts["blocks"] and not parts["slices"]
+    for _, _, m in parts["blocks"]:
+        nodes = 32**2 * (m.prod(axis=1) + (2 * m).prod(axis=1))  # the rule at m and at 2m
+        assert (nodes <= 5 * 32**2 * cap**2).all()
 
 
 # T3's three phases are F(xy) on the unit square: (phase, its oracle); (xy)^2 / 2
@@ -717,7 +748,8 @@ def test_2d_t3_phases_against_the_log_oracle(name, lam):
 @pytest.mark.parametrize("name", ["xy", "P(xy)", "x3_y2"])
 def test_2d_work_barely_grows_from_1e4_to_1e6(name):
     # Levin in y over the slices' end terms: the y-pieces grow like log lam,
-    # and the swing panels near y = 0 cover a swing that does not grow
+    # and the rectangles set aside near y = 0, whose swing does not grow, are
+    # blocks that count one each
     f2, oracle = {
         "xy": (xy_phase(), xy_square_integral),
         "P(xy)": (_XY_D2, lambda lam: product_monomial_integral(_XY_D2, lam).value),
@@ -730,6 +762,79 @@ def test_2d_work_barely_grows_from_1e4_to_1e6(name):
             assert abs(res.value - oracle(lam)) <= res.error_estimate, (cfg, lam)
             used.append(res.panels_used)
         assert used[1] <= 4 * used[0], cfg
+
+
+# the phases whose set-aside rectangles are blocks: (phase, oracle, degrees in x and y)
+_BLOCK_PHASES = {
+    "xy": (xy_phase(), xy_square_integral, (1, 1)),
+    "P(xy)": (_XY_D2, lambda lam: product_monomial_square_integral(2, 2, 0.5 * lam), (2, 2)),
+    "x3_y2": (_X3_Y2, partial(product_monomial_square_integral, 3, 2), (3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_PHASES))
+def test_2d_blocks_hold_their_estimate_between_grid_points(name, parts):
+    # the bench shifts the packaged grids by seeded fractions of a step, so
+    # the blocks are checked at lambdas between any grid's points; each
+    # set-aside rectangle is a block, with at most ceil(n BLOCK_SWING /
+    # _PANEL_SWING) panels along an axis of degree n
+    f2, oracle, degrees = _BLOCK_PHASES[name]
+    for lam in np.geomspace(10.0, 1e4, 60):
+        res = osc_integrate_2d(f2, lam)
+        assert abs(res.value - oracle(lam)) <= res.error_estimate, lam
+    assert parts["blocks"] and not parts["slices"]
+    m = np.concatenate([m for _, _, m in parts["blocks"]])
+    assert (m <= np.ceil(np.array(degrees) * BLOCK_SWING / _PANEL_SWING)).all()
+
+
+# every slice of (x - 1/2)^2 y turns at x = 1/2, so all of [0, 1] is set aside
+_TURNS_AT_HALF = product_phase(polynomial_phase([0.25, -1.0, 1.0]), monomial(1, (0.0, 1.0)))
+
+
+def test_2d_blocks_and_swing_panels_in_one_call(parts):
+    # at lambda 1e3 the set-aside rectangles below y = 3/8 are certified under
+    # BLOCK_SWING and become blocks, the rest goes to the swing panels
+    res = osc_integrate_2d(_TURNS_AT_HALF, 1e3)
+    oracle = shifted_square_ramp_integral(1e3, 0.5)
+    [(b_lo, b_hi, _)], [(s_lo, s_hi)] = parts["blocks"], parts["slices"]
+    assert b_hi.max() == s_lo.min() == 0.375
+    assert b_lo.min() == 0.0 and s_hi.max() == 1.0
+    assert res.converged
+    assert abs(res.value - oracle) <= res.error_estimate
+    assert abs(res.value - oracle) <= 1e-10 * abs(oracle)
+
+
+def test_block_estimate_is_its_pair_difference():
+    # xy over the square at lambda 100 turns up to 100 rad across one 32-point
+    # panel per axis, past what the rule resolves, and 50 across each of two:
+    # the estimate is the coarse sum's error, and the finer sum is the value
+    oracle = xy_square_integral(100.0)
+    est = []
+    for m in (1, 2):
+        value, err = _blocks(xy_phase(), 100.0, np.array([0.0]), np.array([1.0]),
+                             np.array([[m, m]]), np.array([1.0]))
+        assert abs(value - oracle) <= min(err, 1e-14)
+        est.append(err)
+    assert est[0] > 1e-6 and est[1] < 1e-12
+
+
+def test_2d_a_block_counts_as_one_panel(parts):
+    # at lambda 10 the whole square is one block; at 400 the turning slices
+    # leave four, which a budget of three refuses
+    assert osc_integrate_2d(xy_phase(), 10.0, cfg=QuadConfig(max_panels=1)).panels_used == 1
+    assert osc_integrate_2d(_TURNS_AT_HALF, 400.0, cfg=QuadConfig(max_panels=4)).panels_used == 4
+    with pytest.raises(PanelBudgetError):
+        osc_integrate_2d(_TURNS_AT_HALF, 400.0, cfg=QuadConfig(max_panels=3))
+    assert [lo.size for lo, _, _ in parts["blocks"]] == [1, 4]
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_PHASES))
+def test_2d_negative_lambda_gives_the_conjugate(name, parts):
+    f2 = _BLOCK_PHASES[name][0]
+    for lam in (30.0, 300.0, 1e4):
+        pos, neg = osc_integrate_2d(f2, lam), osc_integrate_2d(f2, -lam)
+        assert abs(neg.value - pos.value.conjugate()) <= pos.error_estimate + neg.error_estimate
+    assert len(parts["blocks"]) == 6 and not parts["slices"]
 
 
 def test_2d_takes_the_outer_variable_of_smaller_swing():

@@ -117,6 +117,15 @@ def test_profile_vectorized():
             assert abs(v - q.value) < 1e-9
 
 
+def test_profile_is_summed_in_chunks_with_the_bits_of_one_sum():
+    # the rule is summed 64 values of w at a time; each value's row is its own
+    w = np.linspace(-DIRECT_SWITCH, DIRECT_SWITCH, 301)
+    pts, wts = _DIRECT_RULE
+    for k in (2, 5):
+        whole = (np.exp(1j * w[:, None] * pts[None, :] ** k) * wts).sum(axis=1)
+        assert np.array_equal(monomial_profile(k, w), whole)
+
+
 @pytest.mark.parametrize("lam", [10.0, 30.0, 1e3, 1e5, 1e6, 1e12])
 def test_xy_reduction_vs_closed_form(lam):
     res = product_monomial_integral(xy_phase(), lam)
