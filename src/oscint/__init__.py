@@ -90,6 +90,7 @@ from .quadrature import (
     osc_integrate_1d,
     osc_integrate_1d_sweep,
     osc_integrate_2d,
+    osc_integrate_2d_sweep,
 )
 from .sublevel import (
     OscToSublevelConstant,

@@ -527,30 +527,36 @@ def certify_1d(f: PhaseFunction, P: Polynomial | PowerTransform, lam: float,
 # ---------------------------------------------------------------------------
 
 
-def _x_start(f: Phase2D, gamma: float) -> float | None:
-    """The least x of the rectangle whose slice reaches |d_y f| >= gamma, or
-    None.  Under N2 = 2, d_y f is monotone along each slice, so its largest
-    modulus sits at y = ay or y = by: ``ax`` itself, or the least root in
-    (ax, bx) of the rows d_y f(., ay) -/+ gamma and d_y f(., by) -/+ gamma,
-    bisected to the last bit from a bracket around it."""
+def _x_starts(f: Phase2D, gammas) -> list[float | None]:
+    """Per gamma of ``gammas``, the least x of the rectangle whose slice
+    reaches |d_y f| >= gamma, or None.  Under N2 = 2, d_y f is monotone
+    along each slice, so its largest modulus sits at y = ay or y = by:
+    ``ax`` itself, or the least root in (ax, bx) of the rows
+    d_y f(., ay) -/+ gamma and d_y f(., by) -/+ gamma, bisected to the last
+    bit from a bracket around it.  The four rows of every gamma go through
+    one ``real_roots`` call and every bracket through one
+    ``solve_brackets`` call."""
     dom = f.domain
+    gammas = np.asarray(gammas, dtype=float)
     y_ends = np.array([dom.ay, dom.by])
 
-    def margin(x, _=None):
+    def margin(x, i):
         # <= 0 where the slice at x reaches gamma
-        return gamma - np.abs(f.eval_fn((0, 1), x[:, None], y_ends[None, :])).max(axis=1)
+        return gammas[i] - np.abs(f.eval_fn((0, 1), x[:, None], y_ends[None, :])).max(axis=1)
 
-    if margin(np.array([dom.ax]))[0] <= 0.0:
-        return dom.ax
-    rows = np.repeat(f.rows_in_x((0, 1), y_ends), 2, axis=0)
-    rows[:, 0] -= np.tile([gamma, -gamma], 2)
-    x = real_roots(rows, dom.ax, dom.bx)[1]
-    if not x.size:
-        return None
-    x0 = x.min()
-    h = 1e-9 * (1.0 + abs(x0))
-    return float(solve_brackets(margin, max(dom.ax, x0 - h), min(dom.bx, x0 + h), False,
-                                xtol=0.0)[1][0])
+    n = gammas.size
+    at_ax = margin(np.full(n, dom.ax), np.arange(n)) <= 0.0
+    rows = np.tile(np.repeat(f.rows_in_x((0, 1), y_ends), 2, axis=0), (n, 1))
+    rows[:, 0] -= np.repeat(gammas, 4) * np.tile([1.0, -1.0], 2 * n)
+    row, x = real_roots(rows, dom.ax, dom.bx)
+    x0 = np.full(n, np.inf)
+    np.minimum.at(x0, row // 4, x)
+    k = np.flatnonzero(~at_ax & (x0 < np.inf))
+    h = 1e-9 * (1.0 + np.abs(x0[k]))
+    start = np.where(at_ax, dom.ax, np.nan)
+    start[k] = solve_brackets(lambda x, i: margin(x, k[i]), np.maximum(dom.ax, x0[k] - h),
+                              np.minimum(dom.bx, x0[k] + h), False, xtol=0.0)[1]
+    return [None if np.isnan(x) else x for x in start.tolist()]
 
 
 def _runs(f: Phase2D, xs: np.ndarray, gamma: np.ndarray,
@@ -594,7 +600,7 @@ def certify_2d_sweep(f: Phase2D, P: Polynomial, lams: Sequence[float]) -> list[C
     The domain splits where |d_y f| crosses gamma = |lambda|^(-1/(2d)).
 
     The large side comes from roots, with no scan: it starts at
-    ``_x_start``, each sampled slice's runs come from ``_runs``, and their
+    ``_x_starts``, each sampled slice's runs come from ``_runs``, and their
     monotone pieces of orders up to N2 and up to 1 from one
     ``phases.monotone_rows`` call over the slices' coefficient columns;
     runs and pieces are flat (job, lo, hi) arrays.  The runs are certified
@@ -639,8 +645,7 @@ def certify_2d_sweep(f: Phase2D, P: Polynomial, lams: Sequence[float]) -> list[C
     # slice sits at the region boundary (where the slice derivative bound is
     # exactly gamma), so cluster samples against it.
     xs = []
-    for gamma in gammas:
-        x0 = _x_start(f, gamma)
+    for x0 in _x_starts(f, gammas):
         x = np.zeros(0) if x0 is None else np.sort(np.concatenate([
             [x0], x0 + (bx - x0) * np.geomspace(1e-8, 1.0, SLICE_SAMPLES),
             np.linspace(x0, bx, SLICE_SAMPLES)]))
@@ -656,13 +661,16 @@ def certify_2d_sweep(f: Phase2D, P: Polynomial, lams: Sequence[float]) -> list[C
                          lambda order, y, j: f.eval_fn((0, order), job_x[j], y),
                          outer, per_job(lams), per_job(eps), per_job(gammas),
                          [None] * job_slice.size)
-    per_slice: list[list[CertPiece]] = [[] for _ in xs]
-    for k, (ps, _) in zip(job_slice.tolist(), results):
-        per_slice[k].extend(ps)
+    # each slice's total, its jobs' bounds summed in job order; per lambda
+    # the worst slice is the first of largest total, none where all are 0
+    totals = np.bincount(np.repeat(job_slice, [len(ps) for ps, _ in results]),
+                         [p.bound for ps, _ in results for p in ps], xs.size)
+    ends = np.cumsum(np.bincount(slice_lam, minlength=len(lams))).tolist()
     worst_pieces: list[list[CertPiece]] = [[] for _ in lams]
-    for i, ps in zip(slice_lam.tolist(), per_slice):
-        if sum(p.bound for p in ps) > sum(p.bound for p in worst_pieces[i]):
-            worst_pieces[i] = ps
+    for i, (a, b) in enumerate(zip([0] + ends[:-1], ends)):
+        if b > a and totals[a:b].max() > 0.0:
+            w = a + int(np.argmax(totals[a:b]))
+            worst_pieces[i] = [p for j in np.flatnonzero(job_slice == w) for p in results[j][0]]
 
     # region 2: |d_y f| < gamma, charged by measure
     gamma_strict = np.array(gammas) * (1.0 - 1e-12)

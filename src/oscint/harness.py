@@ -8,15 +8,16 @@ environment stamp lives in the JSON report only.
 The runners share their steps, which work on whole lambda grids: a 1D grid
 is integrated by one `osc_integrate_1d_sweep` call (`_integrals`), and a
 composition case certifies its soundness grid and its certificate sweep in
-one `certify_1d_sweep` run (`_composition_case`), a T3 case all its lambdas
-in one `certify_2d_sweep` call; only planar integrals are still made one
-lambda at a time.  `_soundness_sweep` turns a grid's integrals and
-certificates into rows (1D and planar), noting in `unconverged`, lambda by
-lambda, each integral and then each certificate whose quadrature stopped
-over tolerance; `_reduction_sweep` runs the profile reduction with its
-planar cross-check and notes both so, `_value_row` and `_sample` turn an
-integral into a row and a decay sample, and `_rate_check` fits a decay
-exponent and judges it.
+one `certify_1d_sweep` run (`_composition_case`), and a T3 case integrates
+its grid in one `osc_integrate_2d_sweep` call and certifies all its lambdas
+in one `certify_2d_sweep` call.  `_soundness_sweep` turns a grid's
+integrals and certificates into rows (1D and planar), noting in
+`unconverged`, lambda by lambda, each integral and then each certificate
+whose quadrature stopped over tolerance; `_reduction_sweep` runs the
+profile reduction with its planar cross-check, one `osc_integrate_2d_sweep`
+call, and notes both so, `_value_row` and `_sample` turn an integral into a
+row and a decay sample, and `_rate_check` fits a decay exponent and judges
+it.
 
 Suites:
   T1     polynomial composition under a decay hypothesis (general mode)
@@ -62,7 +63,7 @@ from .polynomials import (
     estimate_B,
     young_cover,
 )
-from .quadrature import QuadConfig, osc_integrate_1d_sweep, osc_integrate_2d
+from .quadrature import QuadConfig, osc_integrate_1d_sweep, osc_integrate_2d_sweep
 from .reduction import product_monomial_integral
 from .sublevel import band_sets, osc_to_sublevel_constant, sublevel_2d_sweep
 
@@ -298,9 +299,10 @@ def _reduction_sweep(suite, case, f2, lam_grid, cross_lams, quad_cfg, unconverge
              for lam in map(float, lam_grid)]
     rows = [_value_row(suite, case, q) for q in quads]
     diffs = []
-    for lam in map(float, cross_lams):
+    cross_lams = [float(lam) for lam in cross_lams]
+    for lam, quad in zip(cross_lams, osc_integrate_2d_sweep(f2, cross_lams, cfg=quad_cfg)):
         red = product_monomial_integral(f2, lam).value
-        quad = _checked(osc_integrate_2d(f2, lam, cfg=quad_cfg), case, unconverged)
+        quad = _checked(quad, case, unconverged)
         diff = abs(red - quad.value) / max(abs(quad.value), 1e-300)
         diffs.append((diff, lam))
         rows.append(_value_row(suite, case, quad,
@@ -440,7 +442,7 @@ def _run_t3(cfg: ExperimentConfig, unconverged: list) -> tuple[list[dict], list[
         name = case["name"]
         # one-term phases reach higher lambda through the profile reduction
         lams = [float(lam) for lam in lam_grid]
-        quads = [osc_integrate_2d(composed, lam, cfg=cfg.quad) for lam in lams]
+        quads = osc_integrate_2d_sweep(composed, lams, cfg=cfg.quad)
         hi_lams = [float(lam) for lam in case.get("hi_rows", ())]
         quads += [product_monomial_integral(composed, lam) for lam in hi_lams]
         certs = certify_2d_sweep(f2, P, [*(q.lam for q in quads), *map(float, cert_grid)])

@@ -24,35 +24,31 @@ every oscillatory 1D integral of the package, a planar slice or the
 reduction's tail too, is one of its slots.  ``osc_integrate_1d_sweep`` gives
 each lambda of a grid one slot over the phase's monotone pieces, so a whole
 grid is one call; ``osc_integrate_1d`` is its one-element call.  Slots are
-grouped in runs, each the work of one call on its own (a lambda of a sweep,
-or all the slices of one 2D integral), and runs decide budgets only: each
-run has the whole panel budget.  Every panel's and piece's products are its
-own (``_rowwise``), so a lambda gets the same bits in any sweep as alone.
+grouped in runs, each the work of one lambda of a sweep, and runs decide
+budgets only: each run has its own panel budget.  Every panel's and piece's
+products are its own (``_rowwise``), so a lambda gets the same bits in any
+sweep as alone.
 
 In two dimensions (Levin's planar scheme, same paper) the slice integrals
-I(y) = int e^{i lambda f(x, y)} dx are, where every slice is monotone with
-a large swing, sums of end terms A(y) e^{i lambda f(side, y)}, whose
-amplitudes come from the slices' Levin solutions; the outer integral is
-then ``_levin_halving`` over y on the edge columns, at a cost that grows
-like log lambda.  The rest (small swing, slices short in swing or turning
-inside) is set aside: a rectangle of small certified swing is one tensor
-Gauss block, at a cost that does not grow with lambda, and any other runs on
-swing panels in y whose nodes' x-integrals go through one
-``_pieces_integral`` call, at a cost that grows like lambda times its swing
-(details and the estimates in ``osc_integrate_2d``).
+are, where every slice is monotone with a large swing, sums of end terms
+A(y) e^{i lambda f(side, y)}; the outer integral is ``_levin_halving`` over
+y on the edge columns, at a cost that grows like log lambda.  The rest is
+set aside: tensor Gauss blocks where its swing is small, swing panels in y
+elsewhere.  ``osc_integrate_2d_sweep`` takes a grid of lambdas in one pass,
+each a slot and a run of its own, and ``osc_integrate_2d`` is its
+one-element call (details and the estimates in ``osc_integrate_2d_sweep``).
 
-Every integrator applies one panel rule,
-``_qk15``: the nested Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose
-value is the 15-point Kronrod sum and whose error estimate is its distance
-from the 7-point Gauss sum, which reuses 7 of the same 15 samples; the
-integrators that sample their own panels call it through ``_kronrod``.  One
-refiner, ``_refine``, halves the panels whose estimate exceeds their share
-of the tolerance and evaluates only the halves.  With the default cap of
-pi/2 the Kronrod value is exact to machine precision, so the estimate
-bounds the error generously.  The smooth integrands (slice measures, the
-``C_delta`` transform) go through ``_adaptive_slots``: many integrals at
-once, one per slot, each held to its own tolerance relative to its own
-total, with its own caps and flag; ``adaptive_quad`` is its one-slot call.
+Every integrator applies one panel rule, ``_qk15``: the nested
+Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose value is the 15-point Kronrod
+sum and whose error estimate is its distance from the 7-point Gauss sum on 7
+of the same 15 samples; the integrators that sample their own panels call
+it through ``_kronrod``.  One refiner, ``_refine``, halves the panels whose
+estimate exceeds their share of the tolerance and evaluates only the
+halves.  With the default cap of pi/2 the Kronrod value is exact to machine
+precision, so the estimate bounds the error generously.  Smooth integrands
+(slice measures, ``C_delta``) go through ``_adaptive_slots``: one integral
+per slot, each held to its own tolerance relative to its own total, with its
+own caps and flag; ``adaptive_quad`` is its one-slot call.
 
 Evaluation is vectorised and chunked; summation order is fixed (panels
 left to right within a slot, Levin pieces in the order they are accepted),
@@ -162,14 +158,11 @@ def _swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels, run=None)
     """Halve the panels [lo_i, hi_i] until each swing is at most ``cap``.
 
     ``vmap(x, s)`` maps n points and their slots to n values or to an (n, k)
-    array; a panel's swing is lam_abs[s] * max_k |v(right) - v(left)|, with
-    ``lam_abs`` the |lambda| of each slot, and the panels cut from
-    [lo_i, hi_i] keep its slot ``slot[i]``.  Endpoint values are kept, so
-    each pass evaluates only the new midpoints.  Returns the (left, right,
-    slot) arrays, sorted by slot, then left end.  ``run[s]`` is slot s's run
-    (all slots are one run by default), and ``max_panels`` is one budget for
-    every run or one per run: PANEL_BUDGET is raised before a run's panels
-    would pass its budget.
+    array; a panel's swing is lam_abs[s] * max_k |v(right) - v(left)|, and
+    the panels cut from [lo_i, hi_i] keep its slot ``slot[i]``.  Each pass
+    evaluates only the new midpoints.  Returns the (left, right, slot)
+    arrays, sorted by slot, then left end.  PANEL_BUDGET is raised before a
+    run's panels would pass ``max_panels`` (one budget, or one per run).
     """
     L, R = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
@@ -219,14 +212,9 @@ def _qk15(half, parts):
 
 
 def _kronrod(fvec, L: np.ndarray, R: np.ndarray, S: np.ndarray):
-    """QK15 on the panels [L_i, R_i] of slots S_i: each panel's K15 sum and |K15 - G7|.
-
+    """``_qk15`` on the panels [L_i, R_i] of slots S_i, _CHUNK at a time:
     ``fvec(x, s)`` maps the flat nodes x, 15 consecutive ones per panel, and
-    their panels' slots s to samples: a real array or a (real, imaginary)
-    pair of them.  Returns ``(val, err)`` from ``_qk15``: ``val[p]`` holds
-    part p's sums, and both are per panel.  Panels are evaluated _CHUNK at a
-    time to bound memory.
-    """
+    their panels' slots s to a real array or a (real, imaginary) pair."""
     n = L.size
     val, err = None, np.empty(n)
     for a in range(0, max(n, 1), _CHUNK):  # with no panels, one empty chunk sets the shapes
@@ -246,21 +234,17 @@ def _refine(fvec, L, R, S, n_slots: int, density, max_splits: int, max_panels, r
     """``_kronrod`` on the panels [L_i, R_i] of slots S_i, one of
     0..n_slots-1, halving those over tolerance.
 
-    A panel just evaluated is over tolerance when its error exceeds its
-    slot's tolerance per unit width times its width.  ``density`` is that
-    tolerance, one number for every slot, or a function of the per-slot
-    totals over all current panels (an array of part by slot, from
-    ``_slot_sums``, so a lone slot reads ``np.sum`` of its panels) giving
-    one per slot; a constant never pays for the totals.  Only the halves are
-    evaluated next, and they keep their panel's slot.  ``run[s]`` is slot
-    s's run (all slots are one run by default) and ``max_panels`` one budget
-    for every run or one per run.  A run stops halving after ``max_splits``
-    rounds, or before its panel count would pass its budget; its panels are
-    then kept as they are.  A slot's decisions read only its own panels, so
-    each slot halves as it would alone in a run of its own.  Returns (val,
-    err, slot, converged) with the panels ordered by slot, then left end
-    (input so ordered is kept as it is); ``converged[s]`` is False when a
-    stop left panels of slot s over tolerance.
+    A panel is over tolerance when its error exceeds its slot's tolerance
+    per unit width, ``density``, times its width: one number, or a function
+    of the per-slot totals over all current panels (part by slot, from
+    ``_slot_sums``) giving one per slot.  Only the halves are evaluated
+    next.  ``run[s]`` is slot s's run; a run stops halving after
+    ``max_splits`` rounds, or before its panel count would pass
+    ``max_panels`` (one budget, or one per run), keeping its panels as they
+    are.  A slot's decisions read only its own panels.  Returns (val, err,
+    slot, converged) with the panels ordered by slot, then left end;
+    ``converged[s]`` is False when a stop left panels of slot s over
+    tolerance.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(S, dtype=np.intp)
@@ -342,23 +326,18 @@ _LEVIN_CHUNK = 128
 def _levin(colloc, gd, h, lam, L, R, GL, GR, S):
     """Levin collocation for int_{L_i}^{R_i} h e^{i lam g} dx on each piece.
 
-    ``gd(x, s)`` evaluates g' and ``h(x, s)`` the smooth amplitude of the
-    pieces' slots ``s``, and ``lam[s]`` is the slot's lambda.  The
-    non-oscillatory solution of p' + i lam g' p = h gives the integral
-    p(R) e^{i lam g(R)} - p(L) e^{i lam g(L)}; p is collocated on the
-    Chebyshev-Lobatto points of ``colloc``, a ``_collocation`` set, in one
-    batched solve.  The computed p has the residual
-    rho = p' + i lam g' p - h, and the value's error is exactly
-    int rho e^{i lam g} dx; the estimate is int |rho| dx by QK15 (``_NODES``,
-    where rho is sampled through the interpolant), plus the rounding of the
-    solve and of the phase arguments lam g(L), lam g(R).  A piece on which
-    g' does not keep one sign, beyond ``SIGN_TOL``, at every collocation
-    point and node holds or touches a zero of g', where no non-oscillatory
-    solution exists: it is not solved, and its estimate is infinite.  Each
-    piece's residual products are its own (``_rowwise``), as its solve is, so
-    a piece's value and estimate do not depend on the pieces solved with it.
-    Returns per piece the value, the estimate and p at L and at R (0 on an
-    unsolved piece).
+    ``gd(x, s)`` evaluates g' and ``h(x, s)`` the amplitude of the pieces'
+    slots ``s``, whose lambda is ``lam[s]``.  The non-oscillatory solution
+    of p' + i lam g' p = h, collocated on the Lobatto points of ``colloc``
+    (a ``_collocation`` set) in one batched solve, gives the integral
+    p(R) e^{i lam g(R)} - p(L) e^{i lam g(L)}.  Its error is exactly
+    int rho e^{i lam g} dx for the residual rho = p' + i lam g' p - h; the
+    estimate is int |rho| dx by QK15, plus the rounding of the solve and of
+    lam g(L), lam g(R).  A piece on which g' does not keep one sign, beyond
+    ``SIGN_TOL``, at every point holds or touches a zero of g': it is not
+    solved, and its estimate is infinite.  Each piece's products are its own
+    (``_rowwise``).  Returns per piece the value, the estimate and p at L
+    and at R (0 on an unsolved piece).
     """
     T, D, B, BD = colloc
     n = T.size
@@ -386,12 +365,9 @@ def _levin(colloc, gd, h, lam, L, R, GL, GR, S):
 
 
 def _slot_sums(slot, v, n: int) -> np.ndarray:
-    """The sums of ``v`` over each of the slots 0..n-1.
-
-    A slot's entries are summed in their order as one ``np.sum`` call sums
-    them (slots with as many entries share one pairwise ``sum(axis=1)``), so
-    a single slot gives ``np.sum(v)`` bit for bit, and takes that call.
-    """
+    """The sums of ``v`` over each of the slots 0..n-1, each slot's entries
+    in their order as one ``np.sum`` call sums them (slots with as many
+    entries share one ``sum(axis=1)``); one slot takes that call."""
     if n == 1:
         return np.sum(v, keepdims=True)
     out = np.zeros(n, dtype=v.dtype)
@@ -405,31 +381,44 @@ def _slot_sums(slot, v, n: int) -> np.ndarray:
     return out
 
 
+def _run_chunks(run, size: int):
+    """Index arrays that cut pieces of the runs ``run`` into chunks: each
+    run's pieces, in order, in groups of ``size`` as the run alone is cut,
+    and whole groups filling each chunk up to ``size`` pieces."""
+    by_run, pos = np.argsort(run, kind="stable"), np.empty(run.size, dtype=np.intp)
+    pos[by_run] = np.arange(run.size) - np.searchsorted(run[by_run], run[by_run])
+    order = np.lexsort((run, pos // size))
+    group = (pos // size)[order] * (run.max() + 1) + run[order]
+    starts, cuts, fill = np.flatnonzero(np.diff(group, prepend=-1)).tolist(), [], size
+    for a, b in zip(starts, starts[1:] + [run.size]):
+        if fill + b - a > size:
+            cuts.append(a)
+            fill = 0
+        fill += b - a
+    return np.split(order, cuts[1:])
+
+
 def _levin_halving(solve, gval, lam, L, R, slot, n_slots: int, tol: float, max_pieces: int,
                    run=None, ends=None):
     """Levin collocation of an oscillatory integral over the pieces [L_i, R_i].
 
     ``solve(L, R, GL, GR, S)`` solves pieces, given their ends, the values
     of ``gval`` there and their slots, and returns per piece a value, an
-    estimate and any further arrays (``_levin`` bound to a collocation set,
-    g', an amplitude h and the slots' lambdas, for one).  ``gval(x, s)``
-    gives the phase at points x of slots s, n values or an (n, k) array;
-    piece i and every piece cut from it add to slot ``slot[i]``, one of
-    0..n_slots-1, whose lambda is ``lam[slot[i]]``.  A piece whose swing
-    |lam| max_k |g(b) - g(a)| is at most ``LEVIN_SWING`` is set aside for
-    panels.  A larger one is solved and accepted when its estimate is at
-    most ``tol`` times its width, which ``_levin``'s never is where g'
-    vanishes or changes sign; otherwise it is halved and both halves are
-    classified again.  Next to a zero of g' the halving closes in
-    dyadically until the swing is small enough for panels.  Each round's
-    pieces are solved ``_LEVIN_CHUNK`` at a time; a piece's result is its
-    own, whatever else the chunk holds.  Returns the set-aside pieces as
-    (left, right, slot) arrays, and per slot the number of accepted pieces,
-    their summed value and their summed estimate; a list ``ends`` gets each
-    round's accepted (left, right, slot, *further arrays).  ``run[s]`` is
-    slot s's run (all slots are one run by default), and PANEL_BUDGET is
-    raised when a run's accepted pieces and pending halves would pass
-    ``max_pieces``.
+    estimate and any further arrays (``_levin`` bound to its other
+    arguments, for one).  ``gval(x, s)`` gives the phase at points x of
+    slots s, n values or an (n, k) array; piece i and the pieces cut from it
+    add to slot ``slot[i]``, of lambda ``lam[slot[i]]``.  A piece whose
+    swing |lam| max_k |g(b) - g(a)| is at most ``LEVIN_SWING`` is set aside
+    for panels; a larger one is solved, and accepted when its estimate is at
+    most ``tol`` times its width (never where g' vanishes or changes sign),
+    else halved, so next to a zero of g' the pieces shrink dyadically.  Each
+    round is solved in the chunks of ``_run_chunks``: a piece's result is
+    its own, and a run's pieces reach ``solve`` in the groups they would
+    alone.  Returns the set-aside (left, right, slot) arrays, and per slot
+    the number of accepted pieces and their summed value and estimate; a
+    list ``ends`` gets each round's accepted (left, right, slot, *further
+    arrays).  PANEL_BUDGET is raised when a run's accepted pieces and
+    pending halves would pass ``max_pieces``.
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
@@ -446,9 +435,10 @@ def _levin_halving(solve, gval, lam, L, R, slot, n_slots: int, tol: float, max_p
         L, R, S, GL, GR = L[~near], R[~near], S[~near], GL[~near], GR[~near]
         if not L.size:
             break
-        val, err, *more = (np.concatenate(parts) for parts in zip(*(
-            solve(L[k], R[k], GL[k], GR[k], S[k])
-            for k in (slice(a, a + _LEVIN_CHUNK) for a in range(0, L.size, _LEVIN_CHUNK)))))
+        chunks = _run_chunks(run[S], _LEVIN_CHUNK) if L.size > _LEVIN_CHUNK else [slice(None)]
+        back = np.argsort(np.concatenate(chunks)) if len(chunks) > 1 else slice(None)
+        val, err, *more = (np.concatenate(parts)[back] for parts in zip(*(
+            solve(L[k], R[k], GL[k], GR[k], S[k]) for k in chunks)))
         ok = err <= tol * (R - L)
         n_levin += np.bincount(S[ok], minlength=n_slots)
         levin_val += _slot_sums(S[ok], val[ok], n_slots)
@@ -468,31 +458,30 @@ def _levin_halving(solve, gval, lam, L, R, slot, n_slots: int, tol: float, max_p
 
 
 def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig, ends=None, h=None,
-                     colloc=_LEVIN_16):
+                     colloc=_LEVIN_16, budget=None):
     """int h e^{i lam g} over the pieces [L_i, R_i], summed per slot.
 
     ``gval(x, s)``, ``gd(x, s)`` and ``h(x, s)`` evaluate g, g' and a smooth
-    amplitude (1 when None) at the points x of slots s, piece i adds to slot
-    ``S[i]``, ``lam[s]`` is slot s's lambda and ``run[s]`` its run.  The
-    pieces go through ``_levin_halving`` on the collocation set ``colloc``;
-    those it sets aside are cut into swing panels, which ``_refine`` halves
-    for at most 3 rounds, both held to ``cfg.rel_tol`` per unit width.  The
-    swing panels assume g monotone on each piece; where it is not, refinement
-    alone answers for the error.  Returns per slot the value, the estimate
-    (Levin estimates plus panel |K15 - G7|), the number of Levin pieces and
-    panels, and ``converged``, False when refinement stopped with panels of
-    the slot over tolerance.  Each run's pieces and panels may not pass
-    ``cfg.max_panels``, and each run's results are those of a call holding
-    its slots alone: a slot's bits depend only on its own pieces, its budget
+    amplitude (1 when None) at the points x of slots s; piece i adds to slot
+    ``S[i]``, of lambda ``lam[s]`` and run ``run[s]``.  The pieces go
+    through ``_levin_halving`` on ``colloc``; those it sets aside are cut
+    into swing panels (which assume g monotone on each piece; where it is
+    not, refinement alone answers for the error), refined by ``_refine`` for
+    at most 3 rounds, all held to ``cfg.rel_tol`` per unit width.  Returns
+    per slot the value, the estimate (Levin estimates plus panel
+    |K15 - G7|), the Levin pieces plus panels, and ``converged``.  A run's
+    pieces and panels may not pass its ``budget`` (``cfg.max_panels``, or
+    one per run); a slot's bits depend only on its own pieces, its budget
     on its own run.
     """
     lam = np.asarray(lam, dtype=float)
     run, n_runs = _runs(run, lam.size)
     n_slots = lam.size
+    budget = cfg.max_panels if budget is None else budget
     SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
         partial(_levin, colloc, gd, (lambda x, _: np.ones_like(x)) if h is None else h, lam),
-        gval, lam, L, R, S, n_slots, cfg.rel_tol, cfg.max_panels, run, ends)
-    budget = cfg.max_panels - np.bincount(run, n_levin, n_runs).astype(np.intp)
+        gval, lam, L, R, S, n_slots, cfg.rel_tol, budget, run, ends)
+    budget = budget - np.bincount(run, n_levin, n_runs).astype(np.intp)
     PL, PR, PS = _swing_panels(gval, SL, SR, SS, np.abs(lam), cfg.phase_variation_cap, budget,
                                run)
 
@@ -518,15 +507,12 @@ def osc_integrate_1d_sweep(g: PhaseFunction, lams,
     ``domain``).
 
     g is split into monotone pieces once, and each nonzero lambda integrates
-    them in its own slot of one ``_pieces_integral`` call: Levin collocation
-    where the swing |lam| |g(b) - g(a)| exceeds ``LEVIN_SWING``, refined
-    Kronrod panels elsewhere, at a cost that does not grow with lam.  A
-    lambda of 0 gives the domain's length, with no pieces.  Each result's
-    ``panels_used`` counts its own panels plus Levin pieces, which may not
-    pass ``cfg.max_panels``: each lambda has the whole budget, and a sweep
-    raises PANEL_BUDGET when one of its lambdas would alone.  Each slot is a
-    run of its own, and its products are its own rows (``_rowwise``), so
-    each lambda's result is that of its one-element sweep, bit for bit.
+    them in its own slot and run of one ``_pieces_integral`` call, at a cost
+    that does not grow with lam; a lambda of 0 gives the domain's length.
+    Each result's ``panels_used`` counts its own panels plus Levin pieces,
+    which may not pass ``cfg.max_panels``: each lambda has the whole budget,
+    and a sweep raises PANEL_BUDGET when one of its lambdas would alone.
+    Each lambda's result is that of its one-element sweep, bit for bit.
     """
     lams = [float(lam) for lam in lams]
     length = g.domain.length
@@ -611,9 +597,10 @@ def _zero_sides(g: Phase2D):
     return m[0], m[1], (q if q.size else None)
 
 
-def _levin_in_y(g: Phase2D, lam: float, cfg: QuadConfig):
+def _levin_in_y(g: Phase2D, lam: np.ndarray, cfg: QuadConfig):
     """The part of the integral over g.domain that Levin collocation in y
-    serves (Levin's planar scheme), and the y-pieces it sets aside.
+    serves (Levin's planar scheme), per lambda of ``lam``, and the y-pieces
+    it sets aside.
 
     A y-piece qualifies when, on all of it, the Bernstein coefficients of q
     (``_zero_sides``) share one strict sign, so every slice x -> f(x, y) is
@@ -624,55 +611,56 @@ def _levin_in_y(g: Phase2D, lam: float, cfg: QuadConfig):
       |lam| |f(x_c, y) - f(side, y)| = LEVIN_SWING (``solve_brackets``);
       the end piece goes to panels in the phase relative to the side's,
       and its value joins that side's amplitude with p(x_c)'s term;
-    - the rest is one ``_pieces_integral`` call per outer round over all
-      slices; its accepted Levin pieces give p at the slice's ends, so on a
-      plain side A_b = p(bx) and A_a = -p(ax).  The end form drops the
-      interior piece ends; their mismatches |p_k(x_m) - p_(k+1)(x_m)| join
-      the slice estimate with its pieces' and panels'.  A slice whose rest
-      sets a piece aside has no end form.
+    - the rest is one ``_pieces_integral`` call per outer chunk, each
+      lambda's slices a run with the budget it has left; the accepted Levin
+      pieces give p at the slice's ends, so on a plain side A_b = p(bx) and
+      A_a = -p(ax).  The mismatches |p_k(x_m) - p_(k+1)(x_m)| at interior
+      piece ends join the slice estimate; a slice whose rest sets a piece
+      aside has no end form.
 
-    The outer integral is ``_levin_halving`` at the y-swing of ``_probe``.
-    It solves a piece by one inner pass over its collocation points and
-    QK15 nodes, then each side's term by ``_levin`` on the edge column
-    f(side, .) with amplitude A_side, or by QK15 where that estimate is
-    smaller (as on a constant column, f(0, y) of every packaged phase).  A
-    piece is accepted when its terms' estimates sum to at most
-    ``cfg.rel_tol`` times its width; one that does not qualify, or holds a
-    slice without the end form, has an infinite estimate and is halved.
-    Returns the set-aside (left, right) arrays, the value, the estimate (the
-    accepted pieces' term estimates plus each one's largest slice estimate
-    times its width), the slices' pieces and panels plus the accepted outer
-    pieces, and whether every slice of an accepted piece converged.
+    The outer integral is ``_levin_halving`` at the y-swing of ``_probe``,
+    each lambda a slot and a run.  A piece takes one inner pass over its
+    collocation points and QK15 nodes, then each side's term by ``_levin``
+    on the edge column f(side, .) with amplitude A_side, or by QK15 where
+    that estimates less.  It is accepted when its terms' estimates sum to at
+    most ``cfg.rel_tol`` times its width, and halved if it does not qualify
+    or holds a slice without the end form.  Returns the set-aside (left,
+    right, slot) arrays and per slot the value, the estimate (term estimates
+    plus each accepted piece's largest slice estimate times its width), the
+    slices' pieces and panels plus the accepted outer pieces, and whether
+    every slice of an accepted piece converged.
     """
     d = g.domain
     f = g.eval_fn
-    lam_abs = abs(lam)
+    lam_abs, n_lam = np.abs(lam), lam.size
     m_a, m_b, q = _zero_sides(g)
     zero = (m_a > 0, m_b > 0)
     q_x = None if q is None else bernstein(q, d.ax - d.bx, 0.0).T  # Bernstein in x, rows in x
     swing_col = (g.column_in_y((0, 0), [d.bx]) - g.column_in_y((0, 0), [d.ax]))[0]
     need = (1 + sum(zero)) * LEVIN_SWING / lam_abs
     sides = (d.ax, d.bx)
-    used = [0]
+    used = np.zeros(n_lam, dtype=np.intp)
 
-    def certified(L, R):
+    def certified(L, R, S):
         if q_x is None:
             return np.zeros(L.size, dtype=bool)
         b = bernstein(q_x, L[:, None], R[:, None]).reshape(L.size, -1)
-        s = bernstein(swing_col, L, R)
+        s, need_s = bernstein(swing_col, L, R), need[S, None]
         return (((b > 0.0).all(axis=1) | (b < 0.0).all(axis=1))
-                & ((s > need).all(axis=1) | (s < -need).all(axis=1)))
+                & ((s > need_s).all(axis=1) | (s < -need_s).all(axis=1)))
 
-    def amplitudes(ys):
-        """Per slice (A_a, A_b), the estimate, whether the end form holds,
-        and whether its panels converged."""
+    def amplitudes(ys, t):
+        """Per slice at ys[i] of lambda t[i]: (A_a, A_b), the estimate,
+        whether the end form holds, and whether its panels converged."""
         n = ys.size
+        la = lam[t]
         ref = np.concatenate([f((0, 0), np.full(n, x), ys) for x in sides])
         # the cut next to each zero side: its bracket keeps the swing from the side <= LEVIN_SWING
         k = np.concatenate([np.zeros(0, dtype=np.intp)]
                            + [np.arange(n) + n * j for j in (0, 1) if zero[j]])
         lo, hi = solve_brackets(
-            lambda x, i: lam_abs * np.abs(f((0, 0), x, ys[k[i] % n]) - ref[k[i]]) - LEVIN_SWING,
+            lambda x, i: (lam_abs[t[k[i] % n]] * np.abs(f((0, 0), x, ys[k[i] % n]) - ref[k[i]])
+                          - LEVIN_SWING),
             np.full(k.size, d.ax), np.full(k.size, d.bx), k < n)
         cut = np.concatenate([np.full(n, d.ax), np.full(n, d.bx)])
         cut[k] = np.where(k < n, lo, hi)
@@ -683,13 +671,15 @@ def _levin_in_y(g: Phase2D, lam: float, cfg: QuadConfig):
         keep = (slot < n) | (R > L)
         base = np.concatenate([ref[:n], ref])  # the Levin part's phase is taken from ax's
         gval = lambda x, s: f((0, 0), x, ys[s % n]) - base[s]
+        # each lambda of the chunk is a run, numbered in lambda order
+        present = np.bincount(t, minlength=n_lam) > 0
         acc = []
         val, err, n_used, converged = _pieces_integral(
-            gval, lambda x, s: f((1, 0), x, ys[s % n]), np.full(3 * n, lam), L[keep], R[keep],
-            slot[keep], np.zeros(3 * n, dtype=np.intp),
-            replace(cfg, max_panels=max(1, cfg.max_panels - used[0])), acc)
-        used[0] += int(n_used.sum())
-        _check_budget(np.array(used), cfg.max_panels, np.array([lam_abs]), np.zeros(1))
+            gval, lambda x, s: f((1, 0), x, ys[s % n]), np.tile(la, 3), L[keep], R[keep],
+            slot[keep], np.tile(np.cumsum(present)[t] - 1, 3), cfg, acc,
+            budget=np.maximum(1, cfg.max_panels - used[present]))
+        used[:] += np.bincount(np.tile(t, 3), n_used, n_lam).astype(np.intp)
+        _check_budget(used, cfg.max_panels, lam_abs, np.arange(n_lam))
         PL, _, PS, pa, pb = (np.concatenate([a[i] for a in acc]) for i in range(5))
         order = np.lexsort((PL, PS))
         PS, pa, pb = PS[order], pa[order], pb[order]
@@ -704,7 +694,7 @@ def _levin_in_y(g: Phase2D, lam: float, cfg: QuadConfig):
             if zero[j]:
                 c = cut[j * n:(j + 1) * n]
                 A[:, j] = val[(j + 1) * n:(j + 2) * n] + A[:, j] * np.exp(
-                    1j * lam * (f((0, 0), c, ys) - ref[j * n:(j + 1) * n]))
+                    1j * la * (f((0, 0), c, ys) - ref[j * n:(j + 1) * n]))
         eps = err[:n] + err[n:2 * n] + err[2 * n:] + mismatch
         return A, eps, ok, converged.reshape(3, n).all(axis=0)
 
@@ -712,19 +702,19 @@ def _levin_in_y(g: Phase2D, lam: float, cfg: QuadConfig):
         n = L.size
         val, err = np.zeros(n, dtype=complex), np.full(n, np.inf)
         inner, converged = np.zeros(n), np.ones(n, dtype=bool)
-        live = np.flatnonzero(certified(L, R))
+        live = np.flatnonzero(certified(L, R, S))
         if not live.size:
             return val, err, inner, converged
         mid, half = 0.5 * (L[live] + R[live]), 0.5 * (R[live] - L[live])
         ys = mid[:, None] + half[:, None] * _Y_POINTS
         A, eps, ok, conv = (v.reshape(live.size, _Y_POINTS.size, *v.shape[1:])
-                            for v in amplitudes(ys.ravel()))
+                            for v in amplitudes(ys.ravel(), np.repeat(S[live], _Y_POINTS.size)))
         good = ok.all(axis=1)
         live, ys, half, A = live[good], ys[good], half[good], A[good]
         inner[live] = eps[good].max(axis=1) * (R[live] - L[live])
         converged[live] = conv[good].all(axis=1)
         idx = np.arange(live.size)
-        lam_k = np.full(live.size, lam)
+        lam_k = lam[S[live]]
         val_k, err_k = np.zeros(live.size, dtype=complex), np.zeros(live.size)
         for j, x in enumerate(sides):
             col = lambda o, y: f(o, np.full(y.shape, x), y)  # the edge column at x = side
@@ -732,7 +722,8 @@ def _levin_in_y(g: Phase2D, lam: float, cfg: QuadConfig):
                                   lambda y, s: A[s[:, 0], :, j], lam_k, L[live], R[live],
                                   col((0, 0), L[live]), col((0, 0), R[live]), idx)
             # QK15 of the term A e^{i lam f(side, y)} at the nodes
-            t = A[:, -_NODES.size:, j] * np.exp(1j * lam * col((0, 0), ys[:, -_NODES.size:]))
+            t = A[:, -_NODES.size:, j] * np.exp(
+                1j * lam_k[:, None] * col((0, 0), ys[:, -_NODES.size:]))
             (kr, ki), ke = _qk15(half, (t.real, t.imag))
             use = le <= ke
             val_k += np.where(use, lv, kr + 1j * ki)
@@ -741,29 +732,27 @@ def _levin_in_y(g: Phase2D, lam: float, cfg: QuadConfig):
         return val, err, inner, converged
 
     ends = []
-    SL, SR, _, n_outer, value, outer_err = _levin_halving(
-        solve, _probe(g), [lam], [d.ay], [d.by], [0], 1, cfg.rel_tol, cfg.max_panels, ends=ends)
-    inner, converged = (np.concatenate([e[i] for e in ends]) if ends else np.zeros(0)
-                        for i in (3, 4))
-    return (SL, SR, complex(value[0]), float(outer_err[0] + inner.sum()),
-            used[0] + int(n_outer[0]), bool(np.all(converged)))
+    slots = np.arange(n_lam)
+    SL, SR, SS, n_outer, value, outer_err = _levin_halving(
+        solve, _probe(g), lam, np.full(n_lam, d.ay), np.full(n_lam, d.by), slots, n_lam,
+        cfg.rel_tol, cfg.max_panels, slots, ends)
+    ES, inner, converged = (np.concatenate([e[i] for e in ends]) if ends else np.zeros(0, t)
+                            for i, t in ((2, np.intp), (3, float), (4, bool)))
+    return (SL, SR, SS, value, outer_err + _slot_sums(ES, inner, n_lam), used + n_outer,
+            np.bincount(ES[~converged], minlength=n_lam) == 0)
 
 
 def _slices_in_y(g: Phase2D, lam: float, lo, hi, cfg: QuadConfig):
-    """The integral over the y-pieces [lo_i, hi_i] by swing panels in y,
-    each integrated by QK15 over its 15 nodes: the set-aside rectangles
-    whose swing passes ``BLOCK_SWING``.
+    """The integral over the y-pieces [lo_i, hi_i] (set-aside rectangles
+    whose swing passes ``BLOCK_SWING``) by QK15 on swing panels in y.
 
-    The x-integrals at the nodes, the slices, are 1D integrals: all of them
-    go through one ``_pieces_integral`` call, one slot per slice, with
-    g' = d_x f, each cut at the sign changes of d_x f (one
-    ``phases.sign_breaks`` call over all slices), so its pieces are
-    monotone.  Returns the value, the estimate (the outer |K15 - G7| summed
-    over the panels, plus the largest slice estimate times the pieces'
-    height), the slices' panels and Levin pieces, and whether every slice
-    converged.  Each slice takes at least one piece or panel, so more
-    slices than ``cfg.max_panels`` raise PANEL_BUDGET before any slice is
-    integrated.
+    The slices at the nodes go through one ``_pieces_integral`` call, one
+    slot per slice, each cut at the sign changes of d_x f (one
+    ``phases.sign_breaks`` call), so its pieces are monotone.  Returns the
+    value, the estimate (the outer |K15 - G7| plus the largest slice
+    estimate times the pieces' height), the slices' panels and Levin
+    pieces, and whether every slice converged.  More slices than
+    ``cfg.max_panels`` raise PANEL_BUDGET before any slice is integrated.
     """
     d = g.domain
     f = g.eval_fn
@@ -802,20 +791,21 @@ def _gauss_panels(m: int, rule=_GL32, lo: float = -1.0, hi: float = 1.0):
     return (mid[:, None] + half * t[None, :]).ravel(), np.tile(w * half, m)
 
 
-def _blocks(g: Phase2D, lam: float, lo, hi, m, f_abs):
-    """The summed integrals and estimates over the rectangles [ax, bx] x
-    [lo_i, hi_i], each by a tensor rule of m[i] = (m_x, m_y) composite
-    32-point Gauss-Legendre panels along x and y, and again at 2m (an
-    embedded pair): the finer sum is the value, and |Q(2m) - Q(m)| plus the
-    rounding of the sums and of lam f (|f| <= ``f_abs[i]``) the estimate.
-    Blocks of one m are evaluated together, ``_BLOCK_POINTS`` nodes at a time.
-    """
+def _blocks(g: Phase2D, lam, lo, hi, m, f_abs, slot):
+    """Per slot s, of lambda ``lam[s]``, the summed integrals and estimates
+    over the rectangles [ax, bx] x [lo_i, hi_i] with ``slot[i]`` = s, each
+    by a tensor rule of m[i] = (m_x, m_y) composite 32-point Gauss-Legendre
+    panels along x and y, and again at 2m: the finer sum is the value, and
+    |Q(2m) - Q(m)| plus the rounding of the sums and of lam f
+    (|f| <= ``f_abs[i]``) the estimate.  Blocks of one slot and one m are
+    evaluated together, ``_BLOCK_POINTS`` nodes at a time, in the products
+    the slot's lone call makes."""
     d = g.domain
     xmid, xhalf = 0.5 * (d.ax + d.bx), 0.5 * (d.bx - d.ax)
     ymid, yhalf = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    value, err = 0j, 0.0
-    for mx, my in sorted(set(map(tuple, m.tolist()))):
-        k = (m == (mx, my)).all(axis=1)
+    value, err = np.zeros(lam.size, dtype=complex), np.zeros(lam.size)
+    for s, mx, my in sorted(set(zip(slot.tolist(), *m.T.tolist()))):
+        k = (slot == s) & (m == (mx, my)).all(axis=1)
         q = []
         for n in (1, 2):
             (tx, wx), (ty, wy) = _gauss_panels(n * mx), _gauss_panels(n * my)
@@ -824,68 +814,84 @@ def _blocks(g: Phase2D, lam: float, lo, hi, m, f_abs):
             rows = np.empty(y.size, dtype=complex)
             step = max(1, _BLOCK_POINTS // x.size)
             for a in range(0, y.size, step):
-                th = lam * g.eval_fn((0, 0), x[None, :], y[a:a + step, None])
+                th = lam[s] * g.eval_fn((0, 0), x[None, :], y[a:a + step, None])
                 rows[a:a + step] = np.cos(th) @ wx + 1j * (np.sin(th) @ wx)
             q.append(rows.reshape(-1, ty.size) @ wy * (xhalf * yhalf[k]))
-        rounding = _EPS * 4.0 * xhalf * yhalf[k] * (64 * (mx + my) + abs(lam) * f_abs[k])
-        value += q[1].sum()
-        err += float(np.sum(np.abs(q[1] - q[0]) + rounding))
-    return complex(value), err
+        rounding = _EPS * 4.0 * xhalf * yhalf[k] * (64 * (mx + my) + abs(lam[s]) * f_abs[k])
+        value[s] += q[1].sum()
+        err[s] += float(np.sum(np.abs(q[1] - q[0]) + rounding))
+    return value, err
 
 
-def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Iterated integration over the rectangle ``g.domain``.
+def osc_integrate_2d_sweep(g: Phase2D, lams,
+                           cfg: QuadConfig = DEFAULT_CONFIG) -> list[QuadResult]:
+    """Iterated integrals of e^{i*lam*f(x, y)} over the rectangle
+    ``g.domain``, one per lambda of ``lams``; a lambda of 0 gives the area.
 
-    The outer variable is y, or x when the edge rows of f swing less than
-    its edge columns (``_outer_second``).  ``_levin_in_y`` integrates over
-    the y-pieces where every slice is monotone with a large swing, at a
-    cost that grows like log lam.  It sets aside the rest (swing at most
-    ``LEVIN_SWING``, a slice short in swing or turning inside, or a side
-    term neither Levin nor QK15 meets), the rectangles [ax, bx] x [lo, hi].
-    Where the tensor Bernstein coefficients of f bound the swing of lam f by
-    ``BLOCK_SWING``, a rectangle is a block (``_blocks``) of m =
-    ceil(|lam| s h / _PANEL_SWING) panels along each axis, s the greatest
-    Bernstein coefficient of |d f| along it and h the side.  Those are
+    The outer variable, y or x (``_outer_second``), is chosen once, and
+    ``_levin_in_y`` takes every nonzero lambda in one outer halving, at a
+    cost that grows like log lam.  Of the rectangles [ax, bx] x [lo, hi] it sets
+    aside, those whose tensor Bernstein coefficients bound the swing of
+    lam f by ``BLOCK_SWING`` are blocks (``_blocks``, one pass over every
+    lambda's) of m = ceil(|lam| s h / _PANEL_SWING) panels along each axis,
+    s the greatest Bernstein coefficient of |d f| along it and h the side:
     n / h times differences of f's, so along an axis of degree n,
-    m <= ceil(n BLOCK_SWING / _PANEL_SWING) at any lam.  A rectangle of
-    larger swing goes to ``_slices_in_y``'s swing panels, at a cost that
-    grows like lam times its swing.
+    m <= ceil(n BLOCK_SWING / _PANEL_SWING) at any lam.  The rest go to
+    ``_slices_in_y``, lambda by lambda, at a cost that grows like lam times
+    their swing.
 
-    Estimate: on the Levin part, each accepted y-piece's side-term
-    estimates (held to ``cfg.rel_tol`` per unit width) plus its largest
-    slice estimate times its width; on a block, its embedded pair's
-    difference plus rounding; on the panel part, the outer |K15 - G7| plus
-    the largest slice estimate times the part's height.  ``panels_used``
-    counts the slices' panels and Levin pieces, the accepted outer pieces
-    and each block as one (as the profile reduction counts its head), and
-    ``converged`` is False when a slice's refinement stopped over
-    tolerance.  Every slice and block counts against ``cfg.max_panels``; the
-    panel part raises PANEL_BUDGET before any of its slices is integrated
-    when they alone would pass what is left.
+    Estimate: the accepted y-pieces' side-term estimates (held to
+    ``cfg.rel_tol`` per unit width) plus each one's largest slice estimate
+    times its width; each block's pair difference plus rounding; the swing
+    panels' outer |K15 - G7| plus their largest slice estimate times their
+    height.  ``panels_used`` counts the slices' panels and Levin pieces, the
+    accepted outer pieces and each block as one, and ``converged`` is False
+    when a slice's refinement stopped over tolerance.  Each lambda has the
+    whole ``cfg.max_panels``, and a sweep raises PANEL_BUDGET when one of
+    its lambdas would alone.  Every product is a piece's, a panel's or one
+    (lambda, m) group of blocks', so each lambda's result is that of its
+    one-element sweep, bit for bit.
     """
-    if lam == 0.0:
-        return QuadResult(complex(g.domain.area, 0.0), 0.0, 0, 0.0)
+    lams = [float(lam) for lam in lams]
+    out = [QuadResult(complex(g.domain.area, 0.0), 0.0, 0, 0.0)] * len(lams)
+    live = [k for k, lam in enumerate(lams) if lam != 0.0]
+    if not live:
+        return out
     g = _outer_second(g)
-    SL, SR, value, err, used, converged = _levin_in_y(g, lam, cfg)
+    lam = np.array([lams[k] for k in live])
+    lam_abs = np.abs(lam)
+    SL, SR, SS, value, err, used, converged = _levin_in_y(g, lam, cfg)
     d = g.domain
     # Bernstein coefficients on each set-aside rectangle, along x, then along y
     rect = lambda o: bernstein(bernstein(g._matrix(o).T, d.ax, d.bx).T, SL[:, None], SR[:, None])
     B = rect((0, 0))
-    block = abs(lam) * (B.max(axis=(1, 2)) - B.min(axis=(1, 2))) <= BLOCK_SWING
+    block = lam_abs[SS] * (B.max(axis=(1, 2)) - B.min(axis=(1, 2))) <= BLOCK_SWING
     if block.any():
-        used += int(block.sum())
-        _check_budget(np.array([used]), cfg.max_panels, np.array([abs(lam)]), np.zeros(1))
+        used += np.bincount(SS[block], minlength=lam.size)
+        _check_budget(used, cfg.max_panels, lam_abs, np.arange(lam.size))
         sx, sy = (np.abs(rect(o)[block]).max(axis=(1, 2)) for o in ((1, 0), (0, 1)))
-        m = np.ceil(abs(lam) * np.stack([sx * (d.bx - d.ax), sy * (SR - SL)[block]], axis=1)
-                    / _PANEL_SWING)
-        m = np.maximum(m, 1).astype(int)
-        v, e = _blocks(g, lam, SL[block], SR[block], m, np.abs(B[block]).max(axis=(1, 2)))
-        value, err = value + v, err + e
-    if not block.all():
-        v, e, u, c = _slices_in_y(g, lam, SL[~block], SR[~block],
-                                  replace(cfg, max_panels=max(1, cfg.max_panels - used)))
-        value, err, used, converged = value + v, err + e, used + u, converged and c
-    return QuadResult(value, float(err + 8.0 * _EPS * g.domain.area), used, float(lam), converged)
+        h = np.stack([sx * (d.bx - d.ax), sy * (SR - SL)[block]], axis=1)
+        m = np.maximum(np.ceil(lam_abs[SS[block], None] * h / _PANEL_SWING), 1).astype(int)
+        v_blk, e_blk = _blocks(g, lam, SL[block], SR[block], m, np.abs(B[block]).max(axis=(1, 2)),
+                               SS[block])
+    for s, k in enumerate(live):
+        v, e, u, c = complex(value[s]), float(err[s]), int(used[s]), bool(converged[s])
+        if block[SS == s].any():
+            v, e = v + complex(v_blk[s]), e + float(e_blk[s])
+        rest = ~block & (SS == s)
+        if rest.any():
+            sv, se, su, sc = _slices_in_y(g, lam[s], SL[rest], SR[rest],
+                                          replace(cfg, max_panels=max(1, cfg.max_panels - u)))
+            v, e, u, c = v + sv, e + se, u + su, c and sc
+        out[k] = QuadResult(v, float(e + 8.0 * _EPS * d.area), u, lams[k], c)
+    return out
+
+
+def osc_integrate_2d(g: Phase2D, lam: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
+    """Integral of e^{i*lam*f(x, y)} over the rectangle ``g.domain``: the
+    one-element ``osc_integrate_2d_sweep``."""
+    [res] = osc_integrate_2d_sweep(g, [lam], cfg)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -902,16 +908,12 @@ def _adaptive_slots(fvec, a, b, slot, n_slots: int, rel_tol: float, abs_floor: f
     Segment [a_i, b_i] adds to slot ``slot[i]``, and ``fvec(x, s)`` evaluates
     the integrand of slots s at the points x.  Each slot is a run of its
     own: ``_refine`` halves each of its pieces whose error |K15 - G7|
-    exceeds its width's share of max(abs_floor, rel_tol * |slot total|),
-    one tolerance over the slot's current total and its segments' length,
-    for at most 63 rounds and ``ADAPTIVE_MAX_SEGMENTS`` pieces of the slot;
-    at either cap the pieces still over tolerance are kept as they are.
-    Empty segments are dropped, and a slot's segments are taken by left end.
-    A slot reads only its own pieces and sums them as one ``np.sum`` does,
-    so each slot's result is that of its one-slot call, bit for bit, where
-    ``fvec`` gives each point's value whatever else it is evaluated with.
-    Returns per-slot arrays (value, error_estimate, converged), ``converged``
-    False where a cap left pieces of the slot over tolerance.
+    exceeds its width's share of max(abs_floor, rel_tol * |slot total|), for
+    at most 63 rounds and ``ADAPTIVE_MAX_SEGMENTS`` pieces of the slot.
+    Empty segments are dropped.  Each slot's result is that of its one-slot
+    call, bit for bit, where ``fvec`` gives each point's value whatever else
+    it is evaluated with.  Returns per-slot arrays (value, error_estimate,
+    converged), ``converged`` False where a cap left pieces over tolerance.
     """
     a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
     slot = np.broadcast_to(np.asarray(slot, dtype=np.intp), a.shape)
@@ -934,12 +936,10 @@ def adaptive_quad(fvec, a, b):
     one-slot call of ``_adaptive_slots``.
 
     ``a`` and ``b`` are one segment's ends, or equal-length arrays of the
-    ends of segments whose integrals add up, such as the smooth pieces of
-    an integrand between its known kinks; they are held to one tolerance,
-    max(1e-14, 1e-9 * |value|), over their total value and length.
-    Not for large-lambda oscillatory phases (use the panel engine); this is
-    the workhorse for slice measures, Fourier profiles, and other smooth or
-    piecewise-smooth integrands.  Returns (value, error_estimate,
+    ends of segments whose integrals add up, such as the smooth pieces of an
+    integrand between its known kinks, held to max(1e-14, 1e-9 * |value|)
+    over their total length.  For smooth or piecewise-smooth integrands, not
+    large-lambda oscillatory phases.  Returns (value, error_estimate,
     converged), ``converged`` False when a cap left pieces over tolerance.
     """
     val, err, converged = _adaptive_slots(lambda x, _: fvec(x), a, b, 0, 1, 1e-9, 1e-14)

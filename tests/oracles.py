@@ -11,7 +11,9 @@ from the one Horner evaluator that ``oscint.phases`` runs for every phase
 with coefficients: the derivative tables of ``xy`` and ``xy_quad``, the
 product rule of separable phases and the chain rule of compositions.
 ``merge_intervals`` joins spans one at a time, the reference for
-``phases.merge_rows``' sort and running maximum.
+``phases.merge_rows``' sort and running maximum, and ``x_start`` finds one
+gamma's start of region 1 at a time, the reference for
+``certificates._x_starts``' batched roots and brackets.
 """
 
 import math
@@ -184,6 +186,33 @@ def merge_intervals(spans, slack: float) -> list[tuple[float, float]]:
         else:
             out.append([lo, hi])
     return [(lo, hi) for lo, hi in out]
+
+
+def x_start(f, gamma: float) -> float | None:
+    """The least x of f's rectangle whose slice reaches |d_y f| >= gamma, or
+    None, for one gamma: ``ax`` where the slice there reaches it, else the
+    least root in (ax, bx) of the four rows d_y f(., ay) -/+ gamma and
+    d_y f(., by) -/+ gamma, bisected to the last bit from a bracket around it."""
+    from oscint.phases import real_roots, solve_brackets
+
+    dom = f.domain
+    y_ends = np.array([dom.ay, dom.by])
+
+    def margin(x, _=None):
+        # <= 0 where the slice at x reaches gamma
+        return gamma - np.abs(f.eval_fn((0, 1), x[:, None], y_ends[None, :])).max(axis=1)
+
+    if margin(np.array([dom.ax]))[0] <= 0.0:
+        return dom.ax
+    rows = np.repeat(f.rows_in_x((0, 1), y_ends), 2, axis=0)
+    rows[:, 0] -= np.tile([gamma, -gamma], 2)
+    x = real_roots(rows, dom.ax, dom.bx)[1]
+    if not x.size:
+        return None
+    x0 = x.min()
+    h = 1e-9 * (1.0 + abs(x0))
+    return float(solve_brackets(margin, max(dom.ax, x0 - h), min(dom.bx, x0 + h), False,
+                                xtol=0.0)[1][0])
 
 
 def oscillatory_integral(g, g_float, lam: float, a: float, b: float, breaks=()) -> complex:

@@ -33,7 +33,10 @@ from oscint import (
     xy_phase,
     xy_quad_phase,
 )
+from oscint.certificates import _x_starts
 from oscint.phases import Phase2D, PhaseMeta, closure_phase, flat_rows, merge_rows, unit_square
+
+from oracles import x_start
 
 P_HALF_SQUARE = Polynomial((0.0, 0.0, 0.5))          # t^2/2, P' = t monic
 P_THIRD_CUBE = Polynomial((0.0, 0.0, 0.0, 1.0 / 3.0))  # t^3/3, P' = t^2 monic
@@ -336,23 +339,18 @@ class TestCertify2D:
             certify_2d(wavy_phase(), Polynomial((0.0, 1.0)), 1e4)
 
     def test_region1_starts_at_the_closed_form_boundary(self):
-        from oscint.certificates import _x_start
-
-        for lam in (30.0, 1e3, 1e5):
-            for d in (1.0, 2.0, 3.0):
-                gamma = lam ** (-1.0 / (2.0 * d))
-                # xy: d_y f = x reaches gamma at x = gamma, to the last bit
-                assert _x_start(xy_phase(), gamma) == gamma
-                # xy + 0.1 x^2 y^2: the largest d_y f = x + 0.2 x^2 y sits at y = 1
-                root = float(2.0 * mpmath.mpf(gamma)
-                             / (1.0 + mpmath.sqrt(1.0 + 0.8 * mpmath.mpf(gamma))))
-                x_start = _x_start(xy_quad_phase(0.1), gamma)
-                assert abs(x_start - root) <= np.spacing(root), (lam, d)
+        gammas = [lam ** (-1.0 / (2.0 * d)) for lam in (30.0, 1e3, 1e5) for d in (1.0, 2.0, 3.0)]
+        # xy: d_y f = x reaches gamma at x = gamma, to the last bit
+        assert _x_starts(xy_phase(), gammas) == gammas
+        # xy + 0.1 x^2 y^2: the largest d_y f = x + 0.2 x^2 y sits at y = 1
+        for gamma, x_start in zip(gammas, _x_starts(xy_quad_phase(0.1), gammas)):
+            root = float(2.0 * mpmath.mpf(gamma)
+                         / (1.0 + mpmath.sqrt(1.0 + 0.8 * mpmath.mpf(gamma))))
+            assert abs(x_start - root) <= np.spacing(root), gamma
         # a rectangle whose slices all reach gamma starts at ax; one whose
         # slices never do has no region 1
-        assert _x_start(product_phase(monomial(1, (0.5, 2.0)), monomial(1, (1.0, 1.75))),
-                        0.1) == 0.5
-        assert _x_start(product_phase(monomial(1, (0.0, 0.05)), monomial(1)), 0.1) is None
+        assert _x_starts(AT_AX, [0.1]) == [0.5]
+        assert _x_starts(NARROW, [0.1]) == [None]
 
     def test_region1_runs_leave_out_a_narrow_gap(self):
         # f = xy + K (y - 1/2)^2 / 2: each slice's gap |d_y f| < gamma is
@@ -405,12 +403,19 @@ def t3_lambdas() -> list[float]:
                                           *_grid(opt["cert_sweep"])]})
 
 
+# xy on [0.5, 2] x [1, 1.75]: d_y f = x >= 0.5, so every gamma <= 0.5 is
+# reached at ax; xy on [0, 0.05] x [0, 1]: gamma = lambda^(-1/2) is reached
+# only from lambda = 400 on
+AT_AX = product_phase(monomial(1, (0.5, 2.0)), monomial(1, (1.0, 1.75)))
+NARROW = product_phase(monomial(1, (0.0, 0.05)), monomial(1))
+
+
 class TestCertify2DSweep:
     @pytest.mark.parametrize("f2, P", [
         (xy_phase(), Polynomial((0.0, 1.0))),
         (xy_quad_phase(0.1), P_HALF_SQUARE),
         # x < 0.05: below lambda = 400 no slice reaches gamma, so no region 1
-        (product_phase(monomial(1, (0.0, 0.05)), monomial(1)), Polynomial((0.0, 1.0))),
+        (NARROW, Polynomial((0.0, 1.0))),
     ], ids=["xy_base", "xyq_d2", "narrow"])
     def test_each_lambda_gets_its_lone_certificate(self, f2, P):
         # the packaged T3 grid, shuffled, with one lambda twice
@@ -418,6 +423,25 @@ class TestCertify2DSweep:
         lams.insert(5, lams[11])
         certs = certify_2d_sweep(f2, P, lams)
         assert [c.to_dict() for c in certs] == [certify_2d(f2, P, lam).to_dict() for lam in lams]
+
+    @pytest.mark.parametrize("f2, P", [
+        (xy_phase(), Polynomial((0.0, 1.0))),
+        (xy_phase(), P_HALF_SQUARE),
+        (xy_quad_phase(0.1), P_HALF_SQUARE),
+        (NARROW, Polynomial((0.0, 1.0))),
+    ], ids=["xy_base", "xy_d2", "xyq_d2", "narrow"])
+    def test_x_starts_are_the_scalar_reference(self, f2, P):
+        # the packaged T3 grid of each (f2, P) pair, and the narrow rectangle,
+        # where the lambdas below 400 have no region 1
+        gammas = [lam ** (-1.0 / (2.0 * P.degree)) for lam in t3_lambdas()]
+        starts = _x_starts(f2, gammas)
+        assert starts == [x_start(f2, gamma) for gamma in gammas]
+        assert all(type(x) is float for x in starts if x is not None)
+        assert (None in starts) == (f2 is NARROW)
+        # gammas already reached at ax, 0.5 among them
+        at_ax = _x_starts(AT_AX, [0.5, *gammas])
+        assert at_ax == [x_start(AT_AX, gamma) for gamma in [0.5, *gammas]]
+        assert at_ax.count(0.5) > 1
 
     def test_rejects_what_a_lone_lambda_rejects(self):
         f2 = xy_phase()

@@ -448,6 +448,36 @@ def test_t1_fits_each_base_phase_once(monkeypatch):
     assert checks.count("base_rate_recovered") == len(SMALL_T1["cases"]) == 2
 
 
+def test_planar_suites_integrate_each_grid_in_one_sweep(monkeypatch):
+    """A T3 case integrates its grid in one osc_integrate_2d_sweep call, and
+    a T4 or H-LOG cross-check its lambdas in one."""
+    from oscint import harness
+
+    swept = []
+    sweep = harness.osc_integrate_2d_sweep
+
+    def counted_sweep(g, lams, cfg):
+        swept.append(list(lams))
+        return sweep(g, lams, cfg=cfg)
+
+    monkeypatch.setattr(harness, "osc_integrate_2d_sweep", counted_sweep)
+    cases = [*SMALL_T3["cases"], {"name": "xy_d2", "f2": {"family": "xy"}, "poly": [0.0, 0.0, 0.5]}]
+    run_suite(ExperimentConfig(suite="T3", quad=QuadConfig(phase_variation_cap=2.8),
+                               options={**SMALL_T3, "cases": cases}))
+    assert swept == [[float(l) for l in harness._grid(SMALL_T3["lambda_sound"])]] * 2
+    swept.clear()
+    run_suite(ExperimentConfig(suite="T4", options={"cases": [
+        {"name": "x3_y2", "k": 3, "j": 2, "lambda_grid": {"lo": 50.0, "hi": 5000.0,
+                                                          "per_decade": 4},
+         "cross_check": [316.0, 1000.0]}]}))
+    assert swept == [[316.0, 1000.0]]
+    swept.clear()
+    run_suite(ExperimentConfig(suite="H-LOG", quad=QuadConfig(phase_variation_cap=2.8), options={
+        "eps_grid": {"lo": 1e-3, "hi": 0.1, "per_decade": 4},
+        "lambda_grid": {"lo": 1e3, "hi": 1e5, "per_decade": 4}, "cross_check": [100.0, 1e3]}))
+    assert swept == [[100.0, 1e3]]
+
+
 @pytest.mark.parametrize("degrees", [[2, 3], [2]])
 def test_t6_computes_each_cover_ratio_once(monkeypatch, degrees):
     """Each monic draw, SND draw and eta goes through the cover kernel once:

@@ -22,6 +22,7 @@ from oscint import (
     osc_integrate_1d,
     osc_integrate_1d_sweep,
     osc_integrate_2d,
+    osc_integrate_2d_sweep,
     polynomial_phase,
     product_phase,
     xy_phase,
@@ -44,6 +45,7 @@ from oscint.quadrature import (
     _blocks,
     _kronrod,
     _levin,
+    _levin_halving,
     _outer_second,
     _refine,
     _slices_in_y,
@@ -480,6 +482,32 @@ def test_kronrod_and_levin_give_each_panel_and_piece_its_lone_bits():
         assert (val[i], err[i]) == (one_val[0], one_err[0]), i
 
 
+def test_levin_halving_hands_each_run_its_lone_chunks(monkeypatch):
+    # a solve that accepts no piece halves the phase x until each piece's
+    # swing is at most LEVIN_SWING: 1, 2, ..., 16 pieces a round at lambda
+    # 1e3 and 1, 2, 4, 8 at 600.  With two pieces a chunk, each run's pieces
+    # reach the solve in the groups of its lone call, in the same order, and
+    # no chunk holds more than two
+    monkeypatch.setattr("oscint.quadrature._LEVIN_CHUNK", 2)
+
+    def groups(lams):
+        calls = []
+
+        def solve(L, R, GL, GR, S):
+            assert L.size <= 2
+            calls.append((L.copy(), S.copy()))
+            return np.zeros(L.size, dtype=complex), np.full(L.size, np.inf)
+
+        n = len(lams)
+        _levin_halving(solve, lambda x, _: x, lams, np.zeros(n), np.ones(n), np.arange(n), n,
+                       1e-10, 1 << 20, np.arange(n))
+        return [[L[S == s].tolist() for L, S in calls if (S == s).any()] for s in range(n)]
+
+    both = groups([1e3, 600.0])
+    assert both == groups([1e3]) + groups([600.0])
+    assert [sum(map(len, g)) for g in both] == [31, 15]
+
+
 def test_two_slot_refine_keeps_each_slots_one_slot_bits():
     # slot 0 is a kink at 0.3 on [0, 1], slot 1 a kink at 0.55 on [0.2, 0.9]:
     # each slot's panels and sums are those of its own one-slot run
@@ -689,9 +717,9 @@ def parts(monkeypatch):
     (lo, hi, panels per axis) and the swing-panel part as (lo, hi)."""
     seen = {"blocks": [], "slices": []}
 
-    def blocks(g, lam, lo, hi, m, f_abs):
+    def blocks(g, lam, lo, hi, m, f_abs, slot):
         seen["blocks"].append((lo, hi, m))
-        return _blocks(g, lam, lo, hi, m, f_abs)
+        return _blocks(g, lam, lo, hi, m, f_abs, slot)
 
     def slices(g, lam, lo, hi, cfg):
         seen["slices"].append((lo, hi))
@@ -811,8 +839,8 @@ def test_block_estimate_is_its_pair_difference():
     oracle = xy_square_integral(100.0)
     est = []
     for m in (1, 2):
-        value, err = _blocks(xy_phase(), 100.0, np.array([0.0]), np.array([1.0]),
-                             np.array([[m, m]]), np.array([1.0]))
+        [value], [err] = _blocks(xy_phase(), np.array([100.0]), np.array([0.0]), np.array([1.0]),
+                                 np.array([[m, m]]), np.array([1.0]), np.array([0]))
         assert abs(value - oracle) <= min(err, 1e-14)
         est.append(err)
     assert est[0] > 1e-6 and est[1] < 1e-12
@@ -853,6 +881,71 @@ def test_2d_packaged_phases_keep_y_outer():
     # a tie of edge swings keeps y, so no packaged phase changes orientation
     for f2 in [p for p, _ in _T3_PHASES.values()] + [_X3_Y2, _x_plus_y(unit_square())]:
         assert _outer_second(f2) is f2
+
+
+def _t3_grid() -> list[float]:
+    """The lambdas the packaged T3 run integrates: its soundness grid and hi rows."""
+    from oscint.harness import _grid, load_config
+
+    opt = load_config("T3", "default").options
+    return [float(lam) for lam in _grid(opt["lambda_sound"])] + [
+        float(lam) for case in opt["cases"] for lam in case.get("hi_rows", ())]
+
+
+def _budget_outcome(run):
+    """``run()``'s results, or the |lambda| its PANEL_BUDGET error names."""
+    try:
+        return run()
+    except PanelBudgetError as exc:
+        return exc.context["lam_abs"]
+
+
+class TestOscIntegrate2DSweep:
+    @pytest.mark.parametrize("name", [*_T3_PHASES, "x3_y2", "turns"])
+    def test_each_lambda_gets_its_lone_integral(self, name, parts):
+        if name in _T3_PHASES:
+            # the packaged T3 grid, shuffled, with one lambda twice, a zero
+            # lambda and negative ones
+            f2 = _T3_PHASES[name][0]
+            lams = np.random.default_rng(20261021).permutation(_t3_grid()).tolist()
+            lams.insert(4, lams[9])
+            lams += [0.0, -lams[2], -30.0]
+        else:
+            # T4's cross-check lambdas; at 1e3 the turning slices put blocks
+            # and swing panels in one call
+            f2, lams = {"x3_y2": (_X3_Y2, [316.0, 1000.0]),
+                        "turns": (_TURNS_AT_HALF, [1e3, 0.0, 400.0])}[name]
+        for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
+            assert osc_integrate_2d_sweep(f2, lams, cfg) == [
+                osc_integrate_2d(f2, lam, cfg=cfg) for lam in lams], cfg
+        assert parts["blocks"] and bool(parts["slices"]) == (name == "turns")
+
+    def test_each_lambda_has_the_whole_budget(self):
+        lams = [300.0, 1e3]
+        used = [osc_integrate_2d(_X3_Y2, lam).panels_used for lam in lams]
+        cfg = QuadConfig(max_panels=max(used))
+        sweep = osc_integrate_2d_sweep(_X3_Y2, lams, cfg)
+        assert [r.panels_used for r in sweep] == used and sum(used) > cfg.max_panels
+
+    def test_raises_exactly_where_a_lone_lambda_raises(self, monkeypatch):
+        # with two pieces a chunk, the outer rounds that hold three pieces of
+        # one lambda split them across two chunks, the second of which must
+        # see the budget the first left, as in the lambda's lone call; each
+        # budget here lets both, one or neither lambda through alone
+        monkeypatch.setattr("oscint.quadrature._LEVIN_CHUNK", 2)
+        lams = [1e3, 300.0]
+        used = [osc_integrate_2d(_X3_Y2, lam).panels_used for lam in lams]
+        for budget in sorted({1, 20, 500, *used, *(u - 1 for u in used)}):
+            cfg = QuadConfig(max_panels=budget)
+            lone = [_budget_outcome(lambda: osc_integrate_2d(_X3_Y2, lam, cfg=cfg))
+                    for lam in lams]
+            sweep = _budget_outcome(lambda: osc_integrate_2d_sweep(_X3_Y2, lams, cfg))
+            if all(isinstance(r, QuadResult) for r in lone):
+                assert sweep == lone, budget
+            else:
+                assert sweep in lone, budget
+        assert isinstance(_budget_outcome(lambda: osc_integrate_2d_sweep(
+            _X3_Y2, lams, QuadConfig(max_panels=used[1]))), float)
 
 
 @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, SUITE_CONFIG], ids=["default", "suite"])
