@@ -57,7 +57,7 @@ from .errors import (
 from .phases import (Phase2D, PhaseFunction, _gaps, flat_rows, merge_rows,
                      monotone_partition, monotone_rows, real_roots, sign_breaks, solve_brackets)
 from .polynomials import Polynomial, SndConstant, classify, derivative, estimate_B, roots
-from .quadrature import QuadResult, _adaptive_slots
+from .quadrature import QuadResult, _adaptive_slots, _lambdas
 from .sublevel import (band_pieces, band_sets, kink_segments, osc_to_sublevel_constant,
                        sublevel_rows)
 
@@ -449,7 +449,7 @@ def certify_1d_sweep(f: PhaseFunction, P: Polynomial | PowerTransform, lams: Seq
     The model of P is built once and every lambda is one job of a single
     engine run; each certificate is the one its lambda gets alone.
     """
-    lams = [float(lam) for lam in lams]
+    lams = _lambdas(lams)
     if not lams:
         return []
     if 0.0 in lams:
@@ -617,7 +617,7 @@ def certify_2d_sweep(f: Phase2D, P: Polynomial, lams: Sequence[float]) -> list[C
     slices are jobs of one engine run, and its small side one slot of one
     quadrature call, so each certificate is the one its lambda gets alone.
     """
-    lams = [float(lam) for lam in lams]
+    lams = _lambdas(lams)
     if not lams:
         return []
     if 0.0 in lams:

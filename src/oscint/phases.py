@@ -63,6 +63,8 @@ class Interval:
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise PreconditionError(f"interval endpoints must be finite: [{self.lo}, {self.hi}]")
         if not (self.lo <= self.hi):
             raise PreconditionError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
@@ -592,6 +594,8 @@ def polynomial_phase(coeffs: Sequence[float], domain=(0.0, 1.0), meta: PhaseMeta
     c = np.asarray(coeffs, dtype=float)
     if c.size < 2 or c[-1] == 0.0:
         raise PreconditionError("polynomial phase needs degree >= 1 with nonzero leading coefficient")
+    if not np.isfinite(c).all():
+        raise PreconditionError(f"polynomial phase needs finite coefficients, got {c.tolist()}")
     d = c.size - 1
     iv = Interval(*map(float, domain))
     if meta is None:
@@ -718,6 +722,9 @@ class PlanarDomain:
     def __post_init__(self):
         for name in ("ax", "bx", "ay", "by"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        if not all(map(math.isfinite, (self.ax, self.bx, self.ay, self.by))):
+            raise PreconditionError(f"planar domain ends must be finite: "
+                                    f"[{self.ax}, {self.bx}] x [{self.ay}, {self.by}]")
         if not (self.ax < self.bx and self.ay < self.by):
             raise PreconditionError(
                 f"degenerate planar domain [{self.ax}, {self.bx}] x [{self.ay}, {self.by}]")

@@ -51,6 +51,8 @@ class Polynomial:
         c = tuple(float(v) for v in self.coeffs)
         if not c or all(v == 0.0 for v in c):
             raise PreconditionError("zero polynomial is not representable")
+        if not all(map(math.isfinite, c)):
+            raise PreconditionError(f"polynomial coefficients must be finite, got {c}")
         while len(c) > 1 and c[-1] == 0.0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)

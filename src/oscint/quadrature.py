@@ -12,31 +12,31 @@ residual of the computed p, integrated in modulus, is the error estimate.
 smooth amplitude h.  One halving loop, ``_levin_halving``, serves every
 caller: a piece that fails its share of the tolerance, or on which g' does
 not keep a strict sign, is halved, so the pieces next to a stationary point
-shrink dyadically until their swing is small (S. Olver, BIT 50, 2010).
-Small-swing pieces are cut into panels whose swing (on a monotone piece the
-endpoint difference IS the swing, so no derivative bounds are needed) is at
-most the configured cap.  The loop, the panel cutter, the panel rule and the
-refiner all take functions of (x, slot), as ``phases.solve_brackets`` does,
-so many integrals run through them at once: each slot carries its own
-lambda, each piece adds to its own slot's sum, and each slot reports its own
-convergence.  ``_pieces_integral`` chains them for a set of monotone pieces;
-every oscillatory 1D integral of the package, a planar slice or the
-reduction's tail too, is one of its slots.  ``osc_integrate_1d_sweep`` gives
-each lambda of a grid one slot over the phase's monotone pieces, so a whole
-grid is one call; ``osc_integrate_1d`` is its one-element call.  Slots are
-grouped in runs, each the work of one lambda of a sweep, and runs decide
-budgets only: each run has its own panel budget.  Every panel's and piece's
-products are its own (``_rowwise``), so a lambda gets the same bits in any
-sweep as alone.
-
+shrink dyadically until their swing is small (S. Olver, BIT 50, 2010).  The
+same loop halves the small-swing pieces, unsolved, into panels whose swing
+(on a monotone piece the endpoint difference IS the swing, so no derivative
+bounds are needed) is at most the configured cap.  The loop, the panel rule
+and the refiner all take functions of (x, slot), as
+``phases.solve_brackets`` does, so many integrals run through them at once:
+each slot carries its own lambda, each piece adds to its own slot's sum, and
+each slot reports its own convergence.  ``_pieces_integral`` chains them for
+a set of monotone pieces; every oscillatory 1D integral of the package, a
+planar slice or the reduction's tail too, is one of its slots.
+``osc_integrate_1d_sweep`` gives each lambda of a grid one slot over the
+phase's monotone pieces, so a whole grid is one call; ``osc_integrate_1d``
+is its one-element call.  Slots are grouped in runs, each the work of one
+lambda of a sweep, and runs decide budgets only: each run has its own panel
+budget.  Every panel's and piece's products are its own (``_rowwise``), so a
+lambda gets the same bits in any sweep as alone.
 In two dimensions (Levin's planar scheme, same paper) the slice integrals
 are, where every slice is monotone with a large swing, sums of end terms
 A(y) e^{i lambda f(side, y)}; the outer integral is ``_levin_halving`` over
 y on the edge columns, at a cost that grows like log lambda.  The rest is
 set aside: tensor Gauss blocks where its swing is small, swing panels in y
-elsewhere.  ``osc_integrate_2d_sweep`` takes a grid of lambdas in one pass,
-each a slot and a run of its own, and ``osc_integrate_2d`` is its
-one-element call (details and the estimates in ``osc_integrate_2d_sweep``).
+(cut by the same loop) elsewhere.  ``osc_integrate_2d_sweep`` takes a
+grid of lambdas in one pass, each a slot and a run of its own, and
+``osc_integrate_2d`` is its one-element call (details and the estimates in
+``osc_integrate_2d_sweep``).
 
 Every integrator applies one panel rule, ``_qk15``: the nested
 Gauss-Kronrod 7/15 rule (QUADPACK QK15), whose value is the 15-point Kronrod
@@ -66,7 +66,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import PanelBudgetError, PreconditionError
 from .phases import (SIGN_TOL, Phase2D, PhaseFunction, PlanarDomain, _gaps, _rows_at, bernstein,
-                     derivative_coeffs, monotone_partition, real_roots, sign_breaks,
+                     derivative_coeffs, monotone_partition, monotone_rows, real_roots,
                      solve_brackets, taylor_shift)
 
 # QK15 on [-1, 1]: Kronrod nodes x_i >= 0 (the 7-point Gauss nodes are x_1, x_3,
@@ -133,6 +133,14 @@ DEFAULT_CONFIG = QuadConfig()
 # ---------------------------------------------------------------------------
 
 
+def _lambdas(lams) -> list[float]:
+    """``lams`` as floats; a NaN or infinite lambda raises PreconditionError."""
+    lams = [float(lam) for lam in lams]
+    if not all(map(math.isfinite, lams)):
+        raise PreconditionError(f"lambda must be finite, got {lams}")
+    return lams
+
+
 def _runs(run, n_slots: int):
     """Each slot's run as an array and the number of runs; None puts every
     slot in run 0."""
@@ -152,46 +160,6 @@ def _check_budget(count, budget, lam_abs, run):
             "(lambda too large for config)",
             lam_abs=float(lam_abs[run == r].max()),
         )
-
-
-def _swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels, run=None):
-    """Halve the panels [lo_i, hi_i] until each swing is at most ``cap``.
-
-    ``vmap(x, s)`` maps n points and their slots to n values or to an (n, k)
-    array; a panel's swing is lam_abs[s] * max_k |v(right) - v(left)|, and
-    the panels cut from [lo_i, hi_i] keep its slot ``slot[i]``.  Each pass
-    evaluates only the new midpoints.  Returns the (left, right, slot)
-    arrays, sorted by slot, then left end.  PANEL_BUDGET is raised before a
-    run's panels would pass ``max_panels`` (one budget, or one per run).
-    """
-    L, R = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    S = np.asarray(slot, dtype=np.intp)
-    lam_abs = np.asarray(lam_abs, dtype=float)
-    run, n_runs = _runs(run, lam_abs.size)
-    VL, VR = vmap(L, S), vmap(R, S)
-    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    n_done = np.zeros(n_runs, dtype=np.intp)
-    while L.size:
-        swing = lam_abs[S] * np.abs(VR - VL).reshape(L.size, -1).max(axis=1)
-        bad = swing > cap
-        rs = run[S]
-        _check_budget(n_done + np.bincount(rs, minlength=n_runs)
-                      + np.bincount(rs[bad], minlength=n_runs), max_panels, lam_abs, run)
-        if not bad.all():
-            done.append((L[~bad], R[~bad], S[~bad]))
-            n_done += np.bincount(rs[~bad], minlength=n_runs)
-        if not bad.any():
-            break
-        L, R, S, VL, VR = L[bad], R[bad], S[bad], VL[bad], VR[bad]
-        M = 0.5 * (L + R)
-        VM = vmap(M, S)
-        L, R, S = np.concatenate([L, M]), np.concatenate([M, R]), np.concatenate([S, S])
-        VL, VR = np.concatenate([VL, VM]), np.concatenate([VM, VR])
-    if not done:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
-    left, right, slots = (np.concatenate([d[i] for d in done]) for i in range(3))
-    order = np.lexsort((left, slots))
-    return left[order], right[order], slots[order]
 
 
 def _rowwise(x, M):
@@ -398,62 +366,78 @@ def _run_chunks(run, size: int):
     return np.split(order, cuts[1:])
 
 
-def _levin_halving(solve, gval, lam, L, R, slot, n_slots: int, tol: float, max_pieces: int,
-                   run=None, ends=None):
-    """Levin collocation of an oscillatory integral over the pieces [L_i, R_i].
+def _levin_halving(solve, gval, lam, L, R, slot, n_slots: int, tol: float, max_pieces,
+                   run=None, ends=None, cap=None):
+    """Levin collocation of an oscillatory integral over the pieces [L_i, R_i],
+    and swing panels for the rest.
 
     ``solve(L, R, GL, GR, S)`` solves pieces, given their ends, the values
     of ``gval`` there and their slots, and returns per piece a value, an
     estimate and any further arrays (``_levin`` bound to its other
     arguments, for one).  ``gval(x, s)`` gives the phase at points x of
     slots s, n values or an (n, k) array; piece i and the pieces cut from it
-    add to slot ``slot[i]``, of lambda ``lam[slot[i]]``.  A piece whose
-    swing |lam| max_k |g(b) - g(a)| is at most ``LEVIN_SWING`` is set aside
-    for panels; a larger one is solved, and accepted when its estimate is at
-    most ``tol`` times its width (never where g' vanishes or changes sign),
-    else halved, so next to a zero of g' the pieces shrink dyadically.  Each
+    add to slot ``slot[i]``, of lambda ``lam[slot[i]]``.  Each round takes
+    every piece once, by its swing |lam| max_k |g(b) - g(a)| (on a monotone
+    piece the endpoint difference IS the swing, so no derivative bounds are
+    needed): a piece of swing at most ``cap`` is a panel, one of swing in
+    (cap, LEVIN_SWING] is halved, and a larger one is solved, and accepted
+    when its estimate is at most ``tol`` times its width (never where g'
+    vanishes or changes sign), else halved, so next to a zero of g' the
+    pieces shrink dyadically.  Only the new midpoints are evaluated.  Each
     round is solved in the chunks of ``_run_chunks``: a piece's result is
     its own, and a run's pieces reach ``solve`` in the groups they would
-    alone.  Returns the set-aside (left, right, slot) arrays, and per slot
-    the number of accepted pieces and their summed value and estimate; a
-    list ``ends`` gets each round's accepted (left, right, slot, *further
-    arrays).  PANEL_BUDGET is raised when a run's accepted pieces and
-    pending halves would pass ``max_pieces``.
+    alone.  Returns the panels' (left, right, slot) arrays, sorted by slot,
+    then left end, and per slot the number of accepted pieces and their
+    summed value and estimate; a list ``ends`` gets each round's accepted
+    (left, right, slot, *further arrays).  With ``cap`` None the pieces of
+    swing at most LEVIN_SWING are set aside, uncounted and in the order the
+    rounds leave them.  PANEL_BUDGET is raised when a run's accepted pieces
+    and panels plus twice its pieces to halve would pass ``max_pieces``
+    (one budget, or one per run).
     """
     L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
     S = np.asarray(slot, dtype=np.intp)
     lam_abs = np.abs(np.asarray(lam, dtype=float))
     run, n_runs = _runs(run, n_slots)
     GL, GR = gval(L, S), gval(R, S)
-    small = []
+    aside, n_aside = [], np.zeros(n_runs, dtype=np.intp)
     n_levin = np.zeros(n_slots, dtype=np.intp)
     levin_val, levin_err = np.zeros(n_slots, dtype=complex), np.zeros(n_slots)
     while True:
         swing = np.abs(GR - GL)
-        near = lam_abs[S] * (swing.max(axis=1) if swing.ndim > 1 else swing) <= LEVIN_SWING
-        small.append((L[near], R[near], S[near]))
-        L, R, S, GL, GR = L[~near], R[~near], S[~near], GL[~near], GR[~near]
-        if not L.size:
+        swing = lam_abs[S] * (swing.max(axis=1) if swing.ndim > 1 else swing)
+        halve = swing > (LEVIN_SWING if cap is None else cap)
+        aside.append((L[~halve], R[~halve], S[~halve]))
+        if cap is not None:
+            n_aside += np.bincount(run[S[~halve]], minlength=n_runs)
+        big = np.flatnonzero(swing > LEVIN_SWING)
+        if big.size:
+            BL, BR, _, _, BS = B = [a[big] for a in (L, R, GL, GR, S)]
+            chunks = ([slice(None)] if big.size <= _LEVIN_CHUNK
+                      else _run_chunks(run[BS], _LEVIN_CHUNK))
+            back = np.argsort(np.concatenate(chunks)) if len(chunks) > 1 else slice(None)
+            val, err, *more = (np.concatenate(parts)[back] for parts in zip(*(
+                solve(*(a[k] for a in B)) for k in chunks)))
+            ok = err <= tol * (BR - BL)
+            n_levin += np.bincount(BS[ok], minlength=n_slots)
+            levin_val += _slot_sums(BS[ok], val[ok], n_slots)
+            levin_err += _slot_sums(BS[ok], err[ok], n_slots)
+            if ends is not None:
+                ends.append((BL[ok], BR[ok], BS[ok], *(m[ok] for m in more)))
+            halve[big[ok]] = False
+        _check_budget(np.bincount(run, n_levin, n_runs) + n_aside
+                      + 2 * np.bincount(run[S[halve]], minlength=n_runs), max_pieces, lam_abs, run)
+        if not halve.any():
             break
-        chunks = _run_chunks(run[S], _LEVIN_CHUNK) if L.size > _LEVIN_CHUNK else [slice(None)]
-        back = np.argsort(np.concatenate(chunks)) if len(chunks) > 1 else slice(None)
-        val, err, *more = (np.concatenate(parts)[back] for parts in zip(*(
-            solve(L[k], R[k], GL[k], GR[k], S[k]) for k in chunks)))
-        ok = err <= tol * (R - L)
-        n_levin += np.bincount(S[ok], minlength=n_slots)
-        levin_val += _slot_sums(S[ok], val[ok], n_slots)
-        levin_err += _slot_sums(S[ok], err[ok], n_slots)
-        if ends is not None:
-            ends.append((L[ok], R[ok], S[ok], *(m[ok] for m in more)))
-        bad = ~ok
-        L, R, S, GL, GR = L[bad], R[bad], S[bad], GL[bad], GR[bad]
-        _check_budget(np.bincount(run, n_levin, n_runs) + 2 * np.bincount(run[S], minlength=n_runs),
-                      max_pieces, lam_abs, run)
+        L, R, S, GL, GR = L[halve], R[halve], S[halve], GL[halve], GR[halve]
         M = 0.5 * (L + R)
         GM = gval(M, S)
         L, R, S = np.concatenate([L, M]), np.concatenate([M, R]), np.concatenate([S, S])
         GL, GR = np.concatenate([GL, GM]), np.concatenate([GM, GR])
-    SL, SR, SS = (np.concatenate([p[i] for p in small]) for i in range(3))
+    SL, SR, SS = (np.concatenate([p[i] for p in aside]) for i in range(3))
+    if cap is not None:
+        order = np.lexsort((SL, SS))
+        SL, SR, SS = SL[order], SR[order], SS[order]
     return SL, SR, SS, n_levin, levin_val, levin_err
 
 
@@ -464,26 +448,24 @@ def _pieces_integral(gval, gd, lam, L, R, S, run, cfg: QuadConfig, ends=None, h=
     ``gval(x, s)``, ``gd(x, s)`` and ``h(x, s)`` evaluate g, g' and a smooth
     amplitude (1 when None) at the points x of slots s; piece i adds to slot
     ``S[i]``, of lambda ``lam[s]`` and run ``run[s]``.  The pieces go
-    through ``_levin_halving`` on ``colloc``; those it sets aside are cut
-    into swing panels (which assume g monotone on each piece; where it is
-    not, refinement alone answers for the error), refined by ``_refine`` for
-    at most 3 rounds, all held to ``cfg.rel_tol`` per unit width.  Returns
-    per slot the value, the estimate (Levin estimates plus panel
-    |K15 - G7|), the Levin pieces plus panels, and ``converged``.  A run's
-    pieces and panels may not pass its ``budget`` (``cfg.max_panels``, or
-    one per run); a slot's bits depend only on its own pieces, its budget
-    on its own run.
+    through ``_levin_halving`` on ``colloc``, which cuts the rest into swing
+    panels of ``cfg.phase_variation_cap`` (they assume g monotone on each
+    piece; where it is not, refinement alone answers for the error), and
+    those go to ``_refine`` for at most 3 rounds, all held to ``cfg.rel_tol``
+    per unit width.  Returns per slot the value, the estimate (Levin
+    estimates plus panel |K15 - G7|), the Levin pieces plus panels, and
+    ``converged``.  A run's pieces and panels may not pass its ``budget``
+    (``cfg.max_panels``, or one per run); a slot's bits depend only on its
+    own pieces, its budget on its own run.
     """
     lam = np.asarray(lam, dtype=float)
     run, n_runs = _runs(run, lam.size)
     n_slots = lam.size
     budget = cfg.max_panels if budget is None else budget
-    SL, SR, SS, n_levin, levin_val, levin_err = _levin_halving(
+    PL, PR, PS, n_levin, levin_val, levin_err = _levin_halving(
         partial(_levin, colloc, gd, (lambda x, _: np.ones_like(x)) if h is None else h, lam),
-        gval, lam, L, R, S, n_slots, cfg.rel_tol, budget, run, ends)
+        gval, lam, L, R, S, n_slots, cfg.rel_tol, budget, run, ends, cfg.phase_variation_cap)
     budget = budget - np.bincount(run, n_levin, n_runs).astype(np.intp)
-    PL, PR, PS = _swing_panels(gval, SL, SR, SS, np.abs(lam), cfg.phase_variation_cap, budget,
-                               run)
 
     def samples(x, s):
         th = lam[s] * gval(x, s)
@@ -514,7 +496,7 @@ def osc_integrate_1d_sweep(g: PhaseFunction, lams,
     and a sweep raises PANEL_BUDGET when one of its lambdas would alone.
     Each lambda's result is that of its one-element sweep, bit for bit.
     """
-    lams = [float(lam) for lam in lams]
+    lams = _lambdas(lams)
     length = g.domain.length
     out = [QuadResult(complex(length, 0.0), 0.0, 0, 0.0)] * len(lams)
     live = [k for k, lam in enumerate(lams) if lam != 0.0]
@@ -746,25 +728,27 @@ def _slices_in_y(g: Phase2D, lam: float, lo, hi, cfg: QuadConfig):
     """The integral over the y-pieces [lo_i, hi_i] (set-aside rectangles
     whose swing passes ``BLOCK_SWING``) by QK15 on swing panels in y.
 
-    The slices at the nodes go through one ``_pieces_integral`` call, one
-    slot per slice, each cut at the sign changes of d_x f (one
-    ``phases.sign_breaks`` call), so its pieces are monotone.  Returns the
-    value, the estimate (the outer |K15 - G7| plus the largest slice
-    estimate times the pieces' height), the slices' panels and Levin
-    pieces, and whether every slice converged.  More slices than
-    ``cfg.max_panels`` raise PANEL_BUDGET before any slice is integrated.
+    The panels are cut by ``_levin_halving`` at the y-swing of ``_probe``.
+    The slices at their nodes go through one ``_pieces_integral`` call, one
+    slot per slice, each cut into monotone pieces by one
+    ``phases.monotone_rows`` call.  Returns the value, the estimate (the
+    outer |K15 - G7| plus the largest slice estimate times the pieces'
+    height), the slices' panels and Levin pieces, and whether every slice
+    converged.  More slices than ``cfg.max_panels`` raise PANEL_BUDGET
+    before any slice is integrated.
     """
     d = g.domain
     f = g.eval_fn
-    YL, YR, _ = _swing_panels(_probe(g), lo, hi, np.zeros(len(lo), dtype=np.intp), [abs(lam)],
-                              cfg.phase_variation_cap, cfg.max_panels)
+    # no piece is solved: one whose probes swing more than LEVIN_SWING is halved
+    unsolved = lambda L, *_: (np.zeros(L.size, dtype=complex), np.full(L.size, np.inf))
+    YL, YR, *_ = _levin_halving(unsolved, _probe(g), [lam], lo, hi,
+                                np.zeros(len(lo), dtype=np.intp), 1, cfg.rel_tol,
+                                cfg.max_panels, cap=cfg.phase_variation_cap)
     yhalf = 0.5 * (YR - YL)
     ys = (0.5 * (YL + YR)[:, None] + yhalf[:, None] * _NODES).ravel()
     n = ys.size
     _check_budget(np.array([n]), cfg.max_panels, np.array([abs(lam)]), np.zeros(1))
-    slot, cut, _ = sign_breaks(g.rows_in_x((1, 0), ys), d.ax, d.bx, SIGN_TOL)
-    # slot s's pieces run from ax through its cuts to bx
-    S, L, R = _gaps(n, slot, cut, cut, np.full(n, d.ax), np.full(n, d.bx))
+    S, L, R = monotone_rows(g.rows_in_x((0, 0), ys), d.ax, d.bx, 1)[0]
     val, slice_err, used, converged = _pieces_integral(
         lambda x, s: f((0, 0), x, ys[s]), lambda x, s: f((1, 0), x, ys[s]), np.full(n, lam),
         L, R, S, np.zeros(n, dtype=np.intp), cfg)
@@ -852,7 +836,7 @@ def osc_integrate_2d_sweep(g: Phase2D, lams,
     (lambda, m) group of blocks', so each lambda's result is that of its
     one-element sweep, bit for bit.
     """
-    lams = [float(lam) for lam in lams]
+    lams = _lambdas(lams)
     out = [QuadResult(complex(g.domain.area, 0.0), 0.0, 0, 0.0)] * len(lams)
     live = [k for k, lam in enumerate(lams) if lam != 0.0]
     if not live:

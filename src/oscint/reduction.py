@@ -39,7 +39,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import PreconditionError
 from .phases import Phase2D, unit_square
-from .quadrature import (_EPS, _LEVIN_24, DEFAULT_CONFIG, QuadResult, _gauss_panels,
+from .quadrature import (_EPS, _LEVIN_24, DEFAULT_CONFIG, QuadResult, _gauss_panels, _lambdas,
                          _pieces_integral)
 
 DIRECT_SWITCH = 48.0
@@ -160,6 +160,7 @@ def product_monomial_integral(f: Phase2D, lam: float) -> QuadResult:
     if f.domain != unit_square() or len(at) != 1 or at.min() < 1 or at.max() > 24:
         raise PreconditionError(f"the profile reduction needs one term c x^k y^j with "
                                 f"1 <= k, j <= 24 on the unit square; {f.name!r} is not one")
+    [lam] = _lambdas([lam])
     k, j = at[0].tolist()
     lam_eff = lam * float(C[k, j])
     if lam_eff == 0.0:

@@ -13,7 +13,9 @@ product rule of separable phases and the chain rule of compositions.
 ``merge_intervals`` joins spans one at a time, the reference for
 ``phases.merge_rows``' sort and running maximum, and ``x_start`` finds one
 gamma's start of region 1 at a time, the reference for
-``certificates._x_starts``' batched roots and brackets.
+``certificates._x_starts``' batched roots and brackets.  ``swing_panels``
+halves pieces until their swing is at most a cap, in passes of its own,
+the reference for the panels that ``quadrature._levin_halving`` cuts.
 """
 
 import math
@@ -213,6 +215,47 @@ def x_start(f, gamma: float) -> float | None:
     h = 1e-9 * (1.0 + abs(x0))
     return float(solve_brackets(margin, max(dom.ax, x0 - h), min(dom.bx, x0 + h), False,
                                 xtol=0.0)[1][0])
+
+
+def swing_panels(vmap, lo, hi, slot, lam_abs, cap: float, max_panels, run=None):
+    """Halve the panels [lo_i, hi_i] until each swing is at most ``cap``.
+
+    ``vmap(x, s)`` maps n points and their slots to n values or to an (n, k)
+    array; a panel's swing is lam_abs[s] * max_k |v(right) - v(left)|, and
+    the panels cut from [lo_i, hi_i] keep its slot ``slot[i]``.  Returns the
+    (left, right, slot) arrays, sorted by slot, then left end.
+    PanelBudgetError is raised when a pass's finished panels plus twice its
+    panels to halve pass ``max_panels`` (one budget, or one per run) in
+    some run; ``run[s]`` is slot s's run, all run 0 when None.
+    """
+    from oscint.errors import PanelBudgetError
+
+    L, R = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    S = np.asarray(slot, dtype=np.intp)
+    lam_abs = np.asarray(lam_abs, dtype=float)
+    run = np.zeros(lam_abs.size, dtype=np.intp) if run is None else np.asarray(run)
+    n_runs = int(run.max()) + 1
+    VL, VR = vmap(L, S), vmap(R, S)
+    done = []
+    n_done = np.zeros(n_runs, dtype=np.intp)
+    while L.size:
+        swing = lam_abs[S] * np.abs(VR - VL).reshape(L.size, -1).max(axis=1)
+        bad = swing > cap
+        rs = run[S]
+        count = (n_done + np.bincount(rs, minlength=n_runs)
+                 + np.bincount(rs[bad], minlength=n_runs))
+        if (count > max_panels).any():
+            raise PanelBudgetError("panel budget exceeded")
+        done.append((L[~bad], R[~bad], S[~bad]))
+        n_done += np.bincount(rs[~bad], minlength=n_runs)
+        L, R, S, VL, VR = L[bad], R[bad], S[bad], VL[bad], VR[bad]
+        M = 0.5 * (L + R)
+        VM = vmap(M, S)
+        L, R, S = np.concatenate([L, M]), np.concatenate([M, R]), np.concatenate([S, S])
+        VL, VR = np.concatenate([VL, VM]), np.concatenate([VM, VR])
+    left, right, slots = (np.concatenate([d[i] for d in done] + [np.zeros(0)]) for i in range(3))
+    order = np.lexsort((left, slots))
+    return left[order], right[order], slots[order].astype(np.intp)
 
 
 def oscillatory_integral(g, g_float, lam: float, a: float, b: float, breaks=()) -> complex:

@@ -1,4 +1,6 @@
 import contextlib
+import math
+import time
 
 import mpmath
 import numpy as np
@@ -231,6 +233,16 @@ class TestCertify1DSweep:
                                        [lam], [1.0], [r], [None])[0]
                             for lam, r in zip(lams, rs)]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_lambda_before_any_work(self, bad):
+        f = monomial(2, (0.0, 1.0))
+        for call in (lambda: certify_1d_sweep(f, P_THIRD_CUBE, [1e3, bad], "vdc"),
+                     lambda: certify_1d(f, P_THIRD_CUBE, bad, "vdc")):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match="finite"):
+                call()
+            assert time.perf_counter() - start < 0.1
+
     def test_rejects_what_a_lone_lambda_rejects(self):
         f = monomial(3, (0.0, 1.0))
         assert certify_1d_sweep(f, P_SND, [], "vdc") == []
@@ -442,6 +454,16 @@ class TestCertify2DSweep:
         at_ax = _x_starts(AT_AX, [0.5, *gammas])
         assert at_ax == [x_start(AT_AX, gamma) for gamma in [0.5, *gammas]]
         assert at_ax.count(0.5) > 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_lambda_before_any_work(self, bad):
+        f2 = xy_phase()
+        for call in (lambda: certify_2d_sweep(f2, P_HALF_SQUARE, [1e3, bad]),
+                     lambda: certify_2d(f2, P_HALF_SQUARE, bad)):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match="finite"):
+                call()
+            assert time.perf_counter() - start < 0.1
 
     def test_rejects_what_a_lone_lambda_rejects(self):
         f2 = xy_phase()

@@ -305,6 +305,22 @@ def test_sign_partition_cap_boundary(k, monkeypatch):
         sign_partition(sine(1.0, float(k)), 1, 1e-9)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Interval(0.0, math.inf),
+    lambda: Interval(math.nan, 1.0),
+    lambda: monomial(2, (0.0, math.inf)),
+    lambda: PlanarDomain(0.0, math.inf, 0.0, 1.0),
+    lambda: PlanarDomain(0.0, 1.0, -math.inf, 1.0),
+    lambda: PlanarDomain(0.0, 1.0, 0.0, math.nan),
+    lambda: polynomial_phase([math.nan, 1.0]),
+    lambda: polynomial_phase([0.0, 1.0, math.inf]),
+], ids=["interval_inf", "interval_nan", "monomial_inf", "planar_inf", "planar_minus_inf",
+        "planar_nan", "poly_nan", "poly_inf"])
+def test_non_finite_phase_data_raises_at_construction(make):
+    with pytest.raises(PreconditionError, match="finite"):
+        make()
+
+
 def test_merge_intervals_slack():
     spans = [(0.5, 0.7), (0.0, 0.2), (0.2 + 1e-12, 0.3), (0.69, 0.8)]
     assert oracles.merge_intervals(spans, 1e-11) == [(0.0, 0.3), (0.5, 0.8)]

@@ -1,16 +1,17 @@
 """Every oscillatory 1D integral runs through ``quadrature._pieces_integral``.
 
-The stages that it chains (Levin collocation, its halving loop, the swing
-panel cutter, the panel rule and the refiner) are ``quadrature``'s own: no
-other module in ``src/oscint`` imports them, so a caller cannot build a
-chain of its own beside the shared one.
+The stages that it chains (Levin collocation, its halving loop, which also
+cuts the swing panels, the panel rule and the refiner) are ``quadrature``'s
+own: no other module in ``src/oscint`` imports them, so a caller cannot
+build a chain of its own beside the shared one.  Each listed stage must
+still be defined there, so the list cannot name a stage that is gone.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oscint"
-STAGES = {"_levin", "_levin_halving", "_swing_panels", "_kronrod", "_refine"}
+STAGES = {"_levin", "_levin_halving", "_kronrod", "_refine"}
 
 
 def _imported_names(tree: ast.Module):
@@ -36,3 +37,9 @@ def test_no_module_but_quadrature_uses_the_pipeline_stages():
              for line, name in _imported_names(ast.parse(path.read_text(), filename=str(path)))
              if name in STAGES]
     assert not found, found
+
+
+def test_every_stage_is_defined_in_quadrature():
+    tree = ast.parse((PACKAGE / "quadrature.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert STAGES <= defined, sorted(STAGES - defined)

@@ -515,6 +515,12 @@ def test_batched_ratio_rows_equal_one_row_calls():
     assert batched[1] == pytest.approx(1.0, rel=_SIMPLE_ROOT_RTOL)
 
 
+@pytest.mark.parametrize("coeffs", [(math.nan, 1.0), (0.0, math.inf), (1.0, 2.0, -math.inf)])
+def test_non_finite_coefficients_are_rejected(coeffs):
+    with pytest.raises(PreconditionError, match="finite"):
+        Polynomial(coeffs)
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
 def test_cover_checks_reject_non_positive_eps(eps):
     P = Polynomial((-1.0, 0.0, 1.0))

@@ -1,4 +1,5 @@
 import math
+import time
 from functools import partial
 
 import mpmath as mp
@@ -50,7 +51,6 @@ from oscint.quadrature import (
     _refine,
     _slices_in_y,
     _slot_sums,
-    _swing_panels,
 )
 from oscint.reduction import product_monomial_integral
 
@@ -62,6 +62,7 @@ from oracles import (
     oscillatory_integral,
     product_monomial_square_integral,
     shifted_square_ramp_integral,
+    swing_panels,
     xy_square_integral,
 )
 
@@ -570,11 +571,11 @@ def test_each_kept_panel_evaluated_about_once():
 
     object.__setattr__(g, "eval_fn", counted)
     res = osc_integrate_1d(g, lam, cfg=SUITE_CONFIG)
-    swing_panels = _swing_panels(lambda x, _: plain(0, x), [0.0], [1.0], [0], [lam],
-                                 SUITE_CONFIG.phase_variation_cap, 1 << 20)[0].size
-    halved = res.panels_used - swing_panels
+    n_panels = swing_panels(lambda x, _: plain(0, x), [0.0], [1.0], [0], [lam],
+                            SUITE_CONFIG.phase_variation_cap, 1 << 20)[0].size
+    halved = res.panels_used - n_panels
     assert res.converged and halved > 0
-    assert points[0] <= 17 * swing_panels + 30 * halved
+    assert points[0] <= 17 * n_panels + 30 * halved
 
 
 def test_unreachable_tolerance_flags_nonconvergence():
@@ -988,3 +989,98 @@ def test_error_estimate_bounds_error_against_mpmath(case, lam):
     for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
         res = osc_integrate_1d(g, lam, cfg=cfg)
         assert abs(res.value - oracle) <= res.error_estimate
+
+
+# a solve that accepts no piece: every piece of swing above the cap is halved
+_UNSOLVED = lambda L, *_: (np.zeros(L.size, dtype=complex), np.full(L.size, np.inf))
+
+
+@pytest.mark.parametrize("columns", [1, 9])
+def test_levin_halving_cuts_the_reference_swing_panels(columns):
+    # seeded monotone pieces of three slots in two runs, some of swing above
+    # LEVIN_SWING, on the phase x + x^3 or nine multiples of it (an (n, 9)
+    # array, as ``_probe`` gives): with no piece accepted the loop's panels
+    # are the reference cutter's, and each run's budget raises exactly where
+    # the reference's does
+    rng = np.random.default_rng(41)
+    lo = rng.uniform(-1.0, 0.8, 40)
+    hi = lo + rng.uniform(0.0, 0.4, 40)
+    slot = rng.integers(0, 3, 40)
+    lam, run, cap = np.array([30.0, 200.0, -70.0]), np.array([0, 1, 1]), 1.3
+    scale = np.linspace(0.5, 1.5, columns)
+    vmap = lambda x, _: (x + x**3)[:, None] * scale if columns > 1 else x + x**3
+    assert (np.abs(lam[slot]) * np.abs(vmap(hi, slot) - vmap(lo, slot)).reshape(40, -1).max(axis=1)
+            > LEVIN_SWING).any()
+    cut = lambda budget: _levin_halving(_UNSOLVED, vmap, lam, lo, hi, slot, 3, 1e-10, budget, run,
+                                        cap=cap)
+    reference = lambda budget: swing_panels(vmap, lo, hi, slot, np.abs(lam), cap, budget, run)
+    want = reference(1 << 20)
+    got = cut(1 << 20)
+    for a, b in zip(got[:3], want, strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert not got[3].any()
+    count = np.bincount(run[want[2]], minlength=2)
+    for r in range(2):
+        for step in (-1, 0, 1):
+            budget = count.copy()
+            budget[r] += step
+            raised = []
+            for f in (cut, reference):
+                try:
+                    f(budget)
+                    raised.append(False)
+                except PanelBudgetError:
+                    raised.append(True)
+            assert raised == [step < 0] * 2, (r, step)
+
+
+def test_levin_halving_holds_levin_pieces_and_panels_to_one_budget():
+    # x^2 at 1e4 takes Levin pieces away from 0 and panels next to it.  Set
+    # aside at LEVIN_SWING, then cut by the reference, the pieces are those
+    # of the one loop with a cap, and its budget passes at their count and
+    # raises one below it
+    g = monomial(2, (0.0, 1.0))
+    gval = lambda x, _: g.eval_fn(0, x)
+    solve = partial(_levin, _LEVIN_16, lambda x, _: g.eval_fn(1, x),
+                    lambda x, _: np.ones_like(x), [1e4])
+    halving = lambda budget, cap=None: _levin_halving(solve, gval, [1e4], [0.0], [1.0], [0], 1,
+                                                      1e-10, budget, cap=cap)
+    SL, SR, SS, n_levin, val, err = halving(1 << 20)
+    panels = swing_panels(gval, SL, SR, SS, [1e4], DEFAULT_CONFIG.phase_variation_cap, 1 << 20)
+    count = int(n_levin[0]) + panels[0].size
+    assert n_levin[0] > 0 and panels[0].size > 0
+    PL, PR, PS, *levin = halving(count, DEFAULT_CONFIG.phase_variation_cap)
+    for a, b in zip((PL, PR, PS, *levin), (*panels, n_levin, val, err), strict=True):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(PanelBudgetError):
+        halving(count - 1, DEFAULT_CONFIG.phase_variation_cap)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sweep, lone, g", [
+    (osc_integrate_1d_sweep, osc_integrate_1d, monomial(2, (0.0, 1.0))),
+    (osc_integrate_2d_sweep, osc_integrate_2d, xy_phase()),
+], ids=["1d", "2d"])
+def test_non_finite_lambda_raises_before_any_work(sweep, lone, g, bad):
+    for call in (lambda: sweep(g, [1e3, bad]), lambda: lone(g, bad)):
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="finite"):
+            call()
+        assert time.perf_counter() - start < 0.1
+
+
+# one lambda a decade from 1e4 to 1e12: the sweeps' Levin in y and blocks
+# far past the packaged grids, each row within its estimate of the oracle
+_HIGH_LAMS = [10.0**e for e in range(4, 13)]
+
+
+@pytest.mark.parametrize("name", ["xy", "P(xy)", "x3_y2"])
+def test_2d_sweep_holds_its_estimate_at_high_lambda(name):
+    f2, integral = {**_T3_PHASES, "x3_y2": (
+        _X3_Y2, partial(product_monomial_square_integral, 3, 2))}[name]
+    oracles = [integral(lam) for lam in _HIGH_LAMS]
+    for cfg in (DEFAULT_CONFIG, SUITE_CONFIG):
+        for lam, res, oracle in zip(_HIGH_LAMS, osc_integrate_2d_sweep(f2, _HIGH_LAMS, cfg=cfg),
+                                    oracles, strict=True):
+            assert res.converged, (cfg, lam)
+            assert abs(res.value - oracle) <= res.error_estimate, (cfg, lam)

@@ -1,3 +1,6 @@
+import math
+import time
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -149,6 +152,14 @@ def test_reduction_with_coefficient():
     red = reduction(2, 2, lam, 0.5)
     red2 = reduction(2, 2, 0.5 * lam)
     assert red == pytest.approx(red2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reduction_rejects_a_non_finite_lambda(bad):
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="finite"):
+        product_monomial_integral(term(1, 1), bad)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_reduction_lambda_zero():
