@@ -6,8 +6,9 @@ smooth bump phi equal to 1 on [-1,1] and vanishing outside [-2,2], realised
 as the indicator of [-1.5, 1.5] convolved with the standard compactly
 supported mollifier at scale 0.5.  Its transform factorises exactly into
 the sinc of the indicator times the mollifier's transform, and the latter is
-a single Gauss-Legendre cosine sum, so phihat costs one small matrix-vector
-product per batch of xi and its sinc zeros k/3 are known in closed form.
+a Gauss-Legendre cosine sum, tabulated once per process as a piecewise
+Chebyshev series and summed by Clenshaw, so each xi costs a few dozen
+multiply-adds of its own and the sinc zeros k/3 are known in closed form.
 
 Bands are found piece by piece on monotone partitions, and the brackets of
 all pieces, or of all rows of a planar batch, go to the shared solver
@@ -36,7 +37,7 @@ from .errors import NonconvergentTailError, PreconditionError
 from .phases import (BISECT_XTOL, Interval, Phase2D, PhaseFunction, _gaps, flat_rows,
                      merge_rows, monotone_partition, monotone_rows, polish, real_roots,
                      scan_sign_changes, sign_breaks)
-from .quadrature import _adaptive_slots
+from .quadrature import _adaptive_slots, _rowwise
 
 BAND_AREA_REL_TOL = 1e-7
 XI_CUTOFF = 64.0
@@ -233,13 +234,23 @@ class _Bump:
         phihat(xi) = sin(3 pi xi)/(pi xi) * rhohat(h xi).
 
     rho is even, so rhohat is a Gauss-Legendre cosine sum over the positive
-    half of a 400-node rule, good to ~1e-13 for the xi that C_delta needs.
-    The object holds only these nodes and weights and is never mutated.
+    half of a 400-node rule (``cosine_sum``), good to ~1e-13 for the xi that
+    C_delta needs.  The sum only builds a table: on each unit piece
+    [j, j + 1] of |eta|, the degree-24 Chebyshev interpolant of the sum at
+    the piece's 25 Chebyshev points.  The table grows, in the call that
+    first needs it, to the largest |eta| asked for.  rhohat is entire of
+    exponential type 2 pi, so a piece's coefficients fall at least like the
+    Bessel J_k(pi), and the table is within 3e-15 absolute of the sum over
+    [0, 64.1]; ``rho_hat`` sums it by Clenshaw, elementwise.  A piece is
+    built from its own samples and products, so a value depends on its eta
+    alone, not on its batch or on the pieces built before.  The zeros on
+    (0, hi] are found once per hi and kept read-only.
     """
 
     H = 0.5
     CORE = 1.5
     N_NODES = 400
+    DEGREE = 24
 
     def __init__(self):
         t, w = leggauss(self.N_NODES)
@@ -247,10 +258,35 @@ class _Bump:
         pos = t > 0.0
         self._t = t[pos]
         self._w = 2.0 * rho_w[pos] / rho_w.sum()
+        n = self.DEGREE + 1
+        k = np.arange(n)
+        # cos(i theta_k) at theta_k = pi (2k + 1) / 2n, the angle reduced mod 2 pi exactly
+        self._dct = 2.0 / n * np.cos(math.pi / (2 * n) * (np.outer(k, 2 * k + 1) % (4 * n)))
+        self._dct[0] *= 0.5
+        self._cheb = 0.5 + 0.5 * np.cos(math.pi / (2 * n) * (2 * k + 1))
+        self._coef = np.zeros((n, 0))  # column j: the coefficients on [j, j + 1]
+        self._zeros: dict[float, np.ndarray] = {}
+
+    def cosine_sum(self, eta) -> np.ndarray:
+        """rhohat at each eta from the 400-node rule, each sum its own: the table's source."""
+        eta = np.asarray(eta, dtype=float).ravel()
+        return _rowwise(np.cos(2.0 * math.pi * eta[:, None] * self._t), self._w[:, None])[:, 0]
 
     def rho_hat(self, eta) -> np.ndarray:
-        eta = np.asarray(eta, dtype=float)
-        return np.cos(2.0 * math.pi * eta[..., None] * self._t) @ self._w
+        """rhohat at each eta from the table, grown first to the largest |eta|."""
+        eta = np.abs(np.asarray(eta, dtype=float))
+        j = eta.astype(int)
+        coef = self._coef
+        if j.size and j.max() >= coef.shape[1]:
+            vals = self.cosine_sum(np.arange(coef.shape[1], j.max() + 1)[:, None] + self._cheb)
+            coef = self._coef = np.hstack([coef, _rowwise(vals.reshape(-1, self.DEGREE + 1),
+                                                          self._dct.T).T])
+        c = coef[:, j]
+        two_s = 4.0 * (eta - j) - 2.0
+        b1, b2 = c[-1], 0.0
+        for ck in c[-2:0:-1]:
+            b1, b2 = two_s * b1 - b2 + ck, b1
+        return 0.5 * two_s * b1 - b2 + c[0]
 
     def transform_vec(self, xis) -> np.ndarray:
         """phihat at each xi, as a flat array."""
@@ -260,13 +296,19 @@ class _Bump:
     def sign_change_points(self, hi: float) -> np.ndarray:
         """Sorted zeros of the transform on (0, hi]: the sinc zeros k/3 exactly,
         and the zeros of rhohat(h xi) from a scan at spacing 1/24, bisected
-        to ``BISECT_XTOL`` by ``phases.scan_sign_changes``."""
-        grid = np.linspace(1e-6, hi, int(hi * 24) + 2)
-        _, rho_zeros = scan_sign_changes(lambda x, _: self.rho_hat(self.H * x), grid,
-                                         self.rho_hat(self.H * grid)[:, None], 0.0, grid.size,
-                                         "bump transform", 0)
-        sinc_zeros = np.arange(1, int(2.0 * self.CORE * hi) + 1) / (2.0 * self.CORE)
-        return np.sort(np.concatenate([sinc_zeros, rho_zeros]))
+        to ``BISECT_XTOL`` by ``phases.scan_sign_changes``.  Found on the
+        first call for each hi; later calls return the same read-only array."""
+        zeros = self._zeros.get(hi)
+        if zeros is None:
+            grid = np.linspace(1e-6, hi, int(hi * 24) + 2)
+            _, rho_zeros = scan_sign_changes(lambda x, _: self.rho_hat(self.H * x), grid,
+                                             self.rho_hat(self.H * grid)[:, None], 0.0,
+                                             grid.size, "bump transform", 0)
+            sinc_zeros = np.arange(1, int(2.0 * self.CORE * hi) + 1) / (2.0 * self.CORE)
+            zeros = np.sort(np.concatenate([sinc_zeros, rho_zeros]))
+            zeros.flags.writeable = False
+            self._zeros[hi] = zeros
+        return zeros
 
 
 @functools.cache
@@ -278,15 +320,18 @@ def osc_to_sublevel_constant(delta: float) -> OscToSublevelConstant:
     """C_delta = int_R |phihat(xi)| |xi|^(-delta) d xi for the fixed proof bump.
 
     phihat is even, so C_delta is twice the integral over xi > 0, cut at the
-    transform's sign changes (``_Bump.sign_change_points``) so that each
+    transform's sign changes (``_Bump.sign_change_points``, found once per
+    ``XI_CUTOFF`` in a process and shared by every delta) so that each
     segment is smooth and the modulus costs nothing.  One
     ``quadrature._adaptive_slots`` call takes three slots, each held to its
     own tolerance over its segments: the singular head [0, z1] up to the
     first zero, by the exact substitution u = xi^(1-delta); the body from z1
     to ``XI_CUTOFF``; and the tail from ``XI_CUTOFF`` to twice it, which must
     contribute less than 1e-8 relative or the computation raises
-    NonconvergentTailError.  ``converged`` is False when a cap stopped any
-    of the three with pieces over tolerance.
+    NonconvergentTailError.  Each round evaluates the samples of all three
+    slots in one transform call, whose values are each a function of their
+    own xi.  ``converged`` is False when a cap stopped any of the three with
+    pieces over tolerance.
     """
     if not (0.0 < delta < 1.0):
         raise PreconditionError("delta must lie in (0, 1)")
@@ -300,16 +345,9 @@ def osc_to_sublevel_constant(delta: float) -> OscToSublevelConstant:
     power = 1.0 / (1.0 - delta)
 
     def integrand(x, s):
-        # each slot's samples go to a transform call of their own, whose
-        # matrix product rounds a sample by the batch it is in
-        out = np.empty(x.size)
-        for k in np.unique(s).tolist():
-            at = s == k
-            if k == 0:  # u = xi^(1-delta) removes the |xi|^-delta weight at the singular end
-                out[at] = np.abs(bump.transform_vec(x[at] ** power))
-            else:
-                out[at] = np.abs(bump.transform_vec(x[at])) * x[at] ** (-delta)
-        return out
+        head = s == 0  # u = xi^(1-delta) removes the |xi|^-delta weight at the singular end
+        out = np.abs(bump.transform_vec(np.where(head, x ** power, x)))
+        return np.where(head, out, out * x ** (-delta))
 
     val, _, converged = _adaptive_slots(
         integrand, np.concatenate([[0.0], body[:-1], far[:-1]]),

@@ -158,6 +158,39 @@ class TestConstant:
         rest = adaptive_quad(weighted, body[:-1], body[1:])[0]
         assert osc_to_sublevel_constant(delta).C_delta == 2.0 * (power * head + rest)
 
+    def test_zeros_found_once_per_cutoff(self, monkeypatch):
+        # the zeros do not depend on delta: after the first constant, three
+        # more make no scan and sum no cosines; a new cutoff scans again
+        scans, sums = [], []
+        scan, cosine_sum = sublevel.scan_sign_changes, sublevel._Bump.cosine_sum
+
+        def counted_scan(*args):
+            scans.append(args)
+            return scan(*args)
+
+        def counted_sum(self, eta):
+            sums.append(eta)
+            return cosine_sum(self, eta)
+
+        bump = sublevel._Bump()
+        monkeypatch.setattr(sublevel, "scan_sign_changes", counted_scan)
+        monkeypatch.setattr(sublevel._Bump, "cosine_sum", counted_sum)
+        monkeypatch.setattr(sublevel, "_bump", lambda: bump)
+        monkeypatch.setattr(sublevel, "_constant_cache", {})
+        osc_to_sublevel_constant(0.5)
+        assert len(scans) == 1 and sums
+        scans.clear()
+        sums.clear()
+        for delta in (0.25, 1.0 / 3.0, 2.0 / 3.0):
+            osc_to_sublevel_constant(delta)
+        assert scans == [] and sums == []
+        zeros = bump.sign_change_points(2.0 * sublevel.XI_CUTOFF)
+        assert not zeros.flags.writeable
+        assert bump.sign_change_points(2.0 * sublevel.XI_CUTOFF) is zeros
+        monkeypatch.setattr(sublevel, "XI_CUTOFF", 64.1)
+        osc_to_sublevel_constant(0.5)
+        assert len(scans) == 1
+
     def test_cutoff_off_a_sinc_zero(self, monkeypatch):
         # 64.1 is no zero of the transform, and still cuts body from tail
         monkeypatch.setattr(sublevel, "XI_CUTOFF", 64.1)
@@ -203,12 +236,54 @@ def _phi_by_convolution(x):
 
 class TestBumpTransform:
     def test_matches_direct_cosine_transform(self):
+        def direct(xis):
+            return [2.0 * _gauss(lambda x: _phi_by_convolution(x) * np.cos(2 * np.pi * xi * x),
+                                 0.0, 2.0, panels=32, order=32)
+                    for xi in xis]
+
         xis = np.array([0.05, 0.4, 1.3, 2.9, 7.7])
-        direct = [2.0 * _gauss(lambda x: _phi_by_convolution(x) * np.cos(2 * np.pi * xi * x),
-                               0.0, 2.0, panels=32, order=32)
-                  for xi in xis]
-        np.testing.assert_allclose(_bump().transform_vec(xis), direct,
+        np.testing.assert_allclose(_bump().transform_vec(xis), direct(xis),
                                    rtol=0.0, atol=1e-11)
+        # far out, where |phihat| < 6e-8: 30, 60 and 120 are sinc zeros and a
+        # quarter past each checks the rhohat factor (9e-12 at 60.25); the
+        # direct sum's own rounding reaches 5e-15 there
+        far = np.array([30.0, 60.0, 120.0, 30.25, 60.25, 120.25])
+        np.testing.assert_allclose(_bump().transform_vec(far), direct(far),
+                                   rtol=0.0, atol=1e-14)
+
+    def test_table_matches_the_cosine_sum(self):
+        # the Chebyshev table against its source on 1,000 points per unit
+        # of eta, over every eta that C_delta reads for XI_CUTOFF <= 64.1
+        bump = _bump()
+        eta = np.linspace(0.0, 64.1, 64_101)
+        gap = max(np.abs(bump.rho_hat(e) - bump.cosine_sum(e)).max()
+                  for e in np.array_split(eta, 16))
+        assert gap <= 1e-14
+
+    def test_zeros_match_the_cosine_sums(self):
+        # a change e of rhohat moves a simple zero by about e / |slope|, and
+        # rhohat(xi / 2) falls to 1e-10 by xi = 128, where the slope is
+        # small: so BISECT_XTOL below xi = 16, and beyond it BISECT_XTOL
+        # plus the table's 1e-14 over the slope
+        hi = 128.0
+        bump, ref = _bump(), sublevel._Bump()
+        ref.rho_hat = ref.cosine_sum
+        got, want = bump.sign_change_points(hi), ref.sign_change_points(hi)
+        assert got.shape == want.shape
+        gap = np.abs(got - want)
+        assert gap[want < 16.0].max() <= phases.BISECT_XTOL
+        arg = 2.0 * np.pi * bump.H * want[:, None] * bump._t
+        slope = bump.H * np.abs((2.0 * np.pi * bump._t * np.sin(arg)) @ bump._w)
+        assert np.all(gap <= phases.BISECT_XTOL + 1e-14 / slope)
+
+    def test_values_do_not_depend_on_the_batch(self):
+        # each value is a function of its own xi: 3,000 seeded xi together,
+        # or one at a time on a table grown piece by piece in their order
+        xis = np.random.default_rng(43).uniform(0.0, 128.0, 3000)
+        together = sublevel._Bump().transform_vec(xis)
+        alone = sublevel._Bump()
+        assert np.array_equal(np.concatenate([alone.transform_vec(x) for x in xis]), together)
+        assert np.array_equal(_bump().transform_vec(xis), together)
 
     def test_value_at_zero_is_bump_area(self):
         assert float(_bump().transform_vec(0.0)[0]) == pytest.approx(3.0, rel=1e-13)
